@@ -110,10 +110,6 @@ class ConvexBody:
     def is_ball(self) -> bool:
         return self.kind == "ball"
 
-    def max_extent(self) -> float:
-        """Radius of the smallest origin-centered ball around the body center."""
-        return float(max(self.semiaxes))
-
 
 def ball(center, radius: float) -> ConvexBody:
     center = np.asarray(center, dtype=float)
@@ -388,6 +384,8 @@ class Scene:
         center = _as_tuple(center)
         if len(center) != d:
             raise ValueError("ball center dimension mismatch")
+        if not all(map(math.isfinite, center + (float(self.ball_radius),))):
+            raise ValueError("ball center and radius must be finite")
         if float(self.ball_radius) <= 0.0:
             raise ValueError("ball radius must be positive")
         bodies = tuple(self.bodies)
@@ -395,8 +393,16 @@ class Scene:
         for body in bodies:
             if body.dimension != d:
                 raise ValueError("body dimension mismatch")
+            numbers = body.center + body.semiaxes + sum(body.rotation, ())
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError("body center, semiaxes and rotation must be finite")
         if curves and d != 2:
             raise ValueError("curve obstacles are only valid in d = 2")
+        for curve in curves:
+            # Endpoints are computed from every arc number, so a non-finite
+            # centre, semiaxis or angle shows up in them.
+            if not all(math.isfinite(v) for arc in curve.arcs for v in arc.start + arc.end):
+                raise ValueError("curve arcs must be finite")
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "bodies", bodies)
         object.__setattr__(self, "curves", curves)

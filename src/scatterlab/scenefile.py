@@ -1,13 +1,15 @@
 """Scene documents: a strict JSON schema with exact float round-trip.
 
-Unknown keys fail parsing anywhere in the document; silent misconfiguration
-is worse than a hard error. Parsing also runs the geometric validation, so
+Unknown keys, wrongly shaped values and non-finite numbers (NaN, infinities,
+integers beyond the float range) fail parsing anywhere in the document;
+silent misconfiguration is worse than a hard error. Parsing also runs the geometric validation, so
 a returned scene is always admissible.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,12 +55,42 @@ def _reject_unknown(obj: dict, allowed: set, path: str, issues: list):
             issues.append(SceneIssue(path, f"unknown key {key!r}"))
 
 
+def _is_number(v) -> bool:
+    """A JSON number that converts to a finite float: no bool, NaN or infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _floats(value, n, path, issues):
     if not isinstance(value, (list, tuple)) or len(value) != n or \
-            not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        issues.append(SceneIssue(path, f"expected {n} numbers"))
+            not all(_is_number(v) for v in value):
+        issues.append(SceneIssue(path, f"expected {n} finite numbers"))
         return None
     return [float(v) for v in value]
+
+
+def _matrix(value, n, path, issues):
+    if not isinstance(value, list) or len(value) != n:
+        issues.append(SceneIssue(path, f"expected {n} rows of {n} numbers"))
+        return None
+    rows = [_floats(row, n, f"{path}[{r}]", issues) for r, row in enumerate(value)]
+    if any(row is None for row in rows):
+        return None
+    return np.array(rows)
+
+
+def _list(obj: dict, key: str, path: str, issues: list) -> list:
+    value = obj.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        issues.append(SceneIssue(path, "must be a list"))
+        return []
+    return value
 
 
 def parse_scene_document(text: str) -> SceneDocument:
@@ -78,7 +110,7 @@ def parse_scene_document(text: str) -> SceneDocument:
         issues.append(SceneIssue("dimension", "must be an integer >= 2"))
         d = 2
     ball = doc.get("ball")
-    center = [0.0] * d
+    center = None
     radius = 1.0
     if not isinstance(ball, dict):
         issues.append(SceneIssue("ball", "required object with center and radius"))
@@ -88,12 +120,12 @@ def parse_scene_document(text: str) -> SceneDocument:
         if got is not None:
             center = got
         r = ball.get("radius")
-        if not isinstance(r, (int, float)) or isinstance(r, bool) or r <= 0:
-            issues.append(SceneIssue("ball.radius", "must be a positive number"))
+        if not _is_number(r) or r <= 0:
+            issues.append(SceneIssue("ball.radius", "must be a positive finite number"))
         else:
             radius = float(r)
     bodies = []
-    for i, item in enumerate(doc.get("bodies", []) or []):
+    for i, item in enumerate(_list(doc, "bodies", "bodies", issues)):
         path = f"bodies[{i}]"
         if not isinstance(item, dict):
             issues.append(SceneIssue(path, "must be an object"))
@@ -111,10 +143,7 @@ def parse_scene_document(text: str) -> SceneDocument:
             continue
         rotation = None
         if rot is not None:
-            flat = _floats([v for row in rot for v in row] if isinstance(rot, list) else None,
-                           d * d, f"{path}.rotation", issues)
-            if flat is not None:
-                rotation = np.array(flat).reshape(d, d)
+            rotation = _matrix(rot, d, f"{path}.rotation", issues)
         if ctr is None or axes is None:
             continue
         if rotation is None:
@@ -125,14 +154,14 @@ def parse_scene_document(text: str) -> SceneDocument:
         except ValueError as exc:
             issues.append(SceneIssue(path, str(exc)))
     curves = []
-    for i, item in enumerate(doc.get("curves", []) or []):
+    for i, item in enumerate(_list(doc, "curves", "curves", issues)):
         path = f"curves[{i}]"
         if not isinstance(item, dict):
             issues.append(SceneIssue(path, "must be an object"))
             continue
         _reject_unknown(item, _CURVE_KEYS, path, issues)
         arcs = []
-        for j, arc in enumerate(item.get("arcs", []) or []):
+        for j, arc in enumerate(_list(item, "arcs", f"{path}.arcs", issues)):
             apath = f"{path}.arcs[{j}]"
             if not isinstance(arc, dict):
                 issues.append(SceneIssue(apath, "must be an object"))

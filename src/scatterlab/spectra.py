@@ -8,17 +8,22 @@ which is one of the acceptance checks.
 Travelling times are found by a shooting method: seed inward directions at a
 sphere point x, trace, locate the last crossing of the reference sphere on
 the outgoing leg, bracket seeds whose exits straddle the target point y, and
-refine by bisection on the exit-angle miss. The search is symmetrized: roots
-found sweeping from y are time-reversed and re-polished from x, so swapping
-the endpoints returns matching times by construction. Non-convergent
-brackets are dropped and counted in the table diagnostics; near-tangent
-branches legitimately fail.
+refine by bisection on the exit-angle miss (d = 2) or by a local polish of
+the miss distance (d = 3). The sweep depends on x alone, so a table traces
+it once per source point and reuses it for every partner. The search is
+symmetrized: each root found sweeping from one endpoint is time-reversed and
+re-polished once from the other, and the pair's cells in both orders are
+built from those two mirror lists, so swapping the endpoints returns
+matching times by construction. Non-convergent brackets are dropped and
+counted in the table diagnostics; near-tangent branches legitimately fail.
+Travel in d >= 4 is refused with ContractError rather than answered with
+empty sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -590,38 +595,27 @@ def _dir_gap(u, v) -> float:
     return math.hypot(*(a - b for a, b in zip(u, v)))
 
 
-def _merge_bidirectional(scene, x, y, own, opposite, pair, tol, limits, dedup):
-    """Symmetric per-pair merge: a root is kept only when it re-polishes from
-    the opposite endpoint too, and opposite-side roots enter as re-polished
-    mirrors. Swapping the roles of x and y then yields matching time sets by
-    construction; one-way-only roots are near-tangent and are dropped."""
+def _mirror_all(scene, roots, x, y, tol, limits) -> list:
+    """Time reversal of each (y, x) root re-polished as an (x, y) sample, None
+    where the polish fails; one entry per root, in order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    kept = []
     if scene.dimension == 2:
         frame_x = _frame_at(scene, x)
-        frame_y = _frame_at(scene, y)
-        for s in own:
-            if _mirror_refine_2d(scene, s, 0, y, x, frame_y, tol, limits) is not None:
-                kept.append(s)
-        for s in opposite:
-            m = _mirror_refine_2d(scene, s, pair, x, y, frame_x, tol, limits)
-            if m is not None:
-                kept.append(m)
-    else:
-        for s in own:
-            if _mirror_refine_3d(scene, s, 0, y, x, tol, limits) is not None:
-                kept.append(s)
-        for s in opposite:
-            m = _mirror_refine_3d(scene, s, pair, x, y, tol, limits)
-            if m is not None:
-                kept.append(m)
-    out = []
-    for s in _dedup_samples(kept, dedup):
-        out.append(TravellingTimeSample(pair, s.x, s.y, s.t, s.reflections,
-                                        s.dir_in, s.dir_out, s.residual,
-                                        s.itinerary))
-    return out
+        return [_mirror_refine_2d(scene, s, 0, x, y, frame_x, tol, limits)
+                for s in roots]
+    return [_mirror_refine_3d(scene, s, 0, x, y, tol, limits) for s in roots]
+
+
+def _merge_bidirectional(own, own_mirrors, opposite_mirrors, pair, dedup):
+    """Symmetric per-pair merge: an own root is kept only when its mirror
+    re-polished from the opposite endpoint, and opposite-side roots enter as
+    their re-polished mirrors. Both orders of one point pair are built from
+    the same two mirror lists, so swapping x and y yields matching time sets
+    by construction; one-way-only roots are near-tangent and are dropped."""
+    kept = [s for s, m in zip(own, own_mirrors) if m is not None]
+    kept += [m for m in opposite_mirrors if m is not None]
+    return [replace(s, pair=pair) for s in _dedup_samples(kept, dedup)]
 
 
 def find_xy_geodesics(scene: Scene, x, y, n_seeds: Optional[int] = None,
@@ -634,29 +628,50 @@ def find_xy_geodesics(scene: Scene, x, y, n_seeds: Optional[int] = None,
     both sides, and the result is symmetric under swapping the endpoints.
     The returned list may be empty: the travelling-time set of a pair can be
     empty (deep shadow) or under-resolved at the configured seed count.
+    Raises ContractError for d >= 4, where no search is implemented.
     """
+    _require_travel_dimension(scene)
     if limits is None:
         limits = TraceLimits.for_scene(scene)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = scene.ball_radius
+    if n_seeds is None:
+        n_seeds = SEEDS_2D if scene.dimension == 2 else SEEDS_3D
     if tol is None:
         tol = REFINE_TOL_FRAC * a
     if dedup is None:
         dedup = DEDUP_FRAC * a
+    fwd, _ = _refine_pair(scene, x, y, _sweep(scene, x, n_seeds, limits)[0],
+                          tol, limits, dedup, 0)
+    rev, _ = _refine_pair(scene, y, x, _sweep(scene, y, n_seeds, limits)[0],
+                          tol, limits, dedup, 0)
+    return _merge_bidirectional(fwd, _mirror_all(scene, fwd, y, x, tol, limits),
+                                _mirror_all(scene, rev, x, y, tol, limits), 0, dedup)
+
+
+def _require_travel_dimension(scene: Scene):
+    if scene.dimension >= 4:
+        raise ContractError("travelling times are implemented for d = 2 and d = 3 "
+                            f"only, not d = {scene.dimension}")
+
+
+def _sweep(scene: Scene, x: np.ndarray, n_seeds: int, limits: TraceLimits):
+    """Inward seed sweep from x, shared by every target; returns (sweep, cutoff
+    seeds)."""
     if scene.dimension == 2:
-        if n_seeds is None:
-            n_seeds = SEEDS_2D
-        entries_x, _, frame_x = _sweep_2d(scene, x, n_seeds, limits)
-        fwd, _ = _refine_pair_2d(scene, x, y, entries_x, frame_x, tol, limits, dedup)
-        entries_y, _, frame_y = _sweep_2d(scene, y, n_seeds, limits)
-        rev, _ = _refine_pair_2d(scene, y, x, entries_y, frame_y, tol, limits, dedup)
-    else:
-        if n_seeds is None:
-            n_seeds = SEEDS_3D
-        fwd = _find_3d(scene, x, y, n_seeds, tol, limits, dedup)
-        rev = _find_3d(scene, y, x, n_seeds, tol, limits, dedup)
-    return _merge_bidirectional(scene, x, y, fwd, rev, 0, tol, limits, dedup)
+        entries, cut, frame = _sweep_2d(scene, x, n_seeds, limits)
+        return (entries, frame), cut
+    return _sweep_3d(scene, x, n_seeds, limits)
+
+
+def _refine_pair(scene, x, y, sweep, tol, limits, dedup, pair):
+    """Roots from x to y found in a sweep from x; returns (samples, dropped)."""
+    if scene.dimension == 2:
+        entries, frame = sweep
+        return _refine_pair_2d(scene, x, y, entries, frame, tol, limits, dedup,
+                               pair_index=pair)
+    return _refine_pair_3d(scene, x, y, sweep, tol, limits, dedup, pair), 0
 
 
 # ---------------------------------------------------------------------------
@@ -697,32 +712,46 @@ def _polish_3d(scene, x, y, u0, tol, limits, pair):
     return _make_sample(scene, x, y, (u, events, fdir, exit_pt, t_exit), tol, pair)
 
 
-def _find_3d(scene, x, y, n_seeds, tol, limits, dedup):
+@dataclass(frozen=True)
+class _Sweep3D:
+    seeds: np.ndarray
+    exits: list  # exit point per seed, None where the trace does not escape
+    tree: object  # cKDTree over the seeds
+    window: float  # misses above this are too far from any root to polish
+
+
+def _sweep_3d(scene, x, n_seeds, limits):
+    """Trace the inward hemisphere seeds at x; returns (sweep, cutoff seeds)."""
     from scipy.spatial import cKDTree
 
     center = np.asarray(scene.ball_center)
-    a = scene.ball_radius
     m = (center - x) / float(np.linalg.norm(center - x))
     basis = plane_basis(m)
     hemi = fibonacci_sphere(2 * n_seeds)
     hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
     seeds = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
-    misses = np.full(len(seeds), np.inf)
-    for i, u in enumerate(seeds):
+    exits = []
+    for u in seeds:
         r = _exit_of_3d(scene, x, u, limits)
-        if r is not None:
-            misses[i] = math.dist(_as_tuple(r[0]), _as_tuple(y))
-    spacing = a * math.sqrt(4.0 * math.pi / max(1, n_seeds))
-    window = 4.0 * spacing
-    tree = cKDTree(seeds)
+        exits.append(None if r is None else _as_tuple(r[0]))
+    spacing = scene.ball_radius * math.sqrt(4.0 * math.pi / max(1, n_seeds))
+    return _Sweep3D(seeds, exits, cKDTree(seeds), 4.0 * spacing), exits.count(None)
+
+
+def _refine_pair_3d(scene, x, y, sweep: _Sweep3D, tol, limits, dedup, pair):
+    """Polish every local minimum of the exit miss to y within a few seed
+    spacings; the minima are taken over each seed's nearest neighbours."""
+    seeds = sweep.seeds
+    yt = _as_tuple(y)
+    misses = np.array([np.inf if e is None else math.dist(e, yt) for e in sweep.exits])
     samples = []
     for i in np.argsort(misses):
-        if misses[i] > window:
+        if misses[i] > sweep.window:
             break
-        _, nbrs = tree.query(seeds[i], k=min(8, len(seeds)))
+        _, nbrs = sweep.tree.query(seeds[i], k=min(8, len(seeds)))
         if any(misses[j] < misses[i] for j in np.atleast_1d(nbrs) if j != i):
             continue
-        s = _polish_3d(scene, x, y, seeds[i], tol, limits, 0)
+        s = _polish_3d(scene, x, y, seeds[i], tol, limits, pair)
         if s is not None:
             samples.append(s)
     return _dedup_samples(samples, dedup)
@@ -748,11 +777,13 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
     """Travelling-time table over all ordered lattice-point pairs.
 
     Equivalent to running ``find_xy_geodesics`` per pair: the inward seed
-    sweep is shared across all partners of one source point and each ordered
-    pair merges its own roots with the re-polished mirrors of the opposite
-    pair, which changes nothing but the runtime. Deterministic for fixed
-    arguments.
+    sweep is shared across all partners of one source point, and each raw
+    root is mirror-polished once and serves both orders of its point pair,
+    which changes nothing but the runtime. Deterministic for fixed
+    arguments, and identical for any ``threads``. Raises ContractError for
+    d >= 4.
     """
+    _require_travel_dimension(scene)
     if limits is None:
         limits = TraceLimits.for_scene(scene)
     d = scene.dimension
@@ -784,7 +815,7 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
     args = [(scene, pts[i], n_seeds, limits, tol, dedup,
              [(pair_index[(i, j)], pts[j]) for (ii, j) in pairs if ii == i])
             for i in work]
-    if threads > 1 and d == 2:
+    if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -798,13 +829,15 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         dropped += cdrop
         for k, samp in chunk_samples:
             raw[k] = samp
+    # mirrors[k]: the raw roots of pair k = (i, j) re-polished as (j, i)
+    # samples. The lattice separation test is symmetric, so (j, i) is a pair.
+    mirrors = [_mirror_all(scene, raw[k], pts[j], pts[i], tol, limits)
+               for k, (i, j) in enumerate(pairs)]
     samples = []
     cells = []
     for k, (i, j) in enumerate(pairs):
-        own = raw.get(k, [])
-        opposite = raw.get(pair_index.get((j, i)), [])
-        merged = _merge_bidirectional(scene, pts[i], pts[j], own, opposite, k,
-                                      tol, limits, dedup)
+        merged = _merge_bidirectional(raw[k], mirrors[k],
+                                      mirrors[pair_index[(j, i)]], k, dedup)
         samples.extend(merged)
         cells.append(tuple(sorted(s.t for s in merged)))
     return SpectrumTable("travel", scene.digest, grid, tuple(cells), tuple(samples),
@@ -813,25 +846,16 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
 
 def _spectrum_worker(args):
     scene, x, n_seeds, limits, tol, dedup, partners = args
+    x = np.asarray(x)
+    sweep, cut = _sweep(scene, x, n_seeds, limits)
     out = []
-    if scene.dimension == 2:
-        entries, cut, frame = _sweep_2d(scene, np.asarray(x), n_seeds, limits)
-        dropped = 0
-        for k, y in partners:
-            samples, drop = _refine_pair_2d(scene, np.asarray(x), np.asarray(y),
-                                            entries, frame, tol, limits, dedup,
-                                            pair_index=k)
-            dropped += drop
-            out.append((k, samples))
-        return out, cut, dropped
+    dropped = 0
     for k, y in partners:
-        samples = _find_3d(scene, np.asarray(x), np.asarray(y), n_seeds, tol,
-                           limits, dedup)
-        samples = [TravellingTimeSample(k, s.x, s.y, s.t, s.reflections, s.dir_in,
-                                        s.dir_out, s.residual, s.itinerary)
-                   for s in samples]
+        samples, drop = _refine_pair(scene, x, np.asarray(y), sweep, tol, limits,
+                                     dedup, k)
+        dropped += drop
         out.append((k, samples))
-    return out, 0, 0
+    return out, cut, dropped
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,

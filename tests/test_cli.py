@@ -180,3 +180,26 @@ def test_threads_env_validated(disk_file, monkeypatch):
 
 def test_usage_error_exit_code():
     assert run_command(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"bodies": 5},
+    {"bodies": [{"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": [2.0, 1.0],
+                 "rotation": [1, 0, 0, 1]}]},
+    {"bodies": [{"kind": "ball", "center": [float("nan"), 0.0], "semiaxes": [1.0, 1.0]}]},
+    {"ball": {"center": [0.0, 0.0], "radius": float("inf")}},
+])
+def test_validate_malformed_document_exits_1(tmp_path, capsys, change):
+    doc = {"dimension": 2, "ball": {"center": [0.0, 0.0], "radius": 10.0}, **change}
+    path = tmp_path / "bad.toy"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_travel_refuses_d4(tmp_path, capsys):
+    path = tmp_path / "empty4.toy"
+    path.write_text(serialize_scene(sl.Scene(dimension=4, ball_radius=10.0)))
+    assert run_command(["travel", str(path), "--points", "4"]) == 1
+    assert "d = 4" in capsys.readouterr().err

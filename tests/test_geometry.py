@@ -43,6 +43,18 @@ def test_invalid_bodies_rejected():
         sl.ellipsoid((0.0, 0.0), (1.0, 1.0), [[1.0, 0.1], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"ball_center": (math.nan, 0.0)},
+    {"ball_radius": math.inf},
+    {"bodies": (sl.ball((math.nan, 0.0), 1.0),)},
+    {"bodies": (sl.ellipsoid((0.0, 0.0), (math.inf, 1.0)),)},
+    {"curves": (sl.CurveObstacle((sl.EllipticArc((math.nan, 0.0), (2.0, 1.0), (0.0, 3.0)),)),)},
+])
+def test_scene_rejects_non_finite_numbers(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        sl.Scene(dimension=2, **kwargs)
+
+
 def test_ray_head_on():
     body = sl.ball((0.0, 0.0), 1.0)
     hit = sl.ray_intersect(body, (-2.0, 0.0), (1.0, 0.0))

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scatterlab as sl
 from scatterlab.scenefile import (SceneFormatError, parse_scene,
@@ -119,3 +120,49 @@ def test_validation_failure_is_schema_failure():
     with pytest.raises(SceneFormatError) as err:
         parse_scene(json.dumps(doc))
     assert "containment" in str(err.value)
+
+
+def _with_body(**fields):
+    doc = json.loads(MINIMAL)
+    doc["bodies"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({**json.loads(MINIMAL), "bodies": 5}, "bodies"),
+    ({**json.loads(MINIMAL), "curves": {"arcs": []}}, "curves"),
+    (_with_body(kind="ellipsoid", semiaxes=[2.0, 1.0], rotation=[1.0, 0.0, 0.0, 1.0]),
+     "bodies[0].rotation"),
+    (_with_body(center=[float("nan"), 0.0]), "bodies[0].center"),
+    ({**json.loads(MINIMAL), "ball": {"center": [0.0, 0.0], "radius": float("inf")}},
+     "ball.radius"),
+    (_with_body(center=[10 ** 400, 0.0]), "bodies[0].center"),
+])
+def test_parse_rejects_malformed_values_with_location(doc, where):
+    # json.dumps writes NaN and Infinity tokens, which json.loads accepts.
+    with pytest.raises(SceneFormatError) as err:
+        parse_scene(json.dumps(doc))
+    assert any(issue.location == where for issue in err.value.issues)
+
+
+_SCHEMA_KEYS = sorted({"dimension", "ball", "bodies", "curves", "metadata", "center",
+                       "radius", "kind", "semiaxes", "rotation", "arcs", "type",
+                       "angles", "points", "tags", "name", "seed"})
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["ball", "ellipsoid", "elliptic", "segment"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: _json_values for key in
+                                           ("dimension", "ball", "bodies", "curves",
+                                            "metadata")}))
+def test_parse_never_crashes(doc):
+    # Any JSON document either parses or fails with located issues.
+    try:
+        parse_scene_document(json.dumps(doc))
+    except SceneFormatError as err:
+        assert err.issues

@@ -329,3 +329,67 @@ def test_scan_3d_backscatter():
     assert math.hypot(*central.impact) < 0.5
     assert central.sojourn == pytest.approx(
         -2.0 * math.sqrt(1.0 - math.hypot(*central.impact) ** 2), abs=1e-6)
+
+
+def _ball_ellipsoid_3d():
+    c, s = math.cos(0.5), math.sin(0.5)
+    tilt = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return sl.Scene(dimension=3,
+                    bodies=(sl.ball((-3.0, 0.0, 0.0), 1.0),
+                            sl.ellipsoid((3.0, 0.5, 0.0), (1.5, 1.0, 0.7), tilt)),
+                    ball_radius=10.0)
+
+
+def test_spectrum_3d_matches_per_pair_search():
+    # One sweep per source point and one mirror polish per root must give
+    # exactly what the stand-alone two-sweep search gives for each pair.
+    scene = _ball_ellipsoid_3d()
+    table = sl.travelling_time_spectrum(scene, n_points=3, n_seeds=300)
+    pairs = sl.spectra.spectrum_pairs(scene, 3)
+    assert len(table.cells) == len(pairs) == 6
+    assert any(table.cells)
+    for k, (x, y) in enumerate(pairs):
+        alone = sl.find_xy_geodesics(scene, x, y, n_seeds=300)
+        assert table.cells[k] == tuple(sorted(s.t for s in alone))
+        assert [s for s in table.samples if s.pair == k] == [
+            dataclasses.replace(s, pair=k) for s in alone]
+
+
+def test_spectrum_3d_threaded_matches_serial():
+    scene = _ball_ellipsoid_3d()
+    serial = sl.travelling_time_spectrum(scene, n_points=3, n_seeds=200)
+    pooled = sl.travelling_time_spectrum(scene, n_points=3, n_seeds=200, threads=2)
+    assert serial.cells == pooled.cells
+    assert serial.samples == pooled.samples
+
+
+def test_spectrum_mirror_polishes_each_raw_root_once(two_disk_scene, monkeypatch):
+    spectra = sl.spectra
+    raw_roots = []
+    mirror_calls = []
+    refine = spectra._refine_pair_2d
+    mirror = spectra._mirror_refine_2d
+
+    def counting_refine(*args, **kwargs):
+        found, dropped = refine(*args, **kwargs)
+        raw_roots.extend(found)
+        return found, dropped
+
+    def counting_mirror(*args, **kwargs):
+        mirror_calls.append(args[1])
+        return mirror(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_refine_pair_2d", counting_refine)
+    monkeypatch.setattr(spectra, "_mirror_refine_2d", counting_mirror)
+    table = sl.travelling_time_spectrum(two_disk_scene, n_points=6)
+    assert table.samples
+    assert len(mirror_calls) == len(raw_roots)
+    assert sorted(map(id, mirror_calls)) == sorted(map(id, raw_roots))
+
+
+def test_travel_refuses_d4():
+    scene = sl.Scene(dimension=4, ball_radius=10.0)
+    with pytest.raises(sl.ContractError):
+        sl.find_xy_geodesics(scene, (-10.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 10.0))
+    with pytest.raises(sl.ContractError):
+        sl.travelling_time_spectrum(scene, n_points=4)
