@@ -1,6 +1,15 @@
 """Command-line harness: scene validation, tracing, spectra, and the
 rigidity experiments, with deterministic CSV emission.
 
+Each command parses its inputs, calls the library and prints or writes the
+result; the rules themselves live in the library. ``compare`` groups the
+rows of two spectrum CSVs by their source columns and applies
+``rigidity.compare_cells`` to the sorted union of those cells.
+``reconstruct`` reads the samples back from a travel CSV, whose rows carry
+every sample field except the pair index, and passes them to
+``reconstruct_boundary``. A malformed CSV row is a contract error naming the
+file and line.
+
 Exit codes: 0 success, 1 contract or validation error, 2 I/O error.
 Environment: SCATTERLAB_PRECISION overrides the significant digits used for
 CSV floats (default 17, the exact round-trip width); SCATTERLAB_THREADS
@@ -17,39 +26,50 @@ import sys
 from . import __version__
 from .dynamics import PhaseState, TraceLimits, trace
 from .geometry import validate_scene
-from .rigidity import (LivshitsParams, accessible_coverage, hausdorff_1d,
+from .rigidity import (LivshitsParams, accessible_coverage, compare_cells,
                        livshits_demo, reconstruct_boundary,
-                       reflection_count_probe, sphere_probes)
+                       reflection_count_probe, samples_table, sphere_probes)
 from .scenefile import SceneFormatError, parse_scene_document
-from .spectra import ContractError, scan_sls, travelling_time_spectrum
+from .spectra import (ContractError, TravellingTimeSample, scan_sls,
+                      travelling_time_spectrum)
 
 _DEF_PRECISION = 17
 
 
-def _precision() -> int:
-    raw = os.environ.get("SCATTERLAB_PRECISION")
-    if raw is None:
-        return _DEF_PRECISION
+def _finite(text: str, where: str) -> float:
     try:
-        p = int(raw)
-    except ValueError as exc:
-        raise ContractError(f"SCATTERLAB_PRECISION must be an integer, got {raw!r}") from exc
-    if not 1 <= p <= 17:
-        raise ContractError("SCATTERLAB_PRECISION must be in 1..17")
-    return p
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ContractError(f"{where}: expected a finite number, got {text!r}")
+    return value
+
+
+def _integer(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ContractError(f"{where}: expected an integer, got {text!r}") from None
+
+
+def _env_int(name: str, default: int, lo: int, hi: float = math.inf) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    value = _integer(raw, name)
+    if not lo <= value <= hi:
+        bound = f"at least {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ContractError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _precision() -> int:
+    return _env_int("SCATTERLAB_PRECISION", _DEF_PRECISION, 1, 17)
 
 
 def _threads() -> int:
-    raw = os.environ.get("SCATTERLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ContractError(f"SCATTERLAB_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ContractError("SCATTERLAB_THREADS must be at least 1")
-    return n
+    return _env_int("SCATTERLAB_THREADS", 1, 1)
 
 
 def _fmt(x: float, prec: int) -> str:
@@ -92,24 +112,26 @@ def write_sls_csv(table, path, prec: int):
     _write_lines(path, lines)
 
 
+def _travel_header(d: int) -> list:
+    return ([f"x_{i+1}" for i in range(d)] + [f"y_{i+1}" for i in range(d)]
+            + ["t", "reflections", "residual", "itinerary"]
+            + [f"dir_in_{i+1}" for i in range(d)] + [f"dir_out_{i+1}" for i in range(d)])
+
+
 def write_travel_csv(table, path, prec: int):
     d = len(table.samples[0].x) if table.samples else 2
-    header = ([f"x_{i+1}" for i in range(d)] + [f"y_{i+1}" for i in range(d)]
-              + ["t", "reflections", "residual", "itinerary"])
-    lines = [",".join(header)]
+    lines = [",".join(_travel_header(d))]
     for s in table.samples:
         row = ([_fmt(v, prec) for v in s.x] + [_fmt(v, prec) for v in s.y]
                + [_fmt(s.t, prec), str(s.reflections), _fmt(s.residual, prec),
-                  _itinerary_str(s.itinerary)])
+                  _itinerary_str(s.itinerary)]
+               + [_fmt(v, prec) for v in s.dir_in] + [_fmt(v, prec) for v in s.dir_out])
         lines.append(",".join(row))
     _write_lines(path, lines)
 
 
 def write_reconstruct_csv(estimate, path, prec: int):
-    if estimate.points.size:
-        d = estimate.points.shape[1]
-    else:
-        d = 2
+    d = estimate.points.shape[1]
     header = ([f"p_{i+1}" for i in range(d)]
               + [f"source_x_{i+1}" for i in range(d)]
               + [f"source_y_{i+1}" for i in range(d)] + ["t"])
@@ -121,30 +143,69 @@ def write_reconstruct_csv(estimate, path, prec: int):
     _write_lines(path, lines)
 
 
-def _read_csv_groups(path):
-    """Group a spectrum CSV by its source cell key; returns (kind, {key: times})."""
+def _read_csv(path):
+    """Header and (line number, fields) rows of a CSV; every row must have
+    as many fields as the header."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        rows = [(no, line.rstrip("\n").split(","))
+                for no, line in enumerate(fh, 1) if line.strip()]
     if not rows:
         raise ContractError(f"{path}: empty CSV")
-    header = rows[0]
+    (_, header), rows = rows[0], rows[1:]
+    for no, row in rows:
+        if len(row) != len(header):
+            raise ContractError(f"{path}:{no}: {len(row)} fields, but the header "
+                                f"has {len(header)}")
+    return header, rows
+
+
+def _read_csv_groups(path):
+    """Group a spectrum CSV by its source cell key; returns (kind, {key: times})."""
+    header, rows = _read_csv(path)
     if header[0].startswith("omega_"):
         kind = "sls"
-        d = sum(1 for h in header if h.startswith("omega_"))
-        key_cols = list(range(0, 2 * d - 1))
-        t_col = header.index("T")
+        n_key = 2 * sum(1 for h in header if h.startswith("omega_")) - 1
+        t_name = "T"
     elif header[0].startswith("x_"):
         kind = "travel"
-        d = sum(1 for h in header if h.startswith("x_"))
-        key_cols = list(range(0, 2 * d))
-        t_col = header.index("t")
+        n_key = 2 * sum(1 for h in header if h.startswith("x_"))
+        t_name = "t"
     else:
         raise ContractError(f"{path}: unrecognized CSV header")
+    if t_name not in header:
+        raise ContractError(f"{path}: the header has no '{t_name}' column")
+    t_col = header.index(t_name)
     groups: dict = {}
-    for row in rows[1:]:
-        key = tuple(row[c] for c in key_cols)
-        groups.setdefault(key, []).append(float(row[t_col]))
+    for no, row in rows:
+        groups.setdefault(tuple(row[:n_key]), []).append(_finite(row[t_col], f"{path}:{no}"))
     return kind, groups
+
+
+def read_travel_csv(path) -> list[TravellingTimeSample]:
+    """The samples of a travel CSV written by ``write_travel_csv``, in row
+    order; ``pair`` is not stored, so it is set to the row index."""
+    header, rows = _read_csv(path)
+    d = sum(1 for h in header if h.startswith("x_"))
+    if d == 0 or header != _travel_header(d):
+        raise ContractError(f"{path}: not a travelling-time CSV with dir_in and "
+                            "dir_out columns")
+    samples = []
+    for k, (no, row) in enumerate(rows):
+        where = f"{path}:{no}"
+        itinerary = row[2 * d + 3]
+        samples.append(TravellingTimeSample(
+            pair=k,
+            x=tuple(_finite(v, where) for v in row[:d]),
+            y=tuple(_finite(v, where) for v in row[d:2 * d]),
+            t=_finite(row[2 * d], where),
+            reflections=_integer(row[2 * d + 1], where),
+            dir_in=tuple(_finite(v, where) for v in row[2 * d + 4:3 * d + 4]),
+            dir_out=tuple(_finite(v, where) for v in row[3 * d + 4:]),
+            residual=_finite(row[2 * d + 2], where),
+            itinerary=(tuple(_integer(i, where) for i in itinerary.split("|"))
+                       if itinerary else ()),
+        ))
+    return samples
 
 
 def _cmd_validate(args) -> int:
@@ -219,17 +280,12 @@ def _cmd_compare(args) -> int:
     if kind_a != kind_b:
         raise ContractError("cannot compare tables of different kinds")
     keys = sorted(set(groups_a) | set(groups_b))
-    per_cell = [hausdorff_1d(tuple(groups_a.get(k, ())), tuple(groups_b.get(k, ())))
-                for k in keys]
-    n = max(1, len(per_cell))
-    matched = sum(1 for dd in per_cell if dd <= args.tol)
-    finite = [dd for dd in per_cell if not math.isinf(dd)]
-    mismatched = (n - matched) / n
-    verdict = "distinguishable" if mismatched >= 0.01 else "indistinguishable"
-    print(f"cells: {n}  matched_fraction: {matched / n:.6f}")
-    print(f"max_discrepancy: {max(finite) if finite else 0.0:.6g}  "
-          f"sentinels: {sum(1 for dd in per_cell if math.isinf(dd))}")
-    print(f"verdict: {verdict}")
+    report = compare_cells([groups_a.get(k, ()) for k in keys],
+                           [groups_b.get(k, ()) for k in keys], args.tol)
+    print(f"cells: {len(report.per_cell)}  matched_fraction: {report.matched_fraction:.6f}")
+    print(f"max_discrepancy: {report.max_discrepancy:.6g}  "
+          f"sentinels: {report.sentinel_count}")
+    print(f"verdict: {report.verdict}")
     return 0
 
 
@@ -271,16 +327,7 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    kind, groups = _read_csv_groups(args.table)
-    if kind != "travel":
-        raise ContractError("reconstruction needs a travelling-time CSV")
-    # Rebuild minimal samples from rows; dir_out is not in the CSV schema, so
-    # reconstruction from files re-derives it by re-tracing is out of scope;
-    # the library path (reconstruct_boundary on an in-memory table) carries
-    # exit directions. The CLI therefore recomputes the table.
-    doc = _load(args.scene)
-    table = travelling_time_spectrum(doc.scene, n_points=args.points,
-                                     threads=_threads())
+    table = samples_table(read_travel_csv(args.table))
     ball = _vector(args.ball)
     estimate = reconstruct_boundary(table, ball[:-1], ball[-1])
     prec = _precision()
@@ -370,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("reconstruct", help="boundary estimate from travelling times")
-    p.add_argument("table", help="travelling-time CSV (schema check only)")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--points", type=int, default=48)
+    p.add_argument("table", help="travelling-time CSV written by 'travel'")
     p.add_argument("--ball", required=True, help="cx,cy,...,radius")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reconstruct)

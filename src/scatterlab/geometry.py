@@ -46,14 +46,6 @@ def _as_tuple(x) -> tuple:
     return tuple(float(v) for v in np.asarray(x, dtype=float).ravel())
 
 
-def unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / n
-
-
 def rotation_2d(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -292,10 +284,6 @@ class EllipticArc:
         sa, sb = self.semiaxes
         return np.column_stack([cx + sa * np.cos(s), cy + sb * np.sin(s)])
 
-    def length(self) -> float:
-        p = self.sample(256)
-        return float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))
-
 
 @dataclass(frozen=True)
 class SegmentArc:
@@ -319,9 +307,6 @@ class SegmentArc:
         a = np.asarray(self.start)
         b = np.asarray(self.end)
         return a + u * (b - a)
-
-    def length(self) -> float:
-        return math.dist(self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -409,16 +394,6 @@ class Scene:
         object.__setattr__(self, "ball_center", center)
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
         object.__setattr__(self, "_k2", _compile_2d(self) if d == 2 else None)
-
-    @property
-    def n_obstacles(self) -> int:
-        return len(self.bodies) + len(self.curves)
-
-    def obstacle_tags(self, obstacle_id: int, arc: Optional[int]) -> frozenset:
-        nb = len(self.bodies)
-        if obstacle_id < nb or arc is None:
-            return frozenset()
-        return self.curves[obstacle_id - nb].arcs[arc].tags
 
     @property
     def digest(self) -> str:

@@ -82,9 +82,20 @@ def compare_spectra(table_a: SpectrumTable, table_b: SpectrumTable,
     """Per-cell Hausdorff comparison of two tables over an identical grid."""
     if table_a.grid != table_b.grid:
         raise ContractError("tables were built over different grids")
-    per_cell = tuple(hausdorff_1d(ca, cb)
-                     for ca, cb in zip(table_a.cells, table_b.cells))
-    n = max(1, len(per_cell))
+    return compare_cells(table_a.cells, table_b.cells, tol)
+
+
+def compare_cells(cells_a: Sequence[Sequence[float]],
+                  cells_b: Sequence[Sequence[float]], tol: float) -> DiscrepancyReport:
+    """The comparison rule on two aligned sequences of per-cell time sets.
+
+    Raises ContractError when there are no cells: an empty comparison has no
+    matched fraction, so it supports no verdict.
+    """
+    per_cell = tuple(hausdorff_1d(ca, cb) for ca, cb in zip(cells_a, cells_b, strict=True))
+    if not per_cell:
+        raise ContractError("there are no cells to compare")
+    n = len(per_cell)
     matched = sum(1 for d in per_cell if d <= tol)
     sentinels = sum(1 for d in per_cell if math.isinf(d))
     finite = [d for d in per_cell if not math.isinf(d)]
@@ -314,7 +325,7 @@ def ideal_one_bounce_samples(body_center, body_radius: float, ball_center,
         tang = np.array([-nrm[1], nrm[0]])
         v_in = -math.cos(inc) * nrm + math.sin(inc) * tang
         v_out = v_in - 2.0 * float(v_in @ nrm) * nrm
-        x = _sphere_point_backward(p, v_in, center, ball_radius)
+        x = _sphere_point_forward(p, -v_in, center, ball_radius)
         y = _sphere_point_forward(p, v_out, center, ball_radius)
         if x is None or y is None:
             continue
@@ -327,19 +338,9 @@ def ideal_one_bounce_samples(body_center, body_radius: float, ball_center,
     return out
 
 
-def _sphere_point_backward(p, v, center, a):
-    w = p - center
-    b = float(w @ v)
-    disc = b * b - (float(w @ w) - a * a)
-    if disc <= 0.0:
-        return None
-    tau = b + math.sqrt(disc)   # distance back along v to the sphere
-    if tau <= 0.0:
-        return None
-    return p - tau * v
-
-
 def _sphere_point_forward(p, v, center, a):
+    """Where the ray from p along v leaves the sphere (center, a); None when
+    it misses or the sphere lies behind p."""
     w = p - center
     b = float(w @ v)
     disc = b * b - (float(w @ w) - a * a)

@@ -145,15 +145,20 @@ def sojourn_time(scene: Scene, record, incoming, outgoing) -> float:
         raise ContractError("incoming direction disagrees with the record")
     if float(np.max(np.abs(dout - wout))) > DIRECTION_MATCH_TOL:
         raise ContractError("outgoing direction disagrees with the record")
+    verts = [record.initial.point, *(e.point for e in record.events), record.final.point]
+    return _clipped_sojourn(scene, verts, win, wout)
+
+
+def _clipped_sojourn(scene: Scene, verts, win: np.ndarray, wout: np.ndarray) -> float:
+    """Sojourn time of the polyline through verts, whose free legs run along
+    win before the first vertex and along wout after the last."""
     center = np.asarray(scene.ball_center)
     a = scene.ball_radius
     planes = (
         (-win, a - float(center @ win)),
         (wout, a + float(center @ wout)),
     )
-    verts = [np.asarray(record.initial.point)]
-    verts += [np.asarray(e.point) for e in record.events]
-    verts.append(np.asarray(record.final.point))
+    verts = [np.asarray(v) for v in verts]
     total = _clip_length(verts[0], win, -math.inf, 0.0, planes)
     for qa, qb in zip(verts[:-1], verts[1:]):
         seg = qb - qa
@@ -244,6 +249,8 @@ def scan_sls(scene: Scene, incoming, n_impacts: int,
     each; cutoff trajectories are counted but contribute nothing, which is
     how trapped-set shadows show up in the table.
     """
+    if n_impacts < 1:
+        raise ContractError("a sojourn-time scan needs at least one impact point")
     if limits is None:
         limits = TraceLimits.for_scene(scene)
     win = unit_vector(incoming)
@@ -263,8 +270,8 @@ def scan_sls(scene: Scene, incoming, n_impacts: int,
             cutoff += 1
             cells.append(())
             continue
-        rec = _LightRecord(_as_tuple(launch), _as_tuple(win), events, fpt, fdir)
-        t_soj = sojourn_time(scene, rec, win, np.asarray(fdir))
+        t_soj = _clipped_sojourn(scene, [launch, *(e[2] for e in events), fpt],
+                                 win, np.asarray(fdir, dtype=float))
         refl = tuple(e[0] for e in events if not e[4])
         samples.append(SLSSample(
             index=i,
@@ -287,33 +294,6 @@ def scan_sls(scene: Scene, incoming, n_impacts: int,
     })
     return SpectrumTable("sls", scene.digest, grid, tuple(cells), tuple(samples),
                          (("cutoff", cutoff),))
-
-
-class _LightRecord:
-    """Record-shaped adapter over raw kernel events for sojourn clipping."""
-
-    __slots__ = ("initial", "events", "final", "escaped")
-
-    def __init__(self, point, direction, raw_events, fpt, fdir):
-        self.initial = _State(point, direction)
-        self.events = tuple(_PointOnly(e[2]) for e in raw_events)
-        self.final = _State(fpt, fdir)
-        self.escaped = True
-
-
-class _State:
-    __slots__ = ("point", "direction")
-
-    def __init__(self, point, direction):
-        self.point = point
-        self.direction = direction
-
-
-class _PointOnly:
-    __slots__ = ("point",)
-
-    def __init__(self, point):
-        self.point = point
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +334,24 @@ def _exit_crossing(scene: Scene, start, events, fdir):
     return exit_pt, cum + s
 
 
+def _shoot(scene: Scene, x, u, limits: TraceLimits):
+    """Trace from x along u to the last reference-sphere crossing; returns
+    (u, events, fdir, exit_pt, t_exit), or None when the ray does not leave."""
+    escaped, events, _, fdir, _ = _trace_raw(scene, x, u, limits)
+    if not escaped:
+        return None
+    exit_pt, t_exit = _exit_crossing(scene, x, events, fdir)
+    if exit_pt is None:
+        return None
+    return u, events, fdir, exit_pt, t_exit
+
+
+def _sphere_angle(scene: Scene, p) -> float:
+    """Polar angle of a point around the ball center (d = 2)."""
+    center = scene.ball_center
+    return math.atan2(p[1] - center[1], p[0] - center[0])
+
+
 def _frame_at(scene: Scene, x: np.ndarray):
     center = np.asarray(scene.ball_center)
     m = (center - x) / float(np.linalg.norm(center - x))
@@ -377,19 +375,20 @@ def _needs_split(ea: _SweepEntry, eb: _SweepEntry) -> bool:
     return False
 
 
-def _entry_at(scene: Scene, x, frame, psi: float, limits: TraceLimits) -> _SweepEntry:
+def _launch_dir(frame, psi: float) -> np.ndarray:
+    """Inward direction at angle psi from the sphere normal of a d = 2 frame."""
     m, mp = frame
-    center = np.asarray(scene.ball_center)
-    u = math.cos(psi) * m + math.sin(psi) * mp
-    escaped, events, fpt, fdir, total = _trace_raw(scene, x, u, limits)
-    if escaped:
-        exit_pt, _ = _exit_crossing(scene, x, events, fdir)
-        if exit_pt is not None:
-            ang = math.atan2(exit_pt[1] - center[1], exit_pt[0] - center[0])
-            itin = tuple(e[0] for e in events if not e[4])
-            return _SweepEntry(psi, True, _as_tuple(exit_pt), ang, itin,
-                               any(e[4] for e in events))
-    return _SweepEntry(psi, False, None, 0.0, (), False)
+    return math.cos(psi) * m + math.sin(psi) * mp
+
+
+def _entry_at(scene: Scene, x, frame, psi: float, limits: TraceLimits) -> _SweepEntry:
+    shot = _shoot(scene, x, _launch_dir(frame, psi), limits)
+    if shot is None:
+        return _SweepEntry(psi, False, None, 0.0, (), False)
+    _, events, _, exit_pt, _ = shot
+    itin = tuple(e[0] for e in events if not e[4])
+    return _SweepEntry(psi, True, _as_tuple(exit_pt), _sphere_angle(scene, exit_pt),
+                       itin, any(e[4] for e in events))
 
 
 def _split_gap(scene, x, frame, limits, ea, eb, depth, out):
@@ -430,26 +429,11 @@ def _wrap(angle: float) -> float:
 # Travelling times: root refinement
 # ---------------------------------------------------------------------------
 
-def _shoot_2d(scene: Scene, x, frame, psi: float, limits: TraceLimits):
-    m, mp = frame
-    u = math.cos(psi) * m + math.sin(psi) * mp
-    escaped, events, fpt, fdir, total = _trace_raw(scene, x, u, limits)
-    if not escaped:
-        return None
-    exit_pt, t_exit = _exit_crossing(scene, x, events, fdir)
-    if exit_pt is None:
-        return None
-    return u, events, fdir, exit_pt, t_exit
-
-
 def _delta_at(scene, x, frame, psi, target_angle, limits):
-    shot = _shoot_2d(scene, x, frame, psi, limits)
+    shot = _shoot(scene, x, _launch_dir(frame, psi), limits)
     if shot is None:
         return None, None
-    exit_pt = shot[3]
-    center = scene.ball_center
-    ang = math.atan2(exit_pt[1] - center[1], exit_pt[0] - center[0])
-    return _wrap(ang - target_angle), shot
+    return _wrap(_sphere_angle(scene, shot[3]) - target_angle), shot
 
 
 def _make_sample(scene, x, y, shot, tol, pair) -> Optional[TravellingTimeSample]:
@@ -495,8 +479,7 @@ def _bisect_2d(scene, x, y, target_angle, frame, lo, hi, flo, tol, limits, pair)
 
 
 def _refine_pair_2d(scene, x, y, entries, frame, tol, limits, dedup, pair_index=0):
-    center = np.asarray(scene.ball_center)
-    ty = math.atan2(y[1] - center[1], y[0] - center[0])
+    ty = _sphere_angle(scene, y)
     found = []
     dropped = 0
     n = len(entries)
@@ -541,8 +524,7 @@ def _mirror_refine_2d(scene, s: TravellingTimeSample, pair, x, y, frame_x, tol,
     ux = -s.dir_out[0]
     uy = -s.dir_out[1]
     psi = math.atan2(ux * mp[0] + uy * mp[1], ux * m[0] + uy * m[1])
-    center = np.asarray(scene.ball_center)
-    ty = math.atan2(y[1] - center[1], y[0] - center[0])
+    ty = _sphere_angle(scene, y)
     d0, shot0 = _delta_at(scene, x, frame_x, psi, ty, limits)
     if d0 is None:
         return None
@@ -630,18 +612,9 @@ def find_xy_geodesics(scene: Scene, x, y, n_seeds: Optional[int] = None,
     empty (deep shadow) or under-resolved at the configured seed count.
     Raises ContractError for d >= 4, where no search is implemented.
     """
-    _require_travel_dimension(scene)
-    if limits is None:
-        limits = TraceLimits.for_scene(scene)
+    n_seeds, tol, limits, dedup = _search_settings(scene, n_seeds, tol, limits, dedup)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    a = scene.ball_radius
-    if n_seeds is None:
-        n_seeds = SEEDS_2D if scene.dimension == 2 else SEEDS_3D
-    if tol is None:
-        tol = REFINE_TOL_FRAC * a
-    if dedup is None:
-        dedup = DEDUP_FRAC * a
     fwd, _ = _refine_pair(scene, x, y, _sweep(scene, x, n_seeds, limits)[0],
                           tol, limits, dedup, 0)
     rev, _ = _refine_pair(scene, y, x, _sweep(scene, y, n_seeds, limits)[0],
@@ -650,10 +623,22 @@ def find_xy_geodesics(scene: Scene, x, y, n_seeds: Optional[int] = None,
                                 _mirror_all(scene, rev, x, y, tol, limits), 0, dedup)
 
 
-def _require_travel_dimension(scene: Scene):
+def _search_settings(scene: Scene, n_seeds, tol, limits, dedup):
+    """The travel search settings, with the defaults filled in where None;
+    refuses d >= 4, where no search is implemented."""
     if scene.dimension >= 4:
         raise ContractError("travelling times are implemented for d = 2 and d = 3 "
                             f"only, not d = {scene.dimension}")
+    a = scene.ball_radius
+    if n_seeds is None:
+        n_seeds = SEEDS_2D if scene.dimension == 2 else SEEDS_3D
+    if tol is None:
+        tol = REFINE_TOL_FRAC * a
+    if limits is None:
+        limits = TraceLimits.for_scene(scene)
+    if dedup is None:
+        dedup = DEDUP_FRAC * a
+    return n_seeds, tol, limits, dedup
 
 
 def _sweep(scene: Scene, x: np.ndarray, n_seeds: int, limits: TraceLimits):
@@ -678,16 +663,6 @@ def _refine_pair(scene, x, y, sweep, tol, limits, dedup, pair):
 # Travelling times in d = 3
 # ---------------------------------------------------------------------------
 
-def _exit_of_3d(scene, x, u, limits):
-    escaped, events, fpt, fdir, _ = _trace_raw(scene, x, u, limits)
-    if not escaped:
-        return None
-    exit_pt, t_exit = _exit_crossing(scene, x, events, fdir)
-    if exit_pt is None:
-        return None
-    return exit_pt, t_exit, events, fdir, u
-
-
 def _polish_3d(scene, x, y, u0, tol, limits, pair):
     from scipy.optimize import minimize
 
@@ -696,20 +671,19 @@ def _polish_3d(scene, x, y, u0, tol, limits, pair):
     def miss_fn(ab):
         u = np.asarray(u0) + ab[0] * e1[0] + ab[1] * e1[1]
         u /= float(np.linalg.norm(u))
-        r = _exit_of_3d(scene, x, u, limits)
-        if r is None:
+        shot = _shoot(scene, x, u, limits)
+        if shot is None:
             return 10.0 * scene.ball_radius
-        return math.dist(_as_tuple(r[0]), _as_tuple(y))
+        return math.dist(_as_tuple(shot[3]), _as_tuple(y))
 
     res = minimize(miss_fn, np.zeros(2), method="Nelder-Mead",
                    options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 400})
     u = np.asarray(u0) + res.x[0] * e1[0] + res.x[1] * e1[1]
     u /= float(np.linalg.norm(u))
-    r = _exit_of_3d(scene, x, u, limits)
-    if r is None:
+    shot = _shoot(scene, x, u, limits)
+    if shot is None:
         return None
-    exit_pt, t_exit, events, fdir, _ = r
-    return _make_sample(scene, x, y, (u, events, fdir, exit_pt, t_exit), tol, pair)
+    return _make_sample(scene, x, y, shot, tol, pair)
 
 
 @dataclass(frozen=True)
@@ -732,8 +706,8 @@ def _sweep_3d(scene, x, n_seeds, limits):
     seeds = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
     exits = []
     for u in seeds:
-        r = _exit_of_3d(scene, x, u, limits)
-        exits.append(None if r is None else _as_tuple(r[0]))
+        shot = _shoot(scene, x, u, limits)
+        exits.append(None if shot is None else _as_tuple(shot[3]))
     spacing = scene.ball_radius * math.sqrt(4.0 * math.pi / max(1, n_seeds))
     return _Sweep3D(seeds, exits, cKDTree(seeds), 4.0 * spacing), exits.count(None)
 
@@ -783,23 +757,11 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
     arguments, and identical for any ``threads``. Raises ContractError for
     d >= 4.
     """
-    _require_travel_dimension(scene)
-    if limits is None:
-        limits = TraceLimits.for_scene(scene)
-    d = scene.dimension
-    a = scene.ball_radius
-    center = np.asarray(scene.ball_center)
-    if n_seeds is None:
-        n_seeds = SEEDS_2D if d == 2 else SEEDS_3D
-    if tol is None:
-        tol = REFINE_TOL_FRAC * a
-    if dedup is None:
-        dedup = DEDUP_FRAC * a
-    dirs = sphere_lattice(d, n_points, phase)
-    pts = center + a * dirs
-    min_cos = math.cos(math.radians(min_sep_deg))
-    pairs = [(i, j) for i in range(n_points) for j in range(n_points)
-             if i != j and float(dirs[i] @ dirs[j]) < min_cos]
+    n_seeds, tol, limits, dedup = _search_settings(scene, n_seeds, tol, limits, dedup)
+    pts, pairs = _pair_grid(scene, n_points, min_sep_deg, phase)
+    if not pairs:
+        raise ContractError(f"the travel grid (n_points={n_points}, min_sep_deg="
+                            f"{min_sep_deg}) has no point pairs")
     pair_index = {ij: k for k, ij in enumerate(pairs)}
     grid = _grid_tuple({
         "kind": "travel",
@@ -808,8 +770,8 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         "phase": float(phase),
         "n_seeds": int(n_seeds),
         "tol": float(tol),
-        "ball_center": _as_tuple(center),
-        "ball_radius": float(a),
+        "ball_center": _as_tuple(scene.ball_center),
+        "ball_radius": float(scene.ball_radius),
     })
     work = sorted(set(i for i, _ in pairs))
     args = [(scene, pts[i], n_seeds, limits, tol, dedup,
@@ -861,10 +823,16 @@ def _spectrum_worker(args):
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,
                    phase: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ordered point pairs a travel table with these parameters measures."""
-    d = scene.dimension
-    center = np.asarray(scene.ball_center)
-    dirs = sphere_lattice(d, n_points, phase)
-    pts = center + scene.ball_radius * dirs
+    pts, pairs = _pair_grid(scene, n_points, min_sep_deg, phase)
+    return [(pts[i], pts[j]) for i, j in pairs]
+
+
+def _pair_grid(scene: Scene, n_points: int, min_sep_deg: float, phase: float):
+    """Lattice points on the reference sphere and the ordered index pairs
+    (i, j) of distinct points more than min_sep_deg apart."""
+    dirs = sphere_lattice(scene.dimension, n_points, phase)
+    pts = np.asarray(scene.ball_center) + scene.ball_radius * dirs
     min_cos = math.cos(math.radians(min_sep_deg))
-    return [(pts[i], pts[j]) for i in range(n_points) for j in range(n_points)
-            if i != j and float(dirs[i] @ dirs[j]) < min_cos]
+    pairs = [(i, j) for i in range(n_points) for j in range(n_points)
+             if i != j and float(dirs[i] @ dirs[j]) < min_cos]
+    return pts, pairs

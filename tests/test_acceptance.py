@@ -266,7 +266,6 @@ def test_criterion_11_determinism(tmp_path, three_disks):
         assert run_command(["travel", str(three_file), "--points", "12",
                             "--out", str(d / "travel8.csv")]) == 0
         assert run_command(["reconstruct", str(d / "travel8.csv"),
-                            "--scene", str(three_file), "--points", "12",
                             "--ball", "0,0,10",
                             "--out", str(d / "recon8.csv")]) == 0
         assert run_command(["demo-livshits", "--offsets", "100", "--angles",

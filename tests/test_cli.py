@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 import scatterlab as sl
-from scatterlab.cli import run_command
+from scatterlab.cli import read_travel_csv, run_command, write_travel_csv
 from scatterlab.scenefile import serialize_scene
 
 
@@ -117,8 +118,7 @@ def test_reconstruct_command(disk_file, tmp_path, capsys):
     assert run_command(["travel", disk_file, "--points", "16",
                         "--out", str(travel_csv)]) == 0
     out_csv = tmp_path / "points.csv"
-    status = run_command(["reconstruct", str(travel_csv), "--scene", disk_file,
-                          "--points", "16", "--ball", "0,0,10",
+    status = run_command(["reconstruct", str(travel_csv), "--ball", "0,0,10",
                           "--out", str(out_csv)])
     assert status == 0
     lines = out_csv.read_text().splitlines()
@@ -203,3 +203,89 @@ def test_travel_refuses_d4(tmp_path, capsys):
     path.write_text(serialize_scene(sl.Scene(dimension=4, ball_radius=10.0)))
     assert run_command(["travel", str(path), "--points", "4"]) == 1
     assert "d = 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_travel_csv_reads_back_as_samples(tmp_path, two_disk_scene,
+                                          ball_ellipsoid_scene, dimension):
+    if dimension == 2:
+        table = sl.travelling_time_spectrum(two_disk_scene, n_points=6)
+    else:
+        table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3,
+                                            n_seeds=200)
+    path = tmp_path / "travel.csv"
+    write_travel_csv(table, path, 17)
+    back = read_travel_csv(path)
+    assert len(back) == len(table.samples) > 0
+    # Every field but the pair index is stored and must round-trip exactly.
+    for got, want in zip(back, table.samples):
+        assert dataclasses.replace(got, pair=want.pair) == want
+
+
+@pytest.mark.parametrize("dimension, tolerances", [(2, ("1e-6", "3.0")),
+                                                   (3, ("1e-6", "0.1"))])
+def test_cli_compare_agrees_with_library(tmp_path, capsys, two_disk_scene,
+                                         ball_ellipsoid_scene, dimension, tolerances):
+    if dimension == 2:
+        scene = two_disk_scene
+        kwargs = {"n_points": 6, "phase": 0.3}
+    else:
+        scene = ball_ellipsoid_scene
+        kwargs = {"n_points": 3, "n_seeds": 200}
+    body = scene.bodies[1]
+    shifted = dataclasses.replace(body, center=(body.center[0] + 0.5, *body.center[1:]))
+    moved = dataclasses.replace(scene, bodies=(scene.bodies[0], shifted))
+    tables = [sl.travelling_time_spectrum(s, **kwargs) for s in (scene, moved)]
+    # A CSV has rows only for cells with times, so the CLI sees the library's
+    # cells only when no cell is empty in both tables.
+    assert all(ca or cb for ca, cb in zip(*(t.cells for t in tables)))
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for table, path in zip(tables, paths):
+        write_travel_csv(table, path, 17)
+    for tol in tolerances:
+        report = sl.compare_spectra(*tables, tol=float(tol))
+        assert run_command(["compare", *map(str, paths), "--tol", tol]) == 0
+        out = capsys.readouterr().out
+        assert (f"cells: {len(tables[0].cells)}  "
+                f"matched_fraction: {report.matched_fraction:.6f}") in out
+        assert f"verdict: {report.verdict}" in out
+
+
+_TRAVEL_HEADER = ("x_1,x_2,y_1,y_2,t,reflections,residual,itinerary,"
+                  "dir_in_1,dir_in_2,dir_out_1,dir_out_2")
+_CHORD_ROW = "10,0,-10,0,20,0,0,,-1,0,-1,0"
+
+
+@pytest.mark.parametrize("command, rows, expected", [
+    ("compare", [_CHORD_ROW, "10,0,-10,0"], "{path}:3: 4 fields"),
+    ("compare", [_CHORD_ROW.replace(",20,", ",nan,")], "{path}:2: expected a finite"),
+    ("compare", [], "no cells"),
+    ("reconstruct", [_CHORD_ROW, "10,0,-10,0"], "{path}:3: 4 fields"),
+    ("reconstruct", [_CHORD_ROW.replace(",20,", ",nan,")], "{path}:2: expected a finite"),
+    ("reconstruct", [_CHORD_ROW[:-4] + "inf,0"], "{path}:2: expected a finite"),
+], ids=["compare-short-row", "compare-nan-time", "compare-header-only",
+        "reconstruct-short-row", "reconstruct-nan-time", "reconstruct-inf-dir-out"])
+def test_malformed_travel_csv_exits_1(tmp_path, capsys, command, rows, expected):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([_TRAVEL_HEADER, *rows]) + "\n")
+    argv = ([command, str(path), str(path)] if command == "compare"
+            else [command, str(path), "--ball", "0,0,10"])
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert expected.format(path=path) in err
+
+
+def test_reconstruct_reads_the_file(tmp_path, capsys):
+    # The one-bounce samples alone determine the estimate: no scene is read.
+    samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 20)
+    travel_csv = tmp_path / "travel.csv"
+    write_travel_csv(sl.samples_table(samples), travel_csv, 17)
+    out_csv = tmp_path / "points.csv"
+    assert run_command(["reconstruct", str(travel_csv), "--ball", "0,0,10",
+                        "--out", str(out_csv)]) == 0
+    assert "points: 20  skipped: 0" in capsys.readouterr().out
+    want = sl.reconstruct_boundary(sl.samples_table(samples), (0.0, 0.0), 10.0)
+    rows = out_csv.read_text().splitlines()[1:]
+    got = [tuple(map(float, row.split(",")[:2])) for row in rows]
+    assert got == [tuple(p) for p in want.points]

@@ -37,6 +37,15 @@ def test_compare_translated_disk_distinguishable(two_disk_scene):
     assert report.max_discrepancy > 0.1
 
 
+def test_compare_without_cells_is_refused():
+    # No cells means no matched fraction, so no verdict either way.
+    empty = sl.samples_table([])
+    with pytest.raises(sl.ContractError, match="no cells"):
+        sl.compare_spectra(empty, empty, tol=1e-9)
+    with pytest.raises(sl.ContractError, match="no cells"):
+        sl.rigidity.compare_cells((), (), tol=1e-9)
+
+
 def test_compare_body_order_independent():
     a = sl.Scene(dimension=2,
                  bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((3.0, 1.0), 1.0)),

@@ -280,6 +280,19 @@ def test_grid_mismatch_raises(empty_scene):
         sl.compare_spectra(t1, t2, tol=1e-9)
 
 
+@pytest.mark.parametrize("n_impacts", [0, -1])
+def test_scan_sls_refuses_no_impacts(disk_scene, n_impacts):
+    with pytest.raises(sl.ContractError):
+        sl.scan_sls(disk_scene, (1.0, 0.0), n_impacts)
+
+
+@pytest.mark.parametrize("grid", [{"n_points": 1}, {"n_points": 0},
+                                  {"n_points": 2, "min_sep_deg": 180.0}])
+def test_travel_grid_without_pairs_is_refused(disk_scene, grid):
+    with pytest.raises(sl.ContractError, match="no point pairs"):
+        sl.travelling_time_spectrum(disk_scene, **grid)
+
+
 # ---------------------------------------------------------------------------
 # d = 3 smoke coverage
 # ---------------------------------------------------------------------------
