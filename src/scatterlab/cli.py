@@ -4,7 +4,11 @@ rigidity experiments, with deterministic CSV emission.
 Each command parses its inputs, calls the library and prints or writes the
 result; the rules themselves live in the library. ``compare`` groups the
 rows of two spectrum CSVs by their source columns and applies
-``rigidity.compare_cells`` to the sorted union of those cells.
+``rigidity.compare_cells`` to the sorted union of those cells. A CSV has
+rows only for cells with times, so a cell empty in both tables is not among
+them: ``cells`` and ``matched_fraction`` count only cells with a time in at
+least one table, and differ from ``compare_spectra``, which counts such a
+cell as matched, whenever the grid has one.
 ``reconstruct`` reads the samples back from a travel CSV, whose rows carry
 every sample field except the pair index, and passes them to
 ``reconstruct_boundary``. A malformed CSV row is a contract error naming the
@@ -81,8 +85,8 @@ def _load(path: str):
         return parse_scene_document(fh.read())
 
 
-def _vector(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+def _vector(text: str, where: str) -> tuple:
+    return tuple(_finite(v, where) for v in text.split(","))
 
 
 def _write_lines(path, lines):
@@ -217,7 +221,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_trace(args) -> int:
     doc = _load(args.scene)
-    state = PhaseState(_vector(args.start), _unit(_vector(args.direction)))
+    state = PhaseState(_vector(args.start, "--start"),
+                       _unit(_vector(args.direction, "--direction")))
     limits = TraceLimits(max_reflections=args.max_reflections)
     record = trace(doc.scene, state, limits)
     prec = _precision()
@@ -250,7 +255,7 @@ def _unit(v):
 
 def _cmd_sls(args) -> int:
     doc = _load(args.scene)
-    table = scan_sls(doc.scene, _unit(_vector(args.omega)), args.grid)
+    table = scan_sls(doc.scene, _unit(_vector(args.omega, "--omega")), args.grid)
     prec = _precision()
     if args.out:
         write_sls_csv(table, args.out, prec)
@@ -328,7 +333,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     table = samples_table(read_travel_csv(args.table))
-    ball = _vector(args.ball)
+    ball = _vector(args.ball, "--ball")
     estimate = reconstruct_boundary(table, ball[:-1], ball[-1])
     prec = _precision()
     if args.out:

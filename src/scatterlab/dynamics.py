@@ -39,7 +39,7 @@ class ReversibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position plus unit direction."""
+    """Finite position plus unit direction."""
 
     point: tuple
     direction: tuple
@@ -49,7 +49,10 @@ class PhaseState:
         u = _as_tuple(self.direction)
         if len(p) != len(u):
             raise ValueError("point/direction dimension mismatch")
-        if abs(math.hypot(*u) - 1.0) > 1e-12:
+        if not all(map(math.isfinite, p)):
+            raise ValueError("point must be finite")
+        # Written as "not <=" so that a NaN or infinite direction fails too.
+        if not abs(math.hypot(*u) - 1.0) <= 1e-12:
             raise ValueError("direction must be unit to within 1e-12")
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "direction", u)
@@ -62,11 +65,6 @@ class TraceLimits:
     max_reflections: int = DEFAULT_MAX_REFLECTIONS
     escape_radius: float = None
     max_path_length: float = None
-
-    @classmethod
-    def for_scene(cls, scene: Scene) -> "TraceLimits":
-        a = scene.ball_radius
-        return cls(DEFAULT_MAX_REFLECTIONS, 2.0 * a, DEFAULT_LENGTH_FACTOR * a)
 
     def resolved(self, scene: Scene) -> tuple[int, float, float]:
         a = scene.ball_radius
@@ -121,13 +119,18 @@ def reflect(v, n) -> np.ndarray:
     return out / float(np.linalg.norm(out))
 
 
-def _trace_raw(scene: Scene, point, direction, limits: TraceLimits):
+def _trace_raw(scene: Scene, point, direction, limits: Optional[TraceLimits] = None):
     """Kernel trace; events are raw tuples
     (obstacle, arc, point, normal, grazing, cum_length, direction_after).
+    Without limits, the scene's default limits apply.
 
     Returns (escaped, events, final_point, final_direction, total_length).
     """
-    nmax, resc, lmax = limits.resolved(scene)
+    if limits is None:
+        a = scene.ball_radius
+        nmax, resc, lmax = DEFAULT_MAX_REFLECTIONS, 2.0 * a, DEFAULT_LENGTH_FACTOR * a
+    else:
+        nmax, resc, lmax = limits.resolved(scene)
     if scene.dimension == 2:
         return _trace_2d(scene, point, direction, nmax, resc, lmax)
     return _trace_nd(scene, point, direction, nmax, resc, lmax)
@@ -242,8 +245,6 @@ def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None)
     escape radius and non-negative outward radial speed, so rays launched
     inward from outside the ball are not misclassified.
     """
-    if limits is None:
-        limits = TraceLimits.for_scene(scene)
     escaped, raw, fpt, fdir, total = _trace_raw(scene, state.point, state.direction, limits)
     events = tuple(Event(*e) for e in raw)
     return TrajectoryRecord(
@@ -260,8 +261,7 @@ def itinerary(record: TrajectoryRecord) -> tuple[int, ...]:
     return tuple(e.obstacle for e in record.events if not e.grazing)
 
 
-def time_reverse_deviation(scene: Scene, record: TrajectoryRecord,
-                           limits: Optional[TraceLimits] = None) -> float:
+def time_reverse_deviation(scene: Scene, record: TrajectoryRecord) -> float:
     """Retrace from the reversed final state and compare reflection points.
 
     Returns the maximum distance between reversed and original events taken
@@ -272,7 +272,7 @@ def time_reverse_deviation(scene: Scene, record: TrajectoryRecord,
     if not record.escaped:
         raise ValueError("time reversal needs an escaped trajectory")
     back = PhaseState(record.final.point, tuple(-c for c in record.final.direction))
-    rev = trace(scene, back, limits)
+    rev = trace(scene, back)
     if len(rev.events) != len(record.events):
         raise ReversibilityError(
             f"forward trajectory has {len(record.events)} events, reversed has {len(rev.events)}")

@@ -15,13 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PhaseState, TraceLimits, _trace_raw
+from .dynamics import PhaseState, _trace_raw
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
                        boundary_samples)
 from .spectra import (ContractError, SpectrumTable, TravellingTimeSample,
                       _grid_tuple)
 
 MISMATCH_VERDICT_FRACTION = 0.01
+_COVERAGE_SAMPLES = 2048  # boundary samples per obstacle
+_RECONSTRUCT_CONSISTENCY = 1e-6  # largest |x-p| + |p-y| - t of a kept point
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +149,19 @@ def sphere_probes(scene: Scene, n: int, seed: int) -> list[PhaseState]:
 
 
 def reflection_count_probe(scene_a: Scene, scene_b: Scene,
-                           probes: Sequence[PhaseState],
-                           limits: Optional[TraceLimits] = None) -> ProbeCountReport:
+                           probes: Sequence[PhaseState]) -> ProbeCountReport:
     """Trace each probe in both scenes and compare proper reflection counts."""
     counts = []
     for p in probes:
-        na = _count_reflections(scene_a, p, limits)
-        nb = _count_reflections(scene_b, p, limits)
+        na = _count_reflections(scene_a, p)
+        nb = _count_reflections(scene_b, p)
         counts.append((na, nb))
     equal = sum(1 for a, b in counts if a == b)
     return ProbeCountReport(tuple(counts), equal / max(1, len(counts)))
 
 
-def _count_reflections(scene: Scene, p: PhaseState, limits) -> int:
-    lim = limits if limits is not None else TraceLimits.for_scene(scene)
-    _, events, _, _, _ = _trace_raw(scene, p.point, p.direction, lim)
+def _count_reflections(scene: Scene, p: PhaseState) -> int:
+    _, events, _, _, _ = _trace_raw(scene, p.point, p.direction)
     return sum(1 for e in events if not e[4])
 
 
@@ -182,22 +182,19 @@ class CoverageReport:
 
 
 def accessible_coverage(scene: Scene, n_rays: int, eps: float,
-                        limits: Optional[TraceLimits] = None, seed: int = 0,
-                        samples_per_obstacle: int = 2048) -> CoverageReport:
+                        seed: int = 0) -> CoverageReport:
     """Monte Carlo estimate of the reachable part of each obstacle boundary.
 
     Marks every proper reflection point of escaped trajectories launched from
     seeded random sphere probes, then reports the fraction of a uniform
     boundary sample lying within eps of a mark.
     """
-    if limits is None:
-        limits = TraceLimits.for_scene(scene)
     probes = sphere_probes(scene, n_rays, seed)
     nb = len(scene.bodies)
     marks = {}
     n_escaped = n_cutoff = 0
     for p in probes:
-        escaped, events, _, _, _ = _trace_raw(scene, p.point, p.direction, limits)
+        escaped, events, _, _, _ = _trace_raw(scene, p.point, p.direction)
         if not escaped:
             n_cutoff += 1
             continue
@@ -220,13 +217,13 @@ def accessible_coverage(scene: Scene, n_rays: int, eps: float,
     body_cov = []
     unreached = []
     for i, body in enumerate(scene.bodies):
-        frac, missed = covered_fraction(boundary_samples(body, samples_per_obstacle), i)
+        frac, missed = covered_fraction(boundary_samples(body, _COVERAGE_SAMPLES), i)
         body_cov.append(frac)
         if missed.size:
             unreached.append((i, missed))
     arc_cov = []
     for ci, curve in enumerate(scene.curves):
-        per_arc = max(8, samples_per_obstacle // len(curve.arcs))
+        per_arc = max(8, _COVERAGE_SAMPLES // len(curve.arcs))
         for ai, arc in enumerate(curve.arcs):
             frac, missed = covered_fraction(arc.sample(per_arc), (nb + ci, ai))
             arc_cov.append((nb + ci, ai, tuple(sorted(arc.tags)), frac))
@@ -250,8 +247,7 @@ class BoundaryEstimate:
 
 def reconstruct_boundary(table: SpectrumTable, ball_center, ball_radius: float,
                          ground_truth: Optional[np.ndarray] = None,
-                         coverage_eps: Optional[float] = None,
-                         consistency_tol: float = 1e-6) -> BoundaryEstimate:
+                         coverage_eps: Optional[float] = None) -> BoundaryEstimate:
     """Recover reflection points from single-reflection travelling times.
 
     For a sample (x, y, t) with outgoing direction u at y, the reflection
@@ -281,7 +277,8 @@ def reconstruct_boundary(table: SpectrumTable, ball_center, ball_radius: float,
             skipped += 1
             continue
         p = y - tau * u
-        if abs(float(np.linalg.norm(x - p)) + float(np.linalg.norm(p - y)) - t) >= consistency_tol:
+        gap = abs(float(np.linalg.norm(x - p)) + float(np.linalg.norm(p - y)) - t)
+        if gap >= _RECONSTRUCT_CONSISTENCY:
             skipped += 1
             continue
         if float(np.linalg.norm(p - center)) >= a:
@@ -352,12 +349,11 @@ def _sphere_point_forward(p, v, center, a):
     return p + s * v
 
 
-def samples_table(samples: Sequence[TravellingTimeSample], scene_digest: str = "",
-                  label: str = "synthetic") -> SpectrumTable:
+def samples_table(samples: Sequence[TravellingTimeSample]) -> SpectrumTable:
     """Wrap loose travelling-time samples as a one-cell-per-sample table."""
     cells = tuple((s.t,) for s in samples)
-    grid = _grid_tuple({"kind": label, "n": len(samples)})
-    return SpectrumTable(label, scene_digest, grid, cells, tuple(samples), ())
+    grid = _grid_tuple({"kind": "synthetic", "n": len(samples)})
+    return SpectrumTable("synthetic", "", grid, cells, tuple(samples), ())
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +463,7 @@ def _aperture_family(params: LivshitsParams):
             yield i * params.n_angles + j, x0, (math.sin(phi), -math.cos(phi))
 
 
-def livshits_demo(params: Optional[LivshitsParams] = None,
-                  limits: Optional[TraceLimits] = None) -> LivshitsReport:
+def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
     """Run the full non-uniqueness demonstration.
 
     Checks, per hidden variant: zero hits on hidden arcs over the sampled
@@ -482,8 +477,6 @@ def livshits_demo(params: Optional[LivshitsParams] = None,
     params.validate()
     scenes = (build_livshits_scene(params, "bump"),
               build_livshits_scene(params, "flat"))
-    if limits is None:
-        limits = TraceLimits.for_scene(scenes[0])
     c = params.focal_half_distance
     hidden_hits = []
     underside_hits = []
@@ -501,7 +494,7 @@ def livshits_demo(params: Optional[LivshitsParams] = None,
         h_hits = u_hits = 0
         cells = []
         for idx, x0, u in _aperture_family(params):
-            escaped, events, fpt, fdir, total = _trace_raw(scene, (x0, 0.0), u, limits)
+            escaped, events, fpt, fdir, total = _trace_raw(scene, (x0, 0.0), u)
             incoming = u
             for e in events:
                 if e[0] in hidden_ids:
@@ -534,7 +527,7 @@ def livshits_demo(params: Optional[LivshitsParams] = None,
     for j in range(params.n_focal):
         phi = math.radians(-80.0 + 160.0 * (j + 0.5) / params.n_focal)
         u = (math.sin(phi), -math.cos(phi))
-        _, events, _, _, _ = _trace_raw(scenes[0], focus_a, u, limits)
+        _, events, _, _, _ = _trace_raw(scenes[0], focus_a, u)
         if not events:
             raise ContractError("focal ray missed the bowl; geometry is invalid")
         px, py = events[0][2]

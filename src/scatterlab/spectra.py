@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import TraceLimits, _trace_raw
+from .dynamics import _trace_raw
 from .geometry import Scene, _as_tuple, fibonacci_sphere
 
 DIRECTION_MATCH_TOL = 1e-9
@@ -231,8 +231,9 @@ def sphere_lattice(dimension: int, n: int, phase: float = 0.0) -> np.ndarray:
 def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-9:
-        raise ContractError("direction must be a unit vector")
+    # Written as "not <=" so that a NaN or infinite norm fails too.
+    if not abs(n - 1.0) <= 1e-9:
+        raise ContractError("direction must be a finite unit vector")
     return v / n
 
 
@@ -240,8 +241,7 @@ def unit_vector(v) -> np.ndarray:
 # Sojourn-time scan over one incoming direction
 # ---------------------------------------------------------------------------
 
-def scan_sls(scene: Scene, incoming, n_impacts: int,
-             limits: Optional[TraceLimits] = None) -> SpectrumTable:
+def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
     """Sample the sojourn-time spectrum for one incoming direction.
 
     One trajectory is launched per impact-lattice point of the tangent
@@ -251,8 +251,6 @@ def scan_sls(scene: Scene, incoming, n_impacts: int,
     """
     if n_impacts < 1:
         raise ContractError("a sojourn-time scan needs at least one impact point")
-    if limits is None:
-        limits = TraceLimits.for_scene(scene)
     win = unit_vector(incoming)
     d = scene.dimension
     center = np.asarray(scene.ball_center)
@@ -265,7 +263,7 @@ def scan_sls(scene: Scene, incoming, n_impacts: int,
     cutoff = 0
     for i in range(offsets.shape[0]):
         launch = foot + offsets[i] @ basis
-        escaped, events, fpt, fdir, total = _trace_raw(scene, launch, win, limits)
+        escaped, events, fpt, fdir, total = _trace_raw(scene, launch, win)
         if not escaped:
             cutoff += 1
             cells.append(())
@@ -334,10 +332,10 @@ def _exit_crossing(scene: Scene, start, events, fdir):
     return exit_pt, cum + s
 
 
-def _shoot(scene: Scene, x, u, limits: TraceLimits):
+def _shoot(scene: Scene, x, u):
     """Trace from x along u to the last reference-sphere crossing; returns
     (u, events, fdir, exit_pt, t_exit), or None when the ray does not leave."""
-    escaped, events, _, fdir, _ = _trace_raw(scene, x, u, limits)
+    escaped, events, _, fdir, _ = _trace_raw(scene, x, u)
     if not escaped:
         return None
     exit_pt, t_exit = _exit_crossing(scene, x, events, fdir)
@@ -381,8 +379,8 @@ def _launch_dir(frame, psi: float) -> np.ndarray:
     return math.cos(psi) * m + math.sin(psi) * mp
 
 
-def _entry_at(scene: Scene, x, frame, psi: float, limits: TraceLimits) -> _SweepEntry:
-    shot = _shoot(scene, x, _launch_dir(frame, psi), limits)
+def _entry_at(scene: Scene, x, frame, psi: float) -> _SweepEntry:
+    shot = _shoot(scene, x, _launch_dir(frame, psi))
     if shot is None:
         return _SweepEntry(psi, False, None, 0.0, (), False)
     _, events, _, exit_pt, _ = shot
@@ -391,24 +389,24 @@ def _entry_at(scene: Scene, x, frame, psi: float, limits: TraceLimits) -> _Sweep
                        itin, any(e[4] for e in events))
 
 
-def _split_gap(scene, x, frame, limits, ea, eb, depth, out):
+def _split_gap(scene, x, frame, ea, eb, depth, out):
     if depth <= 0:
         return
-    em = _entry_at(scene, x, frame, 0.5 * (ea.psi + eb.psi), limits)
+    em = _entry_at(scene, x, frame, 0.5 * (ea.psi + eb.psi))
     if _needs_split(ea, em):
-        _split_gap(scene, x, frame, limits, ea, em, depth - 1, out)
+        _split_gap(scene, x, frame, ea, em, depth - 1, out)
     out.append(em)
     if _needs_split(em, eb):
-        _split_gap(scene, x, frame, limits, em, eb, depth - 1, out)
+        _split_gap(scene, x, frame, em, eb, depth - 1, out)
 
 
-def _sweep_2d(scene: Scene, x: np.ndarray, n_seeds: int, limits: TraceLimits):
+def _sweep_2d(scene: Scene, x: np.ndarray, n_seeds: int):
     frame = _frame_at(scene, x)
     seeds = []
     cut = 0
     for k in range(n_seeds):
         psi = -0.5 * math.pi + math.pi * (k + 0.5) / n_seeds
-        e = _entry_at(scene, x, frame, psi, limits)
+        e = _entry_at(scene, x, frame, psi)
         if not e.escaped:
             cut += 1
         seeds.append(e)
@@ -416,7 +414,7 @@ def _sweep_2d(scene: Scene, x: np.ndarray, n_seeds: int, limits: TraceLimits):
     for ea, eb in zip(seeds[:-1], seeds[1:]):
         entries.append(ea)
         if _needs_split(ea, eb):
-            _split_gap(scene, x, frame, limits, ea, eb, _BOUNDARY_SPLIT_DEPTH, entries)
+            _split_gap(scene, x, frame, ea, eb, _BOUNDARY_SPLIT_DEPTH, entries)
     entries.append(seeds[-1])
     return entries, cut, frame
 
@@ -429,19 +427,25 @@ def _wrap(angle: float) -> float:
 # Travelling times: root refinement
 # ---------------------------------------------------------------------------
 
-def _delta_at(scene, x, frame, psi, target_angle, limits):
-    shot = _shoot(scene, x, _launch_dir(frame, psi), limits)
+def _delta_at(scene, x, frame, psi, target_angle):
+    shot = _shoot(scene, x, _launch_dir(frame, psi))
     if shot is None:
         return None, None
     return _wrap(_sphere_angle(scene, shot[3]) - target_angle), shot
 
 
-def _make_sample(scene, x, y, shot, tol, pair) -> Optional[TravellingTimeSample]:
+def _root_tol(scene: Scene) -> float:
+    """Largest exit miss of an accepted root, and largest time gap between
+    two polishes of one root."""
+    return REFINE_TOL_FRAC * scene.ball_radius
+
+
+def _make_sample(scene, x, y, shot) -> Optional[TravellingTimeSample]:
     u, events, fdir, exit_pt, t_exit = shot
     ypt = np.asarray(y, dtype=float)
     ept = np.asarray(exit_pt, dtype=float)
     residual = float(np.linalg.norm(ept - ypt))
-    if residual >= tol:
+    if residual >= _root_tol(scene):
         return None
     itin = tuple(e[0] for e in events if not e[4])
     # Project the endpoint onto the plane through y transverse to the exit
@@ -449,8 +453,9 @@ def _make_sample(scene, x, y, shot, tol, pair) -> Optional[TravellingTimeSample]
     # first-order time error of the residual miss, so the reported time
     # matches the true root time to O(residual^2).
     t_corr = float(t_exit) + float((ypt - ept) @ np.asarray(fdir))
+    # The pair index stays 0 until the merge sets it.
     return TravellingTimeSample(
-        pair=pair,
+        pair=0,
         x=_as_tuple(x),
         y=_as_tuple(y),
         t=t_corr,
@@ -462,15 +467,15 @@ def _make_sample(scene, x, y, shot, tol, pair) -> Optional[TravellingTimeSample]
     )
 
 
-def _bisect_2d(scene, x, y, target_angle, frame, lo, hi, flo, tol, limits, pair):
-    goal = _RESIDUAL_MARGIN * tol / scene.ball_radius
+def _bisect_2d(scene, x, y, target_angle, frame, lo, hi, flo):
+    goal = _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius
     for _ in range(_BISECT_CAP):
         mid = 0.5 * (lo + hi)
-        dm, shot = _delta_at(scene, x, frame, mid, target_angle, limits)
+        dm, shot = _delta_at(scene, x, frame, mid, target_angle)
         if dm is None:
             return None
         if abs(dm) < goal or hi - lo < 1e-15:
-            return _make_sample(scene, x, y, shot, tol, pair)
+            return _make_sample(scene, x, y, shot)
         if flo * dm <= 0.0:
             hi = mid
         else:
@@ -478,7 +483,7 @@ def _bisect_2d(scene, x, y, target_angle, frame, lo, hi, flo, tol, limits, pair)
     return None
 
 
-def _refine_pair_2d(scene, x, y, entries, frame, tol, limits, dedup, pair_index=0):
+def _refine_pair_2d(scene, x, y, entries, frame):
     ty = _sphere_angle(scene, y)
     found = []
     dropped = 0
@@ -493,25 +498,24 @@ def _refine_pair_2d(scene, x, y, entries, frame, tol, limits, dedup, pair_index=
         da = _wrap(ea.exit_angle - ty)
         db = _wrap(eb.exit_angle - ty)
         if da == 0.0:
-            _, shot = _delta_at(scene, x, frame, ea.psi, ty, limits)
+            _, shot = _delta_at(scene, x, frame, ea.psi, ty)
             if shot is not None:
-                sample = _make_sample(scene, x, y, shot, tol, pair_index)
+                sample = _make_sample(scene, x, y, shot)
                 if sample is not None:
                     found.append(sample)
             continue
         if da * db >= 0.0 or abs(da - db) >= math.pi:
             continue
-        sample = _bisect_2d(scene, x, y, ty, frame, ea.psi, eb.psi, da, tol,
-                            limits, pair_index)
+        sample = _bisect_2d(scene, x, y, ty, frame, ea.psi, eb.psi, da)
         if sample is None:
             dropped += 1
         else:
             found.append(sample)
-    return _dedup_samples(found, dedup), dropped
+    return _dedup_samples(scene, found), dropped
 
 
-def _mirror_refine_2d(scene, s: TravellingTimeSample, pair, x, y, frame_x, tol,
-                      limits) -> Optional[TravellingTimeSample]:
+def _mirror_refine_2d(scene, s: TravellingTimeSample, x, y,
+                      frame_x) -> Optional[TravellingTimeSample]:
     """Re-polish the time reversal of a (y, x) root as an (x, y) sample.
 
     The reversed launch direction is only a first guess: expansion along the
@@ -525,30 +529,28 @@ def _mirror_refine_2d(scene, s: TravellingTimeSample, pair, x, y, frame_x, tol,
     uy = -s.dir_out[1]
     psi = math.atan2(ux * mp[0] + uy * mp[1], ux * m[0] + uy * m[1])
     ty = _sphere_angle(scene, y)
-    d0, shot0 = _delta_at(scene, x, frame_x, psi, ty, limits)
+    d0, shot0 = _delta_at(scene, x, frame_x, psi, ty)
     if d0 is None:
         return None
-    if abs(d0) < _RESIDUAL_MARGIN * tol / scene.ball_radius:
-        return _same_root(_make_sample(scene, x, y, shot0, tol, pair), s, tol)
+    if abs(d0) < _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius:
+        return _same_root(scene, _make_sample(scene, x, y, shot0), s)
     h = 1e-8
     while h <= 2e-3:
         for cand in (psi + h, psi - h):
-            d1, _ = _delta_at(scene, x, frame_x, cand, ty, limits)
+            d1, _ = _delta_at(scene, x, frame_x, cand, ty)
             if d1 is not None and d0 * d1 < 0.0 and abs(d0 - d1) < math.pi:
                 lo, hi = (psi, cand) if cand > psi else (cand, psi)
                 flo = d0 if lo == psi else d1
-                got = _bisect_2d(scene, x, y, ty, frame_x, lo, hi, flo, tol,
-                                 limits, pair)
-                got = _same_root(got, s, tol)
+                got = _same_root(scene, _bisect_2d(scene, x, y, ty, frame_x, lo, hi, flo), s)
                 if got is not None:
                     return got
         h *= 4.0
     return None
 
 
-def _same_root(candidate: Optional[TravellingTimeSample], s: TravellingTimeSample,
-               tol: float) -> Optional[TravellingTimeSample]:
-    if candidate is None or abs(candidate.t - s.t) >= tol:
+def _same_root(scene, candidate: Optional[TravellingTimeSample],
+               s: TravellingTimeSample) -> Optional[TravellingTimeSample]:
+    if candidate is None or abs(candidate.t - s.t) >= _root_tol(scene):
         return None
     return candidate
 
@@ -559,12 +561,13 @@ def _same_root(candidate: Optional[TravellingTimeSample], s: TravellingTimeSampl
 _DEDUP_DIR_TOL = 1e-5
 
 
-def _dedup_samples(samples, dedup):
+def _dedup_samples(scene, samples):
+    gap = DEDUP_FRAC * scene.ball_radius
     out = []
     for s in sorted(samples, key=lambda s: (s.t, s.residual)):
         dup = False
         for kept in out:
-            if (kept.itinerary == s.itinerary and abs(kept.t - s.t) < dedup
+            if (kept.itinerary == s.itinerary and abs(kept.t - s.t) < gap
                     and _dir_gap(kept.dir_in, s.dir_in) < _DEDUP_DIR_TOL):
                 dup = True
                 break
@@ -577,19 +580,16 @@ def _dir_gap(u, v) -> float:
     return math.hypot(*(a - b for a, b in zip(u, v)))
 
 
-def _mirror_all(scene, roots, x, y, tol, limits) -> list:
+def _mirror_all(scene, roots, x, y) -> list:
     """Time reversal of each (y, x) root re-polished as an (x, y) sample, None
     where the polish fails; one entry per root, in order."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if scene.dimension == 2:
         frame_x = _frame_at(scene, x)
-        return [_mirror_refine_2d(scene, s, 0, x, y, frame_x, tol, limits)
-                for s in roots]
-    return [_mirror_refine_3d(scene, s, 0, x, y, tol, limits) for s in roots]
+        return [_mirror_refine_2d(scene, s, x, y, frame_x) for s in roots]
+    return [_mirror_refine_3d(scene, s, x, y) for s in roots]
 
 
-def _merge_bidirectional(own, own_mirrors, opposite_mirrors, pair, dedup):
+def _merge_bidirectional(scene, own, own_mirrors, opposite_mirrors, pair):
     """Symmetric per-pair merge: an own root is kept only when its mirror
     re-polished from the opposite endpoint, and opposite-side roots enter as
     their re-polished mirrors. Both orders of one point pair are built from
@@ -597,73 +597,45 @@ def _merge_bidirectional(own, own_mirrors, opposite_mirrors, pair, dedup):
     by construction; one-way-only roots are near-tangent and are dropped."""
     kept = [s for s, m in zip(own, own_mirrors) if m is not None]
     kept += [m for m in opposite_mirrors if m is not None]
-    return [replace(s, pair=pair) for s in _dedup_samples(kept, dedup)]
+    return [replace(s, pair=pair) for s in _dedup_samples(scene, kept)]
 
 
-def find_xy_geodesics(scene: Scene, x, y, n_seeds: Optional[int] = None,
-                      tol: Optional[float] = None,
-                      limits: Optional[TraceLimits] = None,
-                      dedup: Optional[float] = None) -> list[TravellingTimeSample]:
+def find_xy_geodesics(scene: Scene, x, y,
+                      n_seeds: Optional[int] = None) -> list[TravellingTimeSample]:
     """All resolved geodesics entering the reference sphere at x and leaving at y.
 
     Sweeps run from both endpoints; a root counts only when it refines from
     both sides, and the result is symmetric under swapping the endpoints.
-    The returned list may be empty: the travelling-time set of a pair can be
-    empty (deep shadow) or under-resolved at the configured seed count.
-    Raises ContractError for d >= 4, where no search is implemented.
+    This is the travel-table search on the two points x, y, so a table cell
+    equals this call on its pair. The returned list may be empty: the
+    travelling-time set of a pair can be empty (deep shadow) or
+    under-resolved at the configured seed count. Raises ContractError for
+    non-finite endpoints and for d >= 4, where no search is implemented.
     """
-    n_seeds, tol, limits, dedup = _search_settings(scene, n_seeds, tol, limits, dedup)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fwd, _ = _refine_pair(scene, x, y, _sweep(scene, x, n_seeds, limits)[0],
-                          tol, limits, dedup, 0)
-    rev, _ = _refine_pair(scene, y, x, _sweep(scene, y, n_seeds, limits)[0],
-                          tol, limits, dedup, 0)
-    return _merge_bidirectional(fwd, _mirror_all(scene, fwd, y, x, tol, limits),
-                                _mirror_all(scene, rev, x, y, tol, limits), 0, dedup)
+    n_seeds = _seed_count(scene, n_seeds)
+    pts = [np.asarray(x, dtype=float), np.asarray(y, dtype=float)]
+    if not all(np.isfinite(p).all() for p in pts):
+        raise ContractError("travel endpoints must be finite")
+    cells, _, _ = _travel(scene, pts, [(0, 1), (1, 0)], n_seeds)
+    return cells[0]
 
 
-def _search_settings(scene: Scene, n_seeds, tol, limits, dedup):
-    """The travel search settings, with the defaults filled in where None;
-    refuses d >= 4, where no search is implemented."""
+def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
+    """The seed count of a travel search, with the default filled in where
+    None; refuses d >= 4, where no search is implemented."""
     if scene.dimension >= 4:
         raise ContractError("travelling times are implemented for d = 2 and d = 3 "
                             f"only, not d = {scene.dimension}")
-    a = scene.ball_radius
     if n_seeds is None:
         n_seeds = SEEDS_2D if scene.dimension == 2 else SEEDS_3D
-    if tol is None:
-        tol = REFINE_TOL_FRAC * a
-    if limits is None:
-        limits = TraceLimits.for_scene(scene)
-    if dedup is None:
-        dedup = DEDUP_FRAC * a
-    return n_seeds, tol, limits, dedup
-
-
-def _sweep(scene: Scene, x: np.ndarray, n_seeds: int, limits: TraceLimits):
-    """Inward seed sweep from x, shared by every target; returns (sweep, cutoff
-    seeds)."""
-    if scene.dimension == 2:
-        entries, cut, frame = _sweep_2d(scene, x, n_seeds, limits)
-        return (entries, frame), cut
-    return _sweep_3d(scene, x, n_seeds, limits)
-
-
-def _refine_pair(scene, x, y, sweep, tol, limits, dedup, pair):
-    """Roots from x to y found in a sweep from x; returns (samples, dropped)."""
-    if scene.dimension == 2:
-        entries, frame = sweep
-        return _refine_pair_2d(scene, x, y, entries, frame, tol, limits, dedup,
-                               pair_index=pair)
-    return _refine_pair_3d(scene, x, y, sweep, tol, limits, dedup, pair), 0
+    return n_seeds
 
 
 # ---------------------------------------------------------------------------
 # Travelling times in d = 3
 # ---------------------------------------------------------------------------
 
-def _polish_3d(scene, x, y, u0, tol, limits, pair):
+def _polish_3d(scene, x, y, u0):
     from scipy.optimize import minimize
 
     e1 = plane_basis(np.asarray(u0))
@@ -671,7 +643,7 @@ def _polish_3d(scene, x, y, u0, tol, limits, pair):
     def miss_fn(ab):
         u = np.asarray(u0) + ab[0] * e1[0] + ab[1] * e1[1]
         u /= float(np.linalg.norm(u))
-        shot = _shoot(scene, x, u, limits)
+        shot = _shoot(scene, x, u)
         if shot is None:
             return 10.0 * scene.ball_radius
         return math.dist(_as_tuple(shot[3]), _as_tuple(y))
@@ -680,10 +652,10 @@ def _polish_3d(scene, x, y, u0, tol, limits, pair):
                    options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 400})
     u = np.asarray(u0) + res.x[0] * e1[0] + res.x[1] * e1[1]
     u /= float(np.linalg.norm(u))
-    shot = _shoot(scene, x, u, limits)
+    shot = _shoot(scene, x, u)
     if shot is None:
         return None
-    return _make_sample(scene, x, y, shot, tol, pair)
+    return _make_sample(scene, x, y, shot)
 
 
 @dataclass(frozen=True)
@@ -694,7 +666,7 @@ class _Sweep3D:
     window: float  # misses above this are too far from any root to polish
 
 
-def _sweep_3d(scene, x, n_seeds, limits):
+def _sweep_3d(scene, x, n_seeds):
     """Trace the inward hemisphere seeds at x; returns (sweep, cutoff seeds)."""
     from scipy.spatial import cKDTree
 
@@ -706,13 +678,13 @@ def _sweep_3d(scene, x, n_seeds, limits):
     seeds = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
     exits = []
     for u in seeds:
-        shot = _shoot(scene, x, u, limits)
+        shot = _shoot(scene, x, u)
         exits.append(None if shot is None else _as_tuple(shot[3]))
     spacing = scene.ball_radius * math.sqrt(4.0 * math.pi / max(1, n_seeds))
     return _Sweep3D(seeds, exits, cKDTree(seeds), 4.0 * spacing), exits.count(None)
 
 
-def _refine_pair_3d(scene, x, y, sweep: _Sweep3D, tol, limits, dedup, pair):
+def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
     """Polish every local minimum of the exit miss to y within a few seed
     spacings; the minima are taken over each seed's nearest neighbours."""
     seeds = sweep.seeds
@@ -725,16 +697,15 @@ def _refine_pair_3d(scene, x, y, sweep: _Sweep3D, tol, limits, dedup, pair):
         _, nbrs = sweep.tree.query(seeds[i], k=min(8, len(seeds)))
         if any(misses[j] < misses[i] for j in np.atleast_1d(nbrs) if j != i):
             continue
-        s = _polish_3d(scene, x, y, seeds[i], tol, limits, pair)
+        s = _polish_3d(scene, x, y, seeds[i])
         if s is not None:
             samples.append(s)
-    return _dedup_samples(samples, dedup)
+    return _dedup_samples(scene, samples)
 
 
-def _mirror_refine_3d(scene, s, pair, x, y, tol, limits):
+def _mirror_refine_3d(scene, s, x, y):
     u0 = tuple(-c for c in s.dir_out)
-    out = _polish_3d(scene, x, y, np.asarray(u0), tol, limits, pair)
-    return _same_root(out, s, tol)
+    return _same_root(scene, _polish_3d(scene, x, y, np.asarray(u0)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -744,39 +715,48 @@ def _mirror_refine_3d(scene, s, pair, x, y, tol, limits):
 def travelling_time_spectrum(scene: Scene, n_points: int = 64,
                              min_sep_deg: float = 1.0, phase: float = 0.0,
                              n_seeds: Optional[int] = None,
-                             tol: Optional[float] = None,
-                             limits: Optional[TraceLimits] = None,
-                             dedup: Optional[float] = None,
                              threads: int = 1) -> SpectrumTable:
     """Travelling-time table over all ordered lattice-point pairs.
 
-    Equivalent to running ``find_xy_geodesics`` per pair: the inward seed
-    sweep is shared across all partners of one source point, and each raw
-    root is mirror-polished once and serves both orders of its point pair,
-    which changes nothing but the runtime. Deterministic for fixed
-    arguments, and identical for any ``threads``. Raises ContractError for
-    d >= 4.
+    Each cell equals ``find_xy_geodesics`` on its pair; both run the same
+    search. Deterministic for fixed arguments, and identical for any
+    ``threads``. Raises ContractError for d >= 4.
     """
-    n_seeds, tol, limits, dedup = _search_settings(scene, n_seeds, tol, limits, dedup)
+    n_seeds = _seed_count(scene, n_seeds)
     pts, pairs = _pair_grid(scene, n_points, min_sep_deg, phase)
     if not pairs:
         raise ContractError(f"the travel grid (n_points={n_points}, min_sep_deg="
                             f"{min_sep_deg}) has no point pairs")
-    pair_index = {ij: k for k, ij in enumerate(pairs)}
     grid = _grid_tuple({
         "kind": "travel",
         "n_points": int(n_points),
         "min_sep_deg": float(min_sep_deg),
         "phase": float(phase),
         "n_seeds": int(n_seeds),
-        "tol": float(tol),
+        "tol": float(_root_tol(scene)),
         "ball_center": _as_tuple(scene.ball_center),
         "ball_radius": float(scene.ball_radius),
     })
-    work = sorted(set(i for i, _ in pairs))
-    args = [(scene, pts[i], n_seeds, limits, tol, dedup,
-             [(pair_index[(i, j)], pts[j]) for (ii, j) in pairs if ii == i])
-            for i in work]
+    merged, cutoff, dropped = _travel(scene, pts, pairs, n_seeds, threads)
+    return SpectrumTable("travel", scene.digest, grid,
+                         tuple(tuple(sorted(s.t for s in cell)) for cell in merged),
+                         tuple(s for cell in merged for s in cell),
+                         (("cutoff_seeds", cutoff), ("dropped_clusters", dropped)))
+
+
+def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
+    """The travel search over ordered index pairs (i, j) of pts, where (j, i)
+    is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
+    dropped brackets).
+
+    The inward seed sweep is traced once per source point and serves every
+    partner. Each raw root of (i, j) is then mirror-polished once from the
+    other end, and cells (i, j) and (j, i) are merged from the same two
+    mirror lists.
+    """
+    args = [(scene, pts[i], n_seeds,
+             [(k, pts[j]) for k, (ii, j) in enumerate(pairs) if ii == i])
+            for i in sorted({i for i, _ in pairs})]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -789,32 +769,29 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
     for chunk_samples, ccut, cdrop in chunks:
         cutoff += ccut
         dropped += cdrop
-        for k, samp in chunk_samples:
-            raw[k] = samp
-    # mirrors[k]: the raw roots of pair k = (i, j) re-polished as (j, i)
-    # samples. The lattice separation test is symmetric, so (j, i) is a pair.
-    mirrors = [_mirror_all(scene, raw[k], pts[j], pts[i], tol, limits)
-               for k, (i, j) in enumerate(pairs)]
-    samples = []
-    cells = []
-    for k, (i, j) in enumerate(pairs):
-        merged = _merge_bidirectional(raw[k], mirrors[k],
-                                      mirrors[pair_index[(j, i)]], k, dedup)
-        samples.extend(merged)
-        cells.append(tuple(sorted(s.t for s in merged)))
-    return SpectrumTable("travel", scene.digest, grid, tuple(cells), tuple(samples),
-                         (("cutoff_seeds", cutoff), ("dropped_clusters", dropped)))
+        raw.update(chunk_samples)
+    # mirrors[k]: the raw roots of pair k = (i, j) re-polished as (j, i) samples.
+    mirrors = [_mirror_all(scene, raw[k], pts[j], pts[i]) for k, (i, j) in enumerate(pairs)]
+    pair_index = {ij: k for k, ij in enumerate(pairs)}
+    return ([_merge_bidirectional(scene, raw[k], mirrors[k], mirrors[pair_index[(j, i)]], k)
+             for k, (i, j) in enumerate(pairs)], cutoff, dropped)
 
 
 def _spectrum_worker(args):
-    scene, x, n_seeds, limits, tol, dedup, partners = args
-    x = np.asarray(x)
-    sweep, cut = _sweep(scene, x, n_seeds, limits)
+    """The sweep from one source point and its raw roots to every partner;
+    returns ([(pair, roots)], cutoff seeds, dropped brackets)."""
+    scene, x, n_seeds, partners = args
+    if scene.dimension == 2:
+        entries, cut, frame = _sweep_2d(scene, x, n_seeds)
+    else:
+        sweep, cut = _sweep_3d(scene, x, n_seeds)
     out = []
     dropped = 0
     for k, y in partners:
-        samples, drop = _refine_pair(scene, x, np.asarray(y), sweep, tol, limits,
-                                     dedup, k)
+        if scene.dimension == 2:
+            samples, drop = _refine_pair_2d(scene, x, y, entries, frame)
+        else:
+            samples, drop = _refine_pair_3d(scene, x, y, sweep), 0
         dropped += drop
         out.append((k, samples))
     return out, cut, dropped
@@ -829,7 +806,8 @@ def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,
 
 def _pair_grid(scene: Scene, n_points: int, min_sep_deg: float, phase: float):
     """Lattice points on the reference sphere and the ordered index pairs
-    (i, j) of distinct points more than min_sep_deg apart."""
+    (i, j) of distinct points more than min_sep_deg apart; the separation
+    test is symmetric, so (j, i) is a pair whenever (i, j) is."""
     dirs = sphere_lattice(scene.dimension, n_points, phase)
     pts = np.asarray(scene.ball_center) + scene.ball_radius * dirs
     min_cos = math.cos(math.radians(min_sep_deg))

@@ -30,9 +30,12 @@ def fermat_circle_times(center, r, x, y, n=1_000_000):
     """Interior local minima of |x-p| + |p-y| over valid reflection points p.
 
     p runs over n boundary samples of the circle; a configuration is valid
-    when both legs stay outside the open disk. Only interior minima of the
-    valid set count: endpoint (grazing) configurations are not reflections.
-    Returns the sorted local-minimum path lengths.
+    when both legs stay outside the open disk. A circle point p sees a point
+    q outside the disk exactly when q lies beyond the tangent line at p,
+    <p-c, q-c> >= r^2, which is tested in closed form with the same relative
+    slack as ``segment_clears_disk``. Only interior minima of the valid set
+    count: endpoint (grazing) configurations are not reflections. Returns
+    the sorted local-minimum path lengths.
     """
     c = np.asarray(center, dtype=float)
     ang = 2.0 * math.pi * np.arange(n) / n
@@ -40,8 +43,8 @@ def fermat_circle_times(center, r, x, y, n=1_000_000):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     f = np.linalg.norm(p - x, axis=1) + np.linalg.norm(p - y, axis=1)
-    valid = (segment_clears_disk(np.broadcast_to(x, p.shape), p, c, r)
-             & segment_clears_disk(p, np.broadcast_to(y, p.shape), c, r))
+    floor = r * r * (1.0 - 1e-12)
+    valid = ((p - c) @ (x - c) >= floor) & ((p - c) @ (y - c) >= floor)
     vp = np.roll(valid, 1) & valid & np.roll(valid, -1)
     local_min = vp & (f <= np.roll(f, 1)) & (f <= np.roll(f, -1))
     return np.sort(f[local_min])

@@ -251,6 +251,48 @@ def test_cli_compare_agrees_with_library(tmp_path, capsys, two_disk_scene,
         assert f"verdict: {report.verdict}" in out
 
 
+def test_cli_compare_counts_only_cells_with_rows(tmp_path, capsys, two_disk_scene):
+    # Two cells of this grid are empty in both tables. They have no rows in
+    # either CSV, so the CLI does not see them, while the library counts
+    # them as matched.
+    body = two_disk_scene.bodies[1]
+    shifted = dataclasses.replace(body, center=(body.center[0] + 0.5, body.center[1]))
+    moved = dataclasses.replace(two_disk_scene, bodies=(two_disk_scene.bodies[0], shifted))
+    tables = [sl.travelling_time_spectrum(s, n_points=6, phase=0.0)
+              for s in (two_disk_scene, moved)]
+    report = sl.compare_spectra(*tables, tol=1e-9)
+    assert len(report.per_cell) == 30
+    assert f"{report.matched_fraction:.6f}" == "0.333333"
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for table, path in zip(tables, paths):
+        write_travel_csv(table, path, 17)
+    assert run_command(["compare", *map(str, paths), "--tol", "1e-9"]) == 0
+    assert "cells: 28  matched_fraction: 0.285714" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("trace", "--start", "nan,0"),
+    ("trace", "--direction", "inf,0"),
+    ("sls", "--omega", "nan,1"),
+    ("reconstruct", "--ball", "0,0,nan"),
+])
+def test_non_finite_vector_option_exits_1(tmp_path, capsys, disk_file, command,
+                                          option, value):
+    if command == "reconstruct":
+        travel = tmp_path / "travel.csv"
+        travel.write_text(f"{_TRAVEL_HEADER}\n{_CHORD_ROW}\n")
+        argv = [command, str(travel), f"{option}={value}"]
+    else:
+        given = {"trace": {"--start": "-10,0", "--direction": "1,0"},
+                 "sls": {"--omega": "1,0"}}[command]
+        given[option] = value
+        argv = [command, disk_file, *(f"{k}={v}" for k, v in given.items())]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{option}: expected a finite number" in err
+
+
 _TRAVEL_HEADER = ("x_1,x_2,y_1,y_2,t,reflections,residual,itinerary,"
                   "dir_in_1,dir_in_2,dir_out_1,dir_out_2")
 _CHORD_ROW = "10,0,-10,0,20,0,0,,-1,0,-1,0"

@@ -187,6 +187,18 @@ def test_phase_state_unit_direction():
         sl.PhaseState((0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("point, direction", [
+    ((-10.0, 0.0), (math.nan, 0.0)),
+    ((-10.0, 0.0), (math.inf, 0.0)),
+    ((-10.0, 0.0), (1.0, math.nan)),
+    ((math.nan, 0.0), (1.0, 0.0)),
+    ((-10.0, -math.inf), (1.0, 0.0)),
+], ids=["nan-direction", "inf-direction", "nan-direction-y", "nan-point", "inf-point"])
+def test_phase_state_rejects_non_finite(point, direction):
+    with pytest.raises(ValueError):
+        sl.PhaseState(point, direction)
+
+
 def test_direction_norm_preserved_along_orbit(two_disk_scene):
     limits = sl.TraceLimits(max_reflections=2000)
     rec = sl.trace(two_disk_scene, sl.PhaseState((0.0, 0.01), (1.0, 0.0)), limits)

@@ -293,6 +293,34 @@ def test_travel_grid_without_pairs_is_refused(disk_scene, grid):
         sl.travelling_time_spectrum(disk_scene, **grid)
 
 
+@pytest.mark.parametrize("omega", [(math.nan, 1.0), (math.inf, 0.0), (0.0, -math.inf)])
+def test_scan_sls_rejects_non_finite_direction(disk_scene, omega):
+    with pytest.raises(sl.ContractError, match="finite unit vector"):
+        sl.scan_sls(disk_scene, omega, 4)
+
+
+@pytest.mark.parametrize("x, y", [((math.nan, 0.0), (10.0, 0.0)),
+                                  ((-10.0, 0.0), (0.0, math.inf))],
+                         ids=["nan-x", "inf-y"])
+def test_find_xy_geodesics_rejects_non_finite_endpoints(disk_scene, x, y):
+    with pytest.raises(sl.ContractError, match="finite"):
+        sl.find_xy_geodesics(disk_scene, x, y)
+
+
+def test_spectrum_2d_matches_per_pair_search(two_disk_scene):
+    # The plane twin of the d = 3 check: a table cell and its samples are
+    # exactly what the two-point search gives for that pair.
+    table = sl.travelling_time_spectrum(two_disk_scene, n_points=6, n_seeds=360)
+    pairs = sl.spectra.spectrum_pairs(two_disk_scene, 6)
+    assert len(table.cells) == len(pairs) == 30
+    assert any(table.cells)
+    for k, (x, y) in enumerate(pairs):
+        alone = sl.find_xy_geodesics(two_disk_scene, x, y, n_seeds=360)
+        assert table.cells[k] == tuple(sorted(s.t for s in alone))
+        assert [s for s in table.samples if s.pair == k] == [
+            dataclasses.replace(s, pair=k) for s in alone]
+
+
 # ---------------------------------------------------------------------------
 # d = 3 smoke coverage
 # ---------------------------------------------------------------------------
