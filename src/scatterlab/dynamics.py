@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Scene, _first_hit_2d, scene_first_hit, _as_tuple
+from .geometry import (Scene, _as_tuple, _first_hit_2d, _first_hits, _nearest_body_hit,
+                       _rowdot)
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -72,8 +73,12 @@ class TraceLimits:
         lmax = self.max_path_length if self.max_path_length is not None else DEFAULT_LENGTH_FACTOR * a
         if self.max_reflections < 1:
             raise ValueError("max_reflections must be at least 1")
-        if resc < a:
-            raise ValueError("escape radius must not be smaller than the scene ball radius")
+        # Written as "not (lo <= x < inf)" so that NaN and infinity fail too.
+        if not (a <= resc < math.inf):
+            raise ValueError("escape radius must be finite and not smaller than the "
+                             "scene ball radius")
+        if not (0.0 < lmax < math.inf):
+            raise ValueError("max_path_length must be finite and positive")
         return int(self.max_reflections), float(resc), float(lmax)
 
 
@@ -197,12 +202,12 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, resc: float, lmax: floa
     skip = GRAZE_SKIP_FRAC * a
     o = np.asarray(point, dtype=float).copy()
     u = np.asarray(direction, dtype=float).copy()
-    prev = o.copy()
+    prev = o
     total = 0.0
     nrefl = 0
     events = []
     while True:
-        hit = scene_first_hit(scene, o, u, 0.0)
+        hit = _nearest_body_hit(scene, o, u)
         if hit is None:
             w = o - center
             b = float(w @ u)
@@ -217,24 +222,68 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, resc: float, lmax: floa
             f = o + t * u
             total += float(np.linalg.norm(f - prev))
             return True, events, _as_tuple(f), _as_tuple(u), total
-        oid, h = hit
-        p = np.asarray(h.point)
-        n = np.asarray(h.normal)
+        oid, _, p, n, _, grazing = hit
         total += float(np.linalg.norm(p - prev))
-        prev = p.copy()
-        if h.grazing:
-            events.append((oid, h.arc, h.point, h.normal, True, total, _as_tuple(u)))
+        prev = p
+        point, normal = _as_tuple(p), _as_tuple(n)
+        if grazing:
+            events.append((oid, None, point, normal, True, total, _as_tuple(u)))
             o = p + skip * u
         else:
             u = u - 2.0 * float(u @ n) * n
             u /= float(np.linalg.norm(u))
-            events.append((oid, h.arc, h.point, h.normal, False, total, _as_tuple(u)))
+            events.append((oid, None, point, normal, False, total, _as_tuple(u)))
             nrefl += 1
             if nrefl >= nmax:
-                return False, events, h.point, _as_tuple(u), total
+                return False, events, point, _as_tuple(u), total
             o = p + off * n
         if total >= lmax:
-            return False, events, h.point, _as_tuple(u), total
+            return False, events, point, _as_tuple(u), total
+
+
+def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
+    """_trace_nd on every row of O (start points) and U (unit directions)
+    under the default limits. The rays advance in lockstep, one batched
+    kernel call per step for the rays still in flight, and each ray's
+    numbers are bitwise those of its single trace. Bodies only.
+
+    Returns per ray (escaped, leg_origin, leg_length, direction, itinerary):
+    the start of the last free leg (the last event point, or the start
+    point when there was none), the path length up to it, the direction
+    along it, and the obstacle ids of the reflections.
+    """
+    a = scene.ball_radius
+    off = SURFACE_OFFSET_FRAC * a
+    skip = GRAZE_SKIP_FRAC * a
+    lmax = DEFAULT_LENGTH_FACTOR * a
+    o = np.array(O, dtype=float)
+    u = np.array(U, dtype=float)
+    leg = o.copy()
+    length = np.zeros(len(o))
+    nrefl = np.zeros(len(o), dtype=int)
+    escaped = np.zeros(len(o), dtype=bool)
+    itineraries = [[] for _ in range(len(o))]
+    live = np.arange(len(o))
+    while live.size:
+        _, ids, grazing, p, n = _first_hits(scene, o[live], u[live])
+        hit = ids >= 0
+        escaped[live[~hit]] = True
+        live, ids, grazing, p, n = live[hit], ids[hit], grazing[hit], p[hit], n[hit]
+        step = p - leg[live]
+        length[live] += np.sqrt(_rowdot(step, step))
+        leg[live] = p
+        rows = live[grazing]
+        o[rows] = p[grazing] + skip * u[rows]
+        rows, p, n = live[~grazing], p[~grazing], n[~grazing]
+        v = u[rows]
+        v = v - (2.0 * _rowdot(v, n))[:, None] * n
+        u[rows] = v / np.sqrt(_rowdot(v, v))[:, None]
+        o[rows] = p + off * n
+        nrefl[rows] += 1
+        for k, oid in zip(rows.tolist(), ids[~grazing].tolist()):
+            itineraries[k].append(oid)
+        live = live[(nrefl[live] < DEFAULT_MAX_REFLECTIONS) & (length[live] < lmax)]
+    return escaped, leg, length, u, [tuple(i) for i in itineraries]
 
 
 def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None) -> TrajectoryRecord:

@@ -5,7 +5,9 @@ Bodies are balls and (optionally rotated) ellipsoids carried by the implicit
 function phi(x) = |D^-1 R^T (x - c)|^2 - 1, negative inside, zero on the
 boundary, positive outside. Ray intersection reduces to a quadratic in the
 ray parameter; roots are taken in closed form and polished with Newton steps
-so |phi| at a reported hit stays below ROOT_TOL.
+so |phi| at a reported hit stays below ROOT_TOL. A batched kernel applies the
+same rules to rows of rays at once and reproduces the single-ray numbers bit
+for bit.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -28,6 +30,8 @@ TANGENT_COS_EPS = 1e-8
 DISCRIMINANT_EPS = 1e-14
 ROOT_TOL = 1e-9
 _NEWTON_CAP = 8
+
+_POLISH_FAILED = "ray-body root polish failed near a degenerate tangency"
 
 _ROT_TOL = 1e-12
 _CHAIN_TOL = 1e-9
@@ -187,8 +191,25 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
     """
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)
+    _check_unit(v)
+    root = _body_root(body, o, v, t_min)
+    if root is None:
+        return None
+    t, band = root
+    p, n, cosi = _surface_at(body, o, v, t)
+    return Hit(float(t), _as_tuple(p), _as_tuple(n), cosi,
+               band or abs(cosi) < TANGENT_COS_EPS, None)
+
+
+def _check_unit(v: np.ndarray) -> None:
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
+
+
+def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float):
+    """The single-ray root rule shared by ray_intersect and the trace loop:
+    (t, band) for the first boundary crossing after t_min, where band marks
+    a discriminant in the double-root snap band, or None."""
     w = o - body._c
     mv = body._M @ v
     al = float(v @ mv)
@@ -199,17 +220,15 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
         return None
     if disc <= DISCRIMINANT_EPS:
         t = -b / al
-        if t <= t_min:
-            return None
-        return _materialize_hit(body, o, v, t, force_grazing=True)
+        return (t, True) if t > t_min else None
     s = math.sqrt(disc)
+    # |q| >= s > 0, so both root formulas are defined.
     q = -(b + math.copysign(s, b))
-    roots = sorted((q / al, g / q) if q != 0.0 else ((-b - s) / al, (-b + s) / al))
-    for t in roots:
+    for t in sorted((q / al, g / q)):
         if t > t_min:
             t = _polish_root(body, o, v, t)
             if t > t_min:
-                return _materialize_hit(body, o, v, t, force_grazing=False)
+                return t, False
     return None
 
 
@@ -226,18 +245,152 @@ def _polish_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float) -> fl
     p = o + t * v
     f, _ = evaluate_body(body, p)
     if abs(f) > ROOT_TOL:
-        raise RayIntersectError("ray-body root polish failed near a degenerate tangency", o, v)
+        raise RayIntersectError(_POLISH_FAILED, o, v)
     return t
 
 
-def _materialize_hit(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float,
-                     force_grazing: bool) -> Hit:
+def _surface_at(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float):
+    """Boundary point at ray parameter t, its outward unit normal, and the
+    incidence cosine of the ray there."""
     p = o + t * v
     _, grad = evaluate_body(body, p)
     n = grad / float(np.linalg.norm(grad))
-    cosi = float(v @ n)
-    grazing = force_grazing or abs(cosi) < TANGENT_COS_EPS
-    return Hit(float(t), _as_tuple(p), _as_tuple(n), cosi, grazing, None)
+    return p, n, float(v @ n)
+
+
+def _nearest_body_hit(scene: Scene, o: np.ndarray, v: np.ndarray, t_min: float = 0.0):
+    """Nearest body hit of one ray after t_min as (id, t, point, normal,
+    cos_incidence, grazing), or None; ties go to the lowest id. The direction
+    must be a unit vector."""
+    best = None
+    for i, body in enumerate(scene.bodies):
+        root = _body_root(body, o, v, t_min)
+        if root is not None and (best is None or root[0] < best[1]):
+            best = (i, *root)
+    if best is None:
+        return None
+    i, t, band = best
+    p, n, cosi = _surface_at(scene.bodies[i], o, v, t)
+    return i, t, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
+
+
+# ---------------------------------------------------------------------------
+# Batched body kernel
+# ---------------------------------------------------------------------------
+# Rows of O and U are ray origins and unit directions. The row products go
+# through stacked matmul, which calls per row the same BLAS dot and
+# matrix-vector routines as the 1-D `@` of the single-ray path, so every row
+# reproduces the single ray's numbers bit for bit. Inputs must be C-contiguous
+# (unit stride along the last axis), as the BLAS routine depends on the stride.
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row of a with the same row of b."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _matvecs(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m @ w for each row w."""
+    return np.matmul(m, w[:, :, None])[:, :, 0]
+
+
+def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
+    """Nearest body hit of every ray after t = 0, by the rules of
+    scene_first_hit; bodies only, curve arcs are not batched.
+
+    Returns (t, ids, grazing, points, normals) with one entry per row; a ray
+    that hits nothing has t = inf, id -1, grazing False and NaN point and
+    normal. Raises RayIntersectError when a root polish fails.
+    """
+    n_rays = O.shape[0]
+    best_t = np.full(n_rays, np.inf)
+    ids = np.full(n_rays, -1)
+    band = np.zeros(n_rays, dtype=bool)
+    for i, body in enumerate(scene.bodies):
+        t, body_band = _body_roots(body, O, U)
+        # Strictly closer only, so ties stay with the lower id.
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        ids[closer] = i
+        band[closer] = body_band[closer]
+    points = np.full(O.shape, np.nan)
+    normals = np.full(O.shape, np.nan)
+    grazing = np.zeros(n_rays, dtype=bool)
+    for i, body in enumerate(scene.bodies):
+        rows = np.flatnonzero(ids == i)
+        if not rows.size:
+            continue
+        v = U[rows]
+        p = O[rows] + best_t[rows, None] * v
+        grad = 2.0 * _matvecs(body._M, p - body._c)
+        n = grad / np.sqrt(_rowdot(grad, grad))[:, None]
+        points[rows] = p
+        normals[rows] = n
+        grazing[rows] = band[rows] | (np.abs(_rowdot(v, n)) < TANGENT_COS_EPS)
+    return best_t, ids, grazing, points, normals
+
+
+def _body_roots(body: ConvexBody, O: np.ndarray, U: np.ndarray):
+    """_body_root of every ray at t_min = 0: (t, band) per row, t = inf where
+    the ray has no crossing after 0."""
+    w = O - body._c
+    mv = _matvecs(body._M, U)
+    al = _rowdot(U, mv)
+    b = _rowdot(w, mv)
+    g = _rowdot(w, _matvecs(body._M, w)) - 1.0
+    disc = b * b - al * g
+    t = np.full(O.shape[0], np.inf)
+    band = np.abs(disc) <= DISCRIMINANT_EPS
+    t_band = -b[band] / al[band]
+    t[band] = np.where(t_band > 0.0, t_band, np.inf)
+    two = np.flatnonzero(disc > DISCRIMINANT_EPS)
+    if two.size:
+        b, al, g = b[two], al[two], g[two]
+        s = np.sqrt(disc[two])
+        q = -(b + np.copysign(s, b))
+        r1, r2 = q / al, g / q
+        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+        o, v = O[two], U[two]
+        # Polish the first root beyond 0; where there is none, or polishing
+        # pulls it back to 0 or behind, polish the second one.
+        t_two = np.full(two.size, np.inf)
+        rows = np.flatnonzero(lo > 0.0)
+        t_two[rows] = _polish_roots(body, o[rows], v[rows], lo[rows])
+        t_two[t_two <= 0.0] = np.inf
+        rows = np.flatnonzero(np.isinf(t_two) & (hi > 0.0))
+        t_hi = _polish_roots(body, o[rows], v[rows], hi[rows])
+        t_two[rows] = np.where(t_hi > 0.0, t_hi, np.inf)
+        t[two] = t_two
+    return t, band
+
+
+def _polish_roots(body: ConvexBody, O: np.ndarray, U: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """_polish_root of every row; raises RayIntersectError for the first ray
+    whose polish fails."""
+    t = t.copy()
+    rows = np.arange(t.size)
+    for _ in range(_NEWTON_CAP):
+        if not rows.size:
+            return t
+        v = U[rows]
+        w = O[rows] + t[rows, None] * v - body._c
+        mw = _matvecs(body._M, w)
+        f = _rowdot(w, mw) - 1.0
+        fp = _rowdot(2.0 * mw, v)
+        move = np.abs(f) > ROOT_TOL
+        stuck = np.flatnonzero(move & (fp == 0.0))
+        if stuck.size:
+            k = rows[stuck[0]]
+            raise RayIntersectError(_POLISH_FAILED, O[k], U[k])
+        t[rows[move]] -= f[move] / fp[move]
+        rows = rows[move]
+    if rows.size:
+        w = O[rows] + t[rows, None] * U[rows] - body._c
+        bad = np.flatnonzero(np.abs(_rowdot(w, _matvecs(body._M, w)) - 1.0) > ROOT_TOL)
+        if bad.size:
+            k = rows[bad[0]]
+            raise RayIntersectError(_POLISH_FAILED, O[k], U[k])
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -605,21 +758,22 @@ def scene_first_hit(scene: Scene, origin, direction,
 
     Ties between obstacles are broken toward the lowest obstacle id.
     """
+    o = np.asarray(origin, dtype=float)
+    v = np.asarray(direction, dtype=float)
     if scene.dimension == 2:
-        o = np.asarray(origin, dtype=float)
-        v = np.asarray(direction, dtype=float)
         raw = _first_hit_2d(scene._k2, float(o[0]), float(o[1]),
                             float(v[0]), float(v[1]), t_min)
         if raw is None:
             return None
         oid, arc, t, px, py, nx, ny, cosi, gr = raw
         return oid, Hit(t, (px, py), (nx, ny), cosi, gr, arc)
-    best = None
-    for i, body in enumerate(scene.bodies):
-        h = ray_intersect(body, origin, direction, t_min)
-        if h is not None and (best is None or h.t < best[1].t):
-            best = (i, h)
-    return best
+    if scene.bodies:
+        _check_unit(v)
+    hit = _nearest_body_hit(scene, o, v, t_min)
+    if hit is None:
+        return None
+    oid, t, p, n, cosi, grazing = hit
+    return oid, Hit(float(t), _as_tuple(p), _as_tuple(n), cosi, grazing, None)
 
 
 # ---------------------------------------------------------------------------

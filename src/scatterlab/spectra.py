@@ -10,14 +10,18 @@ sphere point x, trace, locate the last crossing of the reference sphere on
 the outgoing leg, bracket seeds whose exits straddle the target point y, and
 refine by bisection on the exit-angle miss (d = 2) or by a local polish of
 the miss distance (d = 3). The sweep depends on x alone, so a table traces
-it once per source point and reuses it for every partner. The search is
+it once per source point and reuses it for every partner. In d = 3 all seeds
+of a sweep are traced in lockstep through one batched ray kernel, with each
+seed's numbers bitwise those of its single trace; the polish shots stay
+scalar, one ray at a time, as does everything in d = 2. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed and
 re-polished once from the other, and the pair's cells in both orders are
 built from those two mirror lists, so swapping the endpoints returns
 matching times by construction. Non-convergent brackets are dropped and
 counted in the table diagnostics; near-tangent branches legitimately fail.
-Travel in d >= 4 is refused with ContractError rather than answered with
-empty sets.
+Travel in d >= 4, endpoints off the reference sphere and searches with
+fewer than one seed are refused with ContractError rather than answered
+with empty sets.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _trace_raw
-from .geometry import Scene, _as_tuple, fibonacci_sphere
+from .dynamics import _trace_many, _trace_raw
+from .geometry import Scene, _as_tuple, _rowdot, fibonacci_sphere
 
 DIRECTION_MATCH_TOL = 1e-9
 
@@ -332,6 +336,19 @@ def _exit_crossing(scene: Scene, start, events, fdir):
     return exit_pt, cum + s
 
 
+def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
+    """_exit_crossing of the free legs starting at the rows of legs along the
+    rows of dirs; returns the exit points and a mask of the legs that cross.
+    Each row's exit point is bitwise the scalar one."""
+    a = scene.ball_radius
+    w = legs - np.asarray(scene.ball_center)
+    b = _rowdot(w, dirs)
+    g = _rowdot(w, w) - a * a
+    disc = b * b - g
+    s = -b + np.sqrt(np.maximum(disc, 0.0))
+    return legs + s[:, None] * dirs, (disc >= 0.0) & (s >= 0.0)
+
+
 def _shoot(scene: Scene, x, u):
     """Trace from x along u to the last reference-sphere crossing; returns
     (u, events, fdir, exit_pt, t_exit), or None when the ray does not leave."""
@@ -610,24 +627,37 @@ def find_xy_geodesics(scene: Scene, x, y,
     equals this call on its pair. The returned list may be empty: the
     travelling-time set of a pair can be empty (deep shadow) or
     under-resolved at the configured seed count. Raises ContractError for
-    non-finite endpoints and for d >= 4, where no search is implemented.
+    non-finite endpoints, endpoints off the reference sphere, fewer than
+    one seed, and d >= 4, where no search is implemented.
     """
     n_seeds = _seed_count(scene, n_seeds)
     pts = [np.asarray(x, dtype=float), np.asarray(y, dtype=float)]
     if not all(np.isfinite(p).all() for p in pts):
         raise ContractError("travel endpoints must be finite")
+    center = np.asarray(scene.ball_center)
+    for p in pts:
+        if (p.shape != center.shape or abs(float(np.linalg.norm(p - center)) - scene.ball_radius)
+                > _ON_SPHERE_FACTOR * _root_tol(scene)):
+            raise ContractError(f"travel endpoint {_as_tuple(p)} is not on the reference sphere")
     cells, _, _ = _travel(scene, pts, [(0, 1), (1, 0)], n_seeds)
     return cells[0]
 
 
+# An endpoint may sit this many root tolerances off the reference sphere.
+_ON_SPHERE_FACTOR = 10.0
+
+
 def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
     """The seed count of a travel search, with the default filled in where
-    None; refuses d >= 4, where no search is implemented."""
+    None; refuses fewer than one seed, and d >= 4, where no search is
+    implemented."""
     if scene.dimension >= 4:
         raise ContractError("travelling times are implemented for d = 2 and d = 3 "
                             f"only, not d = {scene.dimension}")
     if n_seeds is None:
         n_seeds = SEEDS_2D if scene.dimension == 2 else SEEDS_3D
+    if n_seeds < 1:
+        raise ContractError(f"a travel search needs at least one seed, got {n_seeds}")
     return n_seeds
 
 
@@ -667,7 +697,8 @@ class _Sweep3D:
 
 
 def _sweep_3d(scene, x, n_seeds):
-    """Trace the inward hemisphere seeds at x; returns (sweep, cutoff seeds)."""
+    """Trace the inward hemisphere seeds at x, all in one lockstep batch;
+    returns (sweep, cutoff seeds)."""
     from scipy.spatial import cKDTree
 
     center = np.asarray(scene.ball_center)
@@ -676,11 +707,11 @@ def _sweep_3d(scene, x, n_seeds):
     hemi = fibonacci_sphere(2 * n_seeds)
     hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
     seeds = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
-    exits = []
-    for u in seeds:
-        shot = _shoot(scene, x, u)
-        exits.append(None if shot is None else _as_tuple(shot[3]))
-    spacing = scene.ball_radius * math.sqrt(4.0 * math.pi / max(1, n_seeds))
+    escaped, legs, _, dirs, _ = _trace_many(scene, np.tile(x, (len(seeds), 1)), seeds)
+    points, crosses = _exit_crossings(scene, legs, dirs)
+    exits = [tuple(p) if ok else None
+             for p, ok in zip(points.tolist(), (escaped & crosses).tolist())]
+    spacing = scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
     return _Sweep3D(seeds, exits, cKDTree(seeds), 4.0 * spacing), exits.count(None)
 
 
@@ -720,7 +751,7 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
 
     Each cell equals ``find_xy_geodesics`` on its pair; both run the same
     search. Deterministic for fixed arguments, and identical for any
-    ``threads``. Raises ContractError for d >= 4.
+    ``threads``. Raises ContractError for fewer than one seed and for d >= 4.
     """
     n_seeds = _seed_count(scene, n_seeds)
     pts, pairs = _pair_grid(scene, n_points, min_sep_deg, phase)

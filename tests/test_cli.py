@@ -205,6 +205,15 @@ def test_travel_refuses_d4(tmp_path, capsys):
     assert "d = 4" in capsys.readouterr().err
 
 
+def test_travel_refuses_zero_seeds(tmp_path, capsys, disk_scene):
+    path = tmp_path / "disk.toy"
+    path.write_text(serialize_scene(disk_scene))
+    assert run_command(["travel", str(path), "--points", "4", "--seeds", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least one seed" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_travel_csv_reads_back_as_samples(tmp_path, two_disk_scene,
                                           ball_ellipsoid_scene, dimension):

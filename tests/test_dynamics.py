@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
+from scatterlab.dynamics import _trace_many, _trace_raw
 from oracles import mirror_direction
 
 
@@ -182,6 +183,18 @@ def test_limits_validation(two_disk_scene):
                  sl.TraceLimits(escape_radius=5.0))
 
 
+@pytest.mark.parametrize("limits", [
+    {"escape_radius": math.nan},
+    {"escape_radius": math.inf},
+    {"max_path_length": math.nan},
+    {"max_path_length": math.inf},
+    {"max_path_length": 0.0},
+], ids=["nan-escape", "inf-escape", "nan-length", "inf-length", "zero-length"])
+def test_limits_reject_non_finite(disk_scene, limits):
+    with pytest.raises(ValueError):
+        sl.trace(disk_scene, sl.PhaseState((-10.0, 0.5), (1.0, 0.0)), sl.TraceLimits(**limits))
+
+
 def test_phase_state_unit_direction():
     with pytest.raises(ValueError):
         sl.PhaseState((0.0, 0.0), (1.0, 1.0))
@@ -204,3 +217,29 @@ def test_direction_norm_preserved_along_orbit(two_disk_scene):
     rec = sl.trace(two_disk_scene, sl.PhaseState((0.0, 0.01), (1.0, 0.0)), limits)
     for e in rec.events:
         assert abs(math.hypot(*e.direction_after) - 1.0) < 1e-12
+
+
+def test_trace_many_matches_single_traces(ball_ellipsoid_scene):
+    # A 500-ray family from one sphere point, aimed near each body in turn.
+    scene = ball_ellipsoid_scene
+    a = scene.ball_radius
+    rng = np.random.default_rng(12)
+    x = np.array([0.0, a, 0.0])
+    centers = np.array([b.center for b in scene.bodies])
+    dirs = centers[np.arange(500) % 2] + rng.normal(scale=0.7, size=(500, 3)) - x
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    escaped, legs, lengths, finals, itins = _trace_many(scene, np.tile(x, (500, 1)), dirs)
+    reflections = []
+    for k, u in enumerate(dirs):
+        esc, events, _, fdir, _ = _trace_raw(scene, x, u)
+        itin = tuple(e[0] for e in events if not e[4])
+        assert escaped[k] == esc
+        assert itins[k] == itin
+        reflections.append(len(itin))
+        leg, length = (events[-1][2], events[-1][5]) if events else (x, 0.0)
+        assert np.max(np.abs(legs[k] - leg)) <= 1e-9 * a
+        assert abs(lengths[k] - length) <= 1e-9 * a
+        assert np.max(np.abs(finals[k] - fdir)) <= 1e-9
+    assert reflections.count(0) > 50
+    assert {(0,), (1,)} <= set(itins)
+    assert max(reflections) >= 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.geometry import ROOT_TOL
+from scatterlab.geometry import ROOT_TOL, _first_hits
 
 
 def test_evaluate_unit_ball_center():
@@ -177,6 +177,77 @@ def test_convexity_chord_midpoint():
         mid = origin + 0.5 * (first.t + second.t) * v
         assert sl.evaluate_body(body, mid)[0] < 0
     assert found > 50
+
+
+def _kernel_scene(d: int) -> sl.Scene:
+    """A ball, a rotated ellipsoid and an exact copy of that ellipsoid, so
+    every ray that meets the ellipsoid meets two bodies at the same t."""
+    rot, _ = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))
+    semiaxes = (1.5, 0.8) + (1.1, 0.6)[:d - 2]
+    ell = sl.ellipsoid((2.5,) + (0.5,) * (d - 1), semiaxes, rot)
+    return sl.Scene(dimension=d, bodies=(sl.ball((-3.0,) + (0.0,) * (d - 1), 1.0), ell, ell),
+                    ball_radius=10.0)
+
+
+def _tangent_rays(body, rng, n):
+    """Rays touching the body boundary at a random point, origin 2 back, so
+    the discriminant lies in the double-root band."""
+    d = body.dimension
+    rot = np.asarray(body.rotation)
+    out = []
+    for _ in range(n):
+        s = rng.normal(size=d)
+        p = body._c + rot @ (np.asarray(body.semiaxes) * s / np.linalg.norm(s))
+        normal = body._M @ (p - body._c)
+        v = rng.normal(size=d)
+        v -= (v @ normal) / (normal @ normal) * normal
+        v /= np.linalg.norm(v)
+        out.append((p - 2.0 * v, v))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_kernel_matches_scene_first_hit(d):
+    scene = _kernel_scene(d)
+    a = scene.ball_radius
+    rng = np.random.default_rng(40 + d)
+    rays = []
+    while len(rays) < 600:
+        origin = rng.uniform(-8.0, 8.0, size=d)
+        if any(sl.evaluate_body(b, origin)[0] <= 0.0 for b in scene.bodies):
+            continue
+        # Half the rays are aimed near a body, the rest anywhere (mostly misses).
+        if rng.random() < 0.5:
+            body = scene.bodies[rng.integers(2)]
+            v = np.asarray(body.center) + rng.normal(scale=0.8, size=d) - origin
+        else:
+            v = rng.normal(size=d)
+        rays.append((origin, v / np.linalg.norm(v)))
+    for body in scene.bodies[:2]:
+        rays += _tangent_rays(body, rng, 40)
+    O = np.array([o for o, _ in rays])
+    U = np.array([v for _, v in rays])
+    t, ids, grazing, points, normals = _first_hits(scene, O, U)
+    # In d >= 3 both kernels make the same BLAS calls per ray, so they agree
+    # bit for bit; d = 2 compares against the separate planar kernel.
+    tol = 0.0 if d >= 3 else 1e-12 * a
+    kinds = set()
+    for k, (o, v) in enumerate(rays):
+        ref = sl.scene_first_hit(scene, o, v)
+        if ref is None:
+            assert ids[k] == -1 and t[k] == math.inf and not grazing[k]
+            kinds.add("miss")
+            continue
+        oid, hit = ref
+        assert ids[k] == oid
+        assert bool(grazing[k]) == hit.grazing
+        assert abs(t[k] - hit.t) <= tol
+        assert np.max(np.abs(points[k] - hit.point)) <= tol
+        assert np.max(np.abs(normals[k] - hit.normal)) <= (0.0 if d >= 3 else 1e-9)
+        kinds.add(("graze" if hit.grazing else "hit", oid))
+    # Misses, hits on the ball and on the first copy of the ellipsoid (the
+    # tie rule keeps the second copy out), and grazes on both shapes.
+    assert kinds == {"miss", ("hit", 0), ("hit", 1), ("graze", 0), ("graze", 1)}
 
 
 def test_hit_normal_is_unit():

@@ -307,6 +307,23 @@ def test_find_xy_geodesics_rejects_non_finite_endpoints(disk_scene, x, y):
         sl.find_xy_geodesics(disk_scene, x, y)
 
 
+@pytest.mark.parametrize("x", [(0.5, 0.0), (5.0, 0.0), (20.0, 0.0)],
+                         ids=["in-obstacle", "in-ball", "outside-ball"])
+def test_find_xy_geodesics_rejects_endpoints_off_the_sphere(disk_scene, x):
+    with pytest.raises(sl.ContractError, match="reference sphere"):
+        sl.find_xy_geodesics(disk_scene, x, (0.0, 10.0))
+    with pytest.raises(sl.ContractError, match="reference sphere"):
+        sl.find_xy_geodesics(disk_scene, (0.0, 10.0), x)
+
+
+@pytest.mark.parametrize("n_seeds", [0, -3])
+def test_travel_refuses_fewer_than_one_seed(disk_scene, n_seeds):
+    with pytest.raises(sl.ContractError, match="at least one seed"):
+        sl.find_xy_geodesics(disk_scene, (-10.0, 0.0), (0.0, 10.0), n_seeds=n_seeds)
+    with pytest.raises(sl.ContractError, match="at least one seed"):
+        sl.travelling_time_spectrum(disk_scene, n_points=4, n_seeds=n_seeds)
+
+
 def test_spectrum_2d_matches_per_pair_search(two_disk_scene):
     # The plane twin of the d = 3 check: a table cell and its samples are
     # exactly what the two-point search gives for that pair.
