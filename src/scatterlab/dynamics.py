@@ -64,22 +64,17 @@ class TraceLimits:
     """Finite surrogate for unbounded scattering trajectories."""
 
     max_reflections: int = DEFAULT_MAX_REFLECTIONS
-    escape_radius: float = None
     max_path_length: float = None
 
-    def resolved(self, scene: Scene) -> tuple[int, float, float]:
+    def resolved(self, scene: Scene) -> tuple[int, float]:
         a = scene.ball_radius
-        resc = self.escape_radius if self.escape_radius is not None else 2.0 * a
         lmax = self.max_path_length if self.max_path_length is not None else DEFAULT_LENGTH_FACTOR * a
         if self.max_reflections < 1:
             raise ValueError("max_reflections must be at least 1")
-        # Written as "not (lo <= x < inf)" so that NaN and infinity fail too.
-        if not (a <= resc < math.inf):
-            raise ValueError("escape radius must be finite and not smaller than the "
-                             "scene ball radius")
+        # Written as "not (lo < x < inf)" so that NaN and infinity fail too.
         if not (0.0 < lmax < math.inf):
             raise ValueError("max_path_length must be finite and positive")
-        return int(self.max_reflections), float(resc), float(lmax)
+        return int(self.max_reflections), float(lmax)
 
 
 @dataclass(frozen=True)
@@ -129,21 +124,23 @@ def _trace_raw(scene: Scene, point, direction, limits: Optional[TraceLimits] = N
     (obstacle, arc, point, normal, grazing, cum_length, direction_after).
     Without limits, the scene's default limits apply.
 
-    Returns (escaped, events, final_point, final_direction, total_length).
+    Returns (escaped, events, leg_origin, direction, leg_length), ending at
+    the last free leg: its origin (the last event point, or the start point
+    when there was no event), the path length up to it, and the direction
+    along it. An escaped trace runs to infinity along that leg; a cutoff
+    trace stops at its origin.
     """
     if limits is None:
-        a = scene.ball_radius
-        nmax, resc, lmax = DEFAULT_MAX_REFLECTIONS, 2.0 * a, DEFAULT_LENGTH_FACTOR * a
+        nmax, lmax = DEFAULT_MAX_REFLECTIONS, DEFAULT_LENGTH_FACTOR * scene.ball_radius
     else:
-        nmax, resc, lmax = limits.resolved(scene)
+        nmax, lmax = limits.resolved(scene)
     if scene.dimension == 2:
-        return _trace_2d(scene, point, direction, nmax, resc, lmax)
-    return _trace_nd(scene, point, direction, nmax, resc, lmax)
+        return _trace_2d(scene, point, direction, nmax, lmax)
+    return _trace_nd(scene, point, direction, nmax, lmax)
 
 
-def _trace_2d(scene: Scene, point, direction, nmax: int, resc: float, lmax: float):
+def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
     k = scene._k2
-    cx, cy = scene.ball_center
     a = scene.ball_radius
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
@@ -156,21 +153,7 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, resc: float, lmax: floa
     while True:
         h = _first_hit_2d(k, ox, oy, ux, uy, 0.0)
         if h is None:
-            wx = ox - cx
-            wy = oy - cy
-            b = wx * ux + wy * uy
-            g = wx * wx + wy * wy - resc * resc
-            disc = b * b - g
-            if disc >= 0.0:
-                t = -b + math.sqrt(disc)
-                if t < 0.0:
-                    t = 0.0
-            else:
-                t = -b if -b > 0.0 else 0.0
-            fx = ox + t * ux
-            fy = oy + t * uy
-            total += math.hypot(fx - px_prev, fy - py_prev)
-            return True, events, (fx, fy), (ux, uy), total
+            return True, events, (px_prev, py_prev), (ux, uy), total
         oid, arc, t, px, py, nx, ny, cosi, grazing = h
         total += math.hypot(px - px_prev, py - py_prev)
         px_prev, py_prev = px, py
@@ -187,16 +170,13 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, resc: float, lmax: floa
             uy /= nn
             events.append((oid, arc, (px, py), (nx, ny), False, total, (ux, uy)))
             nrefl += 1
-            if nrefl >= nmax:
-                return False, events, (px, py), (ux, uy), total
             ox = px + off * nx
             oy = py + off * ny
-        if total >= lmax:
+        if nrefl >= nmax or total >= lmax:
             return False, events, (px, py), (ux, uy), total
 
 
-def _trace_nd(scene: Scene, point, direction, nmax: int, resc: float, lmax: float):
-    center = np.asarray(scene.ball_center)
+def _trace_nd(scene: Scene, point, direction, nmax: int, lmax: float):
     a = scene.ball_radius
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
@@ -209,19 +189,7 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, resc: float, lmax: floa
     while True:
         hit = _nearest_body_hit(scene, o, u)
         if hit is None:
-            w = o - center
-            b = float(w @ u)
-            g = float(w @ w) - resc * resc
-            disc = b * b - g
-            if disc >= 0.0:
-                t = -b + math.sqrt(disc)
-                if t < 0.0:
-                    t = 0.0
-            else:
-                t = max(0.0, -b)
-            f = o + t * u
-            total += float(np.linalg.norm(f - prev))
-            return True, events, _as_tuple(f), _as_tuple(u), total
+            return True, events, _as_tuple(prev), _as_tuple(u), total
         oid, _, p, n, _, grazing = hit
         total += float(np.linalg.norm(p - prev))
         prev = p
@@ -234,10 +202,8 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, resc: float, lmax: floa
             u /= float(np.linalg.norm(u))
             events.append((oid, None, point, normal, False, total, _as_tuple(u)))
             nrefl += 1
-            if nrefl >= nmax:
-                return False, events, point, _as_tuple(u), total
             o = p + off * n
-        if total >= lmax:
+        if nrefl >= nmax or total >= lmax:
             return False, events, point, _as_tuple(u), total
 
 
@@ -286,19 +252,34 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     return escaped, leg, length, u, [tuple(i) for i in itineraries]
 
 
+def _escape_distance(scene: Scene, origin, direction) -> float:
+    """Distance along the free leg from origin to where it last crosses the
+    sphere of radius 2a about the ball center; never negative, and the
+    distance of closest approach for a leg that misses that sphere."""
+    w = [p - c for p, c in zip(origin, scene.ball_center)]
+    b = sum(wi * ui for wi, ui in zip(w, direction))
+    r = 2.0 * scene.ball_radius
+    disc = b * b - (sum(wi * wi for wi in w) - r * r)
+    s = -b + math.sqrt(disc) if disc >= 0.0 else -b
+    return max(s, 0.0)
+
+
 def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None) -> TrajectoryRecord:
     """Trace the billiard trajectory of an exterior phase point.
 
     Reflection events apply the specular law; grazing events record the
-    tangency and continue straight. Escape requires both distance beyond the
-    escape radius and non-negative outward radial speed, so rays launched
-    inward from outside the ball are not misclassified.
+    tangency and continue straight. An escaped record ends where its last
+    free leg leaves the sphere of radius 2a about the ball center, moving
+    outward; a cutoff record ends at its last event.
     """
     escaped, raw, fpt, fdir, total = _trace_raw(scene, state.point, state.direction, limits)
-    events = tuple(Event(*e) for e in raw)
+    if escaped:
+        s = _escape_distance(scene, fpt, fdir)
+        fpt = tuple(p + s * u for p, u in zip(fpt, fdir))
+        total += s
     return TrajectoryRecord(
         initial=state,
-        events=events,
+        events=tuple(Event(*e) for e in raw),
         final=PhaseState(fpt, fdir),
         total_length=total,
         classification=ESCAPED if escaped else CUTOFF,

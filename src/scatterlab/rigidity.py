@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PhaseState, _trace_raw
+from .dynamics import PhaseState, _escape_distance, _trace_raw
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
                        boundary_samples)
 from .spectra import (ContractError, SpectrumTable, TravellingTimeSample,
@@ -253,15 +253,19 @@ def reconstruct_boundary(table: SpectrumTable, ball_center, ball_radius: float,
     For a sample (x, y, t) with outgoing direction u at y, the reflection
     point is p = y - tau u where tau solves |x - (y - tau u)| = t - tau; the
     admissible root must lie in (0, t). Samples without such a root are
-    skipped and counted, which flags misclassified entries.
+    skipped and counted, which flags misclassified entries. Raises
+    ContractError for a table whose kind is not "travel" or "synthetic".
     """
+    if table.kind not in ("travel", "synthetic"):
+        raise ContractError(f"reconstruction needs travelling-time samples, not a "
+                            f"{table.kind!r} table")
     center = np.asarray(ball_center, dtype=float)
     a = float(ball_radius)
     pts = []
     prov = []
     skipped = 0
     for s in table.samples:
-        if getattr(s, "reflections", None) != 1:
+        if s.reflections != 1:
             continue
         x = np.asarray(s.x)
         y = np.asarray(s.y)
@@ -494,7 +498,7 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
         h_hits = u_hits = 0
         cells = []
         for idx, x0, u in _aperture_family(params):
-            escaped, events, fpt, fdir, total = _trace_raw(scene, (x0, 0.0), u)
+            escaped, events, leg, fdir, length = _trace_raw(scene, (x0, 0.0), u)
             incoming = u
             for e in events:
                 if e[0] in hidden_ids:
@@ -508,7 +512,7 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
                 if dy > 0.0:
                     s = -py / dy
                     max_exit = max(max_exit, abs(px + s * dx))
-            cells.append((total,) if escaped else ())
+            cells.append((length + _escape_distance(scene, leg, fdir),) if escaped else ())
         hidden_hits.append(h_hits)
         underside_hits.append(u_hits)
         grid = _grid_tuple({

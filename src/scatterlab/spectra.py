@@ -1,9 +1,12 @@
 """The two scattering observables.
 
-Sojourn times clip a trajectory between the two hyperplanes tangent to the
-reference ball that face the incoming and outgoing directions, and subtract
-the ball diameter; the result does not depend on the choice of the ball,
-which is one of the acceptance checks.
+A sojourn time is the time a trajectory spends between the two hyperplanes
+tangent to the reference ball that face the incoming and outgoing
+directions, minus the ball diameter. It is computed from the reflection
+points as T = L + <p0 - c, omega> - <x_k - c, theta> (launch point p0, last
+event x_k, path length L between them, ball center c). The formula holds
+for any reference ball containing the obstacles, so the result does not
+depend on the ball's radius, which is one of the acceptance checks.
 
 Travelling times are found by a shooting method: seed inward directions at a
 sphere point x, trace, locate the last crossing of the reference sphere on
@@ -116,28 +119,17 @@ def _grid_tuple(d: dict) -> tuple:
 # Sojourn times
 # ---------------------------------------------------------------------------
 
-def _clip_length(p, v, lo, hi, planes) -> float:
-    """Length of {p + s v : lo <= s <= hi} inside all half-spaces <x,n> <= c."""
-    for (n, c) in planes:
-        pn = float(np.dot(p, n))
-        vn = float(np.dot(v, n))
-        if vn > 1e-300:
-            hi = min(hi, (c - pn) / vn)
-        elif vn < -1e-300:
-            lo = max(lo, (c - pn) / vn)
-        elif pn > c:
-            return 0.0
-    return max(0.0, hi - lo)
-
-
 def sojourn_time(scene: Scene, record, incoming, outgoing) -> float:
     """Sojourn time of an escaped trajectory for directions (incoming, outgoing).
 
-    The trajectory polyline, extended to infinity along both free legs, is
-    clipped to the slab between the tangent hyperplanes of the reference
-    ball facing the two directions; the clipped length minus the ball
-    diameter is returned. Grazing events are collinear interior vertices and
-    do not affect the clipping.
+    The time from crossing the reference ball's tangent hyperplane facing
+    the incoming direction to crossing the one facing the outgoing
+    direction, minus the ball diameter. From the reflection points this is
+    T = L + <p0 - c, omega> - <x_k - c, theta>, with p0 the launch point,
+    x_k the last event, L the path length between them, omega and theta the
+    record's incoming and outgoing directions and c the ball center; it
+    holds for any reference ball containing the obstacles and does not
+    depend on its radius. A trajectory without events gives 0.0.
     """
     if not record.escaped:
         raise ContractError("sojourn time is defined for escaped trajectories")
@@ -149,29 +141,22 @@ def sojourn_time(scene: Scene, record, incoming, outgoing) -> float:
         raise ContractError("incoming direction disagrees with the record")
     if float(np.max(np.abs(dout - wout))) > DIRECTION_MATCH_TOL:
         raise ContractError("outgoing direction disagrees with the record")
-    verts = [record.initial.point, *(e.point for e in record.events), record.final.point]
-    return _clipped_sojourn(scene, verts, win, wout)
+    last = None
+    if record.events:
+        last = (record.events[-1].point, record.events[-1].path_length)
+    return _sojourn(scene, record.initial.point, record.initial.direction, last,
+                    record.final.direction)
 
 
-def _clipped_sojourn(scene: Scene, verts, win: np.ndarray, wout: np.ndarray) -> float:
-    """Sojourn time of the polyline through verts, whose free legs run along
-    win before the first vertex and along wout after the last."""
-    center = np.asarray(scene.ball_center)
-    a = scene.ball_radius
-    planes = (
-        (-win, a - float(center @ win)),
-        (wout, a + float(center @ wout)),
-    )
-    verts = [np.asarray(v) for v in verts]
-    total = _clip_length(verts[0], win, -math.inf, 0.0, planes)
-    for qa, qb in zip(verts[:-1], verts[1:]):
-        seg = qb - qa
-        ln = float(np.linalg.norm(seg))
-        if ln == 0.0:
-            continue
-        total += _clip_length(qa, seg / ln, 0.0, ln, planes)
-    total += _clip_length(verts[-1], wout, 0.0, math.inf, planes)
-    return total - 2.0 * a
+def _sojourn(scene: Scene, start, win, last, wout) -> float:
+    """T = L + <p0 - c, win> - <x_k - c, wout> for the path from start = p0
+    along win whose last event is last = (x_k, L); 0.0 when last is None."""
+    if last is None:
+        return 0.0
+    point, length = last
+    c = scene.ball_center
+    return (length + sum((p - ci) * w for p, ci, w in zip(start, c, win))
+            - sum((p - ci) * w for p, ci, w in zip(point, c, wout)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +250,21 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
     samples = []
     cells = []
     cutoff = 0
+    omega = _as_tuple(win)
     for i in range(offsets.shape[0]):
-        launch = foot + offsets[i] @ basis
-        escaped, events, fpt, fdir, total = _trace_raw(scene, launch, win)
+        launch = _as_tuple(foot + offsets[i] @ basis)
+        escaped, events, leg, fdir, length = _trace_raw(scene, launch, win)
         if not escaped:
             cutoff += 1
             cells.append(())
             continue
-        t_soj = _clipped_sojourn(scene, [launch, *(e[2] for e in events), fpt],
-                                 win, np.asarray(fdir, dtype=float))
+        t_soj = _sojourn(scene, launch, omega, (leg, length) if events else None, fdir)
         refl = tuple(e[0] for e in events if not e[4])
         samples.append(SLSSample(
             index=i,
-            omega=_as_tuple(win),
+            omega=omega,
             impact=_as_tuple(offsets[i]),
-            impact_point=_as_tuple(launch),
+            impact_point=launch,
             theta=_as_tuple(fdir),
             sojourn=t_soj,
             reflections=len(refl),
@@ -306,22 +291,17 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 class _SweepEntry:
     psi: float
     escaped: bool
-    exit_point: Optional[tuple]
     exit_angle: float
     itinerary: tuple
-    grazed: bool
 
 
-def _exit_crossing(scene: Scene, start, events, fdir):
-    """Last crossing of the reference sphere on the outgoing free leg."""
+def _exit_crossing(scene: Scene, leg_origin, leg_length: float, fdir):
+    """Last crossing of the reference sphere on the outgoing free leg from
+    leg_origin, at path length leg_length, along fdir; returns the crossing
+    point and its path length, or (None, None) when the leg does not cross."""
     center = np.asarray(scene.ball_center)
     a = scene.ball_radius
-    if events:
-        leg_origin = np.asarray(events[-1][2])
-        cum = events[-1][5]
-    else:
-        leg_origin = np.asarray(start, dtype=float)
-        cum = 0.0
+    leg_origin = np.asarray(leg_origin)
     v = np.asarray(fdir)
     w = leg_origin - center
     b = float(w @ v)
@@ -333,7 +313,7 @@ def _exit_crossing(scene: Scene, start, events, fdir):
     if s < 0.0:
         return None, None
     exit_pt = leg_origin + s * v
-    return exit_pt, cum + s
+    return exit_pt, leg_length + s
 
 
 def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
@@ -352,10 +332,10 @@ def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
 def _shoot(scene: Scene, x, u):
     """Trace from x along u to the last reference-sphere crossing; returns
     (u, events, fdir, exit_pt, t_exit), or None when the ray does not leave."""
-    escaped, events, _, fdir, _ = _trace_raw(scene, x, u)
+    escaped, events, leg, fdir, length = _trace_raw(scene, x, u)
     if not escaped:
         return None
-    exit_pt, t_exit = _exit_crossing(scene, x, events, fdir)
+    exit_pt, t_exit = _exit_crossing(scene, leg, length, fdir)
     if exit_pt is None:
         return None
     return u, events, fdir, exit_pt, t_exit
@@ -399,11 +379,10 @@ def _launch_dir(frame, psi: float) -> np.ndarray:
 def _entry_at(scene: Scene, x, frame, psi: float) -> _SweepEntry:
     shot = _shoot(scene, x, _launch_dir(frame, psi))
     if shot is None:
-        return _SweepEntry(psi, False, None, 0.0, (), False)
+        return _SweepEntry(psi, False, 0.0, ())
     _, events, _, exit_pt, _ = shot
-    itin = tuple(e[0] for e in events if not e[4])
-    return _SweepEntry(psi, True, _as_tuple(exit_pt), _sphere_angle(scene, exit_pt),
-                       itin, any(e[4] for e in events))
+    return _SweepEntry(psi, True, _sphere_angle(scene, exit_pt),
+                       tuple(e[0] for e in events if not e[4]))
 
 
 def _split_gap(scene, x, frame, ea, eb, depth, out):

@@ -116,6 +116,33 @@ def test_length_additivity(three_disk_scene):
         assert abs(total - rec.total_length) < 1e-9 * (1.0 + rec.total_length)
 
 
+def test_trace_record_ends(three_disk_scene, ball_ellipsoid_scene):
+    # An escaped record ends on the sphere of radius 2a, moving outward; a
+    # cutoff record ends at its last event.
+    for scene in (three_disk_scene, ball_ellipsoid_scene):
+        a = scene.ball_radius
+        c = np.asarray(scene.ball_center)
+        probes = sl.sphere_probes(scene, 300, seed=5)
+        recs = [sl.trace(scene, p) for p in probes]
+        escaped = [r for r in recs if r.escaped]
+        assert len(escaped) > 200
+        assert any(r.events for r in escaped) and any(not r.events for r in escaped)
+        for rec in escaped:
+            w = np.asarray(rec.final.point) - c
+            assert abs(np.linalg.norm(w) - 2.0 * a) <= 1e-12 * a
+            assert w @ np.asarray(rec.final.direction) > 0.0
+        limits = sl.TraceLimits(max_reflections=1)
+        for p in probes:
+            rec = sl.trace(scene, p, limits)
+            if not rec.escaped:
+                assert rec.final.point == rec.events[-1].point
+                assert rec.final.direction == rec.events[-1].direction_after
+                assert rec.total_length == rec.events[-1].path_length
+                break
+        else:
+            pytest.fail("no probe reached the reflection limit")
+
+
 def test_monotone_escape(three_disk_scene):
     # Beyond the ball and moving outward there is nothing left to hit.
     rec = sl.trace(three_disk_scene, sl.PhaseState((11.0, 0.0), (1.0, 0.0)))
@@ -178,18 +205,13 @@ def test_limits_validation(two_disk_scene):
     with pytest.raises(ValueError):
         sl.trace(two_disk_scene, sl.PhaseState((0.0, 0.0), (1.0, 0.0)),
                  sl.TraceLimits(max_reflections=0))
-    with pytest.raises(ValueError):
-        sl.trace(two_disk_scene, sl.PhaseState((0.0, 0.0), (1.0, 0.0)),
-                 sl.TraceLimits(escape_radius=5.0))
 
 
 @pytest.mark.parametrize("limits", [
-    {"escape_radius": math.nan},
-    {"escape_radius": math.inf},
     {"max_path_length": math.nan},
     {"max_path_length": math.inf},
     {"max_path_length": 0.0},
-], ids=["nan-escape", "inf-escape", "nan-length", "inf-length", "zero-length"])
+], ids=["nan-length", "inf-length", "zero-length"])
 def test_limits_reject_non_finite(disk_scene, limits):
     with pytest.raises(ValueError):
         sl.trace(disk_scene, sl.PhaseState((-10.0, 0.5), (1.0, 0.0)), sl.TraceLimits(**limits))
@@ -231,15 +253,14 @@ def test_trace_many_matches_single_traces(ball_ellipsoid_scene):
     escaped, legs, lengths, finals, itins = _trace_many(scene, np.tile(x, (500, 1)), dirs)
     reflections = []
     for k, u in enumerate(dirs):
-        esc, events, _, fdir, _ = _trace_raw(scene, x, u)
+        esc, events, leg, fdir, length = _trace_raw(scene, x, u)
         itin = tuple(e[0] for e in events if not e[4])
         assert escaped[k] == esc
         assert itins[k] == itin
         reflections.append(len(itin))
-        leg, length = (events[-1][2], events[-1][5]) if events else (x, 0.0)
-        assert np.max(np.abs(legs[k] - leg)) <= 1e-9 * a
-        assert abs(lengths[k] - length) <= 1e-9 * a
-        assert np.max(np.abs(finals[k] - fdir)) <= 1e-9
+        assert tuple(legs[k].tolist()) == leg
+        assert lengths[k] == length
+        assert tuple(finals[k].tolist()) == fdir
     assert reflections.count(0) > 50
     assert {(0,), (1,)} <= set(itins)
     assert max(reflections) >= 2

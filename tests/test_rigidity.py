@@ -177,6 +177,14 @@ def test_reconstruct_skips_inconsistent_samples():
     assert est.skipped == 1
 
 
+def test_reconstruct_refuses_sojourn_tables(disk_scene):
+    # One-bounce sojourn samples carry no endpoints or travelling times.
+    table = sl.scan_sls(disk_scene, (1.0, 0.0), 16)
+    assert any(s.reflections == 1 for s in table.samples)
+    with pytest.raises(sl.ContractError):
+        sl.reconstruct_boundary(table, (0.0, 0.0), 10.0)
+
+
 def test_reconstruct_coverage_field():
     samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 500)
     table = sl.samples_table(samples)

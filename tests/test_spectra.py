@@ -252,16 +252,22 @@ def test_spectrum_single_disk_contains_chord(disk_scene):
             assert any(abs(t - chord) < 1e-6 for t in cell)
 
 
-def test_scan_ball_independence_per_sample(disk_scene):
-    # Recomputing each sample's sojourn under a doubled reference ball must
+def test_scan_ball_independence_per_sample(disk_scene, two_disk_scene):
+    # Recomputing each sample's sojourn under a larger reference ball must
     # leave it unchanged: the trajectory is the same and the definition does
-    # not depend on the ball.
-    table = sl.scan_sls(disk_scene, (1.0, 0.0), 65)
-    bigger = dataclasses.replace(disk_scene, ball_radius=20.0)
-    for s in table.samples:
-        rec = sl.trace(bigger, sl.PhaseState(s.impact_point, s.omega))
-        t2 = sl.sojourn_time(bigger, rec, s.omega, rec.final.direction)
-        assert abs(t2 - s.sojourn) < 1e-9
+    # not depend on the ball. In the oblique two-disk scan some launch points
+    # lie beyond the outgoing tangent hyperplane of the radius-10 ball, and
+    # some last legs cross the incoming one before the outgoing one.
+    omega = (math.cos(0.7), math.sin(0.7))
+    for scene, w, n in ((disk_scene, (1.0, 0.0), 65), (two_disk_scene, omega, 512)):
+        table = sl.scan_sls(scene, w, n)
+        assert len(table.samples) > n // 2
+        for radius in (12.0, 20.0, 40.0):
+            bigger = dataclasses.replace(scene, ball_radius=radius)
+            for s in table.samples:
+                rec = sl.trace(bigger, sl.PhaseState(s.impact_point, s.omega))
+                t2 = sl.sojourn_time(bigger, rec, s.omega, rec.final.direction)
+                assert abs(t2 - s.sojourn) < 1e-9
 
 
 def test_table_metadata(disk_scene):
