@@ -9,19 +9,19 @@ for any reference ball containing the obstacles, so the result does not
 depend on the ball's radius, which is one of the acceptance checks.
 
 Travelling times are found by a shooting method: seed inward directions at a
-sphere point x, trace, locate the last crossing of the reference sphere on
-the outgoing leg, bracket seeds whose exits straddle the target point y, and
-refine by bisection on the exit-angle miss (d = 2) or by a local polish of
-the miss distance (d = 3). The sweep depends on x alone, so a table traces
-it once per source point and reuses it for every partner. In d = 3 all seeds
-of a sweep are traced in lockstep through one batched ray kernel, with each
-seed's numbers bitwise those of its single trace; the polish shots stay
-scalar, one ray at a time, as does everything in d = 2. The search is
+sphere point x, trace, and locate the last crossing of the reference sphere
+on the outgoing leg. In d = 2 seeds whose exits straddle the target point y
+bracket a root, refined by bisection on the exit-angle miss; in d = 3 each
+local minimum of the seeds' exit miss is polished by Levenberg-Marquardt on
+the miss vector exit_pt - y, a few dozen shots per polish. A table traces
+each source point's sweep once, for every partner; in d = 3 its seeds go in
+lockstep through one batched ray kernel, each bitwise its single trace,
+while polish shots and all of d = 2 trace one ray at a time. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed and
 re-polished once from the other, and the pair's cells in both orders are
 built from those two mirror lists, so swapping the endpoints returns
-matching times by construction. Non-convergent brackets are dropped and
-counted in the table diagnostics; near-tangent branches legitimately fail.
+matching times by construction. Brackets that do not converge and polishes
+that miss y are dropped and counted in the table diagnostics.
 Travel in d >= 4, endpoints off the reference sphere and searches with
 fewer than one seed are refused with ContractError rather than answered
 with empty sets.
@@ -645,26 +645,27 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def _polish_3d(scene, x, y, u0):
-    from scipy.optimize import minimize
+    """Levenberg-Marquardt (Moré 1978) on exit_pt - y over the d - 1 tangent
+    offsets of the launch direction u0, finite-difference Jacobian; a launch
+    that does not leave misses by 10a in each coordinate. Returns the sample
+    at the optimum, None when it misses y by the root tolerance or more."""
+    from scipy.optimize import least_squares
 
-    e1 = plane_basis(np.asarray(u0))
+    basis = plane_basis(u0)
+    lost = np.full(len(u0), 10.0 * scene.ball_radius)
 
-    def miss_fn(ab):
-        u = np.asarray(u0) + ab[0] * e1[0] + ab[1] * e1[1]
-        u /= float(np.linalg.norm(u))
-        shot = _shoot(scene, x, u)
-        if shot is None:
-            return 10.0 * scene.ball_radius
-        return math.dist(_as_tuple(shot[3]), _as_tuple(y))
+    def launch(ab):
+        u = u0 + ab @ basis
+        return u / float(np.linalg.norm(u))
 
-    res = minimize(miss_fn, np.zeros(2), method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 400})
-    u = np.asarray(u0) + res.x[0] * e1[0] + res.x[1] * e1[1]
-    u /= float(np.linalg.norm(u))
-    shot = _shoot(scene, x, u)
-    if shot is None:
-        return None
-    return _make_sample(scene, x, y, shot)
+    def miss(ab):
+        shot = _shoot(scene, x, launch(ab))
+        return lost if shot is None else shot[3] - y
+
+    res = least_squares(miss, np.zeros(len(basis)), method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    shot = _shoot(scene, x, launch(res.x))
+    return None if shot is None else _make_sample(scene, x, y, shot)
 
 
 @dataclass(frozen=True)
@@ -695,27 +696,26 @@ def _sweep_3d(scene, x, n_seeds):
 
 
 def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
-    """Polish every local minimum of the exit miss to y within a few seed
-    spacings; the minima are taken over each seed's nearest neighbours."""
+    """_polish_3d from each seed whose exit miss to y is least among its
+    nearest neighbours and within a few seed spacings; returns (roots,
+    failed polishes), the d = 3 counterpart of dropped brackets."""
     seeds = sweep.seeds
     yt = _as_tuple(y)
     misses = np.array([np.inf if e is None else math.dist(e, yt) for e in sweep.exits])
-    samples = []
+    polished = []
     for i in np.argsort(misses):
         if misses[i] > sweep.window:
             break
         _, nbrs = sweep.tree.query(seeds[i], k=min(8, len(seeds)))
         if any(misses[j] < misses[i] for j in np.atleast_1d(nbrs) if j != i):
             continue
-        s = _polish_3d(scene, x, y, seeds[i])
-        if s is not None:
-            samples.append(s)
-    return _dedup_samples(scene, samples)
+        polished.append(_polish_3d(scene, x, y, seeds[i]))
+    found = [s for s in polished if s is not None]
+    return _dedup_samples(scene, found), len(polished) - len(found)
 
 
 def _mirror_refine_3d(scene, s, x, y):
-    u0 = tuple(-c for c in s.dir_out)
-    return _same_root(scene, _polish_3d(scene, x, y, np.asarray(u0)), s)
+    return _same_root(scene, _polish_3d(scene, x, y, -np.asarray(s.dir_out)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +757,7 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
 def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     """The travel search over ordered index pairs (i, j) of pts, where (j, i)
     is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
-    dropped brackets).
+    dropped brackets or failed polishes).
 
     The inward seed sweep is traced once per source point and serves every
     partner. Each raw root of (i, j) is then mirror-polished once from the
@@ -789,7 +789,7 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
 
 def _spectrum_worker(args):
     """The sweep from one source point and its raw roots to every partner;
-    returns ([(pair, roots)], cutoff seeds, dropped brackets)."""
+    returns ([(pair, roots)], cutoff seeds, dropped brackets or failed polishes)."""
     scene, x, n_seeds, partners = args
     if scene.dimension == 2:
         entries, cut, frame = _sweep_2d(scene, x, n_seeds)
@@ -801,7 +801,7 @@ def _spectrum_worker(args):
         if scene.dimension == 2:
             samples, drop = _refine_pair_2d(scene, x, y, entries, frame)
         else:
-            samples, drop = _refine_pair_3d(scene, x, y, sweep), 0
+            samples, drop = _refine_pair_3d(scene, x, y, sweep)
         dropped += drop
         out.append((k, samples))
     return out, cut, dropped

@@ -457,3 +457,78 @@ def test_travel_refuses_d4():
         sl.find_xy_geodesics(scene, (-10.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 10.0))
     with pytest.raises(sl.ContractError):
         sl.travelling_time_spectrum(scene, n_points=4)
+
+
+def test_polish_3d_recovers_tilted_root():
+    # The one-bounce root of the sphere-oracle scene, launched 1e-3 rad off
+    # its direction, polishes back onto the same root.
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 1.5), 1.0),),
+                     ball_radius=10.0)
+    x = np.array([-10.0, 0.0, 0.0])
+    y = np.array([0.0, 10.0, 0.0])
+    (root,) = [s for s in sl.find_xy_geodesics(scene, x, y) if s.reflections == 1]
+    u = np.asarray(root.dir_in)
+    tilted = math.cos(1e-3) * u + math.sin(1e-3) * sl.spectra.plane_basis(u)[0]
+    got = sl.spectra._polish_3d(scene, x, y, tilted)
+    assert got is not None
+    assert got.residual < sl.spectra._root_tol(scene)
+    assert got.itinerary == (0,)
+    assert abs(got.t - root.t) <= 1e-9
+
+
+def test_polish_3d_shot_budget(ball_ellipsoid_scene, monkeypatch):
+    # Counted work: every shot of a d = 3 table is a polish shot (the sweep
+    # is one batched trace). The least-squares polish fires 723 here; a
+    # derivative-free simplex search on the scalar miss needs about 3,500.
+    spectra = sl.spectra
+    shoot = spectra._shoot
+    shots = []
+
+    def counting_shoot(*args):
+        shots.append(1)
+        return shoot(*args)
+
+    monkeypatch.setattr(spectra, "_shoot", counting_shoot)
+    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3)
+    assert table.samples
+    assert len(shots) <= 1200
+
+
+def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
+    spectra = sl.spectra
+    polish = spectra._polish_3d
+    refine = spectra._refine_pair_3d
+    in_raw = []
+    failed = []
+
+    def counting_polish(*args):
+        got = polish(*args)
+        if in_raw and got is None:
+            failed.append(args)
+        return got
+
+    def raw_refine(*args):
+        # Mirror polishes run outside the raw refinement and are not drops.
+        in_raw.append(True)
+        try:
+            return refine(*args)
+        finally:
+            in_raw.pop()
+
+    monkeypatch.setattr(spectra, "_polish_3d", counting_polish)
+    monkeypatch.setattr(spectra, "_refine_pair_3d", raw_refine)
+    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4)
+    assert len(failed) > 0
+    assert table.diagnostics_dict()["dropped_clusters"] == len(failed)
+
+
+def test_spectrum_3d_swap_symmetry_and_residuals(ball_ellipsoid_scene):
+    scene = ball_ellipsoid_scene
+    table = sl.travelling_time_spectrum(scene, n_points=4, n_seeds=600)
+    tol = sl.spectra._root_tol(scene)
+    keys = [(tuple(x), tuple(y)) for x, y in sl.spectra.spectrum_pairs(scene, 4)]
+    assert any(table.cells)
+    for k, (x, y) in enumerate(keys):
+        swapped = table.cells[keys.index((y, x))]
+        assert sl.hausdorff_1d(table.cells[k], swapped) <= tol
+    assert all(s.residual < tol for s in table.samples)
