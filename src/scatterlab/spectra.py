@@ -13,18 +13,20 @@ sphere point x, trace, and locate the last crossing of the reference sphere
 on the outgoing leg. In d = 2 seeds whose exits straddle the target point y
 bracket a root, refined by bisection on the exit-angle miss; in d = 3 each
 local minimum of the seeds' exit miss is polished by Levenberg-Marquardt on
-the miss vector exit_pt - y, a few dozen shots per polish. A table traces
-each source point's sweep once, for every partner; in d = 3 its seeds go in
-lockstep through one batched ray kernel, each bitwise its single trace,
-while polish shots and all of d = 2 trace one ray at a time. The search is
+the miss vector exit_pt - y, a few dozen shots per polish. A table first
+traces the seed sweeps of all its source points, in lockstep batches through
+one batched ray kernel: in d = 3 every seed in one batch, in d = 2 every
+seed in one and the gap midpoints of each split depth in one more. Each
+sweep serves every partner of its point, and only root refinement
+(bisection, polish, mirror polish) traces one ray at a time. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed and
 re-polished once from the other, and the pair's cells in both orders are
 built from those two mirror lists, so swapping the endpoints returns
 matching times by construction. Brackets that do not converge and polishes
 that miss y are dropped and counted in the table diagnostics.
-Travel in d >= 4, endpoints off the reference sphere and searches with
-fewer than one seed are refused with ContractError rather than answered
-with empty sets.
+Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
+reference sphere and with fewer than one seed is refused with ContractError
+rather than answered with empty sets.
 """
 
 from __future__ import annotations
@@ -287,14 +289,6 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 # Travelling times: seed sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SweepEntry:
-    psi: float
-    escaped: bool
-    exit_angle: float
-    itinerary: tuple
-
-
 def _exit_crossing(scene: Scene, leg_origin, leg_length: float, fdir):
     """Last crossing of the reference sphere on the outgoing free leg from
     leg_origin, at path length leg_length, along fdir; returns the crossing
@@ -362,60 +356,72 @@ _BOUNDARY_SPLIT_DEPTH = 6
 _EXIT_JUMP_TOL = 0.08
 
 
-def _needs_split(ea: _SweepEntry, eb: _SweepEntry) -> bool:
-    if ea.escaped != eb.escaped or ea.itinerary != eb.itinerary:
-        return True
-    if ea.escaped and abs(_wrap(ea.exit_angle - eb.exit_angle)) > _EXIT_JUMP_TOL:
-        return True
-    return False
-
-
 def _launch_dir(frame, psi: float) -> np.ndarray:
     """Inward direction at angle psi from the sphere normal of a d = 2 frame."""
     m, mp = frame
     return math.cos(psi) * m + math.sin(psi) * mp
 
 
-def _entry_at(scene: Scene, x, frame, psi: float) -> _SweepEntry:
-    shot = _shoot(scene, x, _launch_dir(frame, psi))
-    if shot is None:
-        return _SweepEntry(psi, False, 0.0, ())
-    _, events, _, exit_pt, _ = shot
-    return _SweepEntry(psi, True, _sphere_angle(scene, exit_pt),
-                       tuple(e[0] for e in events if not e[4]))
+@dataclass(frozen=True)
+class _Sweep2D:
+    frame: tuple
+    psi: list  # launch angles, increasing
+    escaped: np.ndarray
+    angle: np.ndarray  # exit angle about the ball center, 0 where not escaped
+    itinerary: list  # reflection obstacle ids, () where not escaped
 
 
-def _split_gap(scene, x, frame, ea, eb, depth, out):
-    if depth <= 0:
-        return
-    em = _entry_at(scene, x, frame, 0.5 * (ea.psi + eb.psi))
-    if _needs_split(ea, em):
-        _split_gap(scene, x, frame, ea, em, depth - 1, out)
-    out.append(em)
-    if _needs_split(em, eb):
-        _split_gap(scene, x, frame, em, eb, depth - 1, out)
+def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
+    """The inward seed sweep from every point of xs, in lockstep batches: all
+    seeds in one, then the seed gaps that need a split at each depth in one
+    each, every midpoint splitting its gap; a sweep is its shots sorted by
+    psi. Returns (sweeps, cutoff seeds, rays traced)."""
+    frames = [_frame_at(scene, x) for x in xs]
+    m = np.array([f[0] for f in frames])
+    mp = np.array([f[1] for f in frames])
+    center = np.asarray(scene.ball_center)
+
+    def shots(src, psi):
+        u = (np.array([math.cos(p) for p in psi.tolist()])[:, None] * m[src]
+             + np.array([math.sin(p) for p in psi.tolist()])[:, None] * mp[src])
+        escaped, legs, _, dirs, itins = _trace_many(scene, xs[src], u)
+        pts, crosses = _exit_crossings(scene, legs, dirs)
+        ok = escaped & crosses
+        # math.atan2, not np.arctan2, which can differ in the last bit.
+        angle = np.array([math.atan2(py, px) if k else 0.0 for (px, py), k
+                          in zip((pts - center).tolist(), ok.tolist())])
+        return ok, angle, [t if k else () for t, k in zip(itins, ok.tolist())]
+
+    src = np.repeat(np.arange(len(xs)), n_seeds)
+    psi = np.tile([-0.5 * math.pi + math.pi * (k + 0.5) / n_seeds for k in range(n_seeds)],
+                  len(xs))
+    escaped, angle, itins = shots(src, psi)
+    cutoff = int(np.count_nonzero(~escaped))
+    a = np.flatnonzero((np.arange(psi.size) + 1) % n_seeds)
+    b = a + 1
+    for _ in range(_BOUNDARY_SPLIT_DEPTH):
+        split = ((escaped[a] != escaped[b])
+                 | np.array([itins[i] != itins[j] for i, j in zip(a.tolist(), b.tolist())], bool)
+                 | (escaped[a] & (np.abs(_wrap(angle[a] - angle[b])) > _EXIT_JUMP_TOL)))
+        a, b = a[split], b[split]
+        if not a.size:
+            break
+        mid = np.arange(psi.size, psi.size + a.size)
+        src = np.concatenate([src, src[a]])
+        psi = np.concatenate([psi, 0.5 * (psi[a] + psi[b])])
+        more = shots(src[mid], psi[mid])
+        escaped, angle = np.concatenate([escaped, more[0]]), np.concatenate([angle, more[1]])
+        itins += more[2]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    order = np.lexsort((psi, src))
+    ends = np.cumsum(np.bincount(src, minlength=len(xs)))
+    sweeps = [_Sweep2D(f, psi[rows].tolist(), escaped[rows], angle[rows],
+                       [itins[r] for r in rows.tolist()])
+              for f, rows in zip(frames, np.split(order, ends[:-1]))]
+    return sweeps, cutoff, int(psi.size)
 
 
-def _sweep_2d(scene: Scene, x: np.ndarray, n_seeds: int):
-    frame = _frame_at(scene, x)
-    seeds = []
-    cut = 0
-    for k in range(n_seeds):
-        psi = -0.5 * math.pi + math.pi * (k + 0.5) / n_seeds
-        e = _entry_at(scene, x, frame, psi)
-        if not e.escaped:
-            cut += 1
-        seeds.append(e)
-    entries = []
-    for ea, eb in zip(seeds[:-1], seeds[1:]):
-        entries.append(ea)
-        if _needs_split(ea, eb):
-            _split_gap(scene, x, frame, ea, eb, _BOUNDARY_SPLIT_DEPTH, entries)
-    entries.append(seeds[-1])
-    return entries, cut, frame
-
-
-def _wrap(angle: float) -> float:
+def _wrap(angle):
     return (angle + math.pi) % _TWO_PI - math.pi
 
 
@@ -479,30 +485,28 @@ def _bisect_2d(scene, x, y, target_angle, frame, lo, hi, flo):
     return None
 
 
-def _refine_pair_2d(scene, x, y, entries, frame):
+def _refine_pair_2d(scene, x, y, sweep: _Sweep2D):
     ty = _sphere_angle(scene, y)
+    frame, psi = sweep.frame, sweep.psi
     found = []
     dropped = 0
-    n = len(entries)
-    for i in range(n - 1):
-        # Brackets may straddle a branch edge: the exit map is continuous
-        # across a first-order tangency, so only escape status matters here;
-        # genuine discontinuities fail the residual check and get dropped.
-        ea, eb = entries[i], entries[i + 1]
-        if not (ea.escaped and eb.escaped):
-            continue
-        da = _wrap(ea.exit_angle - ty)
-        db = _wrap(eb.exit_angle - ty)
-        if da == 0.0:
-            _, shot = _delta_at(scene, x, frame, ea.psi, ty)
+    # Brackets may straddle a branch edge: the exit map is continuous across
+    # a first-order tangency, so only escape status matters here; genuine
+    # discontinuities fail the residual check and get dropped.
+    both = sweep.escaped[:-1] & sweep.escaped[1:]
+    delta = _wrap(sweep.angle - ty)
+    da, db = delta[:-1], delta[1:]
+    # An exact hit, or a sign change that is not a wrap across the antipode.
+    take = both & ((da == 0.0) | ((da * db < 0.0) & (np.abs(da - db) < math.pi)))
+    for i, d in zip(np.flatnonzero(take).tolist(), da[take].tolist()):
+        if d == 0.0:
+            _, shot = _delta_at(scene, x, frame, psi[i], ty)
             if shot is not None:
                 sample = _make_sample(scene, x, y, shot)
                 if sample is not None:
                     found.append(sample)
             continue
-        if da * db >= 0.0 or abs(da - db) >= math.pi:
-            continue
-        sample = _bisect_2d(scene, x, y, ty, frame, ea.psi, eb.psi, da)
+        sample = _bisect_2d(scene, x, y, ty, frame, psi[i], psi[i + 1], d)
         if sample is None:
             dropped += 1
         else:
@@ -607,7 +611,8 @@ def find_xy_geodesics(scene: Scene, x, y,
     travelling-time set of a pair can be empty (deep shadow) or
     under-resolved at the configured seed count. Raises ContractError for
     non-finite endpoints, endpoints off the reference sphere, fewer than
-    one seed, and d >= 4, where no search is implemented.
+    one seed, scenes with curve obstacles, and d >= 4, where no search is
+    implemented.
     """
     n_seeds = _seed_count(scene, n_seeds)
     pts = [np.asarray(x, dtype=float), np.asarray(y, dtype=float)]
@@ -618,7 +623,7 @@ def find_xy_geodesics(scene: Scene, x, y,
         if (p.shape != center.shape or abs(float(np.linalg.norm(p - center)) - scene.ball_radius)
                 > _ON_SPHERE_FACTOR * _root_tol(scene)):
             raise ContractError(f"travel endpoint {_as_tuple(p)} is not on the reference sphere")
-    cells, _, _ = _travel(scene, pts, [(0, 1), (1, 0)], n_seeds)
+    cells = _travel(scene, pts, [(0, 1), (1, 0)], n_seeds)[0]
     return cells[0]
 
 
@@ -628,8 +633,12 @@ _ON_SPHERE_FACTOR = 10.0
 
 def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
     """The seed count of a travel search, with the default filled in where
-    None; refuses fewer than one seed, and d >= 4, where no search is
+    None; refuses fewer than one seed, scenes with curve obstacles, whose arcs
+    the batched sweep does not trace, and d >= 4, where no search is
     implemented."""
+    if scene.curves:
+        raise ContractError("travelling times are not implemented for scenes with curve "
+                            "obstacles, which are for demonstration only")
     if scene.dimension >= 4:
         raise ContractError("travelling times are implemented for d = 2 and d = 3 "
                             f"only, not d = {scene.dimension}")
@@ -676,23 +685,28 @@ class _Sweep3D:
     window: float  # misses above this are too far from any root to polish
 
 
-def _sweep_3d(scene, x, n_seeds):
-    """Trace the inward hemisphere seeds at x, all in one lockstep batch;
-    returns (sweep, cutoff seeds)."""
+def _sweeps_3d(scene, xs, n_seeds):
+    """The inward hemisphere seeds at every point of xs, all traced in one
+    lockstep batch; returns (sweeps, cutoff seeds, rays traced)."""
     from scipy.spatial import cKDTree
 
     center = np.asarray(scene.ball_center)
-    m = (center - x) / float(np.linalg.norm(center - x))
-    basis = plane_basis(m)
     hemi = fibonacci_sphere(2 * n_seeds)
     hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
-    seeds = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
-    escaped, legs, _, dirs, _ = _trace_many(scene, np.tile(x, (len(seeds), 1)), seeds)
+    seeds = []
+    for x in xs:
+        m = (center - x) / float(np.linalg.norm(center - x))
+        basis = plane_basis(m)
+        seeds.append(hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1])
+    escaped, legs, _, dirs, _ = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
+                                            np.concatenate(seeds))
     points, crosses = _exit_crossings(scene, legs, dirs)
     exits = [tuple(p) if ok else None
              for p, ok in zip(points.tolist(), (escaped & crosses).tolist())]
-    spacing = scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
-    return _Sweep3D(seeds, exits, cKDTree(seeds), 4.0 * spacing), exits.count(None)
+    window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
+    sweeps = [_Sweep3D(u, exits[k * len(hemi):(k + 1) * len(hemi)], cKDTree(u), window)
+              for k, u in enumerate(seeds)]
+    return sweeps, exits.count(None), len(exits)
 
 
 def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
@@ -730,7 +744,8 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
 
     Each cell equals ``find_xy_geodesics`` on its pair; both run the same
     search. Deterministic for fixed arguments, and identical for any
-    ``threads``. Raises ContractError for fewer than one seed and for d >= 4.
+    ``threads``. Raises ContractError for fewer than one seed, for scenes
+    with curve obstacles and for d >= 4.
     """
     n_seeds = _seed_count(scene, n_seeds)
     pts, pairs = _pair_grid(scene, n_points, min_sep_deg, phase)
@@ -747,26 +762,31 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         "ball_center": _as_tuple(scene.ball_center),
         "ball_radius": float(scene.ball_radius),
     })
-    merged, cutoff, dropped = _travel(scene, pts, pairs, n_seeds, threads)
+    merged, cutoff, dropped, rays = _travel(scene, pts, pairs, n_seeds, threads)
     return SpectrumTable("travel", scene.digest, grid,
                          tuple(tuple(sorted(s.t for s in cell)) for cell in merged),
                          tuple(s for cell in merged for s in cell),
-                         (("cutoff_seeds", cutoff), ("dropped_clusters", dropped)))
+                         (("cutoff_seeds", cutoff), ("dropped_clusters", dropped),
+                          ("sweep_rays", rays)))
 
 
 def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     """The travel search over ordered index pairs (i, j) of pts, where (j, i)
     is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
-    dropped brackets or failed polishes).
+    dropped brackets or failed polishes, sweep rays traced).
 
-    The inward seed sweep is traced once per source point and serves every
-    partner. Each raw root of (i, j) is then mirror-polished once from the
-    other end, and cells (i, j) and (j, i) are merged from the same two
-    mirror lists.
+    The inward seed sweeps of all source points are traced first, in
+    lockstep batches, and each serves every partner of its point. Only the
+    root refinement then runs per source point, on the pool when threads >
+    1, one ray at a time. Each raw root of (i, j) is mirror-polished once
+    from the other end, and cells (i, j) and (j, i) are merged from the same
+    two mirror lists.
     """
-    args = [(scene, pts[i], n_seeds,
-             [(k, pts[j]) for k, (ii, j) in enumerate(pairs) if ii == i])
-            for i in sorted({i for i, _ in pairs})]
+    sources = sorted({i for i, _ in pairs})
+    sweep_all = _sweeps_2d if scene.dimension == 2 else _sweeps_3d
+    sweeps, cutoff, rays = sweep_all(scene, np.array([pts[i] for i in sources]), n_seeds)
+    args = [(scene, pts[i], sweep, [(k, pts[j]) for k, (ii, j) in enumerate(pairs) if ii == i])
+            for i, sweep in zip(sources, sweeps)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -775,36 +795,29 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     else:
         chunks = [_spectrum_worker(arg) for arg in args]
     raw = {}
-    cutoff = dropped = 0
-    for chunk_samples, ccut, cdrop in chunks:
-        cutoff += ccut
+    dropped = 0
+    for chunk_samples, cdrop in chunks:
         dropped += cdrop
         raw.update(chunk_samples)
     # mirrors[k]: the raw roots of pair k = (i, j) re-polished as (j, i) samples.
     mirrors = [_mirror_all(scene, raw[k], pts[j], pts[i]) for k, (i, j) in enumerate(pairs)]
     pair_index = {ij: k for k, ij in enumerate(pairs)}
     return ([_merge_bidirectional(scene, raw[k], mirrors[k], mirrors[pair_index[(j, i)]], k)
-             for k, (i, j) in enumerate(pairs)], cutoff, dropped)
+             for k, (i, j) in enumerate(pairs)], cutoff, dropped, rays)
 
 
 def _spectrum_worker(args):
-    """The sweep from one source point and its raw roots to every partner;
-    returns ([(pair, roots)], cutoff seeds, dropped brackets or failed polishes)."""
-    scene, x, n_seeds, partners = args
-    if scene.dimension == 2:
-        entries, cut, frame = _sweep_2d(scene, x, n_seeds)
-    else:
-        sweep, cut = _sweep_3d(scene, x, n_seeds)
+    """The raw roots from one source point to every partner, refined from its
+    traced sweep; returns ([(pair, roots)], dropped brackets or failed polishes)."""
+    scene, x, sweep, partners = args
+    refine = _refine_pair_2d if scene.dimension == 2 else _refine_pair_3d
     out = []
     dropped = 0
     for k, y in partners:
-        if scene.dimension == 2:
-            samples, drop = _refine_pair_2d(scene, x, y, entries, frame)
-        else:
-            samples, drop = _refine_pair_3d(scene, x, y, sweep)
+        samples, drop = refine(scene, x, y, sweep)
         dropped += drop
         out.append((k, samples))
-    return out, cut, dropped
+    return out, dropped
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,

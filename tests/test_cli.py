@@ -205,6 +205,14 @@ def test_travel_refuses_d4(tmp_path, capsys):
     assert "d = 4" in capsys.readouterr().err
 
 
+def test_travel_refuses_curve_scenes(tmp_path, capsys):
+    path = tmp_path / "bump.toy"
+    path.write_text(serialize_scene(sl.build_livshits_scene(sl.LivshitsParams(), "bump")))
+    assert run_command(["travel", str(path), "--points", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "curve obstacles" in err
+
+
 def test_travel_refuses_zero_seeds(tmp_path, capsys, disk_scene):
     path = tmp_path / "disk.toy"
     path.write_text(serialize_scene(disk_scene))

@@ -232,6 +232,7 @@ def test_spectrum_threaded_matches_serial(two_disk_scene):
     pooled = sl.travelling_time_spectrum(two_disk_scene, n_points=8, threads=2)
     assert serial.cells == pooled.cells
     assert serial.samples == pooled.samples
+    assert serial.diagnostics == pooled.diagnostics
 
 
 def test_spectrum_empty_scene_chords(empty_scene):
@@ -344,6 +345,129 @@ def test_spectrum_2d_matches_per_pair_search(two_disk_scene):
             dataclasses.replace(s, pair=k) for s in alone]
 
 
+def _scalar_sweep(scene, x, n_seeds):
+    """The d = 2 sweep from x one shot at a time, each split gap subdivided
+    depth first: the reference the lockstep sweep reproduces."""
+    spectra = sl.spectra
+    frame = spectra._frame_at(scene, x)
+
+    def entry(psi):
+        shot = spectra._shoot(scene, x, spectra._launch_dir(frame, psi))
+        if shot is None:
+            return psi, False, 0.0, ()
+        return (psi, True, spectra._sphere_angle(scene, shot[3]),
+                tuple(e[0] for e in shot[1] if not e[4]))
+
+    def needs_split(ea, eb):
+        return (ea[1] != eb[1] or ea[3] != eb[3]
+                or (ea[1] and abs(spectra._wrap(ea[2] - eb[2])) > spectra._EXIT_JUMP_TOL))
+
+    def split(ea, eb, depth, out):
+        em = entry(0.5 * (ea[0] + eb[0]))
+        if depth > 1 and needs_split(ea, em):
+            split(ea, em, depth - 1, out)
+        out.append(em)
+        if depth > 1 and needs_split(em, eb):
+            split(em, eb, depth - 1, out)
+
+    seeds = [entry(-0.5 * math.pi + math.pi * (k + 0.5) / n_seeds) for k in range(n_seeds)]
+    out = seeds[:1]
+    for ea, eb in zip(seeds[:-1], seeds[1:]):
+        if needs_split(ea, eb):
+            split(ea, eb, spectra._BOUNDARY_SPLIT_DEPTH, out)
+        out.append(eb)
+    return out
+
+
+@pytest.mark.parametrize("scene_name", ["two_disk_scene", "three_disk_scene"])
+def test_batched_sweep_matches_scalar_shots(scene_name, request):
+    # The lockstep sweep has the entries of the one-shot-at-a-time sweep, in
+    # the same order, and each makes the escape and itinerary decisions of a
+    # single _shoot at its launch angle. Exit angles of free chords agree
+    # bitwise, so a seed that lands exactly on its target is seen as such;
+    # with reflections they agree to 1e-12, widened tenfold per reflection:
+    # the batched kernel Newton-polishes each hit and the scalar 2-D kernel
+    # does not, which moves near-grazing hits, and the dynamics expand the gap.
+    scene = request.getfixturevalue(scene_name)
+    spectra = sl.spectra
+    x = np.array([10.0 * math.cos(2.2), 10.0 * math.sin(2.2)])
+    (sweep,), _, rays = spectra._sweeps_2d(scene, x[None, :], spectra.SEEDS_2D)
+    ref = _scalar_sweep(scene, x, spectra.SEEDS_2D)
+    assert sweep.psi == [e[0] for e in ref]
+    assert rays == len(ref) > spectra.SEEDS_2D
+    assert any(sweep.itinerary)
+    for (_, escaped, angle, itin), got_escaped, got_angle, got_itin in zip(
+            ref, sweep.escaped, sweep.angle, sweep.itinerary):
+        assert got_escaped == escaped
+        assert got_itin == itin
+        miss = spectra._wrap(got_angle - angle)
+        assert abs(miss) <= (1e-12 * 10.0 ** len(itin) if itin else 0.0)
+
+
+def test_bracket_scan_matches_scalar_loop(two_disk_scene, monkeypatch):
+    # The numpy scan over a sweep takes the exact hits and opens the
+    # brackets (lo, hi, flo) that a loop over adjacent entries does. At
+    # n = 32, phase 0.3 a seed of this source point exits exactly at a partner.
+    spectra = sl.spectra
+    pts, pairs = spectra._pair_grid(two_disk_scene, 32, 1.0, 0.3)
+    i = pairs[360][0]
+    (sweep,), _, _ = spectra._sweeps_2d(two_disk_scene, pts[i:i + 1], spectra.SEEDS_2D)
+    calls = []
+    monkeypatch.setattr(spectra, "_bisect_2d",
+                        lambda scene, x, y, ty, frame, lo, hi, flo: calls.append((lo, hi, flo)))
+    monkeypatch.setattr(spectra, "_delta_at",
+                        lambda scene, x, frame, psi, ty: calls.append((psi,)) or (None, None))
+    want = []
+    entries = list(zip(sweep.psi, sweep.escaped.tolist(), sweep.angle.tolist()))
+    for j in [j for ii, j in pairs if ii == i]:
+        ty = spectra._sphere_angle(two_disk_scene, pts[j])
+        for (pa, ea, aa), (pb, eb, ab) in zip(entries, entries[1:]):
+            if not (ea and eb):
+                continue
+            da, db = spectra._wrap(aa - ty), spectra._wrap(ab - ty)
+            if da == 0.0:
+                want.append((pa,))
+            elif da * db < 0.0 and abs(da - db) < math.pi:
+                want.append((pa, pb, da))
+        spectra._refine_pair_2d(two_disk_scene, pts[i], pts[j], sweep)
+    assert calls == want
+    assert any(len(c) == 1 for c in want)
+
+
+def test_sweep_lockstep_budget(two_disk_scene, monkeypatch):
+    # Counted work: the sweeps of all source points take one batched trace
+    # for the seeds and one per split depth; only root refinement shoots
+    # single rays. Tracing every sweep shot alone fires 6,761 shots here.
+    spectra = sl.spectra
+    shoot, many = spectra._shoot, spectra._trace_many
+    shots = []
+    rows = []
+
+    def counting_shoot(*args):
+        shots.append(1)
+        return shoot(*args)
+
+    def counting_many(scene, O, U):
+        rows.append(len(O))
+        return many(scene, O, U)
+
+    monkeypatch.setattr(spectra, "_shoot", counting_shoot)
+    monkeypatch.setattr(spectra, "_trace_many", counting_many)
+    table = sl.travelling_time_spectrum(two_disk_scene, n_points=4, phase=0.3)
+    assert table.samples
+    assert len(rows) <= 1 + spectra._BOUNDARY_SPLIT_DEPTH
+    assert len(shots) <= 3000
+    assert table.diagnostics_dict()["sweep_rays"] == sum(rows)
+
+
+def test_travel_refuses_curve_scenes():
+    scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
+    with pytest.raises(sl.ContractError, match="curve obstacles"):
+        sl.travelling_time_spectrum(scene, n_points=4)
+    with pytest.raises(sl.ContractError, match="curve obstacles"):
+        sl.find_xy_geodesics(scene, (-10.0, 0.0), (10.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # d = 3 smoke coverage
 # ---------------------------------------------------------------------------
@@ -425,6 +549,7 @@ def test_spectrum_3d_threaded_matches_serial():
     pooled = sl.travelling_time_spectrum(scene, n_points=3, n_seeds=200, threads=2)
     assert serial.cells == pooled.cells
     assert serial.samples == pooled.samples
+    assert serial.diagnostics == pooled.diagnostics
 
 
 def test_spectrum_mirror_polishes_each_raw_root_once(two_disk_scene, monkeypatch):
