@@ -47,7 +47,7 @@ class RayIntersectError(RuntimeError):
 
 
 def _as_tuple(x) -> tuple:
-    return tuple(float(v) for v in np.asarray(x, dtype=float).ravel())
+    return tuple(np.asarray(x, dtype=float).ravel().tolist())
 
 
 def rotation_2d(angle: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import PhaseState, _escape_distance, _trace_raw
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
-                       boundary_samples)
+                       _rowdot, boundary_samples)
 from .spectra import (ContractError, SpectrumTable, TravellingTimeSample,
                       _grid_tuple)
 
@@ -125,39 +125,60 @@ class ProbeCountReport:
 
 
 def sphere_probes(scene: Scene, n: int, seed: int) -> list[PhaseState]:
-    """Seeded random inward phase points on the reference sphere."""
+    """Seeded random inward phase points on the reference sphere.
+
+    Probe k is built from the k-th accepted pair of d-normal draws of
+    ``default_rng(seed)`` (u for the point, then v for the direction), so a
+    seed keeps its probes however they are generated. Raises ContractError
+    when n < 1.
+    """
+    X, V = _probe_rows(scene, n, seed)
+    return [PhaseState(x, v) for x, v in zip(X.tolist(), V.tolist())]
+
+
+def _probe_rows(scene: Scene, n: int, seed: int):
+    """The points and directions of sphere_probes(scene, n, seed) as rows.
+    Row k of a block holds candidate k's u and v draws; a candidate whose v
+    is zero, or still faces out after reflection, is dropped, and a further
+    block covers the shortfall."""
+    if n < 1:
+        raise ContractError(f"a probe family needs at least one ray, got {n}")
     rng = np.random.default_rng(seed)
     center = np.asarray(scene.ball_center)
-    a = scene.ball_radius
-    d = scene.dimension
-    probes = []
-    while len(probes) < n:
-        u = rng.normal(size=d)
-        u /= float(np.linalg.norm(u))
-        x = center + a * u
-        v = rng.normal(size=d)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        if float(v @ u) > -1e-9:
-            v = v - 2.0 * float(v @ u) * u
-        if float(v @ u) > -1e-9:
-            continue
-        probes.append(PhaseState(_as_tuple(x), _as_tuple(v)))
-    return probes
+    xs, vs = [], []
+    short = n
+    while short:
+        uv = rng.normal(size=(short, 2, scene.dimension))
+        u, v = uv[:, 0], uv[:, 1]
+        u = u / np.sqrt(_rowdot(u, u))[:, None]
+        nv = np.sqrt(_rowdot(v, v))
+        live = nv != 0.0
+        u, v = u[live], v[live] / nv[live, None]
+        vu = _rowdot(v, u)
+        out = vu > -1e-9
+        v[out] -= (2.0 * vu[out])[:, None] * u[out]
+        keep = ~(_rowdot(v, u) > -1e-9)
+        xs.append(center + scene.ball_radius * u[keep])
+        vs.append(v[keep])
+        short -= int(keep.sum())
+    return np.concatenate(xs), np.concatenate(vs)
 
 
 def reflection_count_probe(scene_a: Scene, scene_b: Scene,
                            probes: Sequence[PhaseState]) -> ProbeCountReport:
-    """Trace each probe in both scenes and compare proper reflection counts."""
+    """Trace each probe in both scenes and compare proper reflection counts.
+
+    Raises ContractError for an empty probe list.
+    """
+    if not probes:
+        raise ContractError("there are no probes to trace")
     counts = []
     for p in probes:
         na = _count_reflections(scene_a, p)
         nb = _count_reflections(scene_b, p)
         counts.append((na, nb))
     equal = sum(1 for a, b in counts if a == b)
-    return ProbeCountReport(tuple(counts), equal / max(1, len(counts)))
+    return ProbeCountReport(tuple(counts), equal / len(counts))
 
 
 def _count_reflections(scene: Scene, p: PhaseState) -> int:
@@ -187,14 +208,17 @@ def accessible_coverage(scene: Scene, n_rays: int, eps: float,
 
     Marks every proper reflection point of escaped trajectories launched from
     seeded random sphere probes, then reports the fraction of a uniform
-    boundary sample lying within eps of a mark.
+    boundary sample lying within eps of a mark. Raises ContractError when
+    n_rays < 1 or eps is not a finite positive number.
     """
-    probes = sphere_probes(scene, n_rays, seed)
+    if not 0.0 < eps < math.inf:
+        raise ContractError(f"coverage eps must be finite and positive, got {eps}")
+    X, V = _probe_rows(scene, n_rays, seed)
     nb = len(scene.bodies)
     marks = {}
     n_escaped = n_cutoff = 0
-    for p in probes:
-        escaped, events, _, _, _ = _trace_raw(scene, p.point, p.direction)
+    for x, v in zip(X.tolist(), V.tolist()):
+        escaped, events, _, _, _ = _trace_raw(scene, x, v)
         if not escaped:
             n_cutoff += 1
             continue
@@ -474,11 +498,16 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
     aperture rays and zero hits on the plate undersides (the dynamical blind
     spot); the focal reflection property; that every sampled exit crossing
     of the focal line falls strictly between the foci; and that the two
-    variants' sampled spectra are indistinguishable.
+    variants' sampled spectra are indistinguishable. Raises ContractError
+    when n_offsets, n_angles or n_focal is below 1: with no ray traced, no
+    check would vouch for anything.
     """
     if params is None:
         params = LivshitsParams()
     params.validate()
+    if min(params.n_offsets, params.n_angles, params.n_focal) < 1:
+        raise ContractError("the demonstration needs at least one offset, one angle "
+                            "and one focal ray")
     scenes = (build_livshits_scene(params, "bump"),
               build_livshits_scene(params, "flat"))
     c = params.focal_half_distance

@@ -253,8 +253,9 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
     cells = []
     cutoff = 0
     omega = _as_tuple(win)
-    for i in range(offsets.shape[0]):
-        launch = _as_tuple(foot + offsets[i] @ basis)
+    launches = (foot + np.matmul(offsets[:, None, :], basis)[:, 0]).tolist()
+    for i, (launch, impact) in enumerate(zip(launches, offsets.tolist())):
+        launch = tuple(launch)
         escaped, events, leg, fdir, length = _trace_raw(scene, launch, win)
         if not escaped:
             cutoff += 1
@@ -265,9 +266,9 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
         samples.append(SLSSample(
             index=i,
             omega=omega,
-            impact=_as_tuple(offsets[i]),
+            impact=tuple(impact),
             impact_point=launch,
-            theta=_as_tuple(fdir),
+            theta=fdir,
             sojourn=t_soj,
             reflections=len(refl),
             grazing=any(e[4] for e in events),

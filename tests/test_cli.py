@@ -113,6 +113,22 @@ def test_coverage_command(disk_file, capsys):
     assert "body 0" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["coverage", "{disk}", "--rays", "300", "--eps", "nan"], "finite and positive"),
+    (["coverage", "{disk}", "--rays", "300", "--eps", "0"], "finite and positive"),
+    (["coverage", "{disk}", "--rays", "0"], "at least one ray"),
+    (["probe-counts", "{disk}", "{disk}", "--n", "0"], "at least one ray"),
+    (["demo-livshits", "--focal", "0"], "at least one"),
+    (["demo-livshits", "--offsets", "0"], "at least one"),
+    (["demo-livshits", "--angles", "0"], "at least one"),
+])
+def test_ray_families_without_rays_exit_1(disk_file, capsys, argv, expected):
+    assert run_command([a.format(disk=disk_file) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and expected in captured.err
+
+
 def test_reconstruct_command(disk_file, tmp_path, capsys):
     travel_csv = tmp_path / "travel.csv"
     assert run_command(["travel", disk_file, "--points", "16",

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import scatterlab as sl
 
@@ -112,6 +114,85 @@ def test_probe_disk_visible_from_one_side(two_disk_scene):
     assert report.equal_fraction == 1.0
 
 
+def _probes_one_at_a_time(scene, n, rng):
+    """The per-probe reference: draw u then v, reflect an outward v, and
+    skip a zero v or one that still faces out."""
+    center = np.asarray(scene.ball_center)
+    probes = []
+    while len(probes) < n:
+        u = rng.normal(size=scene.dimension)
+        u /= float(np.linalg.norm(u))
+        x = center + scene.ball_radius * u
+        v = rng.normal(size=scene.dimension)
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            continue
+        v /= nv
+        if float(v @ u) > -1e-9:
+            v = v - 2.0 * float(v @ u) * u
+        if float(v @ u) > -1e-9:
+            continue
+        probes.append((tuple(float(c) for c in x), tuple(float(c) for c in v)))
+    return probes
+
+
+def _scene_in(dimension):
+    center = (1.0,) + (0.0,) * (dimension - 1)
+    return sl.Scene(dimension=dimension, bodies=(sl.ball(center, 2.0),), ball_radius=10.0)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 7, 19])
+def test_sphere_probes_match_one_at_a_time(dimension, seed):
+    scene = _scene_in(dimension)
+    probes = sl.sphere_probes(scene, 500, seed)
+    expected = _probes_one_at_a_time(scene, 500, np.random.default_rng(seed))
+    assert [(p.point, p.direction) for p in probes] == expected
+
+
+class _RiggedNormals:
+    """Wraps a generator so that its stream of normals has the v draw of
+    some candidates zeroed and of others turned tangent to u, however the
+    stream is requested; each candidate takes 2d draws, u then v."""
+
+    def __init__(self, rng, dimension, zero, tangent):
+        self.rng = rng
+        self.d, self.zero, self.tangent = dimension, zero, tangent
+        self.drawn = []
+
+    def normal(self, size):
+        block = self.rng.normal(size=size).ravel()
+        for j in range(block.size):
+            k, r = divmod(len(self.drawn), 2 * self.d)
+            if r >= self.d and k in self.zero:
+                block[j] = 0.0
+            elif r >= self.d and k in self.tangent:
+                u0, u1 = self.drawn[2 * self.d * k:2 * self.d * k + 2]
+                block[j] = (-u1, u0, 0.0, 0.0)[r - self.d]
+            self.drawn.append(block[j])
+        return block.reshape(size)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_sphere_probes_refill_dropped_candidates(monkeypatch, dimension):
+    scene = _scene_in(dimension)
+    rigged = dict(dimension=dimension, zero={1, 40, 41}, tangent={3, 57, 58, 59})
+    real = np.random.default_rng
+    expected = _probes_one_at_a_time(scene, 60, _RiggedNormals(real(4), **rigged))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _RiggedNormals(real(seed), **rigged))
+    probes = sl.sphere_probes(scene, 60, 4)
+    assert [(p.point, p.direction) for p in probes] == expected
+
+
+def test_empty_probe_families_are_refused(three_disk_scene):
+    for n in (0, -3):
+        with pytest.raises(sl.ContractError, match="at least one ray"):
+            sl.sphere_probes(three_disk_scene, n, seed=1)
+    with pytest.raises(sl.ContractError, match="no probes"):
+        sl.reflection_count_probe(three_disk_scene, three_disk_scene, [])
+
+
 # ---------------------------------------------------------------------------
 # Coverage
 # ---------------------------------------------------------------------------
@@ -133,6 +214,38 @@ def test_coverage_unreached_atlas(two_disk_scene):
     assert 0.0 <= report.body_coverage[0] <= 1.0
     for oid, pts in report.unreached:
         assert pts.ndim == 2
+
+
+@pytest.mark.parametrize("scene_name", ["disk_scene", "three_disk_scene",
+                                        "ball_ellipsoid_scene"])
+def test_coverage_marks_the_traced_probes(request, scene_name):
+    scene = request.getfixturevalue(scene_name)
+    eps = 0.05
+    report = sl.accessible_coverage(scene, 400, eps, seed=9)
+    marks = {i: [] for i in range(len(scene.bodies))}
+    escaped = 0
+    for p in sl.sphere_probes(scene, 400, 9):
+        rec = sl.trace(scene, p)
+        if rec.escaped:
+            escaped += 1
+            for e in rec.events:
+                if not e.grazing:
+                    marks[e.obstacle].append(e.point)
+    assert (report.n_escaped, report.n_cutoff) == (escaped, 400 - escaped)
+    assert all(marks.values())
+    unreached = dict(report.unreached)
+    for i, body in enumerate(scene.bodies):
+        samples = sl.boundary_samples(body, 2048)
+        dist = cKDTree(np.asarray(marks[i])).query(samples)[0]
+        assert report.body_coverage[i] == float(np.mean(dist <= eps))
+        assert np.array_equal(unreached.get(i, samples[:0]), samples[dist > eps])
+
+
+@pytest.mark.parametrize("n_rays, eps", [(0, 0.05), (-1, 0.05), (10, 0.0), (10, -0.1),
+                                         (10, math.nan), (10, math.inf)])
+def test_degenerate_coverage_input_is_refused(disk_scene, n_rays, eps):
+    with pytest.raises(sl.ContractError):
+        sl.accessible_coverage(disk_scene, n_rays, eps, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +380,13 @@ def test_livshits_exit_between_foci():
     s = -p[1] / d[1]
     x_exit = p[0] + s * d[0]
     assert abs(x_exit) < c
+
+
+@pytest.mark.parametrize("field", ["n_offsets", "n_angles", "n_focal"])
+def test_livshits_demo_refuses_runs_without_rays(field):
+    params = sl.LivshitsParams(n_offsets=4, n_angles=4, n_focal=4)
+    with pytest.raises(sl.ContractError, match="at least one"):
+        sl.livshits_demo(dataclasses.replace(params, **{field: 0}))
 
 
 def test_livshits_demo_small():

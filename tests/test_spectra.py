@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
+from scatterlab.geometry import _as_tuple
+from scatterlab.spectra import impact_lattice, plane_basis, unit_vector
 from oracles import blocked_pair, circle_pair, fermat_circle_times
 
 
@@ -269,6 +271,24 @@ def test_scan_ball_independence_per_sample(disk_scene, two_disk_scene):
                 rec = sl.trace(bigger, sl.PhaseState(s.impact_point, s.omega))
                 t2 = sl.sojourn_time(bigger, rec, s.omega, rec.final.direction)
                 assert abs(t2 - s.sojourn) < 1e-9
+
+
+@pytest.mark.parametrize("scene_name, omega", [
+    ("two_disk_scene", (math.cos(0.7), math.sin(0.7))),
+    ("ball_ellipsoid_scene", (0.0, 0.6, 0.8)),
+])
+def test_scan_launches_match_one_at_a_time(request, scene_name, omega):
+    scene = request.getfixturevalue(scene_name)
+    table = sl.scan_sls(scene, omega, 300)
+    win = unit_vector(omega)
+    basis = plane_basis(win)
+    offsets = impact_lattice(scene.dimension, 300, scene.ball_radius)
+    foot = np.asarray(scene.ball_center) - scene.ball_radius * win
+    assert len(table.samples) > 150
+    for s in table.samples:
+        assert s.impact == _as_tuple(offsets[s.index])
+        assert s.impact_point == _as_tuple(foot + offsets[s.index] @ basis)
+        assert all(type(c) is float for c in s.impact_point + s.theta)
 
 
 def test_table_metadata(disk_scene):
