@@ -151,7 +151,7 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
     nrefl = 0
     events = []
     while True:
-        h = _first_hit_2d(k, ox, oy, ux, uy, 0.0)
+        h = _first_hit_2d(k, ox, oy, ux, uy)
         if h is None:
             return True, events, (px_prev, py_prev), (ux, uy), total
         oid, arc, t, px, py, nx, ny, cosi, grazing = h

@@ -187,7 +187,8 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
 
     Convexity gives at most two roots; a discriminant inside the snap band is
     treated as a double root and flagged grazing, as is any simple root whose
-    incidence cosine is below the tangency threshold.
+    incidence cosine is below the tangency threshold. Raises ValueError
+    unless the direction is a unit vector (to 1e-9).
     """
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)
@@ -202,7 +203,8 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
 
 
 def _check_unit(v: np.ndarray) -> None:
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+    # Written so that a NaN norm fails the check too.
+    if not abs(math.hypot(*v) - 1.0) <= 1e-9:
         raise ValueError("direction must be a unit vector")
 
 
@@ -258,13 +260,13 @@ def _surface_at(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float):
     return p, n, float(v @ n)
 
 
-def _nearest_body_hit(scene: Scene, o: np.ndarray, v: np.ndarray, t_min: float = 0.0):
-    """Nearest body hit of one ray after t_min as (id, t, point, normal,
-    cos_incidence, grazing), or None; ties go to the lowest id. The direction
-    must be a unit vector."""
+def _nearest_body_hit(scene: Scene, o: np.ndarray, v: np.ndarray):
+    """Nearest body hit of one ray as (id, t, point, normal, cos_incidence,
+    grazing), or None; ties go to the lowest id. The direction must be a
+    unit vector."""
     best = None
     for i, body in enumerate(scene.bodies):
-        root = _body_root(body, o, v, t_min)
+        root = _body_root(body, o, v, 0.0)
         if root is not None and (best is None or root[0] < best[1]):
             best = (i, *root)
     if best is None:
@@ -550,25 +552,11 @@ class Scene:
 
     @property
     def digest(self) -> str:
-        """Hash of the geometric content (metadata-free), for table provenance."""
-        parts = [f"d={self.dimension}", _fmt_floats(self.ball_center),
-                 f"{self.ball_radius:.17g}"]
-        for b in self.bodies:
-            parts.append("|".join([b.kind, _fmt_floats(b.center), _fmt_floats(b.semiaxes),
-                                   _fmt_floats(np.asarray(b.rotation).ravel())]))
-        for c in self.curves:
-            for a in c.arcs:
-                if isinstance(a, EllipticArc):
-                    parts.append("|".join(["e", _fmt_floats(a.center), _fmt_floats(a.semiaxes),
-                                           _fmt_floats(a.angles), ",".join(sorted(a.tags))]))
-                else:
-                    parts.append("|".join(["s", _fmt_floats(a.start), _fmt_floats(a.end),
-                                           ",".join(sorted(a.tags))]))
-        return hashlib.sha256(";".join(parts).encode()).hexdigest()
+        """SHA-256 of the metadata-free scene document, for table provenance;
+        the document round-trips every float bit-exactly."""
+        from .scenefile import serialize_scene  # scenefile imports this module
 
-
-def _fmt_floats(xs) -> str:
-    return ",".join(f"{float(x):.17g}" for x in np.asarray(xs, dtype=float).ravel())
+        return hashlib.sha256(serialize_scene(self).encode()).hexdigest()
 
 
 # Compiled scalar tables for the planar hot path. Entries:
@@ -608,7 +596,7 @@ def _arc_angle_ok(s: float, lo: float, span: float) -> bool:
     return r <= span + 1e-12 or r >= _TWO_PI - 1e-12
 
 
-def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, t_min: float):
+def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
     """Closest obstacle hit for a planar ray; ties go to the lowest id.
 
     Returns (obstacle_id, arc_index, t, px, py, nx, ny, cos_incidence,
@@ -627,15 +615,15 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, t_min: float):
             continue
         if disc <= DISCRIMINANT_EPS:
             t = -b
-            if t_min < t < best_t:
+            if 0.0 < t < best_t:
                 best_t = t
                 best = ("b", oid, -1, t, True, cx, cy, r)
             continue
         s = math.sqrt(disc)
         t = -b - s
-        if t <= t_min:
+        if t <= 0.0:
             t = -b + s
-            if t <= t_min:
+            if t <= 0.0:
                 continue
         if t < best_t:
             best_t = t
@@ -653,15 +641,15 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, t_min: float):
             continue
         if disc <= DISCRIMINANT_EPS:
             t = -b / al
-            if t_min < t < best_t:
+            if 0.0 < t < best_t:
                 best_t = t
                 best = ("e", oid, -1, t, True, cx, cy, m00, m01, m11)
             continue
         s = math.sqrt(disc)
         t = (-b - s) / al
-        if t <= t_min:
+        if t <= 0.0:
             t = (-b + s) / al
-            if t <= t_min:
+            if t <= 0.0:
                 continue
         if t < best_t:
             best_t = t
@@ -685,7 +673,7 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, t_min: float):
                 s = math.sqrt(disc)
                 roots = (((-b - s) / al, False), ((-b + s) / al, False))
             for t, gr in roots:
-                if t <= t_min or t >= best_t:
+                if t <= 0.0 or t >= best_t:
                     continue
                 px = ox + t * ux
                 py = oy + t * uy
@@ -703,7 +691,7 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, t_min: float):
             ry = y1 - oy
             t = (rx * ey - ry * ex) / det
             u = (rx * uy - ry * ux) / det
-            if t <= t_min or t >= best_t:
+            if t <= 0.0 or t >= best_t:
                 continue
             if -1e-12 * ln <= u <= ln * (1.0 + 1e-12):
                 best_t = t
@@ -752,24 +740,24 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, t_min: float):
     return (oid, ai if ai >= 0 else None, t, px, py, nx, ny, cosi, grazing)
 
 
-def scene_first_hit(scene: Scene, origin, direction,
-                    t_min: float = 0.0) -> Optional[tuple[int, Hit]]:
-    """Closest hit over all bodies and curve arcs, or None.
+def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]]:
+    """Closest hit of the ray over all bodies and curve arcs as
+    (obstacle_id, Hit), or None.
 
-    Ties between obstacles are broken toward the lowest obstacle id.
+    Ties between obstacles are broken toward the lowest obstacle id. Curve
+    normals face against the ray. Raises ValueError unless the direction is
+    a unit vector (to 1e-9), in every dimension.
     """
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)
+    _check_unit(v)
     if scene.dimension == 2:
-        raw = _first_hit_2d(scene._k2, float(o[0]), float(o[1]),
-                            float(v[0]), float(v[1]), t_min)
+        raw = _first_hit_2d(scene._k2, float(o[0]), float(o[1]), float(v[0]), float(v[1]))
         if raw is None:
             return None
         oid, arc, t, px, py, nx, ny, cosi, gr = raw
         return oid, Hit(t, (px, py), (nx, ny), cosi, gr, arc)
-    if scene.bodies:
-        _check_unit(v)
-    hit = _nearest_body_hit(scene, o, v, t_min)
+    hit = _nearest_body_hit(scene, o, v)
     if hit is None:
         return None
     oid, t, p, n, cosi, grazing = hit
@@ -810,8 +798,7 @@ _PAIR_SAMPLES = 720
 _HESSIAN_SAMPLES = 100
 
 
-def body_pair_distance(a: ConvexBody, b: ConvexBody,
-                       n_samples: int = _PAIR_SAMPLES) -> float:
+def body_pair_distance(a: ConvexBody, b: ConvexBody) -> float:
     """Minimum boundary-to-boundary distance, sampled plus local refinement.
 
     Exact for ball pairs; for ellipsoids this is a validation-grade estimate,
@@ -820,8 +807,8 @@ def body_pair_distance(a: ConvexBody, b: ConvexBody,
     if a.is_ball and b.is_ball:
         gap = math.dist(a.center, b.center) - a._r - b._r
         return float(gap)
-    pa = boundary_samples(a, n_samples)
-    pb = boundary_samples(b, n_samples)
+    pa = boundary_samples(a, _PAIR_SAMPLES)
+    pb = boundary_samples(b, _PAIR_SAMPLES)
     from scipy.spatial.distance import cdist
 
     dm = cdist(pa, pb)

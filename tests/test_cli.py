@@ -106,6 +106,18 @@ def test_probe_counts_self(disk_file, capsys):
     assert "equal_fraction: 1.0" in capsys.readouterr().out
 
 
+def test_probe_counts_refuses_mixed_dimensions(disk_file, tmp_path, capsys):
+    ball_file = tmp_path / "ball3.toy"
+    ball_scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 1.0),),
+                          ball_radius=10.0)
+    ball_file.write_text(serialize_scene(ball_scene, name="ball3", seed=5))
+    for a, b in ((str(ball_file), disk_file), (disk_file, str(ball_file))):
+        assert run_command(["probe-counts", a, b, "--n", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "dimension" in captured.err
+
+
 def test_coverage_command(disk_file, capsys):
     assert run_command(["coverage", disk_file, "--rays", "2000",
                         "--eps", "0.05"]) == 0

@@ -395,6 +395,16 @@ def test_trace_off_rotated_ellipsoid_reversible():
     assert checked > 30
 
 
+def _segment_scene(tag):
+    curve = sl.CurveObstacle((sl.SegmentArc((-1.0, 0.0), (1.0, 0.0), tags=(tag,)),))
+    return sl.Scene(dimension=2, curves=(curve,), ball_radius=10.0)
+
+
+def _ellipse_scene(rotation):
+    return sl.Scene(dimension=2, bodies=(sl.ellipsoid((0.0, 0.0), (1.5, 0.7), rotation),),
+                    ball_radius=10.0)
+
+
 def test_scene_digest_changes_with_geometry(two_disk_scene):
     other = sl.Scene(dimension=2,
                      bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((3.0, 0.5), 1.0)),
@@ -404,3 +414,24 @@ def test_scene_digest_changes_with_geometry(two_disk_scene):
                      bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((3.0, 0.0), 1.0)),
                      ball_radius=10.0)
     assert two_disk_scene.digest == again.digest
+    # One arc tag, or one ulp of one rotation entry, is enough to tell apart.
+    assert _segment_scene("plate").digest != _segment_scene("shell").digest
+    assert _segment_scene("plate").digest == _segment_scene("plate").digest
+    tilted = _ellipse_scene(sl.rotation_2d(0.3))
+    nudged = sl.rotation_2d(0.3)
+    nudged[0, 1] = np.nextafter(nudged[0, 1], 1.0)
+    assert tilted.digest != _ellipse_scene(nudged).digest
+    assert tilted.digest == _ellipse_scene(sl.rotation_2d(0.3)).digest
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("bad", [2.0, math.nan])
+def test_single_ray_queries_refuse_non_unit_directions(d, bad):
+    # A disk or ball of radius 1 at the origin, aimed at from x = -5.
+    scene = sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1.0),), ball_radius=10.0)
+    origin = (-5.0,) + (0.0,) * (d - 1)
+    direction = (bad,) + (0.0,) * (d - 1)
+    with pytest.raises(ValueError, match="unit vector"):
+        sl.scene_first_hit(scene, origin, direction)
+    with pytest.raises(ValueError, match="unit vector"):
+        sl.ray_intersect(scene.bodies[0], origin, direction)
