@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (Scene, _as_tuple, _first_hit_2d, _first_hits, _nearest_body_hit,
-                       _rowdot)
+from .geometry import (Scene, _as_tuple, _check_unit, _first_hit_2d, _first_hits,
+                       _hypots, _nearest_body_hit, _rowdot)
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -52,9 +52,7 @@ class PhaseState:
             raise ValueError("point/direction dimension mismatch")
         if not all(map(math.isfinite, p)):
             raise ValueError("point must be finite")
-        # Written as "not <=" so that a NaN or infinite direction fails too.
-        if not abs(math.hypot(*u) - 1.0) <= 1e-12:
-            raise ValueError("direction must be unit to within 1e-12")
+        _check_unit(u)
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "direction", u)
 
@@ -207,16 +205,35 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, lmax: float):
             return False, events, point, _as_tuple(u), total
 
 
-def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
-    """_trace_nd on every row of O (start points) and U (unit directions)
-    under the default limits. The rays advance in lockstep, one batched
-    kernel call per step for the rays still in flight, and each ray's
-    numbers are bitwise those of its single trace. Bodies only.
+class _EventLog(NamedTuple):
+    """Every event of a batch of traces, one entry per event, grouped by ray
+    and in order along each ray: the ray's row, the obstacle id, the arc
+    index (-1 for a body), the point, the grazing flag and the direction
+    after the event."""
 
-    Returns per ray (escaped, leg_origin, leg_length, direction, itinerary):
-    the start of the last free leg (the last event point, or the start
-    point when there was none), the path length up to it, the direction
-    along it, and the obstacle ids of the reflections.
+    rows: np.ndarray
+    obstacle: np.ndarray
+    arc: np.ndarray
+    point: np.ndarray
+    grazing: np.ndarray
+    direction: np.ndarray
+
+
+def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
+    """_trace_raw on every row of O (start points) and U (unit directions)
+    under the default limits. The rays advance in lockstep, one batched
+    kernel call per step for the rays still in flight. In d >= 3 each ray's
+    numbers are bitwise those of its single trace. On scenes with curves
+    (d = 2 only) reflections and path lengths take the planar kernel's
+    arithmetic, so those traces are bitwise those of _trace_2d as well. On
+    planar body scenes they take the BLAS row products of _trace_nd: the
+    batched kernel Newton-polishes body roots and _first_hit_2d does not,
+    so those traces agree with _trace_2d to rounding only.
+
+    Returns per ray (escaped, leg_origin, leg_length, direction): the start
+    of the last free leg (the last event point, or the start point when
+    there was none), the path length up to it and the direction along it;
+    and the _EventLog of all rays.
     """
     a = scene.ball_radius
     off = SURFACE_OFFSET_FRAC * a
@@ -228,40 +245,71 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     length = np.zeros(len(o))
     nrefl = np.zeros(len(o), dtype=int)
     escaped = np.zeros(len(o), dtype=bool)
-    itineraries = [[] for _ in range(len(o))]
+    dot, norm = (_coldot, _planar_norms) if scene.curves else (_rowdot, _row_norms)
+    # An empty first step fixes the log's dtypes and shapes, also for no rays.
+    steps = [(np.zeros(0, dtype=int),) * 3 + (o[:0], np.zeros(0, dtype=bool), o[:0])]
     live = np.arange(len(o))
     while live.size:
-        _, ids, grazing, p, n = _first_hits(scene, o[live], u[live])
+        _, ids, arcs, grazing, p, n = _first_hits(scene, o[live], u[live])
         hit = ids >= 0
         escaped[live[~hit]] = True
-        live, ids, grazing, p, n = live[hit], ids[hit], grazing[hit], p[hit], n[hit]
+        live, ids, arcs, grazing, p, n = (live[hit], ids[hit], arcs[hit], grazing[hit],
+                                          p[hit], n[hit])
         step = p - leg[live]
-        length[live] += np.sqrt(_rowdot(step, step))
+        length[live] += norm(step)
         leg[live] = p
         rows = live[grazing]
         o[rows] = p[grazing] + skip * u[rows]
-        rows, p, n = live[~grazing], p[~grazing], n[~grazing]
+        rows, q, n = live[~grazing], p[~grazing], n[~grazing]
         v = u[rows]
-        v = v - (2.0 * _rowdot(v, n))[:, None] * n
-        u[rows] = v / np.sqrt(_rowdot(v, v))[:, None]
-        o[rows] = p + off * n
+        v = v - (2.0 * dot(v, n))[:, None] * n
+        u[rows] = v / norm(v)[:, None]
+        o[rows] = q + off * n
         nrefl[rows] += 1
-        for k, oid in zip(rows.tolist(), ids[~grazing].tolist()):
-            itineraries[k].append(oid)
+        steps.append((live, ids, arcs, p, grazing, u[live]))
         live = live[(nrefl[live] < DEFAULT_MAX_REFLECTIONS) & (length[live] < lmax)]
-    return escaped, leg, length, u, [tuple(i) for i in itineraries]
+    log = [np.concatenate(field) for field in zip(*steps)]
+    # Each step's rows ascend, so a stable sort groups every ray's events in order.
+    order = np.argsort(log[0], kind="stable")
+    return escaped, leg, length, u, _EventLog(*(field[order] for field in log))
 
 
-def _escape_distance(scene: Scene, origin, direction) -> float:
-    """Distance along the free leg from origin to where it last crosses the
-    sphere of radius 2a about the ball center; never negative, and the
-    distance of closest approach for a leg that misses that sphere."""
-    w = [p - c for p, c in zip(origin, scene.ball_center)]
-    b = sum(wi * ui for wi, ui in zip(w, direction))
+def _planar_norms(a: np.ndarray) -> np.ndarray:
+    """Norms of planar rows with math.hypot, as _trace_2d takes them."""
+    return _hypots(a[:, 0], a[:, 1])
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Row norms as _trace_nd takes them."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _itineraries(log: _EventLog, n: int) -> list:
+    """The obstacle ids of the reflections (grazings excluded) of each of the
+    n rays of a _trace_many log, as tuples."""
+    refl = ~log.grazing
+    ids = log.obstacle[refl].tolist()
+    ends = np.cumsum(np.bincount(log.rows[refl], minlength=n)).tolist()
+    return [tuple(ids[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _escape_distance(scene: Scene, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Distance along each free leg from the rows of origins along the rows
+    of dirs to where it last crosses the sphere of radius 2a about the ball
+    center; never negative, and the distance of closest approach for a leg
+    that misses that sphere."""
+    w = origins - np.asarray(scene.ball_center)
+    b = _coldot(w, dirs)
     r = 2.0 * scene.ball_radius
-    disc = b * b - (sum(wi * wi for wi in w) - r * r)
-    s = -b + math.sqrt(disc) if disc >= 0.0 else -b
-    return max(s, 0.0)
+    disc = b * b - (_coldot(w, w) - r * r)
+    s = np.where(disc >= 0.0, -b + np.sqrt(np.maximum(disc, 0.0)), -b)
+    return np.maximum(s, 0.0)
+
+
+def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row inner products summed column by column from the first, the order
+    of a scalar loop over coordinates."""
+    return sum(a[..., k] * b[..., k] for k in range(a.shape[-1]))
 
 
 def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None) -> TrajectoryRecord:
@@ -274,7 +322,7 @@ def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None)
     """
     escaped, raw, fpt, fdir, total = _trace_raw(scene, state.point, state.direction, limits)
     if escaped:
-        s = _escape_distance(scene, fpt, fdir)
+        s = float(_escape_distance(scene, np.array(fpt), np.array(fdir)))
         fpt = tuple(p + s * u for p, u in zip(fpt, fdir))
         total += s
     return TrajectoryRecord(

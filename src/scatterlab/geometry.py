@@ -6,8 +6,10 @@ function phi(x) = |D^-1 R^T (x - c)|^2 - 1, negative inside, zero on the
 boundary, positive outside. Ray intersection reduces to a quadratic in the
 ray parameter; roots are taken in closed form and polished with Newton steps
 so |phi| at a reported hit stays below ROOT_TOL. A batched kernel applies the
-same rules to rows of rays at once and reproduces the single-ray numbers bit
-for bit.
+same rules to rows of rays at once, over bodies and curve arcs. It
+reproduces the single-ray numbers bit for bit in d >= 3 and on curve arcs;
+it Newton-polishes planar body hits and the planar scalar kernel does not,
+so those agree to rounding.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -30,6 +32,11 @@ TANGENT_COS_EPS = 1e-8
 DISCRIMINANT_EPS = 1e-14
 ROOT_TOL = 1e-9
 _NEWTON_CAP = 8
+
+# How far a direction's norm may be from 1 at every single-ray entry point:
+# the planar kernels take the direction as given, so a looser bound would let
+# reported points leave the boundary.
+UNIT_TOL = 1e-12
 
 _POLISH_FAILED = "ray-body root polish failed near a degenerate tangency"
 
@@ -188,7 +195,7 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
     Convexity gives at most two roots; a discriminant inside the snap band is
     treated as a double root and flagged grazing, as is any simple root whose
     incidence cosine is below the tangency threshold. Raises ValueError
-    unless the direction is a unit vector (to 1e-9).
+    unless the direction is a unit vector (to UNIT_TOL = 1e-12).
     """
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)
@@ -202,10 +209,10 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
                band or abs(cosi) < TANGENT_COS_EPS, None)
 
 
-def _check_unit(v: np.ndarray) -> None:
-    # Written so that a NaN norm fails the check too.
-    if not abs(math.hypot(*v) - 1.0) <= 1e-9:
-        raise ValueError("direction must be a unit vector")
+def _check_unit(v) -> None:
+    # Written so that a NaN or infinite norm fails the check too.
+    if not abs(math.hypot(*v) - 1.0) <= UNIT_TOL:
+        raise ValueError(f"direction must be a unit vector to within {UNIT_TOL}")
 
 
 def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float):
@@ -290,22 +297,33 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _hypots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot of each pair (x, y), as the planar kernel computes it;
+    np.hypot differs from it in the last bit for some inputs."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+
+
 def _matvecs(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """m @ w for each row w."""
     return np.matmul(m, w[:, :, None])[:, :, 0]
 
 
 def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
-    """Nearest body hit of every ray after t = 0, by the rules of
-    scene_first_hit; bodies only, curve arcs are not batched.
+    """Nearest hit of every ray after t = 0 over the bodies and the planar
+    curve arcs, by the rules of scene_first_hit: Newton-polished body roots
+    as in _nearest_body_hit, arcs as in _first_hit_2d (no polish, normals
+    flipped against the ray). Ties go to the lowest body id, then to bodies
+    over arcs, then to the earlier arc.
 
-    Returns (t, ids, grazing, points, normals) with one entry per row; a ray
-    that hits nothing has t = inf, id -1, grazing False and NaN point and
+    Returns (t, ids, arcs, grazing, points, normals) with one entry per row;
+    arcs holds the arc index within its curve, -1 for a body. A ray that
+    hits nothing has t = inf, id and arc -1, grazing False and NaN point and
     normal. Raises RayIntersectError when a root polish fails.
     """
     n_rays = O.shape[0]
     best_t = np.full(n_rays, np.inf)
     ids = np.full(n_rays, -1)
+    arcs = np.full(n_rays, -1)
     band = np.zeros(n_rays, dtype=bool)
     for i, body in enumerate(scene.bodies):
         t, body_band = _body_roots(body, O, U)
@@ -314,6 +332,17 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
         best_t[closer] = t[closer]
         ids[closer] = i
         band[closer] = body_band[closer]
+    # Strictly closer only, so ties stay with bodies and then earlier arcs.
+    entries = scene._k2[2] if scene.curves else ()
+    entry_of = np.full(n_rays, -1)
+    for k, entry in enumerate(entries):
+        t, arc_band = _arc_roots(entry, O, U)
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        ids[closer] = entry[0]
+        arcs[closer] = entry[1]
+        band[closer] = arc_band[closer]
+        entry_of[closer] = k
     points = np.full(O.shape, np.nan)
     normals = np.full(O.shape, np.nan)
     grazing = np.zeros(n_rays, dtype=bool)
@@ -328,7 +357,17 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
         points[rows] = p
         normals[rows] = n
         grazing[rows] = band[rows] | (np.abs(_rowdot(v, n)) < TANGENT_COS_EPS)
-    return best_t, ids, grazing, points, normals
+    for k, entry in enumerate(entries):
+        rows = np.flatnonzero(entry_of == k)
+        if not rows.size:
+            continue
+        v = U[rows]
+        p = O[rows] + best_t[rows, None] * v
+        n, cosi = _arc_normals(entry, p, v)
+        points[rows] = p
+        normals[rows] = n
+        grazing[rows] = band[rows] | (np.abs(cosi) < TANGENT_COS_EPS)
+    return best_t, ids, arcs, grazing, points, normals
 
 
 def _body_roots(body: ConvexBody, O: np.ndarray, U: np.ndarray):
@@ -596,6 +635,67 @@ def _arc_angle_ok(s: float, lo: float, span: float) -> bool:
     return r <= span + 1e-12 or r >= _TWO_PI - 1e-12
 
 
+def _arc_roots(entry, O: np.ndarray, U: np.ndarray):
+    """The crossing of every planar ray with one arc entry of _compile_2d,
+    by the rules of _first_hit_2d applied elementwise: (t, band) per row,
+    t = inf where the ray does not cross the arc after t = 0, band marking a
+    root from the double-root snap band."""
+    ox, oy, ux, uy = O[:, 0], O[:, 1], U[:, 0], U[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if entry[2] == "s":
+            _, _, _, x1, y1, ex, ey, ln = entry
+            det = ux * ey - uy * ex
+            rx = x1 - ox
+            ry = y1 - oy
+            t = (rx * ey - ry * ex) / det
+            u = (rx * uy - ry * ux) / det
+            ok = ((np.abs(det) >= 1e-15) & (t > 0.0)
+                  & (-1e-12 * ln <= u) & (u <= ln * (1.0 + 1e-12)))
+            return np.where(ok, t, np.inf), np.zeros(len(t), dtype=bool)
+        _, _, _, cx, cy, sa, sb, lo, span = entry
+        wx = (ox - cx) / sa
+        wy = (oy - cy) / sb
+        vx = ux / sa
+        vy = uy / sb
+        al = vx * vx + vy * vy
+        b = wx * vx + wy * vy
+        g = wx * wx + wy * wy - 1.0
+        disc = b * b - al * g
+        band = np.abs(disc) <= DISCRIMINANT_EPS
+        two = disc > DISCRIMINANT_EPS
+        s = np.sqrt(np.where(two, disc, 0.0))
+        near = np.where(band, -b / al, np.where(two, (-b - s) / al, np.nan))
+        far = np.where(two, (-b + s) / al, np.nan)
+
+        def on_arc(t):
+            ang = np.arctan2((oy + t * uy - cy) / sb, (ox + t * ux - cx) / sa)
+            r = (ang - lo) % _TWO_PI
+            return (t > 0.0) & ((r <= span + 1e-12) | (r >= _TWO_PI - 1e-12))
+
+        # The nearer root counts when it lies on the arc, else the farther.
+        near_ok = on_arc(near)
+        t = np.where(near_ok, near, np.where(on_arc(far), far, np.inf))
+    return t, band & near_ok
+
+
+def _arc_normals(entry, P: np.ndarray, U: np.ndarray):
+    """Unit normals of one arc entry of _compile_2d at the rows of P,
+    flipped against the directions U, and the incidence cosines, as in
+    _first_hit_2d."""
+    if entry[2] == "s":
+        ex, ey = entry[5:7]
+        n = np.tile((-ey, ex), (len(P), 1))
+    else:
+        cx, cy, sa, sb = entry[3:7]
+        gx = (P[:, 0] - cx) / (sa * sa)
+        gy = (P[:, 1] - cy) / (sb * sb)
+        nn = _hypots(gx, gy)
+        n = np.column_stack([gx / nn, gy / nn])
+    ux, uy = U[:, 0], U[:, 1]
+    n[ux * n[:, 0] + uy * n[:, 1] > 0.0] *= -1.0
+    return n, ux * n[:, 0] + uy * n[:, 1]
+
+
 def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
     """Closest obstacle hit for a planar ray; ties go to the lowest id.
 
@@ -746,7 +846,7 @@ def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]
 
     Ties between obstacles are broken toward the lowest obstacle id. Curve
     normals face against the ray. Raises ValueError unless the direction is
-    a unit vector (to 1e-9), in every dimension.
+    a unit vector (to UNIT_TOL = 1e-12), in every dimension.
     """
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PhaseState, _escape_distance, _trace_raw
+from .dynamics import PhaseState, _escape_distance, _trace_many
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
                        _rowdot, boundary_samples)
 from .spectra import (ContractError, SpectrumTable, TravellingTimeSample,
@@ -167,6 +167,7 @@ def _probe_rows(scene: Scene, n: int, seed: int):
 def reflection_count_probe(scene_a: Scene, scene_b: Scene,
                            probes: Sequence[PhaseState]) -> ProbeCountReport:
     """Trace each probe in both scenes and compare proper reflection counts.
+    The probes are traced in one lockstep batch per scene.
 
     Raises ContractError for an empty probe list, for scenes of different
     dimensions, and for a probe whose dimension is not theirs.
@@ -178,18 +179,15 @@ def reflection_count_probe(scene_a: Scene, scene_b: Scene,
         raise ContractError(f"the scenes have dimensions {d} and {scene_b.dimension}")
     if any(len(p.point) != d for p in probes):
         raise ContractError(f"every probe must have the scenes' dimension {d}")
-    counts = []
-    for p in probes:
-        na = _count_reflections(scene_a, p)
-        nb = _count_reflections(scene_b, p)
-        counts.append((na, nb))
+    X = np.array([p.point for p in probes])
+    V = np.array([p.direction for p in probes])
+    per_scene = []
+    for scene in (scene_a, scene_b):
+        log = _trace_many(scene, X, V)[4]
+        per_scene.append(np.bincount(log.rows[~log.grazing], minlength=len(probes)).tolist())
+    counts = tuple(zip(*per_scene))
     equal = sum(1 for a, b in counts if a == b)
-    return ProbeCountReport(tuple(counts), equal / len(counts))
-
-
-def _count_reflections(scene: Scene, p: PhaseState) -> int:
-    _, events, _, _, _ = _trace_raw(scene, p.point, p.direction)
-    return sum(1 for e in events if not e[4])
+    return ProbeCountReport(counts, equal / len(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +211,34 @@ def accessible_coverage(scene: Scene, n_rays: int, eps: float,
     """Monte Carlo estimate of the reachable part of each obstacle boundary.
 
     Marks every proper reflection point of escaped trajectories launched from
-    seeded random sphere probes, then reports the fraction of a uniform
-    boundary sample lying within eps of a mark. Raises ContractError when
-    n_rays < 1 or eps is not a finite positive number.
+    seeded random sphere probes, traced in one lockstep batch, then reports
+    the fraction of a uniform boundary sample lying within eps of a mark.
+    Raises ContractError when n_rays < 1 or eps is not a finite positive
+    number.
     """
     if not 0.0 < eps < math.inf:
         raise ContractError(f"coverage eps must be finite and positive, got {eps}")
     X, V = _probe_rows(scene, n_rays, seed)
     nb = len(scene.bodies)
-    marks = {}
-    n_escaped = n_cutoff = 0
-    for x, v in zip(X.tolist(), V.tolist()):
-        escaped, events, _, _, _ = _trace_raw(scene, x, v)
-        if not escaped:
-            n_cutoff += 1
-            continue
-        n_escaped += 1
-        for e in events:
-            if e[4]:
-                continue
-            key = e[0] if e[0] < nb else (e[0], e[1])
-            marks.setdefault(key, []).append(e[2])
+    escaped, _, _, _, log = _trace_many(scene, X, V)
+    marked = escaped[log.rows] & ~log.grazing
+    n_escaped = int(np.count_nonzero(escaped))
+    n_cutoff = n_rays - n_escaped
     from scipy.spatial import cKDTree
 
-    def covered_fraction(samples, key):
-        pts = marks.get(key)
-        if not pts:
+    def covered_fraction(samples, mask):
+        pts = log.point[marked & mask]
+        if not pts.size:
             return 0.0, samples
-        dist = cKDTree(np.asarray(pts)).query(samples)[0]
+        dist = cKDTree(pts).query(samples)[0]
         keep = dist > eps
         return float(np.mean(~keep)), samples[keep]
 
     body_cov = []
     unreached = []
     for i, body in enumerate(scene.bodies):
-        frac, missed = covered_fraction(boundary_samples(body, _COVERAGE_SAMPLES), i)
+        frac, missed = covered_fraction(boundary_samples(body, _COVERAGE_SAMPLES),
+                                        log.obstacle == i)
         body_cov.append(frac)
         if missed.size:
             unreached.append((i, missed))
@@ -255,7 +246,8 @@ def accessible_coverage(scene: Scene, n_rays: int, eps: float,
     for ci, curve in enumerate(scene.curves):
         per_arc = max(8, _COVERAGE_SAMPLES // len(curve.arcs))
         for ai, arc in enumerate(curve.arcs):
-            frac, missed = covered_fraction(arc.sample(per_arc), (nb + ci, ai))
+            frac, missed = covered_fraction(arc.sample(per_arc),
+                                            (log.obstacle == nb + ci) & (log.arc == ai))
             arc_cov.append((nb + ci, ai, tuple(sorted(arc.tags)), frac))
             if missed.size:
                 unreached.append((nb + ci, missed))
@@ -469,14 +461,17 @@ class LivshitsReport:
 
 
 def _aperture_family(params: LivshitsParams):
+    """Launch points and directions of the aperture rays as rows, ray
+    i * n_angles + j at offset i and angle j; each direction is
+    (sin phi, -cos phi) of its angle, tiled over the offsets."""
     c = params.focal_half_distance
     span = params.offset_span * c
     amax = math.radians(params.angle_span_deg)
-    for i in range(params.n_offsets):
-        x0 = -span + 2.0 * span * (i + 0.5) / params.n_offsets
-        for j in range(params.n_angles):
-            phi = -amax + 2.0 * amax * (j + 0.5) / params.n_angles
-            yield i * params.n_angles + j, x0, (math.sin(phi), -math.cos(phi))
+    x0 = [-span + 2.0 * span * (i + 0.5) / params.n_offsets for i in range(params.n_offsets)]
+    phi = [-amax + 2.0 * amax * (j + 0.5) / params.n_angles for j in range(params.n_angles)]
+    O = np.column_stack([np.repeat(x0, params.n_angles), np.zeros(len(x0) * len(phi))])
+    U = np.tile([(math.sin(p), -math.cos(p)) for p in phi], (params.n_offsets, 1))
+    return O, U
 
 
 def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
@@ -486,9 +481,10 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
     aperture rays and zero hits on the plate undersides (the dynamical blind
     spot); the focal reflection property; that every sampled exit crossing
     of the focal line falls strictly between the foci; and that the two
-    variants' sampled spectra are indistinguishable. Raises ContractError
-    when n_offsets, n_angles or n_focal is below 1: with no ray traced, no
-    check would vouch for anything.
+    variants' sampled spectra are indistinguishable. The aperture rays are
+    traced in one lockstep batch per variant and the focal rays in one more.
+    Raises ContractError when n_offsets, n_angles or n_focal is below 1:
+    with no ray traced, no check would vouch for anything.
     """
     if params is None:
         params = LivshitsParams()
@@ -502,35 +498,33 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
     underside_hits = []
     tables = []
     max_exit = 0.0
+    O, U = _aperture_family(params)
     for scene in scenes:
         nb = len(scene.bodies)
-        hidden_ids = {nb + ci for ci, cv in enumerate(scene.curves)
-                      if "hidden" in cv.tags()}
-        plate_arcs = set()
+        escaped, legs, lengths, dirs, log = _trace_many(scene, O, U)
+        hidden = np.zeros(log.rows.size, dtype=bool)
+        plate = np.zeros(log.rows.size, dtype=bool)
         for ci, cv in enumerate(scene.curves):
+            on_curve = log.obstacle == nb + ci
+            if "hidden" in cv.tags():
+                hidden |= on_curve
             for ai, arc in enumerate(cv.arcs):
                 if "plate" in arc.tags:
-                    plate_arcs.add((nb + ci, ai))
-        h_hits = u_hits = 0
-        cells = []
-        for idx, x0, u in _aperture_family(params):
-            escaped, events, leg, fdir, length = _trace_raw(scene, (x0, 0.0), u)
-            incoming = u
-            for e in events:
-                if e[0] in hidden_ids:
-                    h_hits += 1
-                if (e[0], e[1]) in plate_arcs and incoming[1] > 0.0:
-                    u_hits += 1
-                incoming = e[6]
-            if events:
-                px, py = events[-1][2]
-                dx, dy = events[-1][6]
-                if dy > 0.0:
-                    s = -py / dy
-                    max_exit = max(max_exit, abs(px + s * dx))
-            cells.append((length + _escape_distance(scene, leg, fdir),) if escaped else ())
-        hidden_hits.append(h_hits)
-        underside_hits.append(u_hits)
+                    plate |= on_curve & (log.arc == ai)
+        # Each event's incoming direction: the launch direction for a ray's
+        # first event, else the direction after its previous event.
+        first = np.ones(log.rows.size, dtype=bool)
+        first[1:] = log.rows[1:] != log.rows[:-1]
+        incoming_y = np.where(first, U[log.rows, 1], np.roll(log.direction[:, 1], 1))
+        hidden_hits.append(int(np.count_nonzero(hidden)))
+        underside_hits.append(int(np.count_nonzero(plate & (incoming_y > 0.0))))
+        # legs and dirs hold the last event point and the direction after it.
+        up = (np.bincount(log.rows, minlength=len(O)) > 0) & (dirs[:, 1] > 0.0)
+        px, py = legs[up].T
+        dx, dy = dirs[up].T
+        max_exit = max([max_exit] + np.abs(px + (-py / dy) * dx).tolist())
+        cells = [(t,) if ok else () for t, ok in
+                 zip((lengths + _escape_distance(scene, legs, dirs)).tolist(), escaped.tolist())]
         grid = _grid_tuple({
             "kind": "livshits-family",
             "n_offsets": params.n_offsets,
@@ -541,19 +535,18 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
         })
         tables.append(SpectrumTable("livshits-family", scene.digest, grid,
                                     tuple(cells), (), ()))
+    phi = [math.radians(-80.0 + 160.0 * (j + 0.5) / params.n_focal)
+           for j in range(params.n_focal)]
+    _, _, _, _, log = _trace_many(scenes[0], np.tile((-c, 0.0), (params.n_focal, 1)),
+                                  np.array([(math.sin(p), -math.cos(p)) for p in phi]))
+    counts = np.bincount(log.rows, minlength=params.n_focal)
+    if not counts.all():
+        raise ContractError("focal ray missed the bowl; geometry is invalid")
+    first = np.cumsum(counts) - counts
     focal_err = 0.0
-    focus_a = (-c, 0.0)
-    focus_b = np.array([c, 0.0])
-    for j in range(params.n_focal):
-        phi = math.radians(-80.0 + 160.0 * (j + 0.5) / params.n_focal)
-        u = (math.sin(phi), -math.cos(phi))
-        _, events, _, _, _ = _trace_raw(scenes[0], focus_a, u)
-        if not events:
-            raise ContractError("focal ray missed the bowl; geometry is invalid")
-        px, py = events[0][2]
-        dx, dy = events[0][6]
-        r = focus_b - np.array([px, py])
-        focal_err = max(focal_err, abs(dx * r[1] - dy * r[0]) / math.hypot(dx, dy))
+    for (px, py), (dx, dy) in zip(log.point[first].tolist(), log.direction[first].tolist()):
+        # The distance of the far focus (c, 0) from the reflected ray's line.
+        focal_err = max(focal_err, abs(dx * (0.0 - py) - dy * (c - px)) / math.hypot(dx, dy))
     comparison = compare_spectra(tables[0], tables[1], tol=1e-6 * params.ball_radius)
     return LivshitsReport(
         params=params,

@@ -18,7 +18,8 @@ traces the seed sweeps of all its source points, in lockstep batches through
 one batched ray kernel: in d = 3 every seed in one batch, in d = 2 every
 seed in one and the gap midpoints of each split depth in one more. Each
 sweep serves every partner of its point, and only root refinement
-(bisection, polish, mirror polish) traces one ray at a time. The search is
+(bisection, polish, mirror polish) traces one ray at a time; the sojourn
+scan traces all its launches in one batch too. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed and
 re-polished once from the other, and the pair's cells in both orders are
 built from those two mirror lists, so swapping the endpoints returns
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _trace_many, _trace_raw
+from .dynamics import _coldot, _itineraries, _trace_many, _trace_raw
 from .geometry import Scene, _as_tuple, _rowdot, fibonacci_sphere
 
 DIRECTION_MATCH_TOL = 1e-9
@@ -143,22 +144,19 @@ def sojourn_time(scene: Scene, record, incoming, outgoing) -> float:
         raise ContractError("incoming direction disagrees with the record")
     if float(np.max(np.abs(dout - wout))) > DIRECTION_MATCH_TOL:
         raise ContractError("outgoing direction disagrees with the record")
-    last = None
-    if record.events:
-        last = (record.events[-1].point, record.events[-1].path_length)
-    return _sojourn(scene, record.initial.point, record.initial.direction, last,
-                    record.final.direction)
-
-
-def _sojourn(scene: Scene, start, win, last, wout) -> float:
-    """T = L + <p0 - c, win> - <x_k - c, wout> for the path from start = p0
-    along win whose last event is last = (x_k, L); 0.0 when last is None."""
-    if last is None:
+    if not record.events:
         return 0.0
-    point, length = last
-    c = scene.ball_center
-    return (length + sum((p - ci) * w for p, ci, w in zip(start, c, win))
-            - sum((p - ci) * w for p, ci, w in zip(point, c, wout)))
+    last = record.events[-1]
+    return float(_sojourns(scene, np.array(record.initial.point), din,
+                           np.array(last.point), last.path_length, dout))
+
+
+def _sojourns(scene: Scene, starts, win, points, lengths, wout):
+    """T = L + <p0 - c, win> - <x_k - c, wout> for each path from a row of
+    starts = p0 along win whose last event is the same row of points = x_k,
+    at path length L, leaving along that row of wout."""
+    c = np.asarray(scene.ball_center)
+    return lengths + _coldot(starts - c, win) - _coldot(points - c, wout)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +234,10 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
     """Sample the sojourn-time spectrum for one incoming direction.
 
     One trajectory is launched per impact-lattice point of the tangent
-    hyperplane facing ``incoming``. Escaped trajectories yield one sample
-    each; cutoff trajectories are counted but contribute nothing, which is
-    how trapped-set shadows show up in the table.
+    hyperplane facing ``incoming``, all traced in one lockstep batch.
+    Escaped trajectories yield one sample each; cutoff trajectories are
+    counted but contribute nothing, which is how trapped-set shadows show up
+    in the table.
     """
     if n_impacts < 1:
         raise ContractError("a sojourn-time scan needs at least one impact point")
@@ -249,30 +248,32 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
     basis = plane_basis(win)
     offsets = impact_lattice(d, n_impacts, a)
     foot = center - a * win
+    launches = foot + np.matmul(offsets[:, None, :], basis)[:, 0]
+    escaped, legs, lengths, dirs, log = _trace_many(scene, launches, np.tile(win, (n_impacts, 1)))
+    itins = _itineraries(log, n_impacts)
+    grazed = np.bincount(log.rows[log.grazing], minlength=n_impacts) > 0
+    # A ray without events keeps its launch point, length 0 and direction win,
+    # so its two inner products cancel exactly and T = 0.0.
+    times = _sojourns(scene, launches, win, legs, lengths, dirs)
+    omega = _as_tuple(win)
     samples = []
     cells = []
-    cutoff = 0
-    omega = _as_tuple(win)
-    launches = (foot + np.matmul(offsets[:, None, :], basis)[:, 0]).tolist()
-    for i, (launch, impact) in enumerate(zip(launches, offsets.tolist())):
-        launch = tuple(launch)
-        escaped, events, leg, fdir, length = _trace_raw(scene, launch, win)
-        if not escaped:
-            cutoff += 1
+    for i, (ok, launch, impact, theta, t_soj, graze) in enumerate(zip(
+            escaped.tolist(), launches.tolist(), offsets.tolist(), dirs.tolist(),
+            times.tolist(), grazed.tolist())):
+        if not ok:
             cells.append(())
             continue
-        t_soj = _sojourn(scene, launch, omega, (leg, length) if events else None, fdir)
-        refl = tuple(e[0] for e in events if not e[4])
         samples.append(SLSSample(
             index=i,
             omega=omega,
             impact=tuple(impact),
-            impact_point=launch,
-            theta=fdir,
+            impact_point=tuple(launch),
+            theta=tuple(theta),
             sojourn=t_soj,
-            reflections=len(refl),
-            grazing=any(e[4] for e in events),
-            itinerary=refl,
+            reflections=len(itins[i]),
+            grazing=graze,
+            itinerary=itins[i],
         ))
         cells.append((t_soj,))
     grid = _grid_tuple({
@@ -283,7 +284,7 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
         "ball_radius": float(a),
     })
     return SpectrumTable("sls", scene.digest, grid, tuple(cells), tuple(samples),
-                         (("cutoff", cutoff),))
+                         (("cutoff", n_impacts - len(samples)),))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,8 @@ def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
     def shots(src, psi):
         u = (np.array([math.cos(p) for p in psi.tolist()])[:, None] * m[src]
              + np.array([math.sin(p) for p in psi.tolist()])[:, None] * mp[src])
-        escaped, legs, _, dirs, itins = _trace_many(scene, xs[src], u)
+        escaped, legs, _, dirs, log = _trace_many(scene, xs[src], u)
+        itins = _itineraries(log, len(u))
         pts, crosses = _exit_crossings(scene, legs, dirs)
         ok = escaped & crosses
         # math.atan2, not np.arctan2, which can differ in the last bit.
@@ -634,9 +636,9 @@ _ON_SPHERE_FACTOR = 10.0
 
 def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
     """The seed count of a travel search, with the default filled in where
-    None; refuses fewer than one seed, scenes with curve obstacles, whose arcs
-    the batched sweep does not trace, and d >= 4, where no search is
-    implemented."""
+    None; refuses fewer than one seed, scenes with curve obstacles, which are
+    demonstrations outside the travel search's bodies-only design, and
+    d >= 4, where no search is implemented."""
     if scene.curves:
         raise ContractError("travelling times are not implemented for scenes with curve "
                             "obstacles, which are for demonstration only")

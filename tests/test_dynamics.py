@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.dynamics import _trace_many, _trace_raw
+from scatterlab.dynamics import _itineraries, _trace_many, _trace_raw
 from oracles import mirror_direction
 
 
@@ -250,13 +250,20 @@ def test_trace_many_matches_single_traces(ball_ellipsoid_scene):
     centers = np.array([b.center for b in scene.bodies])
     dirs = centers[np.arange(500) % 2] + rng.normal(scale=0.7, size=(500, 3)) - x
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    escaped, legs, lengths, finals, itins = _trace_many(scene, np.tile(x, (500, 1)), dirs)
+    escaped, legs, lengths, finals, log = _trace_many(scene, np.tile(x, (500, 1)), dirs)
+    itins = _itineraries(log, 500)
     reflections = []
     for k, u in enumerate(dirs):
         esc, events, leg, fdir, length = _trace_raw(scene, x, u)
         itin = tuple(e[0] for e in events if not e[4])
         assert escaped[k] == esc
         assert itins[k] == itin
+        # The log holds the ray's events in order, each bitwise its own.
+        rows = np.flatnonzero(log.rows == k)
+        assert [(log.obstacle[r], None if log.arc[r] < 0 else log.arc[r],
+                 tuple(log.point[r].tolist()), bool(log.grazing[r]),
+                 tuple(log.direction[r].tolist())) for r in rows] == \
+            [(e[0], e[1], e[2], e[4], e[6]) for e in events]
         reflections.append(len(itin))
         assert tuple(legs[k].tolist()) == leg
         assert lengths[k] == length

@@ -227,7 +227,8 @@ def test_batched_kernel_matches_scene_first_hit(d):
         rays += _tangent_rays(body, rng, 40)
     O = np.array([o for o, _ in rays])
     U = np.array([v for _, v in rays])
-    t, ids, grazing, points, normals = _first_hits(scene, O, U)
+    t, ids, arcs, grazing, points, normals = _first_hits(scene, O, U)
+    assert np.all(arcs == -1)
     # In d >= 3 both kernels make the same BLAS calls per ray, so they agree
     # bit for bit; d = 2 compares against the separate planar kernel.
     tol = 0.0 if d >= 3 else 1e-12 * a
@@ -248,6 +249,79 @@ def test_batched_kernel_matches_scene_first_hit(d):
     # Misses, hits on the ball and on the first copy of the ellipsoid (the
     # tie rule keeps the second copy out), and grazes on both shapes.
     assert kinds == {"miss", ("hit", 0), ("hit", 1), ("graze", 0), ("graze", 1)}
+
+
+def _segment_arc_scene() -> sl.Scene:
+    """A disk next to a D shape: a chord and the lower half of an ellipse."""
+    shape = sl.CurveObstacle((
+        sl.SegmentArc((-1.5, 0.0), (1.5, 0.0)),
+        sl.EllipticArc((0.0, 0.0), (1.5, 0.8), (0.0, -math.pi)),
+    ))
+    return sl.Scene(dimension=2, bodies=(sl.ball((0.0, 3.0), 1.0),), curves=(shape,),
+                    ball_radius=10.0)
+
+
+def _curve_rays(scene, rng):
+    """Random rays aimed near the curves, rays aimed exactly at every arc
+    endpoint, and rays tangent to every elliptic arc, from outside."""
+    rays = []
+
+    def aim(origin, target):
+        v = np.asarray(target, dtype=float) - origin
+        rays.append((origin, v / np.linalg.norm(v)))
+
+    for _ in range(500):
+        aim(rng.uniform(-6.0, 6.0, size=2), rng.uniform(-2.5, 1.0, size=2))
+    for curve in scene.curves:
+        for arc in curve.arcs:
+            for end in (arc.start, arc.end):
+                for _ in range(4):
+                    aim(np.asarray(end) + rng.normal(scale=3.0, size=2), end)
+            if isinstance(arc, sl.EllipticArc):
+                lo, hi = sorted(arc.angles)
+                for s in rng.uniform(lo, hi, size=30):
+                    sa, sb = arc.semiaxes
+                    v = np.array([-sa * math.sin(s), sb * math.cos(s)])
+                    v /= np.linalg.norm(v)
+                    rays.append((np.asarray(arc.point(s)) - 2.0 * v, v))
+    return rays
+
+
+@pytest.mark.parametrize("variant", ["bump", "flat", "segment-arc"])
+def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
+    # Arcs follow the planar kernel's arithmetic elementwise, so arc hits
+    # agree bit for bit; body hits differ by the Newton polish only.
+    if variant == "segment-arc":
+        scene = _segment_arc_scene()
+    else:
+        scene = sl.build_livshits_scene(sl.LivshitsParams(), variant)
+    a = scene.ball_radius
+    rays = _curve_rays(scene, np.random.default_rng(61))
+    O = np.array([o for o, _ in rays])
+    U = np.array([v for _, v in rays])
+    t, ids, arcs, grazing, points, normals = _first_hits(scene, O, U)
+    kinds = set()
+    for k, (o, v) in enumerate(rays):
+        ref = sl.scene_first_hit(scene, o, v)
+        if ref is None:
+            assert ids[k] == -1 and arcs[k] == -1 and t[k] == math.inf and not grazing[k]
+            kinds.add("miss")
+            continue
+        oid, hit = ref
+        assert (ids[k], arcs[k], bool(grazing[k])) == (oid, -1 if hit.arc is None else hit.arc,
+                                                       hit.grazing)
+        assert abs(t[k] - hit.t) <= 1e-12 * a
+        assert np.max(np.abs(points[k] - hit.point)) <= 1e-12 * a
+        if hit.arc is None:
+            assert np.max(np.abs(normals[k] - hit.normal)) <= 1e-9
+        else:
+            nx, ny = normals[k].tolist()
+            assert (nx, ny) == hit.normal
+            assert v[0] * nx + v[1] * ny <= 0.0
+            arc = scene.curves[oid - len(scene.bodies)].arcs[hit.arc]
+            kinds.add(("graze" if hit.grazing else "hit", type(arc).__name__))
+    assert {"miss", ("hit", "SegmentArc"), ("hit", "EllipticArc"),
+            ("graze", "EllipticArc")} <= kinds
 
 
 def test_hit_normal_is_unit():
@@ -435,3 +509,23 @@ def test_single_ray_queries_refuse_non_unit_directions(d, bad):
         sl.scene_first_hit(scene, origin, direction)
     with pytest.raises(ValueError, match="unit vector"):
         sl.ray_intersect(scene.bodies[0], origin, direction)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_ray_entry_points_share_one_unit_tolerance(d):
+    # 1e-10 off unit length: the planar disk formula would put the hit
+    # 1.6e-9 off the unit disk, so every entry point refuses it; 1e-13 off
+    # is inside UNIT_TOL = 1e-12 everywhere.
+    scene = sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1.0),), ball_radius=10.0)
+    origin = (-5.0,) + (0.0,) * (d - 1)
+    for off, refused in ((1e-10, True), (1e-13, False)):
+        direction = (1.0 + off,) + (0.0,) * (d - 1)
+        calls = (lambda: sl.scene_first_hit(scene, origin, direction),
+                 lambda: sl.ray_intersect(scene.bodies[0], origin, direction),
+                 lambda: sl.PhaseState(origin, direction))
+        for call in calls:
+            if refused:
+                with pytest.raises(ValueError, match="unit vector"):
+                    call()
+            else:
+                call()

@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import scatterlab as sl
+from scatterlab.dynamics import _trace_raw
 
 # ---------------------------------------------------------------------------
 # Finite-set Hausdorff and spectrum comparison
@@ -418,3 +419,191 @@ def test_livshits_hidden_arcs_unreachable_small():
     # The outer structure is reachable: the bowl and shell see plenty.
     assert any(c > 0.2 for (_, _, tags, c) in report.arc_coverage
                if "bowl" in tags or "shell" in tags)
+
+
+# ---------------------------------------------------------------------------
+# Ray families against one-ray-at-a-time references
+# ---------------------------------------------------------------------------
+# Each reference traces every ray alone through the scalar kernel, as the
+# families did before they were traced in lockstep batches.
+
+def _reflections_one_at_a_time(scene, probes):
+    return [sum(1 for e in _trace_raw(scene, p.point, p.direction)[1] if not e[4])
+            for p in probes]
+
+
+def test_probe_counts_match_one_at_a_time(three_disk_scene):
+    rot = sl.rotation_2d(0.4)
+    rotated = sl.Scene(dimension=2, bodies=tuple(sl.ball(rot @ b._c, 1.0)
+                                                 for b in three_disk_scene.bodies),
+                       ball_radius=10.0)
+    probes = sl.sphere_probes(three_disk_scene, 600, 5)
+    report = sl.reflection_count_probe(three_disk_scene, rotated, probes)
+    want = tuple(zip(_reflections_one_at_a_time(three_disk_scene, probes),
+                     _reflections_one_at_a_time(rotated, probes)))
+    assert report.counts == want
+    assert {n for pair in want for n in pair} >= {0, 1, 2}
+    assert any(a != b for a, b in want)
+
+
+def _coverage_one_at_a_time(scene, n_rays, eps, seed):
+    nb = len(scene.bodies)
+    marks = {}
+    n_escaped = n_cutoff = 0
+    for p in sl.sphere_probes(scene, n_rays, seed):
+        escaped, events, _, _, _ = _trace_raw(scene, p.point, p.direction)
+        if not escaped:
+            n_cutoff += 1
+            continue
+        n_escaped += 1
+        for e in events:
+            if not e[4]:
+                marks.setdefault(e[0] if e[0] < nb else (e[0], e[1]), []).append(e[2])
+
+    def covered(samples, key):
+        if key not in marks:
+            return 0.0, samples
+        dist = cKDTree(np.asarray(marks[key])).query(samples)[0]
+        return float(np.mean(dist <= eps)), samples[dist > eps]
+
+    body_cov, arc_cov, unreached = [], [], []
+    for i, body in enumerate(scene.bodies):
+        frac, missed = covered(sl.boundary_samples(body, 2048), i)
+        body_cov.append(frac)
+        if missed.size:
+            unreached.append((i, missed))
+    for ci, curve in enumerate(scene.curves):
+        for ai, arc in enumerate(curve.arcs):
+            frac, missed = covered(arc.sample(max(8, 2048 // len(curve.arcs))), (nb + ci, ai))
+            arc_cov.append((nb + ci, ai, tuple(sorted(arc.tags)), frac))
+            if missed.size:
+                unreached.append((nb + ci, missed))
+    return tuple(body_cov), tuple(arc_cov), unreached, n_escaped, n_cutoff
+
+
+@pytest.mark.parametrize("scene_name", ["three_disk_scene", "livshits_bump"])
+def test_coverage_matches_one_at_a_time(request, scene_name):
+    if scene_name == "livshits_bump":
+        scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
+    else:
+        scene = request.getfixturevalue(scene_name)
+    report = sl.accessible_coverage(scene, 800, 0.05, seed=21)
+    body_cov, arc_cov, unreached, n_escaped, n_cutoff = _coverage_one_at_a_time(
+        scene, 800, 0.05, 21)
+    assert (report.body_coverage, report.arc_coverage) == (body_cov, arc_cov)
+    assert (report.n_escaped, report.n_cutoff) == (n_escaped, n_cutoff)
+    assert [i for i, _ in report.unreached] == [i for i, _ in unreached]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(report.unreached, unreached))
+    assert any(0.0 < c < 1.0 for c in body_cov + tuple(c for *_, c in arc_cov))
+
+
+def _livshits_one_at_a_time(params, scenes):
+    """hidden hits, underside hits, focal error, largest exit crossing and the
+    aperture cells per scene, each ray traced alone."""
+    c = params.focal_half_distance
+    span = params.offset_span * c
+    amax = math.radians(params.angle_span_deg)
+    hidden, underside, cells, max_exit = [], [], [], 0.0
+    for scene in scenes:
+        nb = len(scene.bodies)
+        hidden_ids = {nb + ci for ci, cv in enumerate(scene.curves) if "hidden" in cv.tags()}
+        plates = {(nb + ci, ai) for ci, cv in enumerate(scene.curves)
+                  for ai, arc in enumerate(cv.arcs) if "plate" in arc.tags}
+        h = u_hits = 0
+        table = []
+        for i in range(params.n_offsets):
+            x0 = -span + 2.0 * span * (i + 0.5) / params.n_offsets
+            for j in range(params.n_angles):
+                phi = -amax + 2.0 * amax * (j + 0.5) / params.n_angles
+                u = (math.sin(phi), -math.cos(phi))
+                escaped, events, leg, fdir, length = _trace_raw(scene, (x0, 0.0), u)
+                incoming = u
+                for e in events:
+                    h += e[0] in hidden_ids
+                    u_hits += (e[0], e[1]) in plates and incoming[1] > 0.0
+                    incoming = e[6]
+                if events:
+                    (px, py), (dx, dy) = events[-1][2], events[-1][6]
+                    if dy > 0.0:
+                        max_exit = max(max_exit, abs(px + (-py / dy) * dx))
+                rec = sl.trace(scene, sl.PhaseState((x0, 0.0), u)) if escaped else None
+                table.append((rec.total_length,) if escaped else ())
+        hidden.append(h)
+        underside.append(u_hits)
+        cells.append(table)
+    focal = 0.0
+    for j in range(params.n_focal):
+        phi = math.radians(-80.0 + 160.0 * (j + 0.5) / params.n_focal)
+        events = _trace_raw(scenes[0], (-c, 0.0), (math.sin(phi), -math.cos(phi)))[1]
+        (px, py), (dx, dy) = events[0][2], events[0][6]
+        r = np.array([c, 0.0]) - np.array([px, py])
+        focal = max(focal, abs(dx * r[1] - dy * r[0]) / math.hypot(dx, dy))
+    return tuple(hidden), tuple(underside), focal, max_exit, cells
+
+
+def _lowered_livshits_scene(params, variant):
+    """The demo scene with its curves 0.1 lower and the cavity tagged hidden,
+    so that aperture rays hit plates from above and below and every cavity
+    event counts as a hidden hit."""
+    scene = sl.build_livshits_scene(params, variant)
+
+    def lower(arc, tags):
+        if isinstance(arc, sl.SegmentArc):
+            return sl.SegmentArc((arc.start[0], arc.start[1] - 0.1),
+                                 (arc.end[0], arc.end[1] - 0.1), tags)
+        return sl.EllipticArc((arc.center[0], arc.center[1] - 0.1), arc.semiaxes,
+                              arc.angles, tags)
+
+    curves = [sl.CurveObstacle(tuple(lower(a, a.tags | ({"hidden"} if k == 0 else set()))
+                                     for a in cv.arcs))
+              for k, cv in enumerate(scene.curves)]
+    return sl.Scene(dimension=2, curves=tuple(curves), ball_radius=scene.ball_radius)
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["demo", "lowered"])
+def test_livshits_demo_matches_one_at_a_time(monkeypatch, lowered):
+    params = sl.LivshitsParams(n_offsets=30, n_angles=25, n_focal=60)
+    if lowered:
+        monkeypatch.setattr(sl.rigidity, "build_livshits_scene", _lowered_livshits_scene)
+    report = sl.livshits_demo(params)
+    hidden, underside, focal, max_exit, cells = _livshits_one_at_a_time(params, report.scenes)
+    assert (report.hidden_hits, report.plate_underside_hits) == (hidden, underside)
+    assert report.focal_max_error == focal
+    assert report.max_abs_exit_crossing == max_exit
+    # Curve events follow the planar kernel's arithmetic, so the cells are
+    # bitwise those of single traces.
+    assert [list(t.cells) for t in report.tables] == cells
+    assert report.comparison == sl.rigidity.compare_cells(*cells, tol=1e-6 * params.ball_radius)
+    if lowered:
+        assert min(hidden + underside) > 0 and focal > 1e-3
+    else:
+        assert (hidden, underside) == ((0, 0), (0, 0))
+
+
+def test_ray_families_trace_in_lockstep(three_disk_scene, monkeypatch):
+    # Every family makes one batched trace per scene it traces and never
+    # falls back to tracing rays one at a time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ray family traced a ray alone")
+
+    calls = []
+    many = sl.dynamics._trace_many
+
+    def counting_many(scene, O, U):
+        calls.append(len(O))
+        return many(scene, O, U)
+
+    monkeypatch.setattr(sl.dynamics, "_trace_raw", refuse)
+    monkeypatch.setattr(sl.spectra, "_trace_raw", refuse)
+    for module in (sl.spectra, sl.rigidity):
+        monkeypatch.setattr(module, "_trace_many", counting_many)
+    bump = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
+    sl.scan_sls(three_disk_scene, (1.0, 0.0), 64)
+    assert calls == [64]
+    probes = sl.sphere_probes(three_disk_scene, 50, 1)
+    sl.reflection_count_probe(three_disk_scene, three_disk_scene, probes)
+    assert calls[1:] == [50, 50]
+    sl.accessible_coverage(bump, 70, 0.05, seed=2)
+    assert calls[3:] == [70]
+    sl.livshits_demo(sl.LivshitsParams(n_offsets=6, n_angles=5, n_focal=9))
+    assert calls[4:] == [30, 30, 9]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
+from scatterlab.dynamics import _trace_raw
 from scatterlab.geometry import _as_tuple
 from scatterlab.spectra import impact_lattice, plane_basis, unit_vector
 from oracles import blocked_pair, circle_pair, fermat_circle_times
@@ -289,6 +290,47 @@ def test_scan_launches_match_one_at_a_time(request, scene_name, omega):
         assert s.impact == _as_tuple(offsets[s.index])
         assert s.impact_point == _as_tuple(foot + offsets[s.index] @ basis)
         assert all(type(c) is float for c in s.impact_point + s.theta)
+
+
+@pytest.mark.parametrize("scene_name, omega", [
+    ("three_disk_scene", (math.cos(2.1), math.sin(2.1))),
+    ("three_disk_scene", (1.0, 0.0)),
+    ("livshits_bump", (0.0, -1.0)),
+    ("ball_ellipsoid_scene", (0.0, 0.6, 0.8)),
+])
+def test_scan_matches_one_at_a_time(request, scene_name, omega):
+    # The reference traces every launch alone through the scalar kernel.
+    if scene_name == "livshits_bump":
+        scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
+    else:
+        scene = request.getfixturevalue(scene_name)
+    table = sl.scan_sls(scene, omega, 400)
+    c = np.asarray(scene.ball_center)
+    win = unit_vector(omega)
+    samples = iter(table.samples)
+    for k, launch in enumerate(_launches(scene, win, 400)):
+        escaped, events, leg, fdir, length = _trace_raw(scene, launch, win)
+        if not escaped:
+            assert table.cells[k] == ()
+            continue
+        s = next(samples)
+        assert s.index == k
+        assert s.itinerary == tuple(e[0] for e in events if not e[4])
+        assert s.grazing == any(e[4] for e in events)
+        want = 0.0
+        if events:
+            want = length + (launch - c) @ win - (np.asarray(leg) - c) @ fdir
+        assert abs(s.sojourn - want) <= 1e-10
+        assert table.cells[k] == (s.sojourn,)
+    assert next(samples, None) is None
+    assert table.diagnostics_dict()["cutoff"] == 400 - len(table.samples)
+
+
+def _launches(scene, win, n):
+    basis = plane_basis(win)
+    offsets = impact_lattice(scene.dimension, n, scene.ball_radius)
+    foot = np.asarray(scene.ball_center) - scene.ball_radius * win
+    return [foot + o @ basis for o in offsets]
 
 
 def test_table_metadata(disk_scene):
