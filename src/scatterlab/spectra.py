@@ -11,20 +11,22 @@ depend on the ball's radius, which is one of the acceptance checks.
 Travelling times are found by a shooting method: seed inward directions at a
 sphere point x, trace, and locate the last crossing of the reference sphere
 on the outgoing leg. In d = 2 seeds whose exits straddle the target point y
-bracket a root, refined by bisection on the exit-angle miss; in d = 3 each
+bracket a root, refined by Illinois regula falsi (Dowell & Jarratt, BIT 1971)
+on the exit-angle miss, a secant step kept inside the bracket; in d = 3 each
 local minimum of the seeds' exit miss is polished by Levenberg-Marquardt on
 the miss vector exit_pt - y, a few dozen shots per polish. A table first
 traces the seed sweeps of all its source points, in lockstep batches through
 one batched ray kernel: in d = 3 every seed in one batch, in d = 2 every
 seed in one and the gap midpoints of each split depth in one more. Each
 sweep serves every partner of its point, and only root refinement
-(bisection, polish, mirror polish) traces one ray at a time; the sojourn
+(regula falsi, polish, mirror polish) traces one ray at a time; the sojourn
 scan traces all its launches in one batch too. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed and
 re-polished once from the other, and the pair's cells in both orders are
 built from those two mirror lists, so swapping the endpoints returns
 matching times by construction. Brackets that do not converge and polishes
-that miss y are dropped and counted in the table diagnostics.
+that miss y are dropped and counted in the table diagnostics, next to the
+number of refinement shots.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere and with fewer than one seed is refused with ContractError
 rather than answered with empty sets.
@@ -33,6 +35,7 @@ rather than answered with empty sets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -49,12 +52,17 @@ SEEDS_2D = 720
 SEEDS_3D = 2000
 REFINE_TOL_FRAC = 1e-7
 DEDUP_FRAC = 1e-5
-_BISECT_CAP = 90
+_ILLINOIS_CAP = 90
 
-# The bisection drives the angular miss a factor below the residual goal so
-# that two independently converged roots of one geodesic agree in time within
-# the stated tolerance.
+# The d = 2 root solver drives the angular miss a factor below the residual
+# goal so that two independently converged roots of one geodesic agree in time
+# within the stated tolerance.
 _RESIDUAL_MARGIN = 0.25
+
+# Why a d = 2 bracket is dropped: the solver reached _ILLINOIS_CAP steps, a
+# shot did not leave the sphere, or the converged exit misses y by the root
+# tolerance or more. Their sum is the table's dropped_clusters.
+_DROP_REASONS_2D = ("dropped_cap", "dropped_lost", "dropped_residual")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -472,27 +480,49 @@ def _make_sample(scene, x, y, shot) -> Optional[TravellingTimeSample]:
     )
 
 
-def _bisect_2d(scene, x, y, target_angle, frame, lo, hi, flo):
-    goal = _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        dm, shot = _delta_at(scene, x, frame, mid, target_angle)
-        if dm is None:
-            return None
-        if abs(dm) < goal or hi - lo < 1e-15:
-            return _make_sample(scene, x, y, shot)
-        if flo * dm <= 0.0:
-            hi = mid
+def _angle_goal(scene) -> float:
+    """Exit-angle miss at which the d = 2 root solver stops."""
+    return _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius
+
+
+def _illinois_2d(scene, x, y, target_angle, frame, a, b, fa, fb):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 1971) on the exit-angle
+    miss over the launch-angle bracket (a, b), whose end misses fa and fb
+    have opposite signs. Each step shoots the secant root c of the bracket,
+    or its midpoint where c is not strictly inside, and c becomes the new
+    end b. The old b becomes a when the miss at c has the other sign;
+    otherwise a is kept and its miss halved, so that an end kept step after
+    step cannot stall the bracket.
+
+    Returns (sample, shots, reason): the sample is None when the bracket is
+    dropped, and reason names why (one of _DROP_REASONS_2D), else None.
+    """
+    goal = _angle_goal(scene)
+    for step in range(1, _ILLINOIS_CAP + 1):
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+        dc, shot = _delta_at(scene, x, frame, c, target_angle)
+        if dc is None:
+            return None, step, "dropped_lost"
+        if abs(dc) < goal or abs(b - a) < 1e-15:
+            sample = _make_sample(scene, x, y, shot)
+            return sample, step, None if sample is not None else "dropped_residual"
+        if dc * fb < 0.0:
+            a, fa = b, fb
         else:
-            lo, flo = mid, dm
-    return None
+            fa *= 0.5
+        b, fb = c, dc
+    return None, _ILLINOIS_CAP, "dropped_cap"
 
 
 def _refine_pair_2d(scene, x, y, sweep: _Sweep2D):
+    """The raw roots from x to y in the brackets of one sweep, and a Counter
+    of refine_shots, dropped_clusters and the drops by reason."""
     ty = _sphere_angle(scene, y)
     frame, psi = sweep.frame, sweep.psi
     found = []
-    dropped = 0
+    tally = Counter()
     # Brackets may straddle a branch edge: the exit map is continuous across
     # a first-order tangency, so only escape status matters here; genuine
     # discontinuities fail the residual check and get dropped.
@@ -501,31 +531,33 @@ def _refine_pair_2d(scene, x, y, sweep: _Sweep2D):
     da, db = delta[:-1], delta[1:]
     # An exact hit, or a sign change that is not a wrap across the antipode.
     take = both & ((da == 0.0) | ((da * db < 0.0) & (np.abs(da - db) < math.pi)))
-    for i, d in zip(np.flatnonzero(take).tolist(), da[take].tolist()):
-        if d == 0.0:
+    for i, fa, fb in zip(np.flatnonzero(take).tolist(), da[take].tolist(), db[take].tolist()):
+        if fa == 0.0:
+            tally["refine_shots"] += 1
             _, shot = _delta_at(scene, x, frame, psi[i], ty)
             if shot is not None:
                 sample = _make_sample(scene, x, y, shot)
                 if sample is not None:
                     found.append(sample)
             continue
-        sample = _bisect_2d(scene, x, y, ty, frame, psi[i], psi[i + 1], d)
+        sample, shots, reason = _illinois_2d(scene, x, y, ty, frame, psi[i], psi[i + 1], fa, fb)
+        tally["refine_shots"] += shots
         if sample is None:
-            dropped += 1
+            tally["dropped_clusters"] += 1
+            tally[reason] += 1
         else:
             found.append(sample)
-    return _dedup_samples(scene, found), dropped
+    return _dedup_samples(scene, found), tally
 
 
-def _mirror_refine_2d(scene, s: TravellingTimeSample, x, y,
-                      frame_x) -> Optional[TravellingTimeSample]:
+def _mirror_refine_2d(scene, s: TravellingTimeSample, x, y, frame_x):
     """Re-polish the time reversal of a (y, x) root as an (x, y) sample.
 
     The reversed launch direction is only a first guess: expansion along the
     path can push the plain re-shot miss above tolerance, so the root is
     re-bracketed locally around the guess. A candidate counts only when it
     reproduces the original travelling time, which rejects convergence onto
-    a neighboring branch root.
+    a neighboring branch root. Returns (sample or None, shots fired).
     """
     m, mp = frame_x
     ux = -s.dir_out[0]
@@ -533,22 +565,24 @@ def _mirror_refine_2d(scene, s: TravellingTimeSample, x, y,
     psi = math.atan2(ux * mp[0] + uy * mp[1], ux * m[0] + uy * m[1])
     ty = _sphere_angle(scene, y)
     d0, shot0 = _delta_at(scene, x, frame_x, psi, ty)
+    shots = 1
     if d0 is None:
-        return None
-    if abs(d0) < _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius:
-        return _same_root(scene, _make_sample(scene, x, y, shot0), s)
+        return None, shots
+    if abs(d0) < _angle_goal(scene):
+        return _same_root(scene, _make_sample(scene, x, y, shot0), s), shots
     h = 1e-8
     while h <= 2e-3:
         for cand in (psi + h, psi - h):
             d1, _ = _delta_at(scene, x, frame_x, cand, ty)
+            shots += 1
             if d1 is not None and d0 * d1 < 0.0 and abs(d0 - d1) < math.pi:
-                lo, hi = (psi, cand) if cand > psi else (cand, psi)
-                flo = d0 if lo == psi else d1
-                got = _same_root(scene, _bisect_2d(scene, x, y, ty, frame_x, lo, hi, flo), s)
+                got, used, _ = _illinois_2d(scene, x, y, ty, frame_x, psi, cand, d0, d1)
+                shots += used
+                got = _same_root(scene, got, s)
                 if got is not None:
-                    return got
+                    return got, shots
         h *= 4.0
-    return None
+    return None, shots
 
 
 def _same_root(scene, candidate: Optional[TravellingTimeSample],
@@ -583,13 +617,15 @@ def _dir_gap(u, v) -> float:
     return math.hypot(*(a - b for a, b in zip(u, v)))
 
 
-def _mirror_all(scene, roots, x, y) -> list:
+def _mirror_all(scene, roots, x, y):
     """Time reversal of each (y, x) root re-polished as an (x, y) sample, None
-    where the polish fails; one entry per root, in order."""
+    where the polish fails; returns (one entry per root, in order, shots)."""
     if scene.dimension == 2:
         frame_x = _frame_at(scene, x)
-        return [_mirror_refine_2d(scene, s, x, y, frame_x) for s in roots]
-    return [_mirror_refine_3d(scene, s, x, y) for s in roots]
+        got = [_mirror_refine_2d(scene, s, x, y, frame_x) for s in roots]
+    else:
+        got = [_mirror_refine_3d(scene, s, x, y) for s in roots]
+    return [m for m, _ in got], sum(shots for _, shots in got)
 
 
 def _merge_bidirectional(scene, own, own_mirrors, opposite_mirrors, pair):
@@ -659,25 +695,29 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
 def _polish_3d(scene, x, y, u0):
     """Levenberg-Marquardt (Moré 1978) on exit_pt - y over the d - 1 tangent
     offsets of the launch direction u0, finite-difference Jacobian; a launch
-    that does not leave misses by 10a in each coordinate. Returns the sample
-    at the optimum, None when it misses y by the root tolerance or more."""
+    that does not leave misses by 10a in each coordinate. Returns (the sample
+    at the optimum, shots fired); the sample is None when it misses y by the
+    root tolerance or more."""
     from scipy.optimize import least_squares
 
     basis = plane_basis(u0)
     lost = np.full(len(u0), 10.0 * scene.ball_radius)
+    shots = 1  # the final shot at the optimum
 
     def launch(ab):
         u = u0 + ab @ basis
         return u / float(np.linalg.norm(u))
 
     def miss(ab):
+        nonlocal shots
+        shots += 1
         shot = _shoot(scene, x, launch(ab))
         return lost if shot is None else shot[3] - y
 
     res = least_squares(miss, np.zeros(len(basis)), method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
     shot = _shoot(scene, x, launch(res.x))
-    return None if shot is None else _make_sample(scene, x, y, shot)
+    return (None if shot is None else _make_sample(scene, x, y, shot)), shots
 
 
 @dataclass(frozen=True)
@@ -714,8 +754,9 @@ def _sweeps_3d(scene, xs, n_seeds):
 
 def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
     """_polish_3d from each seed whose exit miss to y is least among its
-    nearest neighbours and within a few seed spacings; returns (roots,
-    failed polishes), the d = 3 counterpart of dropped brackets."""
+    nearest neighbours and within a few seed spacings; returns the roots and
+    a Counter of refine_shots and dropped_clusters, the failed polishes that
+    are the d = 3 counterpart of dropped brackets."""
     seeds = sweep.seeds
     yt = _as_tuple(y)
     misses = np.array([np.inf if e is None else math.dist(e, yt) for e in sweep.exits])
@@ -727,12 +768,15 @@ def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
         if any(misses[j] < misses[i] for j in np.atleast_1d(nbrs) if j != i):
             continue
         polished.append(_polish_3d(scene, x, y, seeds[i]))
-    found = [s for s in polished if s is not None]
-    return _dedup_samples(scene, found), len(polished) - len(found)
+    found = [s for s, _ in polished if s is not None]
+    return _dedup_samples(scene, found), Counter(
+        refine_shots=sum(shots for _, shots in polished),
+        dropped_clusters=len(polished) - len(found))
 
 
 def _mirror_refine_3d(scene, s, x, y):
-    return _same_root(scene, _polish_3d(scene, x, y, -np.asarray(s.dir_out)), s)
+    got, shots = _polish_3d(scene, x, y, -np.asarray(s.dir_out))
+    return _same_root(scene, got, s), shots
 
 
 # ---------------------------------------------------------------------------
@@ -765,18 +809,20 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         "ball_center": _as_tuple(scene.ball_center),
         "ball_radius": float(scene.ball_radius),
     })
-    merged, cutoff, dropped, rays = _travel(scene, pts, pairs, n_seeds, threads)
+    merged, cutoff, tally, rays = _travel(scene, pts, pairs, n_seeds, threads)
+    reasons = _DROP_REASONS_2D if scene.dimension == 2 else ()
     return SpectrumTable("travel", scene.digest, grid,
                          tuple(tuple(sorted(s.t for s in cell)) for cell in merged),
                          tuple(s for cell in merged for s in cell),
-                         (("cutoff_seeds", cutoff), ("dropped_clusters", dropped),
-                          ("sweep_rays", rays)))
+                         (("cutoff_seeds", cutoff), ("dropped_clusters", tally["dropped_clusters"]),
+                          *((r, tally[r]) for r in reasons),
+                          ("refine_shots", tally["refine_shots"]), ("sweep_rays", rays)))
 
 
 def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     """The travel search over ordered index pairs (i, j) of pts, where (j, i)
     is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
-    dropped brackets or failed polishes, sweep rays traced).
+    a Counter of refinement shots and drops, sweep rays traced).
 
     The inward seed sweeps of all source points are traced first, in
     lockstep batches, and each serves every partner of its point. Only the
@@ -798,29 +844,34 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     else:
         chunks = [_spectrum_worker(arg) for arg in args]
     raw = {}
-    dropped = 0
-    for chunk_samples, cdrop in chunks:
-        dropped += cdrop
+    tally = Counter()
+    for chunk_samples, chunk_tally in chunks:
+        tally.update(chunk_tally)
         raw.update(chunk_samples)
     # mirrors[k]: the raw roots of pair k = (i, j) re-polished as (j, i) samples.
-    mirrors = [_mirror_all(scene, raw[k], pts[j], pts[i]) for k, (i, j) in enumerate(pairs)]
+    mirrors = []
+    for k, (i, j) in enumerate(pairs):
+        got, shots = _mirror_all(scene, raw[k], pts[j], pts[i])
+        mirrors.append(got)
+        tally["refine_shots"] += shots
     pair_index = {ij: k for k, ij in enumerate(pairs)}
     return ([_merge_bidirectional(scene, raw[k], mirrors[k], mirrors[pair_index[(j, i)]], k)
-             for k, (i, j) in enumerate(pairs)], cutoff, dropped, rays)
+             for k, (i, j) in enumerate(pairs)], cutoff, tally, rays)
 
 
 def _spectrum_worker(args):
     """The raw roots from one source point to every partner, refined from its
-    traced sweep; returns ([(pair, roots)], dropped brackets or failed polishes)."""
+    traced sweep; returns ([(pair, roots)], a Counter of refinement shots and
+    drops)."""
     scene, x, sweep, partners = args
     refine = _refine_pair_2d if scene.dimension == 2 else _refine_pair_3d
     out = []
-    dropped = 0
+    tally = Counter()
     for k, y in partners:
-        samples, drop = refine(scene, x, y, sweep)
-        dropped += drop
+        samples, pair_tally = refine(scene, x, y, sweep)
+        tally.update(pair_tally)
         out.append((k, samples))
-    return out, dropped
+    return out, tally
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,

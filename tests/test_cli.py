@@ -65,6 +65,13 @@ def test_sls_row_budget(disk_file, tmp_path, capsys):
     assert len(lines) - 1 <= 64
 
 
+def test_travel_summary_counts_refine_shots(disk_file, capsys):
+    assert run_command(["travel", disk_file, "--points", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "dropped: 0  refine_shots: " in out
+    assert int(out.split("refine_shots: ")[1].split()[0]) > 0
+
+
 def test_compare_identical_files(disk_file, tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

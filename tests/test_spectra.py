@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -233,6 +234,7 @@ def test_spectrum_determinism(two_disk_scene):
 def test_spectrum_threaded_matches_serial(two_disk_scene):
     serial = sl.travelling_time_spectrum(two_disk_scene, n_points=8)
     pooled = sl.travelling_time_spectrum(two_disk_scene, n_points=8, threads=2)
+    assert serial.diagnostics_dict()["refine_shots"] > 0
     assert serial.cells == pooled.cells
     assert serial.samples == pooled.samples
     assert serial.diagnostics == pooled.diagnostics
@@ -468,15 +470,16 @@ def test_batched_sweep_matches_scalar_shots(scene_name, request):
 
 def test_bracket_scan_matches_scalar_loop(two_disk_scene, monkeypatch):
     # The numpy scan over a sweep takes the exact hits and opens the
-    # brackets (lo, hi, flo) that a loop over adjacent entries does. At
+    # brackets (lo, hi, flo, fhi) that a loop over adjacent entries does. At
     # n = 32, phase 0.3 a seed of this source point exits exactly at a partner.
     spectra = sl.spectra
     pts, pairs = spectra._pair_grid(two_disk_scene, 32, 1.0, 0.3)
     i = pairs[360][0]
     (sweep,), _, _ = spectra._sweeps_2d(two_disk_scene, pts[i:i + 1], spectra.SEEDS_2D)
     calls = []
-    monkeypatch.setattr(spectra, "_bisect_2d",
-                        lambda scene, x, y, ty, frame, lo, hi, flo: calls.append((lo, hi, flo)))
+    monkeypatch.setattr(spectra, "_illinois_2d",
+                        lambda scene, x, y, ty, frame, lo, hi, flo, fhi:
+                        calls.append((lo, hi, flo, fhi)) or (None, 0, "dropped_cap"))
     monkeypatch.setattr(spectra, "_delta_at",
                         lambda scene, x, frame, psi, ty: calls.append((psi,)) or (None, None))
     want = []
@@ -490,10 +493,123 @@ def test_bracket_scan_matches_scalar_loop(two_disk_scene, monkeypatch):
             if da == 0.0:
                 want.append((pa,))
             elif da * db < 0.0 and abs(da - db) < math.pi:
-                want.append((pa, pb, da))
+                want.append((pa, pb, da, db))
         spectra._refine_pair_2d(two_disk_scene, pts[i], pts[j], sweep)
     assert calls == want
     assert any(len(c) == 1 for c in want)
+
+
+def _fake_miss(monkeypatch, miss):
+    """Replace _delta_at by miss(psi), the exit-angle miss of a shot that
+    leaves at that angle from the target (None: it does not leave), and
+    return the list of shot angles."""
+    spectra = sl.spectra
+    shots = []
+
+    def delta_at(scene, x, frame, psi, ty):
+        shots.append(psi)
+        d = miss(psi)
+        if d is None:
+            return None, None
+        out = np.array([math.cos(ty + d), math.sin(ty + d)])
+        return d, ((1.0, 0.0), [], out, scene.ball_radius * out, 20.0)
+
+    monkeypatch.setattr(spectra, "_delta_at", delta_at)
+    return shots
+
+
+_TY = 0.7
+_Y = (10.0 * math.cos(_TY), 10.0 * math.sin(_TY))
+_ROOT = 0.1234
+_GAP = (0.1221, 0.1221 + math.pi / 720)  # one default seed gap around the root
+
+
+def _illinois(scene, miss):
+    lo, hi = _GAP
+    return sl.spectra._illinois_2d(scene, (-10.0, 0.0), _Y, _TY, None, lo, hi,
+                                   miss(lo), miss(hi))
+
+
+def test_illinois_smooth_miss_converges_in_few_shots(empty_scene, monkeypatch):
+    # A smooth monotone miss with strong curvature: plain bisection of this
+    # gap takes 15 shots to reach the angular goal.
+    def miss(psi):
+        e = psi - _ROOT
+        return e + 4e4 * e ** 3
+
+    shots = _fake_miss(monkeypatch, miss)
+    sample, used, reason = _illinois(empty_scene, miss)
+    assert reason is None
+    assert used == len(shots) <= 8
+    assert sample.residual < sl.spectra._root_tol(empty_scene)
+    assert abs(shots[-1] - _ROOT) < 1e-8
+
+
+def test_illinois_branch_edge_stops_before_cap(empty_scene, monkeypatch):
+    # A jump of the miss across zero (a branch edge): the bracket shrinks to
+    # the width floor before the step cap, and the residual check refuses it.
+    def miss(psi):
+        return -0.01 if psi < _ROOT else 0.01
+
+    shots = _fake_miss(monkeypatch, miss)
+    sample, used, reason = _illinois(empty_scene, miss)
+    assert (sample, reason) == (None, "dropped_residual")
+    assert used == len(shots) < sl.spectra._ILLINOIS_CAP
+    assert abs(shots[-1] - _ROOT) < 1e-14
+
+
+def test_illinois_lopsided_jump_reaches_cap(empty_scene, monkeypatch):
+    # Across a lopsided jump from -0.5 to +0.001 the secant steps land next
+    # to the small end, and the bracket does not reach the width floor within
+    # the step cap.
+    def miss(psi):
+        return -0.5 if psi < _ROOT else 0.001
+
+    shots = _fake_miss(monkeypatch, miss)
+    assert _illinois(empty_scene, miss) == (None, sl.spectra._ILLINOIS_CAP, "dropped_cap")
+    assert len(shots) == sl.spectra._ILLINOIS_CAP
+
+
+def test_refine_counts_a_lost_shot_as_a_drop(empty_scene, monkeypatch):
+    spectra = sl.spectra
+    _fake_miss(monkeypatch, lambda psi: None)
+    sweep = spectra._Sweep2D(spectra._frame_at(empty_scene, np.array([-10.0, 0.0])),
+                             [0.0, 0.01], np.array([True, True]),
+                             np.array([_TY - 0.1, _TY + 0.1]), [(), ()])
+    found, tally = spectra._refine_pair_2d(empty_scene, (-10.0, 0.0), _Y, sweep)
+    assert found == []
+    assert tally == Counter(refine_shots=1, dropped_clusters=1, dropped_lost=1)
+
+
+def test_dropped_brackets_by_reason(empty_scene):
+    moved = sl.Scene(dimension=2, bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((4.0, 0.0), 1.0)),
+                     ball_radius=10.0)
+    reasons = ("dropped_cap", "dropped_lost", "dropped_residual")
+    table = sl.travelling_time_spectrum(moved, n_points=4, phase=0.3)
+    diag = table.diagnostics_dict()
+    assert diag["dropped_clusters"] > 0
+    assert sum(diag[r] for r in reasons) == diag["dropped_clusters"]
+    diag = sl.travelling_time_spectrum(empty_scene, n_points=4).diagnostics_dict()
+    assert diag["refine_shots"] > 0
+    assert all(diag[r] == 0 for r in reasons + ("dropped_clusters",))
+
+
+def test_refine_shot_budget(two_disk_scene, monkeypatch):
+    # Counted work: refine_shots counts every shot after the sweep (bracket
+    # solves, exact hits, mirror polishes). Bisecting each bracket fired
+    # 2,691 shots here; the regula falsi fires 609.
+    spectra = sl.spectra
+    shoot = spectra._shoot
+    shots = []
+
+    def counting_shoot(*args):
+        shots.append(1)
+        return shoot(*args)
+
+    monkeypatch.setattr(spectra, "_shoot", counting_shoot)
+    table = sl.travelling_time_spectrum(two_disk_scene, n_points=4, phase=0.3)
+    assert table.samples
+    assert table.diagnostics_dict()["refine_shots"] == len(shots) <= 900
 
 
 def test_sweep_lockstep_budget(two_disk_scene, monkeypatch):
@@ -656,7 +772,7 @@ def test_polish_3d_recovers_tilted_root():
     (root,) = [s for s in sl.find_xy_geodesics(scene, x, y) if s.reflections == 1]
     u = np.asarray(root.dir_in)
     tilted = math.cos(1e-3) * u + math.sin(1e-3) * sl.spectra.plane_basis(u)[0]
-    got = sl.spectra._polish_3d(scene, x, y, tilted)
+    got, _ = sl.spectra._polish_3d(scene, x, y, tilted)
     assert got is not None
     assert got.residual < sl.spectra._root_tol(scene)
     assert got.itinerary == (0,)
@@ -678,7 +794,7 @@ def test_polish_3d_shot_budget(ball_ellipsoid_scene, monkeypatch):
     monkeypatch.setattr(spectra, "_shoot", counting_shoot)
     table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3)
     assert table.samples
-    assert len(shots) <= 1200
+    assert table.diagnostics_dict()["refine_shots"] == len(shots) <= 1200
 
 
 def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
@@ -689,10 +805,10 @@ def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
     failed = []
 
     def counting_polish(*args):
-        got = polish(*args)
+        got, shots = polish(*args)
         if in_raw and got is None:
             failed.append(args)
-        return got
+        return got, shots
 
     def raw_refine(*args):
         # Mirror polishes run outside the raw refinement and are not drops.
