@@ -143,19 +143,20 @@ def evaluate_body(body: ConvexBody, x) -> tuple[float, np.ndarray]:
 
 def boundary_samples(body: ConvexBody, n: int) -> np.ndarray:
     """Deterministic sample of n points on the body boundary."""
-    d = body.dimension
-    rot = np.asarray(body.rotation)
-    diag = np.asarray(body.semiaxes)
+    u = _unit_directions(body.dimension, n)
+    return body._c + (u * np.asarray(body.semiaxes)) @ np.asarray(body.rotation).T
+
+
+def _unit_directions(d: int, n: int) -> np.ndarray:
+    """Deterministic n unit vectors in R^d: an angle lattice in the plane, a
+    Fibonacci lattice on the 2-sphere, seeded normal draws above."""
     if d == 2:
         ang = 2.0 * math.pi * np.arange(n) / n
-        u = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif d == 3:
-        u = fibonacci_sphere(n)
-    else:
-        rng = np.random.default_rng(1234)
-        u = rng.normal(size=(n, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return body._c + (u * diag) @ rot.T
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    if d == 3:
+        return fibonacci_sphere(n)
+    u = np.random.default_rng(1234).normal(size=(n, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -896,57 +897,137 @@ _DISJOINT_TOL = 1e-6
 _CONTAIN_TOL = 1e-6
 _PAIR_SAMPLES = 720
 _HESSIAN_SAMPLES = 100
+_SEPARATION_STEPS = 40
+_STEP_HALVINGS = 60
+
+
+def _support_terms(dc: np.ndarray, la: np.ndarray, lb: np.ndarray, n: np.ndarray):
+    """Support-function separation g(n) = <dc, n> - |L_a n| - |L_b n| of two
+    bodies with shape matrices L = D R^T whose centers differ by dc, and the
+    pieces of its gradient.
+
+    |L n| = sqrt(n'R D^2 R^T n) is a body's support function about its
+    center; the gradient w = x_b - x_a is the difference of the support point
+    x_b of body b in direction -n and x_a of body a in direction n.
+    """
+    ua, ub = la @ n, lb @ n
+    sa, sb = np.sqrt(ua @ ua), np.sqrt(ub @ ub)
+    an, bn = la.T @ ua, lb.T @ ub
+    return float(dc @ n - sa - sb), dc - an / sa - bn / sb, an, bn, sa, sb
+
+
+def _support_separation(a: ConvexBody, b: ConvexBody):
+    """Separating direction n of two bodies with bounds lower <= gap <= upper.
+
+    Maximises the concave, positively homogeneous separation g over unit n,
+    starting from the best direction of a lattice, by Riemannian Newton steps
+    with backtracking. lower = g(n); when lower > 0, upper = |x_b - x_a| of
+    the two support points, which lie on the boundaries, and at the maximum
+    both equal the distance between the bodies (Boyd & Vandenberghe, Convex
+    Optimization, 2004, section 8.2). Overlapping or nested bodies give
+    lower <= 0, minus the penetration depth reached from the lattice start.
+    """
+    la = np.asarray(a.semiaxes)[:, None] * np.asarray(a.rotation).T
+    lb = np.asarray(b.semiaxes)[:, None] * np.asarray(b.rotation).T
+    dc = b._c - a._c
+    d = dc.size
+    starts = _unit_directions(d, _PAIR_SAMPLES)
+    gs = (starts @ dc - np.linalg.norm(starts @ la.T, axis=1)
+          - np.linalg.norm(starts @ lb.T, axis=1))
+    n = starts[int(np.argmax(gs))]
+    g, w, an, bn, sa, sb = _support_terms(dc, la, lb, n)
+    for _ in range(_SEPARATION_STEPS):
+        grad = w - g * n
+        # Rounding bound on g and on its gradient.
+        tol = 32.0 * np.finfo(float).eps * (np.sqrt(dc @ dc) + np.sqrt(an @ an) / sa
+                                            + np.sqrt(bn @ bn) / sb)
+        if not math.sqrt(grad @ grad) > tol:
+            break
+        # The Euclidean Hessian is negative semidefinite with n in its kernel;
+        # the sphere adds -g on the tangent space, and nn' pins the step to it.
+        hess = ((np.outer(an, an) / sa**2 - la.T @ la) / sa
+                + (np.outer(bn, bn) / sb**2 - lb.T @ lb) / sb)
+        nn = np.outer(n, n)
+        tangent = np.eye(d) - nn
+        try:
+            step = np.linalg.solve(hess - g * tangent + nn, -grad)
+            if grad @ step <= 0.0:
+                step = np.linalg.solve(hess - abs(g) * tangent + nn, -grad)
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(_STEP_HALVINGS):
+            m = n + step
+            m /= math.sqrt(m @ m)
+            trial = _support_terms(dc, la, lb, m)
+            if trial[0] >= g - tol:
+                break
+            step *= 0.5
+        else:
+            break
+        n = m
+        g, w, an, bn, sa, sb = trial
+    return n, g, math.sqrt(w @ w)
 
 
 def body_pair_distance(a: ConvexBody, b: ConvexBody) -> float:
-    """Minimum boundary-to-boundary distance, sampled plus local refinement.
+    """Certified signed separation of two bodies, in every dimension.
 
-    Exact for ball pairs; for ellipsoids this is a validation-grade estimate,
-    not a certified bound.
+    For disjoint bodies this is their distance, as a lower bound that the
+    distance between two boundary points matches to rounding. For
+    overlapping or nested bodies it is negative: minus the penetration depth,
+    the length of the shortest translation that separates them (for balls,
+    |c_a - c_b| - r_a - r_b either way). The value is g at one direction, so
+    it never exceeds the true separation; a negative one is the maximum that
+    Newton ascent reaches from the best lattice direction.
     """
-    if a.is_ball and b.is_ball:
-        gap = math.dist(a.center, b.center) - a._r - b._r
-        return float(gap)
-    pa = boundary_samples(a, _PAIR_SAMPLES)
-    pb = boundary_samples(b, _PAIR_SAMPLES)
-    from scipy.spatial.distance import cdist
+    return _support_separation(a, b)[1]
 
-    dm = cdist(pa, pb)
-    ia, ib = np.unravel_index(np.argmin(dm), dm.shape)
-    d = a.dimension
-    if d > 3:
-        return float(dm[ia, ib])
-    from scipy.optimize import minimize
 
-    def param_point(body, u):
-        if d == 2:
-            s = np.array([math.cos(u[0]), math.sin(u[0])])
-        else:
-            s = np.array([math.sin(u[0]) * math.cos(u[1]),
-                          math.sin(u[0]) * math.sin(u[1]),
-                          math.cos(u[0])])
-        return body._c + np.asarray(body.rotation) @ (np.asarray(body.semiaxes) * s)
+def _body_reach(body: ConvexBody, p: np.ndarray) -> float:
+    """Largest distance from p to a point of the body.
 
-    def seed_angles(body, p):
-        w = np.asarray(body.rotation).T @ (p - body._c) / np.asarray(body.semiaxes)
-        if d == 2:
-            return [math.atan2(w[1], w[0])]
-        return [math.acos(np.clip(w[2] / np.linalg.norm(w), -1, 1)),
-                math.atan2(w[1], w[0])]
-
-    u0 = np.array(seed_angles(a, pa[ia]) + seed_angles(b, pb[ib]))
-    k = len(u0) // 2
-    res = minimize(lambda u: float(np.linalg.norm(param_point(a, u[:k]) - param_point(b, u[k:]))),
-                   u0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-    return float(min(res.fun, dm[ia, ib]))
+    In the body frame, with q = R^T (p - c), the farthest point is
+    x_i = q_i s_i^2 / (s_i^2 - mu), where mu > max s_i^2 solves the secular
+    equation sum s_i^2 q_i^2 / (s_i^2 - mu)^2 = 1, found by bisection on
+    t = mu - max s_i^2. When q has no component on the longest axes and the
+    other axes leave room at t = 0, the farthest point sits at t = 0 and takes
+    the rest of the unit constraint on one longest axis (Eberly, "Distance
+    from a point to an ellipse, an ellipsoid, or a hyperellipsoid", Geometric
+    Tools, 2013).
+    """
+    s2 = np.asarray(body.semiaxes) ** 2
+    q = np.asarray(body.rotation).T @ (p - body._c)
+    gap = s2.max() - s2
+    terms = [(float(wi), float(gi)) for wi, gi in zip(s2 * q * q, gap) if wi > 0.0]
+    if all(gi > 0.0 for _, gi in terms) and sum(wi / (gi * gi) for wi, gi in terms) <= 1.0:
+        x = np.where(gap > 0.0, -q * s2 / np.where(gap > 0.0, gap, 1.0), 0.0)
+        k = int(np.argmax(s2))
+        x[k] = math.sqrt(s2[k] * max(0.0, 1.0 - float(np.sum(x * x / s2))))
+    else:
+        # The root lies below s_max |q|; halving a double interval reaches
+        # adjacent floats within about 2,100 steps.
+        lo, hi = 0.0, math.sqrt(s2.max() * float(q @ q))
+        for _ in range(2200):
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+            if sum(wi / ((t + gi) * (t + gi)) for wi, gi in terms) > 1.0:
+                lo = t
+            else:
+                hi = t
+        x = -q * s2 / (hi + gap)
+    return float(np.linalg.norm(x - q))
 
 
 def validate_scene(scene: Scene) -> ValidationReport:
     """Check disjointness, containment in the reference ball, and convexity.
 
-    Violations are data, not errors; an empty report marks an admissible
-    scene.
+    The disjointness and containment checks of bodies are exact, not
+    sampled: each pair's signed separation comes from its support functions
+    (``body_pair_distance``), so nested bodies are refused too, and each
+    body's reach from the ball center from its farthest point. Curves are
+    checked for containment on boundary samples. Violations are data, not
+    errors; an empty report marks an admissible scene.
     """
     out = []
     center = np.asarray(scene.ball_center)
@@ -961,17 +1042,14 @@ def validate_scene(scene: Scene) -> ValidationReport:
         worst = max(abs(evaluate_body(body, p)[0]) for p in pts)
         if worst > 1e-9:
             out.append(Violation("convexity", (i,), f"boundary residual {worst:.3g}"))
-        if body.is_ball:
-            reach = math.dist(body.center, scene.ball_center) + body._r
-        else:
-            reach = float(np.max(np.linalg.norm(boundary_samples(body, _PAIR_SAMPLES) - center, axis=1)))
-        if reach >= a - _CONTAIN_TOL:
+        reach = _body_reach(body, center)
+        if not reach < a - _CONTAIN_TOL:
             out.append(Violation("containment", (i,),
                                  f"body reaches {reach:.6g} of ball radius {a:.6g}"))
     for i in range(len(scene.bodies)):
         for j in range(i + 1, len(scene.bodies)):
             gap = body_pair_distance(scene.bodies[i], scene.bodies[j])
-            if gap <= _DISJOINT_TOL:
+            if not gap > _DISJOINT_TOL:
                 out.append(Violation("disjointness", (i, j), f"boundary gap {gap:.6g}"))
     nb = len(scene.bodies)
     for ci, curve in enumerate(scene.curves):

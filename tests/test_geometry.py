@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.geometry import ROOT_TOL, _first_hits
+from scatterlab.geometry import (ROOT_TOL, _body_reach, _first_hits, _support_separation,
+                                 body_pair_distance)
 
 
 def test_evaluate_unit_ball_center():
@@ -364,6 +365,120 @@ def test_validate_ellipsoid_pair_distance():
                              sl.ellipsoid((2.5, 0.0), (1.0, 0.5))),
                      ball_radius=10.0)
     assert sl.validate_scene(apart).ok
+
+
+NESTED_PAIRS = [
+    (sl.ellipsoid((0.0, 0.0), (3.0, 2.0)), sl.ellipsoid((0.0, 0.0), (1.0, 0.5))),
+    (sl.ellipsoid((0.0, 0.0), (3.0, 2.0)), sl.ball((0.0, 0.0), 0.5)),
+    (sl.ellipsoid((0.0, 0.0, 0.0), (3.0, 2.0, 1.5)), sl.ball((0.2, 0.0, 0.0), 0.5)),
+]
+
+
+@pytest.mark.parametrize("outer, inner", NESTED_PAIRS)
+def test_validate_refuses_nested_bodies(outer, inner):
+    # The boundaries are apart, but the bodies are not disjoint.
+    assert body_pair_distance(outer, inner) < 0.0
+    assert body_pair_distance(inner, outer) < 0.0
+    scene = sl.Scene(dimension=outer.dimension, bodies=(outer, inner), ball_radius=10.0)
+    [v] = [v for v in sl.validate_scene(scene).violations if v.kind == "disjointness"]
+    assert v.subjects == (0, 1)
+    assert float(v.detail.split()[-1]) < 0.0
+
+
+@pytest.mark.parametrize("angle", [0.3, 2.9])
+def test_validate_rotated_ellipsoid_pair_tolerance(angle):
+    rot = sl.rotation_2d(angle)
+
+    def pair(gap):
+        return sl.Scene(dimension=2,
+                        bodies=(sl.ellipsoid((0.0, 0.0), (1.0, 0.5), rot),
+                                sl.ellipsoid(rot @ (2.0 + gap, 0.0), (1.0, 0.5), rot)),
+                        ball_radius=10.0)
+
+    assert any(v.kind == "disjointness" for v in sl.validate_scene(pair(5e-7)).violations)
+    assert sl.validate_scene(pair(2e-6)).ok
+
+
+def _random_pairs(d, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        rot = q * np.sign(np.diag(r))
+        yield (sl.ellipsoid(rng.uniform(-3, 3, d), rng.uniform(0.2, 2, d), rot),
+               sl.ellipsoid(rng.uniform(-3, 3, d), rng.uniform(0.2, 2, d), rot.T))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_support_separation_bounds_agree(d):
+    rot = sl.rotation_2d(0.3)
+    near = [(sl.ellipsoid((0.0, 0.0), (1.0, 0.5), rot),
+             sl.ellipsoid(rot @ (2.0 + gap, 0.0), (1.0, 0.5), rot))
+            for gap in (1e-9, 5e-7, 2e-6)] if d == 2 else []
+    checked = 0
+    for a, b in near + list(_random_pairs(d, 40, seed=d)):
+        n, lower, upper = _support_separation(a, b)
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-12
+        if lower > 0.0:
+            checked += 1
+            assert abs(upper - lower) <= 1e-12
+            # No pair of boundary samples is closer than the certified gap.
+            pa, pb = sl.boundary_samples(a, 400), sl.boundary_samples(b, 400)
+            sampled = np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2))
+            assert lower <= sampled + 1e-12
+    assert checked >= 25
+
+
+def test_pair_distance_exact_in_four_dimensions():
+    a = sl.ellipsoid((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.7, 0.3))
+    b = sl.ellipsoid((3.5, 0.0, 0.0, 0.0), (1.2, 0.9, 0.4, 0.6))
+    assert abs(body_pair_distance(a, b) - (3.5 - 1.0 - 1.2)) < 1e-12
+
+
+def _rot3(axis, angle):
+    out = np.eye(3)
+    i, j = [k for k in range(3) if k != axis]
+    c, s = math.cos(angle), math.sin(angle)
+    out[i, i], out[i, j], out[j, i], out[j, j] = c, -s, s, c
+    return out
+
+
+def test_validate_containment_is_exact_for_ellipsoids():
+    body = sl.ellipsoid((7.0, 0.5, 0.0), (1.5, 1.0, 0.7), _rot3(2, 0.5) @ _rot3(0, 0.4))
+    assert _body_reach(body, np.zeros(3)) == pytest.approx(8.4475323858, abs=1e-9)
+    # The body pokes 1e-4 out of this ball; 720 boundary samples miss it.
+    scene = sl.Scene(dimension=3, bodies=(body,), ball_radius=8.4474317)
+    assert any(v.kind == "containment" for v in sl.validate_scene(scene).violations)
+
+
+@pytest.mark.parametrize("body, point", [
+    (sl.ellipsoid((0.0, 0.0), (2.0, 1.0), sl.rotation_2d(0.7)), (0.3, -0.2)),
+    (sl.ellipsoid((0.0, 0.0), (2.0, 1.0)), (0.0, 0.1)),   # farthest point at t = 0
+    (sl.ellipsoid((0.0, 0.0), (2.0, 1.0)), (0.0, 5.0)),   # no longest-axis part, t > 0
+    (sl.ellipsoid((0.0, 0.0), (2.0, 1.0)), (0.0, 0.0)),
+    (sl.ball((1.0, 2.0), 0.7), (0.0, 0.0)),
+])
+def test_body_reach_bounds_boundary_samples(body, point):
+    reach = _body_reach(body, np.asarray(point))
+    sampled = np.max(np.linalg.norm(sl.boundary_samples(body, 100_000) - point, axis=1))
+    assert sampled - 1e-12 <= reach <= sampled + 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validation_survives_extreme_semiaxes():
+    # Squared lengths here overflow, or underflow to a singular Newton matrix;
+    # the checks must still answer rather than raise.
+    long = sl.ellipsoid((0.0, 0.0), (1e100, 1.0))
+    assert _body_reach(long, np.array([0.0, 5.0])) == pytest.approx(1e100)
+    rot = ((-0.34783989629645884, 0.16470794910765116, -0.922972750434822),
+           (-0.6962617836885595, -0.7046603693873378, 0.13665025572506803),
+           (0.6278749358903367, -0.6901630642939771, -0.35978884024529345))
+    a = sl.ellipsoid((-9.928924887080912e131, 1.827449915420134e132, 7.316830099511096e131),
+                     (9.9939266957888e-43, 6.20917569657432e-188, 3.2180483298148054e-149), rot)
+    b = sl.ellipsoid((-0.2723946301691962, 1.1694511649228758, 0.5182316927529196),
+                     (4.4275240288358395e-149, 2.3765954862076882e300, 1.0587442056482031e-210))
+    # b is a needle along the y-axis that a's y-coordinate falls inside.
+    gap = math.hypot(a.center[0] - b.center[0], a.center[2] - b.center[2])
+    assert body_pair_distance(a, b) == pytest.approx(gap, rel=1e-12)
 
 
 def test_curve_chain_continuity():

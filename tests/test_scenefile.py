@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scatterlab as sl
+from scatterlab.cli import run_command
 from scatterlab.scenefile import (SceneFormatError, parse_scene,
                                   parse_scene_document, serialize_scene)
 
@@ -120,6 +125,46 @@ def test_validation_failure_is_schema_failure():
     with pytest.raises(SceneFormatError) as err:
         parse_scene(json.dumps(doc))
     assert "containment" in str(err.value)
+
+
+def _nested_document(dimension, outer, inner) -> str:
+    return json.dumps({
+        "dimension": dimension,
+        "ball": {"center": [0.0] * dimension, "radius": 10.0},
+        "bodies": [{"kind": "ellipsoid", "center": [0.0] * dimension, "semiaxes": outer},
+                   inner],
+    })
+
+
+@pytest.mark.parametrize("text", [
+    _nested_document(2, [3.0, 2.0], {"kind": "ellipsoid", "center": [0.0, 0.0],
+                                     "semiaxes": [1.0, 0.5]}),
+    _nested_document(2, [3.0, 2.0], {"kind": "ball", "center": [0.0, 0.0],
+                                     "semiaxes": [0.5, 0.5]}),
+    _nested_document(3, [3.0, 2.0, 1.5], {"kind": "ball", "center": [0.2, 0.0, 0.0],
+                                          "semiaxes": [0.5, 0.5, 0.5]}),
+], ids=["ellipses", "ball-in-ellipse", "ball-in-ellipsoid"])
+def test_nested_bodies_are_refused(text, tmp_path):
+    with pytest.raises(SceneFormatError) as err:
+        parse_scene(text)
+    [issue] = err.value.issues
+    assert issue.location == "scene.disjointness[0, 1]"
+    assert float(issue.message.split()[-1]) < 0.0
+    path = tmp_path / "nested.toy"
+    path.write_text(text)
+    assert run_command(["validate", str(path)]) == 1
+
+
+def test_parse_imports_no_scipy(ball_ellipsoid_scene):
+    # Validation is numpy-only; scipy loads only for the d = 3 travel polish
+    # and the KD-tree lookups.
+    code = ("import sys, scatterlab; scatterlab.parse_scene(sys.stdin.read()); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], input=serialize_scene(ball_ellipsoid_scene),
+                          capture_output=True, text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def _with_body(**fields):
