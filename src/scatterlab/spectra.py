@@ -14,13 +14,15 @@ on the outgoing leg. In d = 2 seeds whose exits straddle the target point y
 bracket a root, refined by Illinois regula falsi (Dowell & Jarratt, BIT 1971)
 on the exit-angle miss, a secant step kept inside the bracket; in d = 3 each
 local minimum of the seeds' exit miss is polished by Levenberg-Marquardt on
-the miss vector exit_pt - y, a few dozen shots per polish. A table first
-traces the seed sweeps of all its source points, in lockstep batches through
-one batched ray kernel: in d = 3 every seed in one batch, in d = 2 every
-seed in one and the gap midpoints of each split depth in one more. Each
-sweep serves every partner of its point, and only root refinement
-(regula falsi, polish, mirror polish) traces one ray at a time; the sojourn
-scan traces all its launches in one batch too. The search is
+the miss vector exit_pt - y. Both stop at one goal, a miss below
+_RESIDUAL_MARGIN times the root tolerance: an n = 3 ball-plus-ellipsoid
+table takes 7-13 shots per raw polish and 1 or 4 per mirror polish, 91 in
+all. A table first traces the seed sweeps of all its source points, in
+lockstep batches through one batched ray kernel: in d = 3 every seed in one
+batch, in d = 2 every seed in one and the gap midpoints of each split depth
+in one more. Each sweep serves every partner of its point, and only root
+refinement (regula falsi, polish, mirror polish) traces one ray at a time;
+the sojourn scan traces all its launches in one batch too. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed and
 re-polished once from the other, and the pair's cells in both orders are
 built from those two mirror lists, so swapping the endpoints returns
@@ -54,15 +56,27 @@ REFINE_TOL_FRAC = 1e-7
 DEDUP_FRAC = 1e-5
 _ILLINOIS_CAP = 90
 
-# The d = 2 root solver drives the angular miss a factor below the residual
-# goal so that two independently converged roots of one geodesic agree in time
-# within the stated tolerance.
+# The d = 3 polish: initial Marquardt damping, forward-difference step, shot
+# cap, and stall rule (give up when |miss| is above _STALL_FACTOR times its
+# value _STALL_SHOTS shots earlier). On the ball-plus-ellipsoid tables a
+# polish that reaches a root takes at most 64 shots and at least halves
+# |miss| within any 30; one stuck at a minimum of the miss that is not a
+# root stops improving.
+_LM_DAMPING = 1e-3
+_FD_STEP = math.sqrt(float(np.finfo(float).eps))
+_POLISH_CAP = 200
+_STALL_SHOTS = 30
+_STALL_FACTOR = 0.9
+
+# The root solvers drive the miss a factor below the root tolerance so that
+# two independently converged roots of one geodesic agree in time within the
+# stated tolerance.
 _RESIDUAL_MARGIN = 0.25
 
-# Why a d = 2 bracket is dropped: the solver reached _ILLINOIS_CAP steps, a
-# shot did not leave the sphere, or the converged exit misses y by the root
-# tolerance or more. Their sum is the table's dropped_clusters.
-_DROP_REASONS_2D = ("dropped_cap", "dropped_lost", "dropped_residual")
+# Why a raw root search is dropped: the solver reached its step or shot cap,
+# a shot did not leave the sphere, or the search ended with an exit missing
+# y by its goal or more. Their sum is the table's dropped_clusters.
+_DROP_REASONS = ("dropped_cap", "dropped_lost", "dropped_residual")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -495,7 +509,7 @@ def _illinois_2d(scene, x, y, target_angle, frame, a, b, fa, fb):
     step cannot stall the bracket.
 
     Returns (sample, shots, reason): the sample is None when the bracket is
-    dropped, and reason names why (one of _DROP_REASONS_2D), else None.
+    dropped, and reason names why (one of _DROP_REASONS), else None.
     """
     goal = _angle_goal(scene)
     for step in range(1, _ILLINOIS_CAP + 1):
@@ -693,37 +707,72 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def _polish_3d(scene, x, y, u0):
-    """Levenberg-Marquardt (Moré 1978) on exit_pt - y over the d - 1 tangent
-    offsets of the launch direction u0, finite-difference Jacobian; a launch
-    that does not leave misses by 10a in each coordinate. Returns (the sample
-    at the optimum, shots fired); the sample is None when it misses y by the
-    root tolerance or more."""
-    from scipy.optimize import least_squares
+    """Levenberg-Marquardt (Marquardt 1963, Moré 1978) on the miss
+    exit_pt - y over the d - 1 tangent offsets of the launch direction u0.
+    Each step takes a forward-difference Jacobian J (step sqrt(eps), one
+    shot per offset) and shoots the s minimising |J s + miss|^2 + lam |D s|^2,
+    D^2 = diag(J^T J); lam falls tenfold when |miss| falls and the step is
+    taken, and rises tenfold otherwise. A launch that does not leave misses
+    by 10a in each coordinate.
 
+    Stops as soon as |miss| is below the d = 2 solver's goal, which may be
+    at the first shot. Gives up with reason "dropped_lost" when the first
+    shot does not leave, "dropped_residual" when |miss| has not fallen by a
+    tenth over the last _STALL_SHOTS shots (a minimum of the miss that is
+    not a root, such as a branch edge), and "dropped_cap" when the next step
+    would pass _POLISH_CAP shots. Returns (sample, shots, reason) as
+    _illinois_2d does.
+    """
     basis = plane_basis(u0)
     lost = np.full(len(u0), 10.0 * scene.ball_radius)
-    shots = 1  # the final shot at the optimum
 
-    def launch(ab):
+    def fire(ab):
         u = u0 + ab @ basis
-        return u / float(np.linalg.norm(u))
+        shot = _shoot(scene, x, u / float(np.linalg.norm(u)))
+        return shot, lost if shot is None else shot[3] - y
 
-    def miss(ab):
-        nonlocal shots
-        shots += 1
-        shot = _shoot(scene, x, launch(ab))
-        return lost if shot is None else shot[3] - y
-
-    res = least_squares(miss, np.zeros(len(basis)), method="lm",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    shot = _shoot(scene, x, launch(res.x))
-    return (None if shot is None else _make_sample(scene, x, y, shot)), shots
+    ab = np.zeros(len(basis))
+    shot, f = fire(ab)
+    if shot is None:
+        return None, 1, "dropped_lost"
+    goal = _RESIDUAL_MARGIN * _root_tol(scene)
+    trail = [float(np.linalg.norm(f))]  # least |miss| after each shot
+    lam = _LM_DAMPING
+    jac = None  # at the current offsets; None until taken
+    while trail[-1] >= goal:
+        if len(trail) > _STALL_SHOTS and trail[-1] > _STALL_FACTOR * trail[-1 - _STALL_SHOTS]:
+            return None, len(trail), "dropped_residual"
+        if len(trail) + (len(ab) if jac is None else 0) >= _POLISH_CAP:
+            return None, len(trail), "dropped_cap"
+        if jac is None:
+            jac = np.empty((len(f), len(ab)))
+            for j in range(len(ab)):
+                step = ab.copy()
+                step[j] += _FD_STEP * max(1.0, abs(ab[j]))
+                jac[:, j] = (fire(step)[1] - f) / (step[j] - ab[j])
+            trail += trail[-1:] * len(ab)
+            scale = np.sum(jac * jac, axis=0)
+            rhs = np.concatenate([-f, np.zeros(len(ab))])
+        # Least squares rather than the normal equations, so that a Jacobian
+        # of rank below d - 1 gives a step instead of an error.
+        damped = np.vstack([jac, np.diag(np.sqrt(lam * scale))])
+        trial = ab + np.linalg.lstsq(damped, rhs, rcond=None)[0]
+        got, g = fire(trial)
+        miss = float(np.linalg.norm(g))
+        if miss < trail[-1]:
+            ab, shot, f, jac = trial, got, g, None
+            trail.append(miss)
+            lam *= 0.1
+        else:
+            trail.append(trail[-1])
+            lam *= 10.0
+    return _make_sample(scene, x, y, shot), len(trail), None
 
 
 @dataclass(frozen=True)
 class _Sweep3D:
     seeds: np.ndarray
-    exits: list  # exit point per seed, None where the trace does not escape
+    exits: np.ndarray  # exit point per seed, inf where the trace does not leave
     tree: object  # cKDTree over the seeds
     window: float  # misses above this are too far from any root to polish
 
@@ -743,39 +792,44 @@ def _sweeps_3d(scene, xs, n_seeds):
         seeds.append(hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1])
     escaped, legs, _, dirs, _ = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
                                             np.concatenate(seeds))
-    points, crosses = _exit_crossings(scene, legs, dirs)
-    exits = [tuple(p) if ok else None
-             for p, ok in zip(points.tolist(), (escaped & crosses).tolist())]
+    exits, crosses = _exit_crossings(scene, legs, dirs)
+    left = escaped & crosses
+    exits[~left] = np.inf
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
     sweeps = [_Sweep3D(u, exits[k * len(hemi):(k + 1) * len(hemi)], cKDTree(u), window)
               for k, u in enumerate(seeds)]
-    return sweeps, exits.count(None), len(exits)
+    return sweeps, int(np.count_nonzero(~left)), len(exits)
 
 
 def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
     """_polish_3d from each seed whose exit miss to y is least among its
-    nearest neighbours and within a few seed spacings; returns the roots and
-    a Counter of refine_shots and dropped_clusters, the failed polishes that
-    are the d = 3 counterpart of dropped brackets."""
-    seeds = sweep.seeds
-    yt = _as_tuple(y)
-    misses = np.array([np.inf if e is None else math.dist(e, yt) for e in sweep.exits])
-    polished = []
-    for i in np.argsort(misses):
-        if misses[i] > sweep.window:
-            break
-        _, nbrs = sweep.tree.query(seeds[i], k=min(8, len(seeds)))
-        if any(misses[j] < misses[i] for j in np.atleast_1d(nbrs) if j != i):
-            continue
-        polished.append(_polish_3d(scene, x, y, seeds[i]))
-    found = [s for s, _ in polished if s is not None]
-    return _dedup_samples(scene, found), Counter(
-        refine_shots=sum(shots for _, shots in polished),
-        dropped_clusters=len(polished) - len(found))
+    nearest neighbours and within a few seed spacings, in increasing order of
+    miss; returns the roots and a Counter of refine_shots, dropped_clusters
+    (the failed polishes, the d = 3 counterpart of dropped brackets) and the
+    drops by reason."""
+    misses = np.linalg.norm(sweep.exits - y, axis=1)
+    order = np.argsort(misses)
+    near = order[misses[order] <= sweep.window]
+    found = []
+    tally = Counter()
+    if not len(near):
+        return found, tally
+    k = min(8, len(sweep.seeds))
+    _, nbrs = sweep.tree.query(sweep.seeds[near], k=k)
+    least = (misses[nbrs.reshape(-1, k)] >= misses[near, None]).all(axis=1)
+    for i in near[least].tolist():
+        sample, shots, reason = _polish_3d(scene, x, y, sweep.seeds[i])
+        tally["refine_shots"] += shots
+        if sample is None:
+            tally["dropped_clusters"] += 1
+            tally[reason] += 1
+        else:
+            found.append(sample)
+    return _dedup_samples(scene, found), tally
 
 
 def _mirror_refine_3d(scene, s, x, y):
-    got, shots = _polish_3d(scene, x, y, -np.asarray(s.dir_out))
+    got, shots, _ = _polish_3d(scene, x, y, -np.asarray(s.dir_out))
     return _same_root(scene, got, s), shots
 
 
@@ -810,12 +864,11 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         "ball_radius": float(scene.ball_radius),
     })
     merged, cutoff, tally, rays = _travel(scene, pts, pairs, n_seeds, threads)
-    reasons = _DROP_REASONS_2D if scene.dimension == 2 else ()
     return SpectrumTable("travel", scene.digest, grid,
                          tuple(tuple(sorted(s.t for s in cell)) for cell in merged),
                          tuple(s for cell in merged for s in cell),
                          (("cutoff_seeds", cutoff), ("dropped_clusters", tally["dropped_clusters"]),
-                          *((r, tally[r]) for r in reasons),
+                          *((r, tally[r]) for r in _DROP_REASONS),
                           ("refine_shots", tally["refine_shots"]), ("sweep_rays", rays)))
 
 

@@ -48,7 +48,7 @@ def test_invalid_bodies_rejected():
     {"ball_center": (math.nan, 0.0)},
     {"ball_radius": math.inf},
     {"bodies": (sl.ball((math.nan, 0.0), 1.0),)},
-    {"bodies": (sl.ellipsoid((0.0, 0.0), (math.inf, 1.0)),)},
+    {"bodies": (sl.ellipsoid((0.0, math.inf), (2.0, 1.0)),)},
     {"curves": (sl.CurveObstacle((sl.EllipticArc((math.nan, 0.0), (2.0, 1.0), (0.0, 3.0)),)),)},
 ])
 def test_scene_rejects_non_finite_numbers(kwargs):
@@ -465,20 +465,30 @@ def test_body_reach_bounds_boundary_samples(body, point):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_validation_survives_extreme_semiaxes():
-    # Squared lengths here overflow, or underflow to a singular Newton matrix;
-    # the checks must still answer rather than raise.
+    # Squared lengths near the ends of the accepted range overflow in the
+    # checks' products, or underflow to a singular Newton matrix; the checks
+    # must still answer rather than raise.
     long = sl.ellipsoid((0.0, 0.0), (1e100, 1.0))
     assert _body_reach(long, np.array([0.0, 5.0])) == pytest.approx(1e100)
     rot = ((-0.34783989629645884, 0.16470794910765116, -0.922972750434822),
            (-0.6962617836885595, -0.7046603693873378, 0.13665025572506803),
            (0.6278749358903367, -0.6901630642939771, -0.35978884024529345))
     a = sl.ellipsoid((-9.928924887080912e131, 1.827449915420134e132, 7.316830099511096e131),
-                     (9.9939266957888e-43, 6.20917569657432e-188, 3.2180483298148054e-149), rot)
+                     (9.9939266957888e-43, 6.20917569657432e-150, 3.2180483298148054e-149), rot)
     b = sl.ellipsoid((-0.2723946301691962, 1.1694511649228758, 0.5182316927529196),
-                     (4.4275240288358395e-149, 2.3765954862076882e300, 1.0587442056482031e-210))
+                     (4.4275240288358395e-149, 2.3765954862076882e150, 1.0587442056482031e-150))
     # b is a needle along the y-axis that a's y-coordinate falls inside.
     gap = math.hypot(a.center[0] - b.center[0], a.center[2] - b.center[2])
     assert body_pair_distance(a, b) == pytest.approx(gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", [1e-170, 1e-160, 1e160, 1e200, math.inf])
+def test_body_refuses_semiaxes_without_finite_curvature(axis):
+    # 1/s^2 overflows or underflows to 0 here, so the body's Hessian would
+    # not be finite and positive definite.
+    with pytest.raises(ValueError, match="1/s\\^2"):
+        sl.ellipsoid((0.0, 0.0, 0.0), (axis, 1.0, 1.0))
+    assert sl.ellipsoid((0.0, 0.0, 0.0), (1e-150, 1.0, 1e150)).semiaxes[0] == 1e-150
 
 
 def test_curve_chain_continuity():

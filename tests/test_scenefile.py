@@ -155,6 +155,23 @@ def test_nested_bodies_are_refused(text, tmp_path):
     assert run_command(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize("axis", [1e-170, 1e200])
+def test_semiaxes_without_finite_curvature_are_refused(axis, tmp_path, capsys):
+    doc = _with_body(kind="ellipsoid", semiaxes=[axis, 1.0])
+    with pytest.raises(SceneFormatError) as err:
+        parse_scene(json.dumps(doc))
+    [issue] = err.value.issues
+    assert issue.location == "bodies[0]"
+    assert "1/s^2" in issue.message
+    path = tmp_path / "extreme.toy"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_command(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "bodies[0]" in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_parse_imports_no_scipy(ball_ellipsoid_scene):
     # Validation is numpy-only; scipy loads only for the d = 3 travel polish
     # and the KD-tree lookups.

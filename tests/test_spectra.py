@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -687,6 +691,18 @@ def test_travel_3d_single_bounce_matches_sphere_oracle():
     assert one[0].t == pytest.approx(t_ref, abs=1e-4)
 
 
+def test_travel_3d_deep_shadow_is_empty():
+    # A one-bounce exit z off a centred ball of radius 5 has z.n >= 5, so
+    # every exit lies at least 10 from the antipode of x: no seed's miss is
+    # within the seed window, and the search polishes nothing.
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 5.0),),
+                     ball_radius=10.0)
+    assert sl.find_xy_geodesics(scene, (-10.0, 0.0, 0.0), (10.0, 0.0, 0.0)) == []
+    table = sl.travelling_time_spectrum(scene, n_points=2)
+    assert table.cells == ((), ())
+    assert table.diagnostics_dict()["refine_shots"] == 0
+
+
 def test_scan_3d_backscatter():
     scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 1.0),),
                      ball_radius=10.0)
@@ -772,8 +788,8 @@ def test_polish_3d_recovers_tilted_root():
     (root,) = [s for s in sl.find_xy_geodesics(scene, x, y) if s.reflections == 1]
     u = np.asarray(root.dir_in)
     tilted = math.cos(1e-3) * u + math.sin(1e-3) * sl.spectra.plane_basis(u)[0]
-    got, _ = sl.spectra._polish_3d(scene, x, y, tilted)
-    assert got is not None
+    got, _, reason = sl.spectra._polish_3d(scene, x, y, tilted)
+    assert got is not None and reason is None
     assert got.residual < sl.spectra._root_tol(scene)
     assert got.itinerary == (0,)
     assert abs(got.t - root.t) <= 1e-9
@@ -781,8 +797,8 @@ def test_polish_3d_recovers_tilted_root():
 
 def test_polish_3d_shot_budget(ball_ellipsoid_scene, monkeypatch):
     # Counted work: every shot of a d = 3 table is a polish shot (the sweep
-    # is one batched trace). The least-squares polish fires 723 here; a
-    # derivative-free simplex search on the scalar miss needs about 3,500.
+    # is one batched trace). The polish stops at the root goal and fires 111
+    # here.
     spectra = sl.spectra
     shoot = spectra._shoot
     shots = []
@@ -794,7 +810,28 @@ def test_polish_3d_shot_budget(ball_ellipsoid_scene, monkeypatch):
     monkeypatch.setattr(spectra, "_shoot", counting_shoot)
     table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3)
     assert table.samples
-    assert table.diagnostics_dict()["refine_shots"] == len(shots) <= 1200
+    assert table.diagnostics_dict()["refine_shots"] == len(shots) <= 150
+
+
+def test_mirror_polish_3d_takes_at_most_one_step(ball_ellipsoid_scene, monkeypatch):
+    # The time reversal of a root polished to the goal meets the goal from
+    # the other end at its first shot, or after one step (d - 1 Jacobian
+    # shots and one trial) where the path amplifies the raw root's miss.
+    spectra = sl.spectra
+    mirror = spectra._mirror_refine_3d
+    shots = []
+
+    def counting_mirror(*args):
+        got, used = mirror(*args)
+        assert got is not None
+        shots.append(used)
+        return got, used
+
+    monkeypatch.setattr(spectra, "_mirror_refine_3d", counting_mirror)
+    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3)
+    assert table.samples
+    assert set(shots) <= {1, 1 + ball_ellipsoid_scene.dimension}
+    assert shots.count(1) > len(shots) / 2
 
 
 def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
@@ -805,10 +842,10 @@ def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
     failed = []
 
     def counting_polish(*args):
-        got, shots = polish(*args)
+        got, shots, reason = polish(*args)
         if in_raw and got is None:
-            failed.append(args)
-        return got, shots
+            failed.append(reason)
+        return got, shots, reason
 
     def raw_refine(*args):
         # Mirror polishes run outside the raw refinement and are not drops.
@@ -821,8 +858,78 @@ def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
     monkeypatch.setattr(spectra, "_polish_3d", counting_polish)
     monkeypatch.setattr(spectra, "_refine_pair_3d", raw_refine)
     table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4)
+    diag = table.diagnostics_dict()
     assert len(failed) > 0
-    assert table.diagnostics_dict()["dropped_clusters"] == len(failed)
+    assert diag["dropped_clusters"] == len(failed)
+    assert all(diag[r] == failed.count(r) for r in spectra._DROP_REASONS)
+    assert sum(diag[r] for r in spectra._DROP_REASONS) == diag["dropped_clusters"]
+
+
+def _fake_exit(monkeypatch, miss):
+    """Replace _shoot by a shot that leaves at y + (miss(k), 0, 0) on the
+    k-th call (None: it does not leave), and return the list of calls."""
+    spectra = sl.spectra
+    calls = []
+
+    def shoot(scene, x, u):
+        calls.append(u)
+        m = miss(len(calls))
+        if m is None:
+            return None
+        return u, (), u, _Y3 + np.array([m, 0.0, 0.0]), 20.0
+
+    monkeypatch.setattr(spectra, "_shoot", shoot)
+    return calls
+
+
+_X3 = np.array([-10.0, 0.0, 0.0])
+_Y3 = np.array([10.0, 0.0, 0.0])
+
+
+def _polish(scene):
+    return sl.spectra._polish_3d(scene, _X3, _Y3, np.array([1.0, 0.0, 0.0]))
+
+
+def test_polish_3d_steady_miss_reaches_cap(monkeypatch):
+    # A miss that halves every ten shots never stalls and never reaches the
+    # goal: the polish gives up at the cap, where a step of d shots (the
+    # Jacobian and one trial) no longer fits.
+    scene = sl.Scene(dimension=3, ball_radius=10.0)
+    calls = _fake_exit(monkeypatch, lambda k: 0.5 ** (k / 10))
+    cap = sl.spectra._POLISH_CAP
+    got, shots, reason = _polish(scene)
+    assert (got, reason) == (None, "dropped_cap")
+    assert shots == len(calls)
+    assert cap - scene.dimension < shots <= cap
+
+
+def test_polish_3d_stalled_miss_ends_early(monkeypatch):
+    # A miss stuck at a nonzero minimum ends as a residual drop long before
+    # the cap; a first shot that does not leave ends at once.
+    scene = sl.Scene(dimension=3, ball_radius=10.0)
+    calls = _fake_exit(monkeypatch, lambda k: 0.3)
+    got, shots, reason = _polish(scene)
+    assert (got, reason) == (None, "dropped_residual")
+    assert shots == len(calls) <= 2 * sl.spectra._STALL_SHOTS
+    calls = _fake_exit(monkeypatch, lambda k: None)
+    assert _polish(scene) == (None, 1, "dropped_lost")
+
+
+def test_travel_3d_imports_no_scipy_optimize(ball_ellipsoid_scene):
+    # The d = 3 polish is numpy-only; of scipy the travel search loads only
+    # the KD-tree for the seed neighbourhoods.
+    code = ("import sys, scatterlab; "
+            "scene = scatterlab.parse_scene(sys.stdin.read()); "
+            "table = scatterlab.travelling_time_spectrum(scene, n_points=3, n_seeds=200); "
+            "print(len(table.samples), 'scipy.optimize' in sys.modules)")
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code],
+                          input=sl.serialize_scene(ball_ellipsoid_scene),
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    found, loaded = done.stdout.split()
+    assert int(found) > 0
+    assert loaded == "False"
 
 
 def test_spectrum_3d_swap_symmetry_and_residuals(ball_ellipsoid_scene):
