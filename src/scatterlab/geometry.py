@@ -951,8 +951,11 @@ def _support_separation(a: ConvexBody, b: ConvexBody):
             break
         # The Euclidean Hessian is negative semidefinite with n in its kernel;
         # the sphere adds -g on the tangent space, and nn' pins the step to it.
-        hess = ((np.outer(an, an) / sa**2 - la.T @ la) / sa
-                + (np.outer(bn, bn) / sb**2 - lb.T @ lb) / sb)
+        # Near the ends of the accepted semiaxis range its terms overflow to
+        # inf; the solve and the backtracking below still give a step.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            hess = ((np.outer(an, an) / sa**2 - la.T @ la) / sa
+                    + (np.outer(bn, bn) / sb**2 - lb.T @ lb) / sb)
         nn = np.outer(n, n)
         tangent = np.eye(d) - nn
         try:

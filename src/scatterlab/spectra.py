@@ -36,6 +36,7 @@ rather than answered with empty sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -769,22 +770,85 @@ def _polish_3d(scene, x, y, u0):
     return _make_sample(scene, x, y, shot), len(trail), None
 
 
+# Half-width of the z band searched for a seed's neighbours, in sqrt(n)
+# indices: the 8th-neighbour radius of the n-point hemisphere lattice is at
+# most 5.35 sqrt(n) / n for n from 10 to 100,000.
+_BAND_SQRT_N = 6.0
+# Distance-matrix entries per block of rows, which keeps a block's arrays to
+# a few MB.
+_BLOCK_ENTRIES = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def _hemisphere(n_seeds: int):
+    """The n_seeds inward seeds in the frame whose z-axis points into the
+    ball, and the table of each seed's min(8, n) nearest seeds, itself first;
+    both read-only, one pair per process shared by every d = 3 sweep."""
+    hemi = fibonacci_sphere(2 * n_seeds)
+    hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
+    nbrs = _lattice_neighbours(hemi, min(8, len(hemi)), 1.0 / n_seeds)
+    hemi.flags.writeable = False
+    nbrs.flags.writeable = False
+    return hemi, nbrs
+
+
+def _lattice_neighbours(points, k, dz):
+    """Indices of the k nearest of points to each of them, nearest first, for
+    points ordered by z with z falling by dz per index, as on a Fibonacci
+    lattice (Swinbank & Purser, QJRMS 2006).
+
+    A chord is at least the difference of its ends' z, so points more than w
+    indices apart are at least (w + 1) dz apart. Each point's neighbours are
+    therefore sought among the w indices either side, w about _BAND_SQRT_N
+    sqrt(n), and kept when the k-th is nearer than (w + 1) dz; the other rows
+    are sought among all points. Exact, without an n x n matrix.
+    """
+    n = len(points)
+    w = max(k, math.ceil(_BAND_SQRT_N * math.sqrt(n)))
+    nbrs, kth = _nearest_in_band(points, np.arange(n), k, w)
+    # The margin covers the rounding of z, far below any lattice spacing.
+    redo = np.flatnonzero(kth >= ((w + 1) * dz * (1.0 - 1e-9)) ** 2)
+    if len(redo):
+        nbrs[redo] = _nearest_in_band(points, redo, k, n)[0]
+    return nbrs
+
+
+def _nearest_in_band(points, rows, k, w):
+    """For each of the ascending indices rows, the k nearest, nearest first,
+    of candidate points that include all those at most w indices away, and
+    the squared distance of the k-th."""
+    n = len(points)
+    nbrs = np.empty((len(rows), k), dtype=np.intp)
+    kth = np.empty(len(rows))
+    step = max(1, _BLOCK_ENTRIES // min(n, 2 * w + 1))
+    for a in range(0, len(rows), step):
+        r = rows[a:a + step]
+        lo, hi = max(0, r[0] - w), min(n, r[-1] + w + 1)
+        d2 = sum((points[r, None, c] - points[None, lo:hi, c]) ** 2 for c in range(3))
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        part = np.take_along_axis(part, np.take_along_axis(d2, part, axis=1).argsort(axis=1),
+                                  axis=1)
+        nbrs[a:a + step] = lo + part
+        kth[a:a + step] = d2[np.arange(len(r)), part[:, -1]]
+    return nbrs, kth
+
+
 @dataclass(frozen=True)
 class _Sweep3D:
+    """One source point's traced seeds. nbrs is _hemisphere's read-only
+    table, the same for every source: a point's seeds are the lattice carried
+    into its frame by an orthonormal basis, which keeps all distances."""
     seeds: np.ndarray
     exits: np.ndarray  # exit point per seed, inf where the trace does not leave
-    tree: object  # cKDTree over the seeds
+    nbrs: np.ndarray  # row i: the indices of seed i's nearest seeds, i first
     window: float  # misses above this are too far from any root to polish
 
 
 def _sweeps_3d(scene, xs, n_seeds):
     """The inward hemisphere seeds at every point of xs, all traced in one
     lockstep batch; returns (sweeps, cutoff seeds, rays traced)."""
-    from scipy.spatial import cKDTree
-
     center = np.asarray(scene.ball_center)
-    hemi = fibonacci_sphere(2 * n_seeds)
-    hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
+    hemi, nbrs = _hemisphere(n_seeds)
     seeds = []
     for x in xs:
         m = (center - x) / float(np.linalg.norm(center - x))
@@ -796,27 +860,23 @@ def _sweeps_3d(scene, xs, n_seeds):
     left = escaped & crosses
     exits[~left] = np.inf
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
-    sweeps = [_Sweep3D(u, exits[k * len(hemi):(k + 1) * len(hemi)], cKDTree(u), window)
+    sweeps = [_Sweep3D(u, exits[k * len(hemi):(k + 1) * len(hemi)], nbrs, window)
               for k, u in enumerate(seeds)]
     return sweeps, int(np.count_nonzero(~left)), len(exits)
 
 
 def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
     """_polish_3d from each seed whose exit miss to y is least among its
-    nearest neighbours and within a few seed spacings, in increasing order of
-    miss; returns the roots and a Counter of refine_shots, dropped_clusters
-    (the failed polishes, the d = 3 counterpart of dropped brackets) and the
-    drops by reason."""
+    lattice neighbours (the rows of sweep.nbrs) and within a few seed
+    spacings, in increasing order of miss; returns the roots and a Counter of
+    refine_shots, dropped_clusters (the failed polishes, the d = 3
+    counterpart of dropped brackets) and the drops by reason."""
     misses = np.linalg.norm(sweep.exits - y, axis=1)
     order = np.argsort(misses)
     near = order[misses[order] <= sweep.window]
+    least = (misses[sweep.nbrs[near]] >= misses[near, None]).all(axis=1)
     found = []
     tally = Counter()
-    if not len(near):
-        return found, tally
-    k = min(8, len(sweep.seeds))
-    _, nbrs = sweep.tree.query(sweep.seeds[near], k=k)
-    least = (misses[nbrs.reshape(-1, k)] >= misses[near, None]).all(axis=1)
     for i in near[least].tolist():
         sample, shots, reason = _polish_3d(scene, x, y, sweep.seeds[i])
         tally["refine_shots"] += shots

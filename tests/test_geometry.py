@@ -463,11 +463,11 @@ def test_body_reach_bounds_boundary_samples(body, point):
     assert sampled - 1e-12 <= reach <= sampled + 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_validation_survives_extreme_semiaxes():
     # Squared lengths near the ends of the accepted range overflow in the
     # checks' products, or underflow to a singular Newton matrix; the checks
-    # must still answer rather than raise.
+    # must still answer, without a warning, rather than raise.
     long = sl.ellipsoid((0.0, 0.0), (1e100, 1.0))
     assert _body_reach(long, np.array([0.0, 5.0])) == pytest.approx(1e100)
     rot = ((-0.34783989629645884, 0.16470794910765116, -0.922972750434822),

@@ -173,8 +173,8 @@ def test_semiaxes_without_finite_curvature_are_refused(axis, tmp_path, capsys):
 
 
 def test_parse_imports_no_scipy(ball_ellipsoid_scene):
-    # Validation is numpy-only; scipy loads only for the d = 3 travel polish
-    # and the KD-tree lookups.
+    # Validation is numpy-only; scipy loads only for the KD-tree lookups of
+    # coverage and point-set Hausdorff.
     code = ("import sys, scatterlab; scatterlab.parse_scene(sys.stdin.read()); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(sl.__file__).resolve().parent.parent)

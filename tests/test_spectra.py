@@ -916,8 +916,7 @@ def test_polish_3d_stalled_miss_ends_early(monkeypatch):
 
 
 def test_travel_3d_imports_no_scipy_optimize(ball_ellipsoid_scene):
-    # The d = 3 polish is numpy-only; of scipy the travel search loads only
-    # the KD-tree for the seed neighbourhoods.
+    # The d = 3 polish is numpy-only.
     code = ("import sys, scatterlab; "
             "scene = scatterlab.parse_scene(sys.stdin.read()); "
             "table = scatterlab.travelling_time_spectrum(scene, n_points=3, n_seeds=200); "
@@ -930,6 +929,70 @@ def test_travel_3d_imports_no_scipy_optimize(ball_ellipsoid_scene):
     found, loaded = done.stdout.split()
     assert int(found) > 0
     assert loaded == "False"
+
+
+def test_travel_3d_imports_no_scipy(tmp_path, ball_ellipsoid_scene):
+    # The d = 3 seed neighbours come from the lattice, so neither a table nor
+    # CLI travel on a 3-D scene file loads any scipy module.
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(sl.serialize_scene(ball_ellipsoid_scene))
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    library = ("import sys, scatterlab; "
+               "scene = scatterlab.parse_scene(open(sys.argv[1]).read()); "
+               "table = scatterlab.travelling_time_spectrum(scene, n_points=3, n_seeds=200); "
+               "assert table.samples; " + loaded)
+    cli = ("import sys; from scatterlab.cli import run_command; "
+           "assert run_command(['travel', sys.argv[1], '--points', '3', '--seeds', '200', "
+           "'--out', sys.argv[2]]) == 0; " + loaded)
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    for code in (library, cli):
+        done = subprocess.run([sys.executable, "-c", code, str(scene_file),
+                               str(tmp_path / "travel.csv")],
+                              capture_output=True, text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "travel.csv").stat().st_size > 0
+
+
+def _brute_neighbour_sets(points, k):
+    return [set(np.argsort(np.linalg.norm(points - p, axis=1), kind="stable")[:k].tolist())
+            for p in points]
+
+
+@pytest.mark.parametrize("n_seeds", [1, 7, 8, 9, 200, 2000])
+def test_seed_neighbours_match_brute_force(n_seeds):
+    hemi, nbrs = sl.spectra._hemisphere(n_seeds)
+    assert nbrs.shape == (n_seeds, min(8, n_seeds))
+    assert (nbrs[:, 0] == np.arange(n_seeds)).all()
+    assert [set(row) for row in nbrs.tolist()] == _brute_neighbour_sets(hemi, nbrs.shape[1])
+
+
+def test_seed_neighbours_hold_in_a_source_frame(ball_ellipsoid_scene):
+    # A source point's seeds are the lattice turned into its frame, so the
+    # lattice's table names their nearest neighbours too.
+    x = 10.0 * unit_vector((0.36, -0.48, 0.8))
+    (sweep,), _, _ = sl.spectra._sweeps_3d(ball_ellipsoid_scene, x[None, :], 500)
+    assert [set(row) for row in sweep.nbrs.tolist()] == _brute_neighbour_sets(sweep.seeds, 8)
+
+
+def test_seed_neighbours_fall_back_to_a_full_scan(monkeypatch):
+    # In a band of 4 sqrt(n) indices the 8th neighbour of many seeds is not
+    # certified, so those rows are searched again over all seeds.
+    spectra = sl.spectra
+    hemi, _ = spectra._hemisphere(2000)
+    search = spectra._nearest_in_band
+    widths = []
+
+    def recording_search(points, rows, k, w):
+        widths.append((w, len(rows)))
+        return search(points, rows, k, w)
+
+    monkeypatch.setattr(spectra, "_BAND_SQRT_N", 4.0)
+    monkeypatch.setattr(spectra, "_nearest_in_band", recording_search)
+    nbrs = spectra._lattice_neighbours(hemi, 8, 1.0 / 2000)
+    assert [w for w, _ in widths] == [179, 2000]
+    assert 0 < widths[1][1] < 2000
+    assert [set(row) for row in nbrs.tolist()] == _brute_neighbour_sets(hemi, 8)
 
 
 def test_spectrum_3d_swap_symmetry_and_residuals(ball_ellipsoid_scene):
