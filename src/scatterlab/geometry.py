@@ -914,12 +914,14 @@ def _support_terms(dc: np.ndarray, la: np.ndarray, lb: np.ndarray, n: np.ndarray
 
     |L n| = sqrt(n'R D^2 R^T n) is a body's support function about its
     center; the gradient w = x_b - x_a is the difference of the support point
-    x_b of body b in direction -n and x_a of body a in direction n.
+    x_b of body b in direction -n and x_a of body a in direction n, and
+    x_a = L_a'(L_a n) / |L_a n| about a's center. The norms are taken by
+    hypot, which neither overflows nor underflows.
     """
     ua, ub = la @ n, lb @ n
-    sa, sb = np.sqrt(ua @ ua), np.sqrt(ub @ ub)
-    an, bn = la.T @ ua, lb.T @ ub
-    return float(dc @ n - sa - sb), dc - an / sa - bn / sb, an, bn, sa, sb
+    sa, sb = math.hypot(*ua), math.hypot(*ub)
+    xa, xb = la.T @ (ua / sa), lb.T @ (ub / sb)
+    return float(dc @ n - sa - sb), dc - xa - xb, xa, xb, sa, sb
 
 
 def _support_separation(a: ConvexBody, b: ConvexBody):
@@ -932,36 +934,44 @@ def _support_separation(a: ConvexBody, b: ConvexBody):
     both equal the distance between the bodies (Boyd & Vandenberghe, Convex
     Optimization, 2004, section 8.2). Overlapping or nested bodies give
     lower <= 0, minus the penetration depth reached from the lattice start.
+
+    The search runs on the pair scaled by the power of two above its longest
+    semiaxis, which is exact. Every scaled semiaxis is then below 1, and the
+    Newton matrix's entries stay below about s_max / s_min, which is finite
+    over the accepted semiaxis range.
     """
-    la = np.asarray(a.semiaxes)[:, None] * np.asarray(a.rotation).T
-    lb = np.asarray(b.semiaxes)[:, None] * np.asarray(b.rotation).T
-    dc = b._c - a._c
+    scale = math.ldexp(1.0, math.frexp(max(a.semiaxes + b.semiaxes))[1])
+    la = np.asarray(a.semiaxes)[:, None] * np.asarray(a.rotation).T / scale
+    lb = np.asarray(b.semiaxes)[:, None] * np.asarray(b.rotation).T / scale
+    dc = (b._c - a._c) / scale
     d = dc.size
     starts = _unit_directions(d, _PAIR_SAMPLES)
     gs = (starts @ dc - np.linalg.norm(starts @ la.T, axis=1)
           - np.linalg.norm(starts @ lb.T, axis=1))
     n = starts[int(np.argmax(gs))]
-    g, w, an, bn, sa, sb = _support_terms(dc, la, lb, n)
+    g, w, xa, xb, sa, sb = _support_terms(dc, la, lb, n)
     for _ in range(_SEPARATION_STEPS):
         grad = w - g * n
         # Rounding bound on g and on its gradient.
-        tol = 32.0 * np.finfo(float).eps * (np.sqrt(dc @ dc) + np.sqrt(an @ an) / sa
-                                            + np.sqrt(bn @ bn) / sb)
+        tol = 32.0 * np.finfo(float).eps * (np.sqrt(dc @ dc) + np.sqrt(xa @ xa)
+                                            + np.sqrt(xb @ xb))
         if not math.sqrt(grad @ grad) > tol:
             break
-        # The Euclidean Hessian is negative semidefinite with n in its kernel;
-        # the sphere adds -g on the tangent space, and nn' pins the step to it.
-        # Near the ends of the accepted semiaxis range its terms overflow to
-        # inf; the solve and the backtracking below still give a step.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            hess = ((np.outer(an, an) / sa**2 - la.T @ la) / sa
-                    + (np.outer(bn, bn) / sb**2 - lb.T @ lb) / sb)
-        nn = np.outer(n, n)
-        tangent = np.eye(d) - nn
+        # The Euclidean Hessian is negative semidefinite with n in its kernel,
+        # and the sphere adds -g on the tangent space. The step is solved in
+        # the orthonormal basis q of that space that a Householder reflection
+        # taking n to an axis gives, so no term along n mixes its scale in.
+        hess = ((np.outer(xa, xa) - la.T @ la) / sa
+                + (np.outer(xb, xb) - lb.T @ lb) / sb)
+        k = int(np.argmax(np.abs(n)))
+        v = n.copy()
+        v[k] += math.copysign(1.0, n[k])
+        q = np.delete(np.eye(d) - np.outer(v, v) * (2.0 / (v @ v)), k, axis=1)
+        hq, rhs = q.T @ hess @ q, -(q.T @ grad)
         try:
-            step = np.linalg.solve(hess - g * tangent + nn, -grad)
+            step = q @ np.linalg.solve(hq - g * np.eye(d - 1), rhs)
             if grad @ step <= 0.0:
-                step = np.linalg.solve(hess - abs(g) * tangent + nn, -grad)
+                step = q @ np.linalg.solve(hq - abs(g) * np.eye(d - 1), rhs)
         except np.linalg.LinAlgError:
             break
         for _ in range(_STEP_HALVINGS):
@@ -974,8 +984,8 @@ def _support_separation(a: ConvexBody, b: ConvexBody):
         else:
             break
         n = m
-        g, w, an, bn, sa, sb = trial
-    return n, g, math.sqrt(w @ w)
+        g, w, xa, xb, sa, sb = trial
+    return n, g * scale, math.sqrt(w @ w) * scale
 
 
 def body_pair_distance(a: ConvexBody, b: ConvexBody) -> float:
@@ -1028,6 +1038,41 @@ def _body_reach(body: ConvexBody, p: np.ndarray) -> float:
     return float(np.linalg.norm(x - q))
 
 
+def _chord_implicit_min(body: ConvexBody, p: np.ndarray) -> float:
+    """Least implicit value of the body (as in evaluate_body) on the polyline
+    through the rows of p; exact on each chord, where it is a quadratic in
+    the chord parameter."""
+    w, e = p[:-1] - body._c, p[1:] - p[:-1]
+    me = e @ body._M
+    ee = _rowdot(e, me)
+    t = np.clip(-_rowdot(w, me) / np.where(ee > 0.0, ee, 1.0), 0.0, 1.0)
+    x = w + t[:, None] * e
+    return float(np.min(_rowdot(x, x @ body._M))) - 1.0
+
+
+def _chord_gap(p: np.ndarray, q: np.ndarray) -> float:
+    """Distance between the planar polylines through the rows of p and of q:
+    0 when a chord of one crosses a chord of the other, else the least
+    distance from a vertex of one to a chord of the other."""
+    def vertex_gap(x, y):
+        a, e = y[:-1], y[1:] - y[:-1]
+        wx, wy = x[:, 0, None] - a[:, 0], x[:, 1, None] - a[:, 1]
+        ee = _rowdot(e, e)
+        t = np.clip((wx * e[:, 0] + wy * e[:, 1]) / np.where(ee > 0.0, ee, 1.0), 0.0, 1.0)
+        return float(np.min(np.hypot(wx - t * e[:, 0], wy - t * e[:, 1])))
+
+    def straddles(x, y):
+        # [i, j]: the ends of chord j of y lie strictly on both sides of chord i of x.
+        e = x[1:] - x[:-1]
+        side = (e[:, 0, None] * (y[:, 1] - x[:-1, 1, None])
+                - e[:, 1, None] * (y[:, 0] - x[:-1, 0, None]))
+        return side[:, :-1] * side[:, 1:] < 0.0
+
+    if np.any(straddles(p, q) & straddles(q, p).T):
+        return 0.0
+    return min(vertex_gap(p, q), vertex_gap(q, p))
+
+
 def validate_scene(scene: Scene) -> ValidationReport:
     """Check disjointness and containment in the reference ball.
 
@@ -1037,8 +1082,12 @@ def validate_scene(scene: Scene) -> ValidationReport:
     sampled: each pair's signed separation comes from its support functions
     (``body_pair_distance``), so nested bodies are refused too, and each
     body's reach from the ball center from its farthest point. Curves are
-    checked for containment on boundary samples. Violations are data, not
-    errors; an empty report marks an admissible scene.
+    checked on the polylines through their arc samples, which are exact for
+    segments: for containment, for meeting a body (an implicit value <= 0),
+    and for coming within _DISJOINT_TOL of another curve. Arcs of one curve
+    meet at their ends by design, so they are not checked against each
+    other. Violations are data, not errors; an empty report marks an
+    admissible scene.
     """
     out = []
     center = np.asarray(scene.ball_center)
@@ -1054,10 +1103,26 @@ def validate_scene(scene: Scene) -> ValidationReport:
             if not gap > _DISJOINT_TOL:
                 out.append(Violation("disjointness", (i, j), f"boundary gap {gap:.6g}"))
     nb = len(scene.bodies)
-    for ci, curve in enumerate(scene.curves):
-        pts = curve.sample(_PAIR_SAMPLES // max(1, len(curve.arcs)))
-        reach = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    chains = [[arc.sample(max(2, _PAIR_SAMPLES // len(curve.arcs))) for arc in curve.arcs]
+              for curve in scene.curves]
+    for ci, arcs in enumerate(chains):
+        reach = max(float(np.max(np.linalg.norm(p - center, axis=1))) for p in arcs)
         if reach >= a - _CONTAIN_TOL:
             out.append(Violation("containment", (nb + ci,),
                                  f"curve reaches {reach:.6g} of ball radius {a:.6g}"))
+        for i, body in enumerate(scene.bodies):
+            low = min(_chord_implicit_min(body, p) for p in arcs)
+            if not low > 0.0:
+                out.append(Violation("disjointness", (i, nb + ci),
+                                     f"curve meets the body (implicit value {low:.6g})"))
+        for cj in range(ci + 1, len(chains)):
+            # Only arcs whose bounding boxes come within the tolerance need
+            # the pairwise distances.
+            near = [(p, q) for p in arcs for q in chains[cj]
+                    if np.all(np.maximum(p.min(0) - q.max(0), q.min(0) - p.max(0))
+                              <= _DISJOINT_TOL)]
+            gap = min((_chord_gap(p, q) for p, q in near), default=math.inf)
+            if not gap > _DISJOINT_TOL:
+                out.append(Violation("disjointness", (nb + ci, nb + cj),
+                                     f"curve gap {gap:.6g}"))
     return ValidationReport(tuple(out))

@@ -18,8 +18,8 @@ import numpy as np
 from .dynamics import PhaseState, _escape_distance, _trace_many
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
                        _rowdot, boundary_samples)
-from .spectra import (ContractError, SpectrumTable, TravellingTimeSample,
-                      _grid_tuple)
+from .spectra import (_BLOCK_ENTRIES, ContractError, SpectrumTable,
+                      TravellingTimeSample, _grid_tuple)
 
 MISMATCH_VERDICT_FRACTION = 0.01
 _COVERAGE_SAMPLES = 2048  # boundary samples per obstacle
@@ -55,11 +55,23 @@ def point_set_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     if a.size == 0 or b.size == 0:
         return math.inf
-    from scipy.spatial import cKDTree
+    return float(max(_nearest_distance(a, b).max(), _nearest_distance(b, a).max()))
 
-    da = cKDTree(b).query(a)[0].max()
-    db = cKDTree(a).query(b)[0].max()
-    return float(max(da, db))
+
+def _nearest_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """For each row of x, the Euclidean distance to the nearest row of y.
+
+    Exact: the square root of the least sum of squared coordinate
+    differences, each summed in coordinate order, over blocks of rows of x
+    that hold about _BLOCK_ENTRIES distances each.
+    """
+    out = np.empty(len(x))
+    step = max(1, _BLOCK_ENTRIES // len(y))
+    for a in range(0, len(x), step):
+        xa = x[a:a + step]
+        d2 = sum((xa[:, None, c] - y[None, :, c]) ** 2 for c in range(x.shape[1]))
+        out[a:a + step] = np.sqrt(d2.min(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,13 +236,12 @@ def accessible_coverage(scene: Scene, n_rays: int, eps: float,
     marked = escaped[log.rows] & ~log.grazing
     n_escaped = int(np.count_nonzero(escaped))
     n_cutoff = n_rays - n_escaped
-    from scipy.spatial import cKDTree
 
     def covered_fraction(samples, mask):
         pts = log.point[marked & mask]
         if not pts.size:
             return 0.0, samples
-        dist = cKDTree(pts).query(samples)[0]
+        dist = _nearest_distance(samples, pts)
         keep = dist > eps
         return float(np.mean(~keep)), samples[keep]
 

@@ -46,3 +46,18 @@ def ball_ellipsoid_scene():
                     bodies=(sl.ball((-3.0, 0.0, 0.0), 1.0),
                             sl.ellipsoid((3.0, 0.5, 0.0), (1.5, 1.0, 0.7), tilt)),
                     ball_radius=10.0)
+
+
+def _segment(a, b):
+    return sl.CurveObstacle((sl.SegmentArc(a, b),))
+
+
+@pytest.fixture(scope="session", params=["ball-and-segment", "crossing-segments"])
+def crossed_curve_scene(request):
+    """A curve that crosses a body or another curve: not a valid scene."""
+    chord = _segment((-2.0, 0.0), (2.0, 0.0))
+    if request.param == "ball-and-segment":
+        return sl.Scene(dimension=2, bodies=(sl.ball((0.0, 0.0), 1.0),), curves=(chord,),
+                        ball_radius=10.0)
+    return sl.Scene(dimension=2, curves=(chord, _segment((0.0, -2.0), (0.0, 2.0))),
+                    ball_radius=10.0)

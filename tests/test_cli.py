@@ -1,11 +1,16 @@
+import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import scatterlab as sl
-from scatterlab.cli import read_travel_csv, run_command, write_travel_csv
+from scatterlab.cli import build_parser, read_travel_csv, run_command, write_travel_csv
 from scatterlab.scenefile import serialize_scene
 
 
@@ -40,6 +45,50 @@ def test_validate_rejects_bad_scene(tmp_path, capsys):
     path = tmp_path / "bad.toy"
     path.write_text(json.dumps(doc))
     assert run_command(["validate", str(path)]) == 1
+
+
+def test_validate_refuses_crossed_curves(tmp_path, capsys, crossed_curve_scene):
+    path = tmp_path / "crossed.toy"
+    path.write_text(serialize_scene(crossed_curve_scene))
+    assert run_command(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "disjointness[0, 1]" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_commands_import_no_scipy(tmp_path, disk_file):
+    # The package is numpy-only: neither importing it nor any CLI command
+    # loads a scipy module.
+    travel = str(tmp_path / "travel.csv")
+    commands = [
+        ["validate", disk_file],
+        ["trace", disk_file, "--start=-10,0", "--direction=1,0"],
+        ["sls", disk_file, "--omega", "1,0", "--grid", "16"],
+        ["travel", disk_file, "--points", "6", "--out", travel],
+        ["compare", travel, travel],
+        ["probe-counts", disk_file, disk_file, "--n", "50"],
+        ["coverage", disk_file, "--rays", "300"],
+        ["reconstruct", travel, "--ball", "0,0,10"],
+        ["demo-livshits", "--offsets", "20", "--angles", "20", "--focal", "20"],
+    ]
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in commands} == set(sub.choices)
+    code = ("import contextlib, io, json, sys, scatterlab\n"
+            "from scatterlab.cli import run_command\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "steps = [('import', 0, loaded())]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        steps.append((argv[0], run_command(argv), loaded()))\n"
+            "print(json.dumps(steps))\n")
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    steps = json.loads(done.stdout)
+    assert [s[0] for s in steps] == ["import"] + [argv[0] for argv in commands]
+    assert [step for step in steps if step[1:] != [0, []]] == []
 
 
 def test_missing_file_is_io_error(capsys):

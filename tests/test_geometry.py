@@ -367,6 +367,37 @@ def test_validate_ellipsoid_pair_distance():
     assert sl.validate_scene(apart).ok
 
 
+def test_validate_refuses_crossed_curves(crossed_curve_scene):
+    [v] = sl.validate_scene(crossed_curve_scene).violations
+    assert (v.kind, v.subjects) == ("disjointness", (0, 1))
+
+
+def _one_segment(a, b):
+    return sl.CurveObstacle((sl.SegmentArc(a, b),))
+
+
+@pytest.mark.parametrize("y, ok", [(1.0, False), (0.99999, False), (1.001, True)])
+def test_validate_curve_against_body_is_exact_for_segments(y, ok):
+    # At y = 0.99999 the segment cuts a chord of 0.009 from the unit disk,
+    # which falls between two of its 720 samples (spaced 0.025); at y = 1 it
+    # touches the disk.
+    scene = sl.Scene(dimension=2, bodies=(sl.ball((0.0, 0.0), 1.0),),
+                     curves=(_one_segment((-9.0, y), (9.0, y)),), ball_radius=10.0)
+    assert sl.validate_scene(scene).ok == ok
+
+
+@pytest.mark.parametrize("other, ok", [
+    (((-2.0, 1e-7), (2.0, 1e-7)), False),   # parallel, within the tolerance
+    (((0.0, 0.0), (0.0, 2.0)), False),      # ends on the first segment
+    (((-2.0, 2e-6), (2.0, 2e-6)), True),
+    (((0.3, 1e-3), (0.0, 2.0)), True),
+])
+def test_validate_curve_pair_tolerance(other, ok):
+    scene = sl.Scene(dimension=2, curves=(_one_segment((-2.0, 0.0), (2.0, 0.0)),
+                                          _one_segment(*other)), ball_radius=10.0)
+    assert sl.validate_scene(scene).ok == ok
+
+
 NESTED_PAIRS = [
     (sl.ellipsoid((0.0, 0.0), (3.0, 2.0)), sl.ellipsoid((0.0, 0.0), (1.0, 0.5))),
     (sl.ellipsoid((0.0, 0.0), (3.0, 2.0)), sl.ball((0.0, 0.0), 0.5)),
@@ -466,8 +497,8 @@ def test_body_reach_bounds_boundary_samples(body, point):
 @pytest.mark.filterwarnings("error")
 def test_validation_survives_extreme_semiaxes():
     # Squared lengths near the ends of the accepted range overflow in the
-    # checks' products, or underflow to a singular Newton matrix; the checks
-    # must still answer, without a warning, rather than raise.
+    # checks' products, or underflow; the checks must still answer, without
+    # a warning, rather than raise.
     long = sl.ellipsoid((0.0, 0.0), (1e100, 1.0))
     assert _body_reach(long, np.array([0.0, 5.0])) == pytest.approx(1e100)
     rot = ((-0.34783989629645884, 0.16470794910765116, -0.922972750434822),
@@ -480,6 +511,9 @@ def test_validation_survives_extreme_semiaxes():
     # b is a needle along the y-axis that a's y-coordinate falls inside.
     gap = math.hypot(a.center[0] - b.center[0], a.center[2] - b.center[2])
     assert body_pair_distance(a, b) == pytest.approx(gap, rel=1e-12)
+    # The search runs on the pair scaled to its longest semiaxis, so the
+    # answer does not hang on how the solver treats inf, nor on the order.
+    assert body_pair_distance(b, a) == pytest.approx(body_pair_distance(a, b), rel=1e-12)
 
 
 @pytest.mark.parametrize("axis", [1e-170, 1e-160, 1e160, 1e200, math.inf])

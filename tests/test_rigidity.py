@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 import scatterlab as sl
 from scatterlab.dynamics import _trace_raw
+from scatterlab.rigidity import _nearest_distance
 
 # ---------------------------------------------------------------------------
 # Finite-set Hausdorff and spectrum comparison
@@ -334,6 +335,61 @@ def test_point_set_hausdorff():
     assert sl.point_set_hausdorff(a, b) == pytest.approx(0.5)
     assert sl.point_set_hausdorff(a, a) == 0.0
     assert math.isinf(sl.point_set_hausdorff(a, np.empty((0, 2))))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_y", [300, 70_000])
+def test_nearest_distance_matches_kdtree(d, n_y):
+    # 70,000 rows of y are more than one block of 2^16 distances holds, so
+    # each block then has one row of x; at 300 rows x spans three blocks.
+    rng = np.random.default_rng(d * n_y)
+    x = rng.normal(size=(500, d))
+    y = rng.normal(size=(n_y, d))
+    assert np.array_equal(_nearest_distance(x, y), cKDTree(y).query(x)[0])
+
+
+def test_nearest_distance_pins_the_eps_boundary():
+    # (0.375, 0.5) lies exactly 0.625 from the origin in binary arithmetic.
+    # Coverage counts a sample at distance eps as reached, and one a little
+    # farther as unreached.
+    eps = 0.625
+    y = np.array([[0.375, 0.5], [3.0, 3.0]])
+    x = np.array([[0.0, 0.0], [0.0, -2.0**-40]])
+    got = _nearest_distance(x, y)
+    assert np.array_equal(got, cKDTree(y).query(x)[0])
+    assert got[0] == eps < got[1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_point_set_hausdorff_matches_kdtree(d):
+    rng = np.random.default_rng(d)
+    a, b = rng.normal(size=(700, d)), rng.normal(size=(1500, d)) + 0.1
+    want = max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+    assert sl.point_set_hausdorff(a, b) == want
+    assert sl.point_set_hausdorff(b, a) == want
+    empty = np.empty((0, d))
+    assert sl.point_set_hausdorff(empty, empty) == 0.0
+    assert math.isinf(sl.point_set_hausdorff(empty, b))
+    assert math.isinf(sl.point_set_hausdorff(a, empty))
+
+
+def _kdtree_distance(x, y):
+    return cKDTree(y).query(x)[0]
+
+
+@pytest.mark.parametrize("variant, seed", [("disk", 17), ("bump", 19)])
+def test_coverage_matches_kdtree_on_criterion_10_scenes(monkeypatch, variant, seed):
+    # The 100,000-ray runs of criterion 10, once as the package computes them
+    # and once with every nearest-mark query answered by a KD-tree.
+    scene = (sl.Scene(dimension=2, bodies=(sl.ball((0.0, 0.0), 1.0),), ball_radius=10.0)
+             if variant == "disk" else sl.build_livshits_scene(sl.LivshitsParams(), "bump"))
+    got = sl.accessible_coverage(scene, 100_000, 0.05, seed=seed)
+    monkeypatch.setattr("scatterlab.rigidity._nearest_distance", _kdtree_distance)
+    want = sl.accessible_coverage(scene, 100_000, 0.05, seed=seed)
+    assert (got.body_coverage, got.arc_coverage) == (want.body_coverage, want.arc_coverage)
+    assert [oid for oid, _ in got.unreached] == [oid for oid, _ in want.unreached]
+    assert [p.tobytes() for _, p in got.unreached] == [p.tobytes() for _, p in want.unreached]
+    assert any(p.size for _, p in got.unreached) == (variant == "bump")
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,7 @@ def test_semiaxes_without_finite_curvature_are_refused(axis, tmp_path, capsys):
 
 
 def test_parse_imports_no_scipy(ball_ellipsoid_scene):
-    # Validation is numpy-only; scipy loads only for the KD-tree lookups of
-    # coverage and point-set Hausdorff.
+    # Parsing and validation are numpy-only, like the rest of the package.
     code = ("import sys, scatterlab; scatterlab.parse_scene(sys.stdin.read()); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(sl.__file__).resolve().parent.parent)
