@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import (Scene, _as_tuple, _check_unit, _first_hit_2d, _first_hits,
-                       _hypots, _nearest_body_hit, _rowdot)
+                       _nearest_body_hit, _rowdot)
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -153,7 +153,9 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
         if h is None:
             return True, events, (px_prev, py_prev), (ux, uy), total
         oid, arc, t, px, py, nx, ny, cosi, grazing = h
-        total += math.hypot(px - px_prev, py - py_prev)
+        dx = px - px_prev
+        dy = py - py_prev
+        total += math.sqrt(dx * dx + dy * dy)
         px_prev, py_prev = px, py
         if grazing:
             events.append((oid, arc, (px, py), (nx, ny), True, total, (ux, uy)))
@@ -163,7 +165,7 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
             d = 2.0 * (ux * nx + uy * ny)
             ux -= d * nx
             uy -= d * ny
-            nn = math.hypot(ux, uy)
+            nn = math.sqrt(ux * ux + uy * uy)
             ux /= nn
             uy /= nn
             events.append((oid, arc, (px, py), (nx, ny), False, total, (ux, uy)))
@@ -222,13 +224,10 @@ class _EventLog(NamedTuple):
 def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     """_trace_raw on every row of O (start points) and U (unit directions)
     under the default limits. The rays advance in lockstep, one batched
-    kernel call per step for the rays still in flight. In d >= 3 each ray's
-    numbers are bitwise those of its single trace. On scenes with curves
-    (d = 2 only) reflections and path lengths take the planar kernel's
-    arithmetic, so those traces are bitwise those of _trace_2d as well. On
-    planar body scenes they take the BLAS row products of _trace_nd: the
-    batched kernel Newton-polishes body roots and _first_hit_2d does not,
-    so those traces agree with _trace_2d to rounding only.
+    kernel call per step for the rays still in flight, and each ray's
+    numbers are bitwise those of its single trace: in d >= 3 reflections and
+    path lengths take the BLAS row products of _trace_nd, in the plane the
+    coordinate-order sums of _trace_2d.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -245,7 +244,7 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     length = np.zeros(len(o))
     nrefl = np.zeros(len(o), dtype=int)
     escaped = np.zeros(len(o), dtype=bool)
-    dot, norm = (_coldot, _planar_norms) if scene.curves else (_rowdot, _row_norms)
+    dot = _coldot if scene.dimension == 2 else _rowdot
     # An empty first step fixes the log's dtypes and shapes, also for no rays.
     steps = [(np.zeros(0, dtype=int),) * 3 + (o[:0], np.zeros(0, dtype=bool), o[:0])]
     live = np.arange(len(o))
@@ -256,14 +255,14 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
         live, ids, arcs, grazing, p, n = (live[hit], ids[hit], arcs[hit], grazing[hit],
                                           p[hit], n[hit])
         step = p - leg[live]
-        length[live] += norm(step)
+        length[live] += np.sqrt(dot(step, step))
         leg[live] = p
         rows = live[grazing]
         o[rows] = p[grazing] + skip * u[rows]
         rows, q, n = live[~grazing], p[~grazing], n[~grazing]
         v = u[rows]
         v = v - (2.0 * dot(v, n))[:, None] * n
-        u[rows] = v / norm(v)[:, None]
+        u[rows] = v / np.sqrt(dot(v, v))[:, None]
         o[rows] = q + off * n
         nrefl[rows] += 1
         steps.append((live, ids, arcs, p, grazing, u[live]))
@@ -272,16 +271,6 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     # Each step's rows ascend, so a stable sort groups every ray's events in order.
     order = np.argsort(log[0], kind="stable")
     return escaped, leg, length, u, _EventLog(*(field[order] for field in log))
-
-
-def _planar_norms(a: np.ndarray) -> np.ndarray:
-    """Norms of planar rows with math.hypot, as _trace_2d takes them."""
-    return _hypots(a[:, 0], a[:, 1])
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Row norms as _trace_nd takes them."""
-    return np.sqrt(_rowdot(a, a))
 
 
 def _itineraries(log: _EventLog, n: int) -> list:

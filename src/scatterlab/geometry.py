@@ -4,12 +4,12 @@ scenes, and ray intersection with tangency classification.
 Bodies are balls and (optionally rotated) ellipsoids carried by the implicit
 function phi(x) = |D^-1 R^T (x - c)|^2 - 1, negative inside, zero on the
 boundary, positive outside. Ray intersection reduces to a quadratic in the
-ray parameter; roots are taken in closed form and polished with Newton steps
-so |phi| at a reported hit stays below ROOT_TOL. A batched kernel applies the
-same rules to rows of rays at once, over bodies and curve arcs. It
-reproduces the single-ray numbers bit for bit in d >= 3 and on curve arcs;
-it Newton-polishes planar body hits and the planar scalar kernel does not,
-so those agree to rounding.
+ray parameter; roots are taken in closed form and Newton-polished only where
+|phi| there exceeds ROOT_TOL, so |phi| at a reported hit stays below it. A
+batched kernel applies the same rules to rows of rays at once, testing each
+kind of obstacle against all rays in one pass, and reproduces the single-ray
+numbers bit for bit: in d >= 3 through the same BLAS row products, in the
+plane through one elementwise arithmetic on floats or arrays.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -208,11 +208,11 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)
     _check_unit(v)
-    root = _body_root(body, o, v, t_min)
+    root = _body_root(body, o, v, t_min, polish=True)
     if root is None:
         return None
     t, band = root
-    p, n, cosi = _surface_at(body, o, v, t)
+    p, n, cosi, _ = _surface_at(body, o, v, t)
     return Hit(float(t), _as_tuple(p), _as_tuple(n), cosi,
                band or abs(cosi) < TANGENT_COS_EPS, None)
 
@@ -223,10 +223,12 @@ def _check_unit(v) -> None:
         raise ValueError(f"direction must be a unit vector to within {UNIT_TOL}")
 
 
-def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float):
-    """The single-ray root rule shared by ray_intersect and the trace loop:
-    (t, band) for the first boundary crossing after t_min, where band marks
-    a discriminant in the double-root snap band, or None."""
+def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float,
+               polish: bool):
+    """The single-ray root rule of ray_intersect and the d >= 3 kernels:
+    (t, band) for the first closed-form boundary crossing after t_min,
+    Newton-polished if polish is set, where band marks a discriminant in
+    the double-root snap band (whose root takes no polish); or None."""
     w = o - body._c
     mv = body._M @ v
     al = float(v @ mv)
@@ -241,87 +243,99 @@ def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float):
     s = math.sqrt(disc)
     # |q| >= s > 0, so both root formulas are defined.
     q = -(b + math.copysign(s, b))
-    for t in sorted((q / al, g / q)):
+
+    def slope(t):
+        f, grad = evaluate_body(body, o + t * v)
+        return f, float(grad @ v)
+
+    t = _first_root(*sorted((q / al, g / q)), t_min, slope if polish else None, o, v)
+    return None if t is None else (t, False)
+
+
+def _first_root(lo: float, hi: float, t_min: float, slope, o, v):
+    """The first of the closed-form roots lo <= hi beyond t_min, or None.
+    With slope(t), the implicit value along the ray and its derivative, the
+    root is Newton-polished, and where that pulls it back to t_min or behind,
+    the second one is taken."""
+    for t in (lo, hi):
         if t > t_min:
-            t = _polish_root(body, o, v, t)
+            if slope:
+                t = _newton_root(slope, t, o, v)
             if t > t_min:
-                return t, False
+                return t
     return None
 
 
-def _polish_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float) -> float:
+def _newton_root(slope, t: float, o, v) -> float:
+    """Newton steps from t on the implicit value f along the ray, with
+    slope(t) = (f, df/dt), until |f| <= ROOT_TOL; a root already within it
+    is returned as it is. Raises RayIntersectError when _NEWTON_CAP steps or
+    a zero slope leave |f| above ROOT_TOL."""
     for _ in range(_NEWTON_CAP):
-        p = o + t * v
-        f, grad = evaluate_body(body, p)
+        f, fp = slope(t)
         if abs(f) <= ROOT_TOL:
             return t
-        fp = float(grad @ v)
         if fp == 0.0:
             break
         t -= f / fp
-    p = o + t * v
-    f, _ = evaluate_body(body, p)
-    if abs(f) > ROOT_TOL:
+    if abs(slope(t)[0]) > ROOT_TOL:
         raise RayIntersectError(_POLISH_FAILED, o, v)
     return t
 
 
 def _surface_at(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float):
-    """Boundary point at ray parameter t, its outward unit normal, and the
-    incidence cosine of the ray there."""
+    """Boundary point at ray parameter t, its outward unit normal, the
+    incidence cosine of the ray there and the implicit value."""
     p = o + t * v
-    _, grad = evaluate_body(body, p)
+    f, grad = evaluate_body(body, p)
     n = grad / float(np.linalg.norm(grad))
-    return p, n, float(v @ n)
+    return p, n, float(v @ n), f
 
 
-def _nearest_body_hit(scene: Scene, o: np.ndarray, v: np.ndarray):
+def _nearest_body_hit(scene: Scene, o: np.ndarray, v: np.ndarray, polish: bool = False):
     """Nearest body hit of one ray as (id, t, point, normal, cos_incidence,
-    grazing), or None; ties go to the lowest id. The direction must be a
-    unit vector."""
+    grazing), or None, by _first_hit_2d's root rule; ties go to the lowest
+    id. The direction must be a unit vector."""
     best = None
     for i, body in enumerate(scene.bodies):
-        root = _body_root(body, o, v, 0.0)
+        root = _body_root(body, o, v, 0.0, polish)
         if root is not None and (best is None or root[0] < best[1]):
             best = (i, *root)
     if best is None:
         return None
     i, t, band = best
-    p, n, cosi = _surface_at(scene.bodies[i], o, v, t)
+    p, n, cosi, f = _surface_at(scene.bodies[i], o, v, t)
+    if not (polish or band) and abs(f) > ROOT_TOL:
+        return _nearest_body_hit(scene, o, v, polish=True)
     return i, t, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
 # ---------------------------------------------------------------------------
-# Batched body kernel
+# Batched kernel
 # ---------------------------------------------------------------------------
-# Rows of O and U are ray origins and unit directions. The row products go
-# through stacked matmul, which calls per row the same BLAS dot and
-# matrix-vector routines as the 1-D `@` of the single-ray path, so every row
-# reproduces the single ray's numbers bit for bit. Inputs must be C-contiguous
-# (unit stride along the last axis), as the BLAS routine depends on the stride.
+# Rows of O and U are ray origins and unit directions. Each kind of obstacle
+# meets all rays in one pass over an (obstacles x rays) array. In d >= 3 the
+# row products go through stacked matmul, which calls per row the same BLAS
+# dot and matrix-vector routines as the 1-D `@` of the single-ray path, so
+# every row reproduces the single ray's numbers bit for bit; inputs must be
+# C-contiguous (unit stride along the last axis), as the BLAS routine
+# depends on the stride. The plane has its own section below.
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product of each row of a with the same row of b."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _hypots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """math.hypot of each pair (x, y), as the planar kernel computes it;
-    np.hypot differs from it in the last bit for some inputs."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+    """Inner product of each row of a with the same row of b (rows broadcast)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _matvecs(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """m @ w for each row w."""
-    return np.matmul(m, w[:, :, None])[:, :, 0]
+    """m @ w for each row w (stacks broadcast)."""
+    return np.matmul(m, w[..., None])[..., 0]
 
 
 def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     """Nearest hit of every ray after t = 0 over the bodies and the planar
-    curve arcs, by the rules of scene_first_hit: Newton-polished body roots
-    as in _nearest_body_hit, arcs as in _first_hit_2d (no polish, normals
-    flipped against the ray). Ties go to the lowest body id, then to bodies
-    over arcs, then to the earlier arc.
+    curve arcs, by the rules of scene_first_hit; each row is bitwise that
+    ray's scene_first_hit. Ties go to the lowest obstacle id, then to the
+    earlier arc.
 
     Returns (t, ids, arcs, grazing, points, normals) with one entry per row;
     arcs holds the arc index within its curve, -1 for a body. A ray that
@@ -332,114 +346,74 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     best_t = np.full(n_rays, np.inf)
     ids = np.full(n_rays, -1)
     arcs = np.full(n_rays, -1)
-    band = np.zeros(n_rays, dtype=bool)
-    for i, body in enumerate(scene.bodies):
-        t, body_band = _body_roots(body, O, U)
-        # Strictly closer only, so ties stay with the lower id.
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        ids[closer] = i
-        band[closer] = body_band[closer]
-    # Strictly closer only, so ties stay with bodies and then earlier arcs.
-    entries = scene._k2[2] if scene.curves else ()
-    entry_of = np.full(n_rays, -1)
-    for k, entry in enumerate(entries):
-        t, arc_band = _arc_roots(entry, O, U)
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        ids[closer] = entry[0]
-        arcs[closer] = entry[1]
-        band[closer] = arc_band[closer]
-        entry_of[closer] = k
     points = np.full(O.shape, np.nan)
     normals = np.full(O.shape, np.nan)
     grazing = np.zeros(n_rays, dtype=bool)
-    for i, body in enumerate(scene.bodies):
-        rows = np.flatnonzero(ids == i)
-        if not rows.size:
-            continue
-        v = U[rows]
-        p = O[rows] + best_t[rows, None] * v
-        grad = 2.0 * _matvecs(body._M, p - body._c)
-        n = grad / np.sqrt(_rowdot(grad, grad))[:, None]
-        points[rows] = p
-        normals[rows] = n
-        grazing[rows] = band[rows] | (np.abs(_rowdot(v, n)) < TANGENT_COS_EPS)
-    for k, entry in enumerate(entries):
-        rows = np.flatnonzero(entry_of == k)
-        if not rows.size:
-            continue
-        v = U[rows]
-        p = O[rows] + best_t[rows, None] * v
-        n, cosi = _arc_normals(entry, p, v)
-        points[rows] = p
-        normals[rows] = n
-        grazing[rows] = band[rows] | (np.abs(cosi) < TANGENT_COS_EPS)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kernel = _planar_hits if scene.dimension == 2 else _body_hits_nd
+        redo = kernel(scene, O, U, best_t, ids, arcs, grazing, points, normals)
+    # Rays whose nearest body root needs Newton polish take the scalar branch.
+    for r in redo:
+        oid, h = scene_first_hit(scene, O[r], U[r]) or (-1, _NO_HIT)
+        best_t[r], ids[r], arcs[r], grazing[r], points[r], normals[r] = (
+            h.t, oid, -1 if h.arc is None else h.arc, h.grazing, h.point, h.normal)
     return best_t, ids, arcs, grazing, points, normals
 
 
-def _body_roots(body: ConvexBody, O: np.ndarray, U: np.ndarray):
-    """_body_root of every ray at t_min = 0: (t, band) per row, t = inf where
-    the ray has no crossing after 0."""
-    w = O - body._c
-    mv = _matvecs(body._M, U)
-    al = _rowdot(U, mv)
-    b = _rowdot(w, mv)
-    g = _rowdot(w, _matvecs(body._M, w)) - 1.0
+_NO_HIT = Hit(math.inf, math.nan, math.nan, 0.0, False)
+
+
+def _roots_beyond_zero(al, b, g):
+    """The closed form of the root rule on arrays of quadratics al t^2 +
+    2 b t + g: (t, band), t the first root beyond 0 (inf where none) and
+    band the double-root snap band, whose one root -b / al takes no polish."""
     disc = b * b - al * g
-    t = np.full(O.shape[0], np.inf)
-    band = np.abs(disc) <= DISCRIMINANT_EPS
-    t_band = -b[band] / al[band]
-    t[band] = np.where(t_band > 0.0, t_band, np.inf)
-    two = np.flatnonzero(disc > DISCRIMINANT_EPS)
-    if two.size:
-        b, al, g = b[two], al[two], g[two]
-        s = np.sqrt(disc[two])
-        q = -(b + np.copysign(s, b))
-        r1, r2 = q / al, g / q
-        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
-        o, v = O[two], U[two]
-        # Polish the first root beyond 0; where there is none, or polishing
-        # pulls it back to 0 or behind, polish the second one.
-        t_two = np.full(two.size, np.inf)
-        rows = np.flatnonzero(lo > 0.0)
-        t_two[rows] = _polish_roots(body, o[rows], v[rows], lo[rows])
-        t_two[t_two <= 0.0] = np.inf
-        rows = np.flatnonzero(np.isinf(t_two) & (hi > 0.0))
-        t_hi = _polish_roots(body, o[rows], v[rows], hi[rows])
-        t_two[rows] = np.where(t_hi > 0.0, t_hi, np.inf)
-        t[two] = t_two
+    t = np.full(disc.shape, np.inf)
+    band = np.zeros(disc.shape, dtype=bool)
+    # Most rays miss most obstacles; only the others need roots.
+    near = np.nonzero(disc >= -DISCRIMINANT_EPS)
+    b, g, disc = b[near], g[near], disc[near]
+    al = np.broadcast_to(al, t.shape)[near]
+    band[near] = bn = disc <= DISCRIMINANT_EPS
+    s = np.sqrt(disc)
+    q = -(b + np.copysign(s, b))
+    r1, r2 = q / al, g / q
+    lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+    tn = np.where(bn, -b / al, np.where(lo > 0.0, lo, hi))
+    t[near] = np.where(tn > 0.0, tn, np.inf)
     return t, band
 
 
-def _polish_roots(body: ConvexBody, O: np.ndarray, U: np.ndarray,
-                  t: np.ndarray) -> np.ndarray:
-    """_polish_root of every row; raises RayIntersectError for the first ray
-    whose polish fails."""
-    t = t.copy()
-    rows = np.arange(t.size)
-    for _ in range(_NEWTON_CAP):
-        if not rows.size:
-            return t
-        v = U[rows]
-        w = O[rows] + t[rows, None] * v - body._c
-        mw = _matvecs(body._M, w)
-        f = _rowdot(w, mw) - 1.0
-        fp = _rowdot(2.0 * mw, v)
-        move = np.abs(f) > ROOT_TOL
-        stuck = np.flatnonzero(move & (fp == 0.0))
-        if stuck.size:
-            k = rows[stuck[0]]
-            raise RayIntersectError(_POLISH_FAILED, O[k], U[k])
-        t[rows[move]] -= f[move] / fp[move]
-        rows = rows[move]
-    if rows.size:
-        w = O[rows] + t[rows, None] * U[rows] - body._c
-        bad = np.flatnonzero(np.abs(_rowdot(w, _matvecs(body._M, w)) - 1.0) > ROOT_TOL)
-        if bad.size:
-            k = rows[bad[0]]
-            raise RayIntersectError(_POLISH_FAILED, O[k], U[k])
-    return t
+def _nearest(t: np.ndarray):
+    """The row of each column's least entry (the first on ties) and the entry."""
+    k = t.argmin(0)
+    return k, t[k, np.arange(t.shape[1])]
+
+
+def _body_hits_nd(scene, O, U, best_t, ids, arcs, grazing, points, normals):
+    """_first_hits over the bodies of a d >= 3 scene, in one stacked pass;
+    returns the rows that need the polish branch."""
+    if not scene.bodies:
+        return []
+    C, M = scene._knd
+    Ms = M[:, None]
+    w = O - C[:, None]
+    mv = _matvecs(Ms, U)
+    t, band = _roots_beyond_zero(_rowdot(U, mv), _rowdot(w, mv),
+                                 _rowdot(w, _matvecs(Ms, w)) - 1.0)
+    k, best = _nearest(t)
+    rows = np.flatnonzero(best < np.inf)
+    k = k[rows]
+    v = U[rows]
+    p = O[rows] + best[rows, None] * v
+    w = p - C[k]
+    mw = _matvecs(M[k], w)
+    grad = 2.0 * mw
+    n = grad / np.sqrt(_rowdot(grad, grad))[:, None]
+    best_t[rows], ids[rows], points[rows], normals[rows] = best[rows], k, p, n
+    band = band[k, rows]
+    grazing[rows] = band | (np.abs(_rowdot(v, n)) < TANGENT_COS_EPS)
+    return rows[(np.abs(_rowdot(w, mw) - 1.0) > ROOT_TOL) & ~band].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +570,9 @@ class Scene:
         object.__setattr__(self, "ball_center", center)
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
         object.__setattr__(self, "_k2", _compile_2d(self) if d == 2 else None)
+        # Body centres and quadratic-form matrices, stacked for the d >= 3 kernel.
+        object.__setattr__(self, "_knd", None if d == 2 or not bodies else (
+            np.array([b._c for b in bodies]), np.array([b._M for b in bodies])))
 
     @property
     def digest(self) -> str:
@@ -606,246 +583,304 @@ class Scene:
         return hashlib.sha256(serialize_scene(self).encode()).hexdigest()
 
 
-# Compiled scalar tables for the planar hot path. Entries:
-#   balls:    (obstacle_id, cx, cy, r, r2)
-#   ells:     (obstacle_id, cx, cy, m00, m01, m11)
-#   arcs:     (obstacle_id, arc_index, kind, payload...)
+# ---------------------------------------------------------------------------
+# Planar kernel
+# ---------------------------------------------------------------------------
+# Obstacle entries, one per body or arc, in scene order:
+#   ("b", id, -1, cx, cy, r2, ir2)               ball, ir2 = 1 / r2
+#   ("e", id, -1, cx, cy, m00, m01, m11)         ellipse, M = R D^-2 R^T
+#   ("s", id, arc, x1, y1, ex, ey, ln)           segment, unit (ex, ey)
+#   ("a", id, arc, cx, cy, sa, sb, lo, span)     axis-aligned elliptic arc
+# The batched kernel evaluates each kind on the (K, 1) parameter columns of
+# a _Kind stack against length-N ray arrays; _first_hit_2d writes the same
+# expressions out on floats, in the same order, so a planar _trace_many row
+# is bitwise its _trace_2d trace. Norms are sqrt(x*x + y*y).
+
+def _ball_phi(px, py, cx, cy, r2, ir2):
+    """Implicit value of a ball at (px, py) and half its gradient, M w."""
+    wx = px - cx
+    wy = py - cy
+    gx = wx * ir2
+    gy = wy * ir2
+    return wx * gx + wy * gy - 1.0, gx, gy
+
+
+def _ellipse_phi(px, py, cx, cy, m00, m01, m11):
+    """Implicit value of an ellipse at (px, py) and half its gradient, M w."""
+    wx = px - cx
+    wy = py - cy
+    gx = m00 * wx + m01 * wy
+    gy = m01 * wx + m11 * wy
+    return wx * gx + wy * gy - 1.0, gx, gy
+
+
+_PHI = {"b": _ball_phi, "e": _ellipse_phi}
+_TWO_PI = 2.0 * math.pi
+
+
+def _on_arc(ang, lo, span):
+    """Whether the ellipse angle ang lies on the arc [lo, lo + span], to 1e-12."""
+    r = (ang - lo) % _TWO_PI
+    return (r <= span + 1e-12) | (r >= _TWO_PI - 1e-12)
+
+
+class _Kind(NamedTuple):
+    """One kind's obstacle ids, arc indices, scene order and parameters."""
+
+    tag: str
+    ids: np.ndarray
+    arcs: np.ndarray
+    key: np.ndarray
+    cols: tuple
+
+
 def _compile_2d(scene: Scene):
-    balls, ells, arcs = [], [], []
+    """The planar tables: (every entry in scene order, a _Kind per kind present)."""
+    entries = []
     for i, b in enumerate(scene.bodies):
         cx, cy = b.center
         if b.is_ball:
-            balls.append((i, cx, cy, b._r, b._r * b._r))
+            r2 = b._r * b._r
+            entries.append(("b", i, -1, cx, cy, r2, 1.0 / r2))
         else:
             m = b._M
-            ells.append((i, cx, cy, float(m[0, 0]), float(m[0, 1]), float(m[1, 1])))
+            entries.append(("e", i, -1, cx, cy, float(m[0, 0]), float(m[0, 1]), float(m[1, 1])))
     nb = len(scene.bodies)
     for ci, curve in enumerate(scene.curves):
         for ai, arc in enumerate(curve.arcs):
             if isinstance(arc, EllipticArc):
                 lo, hi = sorted(arc.angles)
-                arcs.append((nb + ci, ai, "e", arc.center[0], arc.center[1],
-                             arc.semiaxes[0], arc.semiaxes[1], lo, hi - lo))
+                entries.append(("a", nb + ci, ai, arc.center[0], arc.center[1],
+                                arc.semiaxes[0], arc.semiaxes[1], lo, hi - lo))
             else:
                 x1, y1 = arc.start
                 x2, y2 = arc.end
                 dx, dy = x2 - x1, y2 - y1
                 ln = math.hypot(dx, dy)
-                arcs.append((nb + ci, ai, "s", x1, y1, dx / ln, dy / ln, ln))
-    return (tuple(balls), tuple(ells), tuple(arcs))
+                entries.append(("s", nb + ci, ai, x1, y1, dx / ln, dy / ln, ln))
+    kinds = []
+    for tag in "beas":
+        key = [k for k, e in enumerate(entries) if e[0] == tag]
+        if key:
+            _, ids, arcs, *par = zip(*(entries[k] for k in key))
+            kinds.append(_Kind(tag, np.array(ids), np.array(arcs), np.array(key),
+                               tuple(np.array(c)[:, None] for c in par)))
+    return tuple(entries), tuple(kinds)
 
 
-_TWO_PI = 2.0 * math.pi
-
-
-def _arc_angle_ok(s: float, lo: float, span: float) -> bool:
-    r = (s - lo) % _TWO_PI
-    return r <= span + 1e-12 or r >= _TWO_PI - 1e-12
-
-
-def _arc_roots(entry, O: np.ndarray, U: np.ndarray):
-    """The crossing of every planar ray with one arc entry of _compile_2d,
-    by the rules of _first_hit_2d applied elementwise: (t, band) per row,
-    t = inf where the ray does not cross the arc after t = 0, band marking a
-    root from the double-root snap band."""
+def _planar_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
+    """_first_hits in the plane: one pass per obstacle kind over all rays,
+    by the rules of _first_hit_2d; returns the rows that need the polish
+    branch."""
+    kinds = scene._k2[1]
     ox, oy, ux, uy = O[:, 0], O[:, 1], U[:, 0], U[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if entry[2] == "s":
-            _, _, _, x1, y1, ex, ey, ln = entry
-            det = ux * ey - uy * ex
-            rx = x1 - ox
-            ry = y1 - oy
-            t = (rx * ey - ry * ex) / det
-            u = (rx * uy - ry * ux) / det
-            ok = ((np.abs(det) >= 1e-15) & (t > 0.0)
-                  & (-1e-12 * ln <= u) & (u <= ln * (1.0 + 1e-12)))
-            return np.where(ok, t, np.inf), np.zeros(len(t), dtype=bool)
-        _, _, _, cx, cy, sa, sb, lo, span = entry
-        wx = (ox - cx) / sa
-        wy = (oy - cy) / sb
-        vx = ux / sa
-        vy = uy / sb
-        al = vx * vx + vy * vy
-        b = wx * vx + wy * vy
-        g = wx * wx + wy * wy - 1.0
-        disc = b * b - al * g
-        band = np.abs(disc) <= DISCRIMINANT_EPS
-        two = disc > DISCRIMINANT_EPS
-        s = np.sqrt(np.where(two, disc, 0.0))
-        near = np.where(band, -b / al, np.where(two, (-b - s) / al, np.nan))
-        far = np.where(two, (-b + s) / al, np.nan)
-
-        def on_arc(t):
-            ang = np.arctan2((oy + t * uy - cy) / sb, (ox + t * ux - cx) / sa)
-            r = (ang - lo) % _TWO_PI
-            return (t > 0.0) & ((r <= span + 1e-12) | (r >= _TWO_PI - 1e-12))
-
-        # The nearer root counts when it lies on the arc, else the farther.
-        near_ok = on_arc(near)
-        t = np.where(near_ok, near, np.where(on_arc(far), far, np.inf))
-    return t, band & near_ok
-
-
-def _arc_normals(entry, P: np.ndarray, U: np.ndarray):
-    """Unit normals of one arc entry of _compile_2d at the rows of P,
-    flipped against the directions U, and the incidence cosines, as in
-    _first_hit_2d."""
-    if entry[2] == "s":
-        ex, ey = entry[5:7]
-        n = np.tile((-ey, ex), (len(P), 1))
-    else:
-        cx, cy, sa, sb = entry[3:7]
-        gx = (P[:, 0] - cx) / (sa * sa)
-        gy = (P[:, 1] - cy) / (sb * sb)
-        nn = _hypots(gx, gy)
-        n = np.column_stack([gx / nn, gy / nn])
-    ux, uy = U[:, 0], U[:, 1]
-    n[ux * n[:, 0] + uy * n[:, 1] > 0.0] *= -1.0
-    return n, ux * n[:, 0] + uy * n[:, 1]
+    key = np.full(len(ox), -1)  # no tie with a miss
+    which = np.full(len(ox), -1)
+    row = np.zeros(len(ox), dtype=int)
+    band = np.zeros(len(ox), dtype=bool)
+    for j, kind in enumerate(kinds):
+        t, kind_band = _kind_pass(kind, ox, oy, ux, uy)
+        r, tr = _nearest(t)
+        kr = kind.key[r]
+        # Strictly closer, or as close and earlier in scene order.
+        closer = np.flatnonzero((tr < best_t) | ((tr == best_t) & (kr < key)))
+        r = r[closer]
+        best_t[closer], key[closer], which[closer], row[closer] = tr[closer], kr[closer], j, r
+        band[closer] = kind_band[r, closer]
+    redo = []
+    for j, kind in enumerate(kinds):
+        rows = np.flatnonzero(which == j)
+        r = row[rows]
+        par = [c[r, 0] for c in kind.cols]
+        vx, vy = ux[rows], uy[rows]
+        px = ox[rows] + best_t[rows] * vx
+        py = oy[rows] + best_t[rows] * vy
+        if kind.tag == "s":
+            gx, gy = -par[3], par[2]
+        else:
+            if kind.tag == "a":
+                gx, gy = (px - par[0]) / (par[2] * par[2]), (py - par[1]) / (par[3] * par[3])
+            else:
+                f, gx, gy = _PHI[kind.tag](px, py, *par)
+                redo.append(rows[(np.abs(f) > ROOT_TOL) & ~band[rows]])
+            nn = np.sqrt(gx * gx + gy * gy)
+            gx = gx / nn
+            gy = gy / nn
+        if kind.tag in "as":
+            # Curve normals face against the ray.
+            flip = np.where(vx * gx + vy * gy > 0.0, -1.0, 1.0)
+            gx = gx * flip
+            gy = gy * flip
+        ids[rows], arcs[rows] = kind.ids[r], kind.arcs[r]
+        points[rows, 0], points[rows, 1], normals[rows, 0], normals[rows, 1] = px, py, gx, gy
+        grazing[rows] = band[rows] | (np.abs(vx * gx + vy * gy) < TANGENT_COS_EPS)
+    return [r for rows in redo for r in rows.tolist()]
 
 
-def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
-    """Closest obstacle hit for a planar ray; ties go to the lowest id.
-
-    Returns (obstacle_id, arc_index, t, px, py, nx, ny, cos_incidence,
-    grazing) or None. Normals for curve arcs are flipped against the ray.
-    """
-    balls, ells, arcs = k
-    best_t = math.inf
-    best = None
-    for (oid, cx, cy, r, r2) in balls:
+def _kind_pass(kind: _Kind, ox, oy, ux, uy):
+    """The first crossing after 0 of every ray with every entry of a kind:
+    (t, band), each (K, N), t = inf where there is none."""
+    if kind.tag == "s":
+        x1, y1, ex, ey, ln = kind.cols
+        det = ux * ey - uy * ex
+        rx = x1 - ox
+        ry = y1 - oy
+        t = (rx * ey - ry * ex) / det
+        u = (rx * uy - ry * ux) / det
+        ok = ((np.abs(det) >= 1e-15) & (t > 0.0)
+              & (-1e-12 * ln <= u) & (u <= ln * (1.0 + 1e-12)))
+        return np.where(ok, t, np.inf), np.zeros(t.shape, dtype=bool)
+    if kind.tag == "b":
+        cx, cy, r2, _ = kind.cols
         wx = ox - cx
         wy = oy - cy
-        b = wx * ux + wy * uy
-        g = wx * wx + wy * wy - r2
-        disc = b * b - g
-        if disc < -DISCRIMINANT_EPS:
-            continue
-        if disc <= DISCRIMINANT_EPS:
-            t = -b
-            if 0.0 < t < best_t:
-                best_t = t
-                best = ("b", oid, -1, t, True, cx, cy, r)
-            continue
-        s = math.sqrt(disc)
-        t = -b - s
-        if t <= 0.0:
-            t = -b + s
-            if t <= 0.0:
-                continue
-        if t < best_t:
-            best_t = t
-            best = ("b", oid, -1, t, False, cx, cy, r)
-    for (oid, cx, cy, m00, m01, m11) in ells:
+        # The direction is a unit vector, so al = 1.
+        return _roots_beyond_zero(1.0, wx * ux + wy * uy, wx * wx + wy * wy - r2)
+    if kind.tag == "e":
+        cx, cy, m00, m01, m11 = kind.cols
         wx = ox - cx
         wy = oy - cy
         mvx = m00 * ux + m01 * uy
         mvy = m01 * ux + m11 * uy
-        al = ux * mvx + uy * mvy
-        b = wx * mvx + wy * mvy
-        g = wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0
-        disc = b * b - al * g
-        if disc < -DISCRIMINANT_EPS:
-            continue
-        if disc <= DISCRIMINANT_EPS:
-            t = -b / al
-            if 0.0 < t < best_t:
-                best_t = t
-                best = ("e", oid, -1, t, True, cx, cy, m00, m01, m11)
-            continue
-        s = math.sqrt(disc)
-        t = (-b - s) / al
-        if t <= 0.0:
-            t = (-b + s) / al
-            if t <= 0.0:
-                continue
-        if t < best_t:
-            best_t = t
-            best = ("e", oid, -1, t, False, cx, cy, m00, m01, m11)
-    for entry in arcs:
-        if entry[2] == "e":
-            oid, ai, _, cx, cy, sa, sb, lo, span = entry
-            wx = (ox - cx) / sa
-            wy = (oy - cy) / sb
-            vx = ux / sa
-            vy = uy / sb
-            al = vx * vx + vy * vy
-            b = wx * vx + wy * vy
-            g = wx * wx + wy * wy - 1.0
-            disc = b * b - al * g
-            if disc < -DISCRIMINANT_EPS:
-                continue
-            if disc <= DISCRIMINANT_EPS:
-                roots = ((-b / al, True),)
-            else:
-                s = math.sqrt(disc)
-                roots = (((-b - s) / al, False), ((-b + s) / al, False))
-            for t, gr in roots:
-                if t <= 0.0 or t >= best_t:
-                    continue
-                px = ox + t * ux
-                py = oy + t * uy
-                ang = math.atan2((py - cy) / sb, (px - cx) / sa)
-                if _arc_angle_ok(ang, lo, span):
-                    best_t = t
-                    best = ("a", oid, ai, t, gr, cx, cy, sa, sb)
-                    break
-        else:
-            oid, ai, _, x1, y1, ex, ey, ln = entry
+        return _roots_beyond_zero(ux * mvx + uy * mvy, wx * mvx + wy * mvy,
+                                  wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0)
+    cx, cy, sa, sb, lo, span = kind.cols
+    wx = (ox - cx) / sa
+    wy = (oy - cy) / sb
+    vx = ux / sa
+    vy = uy / sb
+    al = vx * vx + vy * vy
+    b = wx * vx + wy * vy
+    disc = b * b - al * (wx * wx + wy * wy - 1.0)
+    band = np.abs(disc) <= DISCRIMINANT_EPS
+    s = np.sqrt(disc)
+    near = np.where(band, -b / al, (-b - s) / al)
+    far = (-b + s) / al
+
+    def on_arc(t):
+        ang = np.arctan2((oy + t * uy - cy) / sb, (ox + t * ux - cx) / sa)
+        return (t > 0.0) & _on_arc(ang, lo, span)
+
+    # The nearer root counts when it lies on the arc, else the farther.
+    near_ok = on_arc(near)
+    t = np.where(near_ok, near, np.where(on_arc(far) & ~band, far, np.inf))
+    return t, band & near_ok
+
+
+def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = False):
+    """Closest hit for a planar ray over the tables k (a scene's _k2) as
+    (obstacle_id, arc_index, t, px, py, nx, ny, cos_incidence, grazing), or
+    None; ties go to the lowest id, then to the earlier arc, and curve
+    normals face against the ray. Each body offers its first closed-form
+    root beyond 0, each arc the first of its roots beyond 0 that lies on it.
+    Where the implicit value at the nearest body root exceeds ROOT_TOL, the
+    ray is solved again with every body root Newton-polished, by _body_root's
+    rule.
+    """
+    eps, sqrt = DISCRIMINANT_EPS, math.sqrt
+    best_t = math.inf
+    best = None
+    band = False
+    for e in k[0]:
+        tag = e[0]
+        if tag == "b":
+            _, _, _, cx, cy, r2, ir2 = e
+            wx = ox - cx
+            wy = oy - cy
+            al = 1.0
+            b = wx * ux + wy * uy
+            g = wx * wx + wy * wy - r2
+        elif tag == "e":
+            _, _, _, cx, cy, m00, m01, m11 = e
+            wx = ox - cx
+            wy = oy - cy
+            mvx = m00 * ux + m01 * uy
+            mvy = m01 * ux + m11 * uy
+            al = ux * mvx + uy * mvy
+            b = wx * mvx + wy * mvy
+            g = wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0
+        elif tag == "s":
+            _, _, _, x1, y1, ex, ey, ln = e
             det = ux * ey - uy * ex
             if abs(det) < 1e-15:
                 continue
             rx = x1 - ox
             ry = y1 - oy
             t = (rx * ey - ry * ex) / det
-            u = (rx * uy - ry * ux) / det
-            if t <= 0.0 or t >= best_t:
+            if 0.0 < t < best_t and -1e-12 * ln <= (rx * uy - ry * ux) / det <= ln * (1.0 + 1e-12):
+                best_t, best, band = t, e, False
+            continue
+        else:
+            _, _, _, cx, cy, sa, sb, lo, span = e
+            wx = (ox - cx) / sa
+            wy = (oy - cy) / sb
+            vx = ux / sa
+            vy = uy / sb
+            al = vx * vx + vy * vy
+            b = wx * vx + wy * vy
+            disc = b * b - al * (wx * wx + wy * wy - 1.0)
+            if disc < -eps:
                 continue
-            if -1e-12 * ln <= u <= ln * (1.0 + 1e-12):
-                best_t = t
-                best = ("s", oid, ai, t, False, ex, ey)
+            s = sqrt(disc) if disc > eps else None
+            for t in ((-b / al,) if s is None else ((-b - s) / al, (-b + s) / al)):
+                if 0.0 < t < best_t and _on_arc(math.atan2((oy + t * uy - cy) / sb,
+                                                            (ox + t * ux - cx) / sa), lo, span):
+                    best_t, best, band = t, e, s is None
+                    break
+            continue
+        disc = b * b - al * g
+        if disc < -eps:
+            continue
+        if disc <= eps:
+            t = -b / al
+            if 0.0 < t < best_t:
+                best_t, best, band = t, e, True
+            continue
+        s = sqrt(disc)
+        q = -(b + math.copysign(s, b))
+        lo, hi = q / al, g / q
+        if hi < lo:
+            lo, hi = hi, lo
+        t = lo if lo > 0.0 else hi
+        if t > 0.0 and polish:
+            phi, par = _PHI[tag], e[3:]
+
+            def slope(t):
+                f, gx, gy = phi(ox + t * ux, oy + t * uy, *par)
+                return f, 2.0 * (gx * ux + gy * uy)
+
+            if abs(slope(t)[0]) > ROOT_TOL:
+                t = _first_root(lo, hi, 0.0, slope, (ox, oy), (ux, uy)) or math.inf
+        if 0.0 < t < best_t:
+            best_t, best, band = t, e, False
     if best is None:
         return None
-    t = best[3]
-    px = ox + t * ux
-    py = oy + t * uy
-    kind = best[0]
-    if kind == "b":
-        _, oid, ai, _, gr, cx, cy, r = best
-        nx = (px - cx) / r
-        ny = (py - cy) / r
-        nn = math.hypot(nx, ny)
-        nx /= nn
-        ny /= nn
-    elif kind == "e":
-        _, oid, ai, _, gr, cx, cy, m00, m01, m11 = best
+    tag, oid, ai = best[:3]
+    px = ox + best_t * ux
+    py = oy + best_t * uy
+    if tag == "s":
+        nx, ny = -best[6], best[5]
+    else:
+        cx, cy, p0, p1 = best[3:7]
         wx = px - cx
         wy = py - cy
-        nx = m00 * wx + m01 * wy
-        ny = m01 * wx + m11 * wy
-        nn = math.hypot(nx, ny)
-        nx /= nn
-        ny /= nn
-    elif kind == "a":
-        _, oid, ai, _, gr, cx, cy, sa, sb = best
-        nx = (px - cx) / (sa * sa)
-        ny = (py - cy) / (sb * sb)
-        nn = math.hypot(nx, ny)
-        nx /= nn
-        ny /= nn
-        if ux * nx + uy * ny > 0.0:
-            nx = -nx
-            ny = -ny
-    else:
-        _, oid, ai, _, gr, ex, ey = best
-        nx = -ey
-        ny = ex
-        if ux * nx + uy * ny > 0.0:
-            nx = -nx
-            ny = -ny
+        if tag == "a":
+            nx, ny = wx / (p0 * p0), wy / (p1 * p1)
+        elif tag == "b":
+            nx, ny = wx * p1, wy * p1
+        else:
+            nx, ny = p0 * wx + p1 * wy, p1 * wx + best[7] * wy
+        if tag != "a" and not (polish or band) and abs(wx * nx + wy * ny - 1.0) > ROOT_TOL:
+            return _first_hit_2d(k, ox, oy, ux, uy, polish=True)
+        nn = sqrt(nx * nx + ny * ny)
+        nx = nx / nn
+        ny = ny / nn
+    if tag in "as" and ux * nx + uy * ny > 0.0:
+        nx = -nx
+        ny = -ny
     cosi = ux * nx + uy * ny
-    grazing = gr or abs(cosi) < TANGENT_COS_EPS
-    return (oid, ai if ai >= 0 else None, t, px, py, nx, ny, cosi, grazing)
+    return (oid, ai if ai >= 0 else None, best_t, px, py, nx, ny, cosi,
+            band or abs(cosi) < TANGENT_COS_EPS)
 
 
 def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]]:
@@ -905,6 +940,7 @@ _CONTAIN_TOL = 1e-6
 _PAIR_SAMPLES = 720
 _SEPARATION_STEPS = 40
 _STEP_HALVINGS = 60
+_FAR_APART = 2.0**480
 
 
 def _support_terms(dc: np.ndarray, la: np.ndarray, lb: np.ndarray, n: np.ndarray):
@@ -938,12 +974,20 @@ def _support_separation(a: ConvexBody, b: ConvexBody):
     The search runs on the pair scaled by the power of two above its longest
     semiaxis, which is exact. Every scaled semiaxis is then below 1, and the
     Newton matrix's entries stay below about s_max / s_min, which is finite
-    over the accepted semiaxis range.
+    over the accepted semiaxis range. A pair whose centres are more than
+    2^480 longest semiaxes apart, which that scaling would overflow, takes
+    both bounds at the line of centres, where they are exact to rounding.
     """
-    scale = math.ldexp(1.0, math.frexp(max(a.semiaxes + b.semiaxes))[1])
-    la = np.asarray(a.semiaxes)[:, None] * np.asarray(a.rotation).T / scale
-    lb = np.asarray(b.semiaxes)[:, None] * np.asarray(b.rotation).T / scale
-    dc = (b._c - a._c) / scale
+    longest = max(a.semiaxes + b.semiaxes)
+    scale = math.ldexp(1.0, math.frexp(longest)[1])
+    la = np.asarray(a.semiaxes)[:, None] * np.asarray(a.rotation).T
+    lb = np.asarray(b.semiaxes)[:, None] * np.asarray(b.rotation).T
+    dc = b._c - a._c
+    span = math.hypot(*dc)
+    if span > _FAR_APART * longest:
+        g, w = _support_terms(dc, la, lb, dc / span)[:2]
+        return dc / span, g, math.hypot(*w)
+    la, lb, dc = la / scale, lb / scale, dc / scale
     d = dc.size
     starts = _unit_directions(d, _PAIR_SAMPLES)
     gs = (starts @ dc - np.linalg.norm(starts @ la.T, axis=1)
@@ -989,15 +1033,18 @@ def _support_separation(a: ConvexBody, b: ConvexBody):
 
 
 def body_pair_distance(a: ConvexBody, b: ConvexBody) -> float:
-    """Certified signed separation of two bodies, in every dimension.
+    """Certified lower bound on the signed separation of two bodies, in
+    every dimension: g at one direction, so never above the true separation.
 
-    For disjoint bodies this is their distance, as a lower bound that the
-    distance between two boundary points matches to rounding. For
-    overlapping or nested bodies it is negative: minus the penetration depth,
-    the length of the shortest translation that separates them (for balls,
-    |c_a - c_b| - r_a - r_b either way). The value is g at one direction, so
-    it never exceeds the true separation; a negative one is the maximum that
-    Newton ascent reaches from the best lattice direction.
+    For disjoint bodies it is their distance when the Newton ascent
+    converges; the support points' distance, the upper bound of
+    _support_separation, then matches it to rounding. The ascent can stall
+    when the pair's semiaxes span most of the accepted range: a ribbon
+    (7.6e-155, 1.3e154, 1) beside the ellipsoid (1, 2, 3) centred 5 away
+    gives 3.87 for a distance of 4. For overlapping or nested bodies it is
+    negative: minus the penetration depth, the length of the shortest
+    translation that separates them (for balls, |c_a - c_b| - r_a - r_b
+    either way), as far as the ascent from the best lattice direction reaches.
     """
     return _support_separation(a, b)[1]
 

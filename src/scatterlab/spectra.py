@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -45,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _coldot, _itineraries, _trace_many, _trace_raw
-from .geometry import Scene, _as_tuple, _rowdot, fibonacci_sphere
+from .geometry import Scene, _as_tuple, fibonacci_sphere
 
 DIRECTION_MATCH_TOL = 1e-9
 
@@ -317,22 +318,19 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 def _exit_crossing(scene: Scene, leg_origin, leg_length: float, fdir):
     """Last crossing of the reference sphere on the outgoing free leg from
     leg_origin, at path length leg_length, along fdir; returns the crossing
-    point and its path length, or (None, None) when the leg does not cross."""
-    center = np.asarray(scene.ball_center)
+    point (a tuple) and its path length, or (None, None) when the leg does
+    not cross. Products are summed in coordinate order, as _coldot sums them."""
     a = scene.ball_radius
-    leg_origin = np.asarray(leg_origin)
-    v = np.asarray(fdir)
-    w = leg_origin - center
-    b = float(w @ v)
-    g = float(w @ w) - a * a
+    w = list(map(operator.sub, leg_origin, scene.ball_center))
+    b = sum(map(operator.mul, w, fdir))
+    g = sum(map(operator.mul, w, w)) - a * a
     disc = b * b - g
     if disc < 0.0:
         return None, None
     s = -b + math.sqrt(disc)
     if s < 0.0:
         return None, None
-    exit_pt = leg_origin + s * v
-    return exit_pt, leg_length + s
+    return tuple(p + s * v for p, v in zip(leg_origin, fdir)), leg_length + s
 
 
 def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
@@ -341,8 +339,8 @@ def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
     Each row's exit point is bitwise the scalar one."""
     a = scene.ball_radius
     w = legs - np.asarray(scene.ball_center)
-    b = _rowdot(w, dirs)
-    g = _rowdot(w, w) - a * a
+    b = _coldot(w, dirs)
+    g = _coldot(w, w) - a * a
     disc = b * b - g
     s = -b + np.sqrt(np.maximum(disc, 0.0))
     return legs + s[:, None] * dirs, (disc >= 0.0) & (s >= 0.0)
@@ -366,10 +364,14 @@ def _sphere_angle(scene: Scene, p) -> float:
     return math.atan2(p[1] - center[1], p[0] - center[0])
 
 
-def _frame_at(scene: Scene, x: np.ndarray):
-    center = np.asarray(scene.ball_center)
-    m = (center - x) / float(np.linalg.norm(center - x))
-    return m, np.array([-m[1], m[0]])
+def _frame_at(scene: Scene, x):
+    """The inward normal m of the reference circle at x and its turn mp by a
+    right angle, as tuples (d = 2)."""
+    dx = scene.ball_center[0] - float(x[0])
+    dy = scene.ball_center[1] - float(x[1])
+    nn = math.sqrt(dx * dx + dy * dy)
+    m = (dx / nn, dy / nn)
+    return m, (-m[1], m[0])
 
 
 # Seed gaps that hide structure get subdivided before bracketing: endpoints
@@ -381,10 +383,12 @@ _BOUNDARY_SPLIT_DEPTH = 6
 _EXIT_JUMP_TOL = 0.08
 
 
-def _launch_dir(frame, psi: float) -> np.ndarray:
-    """Inward direction at angle psi from the sphere normal of a d = 2 frame."""
+def _launch_dir(frame, psi: float) -> tuple:
+    """Inward direction at angle psi from the sphere normal of a d = 2 frame,
+    by the arithmetic of the lockstep sweep."""
     m, mp = frame
-    return math.cos(psi) * m + math.sin(psi) * mp
+    c, s = math.cos(psi), math.sin(psi)
+    return (c * m[0] + s * mp[0], c * m[1] + s * mp[1])
 
 
 @dataclass(frozen=True)

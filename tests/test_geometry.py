@@ -210,7 +210,6 @@ def _tangent_rays(body, rng, n):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_batched_kernel_matches_scene_first_hit(d):
     scene = _kernel_scene(d)
-    a = scene.ball_radius
     rng = np.random.default_rng(40 + d)
     rays = []
     while len(rays) < 600:
@@ -230,9 +229,8 @@ def test_batched_kernel_matches_scene_first_hit(d):
     U = np.array([v for _, v in rays])
     t, ids, arcs, grazing, points, normals = _first_hits(scene, O, U)
     assert np.all(arcs == -1)
-    # In d >= 3 both kernels make the same BLAS calls per ray, so they agree
-    # bit for bit; d = 2 compares against the separate planar kernel.
-    tol = 0.0 if d >= 3 else 1e-12 * a
+    # In d >= 3 both kernels make the same BLAS calls per ray, and in the
+    # plane the same elementwise arithmetic, so they agree bit for bit.
     kinds = set()
     for k, (o, v) in enumerate(rays):
         ref = sl.scene_first_hit(scene, o, v)
@@ -243,13 +241,46 @@ def test_batched_kernel_matches_scene_first_hit(d):
         oid, hit = ref
         assert ids[k] == oid
         assert bool(grazing[k]) == hit.grazing
-        assert abs(t[k] - hit.t) <= tol
-        assert np.max(np.abs(points[k] - hit.point)) <= tol
-        assert np.max(np.abs(normals[k] - hit.normal)) <= (0.0 if d >= 3 else 1e-9)
+        assert t[k] == hit.t
+        assert tuple(points[k].tolist()) == hit.point
+        assert tuple(normals[k].tolist()) == hit.normal
         kinds.add(("graze" if hit.grazing else "hit", oid))
     # Misses, hits on the ball and on the first copy of the ellipsoid (the
     # tie rule keeps the second copy out), and grazes on both shapes.
     assert kinds == {"miss", ("hit", 0), ("hit", 1), ("graze", 0), ("graze", 1)}
+
+
+def test_batched_kernel_matches_scene_first_hit_where_roots_need_polish(monkeypatch):
+    # Seen from 2,000 away, the closed-form roots on bodies of size 0.01
+    # leave implicit values far above ROOT_TOL, so the rays are solved again
+    # with Newton polish; the two kernels still agree bit for bit, and every
+    # reported point is on its body to ROOT_TOL.
+    scene = sl.Scene(dimension=2,
+                     bodies=(sl.ball((0.0, 0.0), 1e-2),
+                             sl.ellipsoid((0.0, 3.0), (2e-2, 1e-2), sl.rotation_2d(0.7))),
+                     ball_radius=1e4)
+    rng = np.random.default_rng(5)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 200)
+    O = 2e3 * np.column_stack([np.cos(ang), np.sin(ang)])
+    aim = np.array([b.center for b in scene.bodies])[np.arange(200) % 2]
+    U = aim + rng.normal(scale=1e-2, size=(200, 2)) - O
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    polished = []
+    root = sl.geometry._first_root
+    monkeypatch.setattr(sl.geometry, "_first_root", lambda *a: polished.append(a) or root(*a))
+    t, ids, _, grazing, points, normals = _first_hits(scene, O, U)
+    assert len(polished) > 50
+    assert {0, 1} <= set(ids.tolist())
+    for k in range(200):
+        ref = sl.scene_first_hit(scene, O[k], U[k])
+        if ref is None:
+            assert ids[k] == -1
+            continue
+        oid, hit = ref
+        assert (ids[k], t[k], bool(grazing[k])) == (oid, hit.t, hit.grazing)
+        assert tuple(points[k].tolist()) == hit.point
+        assert tuple(normals[k].tolist()) == hit.normal
+        assert abs(sl.evaluate_body(scene.bodies[oid], points[k])[0]) <= ROOT_TOL
 
 
 def _segment_arc_scene() -> sl.Scene:
@@ -290,13 +321,12 @@ def _curve_rays(scene, rng):
 
 @pytest.mark.parametrize("variant", ["bump", "flat", "segment-arc"])
 def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
-    # Arcs follow the planar kernel's arithmetic elementwise, so arc hits
-    # agree bit for bit; body hits differ by the Newton polish only.
+    # Both kernels run the planar arithmetic, elementwise in the batched
+    # one, so body and arc hits agree bit for bit.
     if variant == "segment-arc":
         scene = _segment_arc_scene()
     else:
         scene = sl.build_livshits_scene(sl.LivshitsParams(), variant)
-    a = scene.ball_radius
     rays = _curve_rays(scene, np.random.default_rng(61))
     O = np.array([o for o, _ in rays])
     U = np.array([v for _, v in rays])
@@ -311,13 +341,11 @@ def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
         oid, hit = ref
         assert (ids[k], arcs[k], bool(grazing[k])) == (oid, -1 if hit.arc is None else hit.arc,
                                                        hit.grazing)
-        assert abs(t[k] - hit.t) <= 1e-12 * a
-        assert np.max(np.abs(points[k] - hit.point)) <= 1e-12 * a
-        if hit.arc is None:
-            assert np.max(np.abs(normals[k] - hit.normal)) <= 1e-9
-        else:
-            nx, ny = normals[k].tolist()
-            assert (nx, ny) == hit.normal
+        assert t[k] == hit.t
+        assert tuple(points[k].tolist()) == hit.point
+        nx, ny = normals[k].tolist()
+        assert (nx, ny) == hit.normal
+        if hit.arc is not None:
             assert v[0] * nx + v[1] * ny <= 0.0
             arc = scene.curves[oid - len(scene.bodies)].arcs[hit.arc]
             kinds.add(("graze" if hit.grazing else "hit", type(arc).__name__))
@@ -514,6 +542,31 @@ def test_validation_survives_extreme_semiaxes():
     # The search runs on the pair scaled to its longest semiaxis, so the
     # answer does not hang on how the solver treats inf, nor on the order.
     assert body_pair_distance(b, a) == pytest.approx(body_pair_distance(a, b), rel=1e-12)
+
+
+def test_pair_distance_of_tiny_balls_far_apart():
+    # Scaled to unit semiaxes, centres 2e200 apart would overflow (and warn);
+    # the line of centres separates the pair, and the distance is 2e200 less
+    # the radii, which is 2e200 to rounding.
+    a = sl.ball((-1e200, 0.0), 1e-150)
+    b = sl.ball((1e200, 0.0), 1e-150)
+    n, lower, upper = _support_separation(a, b)
+    assert tuple(n.tolist()) == (1.0, 0.0)
+    assert lower == upper == 2e200
+    assert body_pair_distance(b, a) == 2e200
+
+
+def test_pair_distance_bounds_hold_where_the_ascent_stalls():
+    # The semiaxes of this pair span most of the accepted range, and the
+    # Newton ascent stops short of the maximum: the distance 4 lies between
+    # the certified lower bound, which body_pair_distance returns, and the
+    # support points' distance.
+    ribbon = sl.ellipsoid((0.0, 0.0, 0.0), (7.6e-155, 1.3e154, 1.0))
+    body = sl.ellipsoid((5.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+    for a, b in ((ribbon, body), (body, ribbon)):
+        _, lower, upper = _support_separation(a, b)
+        assert 3.8 < lower <= 4.0 <= upper
+        assert body_pair_distance(a, b) == lower
 
 
 @pytest.mark.parametrize("axis", [1e-170, 1e-160, 1e160, 1e200, math.inf])
