@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (Scene, _as_tuple, _check_unit, _first_hit_2d, _first_hits,
-                       _nearest_body_hit, _rowdot)
+from .geometry import (Scene, _as_tuple, _check_unit, _dot, _first_hit_2d, _first_hit_nd,
+                       _first_hits)
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -138,7 +138,7 @@ def _trace_raw(scene: Scene, point, direction, limits: Optional[TraceLimits] = N
 
 
 def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
-    k = scene._k2
+    k = scene._k
     a = scene.ball_radius
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
@@ -180,31 +180,32 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, lmax: float):
     a = scene.ball_radius
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
-    o = np.asarray(point, dtype=float).copy()
-    u = np.asarray(direction, dtype=float).copy()
-    prev = o
+    o = prev = _as_tuple(point)
+    u = _as_tuple(direction)
     total = 0.0
     nrefl = 0
     events = []
     while True:
-        hit = _nearest_body_hit(scene, o, u)
+        hit = _first_hit_nd(scene, o, u)
         if hit is None:
-            return True, events, _as_tuple(prev), _as_tuple(u), total
+            return True, events, prev, u, total
         oid, _, p, n, _, grazing = hit
-        total += float(np.linalg.norm(p - prev))
+        step = [x - y for x, y in zip(p, prev)]
+        total += math.sqrt(_dot(step, step))
         prev = p
-        point, normal = _as_tuple(p), _as_tuple(n)
         if grazing:
-            events.append((oid, None, point, normal, True, total, _as_tuple(u)))
-            o = p + skip * u
+            events.append((oid, None, p, n, True, total, u))
+            o = [x + skip * y for x, y in zip(p, u)]
         else:
-            u = u - 2.0 * float(u @ n) * n
-            u /= float(np.linalg.norm(u))
-            events.append((oid, None, point, normal, False, total, _as_tuple(u)))
+            c = 2.0 * _dot(u, n)
+            v = [x - c * y for x, y in zip(u, n)]
+            nn = math.sqrt(_dot(v, v))
+            u = tuple([x / nn for x in v])
+            events.append((oid, None, p, n, False, total, u))
             nrefl += 1
-            o = p + off * n
+            o = [x + off * y for x, y in zip(p, n)]
         if nrefl >= nmax or total >= lmax:
-            return False, events, point, _as_tuple(u), total
+            return False, events, p, u, total
 
 
 class _EventLog(NamedTuple):
@@ -225,9 +226,8 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     """_trace_raw on every row of O (start points) and U (unit directions)
     under the default limits. The rays advance in lockstep, one batched
     kernel call per step for the rays still in flight, and each ray's
-    numbers are bitwise those of its single trace: in d >= 3 reflections and
-    path lengths take the BLAS row products of _trace_nd, in the plane the
-    coordinate-order sums of _trace_2d.
+    numbers are bitwise those of its single trace: reflections and path
+    lengths take the coordinate-order sums of _trace_2d and _trace_nd.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -244,7 +244,6 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     length = np.zeros(len(o))
     nrefl = np.zeros(len(o), dtype=int)
     escaped = np.zeros(len(o), dtype=bool)
-    dot = _coldot if scene.dimension == 2 else _rowdot
     # An empty first step fixes the log's dtypes and shapes, also for no rays.
     steps = [(np.zeros(0, dtype=int),) * 3 + (o[:0], np.zeros(0, dtype=bool), o[:0])]
     live = np.arange(len(o))
@@ -255,14 +254,14 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
         live, ids, arcs, grazing, p, n = (live[hit], ids[hit], arcs[hit], grazing[hit],
                                           p[hit], n[hit])
         step = p - leg[live]
-        length[live] += np.sqrt(dot(step, step))
+        length[live] += np.sqrt(_coldot(step, step))
         leg[live] = p
         rows = live[grazing]
         o[rows] = p[grazing] + skip * u[rows]
         rows, q, n = live[~grazing], p[~grazing], n[~grazing]
         v = u[rows]
-        v = v - (2.0 * dot(v, n))[:, None] * n
-        u[rows] = v / np.sqrt(dot(v, v))[:, None]
+        v = v - (2.0 * _coldot(v, n))[:, None] * n
+        u[rows] = v / np.sqrt(_coldot(v, v))[:, None]
         o[rows] = q + off * n
         nrefl[rows] += 1
         steps.append((live, ids, arcs, p, grazing, u[live]))
@@ -297,8 +296,8 @@ def _escape_distance(scene: Scene, origins: np.ndarray, dirs: np.ndarray) -> np.
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row inner products summed column by column from the first, the order
-    of a scalar loop over coordinates."""
-    return sum(a[..., k] * b[..., k] for k in range(a.shape[-1]))
+    of the single-ray kernels' sums."""
+    return _dot(a.T, b.T)
 
 
 def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None) -> TrajectoryRecord:

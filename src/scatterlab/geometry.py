@@ -5,11 +5,12 @@ Bodies are balls and (optionally rotated) ellipsoids carried by the implicit
 function phi(x) = |D^-1 R^T (x - c)|^2 - 1, negative inside, zero on the
 boundary, positive outside. Ray intersection reduces to a quadratic in the
 ray parameter; roots are taken in closed form and Newton-polished only where
-|phi| there exceeds ROOT_TOL, so |phi| at a reported hit stays below it. A
-batched kernel applies the same rules to rows of rays at once, testing each
-kind of obstacle against all rays in one pass, and reproduces the single-ray
-numbers bit for bit: in d >= 3 through the same BLAS row products, in the
-plane through one elementwise arithmetic on floats or arrays.
+|phi| there exceeds ROOT_TOL, so |phi| at a reported hit stays below it, or
+below the rounding floor of the hit point where that is larger. A batched
+kernel applies the same rules to rows of rays at once, testing each kind of
+obstacle against all rays in one pass, and reproduces the single-ray numbers
+bit for bit: in every dimension both write one elementwise arithmetic, with
+every sum in coordinate order, on floats or on arrays.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -32,6 +33,8 @@ TANGENT_COS_EPS = 1e-8
 DISCRIMINANT_EPS = 1e-14
 ROOT_TOL = 1e-9
 _NEWTON_CAP = 8
+# Rounding error per coordinate of a hit point o + t u over |o|_max + |t|.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 # How far a direction's norm may be from 1 at every single-ray entry point:
 # the planar kernels take the direction as given, so a looser bound would let
@@ -110,7 +113,11 @@ class ConvexBody:
         m = rot @ np.diag(inv2) @ rot.T
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_M", m)
-        object.__setattr__(self, "_r", float(s[0]))
+        # Kernel parameters: (r^2, 1 / r^2), or M's rows with the upper triangle mirrored.
+        r2 = float(s[0]) * float(s[0])
+        object.__setattr__(self, "_tag", self.kind[0])
+        object.__setattr__(self, "_par", (r2, 1.0 / r2) if self.kind == "ball"
+                           else _sym(m[np.triu_indices(d)].tolist(), d))
 
     @property
     def dimension(self) -> int:
@@ -202,19 +209,17 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
 
     Convexity gives at most two roots; a discriminant inside the snap band is
     treated as a double root and flagged grazing, as is any simple root whose
-    incidence cosine is below the tangency threshold. Raises ValueError
-    unless the direction is a unit vector (to UNIT_TOL = 1e-12).
+    incidence cosine is below the tangency threshold. On a one-body scene it
+    is bitwise scene_first_hit. Raises ValueError unless the direction is a
+    unit vector (to UNIT_TOL = 1e-12).
     """
-    o = np.asarray(origin, dtype=float)
-    v = np.asarray(direction, dtype=float)
+    o, v = _as_tuple(origin), _as_tuple(direction)
     _check_unit(v)
     root = _body_root(body, o, v, t_min, polish=True)
     if root is None:
         return None
     t, band = root
-    p, n, cosi, _ = _surface_at(body, o, v, t)
-    return Hit(float(t), _as_tuple(p), _as_tuple(n), cosi,
-               band or abs(cosi) < TANGENT_COS_EPS, None)
+    return Hit(t, *_surface_at(body, o, v, t, band)[1:], None)
 
 
 def _check_unit(v) -> None:
@@ -223,17 +228,73 @@ def _check_unit(v) -> None:
         raise ValueError(f"direction must be a unit vector to within {UNIT_TOL}")
 
 
-def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float,
-               polish: bool):
-    """The single-ray root rule of ray_intersect and the d >= 3 kernels:
-    (t, band) for the first closed-form boundary crossing after t_min,
-    Newton-polished if polish is set, where band marks a discriminant in
-    the double-root snap band (whose root takes no polish); or None."""
-    w = o - body._c
-    mv = body._M @ v
-    al = float(v @ mv)
-    b = float(w @ mv)
-    g = float(w @ (body._M @ w)) - 1.0
+# ---------------------------------------------------------------------------
+# One arithmetic for every kernel
+# ---------------------------------------------------------------------------
+# The expressions below run unchanged on floats (the single-ray kernels) and
+# on arrays (the batched kernel, one entry per ray), so each row of a batch is
+# bitwise its single ray. A point or vector is a sequence of its coordinates;
+# a ball's parameters are (r^2, 1 / r^2), an ellipsoid's the rows of M with
+# its upper triangle mirrored.
+
+def _dot(a, b):
+    """Sum of a[k] * b[k], taken in coordinate order from the first term."""
+    s = a[0] * b[0]
+    for k in range(1, len(a)):
+        s = s + a[k] * b[k]
+    return s
+
+
+def _sym(m, d: int) -> tuple:
+    """Rows of the symmetric d x d matrix whose upper triangle, row by row, is m."""
+    def at(i, j):
+        i, j = min(i, j), max(i, j)
+        return m[i * (2 * d - i - 1) // 2 + j]
+
+    return tuple(tuple(at(i, j) for j in range(d)) for i in range(d))
+
+
+def _quadratic(tag: str, c, par, o, u):
+    """(al, b, g) of the ray o + t u against a body: phi there is
+    al t^2 + 2 b t + g. A ball takes al = 1, as the direction is a unit
+    vector."""
+    w = [x - y for x, y in zip(o, c)]
+    if tag == "b":
+        return 1.0, _dot(w, u), _dot(w, w) - par[0]
+    mv = [_dot(row, u) for row in par]
+    return _dot(u, mv), _dot(w, mv), _dot(w, [_dot(row, w) for row in par]) - 1.0
+
+
+def _phi(tag: str, c, par, p):
+    """Implicit value of a body at p and half its gradient, M w."""
+    w = [x - y for x, y in zip(p, c)]
+    g = [x * par[1] for x in w] if tag == "b" else [_dot(row, w) for row in par]
+    return _dot(w, g) - 1.0, g
+
+
+def _slope(tag: str, c, par, o, u):
+    """slope(t): the implicit value along the ray o + t u, its derivative in
+    t, and the tolerance its root is held to: ROOT_TOL, or the rounding floor
+    of the point o + t u where that is larger. Each coordinate of the point
+    is off by about eps (|o|_max + |t|), which moves phi by |grad phi| times
+    as much: about 2 eps D / r on a body of size r seen from a distance D."""
+    reach = max(map(abs, o))
+    floor = _ROUNDING * math.sqrt(len(o))
+
+    def slope(t):
+        f, g = _phi(tag, c, par, [x + t * y for x, y in zip(o, u)])
+        return (f, 2.0 * _dot(g, u),
+                max(ROOT_TOL, floor * (reach + abs(t)) * math.sqrt(_dot(g, g))))
+
+    return slope
+
+
+def _body_root(body: ConvexBody, o, v, t_min: float, polish: bool):
+    """The single-ray root rule: (t, band) for the first closed-form boundary
+    crossing after t_min, Newton-polished if polish is set, where band marks
+    a discriminant in the double-root snap band (whose root takes no
+    polish); or None."""
+    al, b, g = _quadratic(body._tag, body.center, body._par, o, v)
     disc = b * b - al * g
     if disc < -DISCRIMINANT_EPS:
         return None
@@ -243,20 +304,19 @@ def _body_root(body: ConvexBody, o: np.ndarray, v: np.ndarray, t_min: float,
     s = math.sqrt(disc)
     # |q| >= s > 0, so both root formulas are defined.
     q = -(b + math.copysign(s, b))
-
-    def slope(t):
-        f, grad = evaluate_body(body, o + t * v)
-        return f, float(grad @ v)
-
-    t = _first_root(*sorted((q / al, g / q)), t_min, slope if polish else None, o, v)
+    lo, hi = q / al, g / q
+    if hi < lo:
+        lo, hi = hi, lo
+    slope = _slope(body._tag, body.center, body._par, o, v) if polish else None
+    t = _first_root(lo, hi, t_min, slope, o, v)
     return None if t is None else (t, False)
 
 
 def _first_root(lo: float, hi: float, t_min: float, slope, o, v):
     """The first of the closed-form roots lo <= hi beyond t_min, or None.
-    With slope(t), the implicit value along the ray and its derivative, the
-    root is Newton-polished, and where that pulls it back to t_min or behind,
-    the second one is taken."""
+    With slope(t), the implicit value along the ray, its derivative and its
+    tolerance, the root is Newton-polished, and where that pulls it back to
+    t_min or behind, the second one is taken."""
     for t in (lo, hi):
         if t > t_min:
             if slope:
@@ -267,75 +327,71 @@ def _first_root(lo: float, hi: float, t_min: float, slope, o, v):
 
 
 def _newton_root(slope, t: float, o, v) -> float:
-    """Newton steps from t on the implicit value f along the ray, with
-    slope(t) = (f, df/dt), until |f| <= ROOT_TOL; a root already within it
-    is returned as it is. Raises RayIntersectError when _NEWTON_CAP steps or
-    a zero slope leave |f| above ROOT_TOL."""
+    """Newton steps from t on the implicit value f along the ray until |f|
+    is within the tolerance slope(t) gives; a root already within it is
+    returned as it is. Raises RayIntersectError when _NEWTON_CAP steps or a
+    zero slope leave |f| above it."""
     for _ in range(_NEWTON_CAP):
-        f, fp = slope(t)
-        if abs(f) <= ROOT_TOL:
+        f, fp, tol = slope(t)
+        if abs(f) <= tol:
             return t
         if fp == 0.0:
             break
         t -= f / fp
-    if abs(slope(t)[0]) > ROOT_TOL:
+    f, _, tol = slope(t)
+    if abs(f) > tol:
         raise RayIntersectError(_POLISH_FAILED, o, v)
     return t
 
 
-def _surface_at(body: ConvexBody, o: np.ndarray, v: np.ndarray, t: float):
-    """Boundary point at ray parameter t, its outward unit normal, the
-    incidence cosine of the ray there and the implicit value."""
-    p = o + t * v
-    f, grad = evaluate_body(body, p)
-    n = grad / float(np.linalg.norm(grad))
-    return p, n, float(v @ n), f
+def _surface_at(body: ConvexBody, o, v, t: float, band: bool):
+    """At ray parameter t: the implicit value, the boundary point, its
+    outward unit normal, the incidence cosine and the grazing flag."""
+    p = tuple([x + t * y for x, y in zip(o, v)])
+    f, g = _phi(body._tag, body.center, body._par, p)
+    nn = math.sqrt(_dot(g, g))
+    n = tuple([x / nn for x in g])
+    cosi = _dot(v, n)
+    return f, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
-def _nearest_body_hit(scene: Scene, o: np.ndarray, v: np.ndarray, polish: bool = False):
-    """Nearest body hit of one ray as (id, t, point, normal, cos_incidence,
-    grazing), or None, by _first_hit_2d's root rule; ties go to the lowest
-    id. The direction must be a unit vector."""
-    best = None
+def _first_hit_nd(scene: Scene, o: tuple, v: tuple, polish: bool = False):
+    """Nearest body hit of one ray in d >= 3 as (id, t, point, normal,
+    cos_incidence, grazing), or None, by _first_hit_2d's rules on floats;
+    ties go to the lowest id. The direction must be a unit vector."""
+    best_t, best, band = math.inf, None, False
     for i, body in enumerate(scene.bodies):
         root = _body_root(body, o, v, 0.0, polish)
-        if root is not None and (best is None or root[0] < best[1]):
-            best = (i, *root)
+        if root is not None and root[0] < best_t:
+            (best_t, band), best = root, i
     if best is None:
         return None
-    i, t, band = best
-    p, n, cosi, f = _surface_at(scene.bodies[i], o, v, t)
+    f, *hit = _surface_at(scene.bodies[best], o, v, best_t, band)
     if not (polish or band) and abs(f) > ROOT_TOL:
-        return _nearest_body_hit(scene, o, v, polish=True)
-    return i, t, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
+        return _first_hit_nd(scene, o, v, polish=True)
+    return (best, best_t, *hit)
 
 
 # ---------------------------------------------------------------------------
 # Batched kernel
 # ---------------------------------------------------------------------------
 # Rows of O and U are ray origins and unit directions. Each kind of obstacle
-# meets all rays in one pass over an (obstacles x rays) array. In d >= 3 the
-# row products go through stacked matmul, which calls per row the same BLAS
-# dot and matrix-vector routines as the 1-D `@` of the single-ray path, so
-# every row reproduces the single ray's numbers bit for bit; inputs must be
-# C-contiguous (unit stride along the last axis), as the BLAS routine
-# depends on the stride. The plane has its own section below.
+# meets all rays in one pass over an (obstacles x rays) array, by the
+# expressions of the single-ray kernels written on arrays: the columns of O
+# and U stand for the coordinates, and a kind's (K, 1) parameter columns for
+# its parameters.
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product of each row of a with the same row of b (rows broadcast)."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _matvecs(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """m @ w for each row w (stacks broadcast)."""
-    return np.matmul(m, w[..., None])[..., 0]
-
-
 def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     """Nearest hit of every ray after t = 0 over the bodies and the planar
-    curve arcs, by the rules of scene_first_hit; each row is bitwise that
-    ray's scene_first_hit. Ties go to the lowest obstacle id, then to the
-    earlier arc.
+    curve arcs, by the rules of scene_first_hit; in every dimension both run
+    one elementwise arithmetic, so each row is bitwise that ray's
+    scene_first_hit. Ties go to the lowest obstacle id, then to the earlier
+    arc.
 
     Returns (t, ids, arcs, grazing, points, normals) with one entry per row;
     arcs holds the arc index within its curve, -1 for a body. A ray that
@@ -350,8 +406,7 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     normals = np.full(O.shape, np.nan)
     grazing = np.zeros(n_rays, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kernel = _planar_hits if scene.dimension == 2 else _body_hits_nd
-        redo = kernel(scene, O, U, best_t, ids, arcs, grazing, points, normals)
+        redo = _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals)
     # Rays whose nearest body root needs Newton polish take the scalar branch.
     for r in redo:
         oid, h = scene_first_hit(scene, O[r], U[r]) or (-1, _NO_HIT)
@@ -388,32 +443,6 @@ def _nearest(t: np.ndarray):
     """The row of each column's least entry (the first on ties) and the entry."""
     k = t.argmin(0)
     return k, t[k, np.arange(t.shape[1])]
-
-
-def _body_hits_nd(scene, O, U, best_t, ids, arcs, grazing, points, normals):
-    """_first_hits over the bodies of a d >= 3 scene, in one stacked pass;
-    returns the rows that need the polish branch."""
-    if not scene.bodies:
-        return []
-    C, M = scene._knd
-    Ms = M[:, None]
-    w = O - C[:, None]
-    mv = _matvecs(Ms, U)
-    t, band = _roots_beyond_zero(_rowdot(U, mv), _rowdot(w, mv),
-                                 _rowdot(w, _matvecs(Ms, w)) - 1.0)
-    k, best = _nearest(t)
-    rows = np.flatnonzero(best < np.inf)
-    k = k[rows]
-    v = U[rows]
-    p = O[rows] + best[rows, None] * v
-    w = p - C[k]
-    mw = _matvecs(M[k], w)
-    grad = 2.0 * mw
-    n = grad / np.sqrt(_rowdot(grad, grad))[:, None]
-    best_t[rows], ids[rows], points[rows], normals[rows] = best[rows], k, p, n
-    band = band[k, rows]
-    grazing[rows] = band | (np.abs(_rowdot(v, n)) < TANGENT_COS_EPS)
-    return rows[(np.abs(_rowdot(w, mw) - 1.0) > ROOT_TOL) & ~band].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +598,7 @@ class Scene:
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "ball_center", center)
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
-        object.__setattr__(self, "_k2", _compile_2d(self) if d == 2 else None)
-        # Body centres and quadratic-form matrices, stacked for the d >= 3 kernel.
-        object.__setattr__(self, "_knd", None if d == 2 or not bodies else (
-            np.array([b._c for b in bodies]), np.array([b._M for b in bodies])))
+        object.__setattr__(self, "_k", _compile(self))
 
     @property
     def digest(self) -> str:
@@ -584,37 +610,19 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# Planar kernel
+# Kernel tables
 # ---------------------------------------------------------------------------
-# Obstacle entries, one per body or arc, in scene order:
-#   ("b", id, -1, cx, cy, r2, ir2)               ball, ir2 = 1 / r2
-#   ("e", id, -1, cx, cy, m00, m01, m11)         ellipse, M = R D^-2 R^T
-#   ("s", id, arc, x1, y1, ex, ey, ln)           segment, unit (ex, ey)
-#   ("a", id, arc, cx, cy, sa, sb, lo, span)     axis-aligned elliptic arc
-# The batched kernel evaluates each kind on the (K, 1) parameter columns of
-# a _Kind stack against length-N ray arrays; _first_hit_2d writes the same
-# expressions out on floats, in the same order, so a planar _trace_many row
-# is bitwise its _trace_2d trace. Norms are sqrt(x*x + y*y).
+# Obstacle entries, one per body or arc, in scene order; c is the centre:
+#   ("b", id, -1, *c, r2, ir2)                  ball, ir2 = 1 / r2
+#   ("e", id, -1, *c, *upper triangle of M)     ellipsoid, M = R D^-2 R^T
+#   ("s", id, arc, x1, y1, ex, ey, ln)          segment, unit (ex, ey)
+#   ("a", id, arc, cx, cy, sa, sb, lo, span)    axis-aligned elliptic arc
+# Curves exist only in the plane. The batched kernel evaluates each kind on
+# the (K, 1) parameter columns of a _Kind stack against length-N ray arrays;
+# _first_hit_2d writes the same planar expressions out on floats, and
+# _first_hit_nd runs _quadratic and _phi on floats, so a _trace_many row is
+# bitwise its single trace.
 
-def _ball_phi(px, py, cx, cy, r2, ir2):
-    """Implicit value of a ball at (px, py) and half its gradient, M w."""
-    wx = px - cx
-    wy = py - cy
-    gx = wx * ir2
-    gy = wy * ir2
-    return wx * gx + wy * gy - 1.0, gx, gy
-
-
-def _ellipse_phi(px, py, cx, cy, m00, m01, m11):
-    """Implicit value of an ellipse at (px, py) and half its gradient, M w."""
-    wx = px - cx
-    wy = py - cy
-    gx = m00 * wx + m01 * wy
-    gy = m01 * wx + m11 * wy
-    return wx * gx + wy * gy - 1.0, gx, gy
-
-
-_PHI = {"b": _ball_phi, "e": _ellipse_phi}
 _TWO_PI = 2.0 * math.pi
 
 
@@ -634,17 +642,13 @@ class _Kind(NamedTuple):
     cols: tuple
 
 
-def _compile_2d(scene: Scene):
-    """The planar tables: (every entry in scene order, a _Kind per kind present)."""
+def _compile(scene: Scene):
+    """The kernel tables: (every entry in scene order, a _Kind per kind present)."""
+    d = scene.dimension
     entries = []
     for i, b in enumerate(scene.bodies):
-        cx, cy = b.center
-        if b.is_ball:
-            r2 = b._r * b._r
-            entries.append(("b", i, -1, cx, cy, r2, 1.0 / r2))
-        else:
-            m = b._M
-            entries.append(("e", i, -1, cx, cy, float(m[0, 0]), float(m[0, 1]), float(m[1, 1])))
+        par = b._par if b._tag == "b" else [b._par[j][k] for j in range(d) for k in range(j, d)]
+        entries.append((b._tag, i, -1, *b.center, *par))
     nb = len(scene.bodies)
     for ci, curve in enumerate(scene.curves):
         for ai, arc in enumerate(curve.arcs):
@@ -668,18 +672,20 @@ def _compile_2d(scene: Scene):
     return tuple(entries), tuple(kinds)
 
 
-def _planar_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
-    """_first_hits in the plane: one pass per obstacle kind over all rays,
-    by the rules of _first_hit_2d; returns the rows that need the polish
+def _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
+    """_first_hits' passes: one per obstacle kind over all rays, by the
+    rules of the single-ray kernels; returns the rows that need the polish
     branch."""
-    kinds = scene._k2[1]
-    ox, oy, ux, uy = O[:, 0], O[:, 1], U[:, 0], U[:, 1]
-    key = np.full(len(ox), -1)  # no tie with a miss
-    which = np.full(len(ox), -1)
-    row = np.zeros(len(ox), dtype=int)
-    band = np.zeros(len(ox), dtype=bool)
+    d = scene.dimension
+    kinds = scene._k[1]
+    o = [O[:, k] for k in range(d)]
+    u = [U[:, k] for k in range(d)]
+    key = np.full(len(O), -1)  # no tie with a miss
+    which = np.full(len(O), -1)
+    row = np.zeros(len(O), dtype=int)
+    band = np.zeros(len(O), dtype=bool)
     for j, kind in enumerate(kinds):
-        t, kind_band = _kind_pass(kind, ox, oy, ux, uy)
+        t, kind_band = _kind_pass(kind, o, u)
         r, tr = _nearest(t)
         kr = kind.key[r]
         # Strictly closer, or as close and earlier in scene order.
@@ -692,58 +698,53 @@ def _planar_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
         rows = np.flatnonzero(which == j)
         r = row[rows]
         par = [c[r, 0] for c in kind.cols]
-        vx, vy = ux[rows], uy[rows]
-        px = ox[rows] + best_t[rows] * vx
-        py = oy[rows] + best_t[rows] * vy
+        v = [x[rows] for x in u]
+        p = [x[rows] + best_t[rows] * y for x, y in zip(o, v)]
         if kind.tag == "s":
-            gx, gy = -par[3], par[2]
+            g = [-par[3], par[2]]
         else:
             if kind.tag == "a":
-                gx, gy = (px - par[0]) / (par[2] * par[2]), (py - par[1]) / (par[3] * par[3])
+                g = [(p[0] - par[0]) / (par[2] * par[2]), (p[1] - par[1]) / (par[3] * par[3])]
             else:
-                f, gx, gy = _PHI[kind.tag](px, py, *par)
+                f, g = _phi(kind.tag, par[:d], _body_par(kind.tag, par[d:], d), p)
                 redo.append(rows[(np.abs(f) > ROOT_TOL) & ~band[rows]])
-            nn = np.sqrt(gx * gx + gy * gy)
-            gx = gx / nn
-            gy = gy / nn
+            nn = np.sqrt(_dot(g, g))
+            g = [x / nn for x in g]
         if kind.tag in "as":
             # Curve normals face against the ray.
-            flip = np.where(vx * gx + vy * gy > 0.0, -1.0, 1.0)
-            gx = gx * flip
-            gy = gy * flip
+            flip = np.where(_dot(v, g) > 0.0, -1.0, 1.0)
+            g = [x * flip for x in g]
         ids[rows], arcs[rows] = kind.ids[r], kind.arcs[r]
-        points[rows, 0], points[rows, 1], normals[rows, 0], normals[rows, 1] = px, py, gx, gy
-        grazing[rows] = band[rows] | (np.abs(vx * gx + vy * gy) < TANGENT_COS_EPS)
+        for k in range(d):
+            points[rows, k] = p[k]
+            normals[rows, k] = g[k]
+        grazing[rows] = band[rows] | (np.abs(_dot(v, g)) < TANGENT_COS_EPS)
     return [r for rows in redo for r in rows.tolist()]
 
 
-def _kind_pass(kind: _Kind, ox, oy, ux, uy):
+def _body_par(tag: str, m, d: int):
+    """A body entry's parameters after its centre, as _quadratic takes them."""
+    return m if tag == "b" else _sym(m, d)
+
+
+def _kind_pass(kind: _Kind, o, u):
     """The first crossing after 0 of every ray with every entry of a kind:
     (t, band), each (K, N), t = inf where there is none."""
+    if kind.tag in "be":
+        d = len(o)
+        c, m = kind.cols[:d], kind.cols[d:]
+        return _roots_beyond_zero(*_quadratic(kind.tag, c, _body_par(kind.tag, m, d), o, u))
+    (ox, oy), (ux, uy) = o, u
     if kind.tag == "s":
         x1, y1, ex, ey, ln = kind.cols
         det = ux * ey - uy * ex
         rx = x1 - ox
         ry = y1 - oy
         t = (rx * ey - ry * ex) / det
-        u = (rx * uy - ry * ux) / det
+        along = (rx * uy - ry * ux) / det
         ok = ((np.abs(det) >= 1e-15) & (t > 0.0)
-              & (-1e-12 * ln <= u) & (u <= ln * (1.0 + 1e-12)))
+              & (-1e-12 * ln <= along) & (along <= ln * (1.0 + 1e-12)))
         return np.where(ok, t, np.inf), np.zeros(t.shape, dtype=bool)
-    if kind.tag == "b":
-        cx, cy, r2, _ = kind.cols
-        wx = ox - cx
-        wy = oy - cy
-        # The direction is a unit vector, so al = 1.
-        return _roots_beyond_zero(1.0, wx * ux + wy * uy, wx * wx + wy * wy - r2)
-    if kind.tag == "e":
-        cx, cy, m00, m01, m11 = kind.cols
-        wx = ox - cx
-        wy = oy - cy
-        mvx = m00 * ux + m01 * uy
-        mvy = m01 * ux + m11 * uy
-        return _roots_beyond_zero(ux * mvx + uy * mvy, wx * mvx + wy * mvy,
-                                  wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0)
     cx, cy, sa, sb, lo, span = kind.cols
     wx = (ox - cx) / sa
     wy = (oy - cy) / sb
@@ -758,8 +759,15 @@ def _kind_pass(kind: _Kind, ox, oy, ux, uy):
     far = (-b + s) / al
 
     def on_arc(t):
-        ang = np.arctan2((oy + t * uy - cy) / sb, (ox + t * ux - cx) / sa)
-        return (t > 0.0) & _on_arc(ang, lo, span)
+        # Only roots beyond 0 take the angle test; most lanes hold none (a
+        # NaN root where the ray misses the ellipse).
+        ok = t > 0.0
+        k, n = np.nonzero(ok)
+        tk = t[k, n]
+        ang = np.arctan2((oy[n] + tk * uy[n] - cy[k, 0]) / sb[k, 0],
+                         (ox[n] + tk * ux[n] - cx[k, 0]) / sa[k, 0])
+        ok[k, n] = _on_arc(ang, lo[k, 0], span[k, 0])
+        return ok
 
     # The nearer root counts when it lies on the arc, else the farther.
     near_ok = on_arc(near)
@@ -768,7 +776,7 @@ def _kind_pass(kind: _Kind, ox, oy, ux, uy):
 
 
 def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = False):
-    """Closest hit for a planar ray over the tables k (a scene's _k2) as
+    """Closest hit for a planar ray over the tables k (a scene's _k) as
     (obstacle_id, arc_index, t, px, py, nx, ny, cos_incidence, grazing), or
     None; ties go to the lowest id, then to the earlier arc, and curve
     normals face against the ray. Each body offers its first closed-form
@@ -842,15 +850,9 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = 
         if hi < lo:
             lo, hi = hi, lo
         t = lo if lo > 0.0 else hi
-        if t > 0.0 and polish:
-            phi, par = _PHI[tag], e[3:]
-
-            def slope(t):
-                f, gx, gy = phi(ox + t * ux, oy + t * uy, *par)
-                return f, 2.0 * (gx * ux + gy * uy)
-
-            if abs(slope(t)[0]) > ROOT_TOL:
-                t = _first_root(lo, hi, 0.0, slope, (ox, oy), (ux, uy)) or math.inf
+        if polish:
+            slope = _slope(tag, e[3:5], _body_par(tag, e[5:], 2), (ox, oy), (ux, uy))
+            t = _first_root(lo, hi, 0.0, slope, (ox, oy), (ux, uy)) or math.inf
         if 0.0 < t < best_t:
             best_t, best, band = t, e, False
     if best is None:
@@ -895,16 +897,16 @@ def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]
     v = np.asarray(direction, dtype=float)
     _check_unit(v)
     if scene.dimension == 2:
-        raw = _first_hit_2d(scene._k2, float(o[0]), float(o[1]), float(v[0]), float(v[1]))
+        raw = _first_hit_2d(scene._k, float(o[0]), float(o[1]), float(v[0]), float(v[1]))
         if raw is None:
             return None
         oid, arc, t, px, py, nx, ny, cosi, gr = raw
         return oid, Hit(t, (px, py), (nx, ny), cosi, gr, arc)
-    hit = _nearest_body_hit(scene, o, v)
+    hit = _first_hit_nd(scene, tuple(o.tolist()), tuple(v.tolist()))
     if hit is None:
         return None
-    oid, t, p, n, cosi, grazing = hit
-    return oid, Hit(float(t), _as_tuple(p), _as_tuple(n), cosi, grazing, None)
+    oid, *hit = hit
+    return oid, Hit(*hit, None)
 
 
 # ---------------------------------------------------------------------------

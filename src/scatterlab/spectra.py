@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -46,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _coldot, _itineraries, _trace_many, _trace_raw
-from .geometry import Scene, _as_tuple, fibonacci_sphere
+from .geometry import Scene, _as_tuple, _dot, fibonacci_sphere
 
 DIRECTION_MATCH_TOL = 1e-9
 
@@ -321,9 +320,9 @@ def _exit_crossing(scene: Scene, leg_origin, leg_length: float, fdir):
     point (a tuple) and its path length, or (None, None) when the leg does
     not cross. Products are summed in coordinate order, as _coldot sums them."""
     a = scene.ball_radius
-    w = list(map(operator.sub, leg_origin, scene.ball_center))
-    b = sum(map(operator.mul, w, fdir))
-    g = sum(map(operator.mul, w, w)) - a * a
+    w = [x - y for x, y in zip(leg_origin, scene.ball_center)]
+    b = _dot(w, fdir)
+    g = _dot(w, w) - a * a
     disc = b * b - g
     if disc < 0.0:
         return None, None

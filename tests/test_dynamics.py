@@ -5,6 +5,7 @@ import pytest
 
 import scatterlab as sl
 from scatterlab.dynamics import _itineraries, _trace_many, _trace_raw
+from scatterlab.spectra import _hemisphere, _shoot, plane_basis, sphere_lattice
 from oracles import mirror_direction
 
 
@@ -311,3 +312,66 @@ def test_planar_trace_many_matches_near_grazing_family(two_disk_scene):
     U = np.tile([1.0, 0.0], (201, 1))
     itins = _assert_trace_many_matches(two_disk_scene, O, U)
     assert all(t[:1] == (0,) for t in itins)
+
+
+def _travel_3d_scene() -> sl.Scene:
+    """The benchmark's travel-3d scene: a unit ball and an ellipsoid tilted
+    about two axes."""
+    c, s = math.cos(0.5), math.sin(0.5)
+    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = math.cos(0.4), math.sin(0.4)
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return sl.Scene(dimension=3,
+                    bodies=(sl.ball((-3.0, 0.0, 0.0), 1.0),
+                            sl.ellipsoid((3.0, 0.5, 0.0), (1.5, 1.0, 0.7), about_z @ about_x)),
+                    ball_radius=10.0)
+
+
+def test_trace_many_matches_single_traces_on_a_seed_family():
+    # The d = 3 twin of the planar test, on the inward seeds of one sphere
+    # point as a travel sweep launches them.
+    scene = _travel_3d_scene()
+    x = scene.ball_radius * sphere_lattice(3, 3)[0]
+    m = -x / np.linalg.norm(x)
+    basis = plane_basis(m)
+    hemi = _hemisphere(2000)[0]
+    dirs = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
+    itins = _assert_trace_many_matches(scene, np.tile(x, (len(dirs), 1)), dirs)
+    assert set(itins) == {(), (0,), (1,)}
+    assert itins.count(()) < 1990
+
+
+def test_trace_many_matches_near_grazing_family_in_3d():
+    # Rays entering the tilted ellipsoid at one boundary point with
+    # incidence cosines 0.006-0.010, from 8 away.
+    scene = _travel_3d_scene()
+    body = scene.bodies[1]
+    p = body._c + np.asarray(body.rotation) @ (np.asarray(body.semiaxes) * np.array([0.6, 0.0, 0.8]))
+    n = body._M @ (p - body._c)
+    n /= np.linalg.norm(n)
+    tangent = np.cross(n, (0.0, 0.0, 1.0))
+    tangent /= np.linalg.norm(tangent)
+    cos_in = 0.008 + np.linspace(-2e-3, 2e-3, 201)
+    U = -cos_in[:, None] * n + np.sqrt(1.0 - cos_in**2)[:, None] * tangent
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    itins = _assert_trace_many_matches(scene, p - 8.0 * U, U)
+    assert all(t[:1] == (1,) for t in itins)
+
+
+def test_nd_kernels_take_no_matrix_products(monkeypatch, ball_ellipsoid_scene):
+    # The d >= 3 batched pass and single-ray shots run the same elementwise
+    # arithmetic on arrays and floats, with no BLAS products or norms.
+    scene = ball_ellipsoid_scene
+    x = np.array([0.0, scene.ball_radius, 0.0])
+    dirs = np.array([b.center for b in scene.bodies]) - x
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix product or norm in the d >= 3 kernels")
+
+    monkeypatch.setattr(np, "matmul", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    escaped, _, _, _, log = _trace_many(scene, np.tile(x, (2, 1)), dirs)
+    assert escaped.all() and _itineraries(log, 2) == [(0,), (1,)]
+    for u in dirs:
+        assert _shoot(scene, x, u) is not None

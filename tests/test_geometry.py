@@ -229,8 +229,8 @@ def test_batched_kernel_matches_scene_first_hit(d):
     U = np.array([v for _, v in rays])
     t, ids, arcs, grazing, points, normals = _first_hits(scene, O, U)
     assert np.all(arcs == -1)
-    # In d >= 3 both kernels make the same BLAS calls per ray, and in the
-    # plane the same elementwise arithmetic, so they agree bit for bit.
+    # In every d both kernels run one elementwise arithmetic, with every sum
+    # in coordinate order, so they agree bit for bit.
     kinds = set()
     for k, (o, v) in enumerate(rays):
         ref = sl.scene_first_hit(scene, o, v)
@@ -281,6 +281,92 @@ def test_batched_kernel_matches_scene_first_hit_where_roots_need_polish(monkeypa
         assert tuple(points[k].tolist()) == hit.point
         assert tuple(normals[k].tolist()) == hit.normal
         assert abs(sl.evaluate_body(scene.bodies[oid], points[k])[0]) <= ROOT_TOL
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_small_far_bodies_abort_no_ray(d):
+    # A body of radius 1e-3 seen from 5e3 away: the hit point o + t u
+    # carries a rounding error of about eps |o|, which moves phi by about
+    # 2 eps |o| / r = 2e-9, above ROOT_TOL. The root is held to that
+    # rounding floor instead, so no ray raises and no batch aborts, and the
+    # two kernels still agree bit for bit.
+    scene = sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1e-3),), ball_radius=1e4)
+    n = 1000 if d == 2 else 600
+    rng = np.random.default_rng(60 + d)
+    O = rng.normal(size=(n, d))
+    O *= 5e3 / np.linalg.norm(O, axis=1, keepdims=True)
+    U = rng.normal(scale=5e-4, size=(n, d)) - O
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    hits = 0
+    for start in range(0, n, 200):
+        batch = slice(start, start + 200)
+        t, ids, _, grazing, points, normals = _first_hits(scene, O[batch], U[batch])
+        for k, (o, v) in enumerate(zip(O[batch], U[batch])):
+            ref = sl.scene_first_hit(scene, o, v)
+            if ref is None:
+                assert ids[k] == -1
+                continue
+            hits += 1
+            oid, hit = ref
+            assert (ids[k], t[k], bool(grazing[k])) == (oid, hit.t, hit.grazing)
+            assert tuple(points[k].tolist()) == hit.point
+            assert tuple(normals[k].tolist()) == hit.normal
+            if hit.grazing:
+                # A snap-band root takes no polish; here the band, absolute
+                # on the discriminant, lies below the discriminant's own
+                # rounding error, so a near miss can snap to a graze.
+                continue
+            value, grad = sl.evaluate_body(scene.bodies[oid], hit.point)
+            floor = (8.0 * np.finfo(float).eps * math.sqrt(d) * (np.max(np.abs(o)) + hit.t)
+                     * 0.5 * np.linalg.norm(grad))
+            assert abs(value) <= max(ROOT_TOL, floor)
+    assert hits > 0.8 * n
+
+
+def _one_body_rays(body, rng, n):
+    """Random rays from outside the body, half aimed near it, plus rays
+    tangent to it."""
+    d = body.dimension
+    rays = []
+    while len(rays) < n:
+        origin = np.asarray(body.center) + rng.uniform(-6.0, 6.0, size=d)
+        if sl.evaluate_body(body, origin)[0] <= 0.0:
+            continue
+        if rng.random() < 0.5:
+            v = np.asarray(body.center) + rng.normal(scale=0.8, size=d) - origin
+        else:
+            v = rng.normal(size=d)
+        rays.append((origin, v / np.linalg.norm(v)))
+    return rays + _tangent_rays(body, rng, 40)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ray_intersect_matches_scene_first_hit(d):
+    # On a one-body scene the body-level query runs the scene kernel's
+    # arithmetic: every field of every hit is equal, grazes included, and a
+    # second query past the first hit honours t_min.
+    rot, _ = np.linalg.qr(np.random.default_rng(70 + d).normal(size=(d, d)))
+    bodies = (sl.ball((0.5,) * d, 1.2),
+              sl.ellipsoid((0.5,) * d, (1.6, 0.7, 1.1)[:d], rot))
+    rng = np.random.default_rng(80 + d)
+    kinds = set()
+    for body in bodies:
+        scene = sl.Scene(dimension=d, bodies=(body,), ball_radius=20.0)
+        for origin, v in _one_body_rays(body, rng, 400):
+            hit = sl.ray_intersect(body, origin, v)
+            ref = sl.scene_first_hit(scene, origin, v)
+            if ref is None:
+                assert hit is None
+                kinds.add("miss")
+                continue
+            assert ref[1] == hit
+            kinds.add("graze" if hit.grazing else "hit")
+            if hit.grazing:
+                continue
+            later = sl.ray_intersect(body, origin, v, t_min=hit.t + 1e-9)
+            assert later is not None and later.t > hit.t + 1e-9
+            assert sl.ray_intersect(body, origin, v, t_min=later.t + 1e-9) is None
+    assert kinds == {"miss", "hit", "graze"}
 
 
 def _segment_arc_scene() -> sl.Scene:
