@@ -4,13 +4,18 @@ scenes, and ray intersection with tangency classification.
 Bodies are balls and (optionally rotated) ellipsoids carried by the implicit
 function phi(x) = |D^-1 R^T (x - c)|^2 - 1, negative inside, zero on the
 boundary, positive outside. Ray intersection reduces to a quadratic in the
-ray parameter; roots are taken in closed form and Newton-polished only where
-|phi| there exceeds ROOT_TOL, so |phi| at a reported hit stays below it, or
-below the rounding floor of the hit point where that is larger. A batched
-kernel applies the same rules to rows of rays at once, testing each kind of
-obstacle against all rays in one pass, and reproduces the single-ray numbers
-bit for bit: in every dimension both write one elementwise arithmetic, with
-every sum in coordinate order, on floats or on arrays.
+ray parameter, written about its vertex t0, the ray's point of closest
+approach in the body's metric: phi = al (t - t0)^2 + g0, with g0 the
+implicit value at t0 (Haines, Guenther & Akenine-Moeller, "Precision
+Improvements for Ray/Sphere Intersection", Ray Tracing Gems, 2019, ch. 7).
+Taken there, the discriminant -al g0 does not cancel when a small body is
+seen from far away, so |phi| at a reported hit stays below ROOT_TOL, or
+below the rounding floor of the hit point where that is larger; a hit off
+its body beyond that raises RayIntersectError. A batched kernel applies the
+same rules to rows of rays at once, testing each kind of obstacle against
+all rays in one pass, and reproduces the single-ray numbers bit for bit: in
+every dimension both write one elementwise arithmetic, with every sum in
+coordinate order, on floats or on arrays.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -27,12 +32,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 # Tangency and root-handling thresholds. A hit is grazing when the incidence
-# cosine is below TANGENT_COS_EPS or the quadratic discriminant falls in the
-# double-root snap band.
+# cosine is below TANGENT_COS_EPS or the ray is in the double-root snap band:
+# the implicit value g0 at its vertex, minus the discriminant over the leading
+# coefficient, lies within DISCRIMINANT_EPS of 0.
 TANGENT_COS_EPS = 1e-8
 DISCRIMINANT_EPS = 1e-14
 ROOT_TOL = 1e-9
-_NEWTON_CAP = 8
 # Rounding error per coordinate of a hit point o + t u over |o|_max + |t|.
 _ROUNDING = 8.0 * np.finfo(float).eps
 
@@ -41,14 +46,15 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 # reported points leave the boundary.
 UNIT_TOL = 1e-12
 
-_POLISH_FAILED = "ray-body root polish failed near a degenerate tangency"
+_OFF_BODY = "ray-body hit lies off the body beyond its root tolerance"
 
 _ROT_TOL = 1e-12
 _CHAIN_TOL = 1e-9
 
 
 class RayIntersectError(RuntimeError):
-    """Root polishing did not converge; carries the offending ray."""
+    """A body hit whose implicit value is above ROOT_TOL and the rounding
+    floor of its point; carries the offending ray."""
 
     def __init__(self, message: str, origin, direction):
         super().__init__(message)
@@ -113,10 +119,10 @@ class ConvexBody:
         m = rot @ np.diag(inv2) @ rot.T
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_M", m)
-        # Kernel parameters: (r^2, 1 / r^2), or M's rows with the upper triangle mirrored.
-        r2 = float(s[0]) * float(s[0])
+        # Kernel parameters: (1 / r^2,), or M's rows with the upper triangle mirrored.
+        r = float(s[0])
         object.__setattr__(self, "_tag", self.kind[0])
-        object.__setattr__(self, "_par", (r2, 1.0 / r2) if self.kind == "ball"
+        object.__setattr__(self, "_par", (1.0 / (r * r),) if self.kind == "ball"
                            else _sym(m[np.triu_indices(d)].tolist(), d))
 
     @property
@@ -207,19 +213,20 @@ class Hit:
 def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Optional[Hit]:
     """First intersection of the ray with the body boundary after t_min.
 
-    Convexity gives at most two roots; a discriminant inside the snap band is
-    treated as a double root and flagged grazing, as is any simple root whose
-    incidence cosine is below the tangency threshold. On a one-body scene it
-    is bitwise scene_first_hit. Raises ValueError unless the direction is a
-    unit vector (to UNIT_TOL = 1e-12).
+    Convexity gives at most two roots; a ray in the snap band is treated as
+    a double root at its vertex and flagged grazing, as is any simple root
+    whose incidence cosine is below the tangency threshold. On a one-body
+    scene it is bitwise scene_first_hit. Raises ValueError unless the
+    direction is a unit vector (to UNIT_TOL = 1e-12), and RayIntersectError
+    for a hit off the body beyond ROOT_TOL and the rounding floor.
     """
     o, v = _as_tuple(origin), _as_tuple(direction)
     _check_unit(v)
-    root = _body_root(body, o, v, t_min, polish=True)
+    root = _body_root(body, o, v, t_min)
     if root is None:
         return None
     t, band = root
-    return Hit(t, *_surface_at(body, o, v, t, band)[1:], None)
+    return Hit(t, *_surface_at(body, o, v, t, band), None)
 
 
 def _check_unit(v) -> None:
@@ -234,7 +241,7 @@ def _check_unit(v) -> None:
 # The expressions below run unchanged on floats (the single-ray kernels) and
 # on arrays (the batched kernel, one entry per ray), so each row of a batch is
 # bitwise its single ray. A point or vector is a sequence of its coordinates;
-# a ball's parameters are (r^2, 1 / r^2), an ellipsoid's the rows of M with
+# a ball's parameters are (1 / r^2,), an ellipsoid's the rows of M with
 # its upper triangle mirrored.
 
 def _dot(a, b):
@@ -255,121 +262,80 @@ def _sym(m, d: int) -> tuple:
 
 
 def _quadratic(tag: str, c, par, o, u):
-    """(al, b, g) of the ray o + t u against a body: phi there is
-    al t^2 + 2 b t + g. A ball takes al = 1, as the direction is a unit
-    vector."""
+    """(al, t0, g0) of the ray o + t u against a body: phi there is
+    al (t - t0)^2 + g0, with t0 = -b / al the vertex of al t^2 + 2 b t + g
+    and g0 the implicit value at the shifted vector w + t0 u. A ball takes
+    al = 1 / r^2 and t0 = -w.u, as the direction is a unit vector."""
     w = [x - y for x, y in zip(o, c)]
     if tag == "b":
-        return 1.0, _dot(w, u), _dot(w, w) - par[0]
+        t0 = -_dot(w, u)
+        w = [x + t0 * y for x, y in zip(w, u)]
+        return par[0], t0, _dot(w, w) * par[0] - 1.0
     mv = [_dot(row, u) for row in par]
-    return _dot(u, mv), _dot(w, mv), _dot(w, [_dot(row, w) for row in par]) - 1.0
+    al = _dot(u, mv)
+    t0 = -_dot(w, mv) / al
+    w = [x + t0 * y for x, y in zip(w, u)]
+    return al, t0, _dot(w, [_dot(row, w) for row in par]) - 1.0
 
 
 def _phi(tag: str, c, par, p):
     """Implicit value of a body at p and half its gradient, M w."""
     w = [x - y for x, y in zip(p, c)]
-    g = [x * par[1] for x in w] if tag == "b" else [_dot(row, w) for row in par]
+    g = [x * par[0] for x in w] if tag == "b" else [_dot(row, w) for row in par]
     return _dot(w, g) - 1.0, g
 
 
-def _slope(tag: str, c, par, o, u):
-    """slope(t): the implicit value along the ray o + t u, its derivative in
-    t, and the tolerance its root is held to: ROOT_TOL, or the rounding floor
-    of the point o + t u where that is larger. Each coordinate of the point
-    is off by about eps (|o|_max + |t|), which moves phi by |grad phi| times
-    as much: about 2 eps D / r on a body of size r seen from a distance D."""
-    reach = max(map(abs, o))
-    floor = _ROUNDING * math.sqrt(len(o))
-
-    def slope(t):
-        f, g = _phi(tag, c, par, [x + t * y for x, y in zip(o, u)])
-        return (f, 2.0 * _dot(g, u),
-                max(ROOT_TOL, floor * (reach + abs(t)) * math.sqrt(_dot(g, g))))
-
-    return slope
+def _guard(f, nn, o, u, t) -> None:
+    """Raise RayIntersectError unless the implicit value f at the hit o + t u,
+    where |M w| = nn, is within ROOT_TOL or the rounding floor of the point,
+    whichever is larger. Each coordinate of the point is off by about
+    eps (|o|_max + |t|), which moves phi by |grad phi| = 2 nn times as much:
+    about 2 eps D / r on a body of size r seen from a distance D."""
+    if abs(f) > ROOT_TOL and abs(f) > (_ROUNDING * math.sqrt(len(o))
+                                      * (max(map(abs, o)) + abs(t)) * nn):
+        raise RayIntersectError(_OFF_BODY, o, u)
 
 
-def _body_root(body: ConvexBody, o, v, t_min: float, polish: bool):
-    """The single-ray root rule: (t, band) for the first closed-form boundary
-    crossing after t_min, Newton-polished if polish is set, where band marks
-    a discriminant in the double-root snap band (whose root takes no
-    polish); or None."""
-    al, b, g = _quadratic(body._tag, body.center, body._par, o, v)
-    disc = b * b - al * g
-    if disc < -DISCRIMINANT_EPS:
+def _body_root(body: ConvexBody, o, v, t_min: float):
+    """The single-ray root rule: (t, band) for the first boundary crossing
+    after t_min, where band marks the double-root snap band, whose one root
+    is the vertex t0; or None. The roots are t0 -+ sqrt(-al g0) / al."""
+    al, t0, g0 = _quadratic(body._tag, body.center, body._par, o, v)
+    if g0 > DISCRIMINANT_EPS:
         return None
-    if disc <= DISCRIMINANT_EPS:
-        t = -b / al
-        return (t, True) if t > t_min else None
-    s = math.sqrt(disc)
-    # |q| >= s > 0, so both root formulas are defined.
-    q = -(b + math.copysign(s, b))
-    lo, hi = q / al, g / q
-    if hi < lo:
-        lo, hi = hi, lo
-    slope = _slope(body._tag, body.center, body._par, o, v) if polish else None
-    t = _first_root(lo, hi, t_min, slope, o, v)
-    return None if t is None else (t, False)
-
-
-def _first_root(lo: float, hi: float, t_min: float, slope, o, v):
-    """The first of the closed-form roots lo <= hi beyond t_min, or None.
-    With slope(t), the implicit value along the ray, its derivative and its
-    tolerance, the root is Newton-polished, and where that pulls it back to
-    t_min or behind, the second one is taken."""
-    for t in (lo, hi):
+    if g0 >= -DISCRIMINANT_EPS:
+        return (t0, True) if t0 > t_min else None
+    h = math.sqrt(-al * g0) / al
+    for t in (t0 - h, t0 + h):
         if t > t_min:
-            if slope:
-                t = _newton_root(slope, t, o, v)
-            if t > t_min:
-                return t
+            return t, False
     return None
 
 
-def _newton_root(slope, t: float, o, v) -> float:
-    """Newton steps from t on the implicit value f along the ray until |f|
-    is within the tolerance slope(t) gives; a root already within it is
-    returned as it is. Raises RayIntersectError when _NEWTON_CAP steps or a
-    zero slope leave |f| above it."""
-    for _ in range(_NEWTON_CAP):
-        f, fp, tol = slope(t)
-        if abs(f) <= tol:
-            return t
-        if fp == 0.0:
-            break
-        t -= f / fp
-    f, _, tol = slope(t)
-    if abs(f) > tol:
-        raise RayIntersectError(_POLISH_FAILED, o, v)
-    return t
-
-
 def _surface_at(body: ConvexBody, o, v, t: float, band: bool):
-    """At ray parameter t: the implicit value, the boundary point, its
-    outward unit normal, the incidence cosine and the grazing flag."""
+    """At ray parameter t: the boundary point, its outward unit normal, the
+    incidence cosine and the grazing flag; _guard checks the point."""
     p = tuple([x + t * y for x, y in zip(o, v)])
     f, g = _phi(body._tag, body.center, body._par, p)
     nn = math.sqrt(_dot(g, g))
+    _guard(f, nn, o, v, t)
     n = tuple([x / nn for x in g])
     cosi = _dot(v, n)
-    return f, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
+    return p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
-def _first_hit_nd(scene: Scene, o: tuple, v: tuple, polish: bool = False):
+def _first_hit_nd(scene: Scene, o: tuple, v: tuple):
     """Nearest body hit of one ray in d >= 3 as (id, t, point, normal,
     cos_incidence, grazing), or None, by _first_hit_2d's rules on floats;
     ties go to the lowest id. The direction must be a unit vector."""
     best_t, best, band = math.inf, None, False
     for i, body in enumerate(scene.bodies):
-        root = _body_root(body, o, v, 0.0, polish)
+        root = _body_root(body, o, v, 0.0)
         if root is not None and root[0] < best_t:
             (best_t, band), best = root, i
     if best is None:
         return None
-    f, *hit = _surface_at(scene.bodies[best], o, v, best_t, band)
-    if not (polish or band) and abs(f) > ROOT_TOL:
-        return _first_hit_nd(scene, o, v, polish=True)
-    return (best, best_t, *hit)
+    return (best, best_t, *_surface_at(scene.bodies[best], o, v, best_t, band))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +362,8 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     Returns (t, ids, arcs, grazing, points, normals) with one entry per row;
     arcs holds the arc index within its curve, -1 for a body. A ray that
     hits nothing has t = inf, id and arc -1, grazing False and NaN point and
-    normal. Raises RayIntersectError when a root polish fails.
+    normal. Raises RayIntersectError, for the first such row, when a body
+    hit lies off its body beyond _guard's tolerance.
     """
     n_rays = O.shape[0]
     best_t = np.full(n_rays, np.inf)
@@ -406,35 +373,24 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     normals = np.full(O.shape, np.nan)
     grazing = np.zeros(n_rays, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        redo = _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals)
-    # Rays whose nearest body root needs Newton polish take the scalar branch.
-    for r in redo:
-        oid, h = scene_first_hit(scene, O[r], U[r]) or (-1, _NO_HIT)
-        best_t[r], ids[r], arcs[r], grazing[r], points[r], normals[r] = (
-            h.t, oid, -1 if h.arc is None else h.arc, h.grazing, h.point, h.normal)
+        _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals)
     return best_t, ids, arcs, grazing, points, normals
 
 
-_NO_HIT = Hit(math.inf, math.nan, math.nan, 0.0, False)
-
-
-def _roots_beyond_zero(al, b, g):
-    """The closed form of the root rule on arrays of quadratics al t^2 +
-    2 b t + g: (t, band), t the first root beyond 0 (inf where none) and
-    band the double-root snap band, whose one root -b / al takes no polish."""
-    disc = b * b - al * g
-    t = np.full(disc.shape, np.inf)
-    band = np.zeros(disc.shape, dtype=bool)
+def _roots_beyond_zero(al, t0, g0):
+    """_body_root's rule on arrays of quadratics al (t - t0)^2 + g0 and
+    t_min = 0: (t, band), t the first root beyond 0 (inf where none) and
+    band the double-root snap band, whose one root is t0."""
+    t = np.full(g0.shape, np.inf)
+    band = np.zeros(g0.shape, dtype=bool)
     # Most rays miss most obstacles; only the others need roots.
-    near = np.nonzero(disc >= -DISCRIMINANT_EPS)
-    b, g, disc = b[near], g[near], disc[near]
+    near = np.nonzero(g0 <= DISCRIMINANT_EPS)
+    t0, g0 = t0[near], g0[near]
     al = np.broadcast_to(al, t.shape)[near]
-    band[near] = bn = disc <= DISCRIMINANT_EPS
-    s = np.sqrt(disc)
-    q = -(b + np.copysign(s, b))
-    r1, r2 = q / al, g / q
-    lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
-    tn = np.where(bn, -b / al, np.where(lo > 0.0, lo, hi))
+    band[near] = bn = g0 >= -DISCRIMINANT_EPS
+    h = np.sqrt(-al * g0) / al
+    lo = t0 - h
+    tn = np.where(bn, t0, np.where(lo > 0.0, lo, t0 + h))
     t[near] = np.where(tn > 0.0, tn, np.inf)
     return t, band
 
@@ -613,7 +569,7 @@ class Scene:
 # Kernel tables
 # ---------------------------------------------------------------------------
 # Obstacle entries, one per body or arc, in scene order; c is the centre:
-#   ("b", id, -1, *c, r2, ir2)                  ball, ir2 = 1 / r2
+#   ("b", id, -1, *c, ir2)                      ball, ir2 = 1 / r^2
 #   ("e", id, -1, *c, *upper triangle of M)     ellipsoid, M = R D^-2 R^T
 #   ("s", id, arc, x1, y1, ex, ey, ln)          segment, unit (ex, ey)
 #   ("a", id, arc, cx, cy, sa, sb, lo, span)    axis-aligned elliptic arc
@@ -674,8 +630,8 @@ def _compile(scene: Scene):
 
 def _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
     """_first_hits' passes: one per obstacle kind over all rays, by the
-    rules of the single-ray kernels; returns the rows that need the polish
-    branch."""
+    rules of the single-ray kernels, filling the output arrays in place;
+    every body hit passes _guard."""
     d = scene.dimension
     kinds = scene._k[1]
     o = [O[:, k] for k in range(d)]
@@ -693,7 +649,6 @@ def _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
         r = r[closer]
         best_t[closer], key[closer], which[closer], row[closer] = tr[closer], kr[closer], j, r
         band[closer] = kind_band[r, closer]
-    redo = []
     for j, kind in enumerate(kinds):
         rows = np.flatnonzero(which == j)
         r = row[rows]
@@ -707,8 +662,11 @@ def _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
                 g = [(p[0] - par[0]) / (par[2] * par[2]), (p[1] - par[1]) / (par[3] * par[3])]
             else:
                 f, g = _phi(kind.tag, par[:d], _body_par(kind.tag, par[d:], d), p)
-                redo.append(rows[(np.abs(f) > ROOT_TOL) & ~band[rows]])
             nn = np.sqrt(_dot(g, g))
+            if kind.tag in "be":
+                for i in np.flatnonzero(np.abs(f) > ROOT_TOL):
+                    ray = rows[i]
+                    _guard(f[i], nn[i], [x[ray] for x in o], [x[ray] for x in u], best_t[ray])
             g = [x / nn for x in g]
         if kind.tag in "as":
             # Curve normals face against the ray.
@@ -719,7 +677,6 @@ def _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
             points[rows, k] = p[k]
             normals[rows, k] = g[k]
         grazing[rows] = band[rows] | (np.abs(_dot(v, g)) < TANGENT_COS_EPS)
-    return [r for rows in redo for r in rows.tolist()]
 
 
 def _body_par(tag: str, m, d: int):
@@ -775,15 +732,13 @@ def _kind_pass(kind: _Kind, o, u):
     return t, band & near_ok
 
 
-def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = False):
+def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
     """Closest hit for a planar ray over the tables k (a scene's _k) as
     (obstacle_id, arc_index, t, px, py, nx, ny, cos_incidence, grazing), or
     None; ties go to the lowest id, then to the earlier arc, and curve
-    normals face against the ray. Each body offers its first closed-form
-    root beyond 0, each arc the first of its roots beyond 0 that lies on it.
-    Where the implicit value at the nearest body root exceeds ROOT_TOL, the
-    ray is solved again with every body root Newton-polished, by _body_root's
-    rule.
+    normals face against the ray. Each body offers its first root beyond 0
+    by _body_root's rule, written out on floats, and its hit passes _guard;
+    each arc offers the first of its roots beyond 0 that lies on it.
     """
     eps, sqrt = DISCRIMINANT_EPS, math.sqrt
     best_t = math.inf
@@ -792,12 +747,13 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = 
     for e in k[0]:
         tag = e[0]
         if tag == "b":
-            _, _, _, cx, cy, r2, ir2 = e
+            _, _, _, cx, cy, al = e
             wx = ox - cx
             wy = oy - cy
-            al = 1.0
-            b = wx * ux + wy * uy
-            g = wx * wx + wy * wy - r2
+            t0 = -(wx * ux + wy * uy)
+            wx = wx + t0 * ux
+            wy = wy + t0 * uy
+            g0 = (wx * wx + wy * wy) * al - 1.0
         elif tag == "e":
             _, _, _, cx, cy, m00, m01, m11 = e
             wx = ox - cx
@@ -805,8 +761,10 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = 
             mvx = m00 * ux + m01 * uy
             mvy = m01 * ux + m11 * uy
             al = ux * mvx + uy * mvy
-            b = wx * mvx + wy * mvy
-            g = wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0
+            t0 = -(wx * mvx + wy * mvy) / al
+            wx = wx + t0 * ux
+            wy = wy + t0 * uy
+            g0 = wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0
         elif tag == "s":
             _, _, _, x1, y1, ex, ey, ln = e
             det = ux * ey - uy * ex
@@ -831,28 +789,21 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = 
                 continue
             s = sqrt(disc) if disc > eps else None
             for t in ((-b / al,) if s is None else ((-b - s) / al, (-b + s) / al)):
-                if 0.0 < t < best_t and _on_arc(math.atan2((oy + t * uy - cy) / sb,
+                if 0.0 < t < best_t and _on_arc(np.arctan2((oy + t * uy - cy) / sb,
                                                             (ox + t * ux - cx) / sa), lo, span):
                     best_t, best, band = t, e, s is None
                     break
             continue
-        disc = b * b - al * g
-        if disc < -eps:
+        if g0 > eps:
             continue
-        if disc <= eps:
-            t = -b / al
-            if 0.0 < t < best_t:
-                best_t, best, band = t, e, True
+        if g0 >= -eps:
+            if 0.0 < t0 < best_t:
+                best_t, best, band = t0, e, True
             continue
-        s = sqrt(disc)
-        q = -(b + math.copysign(s, b))
-        lo, hi = q / al, g / q
-        if hi < lo:
-            lo, hi = hi, lo
-        t = lo if lo > 0.0 else hi
-        if polish:
-            slope = _slope(tag, e[3:5], _body_par(tag, e[5:], 2), (ox, oy), (ux, uy))
-            t = _first_root(lo, hi, 0.0, slope, (ox, oy), (ux, uy)) or math.inf
+        h = sqrt(-al * g0) / al
+        t = t0 - h
+        if t <= 0.0:
+            t = t0 + h
         if 0.0 < t < best_t:
             best_t, best, band = t, e, False
     if best is None:
@@ -863,18 +814,20 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float, polish: bool = 
     if tag == "s":
         nx, ny = -best[6], best[5]
     else:
-        cx, cy, p0, p1 = best[3:7]
+        cx, cy, p0 = best[3:6]
         wx = px - cx
         wy = py - cy
-        if tag == "a":
+        if tag == "b":
+            nx, ny = wx * p0, wy * p0
+        elif tag == "a":
+            p1 = best[6]
             nx, ny = wx / (p0 * p0), wy / (p1 * p1)
-        elif tag == "b":
-            nx, ny = wx * p1, wy * p1
         else:
+            p1 = best[6]
             nx, ny = p0 * wx + p1 * wy, p1 * wx + best[7] * wy
-        if tag != "a" and not (polish or band) and abs(wx * nx + wy * ny - 1.0) > ROOT_TOL:
-            return _first_hit_2d(k, ox, oy, ux, uy, polish=True)
         nn = sqrt(nx * nx + ny * ny)
+        if tag != "a" and abs(f := wx * nx + wy * ny - 1.0) > ROOT_TOL:
+            _guard(f, nn, (ox, oy), (ux, uy), best_t)
         nx = nx / nn
         ny = ny / nn
     if tag in "as" and ux * nx + uy * ny > 0.0:
@@ -891,7 +844,9 @@ def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]
 
     Ties between obstacles are broken toward the lowest obstacle id. Curve
     normals face against the ray. Raises ValueError unless the direction is
-    a unit vector (to UNIT_TOL = 1e-12), in every dimension.
+    a unit vector (to UNIT_TOL = 1e-12), in every dimension, and
+    RayIntersectError for a body hit off its body beyond ROOT_TOL and the
+    rounding floor.
     """
     o = np.asarray(origin, dtype=float)
     v = np.asarray(direction, dtype=float)

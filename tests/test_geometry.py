@@ -250,11 +250,11 @@ def test_batched_kernel_matches_scene_first_hit(d):
     assert kinds == {"miss", ("hit", 0), ("hit", 1), ("graze", 0), ("graze", 1)}
 
 
-def test_batched_kernel_matches_scene_first_hit_where_roots_need_polish(monkeypatch):
-    # Seen from 2,000 away, the closed-form roots on bodies of size 0.01
-    # leave implicit values far above ROOT_TOL, so the rays are solved again
-    # with Newton polish; the two kernels still agree bit for bit, and every
-    # reported point is on its body to ROOT_TOL.
+def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch):
+    # Seen from 2,000 away, bodies of size 0.01: the roots, taken about the
+    # ray's vertex, need no repair, so the batched kernel never hands a row
+    # to the single-ray kernel; the two kernels still agree bit for bit, and
+    # every reported point is on its body to ROOT_TOL.
     scene = sl.Scene(dimension=2,
                      bodies=(sl.ball((0.0, 0.0), 1e-2),
                              sl.ellipsoid((0.0, 3.0), (2e-2, 1e-2), sl.rotation_2d(0.7))),
@@ -265,11 +265,13 @@ def test_batched_kernel_matches_scene_first_hit_where_roots_need_polish(monkeypa
     aim = np.array([b.center for b in scene.bodies])[np.arange(200) % 2]
     U = aim + rng.normal(scale=1e-2, size=(200, 2)) - O
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    polished = []
-    root = sl.geometry._first_root
-    monkeypatch.setattr(sl.geometry, "_first_root", lambda *a: polished.append(a) or root(*a))
-    t, ids, _, grazing, points, normals = _first_hits(scene, O, U)
-    assert len(polished) > 50
+
+    def no_single_ray(*args):
+        raise AssertionError("the batched kernel called scene_first_hit")
+
+    with monkeypatch.context() as m:
+        m.setattr(sl.geometry, "scene_first_hit", no_single_ray)
+        t, ids, _, grazing, points, normals = _first_hits(scene, O, U)
     assert {0, 1} <= set(ids.tolist())
     for k in range(200):
         ref = sl.scene_first_hit(scene, O[k], U[k])
@@ -283,19 +285,37 @@ def test_batched_kernel_matches_scene_first_hit_where_roots_need_polish(monkeypa
         assert abs(sl.evaluate_body(scene.bodies[oid], points[k])[0]) <= ROOT_TOL
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_small_far_bodies_abort_no_ray(d):
-    # A body of radius 1e-3 seen from 5e3 away: the hit point o + t u
+def _far_body(target: str, d: int) -> tuple:
+    """(body, distance it is seen from) for test_small_far_bodies_abort_no_ray."""
+    rot, _ = np.linalg.qr(np.random.default_rng(90 + d).normal(size=(d, d)))
+    if target == "ball":
+        return sl.ball((0.0,) * d, 1e-3), 5e3
+    if target == "ellipsoid":
+        return sl.ellipsoid((0.0,) * d, (2e-2, 1e-2, 5e-3)[:d], rot), 2e3
+    return sl.ellipsoid((0.0,) * d, (1.0, 1e-3, 1e-3)[:d], rot), 5e3
+
+
+@pytest.mark.parametrize("target, d", [
+    pytest.param("ball", 2, id="2"), pytest.param("ball", 3, id="3"),
+    pytest.param("ellipsoid", 2, id="ellipsoid-2"), pytest.param("ellipsoid", 3, id="ellipsoid-3"),
+    pytest.param("needle", 2, id="needle-2"), pytest.param("needle", 3, id="needle-3")])
+def test_small_far_bodies_abort_no_ray(target, d):
+    # A ball of radius 1e-3 seen from 5e3 away, a tilted ellipsoid of size
+    # 1e-2 from 2e3 and a 1e3:1 needle from 5e3: the hit point o + t u
     # carries a rounding error of about eps |o|, which moves phi by about
-    # 2 eps |o| / r = 2e-9, above ROOT_TOL. The root is held to that
-    # rounding floor instead, so no ray raises and no batch aborts, and the
-    # two kernels still agree bit for bit.
-    scene = sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1e-3),), ball_radius=1e4)
+    # 2 eps |o| / r, above ROOT_TOL for the ball and the needle. With the
+    # quadratic taken about the ray's vertex, every hit, snap-band grazes
+    # included, is on its body to ROOT_TOL or that rounding floor, so no ray
+    # raises and no batch aborts, and the two kernels agree bit for bit.
+    body, far = _far_body(target, d)
+    scene = sl.Scene(dimension=d, bodies=(body,), ball_radius=1e4)
     n = 1000 if d == 2 else 600
     rng = np.random.default_rng(60 + d)
     O = rng.normal(size=(n, d))
-    O *= 5e3 / np.linalg.norm(O, axis=1, keepdims=True)
-    U = rng.normal(scale=5e-4, size=(n, d)) - O
+    O *= far / np.linalg.norm(O, axis=1, keepdims=True)
+    # Aim at points spread over the body's own shape.
+    U = (rng.normal(size=(n, d)) * (0.5 * np.asarray(body.semiaxes))
+         @ np.asarray(body.rotation).T - O)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     hits = 0
     for start in range(0, n, 200):
@@ -311,16 +331,35 @@ def test_small_far_bodies_abort_no_ray(d):
             assert (ids[k], t[k], bool(grazing[k])) == (oid, hit.t, hit.grazing)
             assert tuple(points[k].tolist()) == hit.point
             assert tuple(normals[k].tolist()) == hit.normal
-            if hit.grazing:
-                # A snap-band root takes no polish; here the band, absolute
-                # on the discriminant, lies below the discriminant's own
-                # rounding error, so a near miss can snap to a graze.
-                continue
             value, grad = sl.evaluate_body(scene.bodies[oid], hit.point)
             floor = (8.0 * np.finfo(float).eps * math.sqrt(d) * (np.max(np.abs(o)) + hit.t)
                      * 0.5 * np.linalg.norm(grad))
             assert abs(value) <= max(ROOT_TOL, floor)
     assert hits > 0.8 * n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_off_body_hits_raise(d, monkeypatch):
+    # With ROOT_TOL and the rounding floor at 0, every hit whose implicit
+    # value is not exactly 0 is off its body: each kernel raises, with the
+    # offending ray, and none tries to repair the root.
+    rot, _ = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))
+    body = sl.ellipsoid((0.5,) * d, (1.5, 0.8, 1.1)[:d], rot)
+    scene = sl.Scene(dimension=d, bodies=(body,), ball_radius=10.0)
+    origin = np.array((-6.0,) + (0.3,) * (d - 1))
+    v = np.asarray(body.center) + 0.1 - origin
+    v /= np.linalg.norm(v)
+    miss = np.array((0.0,) * (d - 1) + (1.0,))
+    monkeypatch.setattr(sl.geometry, "ROOT_TOL", 0.0)
+    monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
+    calls = (lambda: sl.ray_intersect(body, origin, v),
+             lambda: sl.scene_first_hit(scene, origin, v),
+             lambda: _first_hits(scene, np.array([origin, origin]), np.array([miss, v])))
+    for call in calls:
+        with pytest.raises(sl.RayIntersectError) as err:
+            call()
+        assert err.value.origin == tuple(origin.tolist())
+        assert err.value.direction == tuple(v.tolist())
 
 
 def _one_body_rays(body, rng, n):
@@ -437,6 +476,22 @@ def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
             kinds.add(("graze" if hit.grazing else "hit", type(arc).__name__))
     assert {"miss", ("hit", "SegmentArc"), ("hit", "EllipticArc"),
             ("graze", "EllipticArc")} <= kinds
+
+
+def test_batched_kernel_matches_scene_first_hit_at_an_arc_end():
+    # The arc's end, with its 1e-12 tolerance, falls between the angles
+    # math.atan2 and np.arctan2 give this hit (1.9510774591155278 and
+    # 1.9510774591155275 with numpy 2.4): both kernels take the angle by
+    # np.arctan2, so both place the hit on the arc.
+    arc = sl.EllipticArc((0.0, 0.0), (1.5, 0.8), (0.0, 1.9510774591145275))
+    scene = sl.Scene(dimension=2, curves=(sl.CurveObstacle((arc,)),), ball_radius=10.0)
+    o, v = (-4.0, 2.5), (0.8907196712762726, -0.45455304113105294)
+    oid, hit = sl.scene_first_hit(scene, o, v)
+    assert (oid, hit.arc) == (0, 0)
+    t, ids, arcs, grazing, points, normals = _first_hits(scene, np.array([o]), np.array([v]))
+    assert (ids[0], arcs[0], t[0], bool(grazing[0])) == (0, 0, hit.t, hit.grazing)
+    assert tuple(points[0].tolist()) == hit.point
+    assert tuple(normals[0].tolist()) == hit.normal
 
 
 def test_hit_normal_is_unit():
