@@ -18,8 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (Scene, _as_tuple, _check_unit, _dot, _first_hit_2d, _first_hit_nd,
-                       _first_hits)
+from .geometry import Scene, _as_tuple, _check_unit, _dot, _first_hit_2d, _first_hit_nd, _hits
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -224,10 +223,13 @@ class _EventLog(NamedTuple):
 
 def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     """_trace_raw on every row of O (start points) and U (unit directions)
-    under the default limits. The rays advance in lockstep, one batched
-    kernel call per step for the rays still in flight, and each ray's
-    numbers are bitwise those of its single trace: reflections and path
-    lengths take the coordinate-order sums of _trace_2d and _trace_nd.
+    under the default limits. The rays advance in lockstep, one _hits call
+    per step. Only the rays still in flight are held, compacted, as (d, n)
+    coordinate arrays, filtered once per step by the rays that hit; a ray
+    that escapes or is cut off is written into the outputs when it stops.
+    Each ray's numbers are bitwise those of its single trace: reflections
+    and path lengths take the coordinate-order sums of _trace_2d and
+    _trace_nd.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -238,38 +240,64 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
     lmax = DEFAULT_LENGTH_FACTOR * a
-    o = np.array(O, dtype=float)
-    u = np.array(U, dtype=float)
-    leg = o.copy()
-    length = np.zeros(len(o))
-    nrefl = np.zeros(len(o), dtype=int)
-    escaped = np.zeros(len(o), dtype=bool)
+    O = np.asarray(O, dtype=float)
+    n_rays, d = O.shape
+    escaped = np.zeros(n_rays, dtype=bool)
+    legs = np.empty((n_rays, d))
+    lengths = np.empty(n_rays)
+    dirs = np.empty((n_rays, d))
+    # In flight: each ray's row, query origin, direction, leg start, path
+    # length and reflection count.
+    ray = np.arange(n_rays)
+    o = O.T
+    u = np.asarray(U, dtype=float).T
+    leg = o
+    length = np.zeros(n_rays)
+    nrefl = np.zeros(n_rays, dtype=int)
     # An empty first step fixes the log's dtypes and shapes, also for no rays.
-    steps = [(np.zeros(0, dtype=int),) * 3 + (o[:0], np.zeros(0, dtype=bool), o[:0])]
-    live = np.arange(len(o))
-    while live.size:
-        _, ids, arcs, grazing, p, n = _first_hits(scene, o[live], u[live])
-        hit = ids >= 0
-        escaped[live[~hit]] = True
-        live, ids, arcs, grazing, p, n = (live[hit], ids[hit], arcs[hit], grazing[hit],
-                                          p[hit], n[hit])
-        step = p - leg[live]
-        length[live] += np.sqrt(_coldot(step, step))
-        leg[live] = p
-        rows = live[grazing]
-        o[rows] = p[grazing] + skip * u[rows]
-        rows, q, n = live[~grazing], p[~grazing], n[~grazing]
-        v = u[rows]
-        v = v - (2.0 * _coldot(v, n))[:, None] * n
-        u[rows] = v / np.sqrt(_coldot(v, v))[:, None]
-        o[rows] = q + off * n
-        nrefl[rows] += 1
-        steps.append((live, ids, arcs, p, grazing, u[live]))
-        live = live[(nrefl[live] < DEFAULT_MAX_REFLECTIONS) & (length[live] < lmax)]
-    log = [np.concatenate(field) for field in zip(*steps)]
-    # Each step's rows ascend, so a stable sort groups every ray's events in order.
-    order = np.argsort(log[0], kind="stable")
-    return escaped, leg, length, u, _EventLog(*(field[order] for field in log))
+    none = ray[:0]
+    steps = [(none, none, none, o[:, :0], none < 0, o[:, :0])]
+
+    def stop(i):
+        """Write the last legs of the in-flight rays at positions i."""
+        r = ray[i]
+        legs[r], lengths[r], dirs[r] = leg.take(i, axis=1).T, length[i], u.take(i, axis=1).T
+        return r
+
+    while ray.size:
+        rows, _, ids, arcs, grazing, p, n = _hits(scene, o, u)
+        if rows.size < ray.size:
+            miss = np.ones(ray.size, dtype=bool)
+            miss[rows] = False
+            escaped[stop(np.flatnonzero(miss))] = True
+        ray, length, nrefl = ray[rows], length[rows], nrefl[rows]
+        v, leg = u.take(rows, axis=1), leg.take(rows, axis=1)
+        step = p - leg
+        length = length + np.sqrt(_dot(step, step))
+        w = v - 2.0 * _dot(v, n) * n
+        u = w / np.sqrt(_dot(w, w))
+        o = p + off * n
+        if grazing.any():
+            # A grazing ray keeps its direction and steps past the tangency.
+            u = np.where(grazing, v, u)
+            o = np.where(grazing, p + skip * v, o)
+        nrefl = nrefl + ~grazing
+        leg = p
+        steps.append((ray, ids, arcs, p, grazing, u))
+        keep = (nrefl < DEFAULT_MAX_REFLECTIONS) & (length < lmax)
+        if not keep.all():
+            stop(np.flatnonzero(~keep))
+            i = np.flatnonzero(keep)
+            ray, length, nrefl = ray[i], length[i], nrefl[i]
+            o, u, leg = o.take(i, axis=1), u.take(i, axis=1), leg.take(i, axis=1)
+    rows, ids, arcs, points, grazing, after = (np.concatenate(field, axis=-1)
+                                               for field in zip(*steps))
+    # Each ray has at most one event per step, so a stable sort groups every
+    # ray's events in order.
+    order = np.argsort(rows, kind="stable")
+    log = _EventLog(rows[order], ids[order], arcs[order], points.T[order], grazing[order],
+                    after.T[order])
+    return escaped, legs, lengths, dirs, log
 
 
 def _itineraries(log: _EventLog, n: int) -> list:

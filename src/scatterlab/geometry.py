@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -357,23 +358,25 @@ def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
     curve arcs, by the rules of scene_first_hit; in every dimension both run
     one elementwise arithmetic, so each row is bitwise that ray's
     scene_first_hit. Ties go to the lowest obstacle id, then to the earlier
-    arc.
+    arc. _hits does the work and this scatters its results over the batch.
 
     Returns (t, ids, arcs, grazing, points, normals) with one entry per row;
     arcs holds the arc index within its curve, -1 for a body. A ray that
     hits nothing has t = inf, id and arc -1, grazing False and NaN point and
-    normal. Raises RayIntersectError, for the first such row, when a body
+    normal. Raises RayIntersectError, for the lowest such row, when a body
     hit lies off its body beyond _guard's tolerance.
     """
     n_rays = O.shape[0]
     best_t = np.full(n_rays, np.inf)
     ids = np.full(n_rays, -1)
     arcs = np.full(n_rays, -1)
+    grazing = np.zeros(n_rays, dtype=bool)
     points = np.full(O.shape, np.nan)
     normals = np.full(O.shape, np.nan)
-    grazing = np.zeros(n_rays, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals)
+    rows, t, hit_ids, hit_arcs, hit_grazing, p, n = _hits(scene, O.T, U.T)
+    best_t[rows], ids[rows], arcs[rows], grazing[rows] = t, hit_ids, hit_arcs, hit_grazing
+    points[rows] = p.T
+    normals[rows] = n.T
     return best_t, ids, arcs, grazing, points, normals
 
 
@@ -381,24 +384,12 @@ def _roots_beyond_zero(al, t0, g0):
     """_body_root's rule on arrays of quadratics al (t - t0)^2 + g0 and
     t_min = 0: (t, band), t the first root beyond 0 (inf where none) and
     band the double-root snap band, whose one root is t0."""
-    t = np.full(g0.shape, np.inf)
-    band = np.zeros(g0.shape, dtype=bool)
-    # Most rays miss most obstacles; only the others need roots.
-    near = np.nonzero(g0 <= DISCRIMINANT_EPS)
-    t0, g0 = t0[near], g0[near]
-    al = np.broadcast_to(al, t.shape)[near]
-    band[near] = bn = g0 >= -DISCRIMINANT_EPS
+    band = np.abs(g0) <= DISCRIMINANT_EPS
+    # NaN where the ray misses (g0 > 0), which every comparison rejects.
     h = np.sqrt(-al * g0) / al
     lo = t0 - h
-    tn = np.where(bn, t0, np.where(lo > 0.0, lo, t0 + h))
-    t[near] = np.where(tn > 0.0, tn, np.inf)
-    return t, band
-
-
-def _nearest(t: np.ndarray):
-    """The row of each column's least entry (the first on ties) and the entry."""
-    k = t.argmin(0)
-    return k, t[k, np.arange(t.shape[1])]
+    t = np.where(band, t0, np.where(lo > 0.0, lo, t0 + h))
+    return np.where((g0 <= DISCRIMINANT_EPS) & (t > 0.0), t, np.inf), band
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +547,11 @@ class Scene:
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
         object.__setattr__(self, "_k", _compile(self))
 
-    @property
+    @cached_property
     def digest(self) -> str:
         """SHA-256 of the metadata-free scene document, for table provenance;
-        the document round-trips every float bit-exactly."""
+        the document round-trips every float bit-exactly. Computed once per
+        instance: a scene is frozen."""
         from .scenefile import serialize_scene  # scenefile imports this module
 
         return hashlib.sha256(serialize_scene(self).encode()).hexdigest()
@@ -589,17 +581,16 @@ def _on_arc(ang, lo, span):
 
 
 class _Kind(NamedTuple):
-    """One kind's obstacle ids, arc indices, scene order and parameters."""
+    """One kind's entries by scene order, and their parameters."""
 
     tag: str
-    ids: np.ndarray
-    arcs: np.ndarray
     key: np.ndarray
     cols: tuple
 
 
 def _compile(scene: Scene):
-    """The kernel tables: (every entry in scene order, a _Kind per kind present)."""
+    """The kernel tables: (every entry in scene order, a _Kind per kind
+    present, the (4, entries) table of _hits' lookups)."""
     d = scene.dimension
     entries = []
     for i, b in enumerate(scene.bodies):
@@ -619,64 +610,85 @@ def _compile(scene: Scene):
                 ln = math.hypot(dx, dy)
                 entries.append(("s", nb + ci, ai, x1, y1, dx / ln, dy / ln, ln))
     kinds = []
+    # Per entry: obstacle id, arc index, kind and place within the kind.
+    table = np.zeros((4, len(entries)), dtype=int)
+    table[:2] = np.reshape([e[1:3] for e in entries], (-1, 2)).T
     for tag in "beas":
         key = [k for k, e in enumerate(entries) if e[0] == tag]
         if key:
-            _, ids, arcs, *par = zip(*(entries[k] for k in key))
-            kinds.append(_Kind(tag, np.array(ids), np.array(arcs), np.array(key),
-                               tuple(np.array(c)[:, None] for c in par)))
-    return tuple(entries), tuple(kinds)
+            table[2, key] = len(kinds)
+            table[3, key] = np.arange(len(key))
+            par = zip(*(entries[k][3:] for k in key))
+            kinds.append(_Kind(tag, np.array(key), tuple(np.array(c)[:, None] for c in par)))
+    return tuple(entries), tuple(kinds), table
 
 
-def _kind_hits(scene, O, U, best_t, ids, arcs, grazing, points, normals):
-    """_first_hits' passes: one per obstacle kind over all rays, by the
-    rules of the single-ray kernels, filling the output arrays in place;
-    every body hit passes _guard."""
-    d = scene.dimension
-    kinds = scene._k[1]
-    o = [O[:, k] for k in range(d)]
-    u = [U[:, k] for k in range(d)]
-    key = np.full(len(O), -1)  # no tie with a miss
-    which = np.full(len(O), -1)
-    row = np.zeros(len(O), dtype=int)
-    band = np.zeros(len(O), dtype=bool)
-    for j, kind in enumerate(kinds):
-        t, kind_band = _kind_pass(kind, o, u)
-        r, tr = _nearest(t)
-        kr = kind.key[r]
-        # Strictly closer, or as close and earlier in scene order.
-        closer = np.flatnonzero((tr < best_t) | ((tr == best_t) & (kr < key)))
-        r = r[closer]
-        best_t[closer], key[closer], which[closer], row[closer] = tr[closer], kr[closer], j, r
-        band[closer] = kind_band[r, closer]
-    for j, kind in enumerate(kinds):
-        rows = np.flatnonzero(which == j)
-        r = row[rows]
-        par = [c[r, 0] for c in kind.cols]
-        v = [x[rows] for x in u]
-        p = [x[rows] + best_t[rows] * y for x, y in zip(o, v)]
-        if kind.tag == "s":
-            g = [-par[3], par[2]]
+def _hits(scene, o, u):
+    """The batched kernel on the coordinate rows o and u, (d, N) arrays, of
+    N rays: one pass per obstacle kind over all rays, by the rules of the
+    single-ray kernels; every body hit passes _guard, and RayIntersectError
+    names the lowest offending ray.
+
+    Returns, for the rays that hit only, (rows, t, ids, arcs, grazing,
+    points, normals): the rays' ascending positions in the batch, and points
+    and normals as (d, hits) arrays.
+    """
+    entries, kinds, table = scene._k
+    d, n_rays = o.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if len(kinds) == 1:
+            t, band = _kind_pass(kinds[0], o, u)
         else:
-            if kind.tag == "a":
-                g = [(p[0] - par[0]) / (par[2] * par[2]), (p[1] - par[1]) / (par[3] * par[3])]
+            # Rows in scene order; with no obstacle, one row of misses.
+            t = np.full((max(len(entries), 1), n_rays), np.inf)
+            band = np.zeros(t.shape, dtype=bool)
+            for kind in kinds:
+                t[kind.key], band[kind.key] = _kind_pass(kind, o, u)
+        best = t.min(0)
+        rows = np.flatnonzero(best < np.inf)
+        if not rows.size:
+            none = best[:0]
+            return rows, none, rows, rows, rows < 0, o[:, :0], o[:, :0]
+        # The nearest entry, the earliest in scene order on ties.
+        e = np.full(n_rays, len(t) - 1)
+        for k in range(len(t) - 2, -1, -1):
+            e = np.where(t[k] == best, k, e)
+        e = e[rows]
+        band = band.take(e * n_rays + rows)
+        ids, arcs, which, local = table.take(e, axis=1)
+        t = best[rows]
+        v = u.take(rows, axis=1)
+        p = o.take(rows, axis=1) + t * v
+        normals = np.empty(p.shape)
+        bad = []
+        for j, kind in enumerate(kinds):
+            s = np.flatnonzero(which == j)
+            if not s.size:
+                continue
+            par = [c.take(local[s]) for c in kind.cols]
+            q = p.take(s, axis=1)
+            if kind.tag == "s":
+                g = [-par[3], par[2]]
             else:
-                f, g = _phi(kind.tag, par[:d], _body_par(kind.tag, par[d:], d), p)
-            nn = np.sqrt(_dot(g, g))
-            if kind.tag in "be":
-                for i in np.flatnonzero(np.abs(f) > ROOT_TOL):
-                    ray = rows[i]
-                    _guard(f[i], nn[i], [x[ray] for x in o], [x[ray] for x in u], best_t[ray])
-            g = [x / nn for x in g]
-        if kind.tag in "as":
-            # Curve normals face against the ray.
-            flip = np.where(_dot(v, g) > 0.0, -1.0, 1.0)
-            g = [x * flip for x in g]
-        ids[rows], arcs[rows] = kind.ids[r], kind.arcs[r]
-        for k in range(d):
-            points[rows, k] = p[k]
-            normals[rows, k] = g[k]
-        grazing[rows] = band[rows] | (np.abs(_dot(v, g)) < TANGENT_COS_EPS)
+                if kind.tag == "a":
+                    g = [(q[0] - par[0]) / (par[2] * par[2]), (q[1] - par[1]) / (par[3] * par[3])]
+                else:
+                    f, g = _phi(kind.tag, par[:d], _body_par(kind.tag, par[d:], d), q)
+                nn = np.sqrt(_dot(g, g))
+                if kind.tag in "be":
+                    bad += [(rows[s[i]], f[i], nn[i], t[s[i]])
+                            for i in np.flatnonzero(np.abs(f) > ROOT_TOL).tolist()]
+                g = [x / nn for x in g]
+            if kind.tag in "as":
+                # Curve normals face against the ray.
+                flip = np.where(_dot(v.take(s, axis=1), g) > 0.0, -1.0, 1.0)
+                g = [x * flip for x in g]
+            for k, x in enumerate(g):
+                normals[k, s] = x
+    for ray, f, nn, tr in sorted(bad, key=lambda b: b[0]):
+        _guard(f, nn, [x[ray] for x in o], [x[ray] for x in u], tr)
+    grazing = band | (np.abs(_dot(v, normals)) < TANGENT_COS_EPS)
+    return rows, t, ids, arcs, grazing, p, normals
 
 
 def _body_par(tag: str, m, d: int):
@@ -719,11 +731,12 @@ def _kind_pass(kind: _Kind, o, u):
         # Only roots beyond 0 take the angle test; most lanes hold none (a
         # NaN root where the ray misses the ellipse).
         ok = t > 0.0
-        k, n = np.nonzero(ok)
-        tk = t[k, n]
-        ang = np.arctan2((oy[n] + tk * uy[n] - cy[k, 0]) / sb[k, 0],
-                         (ox[n] + tk * ux[n] - cx[k, 0]) / sa[k, 0])
-        ok[k, n] = _on_arc(ang, lo[k, 0], span[k, 0])
+        i = np.flatnonzero(ok)
+        k, n = np.divmod(i, t.shape[1])
+        tk = t.take(i)
+        ang = np.arctan2((oy.take(n) + tk * uy.take(n) - cy.take(k)) / sb.take(k),
+                         (ox.take(n) + tk * ux.take(n) - cx.take(k)) / sa.take(k))
+        ok.ravel()[i] = _on_arc(ang, lo.take(k), span.take(k))
         return ok
 
     # The nearer root counts when it lies on the arc, else the farther.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +35,22 @@ def hausdorff_1d(a: Sequence[float], b: Sequence[float]) -> float:
     """Hausdorff distance between two finite sets of reals.
 
     Empty versus empty is 0; empty versus nonempty is the infinity sentinel.
+    Raises ContractError for a NaN or infinite element, which has no distance.
     """
+    _require_finite((a, b))
+    return _hausdorff_1d(a, b)
+
+
+def _require_finite(cells: Sequence[Sequence[float]]) -> None:
+    """Raise ContractError unless every number in the cells is finite. One
+    builtin sum covers them all; only a non-finite sum, which finite numbers
+    reach just by overflow, needs a look at each."""
+    if not math.isfinite(sum(chain.from_iterable(cells))) and not all(
+            map(math.isfinite, chain.from_iterable(cells))):
+        raise ContractError("a spectrum time is NaN or infinite")
+
+
+def _hausdorff_1d(a, b) -> float:
     if not a and not b:
         return 0.0
     if not a or not b:
@@ -104,9 +120,12 @@ def compare_cells(cells_a: Sequence[Sequence[float]],
     """The comparison rule on two aligned sequences of per-cell time sets.
 
     Raises ContractError when there are no cells: an empty comparison has no
-    matched fraction, so it supports no verdict.
+    matched fraction, so it supports no verdict; and for a NaN or infinite
+    time, which would otherwise pass for a match.
     """
-    per_cell = tuple(hausdorff_1d(ca, cb) for ca, cb in zip(cells_a, cells_b, strict=True))
+    _require_finite(cells_a)
+    _require_finite(cells_b)
+    per_cell = tuple(_hausdorff_1d(ca, cb) for ca, cb in zip(cells_a, cells_b, strict=True))
     if not per_cell:
         raise ContractError("there are no cells to compare")
     n = len(per_cell)

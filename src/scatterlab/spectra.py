@@ -396,41 +396,56 @@ class _Sweep2D:
     psi: list  # launch angles, increasing
     escaped: np.ndarray
     angle: np.ndarray  # exit angle about the ball center, 0 where not escaped
-    itinerary: list  # reflection obstacle ids, () where not escaped
+    # The itineraries, ragged: entry i's reflections (none where it does not
+    # escape) are the obstacle ids obstacles[first[i]:first[i] + reflections[i]].
+    reflections: np.ndarray
+    first: np.ndarray
+    obstacles: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_fan(n_seeds: int):
+    """The launch angles of the n_seeds inward seeds of a d = 2 sweep and
+    their math.cos and math.sin, as _launch_dir takes them; read-only, one
+    fan per seed count shared by every sweep."""
+    psi = [-0.5 * math.pi + math.pi * (k + 0.5) / n_seeds for k in range(n_seeds)]
+    fan = np.array([psi, [math.cos(p) for p in psi], [math.sin(p) for p in psi]])
+    fan.flags.writeable = False
+    return fan
 
 
 def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
     """The inward seed sweep from every point of xs, in lockstep batches: all
     seeds in one, then the seed gaps that need a split at each depth in one
     each, every midpoint splitting its gap; a sweep is its shots sorted by
-    psi. Returns (sweeps, cutoff seeds, rays traced)."""
+    psi. Itineraries stay ragged arrays throughout, and only the shots that
+    leave take a Python atan2. Returns (sweeps, cutoff seeds, rays traced)."""
     frames = [_frame_at(scene, x) for x in xs]
     m = np.array([f[0] for f in frames])
     mp = np.array([f[1] for f in frames])
     center = np.asarray(scene.ball_center)
 
-    def shots(src, psi):
-        u = (np.array([math.cos(p) for p in psi.tolist()])[:, None] * m[src]
-             + np.array([math.sin(p) for p in psi.tolist()])[:, None] * mp[src])
+    def shots(src, cos, sin):
+        u = cos[:, None] * m[src] + sin[:, None] * mp[src]
         escaped, legs, _, dirs, log = _trace_many(scene, xs[src], u)
-        itins = _itineraries(log, len(u))
         pts, crosses = _exit_crossings(scene, legs, dirs)
         ok = escaped & crosses
+        angle = np.zeros(len(u))
         # math.atan2, not np.arctan2, which can differ in the last bit.
-        angle = np.array([math.atan2(py, px) if k else 0.0 for (px, py), k
-                          in zip((pts - center).tolist(), ok.tolist())])
-        return ok, angle, [t if k else () for t, k in zip(itins, ok.tolist())]
+        angle[ok] = [math.atan2(py, px) for px, py in (pts[ok] - center).tolist()]
+        refl = ~log.grazing
+        count = np.bincount(log.rows[refl], minlength=len(u))
+        return ok, angle, np.where(ok, count, 0), np.cumsum(count) - count, log.obstacle[refl]
 
+    psi0, cos0, sin0 = _seed_fan(n_seeds)
     src = np.repeat(np.arange(len(xs)), n_seeds)
-    psi = np.tile([-0.5 * math.pi + math.pi * (k + 0.5) / n_seeds for k in range(n_seeds)],
-                  len(xs))
-    escaped, angle, itins = shots(src, psi)
+    psi = np.tile(psi0, len(xs))
+    escaped, angle, count, first, ids = shots(src, np.tile(cos0, len(xs)), np.tile(sin0, len(xs)))
     cutoff = int(np.count_nonzero(~escaped))
     a = np.flatnonzero((np.arange(psi.size) + 1) % n_seeds)
     b = a + 1
     for _ in range(_BOUNDARY_SPLIT_DEPTH):
-        split = ((escaped[a] != escaped[b])
-                 | np.array([itins[i] != itins[j] for i, j in zip(a.tolist(), b.tolist())], bool)
+        split = ((escaped[a] != escaped[b]) | _ragged_differ(count, first, ids, a, b)
                  | (escaped[a] & (np.abs(_wrap(angle[a] - angle[b])) > _EXIT_JUMP_TOL)))
         a, b = a[split], b[split]
         if not a.size:
@@ -438,16 +453,32 @@ def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
         mid = np.arange(psi.size, psi.size + a.size)
         src = np.concatenate([src, src[a]])
         psi = np.concatenate([psi, 0.5 * (psi[a] + psi[b])])
-        more = shots(src[mid], psi[mid])
-        escaped, angle = np.concatenate([escaped, more[0]]), np.concatenate([angle, more[1]])
-        itins += more[2]
+        halves = psi[mid].tolist()
+        ok, ang, cnt, fst, obs = shots(src[mid], np.array([math.cos(p) for p in halves]),
+                                       np.array([math.sin(p) for p in halves]))
+        escaped, angle = np.concatenate([escaped, ok]), np.concatenate([angle, ang])
+        count, first = np.concatenate([count, cnt]), np.concatenate([first, fst + ids.size])
+        ids = np.concatenate([ids, obs])
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     order = np.lexsort((psi, src))
     ends = np.cumsum(np.bincount(src, minlength=len(xs)))
-    sweeps = [_Sweep2D(f, psi[rows].tolist(), escaped[rows], angle[rows],
-                       [itins[r] for r in rows.tolist()])
+    sweeps = [_Sweep2D(f, psi[rows].tolist(), escaped[rows], angle[rows], count[rows],
+                       first[rows], ids)
               for f, rows in zip(frames, np.split(order, ends[:-1]))]
     return sweeps, cutoff, int(psi.size)
+
+
+def _ragged_differ(count, first, ids, a, b):
+    """Whether ragged rows a and b differ, pair by pair, where row i is
+    ids[first[i]:first[i] + count[i]]."""
+    differ = count[a] != count[b]
+    same = np.flatnonzero(~differ & (count[a] > 0))
+    n = count[a[same]]
+    pair = np.repeat(np.arange(same.size), n)
+    k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
+    unequal = ids[first[a[same]][pair] + k] != ids[first[b[same]][pair] + k]
+    differ[same[pair[unequal]]] = True
+    return differ
 
 
 def _wrap(angle):

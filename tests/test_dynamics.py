@@ -314,6 +314,62 @@ def test_planar_trace_many_matches_near_grazing_family(two_disk_scene):
     assert all(t[:1] == (0,) for t in itins)
 
 
+def test_trace_many_matches_single_traces_on_curve_obstacles():
+    # The Livshits bump scene: elliptic arcs and segments in three curves.
+    # Rays from the reference circle aimed near the cavity reflect off the
+    # plates, the bowl and the sealed pocket's shell, and rays tangent to the
+    # bowl's ellipse graze it; every event's arc index, grazing flag and
+    # direction after the curve normal's reflection must be bitwise.
+    scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
+    rng = np.random.default_rng(3)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 400)
+    O = [scene.ball_radius * np.column_stack([np.cos(angle), np.sin(angle)])]
+    U = [rng.normal(scale=1.5, size=(400, 2)) - O[0]]
+    U[0] /= np.linalg.norm(U[0], axis=1, keepdims=True)
+    for s in np.linspace(-0.5, -0.2, 7):
+        touch = np.array([2.0 * math.cos(s), math.sqrt(3.0) * math.sin(s)])
+        tangent = np.array([-2.0 * math.sin(s), math.sqrt(3.0) * math.cos(s)])
+        tangent /= np.linalg.norm(tangent)
+        normal = np.array([tangent[1], -tangent[0]])
+        O.append([touch - 5.0 * tangent + h * normal for h in (-1e-6, -1e-10, 0.0, 1e-10, 1e-6)])
+        U.append(np.tile(tangent, (5, 1)))
+    O, U = np.vstack(O), np.vstack(U)
+    _assert_trace_many_matches(scene, O, U)
+    log = _trace_many(scene, O, U)[4]
+    curves = log.obstacle >= len(scene.bodies)
+    assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)} <= set(
+        zip((log.obstacle[curves] - len(scene.bodies)).tolist(), log.arc[curves].tolist()))
+    assert log.grazing.any()
+    assert np.bincount(log.rows).max() >= 3
+
+
+def test_trace_many_rows_that_stop_at_different_steps(two_disk_scene):
+    # Rays that leave after 1, 2 and 3 kernel steps share a batch with the
+    # orbit on the line of centres, which bounces until the reflection cap;
+    # each row is bitwise its single trace, the cut-off row's last leg,
+    # length and direction included.
+    O = np.array([(0.0, 0.0), (0.0, 5.0), (0.0, 0.3), (0.0, 0.05), (0.0, 0.0)])
+    U = np.array([(1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    itins = _assert_trace_many_matches(two_disk_scene, O, U)
+    assert [len(t) for t in itins] == [sl.dynamics.DEFAULT_MAX_REFLECTIONS, 0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("n_rays", [0, 3])
+def test_trace_many_without_events(two_disk_scene, n_rays):
+    # No rays at all, and rays that all miss: every row keeps its start
+    # point, length 0 and its direction, and the log is empty but typed.
+    O = np.tile((0.0, 5.0), (n_rays, 1))
+    U = np.tile((1.0, 0.0), (n_rays, 1))
+    escaped, legs, lengths, dirs, log = _trace_many(two_disk_scene, O, U)
+    assert escaped.tolist() == [True] * n_rays
+    assert legs.shape == dirs.shape == (n_rays, 2) and lengths.shape == (n_rays,)
+    assert np.array_equal(legs, O) and np.array_equal(dirs, U) and not lengths.any()
+    assert all(field.shape[0] == 0 for field in log)
+    assert log.point.shape == log.direction.shape == (0, 2)
+    assert log.grazing.dtype == bool and log.rows.dtype.kind == log.obstacle.dtype.kind == "i"
+    _assert_trace_many_matches(two_disk_scene, O, U)
+
+
 def _travel_3d_scene() -> sl.Scene:
     """The benchmark's travel-3d scene: a unit ball and an ellipsoid tilted
     about two axes."""

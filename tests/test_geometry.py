@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -360,6 +362,28 @@ def test_off_body_hits_raise(d, monkeypatch):
             call()
         assert err.value.origin == tuple(origin.tolist())
         assert err.value.direction == tuple(v.tolist())
+
+
+def test_off_body_hits_raise_for_the_lowest_row(monkeypatch):
+    # Two kinds of body, each hit off its body when ROOT_TOL and the rounding
+    # floor are 0: the batched kernel names the lowest offending row, not the
+    # first offending kind.
+    ellipse = sl.ellipsoid((0.5, 4.0), (1.5, 0.8), sl.rotation_2d(0.7))
+    scene = sl.Scene(dimension=2, bodies=(sl.ball((0.3, -4.0), 1.3), ellipse), ball_radius=10.0)
+    origin = np.array([-6.0, 0.3])
+    rays = [(origin, v / np.linalg.norm(v)) for v in (np.asarray(b.center) + 0.1 - origin
+                                                      for b in reversed(scene.bodies))]
+    monkeypatch.setattr(sl.geometry, "ROOT_TOL", 0.0)
+    monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
+    for o, v in rays:
+        with pytest.raises(sl.RayIntersectError):
+            sl.scene_first_hit(scene, o, v)
+    for batch in (rays, rays[::-1]):
+        O = np.array([o for o, _ in batch])
+        U = np.array([v for _, v in batch])
+        with pytest.raises(sl.RayIntersectError) as err:
+            _first_hits(scene, O, U)
+        assert err.value.direction == tuple(U[0].tolist())
 
 
 def _one_body_rays(body, rng, n):
@@ -849,6 +873,33 @@ def test_scene_digest_changes_with_geometry(two_disk_scene):
     nudged[0, 1] = np.nextafter(nudged[0, 1], 1.0)
     assert tilted.digest != _ellipse_scene(nudged).digest
     assert tilted.digest == _ellipse_scene(sl.rotation_2d(0.3)).digest
+
+
+def test_scene_digest_is_computed_once_per_instance(two_disk_scene, monkeypatch):
+    scene = sl.Scene(dimension=2, bodies=two_disk_scene.bodies, ball_radius=10.0)
+    calls = []
+    serialize = sl.scenefile.serialize_scene
+
+    def counting(s):
+        calls.append(s)
+        return serialize(s)
+
+    monkeypatch.setattr(sl.scenefile, "serialize_scene", counting)
+    first = scene.digest
+    assert scene.digest == first == two_disk_scene.digest
+    assert len(calls) == 1
+    # A replaced copy is a new instance with its own digest.
+    moved = dataclasses.replace(scene, ball_radius=12.0)
+    assert moved.digest != first
+    assert len(calls) == 2
+    # A pickled scene, as a process pool receives it, keeps its digest and
+    # equals the original.
+    again = pickle.loads(pickle.dumps(scene))
+    assert again == scene and again.digest == first
+    assert len(calls) == 2
+    fresh = pickle.loads(pickle.dumps(sl.Scene(dimension=2, bodies=two_disk_scene.bodies,
+                                               ball_radius=10.0)))
+    assert fresh.digest == first
 
 
 @pytest.mark.parametrize("d", [2, 3])

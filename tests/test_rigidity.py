@@ -50,6 +50,32 @@ def test_compare_without_cells_is_refused():
         sl.rigidity.compare_cells((), (), tol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hausdorff_1d_refuses_non_finite_times(bad):
+    # max() and min() skip a NaN distance, so a NaN time once matched anything.
+    for a, b in (((bad,), (1.0,)), ((1.0,), (2.0, bad)), ((bad,), ())):
+        with pytest.raises(sl.ContractError, match="NaN or infinite"):
+            sl.hausdorff_1d(a, b)
+
+
+def test_hausdorff_1d_takes_times_whose_sum_overflows():
+    # Finite times whose sum overflows still compare.
+    assert sl.hausdorff_1d((1e308, 1e308), (1e308,)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compare_cells_refuses_non_finite_times(bad):
+    # Ten NaN cells against ten finite ones once read "indistinguishable",
+    # with matched fraction 1.0.
+    finite = [(1.0,)] * 10
+    with pytest.raises(sl.ContractError, match="NaN or infinite"):
+        sl.rigidity.compare_cells([(bad,)] * 10, finite, tol=1e-9)
+    with pytest.raises(sl.ContractError, match="NaN or infinite"):
+        sl.rigidity.compare_cells(finite, finite[:9] + [(2.0, bad)], tol=1e-9)
+    with pytest.raises(sl.ContractError, match="NaN or infinite"):
+        sl.rigidity.compare_cells([(), (bad,)], [(), ()], tol=1e-9)
+
+
 def test_compare_body_order_independent():
     a = sl.Scene(dimension=2,
                  bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((3.0, 1.0), 1.0)),

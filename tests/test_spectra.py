@@ -461,12 +461,34 @@ def test_batched_sweep_matches_scalar_shots(scene_name, request):
     ref = _scalar_sweep(scene, x, spectra.SEEDS_2D)
     assert sweep.psi == [e[0] for e in ref]
     assert rays == len(ref) > spectra.SEEDS_2D
-    assert any(sweep.itinerary)
+    # The sweep keeps its itineraries ragged; decoded, each is a tuple again.
+    itineraries = [tuple(sweep.obstacles[s:s + n].tolist())
+                   for s, n in zip(sweep.first.tolist(), sweep.reflections.tolist())]
+    assert any(itineraries)
     for (_, escaped, angle, itin), got_escaped, got_angle, got_itin in zip(
-            ref, sweep.escaped, sweep.angle, sweep.itinerary):
+            ref, sweep.escaped, sweep.angle, itineraries, strict=True):
         assert got_escaped == escaped
         assert got_itin == itin
         assert got_angle == angle
+
+
+def test_ragged_itineraries_differ_as_tuples_do():
+    # The sweep's split test compares itineraries as ragged rows of one id
+    # array; it must agree with tuple inequality, also where rows of equal
+    # length differ and where ids of rows that did not escape (count zeroed)
+    # lie between the rows.
+    rng = np.random.default_rng(7)
+    itins = [tuple(rng.integers(0, 3, rng.integers(0, 4)).tolist()) for _ in range(400)]
+    count = np.array([len(t) for t in itins])
+    junk = rng.integers(0, 3, size=400)
+    first = np.cumsum(count + junk) - count - junk
+    ids = np.concatenate([np.array(t + (9,) * j, dtype=int) for t, j in zip(itins, junk)])
+    a = rng.integers(0, 400, 2000)
+    b = rng.integers(0, 400, 2000)
+    want = [itins[i] != itins[j] for i, j in zip(a.tolist(), b.tolist())]
+    assert sl.spectra._ragged_differ(count, first, ids, a, b).tolist() == want
+    same_length = [len(itins[i]) == len(itins[j]) > 0 for i, j in zip(a.tolist(), b.tolist())]
+    assert any(w and s for w, s in zip(want, same_length))
 
 
 def test_bracket_scan_matches_scalar_loop(two_disk_scene, monkeypatch):
@@ -576,7 +598,8 @@ def test_refine_counts_a_lost_shot_as_a_drop(empty_scene, monkeypatch):
     _fake_miss(monkeypatch, lambda psi: None)
     sweep = spectra._Sweep2D(spectra._frame_at(empty_scene, np.array([-10.0, 0.0])),
                              [0.0, 0.01], np.array([True, True]),
-                             np.array([_TY - 0.1, _TY + 0.1]), [(), ()])
+                             np.array([_TY - 0.1, _TY + 0.1]), np.zeros(2, dtype=int),
+                             np.zeros(2, dtype=int), np.zeros(0, dtype=int))
     found, tally = spectra._refine_pair_2d(empty_scene, (-10.0, 0.0), _Y, sweep)
     assert found == []
     assert tally == Counter(refine_shots=1, dropped_clusters=1, dropped_lost=1)
