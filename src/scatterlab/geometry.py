@@ -353,33 +353,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _first_hits(scene: Scene, O: np.ndarray, U: np.ndarray):
-    """Nearest hit of every ray after t = 0 over the bodies and the planar
-    curve arcs, by the rules of scene_first_hit; in every dimension both run
-    one elementwise arithmetic, so each row is bitwise that ray's
-    scene_first_hit. Ties go to the lowest obstacle id, then to the earlier
-    arc. _hits does the work and this scatters its results over the batch.
-
-    Returns (t, ids, arcs, grazing, points, normals) with one entry per row;
-    arcs holds the arc index within its curve, -1 for a body. A ray that
-    hits nothing has t = inf, id and arc -1, grazing False and NaN point and
-    normal. Raises RayIntersectError, for the lowest such row, when a body
-    hit lies off its body beyond _guard's tolerance.
-    """
-    n_rays = O.shape[0]
-    best_t = np.full(n_rays, np.inf)
-    ids = np.full(n_rays, -1)
-    arcs = np.full(n_rays, -1)
-    grazing = np.zeros(n_rays, dtype=bool)
-    points = np.full(O.shape, np.nan)
-    normals = np.full(O.shape, np.nan)
-    rows, t, hit_ids, hit_arcs, hit_grazing, p, n = _hits(scene, O.T, U.T)
-    best_t[rows], ids[rows], arcs[rows], grazing[rows] = t, hit_ids, hit_arcs, hit_grazing
-    points[rows] = p.T
-    normals[rows] = n.T
-    return best_t, ids, arcs, grazing, points, normals
-
-
 def _roots_beyond_zero(al, t0, g0):
     """_body_root's rule on arrays of quadratics al (t - t0)^2 + g0 and
     t_min = 0: (t, band), t the first root beyond 0 (inf where none) and

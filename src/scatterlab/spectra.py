@@ -14,21 +14,21 @@ on the outgoing leg. In d = 2 seeds whose exits straddle the target point y
 bracket a root, refined by Illinois regula falsi (Dowell & Jarratt, BIT 1971)
 on the exit-angle miss, a secant step kept inside the bracket; in d = 3 each
 local minimum of the seeds' exit miss is polished by Levenberg-Marquardt on
-the miss vector exit_pt - y. Both stop at one goal, a miss below
-_RESIDUAL_MARGIN times the root tolerance: an n = 3 ball-plus-ellipsoid
-table takes 7-13 shots per raw polish and 1 or 4 per mirror polish, 91 in
-all. A table first traces the seed sweeps of all its source points, in
-lockstep batches through one batched ray kernel: in d = 3 every seed in one
-batch, in d = 2 every seed in one and the gap midpoints of each split depth
-in one more. Each sweep serves every partner of its point, and only root
-refinement (regula falsi, polish, mirror polish) traces one ray at a time;
-the sojourn scan traces all its launches in one batch too. The search is
-symmetrized: each root found sweeping from one endpoint is time-reversed and
-re-polished once from the other, and the pair's cells in both orders are
-built from those two mirror lists, so swapping the endpoints returns
-matching times by construction. Brackets that do not converge and polishes
-that miss y are dropped and counted in the table diagnostics, next to the
-number of refinement shots.
+the miss vector exit_pt - y, with the exact Jacobian carried along each shot.
+Both stop at one goal, a miss below _RESIDUAL_MARGIN times the root
+tolerance: an n = 3 ball-plus-ellipsoid table takes 3-5 shots per raw polish
+and 1 or 2 per mirror polish, 41 in all. A table first traces the seed
+sweeps of all its source points, in lockstep batches through one batched ray
+kernel: in d = 3 every seed in one batch, in d = 2 every seed in one and the
+gap midpoints of each split depth in one more. Each sweep serves every
+partner of its point, and only root refinement (regula falsi, polish, mirror
+polish) traces one ray at a time; the sojourn scan traces all its launches
+in one batch too. The search is symmetrized: each root found sweeping from
+one endpoint is time-reversed and re-polished once from the other, and the
+pair's cells in both orders are built from those two mirror lists, so
+swapping the endpoints returns matching times by construction. Brackets that
+do not converge and polishes that miss y are dropped and counted in the
+table diagnostics, next to the number of refinement shots.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere and with fewer than one seed is refused with ContractError
 rather than answered with empty sets.
@@ -57,14 +57,12 @@ REFINE_TOL_FRAC = 1e-7
 DEDUP_FRAC = 1e-5
 _ILLINOIS_CAP = 90
 
-# The d = 3 polish: initial Marquardt damping, forward-difference step, shot
-# cap, and stall rule (give up when |miss| is above _STALL_FACTOR times its
-# value _STALL_SHOTS shots earlier). On the ball-plus-ellipsoid tables a
-# polish that reaches a root takes at most 64 shots and at least halves
-# |miss| within any 30; one stuck at a minimum of the miss that is not a
-# root stops improving.
+# The d = 3 polish: initial Marquardt damping, shot cap, and stall rule
+# (give up when |miss| is above _STALL_FACTOR times its value _STALL_SHOTS
+# shots earlier). On the ball-plus-ellipsoid tables a polish that reaches a
+# root takes at most 30 shots, most take 3-6; one stuck at a minimum of the
+# miss that is not a root stops improving.
 _LM_DAMPING = 1e-3
-_FD_STEP = math.sqrt(float(np.finfo(float).eps))
 _POLISH_CAP = 200
 _STALL_SHOTS = 30
 _STALL_FACTOR = 0.9
@@ -741,29 +739,67 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
 # Travelling times in d = 3
 # ---------------------------------------------------------------------------
 
+def _exit_jacobian(scene, x, shot, du):
+    """The derivative of a shot's exit point along each row of du, a launch
+    direction derivative, with x held fixed. A flight from p along u to a
+    surface point q with normal n takes dp, du to dq = w - u (n.w) / (u.n),
+    w = dp + |q - p| du, and a reflection turns du by the mirror law, with
+    dn = (M dq - n (n.M dq)) / |M (q - c)| (Chernov & Markarian 2006, ch. 3;
+    Petkov & Stoyanov 1992). Grazing events are skipped; the exit point moves
+    on the reference sphere. A part of du along u only slides each point
+    along its line and drops out, so du need not be normal to u."""
+    def onto(w, u, n):  # the rows of w moved along u onto the plane normal to n
+        return w - np.outer(w @ n / (u @ n), u)
+
+    u, events, _, exit_pt, _ = shot
+    p, dp = np.asarray(x, dtype=float), np.zeros_like(du)
+    for oid, _, q, n, grazing, _, after in events:
+        if not grazing:
+            q, n, body = np.asarray(q), np.asarray(n), scene.bodies[oid]
+            dq = onto(dp + ((q - p) @ u) * du, u, n)
+            g, mdq = body._M @ (q - body._c), dq @ body._M
+            dn = (mdq - np.outer(mdq @ n, n)) / math.sqrt(g @ g)
+            du = du - 2.0 * (np.outer(du @ n + dn @ u, n) + (u @ n) * dn)
+            p, u, dp = q, np.asarray(after), dq
+    e = np.asarray(exit_pt)
+    return onto(dp + ((e - p) @ u) * du, u, e - np.asarray(scene.ball_center))
+
+
+def _lm_step(jac, f, lam):
+    """The s minimising |J s + f|^2 + lam |D s|^2, D^2 = diag(J^T J), for J's
+    two columns the rows of jac (d = 3), by Cramer's rule on the normal
+    equations A s = b. Where A is singular to rounding (J of rank below 2,
+    lam below eps), the least-norm s: A b / tr(A)^2, or 0 for J = 0."""
+    (a, b), (_, c) = (jac @ jac.T).tolist()
+    g = -(jac @ f)
+    a, c = a + lam * a, c + lam * c
+    det = a * c - b * b
+    if det > np.finfo(float).eps * a * c:
+        return np.array([[c, -b], [-b, a]]) @ g / det
+    return np.array([[a, b], [b, c]]) @ g / max((a + c) * (a + c), np.finfo(float).tiny)
+
+
 def _polish_3d(scene, x, y, u0):
     """Levenberg-Marquardt (Marquardt 1963, Moré 1978) on the miss
     exit_pt - y over the d - 1 tangent offsets of the launch direction u0.
-    Each step takes a forward-difference Jacobian J (step sqrt(eps), one
-    shot per offset) and shoots the s minimising |J s + miss|^2 + lam |D s|^2,
-    D^2 = diag(J^T J); lam falls tenfold when |miss| falls and the step is
-    taken, and rises tenfold otherwise. A launch that does not leave misses
-    by 10a in each coordinate.
+    Each step shoots _lm_step's offsets for the current shot's exact
+    Jacobian (_exit_jacobian), one shot a step; lam falls tenfold when |miss|
+    falls and the step is taken, and rises tenfold otherwise. A launch that
+    does not leave misses by 10a in each coordinate.
 
     Stops as soon as |miss| is below the d = 2 solver's goal, which may be
     at the first shot. Gives up with reason "dropped_lost" when the first
     shot does not leave, "dropped_residual" when |miss| has not fallen by a
     tenth over the last _STALL_SHOTS shots (a minimum of the miss that is
-    not a root, such as a branch edge), and "dropped_cap" when the next step
-    would pass _POLISH_CAP shots. Returns (sample, shots, reason) as
-    _illinois_2d does.
+    not a root, such as a branch edge), and "dropped_cap" at _POLISH_CAP
+    shots. Returns (sample, shots, reason) as _illinois_2d does.
     """
     basis = plane_basis(u0)
     lost = np.full(len(u0), 10.0 * scene.ball_radius)
 
     def fire(ab):
-        u = u0 + ab @ basis
-        shot = _shoot(scene, x, u / float(np.linalg.norm(u)))
+        v = u0 + ab @ basis
+        shot = _shoot(scene, x, v / math.sqrt(v @ v))
         return shot, lost if shot is None else shot[3] - y
 
     ab = np.zeros(len(basis))
@@ -771,29 +807,20 @@ def _polish_3d(scene, x, y, u0):
     if shot is None:
         return None, 1, "dropped_lost"
     goal = _RESIDUAL_MARGIN * _root_tol(scene)
-    trail = [float(np.linalg.norm(f))]  # least |miss| after each shot
+    trail = [math.sqrt(f @ f)]  # least |miss| after each shot
     lam = _LM_DAMPING
     jac = None  # at the current offsets; None until taken
     while trail[-1] >= goal:
         if len(trail) > _STALL_SHOTS and trail[-1] > _STALL_FACTOR * trail[-1 - _STALL_SHOTS]:
             return None, len(trail), "dropped_residual"
-        if len(trail) + (len(ab) if jac is None else 0) >= _POLISH_CAP:
+        if len(trail) >= _POLISH_CAP:
             return None, len(trail), "dropped_cap"
         if jac is None:
-            jac = np.empty((len(f), len(ab)))
-            for j in range(len(ab)):
-                step = ab.copy()
-                step[j] += _FD_STEP * max(1.0, abs(ab[j]))
-                jac[:, j] = (fire(step)[1] - f) / (step[j] - ab[j])
-            trail += trail[-1:] * len(ab)
-            scale = np.sum(jac * jac, axis=0)
-            rhs = np.concatenate([-f, np.zeros(len(ab))])
-        # Least squares rather than the normal equations, so that a Jacobian
-        # of rank below d - 1 gives a step instead of an error.
-        damped = np.vstack([jac, np.diag(np.sqrt(lam * scale))])
-        trial = ab + np.linalg.lstsq(damped, rhs, rcond=None)[0]
+            # du/dab is basis / r, r = u . (u0 + ab . basis), less a part along u.
+            jac = _exit_jacobian(scene, x, shot, basis / (shot[0] @ (u0 + ab @ basis)))
+        trial = ab + _lm_step(jac, f, lam)
         got, g = fire(trial)
-        miss = float(np.linalg.norm(g))
+        miss = math.sqrt(g @ g)
         if miss < trail[-1]:
             ab, shot, f, jac = trial, got, g, None
             trail.append(miss)

@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.geometry import (ROOT_TOL, _body_reach, _first_hits, _support_separation,
+from scatterlab.geometry import (ROOT_TOL, _body_reach, _hits, _support_separation,
                                  body_pair_distance)
+
+
+def _batch_hits(scene, O, U):
+    """_hits on the rows of O and U, scattered over the batch as
+    (t, ids, arcs, grazing, points, normals), one entry per row; a ray that
+    hits nothing has t = inf, id and arc -1, grazing False and NaN point and
+    normal."""
+    n = len(O)
+    rows, *hit = _hits(scene, O.T, U.T)
+    out = (np.full(n, np.inf), np.full(n, -1), np.full(n, -1), np.zeros(n, dtype=bool),
+           np.full(O.shape, np.nan), np.full(O.shape, np.nan))
+    for full, part in zip(out, hit[:4] + [hit[4].T, hit[5].T]):
+        full[rows] = part
+    return out
 
 
 def test_evaluate_unit_ball_center():
@@ -229,7 +243,7 @@ def test_batched_kernel_matches_scene_first_hit(d):
         rays += _tangent_rays(body, rng, 40)
     O = np.array([o for o, _ in rays])
     U = np.array([v for _, v in rays])
-    t, ids, arcs, grazing, points, normals = _first_hits(scene, O, U)
+    t, ids, arcs, grazing, points, normals = _batch_hits(scene, O, U)
     assert np.all(arcs == -1)
     # In every d both kernels run one elementwise arithmetic, with every sum
     # in coordinate order, so they agree bit for bit.
@@ -273,7 +287,7 @@ def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch)
 
     with monkeypatch.context() as m:
         m.setattr(sl.geometry, "scene_first_hit", no_single_ray)
-        t, ids, _, grazing, points, normals = _first_hits(scene, O, U)
+        t, ids, _, grazing, points, normals = _batch_hits(scene, O, U)
     assert {0, 1} <= set(ids.tolist())
     for k in range(200):
         ref = sl.scene_first_hit(scene, O[k], U[k])
@@ -322,7 +336,7 @@ def test_small_far_bodies_abort_no_ray(target, d):
     hits = 0
     for start in range(0, n, 200):
         batch = slice(start, start + 200)
-        t, ids, _, grazing, points, normals = _first_hits(scene, O[batch], U[batch])
+        t, ids, _, grazing, points, normals = _batch_hits(scene, O[batch], U[batch])
         for k, (o, v) in enumerate(zip(O[batch], U[batch])):
             ref = sl.scene_first_hit(scene, o, v)
             if ref is None:
@@ -356,7 +370,7 @@ def test_off_body_hits_raise(d, monkeypatch):
     monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
     calls = (lambda: sl.ray_intersect(body, origin, v),
              lambda: sl.scene_first_hit(scene, origin, v),
-             lambda: _first_hits(scene, np.array([origin, origin]), np.array([miss, v])))
+             lambda: _batch_hits(scene, np.array([origin, origin]), np.array([miss, v])))
     for call in calls:
         with pytest.raises(sl.RayIntersectError) as err:
             call()
@@ -382,7 +396,7 @@ def test_off_body_hits_raise_for_the_lowest_row(monkeypatch):
         O = np.array([o for o, _ in batch])
         U = np.array([v for _, v in batch])
         with pytest.raises(sl.RayIntersectError) as err:
-            _first_hits(scene, O, U)
+            _batch_hits(scene, O, U)
         assert err.value.direction == tuple(U[0].tolist())
 
 
@@ -479,7 +493,7 @@ def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
     rays = _curve_rays(scene, np.random.default_rng(61))
     O = np.array([o for o, _ in rays])
     U = np.array([v for _, v in rays])
-    t, ids, arcs, grazing, points, normals = _first_hits(scene, O, U)
+    t, ids, arcs, grazing, points, normals = _batch_hits(scene, O, U)
     kinds = set()
     for k, (o, v) in enumerate(rays):
         ref = sl.scene_first_hit(scene, o, v)
@@ -512,7 +526,7 @@ def test_batched_kernel_matches_scene_first_hit_at_an_arc_end():
     o, v = (-4.0, 2.5), (0.8907196712762726, -0.45455304113105294)
     oid, hit = sl.scene_first_hit(scene, o, v)
     assert (oid, hit.arc) == (0, 0)
-    t, ids, arcs, grazing, points, normals = _first_hits(scene, np.array([o]), np.array([v]))
+    t, ids, arcs, grazing, points, normals = _batch_hits(scene, np.array([o]), np.array([v]))
     assert (ids[0], arcs[0], t[0], bool(grazing[0])) == (0, 0, hit.t, hit.grazing)
     assert tuple(points[0].tolist()) == hit.point
     assert tuple(normals[0].tolist()) == hit.normal
