@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Scene, _as_tuple, _check_unit, _dot, _first_hit_2d, _first_hit_nd, _hits
+from .geometry import (ROOT_TOL, Scene, _as_tuple, _check_ray, _check_unit, _dot, _first_hit_2d,
+                       _first_hit_nd, _hits, evaluate_body)
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -116,10 +117,11 @@ def reflect(v, n) -> np.ndarray:
     return out / float(np.linalg.norm(out))
 
 
-def _trace_raw(scene: Scene, point, direction, limits: Optional[TraceLimits] = None):
-    """Kernel trace; events are raw tuples
-    (obstacle, arc, point, normal, grazing, cum_length, direction_after).
-    Without limits, the scene's default limits apply.
+def _trace_raw(scene: Scene, point, direction):
+    """The refinement kernel: one trace of a body scene under the default
+    limits, by _first_hit_2d or _first_hit_nd on floats, bitwise its
+    _trace_many row. Events are tuples (obstacle, point, normal, grazing,
+    direction_after). Raises ValueError on a scene with curves.
 
     Returns (escaped, events, leg_origin, direction, leg_length), ending at
     the last free leg: its origin (the last event point, or the start point
@@ -127,20 +129,16 @@ def _trace_raw(scene: Scene, point, direction, limits: Optional[TraceLimits] = N
     along it. An escaped trace runs to infinity along that leg; a cutoff
     trace stops at its origin.
     """
-    if limits is None:
-        nmax, lmax = DEFAULT_MAX_REFLECTIONS, DEFAULT_LENGTH_FACTOR * scene.ball_radius
-    else:
-        nmax, lmax = limits.resolved(scene)
-    if scene.dimension == 2:
-        return _trace_2d(scene, point, direction, nmax, lmax)
-    return _trace_nd(scene, point, direction, nmax, lmax)
-
-
-def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
-    k = scene._k
+    if scene.curves:
+        raise ValueError("the refinement kernels trace scenes without curves only")
     a = scene.ball_radius
-    off = SURFACE_OFFSET_FRAC * a
-    skip = GRAZE_SKIP_FRAC * a
+    scales = (SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a, DEFAULT_LENGTH_FACTOR * a)
+    if scene.dimension == 2:
+        return _trace_2d(scene._k[0], point, direction, *scales)
+    return _trace_nd(scene, point, direction, *scales)
+
+
+def _trace_2d(entries, point, direction, off: float, skip: float, lmax: float):
     ox, oy = float(point[0]), float(point[1])
     ux, uy = float(direction[0]), float(direction[1])
     px_prev, py_prev = ox, oy
@@ -148,16 +146,16 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
     nrefl = 0
     events = []
     while True:
-        h = _first_hit_2d(k, ox, oy, ux, uy)
+        h = _first_hit_2d(entries, ox, oy, ux, uy)
         if h is None:
             return True, events, (px_prev, py_prev), (ux, uy), total
-        oid, arc, t, px, py, nx, ny, cosi, grazing = h
+        oid, t, px, py, nx, ny, cosi, grazing = h
         dx = px - px_prev
         dy = py - py_prev
         total += math.sqrt(dx * dx + dy * dy)
         px_prev, py_prev = px, py
         if grazing:
-            events.append((oid, arc, (px, py), (nx, ny), True, total, (ux, uy)))
+            events.append((oid, (px, py), (nx, ny), True, (ux, uy)))
             ox = px + skip * ux
             oy = py + skip * uy
         else:
@@ -167,18 +165,15 @@ def _trace_2d(scene: Scene, point, direction, nmax: int, lmax: float):
             nn = math.sqrt(ux * ux + uy * uy)
             ux /= nn
             uy /= nn
-            events.append((oid, arc, (px, py), (nx, ny), False, total, (ux, uy)))
+            events.append((oid, (px, py), (nx, ny), False, (ux, uy)))
             nrefl += 1
             ox = px + off * nx
             oy = py + off * ny
-        if nrefl >= nmax or total >= lmax:
+        if nrefl >= DEFAULT_MAX_REFLECTIONS or total >= lmax:
             return False, events, (px, py), (ux, uy), total
 
 
-def _trace_nd(scene: Scene, point, direction, nmax: int, lmax: float):
-    a = scene.ball_radius
-    off = SURFACE_OFFSET_FRAC * a
-    skip = GRAZE_SKIP_FRAC * a
+def _trace_nd(scene: Scene, point, direction, off: float, skip: float, lmax: float):
     o = prev = _as_tuple(point)
     u = _as_tuple(direction)
     total = 0.0
@@ -193,53 +188,56 @@ def _trace_nd(scene: Scene, point, direction, nmax: int, lmax: float):
         total += math.sqrt(_dot(step, step))
         prev = p
         if grazing:
-            events.append((oid, None, p, n, True, total, u))
+            events.append((oid, p, n, True, u))
             o = [x + skip * y for x, y in zip(p, u)]
         else:
             c = 2.0 * _dot(u, n)
             v = [x - c * y for x, y in zip(u, n)]
             nn = math.sqrt(_dot(v, v))
             u = tuple([x / nn for x in v])
-            events.append((oid, None, p, n, False, total, u))
+            events.append((oid, p, n, False, u))
             nrefl += 1
             o = [x + off * y for x, y in zip(p, n)]
-        if nrefl >= nmax or total >= lmax:
+        if nrefl >= DEFAULT_MAX_REFLECTIONS or total >= lmax:
             return False, events, p, u, total
 
 
 class _EventLog(NamedTuple):
     """Every event of a batch of traces, one entry per event, grouped by ray
     and in order along each ray: the ray's row, the obstacle id, the arc
-    index (-1 for a body), the point, the grazing flag and the direction
-    after the event."""
+    index (-1 for a body), the point, the unit normal (facing the ray on a
+    curve), the grazing flag, the path length from the start and the
+    direction after the event."""
 
     rows: np.ndarray
     obstacle: np.ndarray
     arc: np.ndarray
     point: np.ndarray
+    normal: np.ndarray
     grazing: np.ndarray
+    length: np.ndarray
     direction: np.ndarray
 
 
-def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
-    """_trace_raw on every row of O (start points) and U (unit directions)
-    under the default limits. The rays advance in lockstep, one _hits call
-    per step. Only the rays still in flight are held, compacted, as (d, n)
-    coordinate arrays, filtered once per step by the rays that hit; a ray
-    that escapes or is cut off is written into the outputs when it stops.
-    Each ray's numbers are bitwise those of its single trace: reflections
-    and path lengths take the coordinate-order sums of _trace_2d and
-    _trace_nd.
+def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[TraceLimits] = None):
+    """Trace every row of O (start points) along the same row of U (unit
+    directions), under limits or else the default ones. The rays advance in
+    lockstep, one _hits call per step. Only the rays still in flight are
+    held, compacted, as (d, n) coordinate arrays, filtered once per step by
+    the rays that hit; a ray that escapes or is cut off is written into the
+    outputs when it stops. On a body scene under the default limits each
+    row is bitwise its _trace_raw: reflections and path lengths take the
+    coordinate-order sums of _trace_2d and _trace_nd.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
     there was none), the path length up to it and the direction along it;
     and the _EventLog of all rays.
     """
+    nmax, lmax = (limits or TraceLimits()).resolved(scene)
     a = scene.ball_radius
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
-    lmax = DEFAULT_LENGTH_FACTOR * a
     O = np.asarray(O, dtype=float)
     n_rays, d = O.shape
     escaped = np.zeros(n_rays, dtype=bool)
@@ -256,7 +254,7 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
     nrefl = np.zeros(n_rays, dtype=int)
     # An empty first step fixes the log's dtypes and shapes, also for no rays.
     none = ray[:0]
-    steps = [(none, none, none, o[:, :0], none < 0, o[:, :0])]
+    steps = [(none, none, none, o[:, :0], o[:, :0], none < 0, length[:0], o[:, :0])]
 
     def stop(i):
         """Write the last legs of the in-flight rays at positions i."""
@@ -283,20 +281,20 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray):
             o = np.where(grazing, p + skip * v, o)
         nrefl = nrefl + ~grazing
         leg = p
-        steps.append((ray, ids, arcs, p, grazing, u))
-        keep = (nrefl < DEFAULT_MAX_REFLECTIONS) & (length < lmax)
+        steps.append((ray, ids, arcs, p, n, grazing, length, u))
+        keep = (nrefl < nmax) & (length < lmax)
         if not keep.all():
             stop(np.flatnonzero(~keep))
             i = np.flatnonzero(keep)
             ray, length, nrefl = ray[i], length[i], nrefl[i]
             o, u, leg = o.take(i, axis=1), u.take(i, axis=1), leg.take(i, axis=1)
-    rows, ids, arcs, points, grazing, after = (np.concatenate(field, axis=-1)
-                                               for field in zip(*steps))
+    rows, ids, arcs, points, normals, grazing, length, after = (
+        np.concatenate(field, axis=-1) for field in zip(*steps))
     # Each ray has at most one event per step, so a stable sort groups every
     # ray's events in order.
     order = np.argsort(rows, kind="stable")
-    log = _EventLog(rows[order], ids[order], arcs[order], points.T[order], grazing[order],
-                    after.T[order])
+    log = _EventLog(rows[order], ids[order], arcs[order], points.T[order], normals.T[order],
+                    grazing[order], length[order], after.T[order])
     return escaped, legs, lengths, dirs, log
 
 
@@ -324,29 +322,41 @@ def _escape_distance(scene: Scene, origins: np.ndarray, dirs: np.ndarray) -> np.
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row inner products summed column by column from the first, the order
-    of the single-ray kernels' sums."""
+    of the refinement kernels' sums."""
     return _dot(a.T, b.T)
 
 
 def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None) -> TrajectoryRecord:
-    """Trace the billiard trajectory of an exterior phase point.
+    """Trace the billiard trajectory of an exterior phase point: the batched
+    kernel on one ray.
 
     Reflection events apply the specular law; grazing events record the
     tangency and continue straight. An escaped record ends where its last
     free leg leaves the sphere of radius 2a about the ball center, moving
-    outward; a cutoff record ends at its last event.
+    outward; a cutoff record ends at its last event. Raises ValueError
+    unless the state has the scene's dimension and starts outside every
+    body (an implicit value of at least -ROOT_TOL).
     """
-    escaped, raw, fpt, fdir, total = _trace_raw(scene, state.point, state.direction, limits)
-    if escaped:
-        s = float(_escape_distance(scene, np.array(fpt), np.array(fdir)))
-        fpt = tuple(p + s * u for p, u in zip(fpt, fdir))
+    _check_ray(scene.dimension, state.point, state.direction)
+    for i, body in enumerate(scene.bodies):
+        if evaluate_body(body, state.point)[0] < -ROOT_TOL:
+            raise ValueError(f"the start point lies inside body {i}")
+    escaped, legs, lengths, dirs, log = _trace_many(scene, np.array([state.point]),
+                                                    np.array([state.direction]), limits)
+    fpt, fdir, total = legs[0].tolist(), dirs[0].tolist(), float(lengths[0])
+    if escaped[0]:
+        s = float(_escape_distance(scene, legs[0], dirs[0]))
+        fpt = [p + s * u for p, u in zip(fpt, fdir)]
         total += s
+    # The log's fields after the row are the Event's, in its order.
+    events = zip(*(field.tolist() for field in log[1:]))
     return TrajectoryRecord(
         initial=state,
-        events=tuple(Event(*e) for e in raw),
+        events=tuple(Event(oid, None if arc < 0 else arc, tuple(p), tuple(n), g, length, tuple(w))
+                     for oid, arc, p, n, g, length, w in events),
         final=PhaseState(fpt, fdir),
         total_length=total,
-        classification=ESCAPED if escaped else CUTOFF,
+        classification=ESCAPED if escaped[0] else CUTOFF,
     )
 
 

@@ -11,11 +11,11 @@ Improvements for Ray/Sphere Intersection", Ray Tracing Gems, 2019, ch. 7).
 Taken there, the discriminant -al g0 does not cancel when a small body is
 seen from far away, so |phi| at a reported hit stays below ROOT_TOL, or
 below the rounding floor of the hit point where that is larger; a hit off
-its body beyond that raises RayIntersectError. A batched kernel applies the
-same rules to rows of rays at once, testing each kind of obstacle against
-all rays in one pass, and reproduces the single-ray numbers bit for bit: in
-every dimension both write one elementwise arithmetic, with every sum in
-coordinate order, on floats or on arrays.
+its body beyond that raises RayIntersectError. One batched kernel answers
+every scene query, testing each kind of obstacle against all rays in one
+pass. Only root refinement and ray_intersect take hits on floats, through
+scalar kernels that see bodies alone and reproduce the batched numbers bit
+for bit: both write one elementwise arithmetic, summed in coordinate order.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -218,11 +218,12 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
     a double root at its vertex and flagged grazing, as is any simple root
     whose incidence cosine is below the tangency threshold. On a one-body
     scene it is bitwise scene_first_hit. Raises ValueError unless the
-    direction is a unit vector (to UNIT_TOL = 1e-12), and RayIntersectError
-    for a hit off the body beyond ROOT_TOL and the rounding floor.
+    origin and direction have the body's dimension and the direction is a
+    unit vector (to UNIT_TOL = 1e-12), and RayIntersectError for a hit off
+    the body beyond ROOT_TOL and the rounding floor.
     """
     o, v = _as_tuple(origin), _as_tuple(direction)
-    _check_unit(v)
+    _check_ray(body.dimension, o, v)
     root = _body_root(body, o, v, t_min)
     if root is None:
         return None
@@ -236,14 +237,22 @@ def _check_unit(v) -> None:
         raise ValueError(f"direction must be a unit vector to within {UNIT_TOL}")
 
 
+def _check_ray(d: int, o, v) -> None:
+    """Refuse a ray unless its origin and direction lie in R^d and the
+    direction is a unit vector."""
+    if len(o) != d or len(v) != d:
+        raise ValueError(f"the ray's origin and direction must be {d}-dimensional")
+    _check_unit(v)
+
+
 # ---------------------------------------------------------------------------
 # One arithmetic for every kernel
 # ---------------------------------------------------------------------------
-# The expressions below run unchanged on floats (the single-ray kernels) and
+# The expressions below run unchanged on floats (the refinement kernels) and
 # on arrays (the batched kernel, one entry per ray), so each row of a batch is
-# bitwise its single ray. A point or vector is a sequence of its coordinates;
-# a ball's parameters are (1 / r^2,), an ellipsoid's the rows of M with
-# its upper triangle mirrored.
+# bitwise its refinement shot. A point or vector is a sequence of its
+# coordinates; a ball's parameters are (1 / r^2,), an ellipsoid's the rows of
+# M with its upper triangle mirrored.
 
 def _dot(a, b):
     """Sum of a[k] * b[k], taken in coordinate order from the first term."""
@@ -343,8 +352,8 @@ def _first_hit_nd(scene: Scene, o: tuple, v: tuple):
 # Batched kernel
 # ---------------------------------------------------------------------------
 # Rows of O and U are ray origins and unit directions. Each kind of obstacle
-# meets all rays in one pass over an (obstacles x rays) array, by the
-# expressions of the single-ray kernels written on arrays: the columns of O
+# meets all rays in one pass over an (obstacles x rays) array, bodies by the
+# expressions of the refinement kernels written on arrays: the columns of O
 # and U stand for the coordinates, and a kind's (K, 1) parameter columns for
 # its parameters.
 
@@ -538,19 +547,13 @@ class Scene:
 #   ("e", id, -1, *c, *upper triangle of M)     ellipsoid, M = R D^-2 R^T
 #   ("s", id, arc, x1, y1, ex, ey, ln)          segment, unit (ex, ey)
 #   ("a", id, arc, cx, cy, sa, sb, lo, span)    axis-aligned elliptic arc
-# Curves exist only in the plane. The batched kernel evaluates each kind on
-# the (K, 1) parameter columns of a _Kind stack against length-N ray arrays;
-# _first_hit_2d writes the same planar expressions out on floats, and
-# _first_hit_nd runs _quadratic and _phi on floats, so a _trace_many row is
-# bitwise its single trace.
+# Curves exist only in the plane, and only the batched kernel sees them: it
+# evaluates each kind on the (K, 1) parameter columns of a _Kind stack against
+# length-N ray arrays. _first_hit_2d writes the planar body expressions out on
+# floats, and _first_hit_nd runs _quadratic and _phi on floats, so a
+# _trace_many row on a body scene is bitwise its refinement shot.
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _on_arc(ang, lo, span):
-    """Whether the ellipse angle ang lies on the arc [lo, lo + span], to 1e-12."""
-    r = (ang - lo) % _TWO_PI
-    return (r <= span + 1e-12) | (r >= _TWO_PI - 1e-12)
 
 
 class _Kind(NamedTuple):
@@ -598,9 +601,10 @@ def _compile(scene: Scene):
 
 def _hits(scene, o, u):
     """The batched kernel on the coordinate rows o and u, (d, N) arrays, of
-    N rays: one pass per obstacle kind over all rays, by the rules of the
-    single-ray kernels; every body hit passes _guard, and RayIntersectError
-    names the lowest offending ray.
+    N rays: one pass per obstacle kind over all rays, bodies by the rules of
+    the refinement kernels, and arcs and segments by the only copy of
+    theirs; every body hit passes _guard, and RayIntersectError names the
+    lowest offending ray.
 
     Returns, for the rays that hit only, (rows, t, ids, arcs, grazing,
     points, normals): the rays' ascending positions in the batch, and points
@@ -701,15 +705,17 @@ def _kind_pass(kind: _Kind, o, u):
     far = (-b + s) / al
 
     def on_arc(t):
-        # Only roots beyond 0 take the angle test; most lanes hold none (a
-        # NaN root where the ray misses the ellipse).
+        # Only roots beyond 0 take the angle test, whether the ellipse angle
+        # lies on [lo, lo + span] to 1e-12; most lanes hold none (a NaN root
+        # where the ray misses the ellipse).
         ok = t > 0.0
         i = np.flatnonzero(ok)
         k, n = np.divmod(i, t.shape[1])
         tk = t.take(i)
         ang = np.arctan2((oy.take(n) + tk * uy.take(n) - cy.take(k)) / sb.take(k),
                          (ox.take(n) + tk * ux.take(n) - cx.take(k)) / sa.take(k))
-        ok.ravel()[i] = _on_arc(ang, lo.take(k), span.take(k))
+        r = (ang - lo.take(k)) % _TWO_PI
+        ok.ravel()[i] = (r <= span.take(k) + 1e-12) | (r >= _TWO_PI - 1e-12)
         return ok
 
     # The nearer root counts when it lies on the arc, else the farther.
@@ -718,21 +724,17 @@ def _kind_pass(kind: _Kind, o, u):
     return t, band & near_ok
 
 
-def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
-    """Closest hit for a planar ray over the tables k (a scene's _k) as
-    (obstacle_id, arc_index, t, px, py, nx, ny, cos_incidence, grazing), or
-    None; ties go to the lowest id, then to the earlier arc, and curve
-    normals face against the ray. Each body offers its first root beyond 0
-    by _body_root's rule, written out on floats, and its hit passes _guard;
-    each arc offers the first of its roots beyond 0 that lies on it.
+def _first_hit_2d(entries, ox: float, oy: float, ux: float, uy: float):
+    """Closest body hit for a planar ray over the kernel entries of a body
+    scene (its _k[0]) as (obstacle_id, t, px, py, nx, ny, cos_incidence,
+    grazing), or None; ties go to the lowest id. The refinement kernel of
+    d = 2: each body offers its first root beyond 0 by _body_root's rule,
+    written out on floats, and its hit passes _guard.
     """
     eps, sqrt = DISCRIMINANT_EPS, math.sqrt
-    best_t = math.inf
-    best = None
-    band = False
-    for e in k[0]:
-        tag = e[0]
-        if tag == "b":
+    best_t, best, band = math.inf, None, False
+    for e in entries:
+        if e[0] == "b":
             _, _, _, cx, cy, al = e
             wx = ox - cx
             wy = oy - cy
@@ -740,7 +742,7 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
             wx = wx + t0 * ux
             wy = wy + t0 * uy
             g0 = (wx * wx + wy * wy) * al - 1.0
-        elif tag == "e":
+        else:
             _, _, _, cx, cy, m00, m01, m11 = e
             wx = ox - cx
             wy = oy - cy
@@ -751,35 +753,6 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
             wx = wx + t0 * ux
             wy = wy + t0 * uy
             g0 = wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0
-        elif tag == "s":
-            _, _, _, x1, y1, ex, ey, ln = e
-            det = ux * ey - uy * ex
-            if abs(det) < 1e-15:
-                continue
-            rx = x1 - ox
-            ry = y1 - oy
-            t = (rx * ey - ry * ex) / det
-            if 0.0 < t < best_t and -1e-12 * ln <= (rx * uy - ry * ux) / det <= ln * (1.0 + 1e-12):
-                best_t, best, band = t, e, False
-            continue
-        else:
-            _, _, _, cx, cy, sa, sb, lo, span = e
-            wx = (ox - cx) / sa
-            wy = (oy - cy) / sb
-            vx = ux / sa
-            vy = uy / sb
-            al = vx * vx + vy * vy
-            b = wx * vx + wy * vy
-            disc = b * b - al * (wx * wx + wy * wy - 1.0)
-            if disc < -eps:
-                continue
-            s = sqrt(disc) if disc > eps else None
-            for t in ((-b / al,) if s is None else ((-b - s) / al, (-b + s) / al)):
-                if 0.0 < t < best_t and _on_arc(np.arctan2((oy + t * uy - cy) / sb,
-                                                            (ox + t * ux - cx) / sa), lo, span):
-                    best_t, best, band = t, e, s is None
-                    break
-            continue
         if g0 > eps:
             continue
         if g0 >= -eps:
@@ -794,60 +767,41 @@ def _first_hit_2d(k, ox: float, oy: float, ux: float, uy: float):
             best_t, best, band = t, e, False
     if best is None:
         return None
-    tag, oid, ai = best[:3]
     px = ox + best_t * ux
     py = oy + best_t * uy
-    if tag == "s":
-        nx, ny = -best[6], best[5]
+    wx = px - best[3]
+    wy = py - best[4]
+    if best[0] == "b":
+        nx, ny = wx * best[5], wy * best[5]
     else:
-        cx, cy, p0 = best[3:6]
-        wx = px - cx
-        wy = py - cy
-        if tag == "b":
-            nx, ny = wx * p0, wy * p0
-        elif tag == "a":
-            p1 = best[6]
-            nx, ny = wx / (p0 * p0), wy / (p1 * p1)
-        else:
-            p1 = best[6]
-            nx, ny = p0 * wx + p1 * wy, p1 * wx + best[7] * wy
-        nn = sqrt(nx * nx + ny * ny)
-        if tag != "a" and abs(f := wx * nx + wy * ny - 1.0) > ROOT_TOL:
-            _guard(f, nn, (ox, oy), (ux, uy), best_t)
-        nx = nx / nn
-        ny = ny / nn
-    if tag in "as" and ux * nx + uy * ny > 0.0:
-        nx = -nx
-        ny = -ny
+        nx, ny = best[5] * wx + best[6] * wy, best[6] * wx + best[7] * wy
+    nn = sqrt(nx * nx + ny * ny)
+    if abs(f := wx * nx + wy * ny - 1.0) > ROOT_TOL:
+        _guard(f, nn, (ox, oy), (ux, uy), best_t)
+    nx = nx / nn
+    ny = ny / nn
     cosi = ux * nx + uy * ny
-    return (oid, ai if ai >= 0 else None, best_t, px, py, nx, ny, cosi,
-            band or abs(cosi) < TANGENT_COS_EPS)
+    return best[1], best_t, px, py, nx, ny, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
 def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]]:
     """Closest hit of the ray over all bodies and curve arcs as
-    (obstacle_id, Hit), or None.
+    (obstacle_id, Hit), or None: the batched kernel on one ray.
 
     Ties between obstacles are broken toward the lowest obstacle id. Curve
-    normals face against the ray. Raises ValueError unless the direction is
-    a unit vector (to UNIT_TOL = 1e-12), in every dimension, and
-    RayIntersectError for a body hit off its body beyond ROOT_TOL and the
-    rounding floor.
+    normals face against the ray. Raises ValueError unless the origin and
+    direction have the scene's dimension and the direction is a unit vector
+    (to UNIT_TOL = 1e-12), and RayIntersectError for a body hit off its body
+    beyond ROOT_TOL and the rounding floor.
     """
-    o = np.asarray(origin, dtype=float)
-    v = np.asarray(direction, dtype=float)
-    _check_unit(v)
-    if scene.dimension == 2:
-        raw = _first_hit_2d(scene._k, float(o[0]), float(o[1]), float(v[0]), float(v[1]))
-        if raw is None:
-            return None
-        oid, arc, t, px, py, nx, ny, cosi, gr = raw
-        return oid, Hit(t, (px, py), (nx, ny), cosi, gr, arc)
-    hit = _first_hit_nd(scene, tuple(o.tolist()), tuple(v.tolist()))
-    if hit is None:
+    o, v = _as_tuple(origin), _as_tuple(direction)
+    _check_ray(scene.dimension, o, v)
+    rows, t, ids, arcs, grazing, p, n = _hits(scene, np.array(o)[:, None], np.array(v)[:, None])
+    if not rows.size:
         return None
-    oid, *hit = hit
-    return oid, Hit(*hit, None)
+    n, arc = tuple(n[:, 0].tolist()), int(arcs[0])
+    return int(ids[0]), Hit(float(t[0]), tuple(p[:, 0].tolist()), n, _dot(v, n),
+                            bool(grazing[0]), None if arc < 0 else arc)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,17 @@ and 1 or 2 per mirror polish, 41 in all. A table first traces the seed
 sweeps of all its source points, in lockstep batches through one batched ray
 kernel: in d = 3 every seed in one batch, in d = 2 every seed in one and the
 gap midpoints of each split depth in one more. Each sweep serves every
-partner of its point, and only root refinement (regula falsi, polish, mirror
-polish) traces one ray at a time; the sojourn scan traces all its launches
-in one batch too. The search is symmetrized: each root found sweeping from
-one endpoint is time-reversed and re-polished once from the other, and the
-pair's cells in both orders are built from those two mirror lists, so
-swapping the endpoints returns matching times by construction. Brackets that
-do not converge and polishes that miss y are dropped and counted in the
-table diagnostics, next to the number of refinement shots.
+partner of its point. Only root refinement (regula falsi, polish, mirror
+polish) traces one ray at a time, through the scalar refinement kernels,
+which see bodies alone and give bitwise the batched kernel's numbers, so a
+shot at a seed's launch direction sees the seed's exit point. The sojourn
+scan traces all its launches in one batch too. The search is symmetrized:
+each root found sweeping from one endpoint is time-reversed and re-polished
+once from the other, and the pair's cells in both orders are built from
+those two mirror lists, so swapping the endpoints returns matching times by
+construction. Brackets that do not converge and polishes that miss y are
+dropped and counted in the table diagnostics, next to the number of
+refinement shots.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere and with fewer than one seed is refused with ContractError
 rather than answered with empty sets.
@@ -344,8 +347,9 @@ def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
 
 
 def _shoot(scene: Scene, x, u):
-    """Trace from x along u to the last reference-sphere crossing; returns
-    (u, events, fdir, exit_pt, t_exit), or None when the ray does not leave."""
+    """Trace from x along u by the refinement kernel to the last
+    reference-sphere crossing; returns (u, events, fdir, exit_pt, t_exit),
+    with _trace_raw's events, or None when the ray does not leave."""
     escaped, events, leg, fdir, length = _trace_raw(scene, x, u)
     if not escaped:
         return None
@@ -507,7 +511,7 @@ def _make_sample(scene, x, y, shot) -> Optional[TravellingTimeSample]:
     residual = float(np.linalg.norm(ept - ypt))
     if residual >= _root_tol(scene):
         return None
-    itin = tuple(e[0] for e in events if not e[4])
+    itin = tuple(e[0] for e in events if not e[3])
     # Project the endpoint onto the plane through y transverse to the exit
     # ray: by stationarity of the reflected path length this removes the
     # first-order time error of the residual miss, so the reported time
@@ -753,7 +757,7 @@ def _exit_jacobian(scene, x, shot, du):
 
     u, events, _, exit_pt, _ = shot
     p, dp = np.asarray(x, dtype=float), np.zeros_like(du)
-    for oid, _, q, n, grazing, _, after in events:
+    for oid, q, n, grazing, after in events:
         if not grazing:
             q, n, body = np.asarray(q), np.asarray(n), scene.bodies[oid]
             dq = onto(dp + ((q - p) @ u) * du, u, n)

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's tracing path: the Fermat oracle is a
 plain vectorized minimization of leg lengths over a dense boundary sample
-with explicit visibility masking, and the segment clearance test is closed
-form. Each oracle is used on the opposite side of a dual check from the
+with explicit visibility masking, and the segment clearance test and the
+curve-hit oracle are closed form. Each oracle is used on the opposite side of a dual check from the
 implementation it validates.
 """
 
@@ -74,3 +74,65 @@ def ellipse_reflect_through_focus(semi_major, focal_c, point):
     B = math.sqrt(A * A - focal_c * focal_c)
     g = np.array([2.0 * point[0] / (A * A), 2.0 * point[1] / (B * B)])
     return g / np.linalg.norm(g)
+
+
+def first_curve_hits(pieces, origin, direction, slack=1e-12):
+    """Every piece a planar ray meets first, by closed forms.
+
+    ``pieces`` holds (obstacle id, arc index, piece) triples, a piece being
+    ("segment", a, b), the segment from a to b, or ("ellipse", c, (A, B),
+    (s0, s1)), the points c + (A cos s, B sin s) for s between s0 and s1 (a
+    full turn for a disk). A ray o + t v meets a segment where the 2 x 2
+    system o + t v = a + s (b - a) has 0 <= s <= 1, and an ellipse at the
+    roots of its quadratic in t, taken in the cancellation-free form
+    q / a, c / q; a root counts where its angle lies within the arc's span.
+    Both tests allow ``slack`` (in s, and in angle) past the ends, the
+    library's stated end tolerance, so a hit at a piece's end counts for
+    it. A quadratic whose discriminant, in the ellipse's unit-circle frame,
+    is within 1e-14 of 0 has the one root at its vertex: the library's
+    stated tangency band.
+
+    Returns (obstacle id, arc index, t, unit normal) for every piece hit
+    beyond 0 at the least such t, to 1e-12 relative; empty when the ray
+    meets nothing. An ellipse's normal points outward, a segment's to the
+    left of a to b.
+    """
+    o = np.asarray(origin, dtype=float)
+    v = np.asarray(direction, dtype=float)
+    found = []
+    for oid, arc, piece in pieces:
+        if piece[0] == "segment":
+            a, b = np.asarray(piece[1], dtype=float), np.asarray(piece[2], dtype=float)
+            e, w = b - a, a - o
+            cross = v[0] * e[1] - v[1] * e[0]
+            if abs(cross) < 1e-12 * math.hypot(*e):
+                continue
+            t = (w[0] * e[1] - w[1] * e[0]) / cross
+            s = (w[0] * v[1] - w[1] * v[0]) / cross
+            if t > 0.0 and -slack <= s <= 1.0 + slack:
+                n = np.array([-e[1], e[0]]) / math.hypot(*e)
+                found.append((oid, arc, t, n))
+            continue
+        _, c, (A, B), (s0, s1) = piece
+        q = (o - np.asarray(c, dtype=float)) / (A, B)
+        dv = v / (A, B)
+        qa, qb, qc = dv @ dv, q @ dv, q @ q - 1.0
+        disc = qb * qb - qa * qc
+        if disc < -1e-14:
+            continue
+        if disc <= 1e-14:
+            roots = [-qb / qa]
+        else:
+            h = -(qb + math.copysign(math.sqrt(disc), qb))
+            roots = [h / qa, qc / h]
+        lo, span = min(s0, s1), abs(s1 - s0)
+        for t in roots:
+            x, y = q + t * dv
+            turn = (math.atan2(y, x) - lo) % (2.0 * math.pi)
+            if t > 0.0 and (turn <= span + slack or turn >= 2.0 * math.pi - slack):
+                n = np.array([x / A, y / B])
+                found.append((oid, arc, t, n / np.linalg.norm(n)))
+    if not found:
+        return []
+    first = min(t for _, _, t, _ in found)
+    return [hit for hit in found if hit[2] - first <= 1e-12 * first]

@@ -104,6 +104,16 @@ def test_trace_command(disk_file, capsys):
     assert "reflections: 1" in out
 
 
+@pytest.mark.parametrize("start, direction, message", [
+    ("-10,0,0", "1,0,0", "2-dimensional"),
+    ("0,0", "1,0", "inside body 0"),
+], ids=["3d-ray-on-2d-scene", "start-inside-the-disk"])
+def test_trace_refuses_rays_it_cannot_trace(disk_file, capsys, start, direction, message):
+    assert run_command(["trace", disk_file, f"--start={start}", f"--direction={direction}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_sls_row_budget(disk_file, tmp_path, capsys):
     out_csv = tmp_path / "sls.csv"
     status = run_command(["sls", disk_file, "--omega", "1,0", "--grid", "64",

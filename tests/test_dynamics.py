@@ -160,6 +160,25 @@ def test_itinerary_non_repetition(three_disk_scene):
             assert a != b
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_trace_refuses_a_start_inside_a_body(d):
+    # A start inside the unit ball is refused; one on its boundary, moving
+    # out, is exterior.
+    scene = sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1.0),), ball_radius=10.0)
+    east = (1.0,) + (0.0,) * (d - 1)
+    with pytest.raises(ValueError, match="inside body 0"):
+        sl.trace(scene, sl.PhaseState((0.0,) * d, east))
+    rec = sl.trace(scene, sl.PhaseState(east, east))
+    assert rec.escaped and rec.events == ()
+
+
+def test_refinement_trace_refuses_curve_scenes():
+    scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
+    with pytest.raises(ValueError, match="without curves"):
+        _trace_raw(scene, (0.0, -10.0), (0.0, 1.0))
+    assert sl.trace(scene, sl.PhaseState((0.0, -10.0), (0.0, 1.0))).events
+
+
 def test_reverse_self_retracing(disk_scene):
     rec = sl.trace(disk_scene, sl.PhaseState((-10.0, 0.0), (1.0, 0.0)))
     assert sl.time_reverse_deviation(disk_scene, rec) < 1e-9
@@ -243,27 +262,45 @@ def test_direction_norm_preserved_along_orbit(two_disk_scene):
 
 
 def _assert_trace_many_matches(scene, O, dirs) -> list:
-    """Every row of a _trace_many call equals its single trace bit for bit:
-    the escape flag, the itinerary, the logged events in order, the last
-    leg's origin, the path length and the final direction. Returns the
-    itineraries."""
+    """Every row of a _trace_many call on a body scene equals its refinement
+    trace bit for bit: the escape flag, the itinerary, the logged events in
+    order, the last leg's origin, the path length and the final direction.
+    Returns the itineraries."""
     n = len(dirs)
     escaped, legs, lengths, finals, log = _trace_many(scene, O, dirs)
     itins = _itineraries(log, n)
+    assert np.all(log.arc == -1)
     for k, (x, u) in enumerate(zip(O, dirs)):
         esc, events, leg, fdir, length = _trace_raw(scene, x, u)
         assert escaped[k] == esc
-        assert itins[k] == tuple(e[0] for e in events if not e[4])
+        assert itins[k] == tuple(e[0] for e in events if not e[3])
         # The log holds the ray's events in order, each bitwise its own.
         rows = np.flatnonzero(log.rows == k)
-        assert [(log.obstacle[r], None if log.arc[r] < 0 else log.arc[r],
-                 tuple(log.point[r].tolist()), bool(log.grazing[r]),
-                 tuple(log.direction[r].tolist())) for r in rows] == \
-            [(e[0], e[1], e[2], e[4], e[6]) for e in events]
+        assert [(log.obstacle[r], tuple(log.point[r].tolist()), tuple(log.normal[r].tolist()),
+                 bool(log.grazing[r]), tuple(log.direction[r].tolist())) for r in rows] == events
+        if rows.size:
+            assert log.length[rows[-1]] == length
         assert tuple(legs[k].tolist()) == leg
         assert lengths[k] == length
         assert tuple(finals[k].tolist()) == fdir
     return itins
+
+
+def _assert_trace_many_matches_trace(scene, O, U):
+    """Every row of a _trace_many call equals the record trace gives its ray
+    alone, event for event: the one-ray API on a scene with curves, which
+    the refinement kernels refuse."""
+    escaped, legs, lengths, finals, log = _trace_many(scene, O, U)
+    for k, (x, u) in enumerate(zip(O, U)):
+        rec = sl.trace(scene, sl.PhaseState(x, u))
+        assert escaped[k] == rec.escaped
+        rows = np.flatnonzero(log.rows == k)
+        assert [(log.obstacle[r], None if log.arc[r] < 0 else log.arc[r],
+                 tuple(log.point[r].tolist()), tuple(log.normal[r].tolist()),
+                 bool(log.grazing[r]), log.length[r], tuple(log.direction[r].tolist()))
+                for r in rows] == [(e.obstacle, e.arc, e.point, e.normal, e.grazing,
+                                    e.path_length, e.direction_after) for e in rec.events]
+        assert tuple(finals[k].tolist()) == rec.final.direction
 
 
 def test_trace_many_matches_single_traces(ball_ellipsoid_scene):
@@ -319,7 +356,8 @@ def test_trace_many_matches_single_traces_on_curve_obstacles():
     # Rays from the reference circle aimed near the cavity reflect off the
     # plates, the bowl and the sealed pocket's shell, and rays tangent to the
     # bowl's ellipse graze it; every event's arc index, grazing flag and
-    # direction after the curve normal's reflection must be bitwise.
+    # direction after the curve normal's reflection must be bitwise those of
+    # the ray traced alone.
     scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
     rng = np.random.default_rng(3)
     angle = rng.uniform(0.0, 2.0 * math.pi, 400)
@@ -334,7 +372,7 @@ def test_trace_many_matches_single_traces_on_curve_obstacles():
         O.append([touch - 5.0 * tangent + h * normal for h in (-1e-6, -1e-10, 0.0, 1e-10, 1e-6)])
         U.append(np.tile(tangent, (5, 1)))
     O, U = np.vstack(O), np.vstack(U)
-    _assert_trace_many_matches(scene, O, U)
+    _assert_trace_many_matches_trace(scene, O, U)
     log = _trace_many(scene, O, U)[4]
     curves = log.obstacle >= len(scene.bodies)
     assert {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)} <= set(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.geometry import (ROOT_TOL, _body_reach, _hits, _support_separation,
-                                 body_pair_distance)
+from scatterlab.geometry import (ROOT_TOL, _body_reach, _first_hit_2d, _first_hit_nd, _hits,
+                                 _support_separation, body_pair_distance)
+from oracles import first_curve_hits
 
 
 def _batch_hits(scene, O, U):
@@ -22,6 +23,21 @@ def _batch_hits(scene, O, U):
     for full, part in zip(out, hit[:4] + [hit[4].T, hit[5].T]):
         full[rows] = part
     return out
+
+
+def _refinement_hit(scene, o, v):
+    """The refinement kernel's hit of one ray on a body scene, _first_hit_2d
+    in the plane and _first_hit_nd above, as (id, t, point, normal,
+    grazing), or None."""
+    o, v = tuple(map(float, o)), tuple(map(float, v))
+    if scene.dimension == 2:
+        hit = _first_hit_2d(scene._k[0], *o, *v)
+        if hit is None:
+            return None
+        oid, t, px, py, nx, ny, _, grazing = hit
+        return oid, t, (px, py), (nx, ny), grazing
+    hit = _first_hit_nd(scene, o, v)
+    return None if hit is None else (*hit[:4], hit[5])
 
 
 def test_evaluate_unit_ball_center():
@@ -245,22 +261,23 @@ def test_batched_kernel_matches_scene_first_hit(d):
     U = np.array([v for _, v in rays])
     t, ids, arcs, grazing, points, normals = _batch_hits(scene, O, U)
     assert np.all(arcs == -1)
-    # In every d both kernels run one elementwise arithmetic, with every sum
-    # in coordinate order, so they agree bit for bit.
+    # In every d the batched and refinement kernels run one elementwise
+    # arithmetic, with every sum in coordinate order, so they agree bit for
+    # bit: the bracket solver's shots see the sweep's numbers.
     kinds = set()
     for k, (o, v) in enumerate(rays):
-        ref = sl.scene_first_hit(scene, o, v)
+        ref = _refinement_hit(scene, o, v)
         if ref is None:
             assert ids[k] == -1 and t[k] == math.inf and not grazing[k]
             kinds.add("miss")
             continue
-        oid, hit = ref
+        oid, hit_t, point, normal, graze = ref
         assert ids[k] == oid
-        assert bool(grazing[k]) == hit.grazing
-        assert t[k] == hit.t
-        assert tuple(points[k].tolist()) == hit.point
-        assert tuple(normals[k].tolist()) == hit.normal
-        kinds.add(("graze" if hit.grazing else "hit", oid))
+        assert bool(grazing[k]) == graze
+        assert t[k] == hit_t
+        assert tuple(points[k].tolist()) == point
+        assert tuple(normals[k].tolist()) == normal
+        kinds.add(("graze" if graze else "hit", oid))
     # Misses, hits on the ball and on the first copy of the ellipsoid (the
     # tie rule keeps the second copy out), and grazes on both shapes.
     assert kinds == {"miss", ("hit", 0), ("hit", 1), ("graze", 0), ("graze", 1)}
@@ -269,7 +286,7 @@ def test_batched_kernel_matches_scene_first_hit(d):
 def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch):
     # Seen from 2,000 away, bodies of size 0.01: the roots, taken about the
     # ray's vertex, need no repair, so the batched kernel never hands a row
-    # to the single-ray kernel; the two kernels still agree bit for bit, and
+    # to a refinement kernel; the two kernels still agree bit for bit, and
     # every reported point is on its body to ROOT_TOL.
     scene = sl.Scene(dimension=2,
                      bodies=(sl.ball((0.0, 0.0), 1e-2),
@@ -283,21 +300,22 @@ def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
 
     def no_single_ray(*args):
-        raise AssertionError("the batched kernel called scene_first_hit")
+        raise AssertionError("the batched kernel called a refinement kernel")
 
     with monkeypatch.context() as m:
-        m.setattr(sl.geometry, "scene_first_hit", no_single_ray)
+        for name in ("_first_hit_2d", "_first_hit_nd", "_body_root", "_surface_at"):
+            m.setattr(sl.geometry, name, no_single_ray)
         t, ids, _, grazing, points, normals = _batch_hits(scene, O, U)
     assert {0, 1} <= set(ids.tolist())
     for k in range(200):
-        ref = sl.scene_first_hit(scene, O[k], U[k])
+        ref = _refinement_hit(scene, O[k], U[k])
         if ref is None:
             assert ids[k] == -1
             continue
-        oid, hit = ref
-        assert (ids[k], t[k], bool(grazing[k])) == (oid, hit.t, hit.grazing)
-        assert tuple(points[k].tolist()) == hit.point
-        assert tuple(normals[k].tolist()) == hit.normal
+        oid, hit_t, point, normal, graze = ref
+        assert (ids[k], t[k], bool(grazing[k])) == (oid, hit_t, graze)
+        assert tuple(points[k].tolist()) == point
+        assert tuple(normals[k].tolist()) == normal
         assert abs(sl.evaluate_body(scene.bodies[oid], points[k])[0]) <= ROOT_TOL
 
 
@@ -338,17 +356,17 @@ def test_small_far_bodies_abort_no_ray(target, d):
         batch = slice(start, start + 200)
         t, ids, _, grazing, points, normals = _batch_hits(scene, O[batch], U[batch])
         for k, (o, v) in enumerate(zip(O[batch], U[batch])):
-            ref = sl.scene_first_hit(scene, o, v)
+            ref = _refinement_hit(scene, o, v)
             if ref is None:
                 assert ids[k] == -1
                 continue
             hits += 1
-            oid, hit = ref
-            assert (ids[k], t[k], bool(grazing[k])) == (oid, hit.t, hit.grazing)
-            assert tuple(points[k].tolist()) == hit.point
-            assert tuple(normals[k].tolist()) == hit.normal
-            value, grad = sl.evaluate_body(scene.bodies[oid], hit.point)
-            floor = (8.0 * np.finfo(float).eps * math.sqrt(d) * (np.max(np.abs(o)) + hit.t)
+            oid, hit_t, point, normal, graze = ref
+            assert (ids[k], t[k], bool(grazing[k])) == (oid, hit_t, graze)
+            assert tuple(points[k].tolist()) == point
+            assert tuple(normals[k].tolist()) == normal
+            value, grad = sl.evaluate_body(scene.bodies[oid], point)
+            floor = (8.0 * np.finfo(float).eps * math.sqrt(d) * (np.max(np.abs(o)) + hit_t)
                      * 0.5 * np.linalg.norm(grad))
             assert abs(value) <= max(ROOT_TOL, floor)
     assert hits > 0.8 * n
@@ -369,6 +387,7 @@ def test_off_body_hits_raise(d, monkeypatch):
     monkeypatch.setattr(sl.geometry, "ROOT_TOL", 0.0)
     monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
     calls = (lambda: sl.ray_intersect(body, origin, v),
+             lambda: _refinement_hit(scene, origin, v),
              lambda: sl.scene_first_hit(scene, origin, v),
              lambda: _batch_hits(scene, np.array([origin, origin]), np.array([miss, v])))
     for call in calls:
@@ -391,7 +410,7 @@ def test_off_body_hits_raise_for_the_lowest_row(monkeypatch):
     monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
     for o, v in rays:
         with pytest.raises(sl.RayIntersectError):
-            sl.scene_first_hit(scene, o, v)
+            _refinement_hit(scene, o, v)
     for batch in (rays, rays[::-1]):
         O = np.array([o for o, _ in batch])
         U = np.array([v for _, v in batch])
@@ -457,8 +476,9 @@ def _segment_arc_scene() -> sl.Scene:
 
 
 def _curve_rays(scene, rng):
-    """Random rays aimed near the curves, rays aimed exactly at every arc
-    endpoint, and rays tangent to every elliptic arc, from outside."""
+    """Random rays aimed near the curves; rays aimed exactly at every arc
+    endpoint, and at points 5e-13 and 1e-6 past it, inside and outside the
+    kernel's end tolerance; and rays tangent to every elliptic arc."""
     rays = []
 
     def aim(origin, target):
@@ -469,11 +489,16 @@ def _curve_rays(scene, rng):
         aim(rng.uniform(-6.0, 6.0, size=2), rng.uniform(-2.5, 1.0, size=2))
     for curve in scene.curves:
         for arc in curve.arcs:
-            for end in (arc.start, arc.end):
+            if isinstance(arc, sl.EllipticArc):
+                lo, hi = sorted(arc.angles)
+                past = [arc.point(s) for s in (lo - 1e-6, lo - 5e-13, hi + 5e-13, hi + 1e-6)]
+            else:
+                a, b = np.asarray(arc.start), np.asarray(arc.end)
+                past = [a + s * (b - a) for s in (-1e-6, -5e-13, 1.0 + 5e-13, 1.0 + 1e-6)]
+            for end in [arc.start, arc.end] + past:
                 for _ in range(4):
                     aim(np.asarray(end) + rng.normal(scale=3.0, size=2), end)
             if isinstance(arc, sl.EllipticArc):
-                lo, hi = sorted(arc.angles)
                 for s in rng.uniform(lo, hi, size=30):
                     sa, sb = arc.semiaxes
                     v = np.array([-sa * math.sin(s), sb * math.cos(s)])
@@ -482,10 +507,39 @@ def _curve_rays(scene, rng):
     return rays
 
 
+def _oracle_pieces(scene):
+    """The scene's bodies (disks) and curve arcs as first_curve_hits takes
+    them."""
+    pieces = [(i, None, ("ellipse", b.center, b.semiaxes, (0.0, 2.0 * math.pi)))
+              for i, b in enumerate(scene.bodies)]
+    for ci, curve in enumerate(scene.curves):
+        for ai, arc in enumerate(curve.arcs):
+            piece = (("segment", arc.start, arc.end) if isinstance(arc, sl.SegmentArc)
+                     else ("ellipse", arc.center, arc.semiaxes, arc.angles))
+            pieces.append((len(scene.bodies) + ci, ai, piece))
+    return pieces
+
+
+def _assert_matches_oracle(scene, o, v, oid, arc, t, normal):
+    """The hit (oid, arc, t, normal) is one the closed-form oracle finds
+    first on the ray, at its t to 1e-12 relative (absolute below t = 1), with
+    the oracle's normal: outward on a body, facing the ray on an arc."""
+    want = {(i, a): (ti, n) for i, a, ti, n in first_curve_hits(_oracle_pieces(scene), o, v)}
+    assert (oid, arc) in want
+    ti, n = want[oid, arc]
+    assert abs(t - ti) <= 1e-12 * max(ti, 1.0)
+    if arc is not None:
+        # Summed as the kernel sums it: at a tangency the sign is rounding.
+        assert v[0] * normal[0] + v[1] * normal[1] <= 0.0
+        n = n if np.dot(normal, n) > 0.0 else -n
+    assert np.allclose(normal, n, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("variant", ["bump", "flat", "segment-arc"])
 def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
-    # Both kernels run the planar arithmetic, elementwise in the batched
-    # one, so body and arc hits agree bit for bit.
+    # Against closed forms written apart from the library: every ray the
+    # oracle sees miss is a miss, and every hit is on the obstacle and arc
+    # the oracle finds first, at its t.
     if variant == "segment-arc":
         scene = _segment_arc_scene()
     else:
@@ -494,24 +548,20 @@ def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
     O = np.array([o for o, _ in rays])
     U = np.array([v for _, v in rays])
     t, ids, arcs, grazing, points, normals = _batch_hits(scene, O, U)
+    pieces = _oracle_pieces(scene)
     kinds = set()
     for k, (o, v) in enumerate(rays):
-        ref = sl.scene_first_hit(scene, o, v)
-        if ref is None:
-            assert ids[k] == -1 and arcs[k] == -1 and t[k] == math.inf and not grazing[k]
+        if ids[k] == -1:
+            assert arcs[k] == -1 and t[k] == math.inf and not grazing[k]
+            assert first_curve_hits(pieces, o, v) == []
             kinds.add("miss")
             continue
-        oid, hit = ref
-        assert (ids[k], arcs[k], bool(grazing[k])) == (oid, -1 if hit.arc is None else hit.arc,
-                                                       hit.grazing)
-        assert t[k] == hit.t
-        assert tuple(points[k].tolist()) == hit.point
-        nx, ny = normals[k].tolist()
-        assert (nx, ny) == hit.normal
-        if hit.arc is not None:
-            assert v[0] * nx + v[1] * ny <= 0.0
-            arc = scene.curves[oid - len(scene.bodies)].arcs[hit.arc]
-            kinds.add(("graze" if hit.grazing else "hit", type(arc).__name__))
+        arc = None if arcs[k] < 0 else int(arcs[k])
+        _assert_matches_oracle(scene, o, v, ids[k], arc, t[k], normals[k])
+        assert np.allclose(points[k], o + t[k] * v, rtol=0.0, atol=1e-12 * (1.0 + t[k]))
+        if arc is not None:
+            curve = scene.curves[ids[k] - len(scene.bodies)]
+            kinds.add(("graze" if grazing[k] else "hit", type(curve.arcs[arc]).__name__))
     assert {"miss", ("hit", "SegmentArc"), ("hit", "EllipticArc"),
             ("graze", "EllipticArc")} <= kinds
 
@@ -519,13 +569,15 @@ def test_batched_kernel_matches_scene_first_hit_on_curves(variant):
 def test_batched_kernel_matches_scene_first_hit_at_an_arc_end():
     # The arc's end, with its 1e-12 tolerance, falls between the angles
     # math.atan2 and np.arctan2 give this hit (1.9510774591155278 and
-    # 1.9510774591155275 with numpy 2.4): both kernels take the angle by
-    # np.arctan2, so both place the hit on the arc.
+    # 1.9510774591155275 with numpy 2.4): the kernel takes the angle by
+    # np.arctan2, so it places the hit on the arc; the oracle, by its own
+    # arithmetic, agrees.
     arc = sl.EllipticArc((0.0, 0.0), (1.5, 0.8), (0.0, 1.9510774591145275))
     scene = sl.Scene(dimension=2, curves=(sl.CurveObstacle((arc,)),), ball_radius=10.0)
     o, v = (-4.0, 2.5), (0.8907196712762726, -0.45455304113105294)
     oid, hit = sl.scene_first_hit(scene, o, v)
     assert (oid, hit.arc) == (0, 0)
+    _assert_matches_oracle(scene, o, v, oid, hit.arc, hit.t, hit.normal)
     t, ids, arcs, grazing, points, normals = _batch_hits(scene, np.array([o]), np.array([v]))
     assert (ids[0], arcs[0], t[0], bool(grazing[0])) == (0, 0, hit.t, hit.grazing)
     assert tuple(points[0].tolist()) == hit.point
@@ -927,6 +979,25 @@ def test_single_ray_queries_refuse_non_unit_directions(d, bad):
         sl.scene_first_hit(scene, origin, direction)
     with pytest.raises(ValueError, match="unit vector"):
         sl.ray_intersect(scene.bodies[0], origin, direction)
+
+
+def _unit_ball_scene(d):
+    return sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1.0),), ball_radius=10.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sl.trace(_unit_ball_scene(2), sl.PhaseState((-5.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+    lambda: sl.scene_first_hit(_unit_ball_scene(2), (-5.0, 0.0, 2.0), (1.0, 0.0, 0.0)),
+    lambda: sl.scene_first_hit(_unit_ball_scene(3), (-5.0, 0.0), (1.0, 0.0)),
+    lambda: sl.ray_intersect(_unit_ball_scene(3).bodies[0], (-5.0, 0.0), (1.0, 0.0)),
+    lambda: sl.ray_intersect(_unit_ball_scene(2).bodies[0], (-5.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+], ids=["trace-3d-state-2d-scene", "first-hit-3d-ray-2d-scene", "first-hit-2d-ray-3d-scene",
+        "intersect-2d-ray-3d-ball", "intersect-3d-ray-2d-disk"])
+def test_single_ray_queries_refuse_rays_of_another_dimension(call):
+    # A ray in another dimension than the scene or body is refused, never
+    # answered from its first coordinates.
+    with pytest.raises(ValueError, match="dimensional"):
+        call()
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -6,7 +6,6 @@ import pytest
 from scipy.spatial import cKDTree
 
 import scatterlab as sl
-from scatterlab.dynamics import _trace_raw
 from scatterlab.rigidity import _nearest_distance
 
 # ---------------------------------------------------------------------------
@@ -506,12 +505,11 @@ def test_livshits_hidden_arcs_unreachable_small():
 # ---------------------------------------------------------------------------
 # Ray families against one-ray-at-a-time references
 # ---------------------------------------------------------------------------
-# Each reference traces every ray alone through the scalar kernel, as the
-# families did before they were traced in lockstep batches.
+# Each reference traces every ray alone through trace, as the families did
+# before they were traced in lockstep batches.
 
 def _reflections_one_at_a_time(scene, probes):
-    return [sum(1 for e in _trace_raw(scene, p.point, p.direction)[1] if not e[4])
-            for p in probes]
+    return [sl.trace(scene, p).reflections for p in probes]
 
 
 def test_probe_counts_match_one_at_a_time(three_disk_scene):
@@ -533,14 +531,15 @@ def _coverage_one_at_a_time(scene, n_rays, eps, seed):
     marks = {}
     n_escaped = n_cutoff = 0
     for p in sl.sphere_probes(scene, n_rays, seed):
-        escaped, events, _, _, _ = _trace_raw(scene, p.point, p.direction)
-        if not escaped:
+        rec = sl.trace(scene, p)
+        if not rec.escaped:
             n_cutoff += 1
             continue
         n_escaped += 1
-        for e in events:
-            if not e[4]:
-                marks.setdefault(e[0] if e[0] < nb else (e[0], e[1]), []).append(e[2])
+        for e in rec.events:
+            if not e.grazing:
+                marks.setdefault(e.obstacle if e.obstacle < nb else (e.obstacle, e.arc),
+                                 []).append(e.point)
 
     def covered(samples, key):
         if key not in marks:
@@ -598,26 +597,25 @@ def _livshits_one_at_a_time(params, scenes):
             for j in range(params.n_angles):
                 phi = -amax + 2.0 * amax * (j + 0.5) / params.n_angles
                 u = (math.sin(phi), -math.cos(phi))
-                escaped, events, leg, fdir, length = _trace_raw(scene, (x0, 0.0), u)
+                rec = sl.trace(scene, sl.PhaseState((x0, 0.0), u))
                 incoming = u
-                for e in events:
-                    h += e[0] in hidden_ids
-                    u_hits += (e[0], e[1]) in plates and incoming[1] > 0.0
-                    incoming = e[6]
-                if events:
-                    (px, py), (dx, dy) = events[-1][2], events[-1][6]
+                for e in rec.events:
+                    h += e.obstacle in hidden_ids
+                    u_hits += (e.obstacle, e.arc) in plates and incoming[1] > 0.0
+                    incoming = e.direction_after
+                if rec.events:
+                    (px, py), (dx, dy) = rec.events[-1].point, rec.events[-1].direction_after
                     if dy > 0.0:
                         max_exit = max(max_exit, abs(px + (-py / dy) * dx))
-                rec = sl.trace(scene, sl.PhaseState((x0, 0.0), u)) if escaped else None
-                table.append((rec.total_length,) if escaped else ())
+                table.append((rec.total_length,) if rec.escaped else ())
         hidden.append(h)
         underside.append(u_hits)
         cells.append(table)
     focal = 0.0
     for j in range(params.n_focal):
         phi = math.radians(-80.0 + 160.0 * (j + 0.5) / params.n_focal)
-        events = _trace_raw(scenes[0], (-c, 0.0), (math.sin(phi), -math.cos(phi)))[1]
-        (px, py), (dx, dy) = events[0][2], events[0][6]
+        first = sl.trace(scenes[0], sl.PhaseState((-c, 0.0), (math.sin(phi), -math.cos(phi))))
+        (px, py), (dx, dy) = first.events[0].point, first.events[0].direction_after
         r = np.array([c, 0.0]) - np.array([px, py])
         focal = max(focal, abs(dx * r[1] - dy * r[0]) / math.hypot(dx, dy))
     return tuple(hidden), tuple(underside), focal, max_exit, cells

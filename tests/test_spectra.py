@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.dynamics import _trace_raw
 from scatterlab.geometry import _as_tuple
 from scatterlab.spectra import impact_lattice, plane_basis, unit_vector
 from oracles import blocked_pair, circle_pair, fermat_circle_times
@@ -305,7 +304,7 @@ def test_scan_launches_match_one_at_a_time(request, scene_name, omega):
     ("ball_ellipsoid_scene", (0.0, 0.6, 0.8)),
 ])
 def test_scan_matches_one_at_a_time(request, scene_name, omega):
-    # The reference traces every launch alone through the scalar kernel.
+    # The reference traces every launch alone, through trace.
     if scene_name == "livshits_bump":
         scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
     else:
@@ -315,17 +314,19 @@ def test_scan_matches_one_at_a_time(request, scene_name, omega):
     win = unit_vector(omega)
     samples = iter(table.samples)
     for k, launch in enumerate(_launches(scene, win, 400)):
-        escaped, events, leg, fdir, length = _trace_raw(scene, launch, win)
-        if not escaped:
+        rec = sl.trace(scene, sl.PhaseState(launch, win))
+        if not rec.escaped:
             assert table.cells[k] == ()
             continue
         s = next(samples)
         assert s.index == k
-        assert s.itinerary == tuple(e[0] for e in events if not e[4])
-        assert s.grazing == any(e[4] for e in events)
+        assert s.itinerary == sl.itinerary(rec)
+        assert s.grazing == (rec.grazings > 0)
         want = 0.0
-        if events:
-            want = length + (launch - c) @ win - (np.asarray(leg) - c) @ fdir
+        if rec.events:
+            last = rec.events[-1]
+            want = (last.path_length + (launch - c) @ win
+                    - (np.asarray(last.point) - c) @ rec.final.direction)
         assert abs(s.sojourn - want) <= 1e-10
         assert table.cells[k] == (s.sojourn,)
     assert next(samples, None) is None
@@ -424,7 +425,7 @@ def _scalar_sweep(scene, x, n_seeds):
         if shot is None:
             return psi, False, 0.0, ()
         return (psi, True, spectra._sphere_angle(scene, shot[3]),
-                tuple(e[0] for e in shot[1] if not e[4]))
+                tuple(e[0] for e in shot[1] if not e[3]))
 
     def needs_split(ea, eb):
         return (ea[1] != eb[1] or ea[3] != eb[3]
@@ -899,8 +900,8 @@ def _central_jacobian(scene, x, u0, ab, h=1e-6):
     rows = []
     for e in np.eye(len(basis)) * h:
         plus, minus = (_offset_shot(scene, x, u0, basis, ab + s * e) for s in (1.0, -1.0))
-        if plus is None or minus is None or ([ev[:2] + ev[4:5] for ev in plus[1]]
-                                             != [ev[:2] + ev[4:5] for ev in minus[1]]):
+        if plus is None or minus is None or ([(ev[0], ev[3]) for ev in plus[1]]
+                                             != [(ev[0], ev[3]) for ev in minus[1]]):
             return None
         rows.append((np.asarray(plus[3]) - np.asarray(minus[3])) / (2.0 * h))
     return np.array(rows)
@@ -934,8 +935,8 @@ def test_exit_jacobian_matches_central_differences(ball_ellipsoid_scene):
         u0 = (aim - x) / np.linalg.norm(aim - x)
         ab = rng.normal(scale=0.05, size=2)
         shot, jac = _carried_jacobian(scene, x, u0, ab)
-        if shot is None or any(abs(np.dot(u, ev[3])) < 0.3
-                               for u, ev in zip([shot[0]] + [ev[6] for ev in shot[1]], shot[1])):
+        if shot is None or any(abs(np.dot(u, ev[2])) < 0.3
+                               for u, ev in zip([shot[0]] + [ev[4] for ev in shot[1]], shot[1])):
             continue
         refl = min(len(shot[1]), 2)
         if checked[refl] >= 4:
@@ -961,10 +962,10 @@ def test_exit_jacobian_skips_grazing_events(ball_ellipsoid_scene):
     x = np.array([-math.sqrt(99.0), 1.0, 0.0])
     u0, ab = np.array([1.0, 0.0, 0.0]), np.zeros(2)
     shot, jac = _carried_jacobian(scene, x, u0, ab)
-    assert [(ev[0], ev[4]) for ev in shot[1]] == [(0, True), (1, False)]
+    assert [(ev[0], ev[3]) for ev in shot[1]] == [(0, True), (1, False)]
     alone = sl.Scene(dimension=3, bodies=scene.bodies[1:], ball_radius=scene.ball_radius)
     shot_alone, jac_alone = _carried_jacobian(alone, x, u0, ab)
-    assert [(ev[0], ev[4]) for ev in shot_alone[1]] == [(0, False)]
+    assert [(ev[0], ev[3]) for ev in shot_alone[1]] == [(0, False)]
     central = _central_jacobian(alone, x, u0, ab)
     scale = float(np.max(np.abs(central)))
     assert np.max(np.abs(jac - central)) <= 1e-6 * scale
