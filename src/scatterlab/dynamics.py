@@ -121,7 +121,8 @@ def _trace_raw(scene: Scene, point, direction):
     """The refinement kernel: one trace of a body scene under the default
     limits, by _first_hit_2d or _first_hit_nd on floats, bitwise its
     _trace_many row. Events are tuples (obstacle, point, normal, grazing,
-    direction_after). Raises ValueError on a scene with curves.
+    direction_after). Raises ValueError on a scene with curves. Only d = 3
+    shots use it; the d = 2 branch is the batched kernel's test reference.
 
     Returns (escaped, events, leg_origin, direction, leg_length), ending at
     the last free leg: its origin (the last event point, or the start point

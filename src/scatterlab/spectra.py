@@ -24,14 +24,17 @@ gap midpoints of each split depth in one more. Each sweep serves every
 partner of its point. Only root refinement (regula falsi, polish, mirror
 polish) traces one ray at a time, through the scalar refinement kernels,
 which see bodies alone and give bitwise the batched kernel's numbers, so a
-shot at a seed's launch direction sees the seed's exit point. The sojourn
-scan traces all its launches in one batch too. The search is symmetrized:
-each root found sweeping from one endpoint is time-reversed and re-polished
-once from the other, and the pair's cells in both orders are built from
-those two mirror lists, so swapping the endpoints returns matching times by
-construction. Brackets that do not converge and polishes that miss y are
-dropped and counted in the table diagnostics, next to the number of
-refinement shots.
+shot at a seed's launch direction sees the seed's exit point. A d = 2 shot
+is one planar float path, from launch angle to exit-angle miss, with no
+dimension dispatch and no numpy call; a sample keeps numpy's dot products
+for its residual and time, whose last bits a Python sum would change. The
+sojourn scan traces all its launches in one batch too. The search is
+symmetrized: each root found sweeping from one endpoint is time-reversed
+and re-polished once from the other, and the pair's cells in both orders
+are built from those two mirror lists, so swapping the endpoints returns
+matching times by construction. Brackets that do not converge and polishes
+that miss y are dropped and counted in the table diagnostics, next to the
+number of refinement shots.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere and with fewer than one seed is refused with ContractError
 rather than answered with empty sets.
@@ -42,12 +45,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import _coldot, _itineraries, _trace_many, _trace_raw
+from .dynamics import (DEFAULT_LENGTH_FACTOR, GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot,
+                       _itineraries, _trace_2d, _trace_many, _trace_raw)
 from .geometry import Scene, _as_tuple, _dot, fibonacci_sphere
 
 DIRECTION_MATCH_TOL = 1e-9
@@ -315,28 +319,10 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 # Travelling times: seed sweeps
 # ---------------------------------------------------------------------------
 
-def _exit_crossing(scene: Scene, leg_origin, leg_length: float, fdir):
-    """Last crossing of the reference sphere on the outgoing free leg from
-    leg_origin, at path length leg_length, along fdir; returns the crossing
-    point (a tuple) and its path length, or (None, None) when the leg does
-    not cross. Products are summed in coordinate order, as _coldot sums them."""
-    a = scene.ball_radius
-    w = [x - y for x, y in zip(leg_origin, scene.ball_center)]
-    b = _dot(w, fdir)
-    g = _dot(w, w) - a * a
-    disc = b * b - g
-    if disc < 0.0:
-        return None, None
-    s = -b + math.sqrt(disc)
-    if s < 0.0:
-        return None, None
-    return tuple(p + s * v for p, v in zip(leg_origin, fdir)), leg_length + s
-
-
 def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
-    """_exit_crossing of the free legs starting at the rows of legs along the
-    rows of dirs; returns the exit points and a mask of the legs that cross.
-    Each row's exit point is bitwise the scalar one."""
+    """The last reference-sphere crossing of the free legs starting at the
+    rows of legs along the rows of dirs; returns the exit points and a mask
+    of the legs that cross. Each row's exit point is bitwise a shot's."""
     a = scene.ball_radius
     w = legs - np.asarray(scene.ball_center)
     b = _coldot(w, dirs)
@@ -347,16 +333,23 @@ def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
 
 
 def _shoot(scene: Scene, x, u):
-    """Trace from x along u by the refinement kernel to the last
-    reference-sphere crossing; returns (u, events, fdir, exit_pt, t_exit),
-    with _trace_raw's events, or None when the ray does not leave."""
+    """The d = 3 refinement shot: trace from x along u by _trace_raw to the
+    last reference-sphere crossing, summing products in coordinate order as
+    _coldot does; returns (u, events, fdir, exit_pt, t_exit), with
+    _trace_raw's events, or None when the ray does not leave or cross."""
     escaped, events, leg, fdir, length = _trace_raw(scene, x, u)
     if not escaped:
         return None
-    exit_pt, t_exit = _exit_crossing(scene, leg, length, fdir)
-    if exit_pt is None:
+    a = scene.ball_radius
+    w = [p - c for p, c in zip(leg, scene.ball_center)]
+    b = _dot(w, fdir)
+    disc = b * b - (_dot(w, w) - a * a)
+    if disc < 0.0:
         return None
-    return u, events, fdir, exit_pt, t_exit
+    s = -b + math.sqrt(disc)
+    if s < 0.0:
+        return None
+    return u, events, fdir, tuple(p + s * v for p, v in zip(leg, fdir)), length + s
 
 
 def _sphere_angle(scene: Scene, p) -> float:
@@ -384,14 +377,6 @@ _BOUNDARY_SPLIT_DEPTH = 6
 _EXIT_JUMP_TOL = 0.08
 
 
-def _launch_dir(frame, psi: float) -> tuple:
-    """Inward direction at angle psi from the sphere normal of a d = 2 frame,
-    by the arithmetic of the lockstep sweep."""
-    m, mp = frame
-    c, s = math.cos(psi), math.sin(psi)
-    return (c * m[0] + s * mp[0], c * m[1] + s * mp[1])
-
-
 @dataclass(frozen=True)
 class _Sweep2D:
     frame: tuple
@@ -408,7 +393,7 @@ class _Sweep2D:
 @functools.lru_cache(maxsize=8)
 def _seed_fan(n_seeds: int):
     """The launch angles of the n_seeds inward seeds of a d = 2 sweep and
-    their math.cos and math.sin, as _launch_dir takes them; read-only, one
+    their math.cos and math.sin, as _delta_at takes them; read-only, one
     fan per seed count shared by every sweep."""
     psi = [-0.5 * math.pi + math.pi * (k + 0.5) / n_seeds for k in range(n_seeds)]
     fan = np.array([psi, [math.cos(p) for p in psi], [math.sin(p) for p in psi]])
@@ -492,10 +477,31 @@ def _wrap(angle):
 # ---------------------------------------------------------------------------
 
 def _delta_at(scene, x, frame, psi, target_angle):
-    shot = _shoot(scene, x, _launch_dir(frame, psi))
-    if shot is None:
+    """The d = 2 refinement shot from x at launch angle psi in frame, one
+    planar float path bitwise the sweep's: returns the exit-angle miss to
+    target_angle, wrapped as _wrap does, and the shot (u, events, fdir,
+    exit_pt, t_exit) with _trace_2d's events, or (None, None)."""
+    m, mp = frame
+    c, sn = math.cos(psi), math.sin(psi)
+    u = (c * m[0] + sn * mp[0], c * m[1] + sn * mp[1])
+    a = scene.ball_radius
+    escaped, events, (lx, ly), fdir, length = _trace_2d(
+        scene._k[0], x, u, SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a, DEFAULT_LENGTH_FACTOR * a)
+    if not escaped:
         return None, None
-    return _wrap(_sphere_angle(scene, shot[3]) - target_angle), shot
+    cx, cy = scene.ball_center
+    f0, f1 = fdir
+    w0, w1 = lx - cx, ly - cy
+    b = w0 * f0 + w1 * f1
+    disc = b * b - ((w0 * w0 + w1 * w1) - a * a)
+    if disc < 0.0:
+        return None, None
+    s = -b + math.sqrt(disc)
+    if s < 0.0:
+        return None, None
+    ex, ey = lx + s * f0, ly + s * f1
+    miss = (math.atan2(ey - cy, ex - cx) - target_angle + math.pi) % _TWO_PI - math.pi
+    return miss, (u, events, fdir, (ex, ey), length + s)
 
 
 def _root_tol(scene: Scene) -> float:
@@ -507,28 +513,24 @@ def _root_tol(scene: Scene) -> float:
 def _make_sample(scene, x, y, shot) -> Optional[TravellingTimeSample]:
     u, events, fdir, exit_pt, t_exit = shot
     ypt = np.asarray(y, dtype=float)
-    ept = np.asarray(exit_pt, dtype=float)
-    residual = float(np.linalg.norm(ept - ypt))
+    miss = np.subtract(exit_pt, ypt)
+    # numpy's dot products, not sums written out in Python, which differ
+    # from them in the last bit: miss.dot(miss) is np.linalg.norm's square.
+    residual = math.sqrt(float(miss.dot(miss)))
     if residual >= _root_tol(scene):
         return None
     itin = tuple(e[0] for e in events if not e[3])
     # Project the endpoint onto the plane through y transverse to the exit
     # ray: by stationarity of the reflected path length this removes the
     # first-order time error of the residual miss, so the reported time
-    # matches the true root time to O(residual^2).
-    t_corr = float(t_exit) + float((ypt - ept) @ np.asarray(fdir))
+    # matches the true root time to O(residual^2). y - exit_pt is -miss
+    # exactly, so this is t_exit + (y - exit_pt) . fdir bit for bit.
+    t_corr = float(t_exit) - float(miss @ fdir)
     # The pair index stays 0 until the merge sets it.
     return TravellingTimeSample(
-        pair=0,
-        x=_as_tuple(x),
-        y=_as_tuple(y),
-        t=t_corr,
-        reflections=len(itin),
-        dir_in=_as_tuple(u),
-        dir_out=_as_tuple(fdir),
-        residual=residual,
-        itinerary=itin,
-    )
+        pair=0, x=tuple(np.asarray(x, dtype=float).tolist()), y=tuple(ypt.tolist()), t=t_corr,
+        reflections=len(itin), dir_in=tuple(map(float, u)), dir_out=tuple(map(float, fdir)),
+        residual=residual, itinerary=itin)
 
 
 def _angle_goal(scene) -> float:
@@ -687,7 +689,11 @@ def _merge_bidirectional(scene, own, own_mirrors, opposite_mirrors, pair):
     by construction; one-way-only roots are near-tangent and are dropped."""
     kept = [s for s, m in zip(own, own_mirrors) if m is not None]
     kept += [m for m in opposite_mirrors if m is not None]
-    return [replace(s, pair=pair) for s in _dedup_samples(scene, kept)]
+    out = _dedup_samples(scene, kept)
+    # Every sample enters one merge only, so its pair is set in place.
+    for s in out:
+        object.__setattr__(s, "pair", pair)
+    return out
 
 
 def find_xy_geodesics(scene: Scene, x, y,

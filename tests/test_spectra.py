@@ -414,18 +414,19 @@ def test_spectrum_2d_matches_per_pair_search(two_disk_scene):
             dataclasses.replace(s, pair=k) for s in alone]
 
 
-def _scalar_sweep(scene, x, n_seeds):
-    """The d = 2 sweep from x one shot at a time, each split gap subdivided
-    depth first: the reference the lockstep sweep reproduces."""
+def _scalar_sweep(scene, x, n_seeds, ty):
+    """The d = 2 sweep from x one refinement shot at a time, each split gap
+    subdivided depth first: the reference the lockstep sweep reproduces.
+    Entries are (psi, escaped, exit angle, itinerary, exit-angle miss to ty)."""
     spectra = sl.spectra
     frame = spectra._frame_at(scene, x)
 
     def entry(psi):
-        shot = spectra._shoot(scene, x, spectra._launch_dir(frame, psi))
+        miss, shot = spectra._delta_at(scene, x, frame, psi, ty)
         if shot is None:
-            return psi, False, 0.0, ()
+            return psi, False, 0.0, (), None
         return (psi, True, spectra._sphere_angle(scene, shot[3]),
-                tuple(e[0] for e in shot[1] if not e[3]))
+                tuple(e[0] for e in shot[1] if not e[3]), miss)
 
     def needs_split(ea, eb):
         return (ea[1] != eb[1] or ea[3] != eb[3]
@@ -448,29 +449,44 @@ def _scalar_sweep(scene, x, n_seeds):
     return out
 
 
-@pytest.mark.parametrize("scene_name", ["two_disk_scene", "three_disk_scene"])
+@pytest.fixture(scope="module")
+def disk_ellipse_scene():
+    """A disk and a rotated ellipse in d = 2."""
+    return sl.Scene(dimension=2,
+                    bodies=(sl.ball((-3.0, 0.5), 1.0),
+                            sl.ellipsoid((3.0, -0.5), (1.6, 0.8), sl.rotation_2d(0.6))),
+                    ball_radius=10.0)
+
+
+@pytest.mark.parametrize("scene_name", ["two_disk_scene", "three_disk_scene",
+                                        "disk_ellipse_scene"])
 def test_batched_sweep_matches_scalar_shots(scene_name, request):
     # The lockstep sweep has the entries of the one-shot-at-a-time sweep, in
     # the same order, and each makes the escape and itinerary decisions of a
-    # single _shoot at its launch angle. Both run one planar arithmetic, so
-    # exit angles agree bitwise at every reflection depth, and the bracket
-    # solver sees exactly the misses that the sweep saw.
+    # single refinement shot (_delta_at) at its launch angle. Both run one
+    # planar arithmetic, on disks and on rotated ellipses, so exit angles
+    # agree bitwise at every reflection depth, and the bracket solver sees
+    # exactly the misses that the sweep saw.
     scene = request.getfixturevalue(scene_name)
     spectra = sl.spectra
     x = np.array([10.0 * math.cos(2.2), 10.0 * math.sin(2.2)])
     (sweep,), _, rays = spectra._sweeps_2d(scene, x[None, :], spectra.SEEDS_2D)
-    ref = _scalar_sweep(scene, x, spectra.SEEDS_2D)
+    ty = -0.9
+    ref = _scalar_sweep(scene, x, spectra.SEEDS_2D, ty)
     assert sweep.psi == [e[0] for e in ref]
     assert rays == len(ref) > spectra.SEEDS_2D
     # The sweep keeps its itineraries ragged; decoded, each is a tuple again.
     itineraries = [tuple(sweep.obstacles[s:s + n].tolist())
                    for s, n in zip(sweep.first.tolist(), sweep.reflections.tolist())]
     assert any(itineraries)
-    for (_, escaped, angle, itin), got_escaped, got_angle, got_itin in zip(
-            ref, sweep.escaped, sweep.angle, itineraries, strict=True):
+    # The misses _refine_pair_2d takes from the sweep.
+    delta = spectra._wrap(sweep.angle - ty).tolist()
+    for (_, escaped, angle, itin, miss), got_escaped, got_angle, got_itin, got_miss in zip(
+            ref, sweep.escaped, sweep.angle, itineraries, delta, strict=True):
         assert got_escaped == escaped
         assert got_itin == itin
         assert got_angle == angle
+        assert miss is None if not escaped else got_miss == miss
 
 
 def test_ragged_itineraries_differ_as_tuples_do():
@@ -521,6 +537,53 @@ def test_bracket_scan_matches_scalar_loop(two_disk_scene, monkeypatch):
         spectra._refine_pair_2d(two_disk_scene, pts[i], pts[j], sweep)
     assert calls == want
     assert any(len(c) == 1 for c in want)
+
+
+def _sample_shots(scene):
+    """A hundred refinement shots into scene from one sphere point x, some
+    of them reflecting; returns x and the shots that leave."""
+    spectra = sl.spectra
+    rng = np.random.default_rng(11)
+    if scene.dimension == 2:
+        x = np.array([10.0 * math.cos(2.2), 10.0 * math.sin(2.2)])
+        frame = spectra._frame_at(scene, x)
+        shots = [spectra._delta_at(scene, x, frame, psi, 0.0)[1]
+                 for psi in rng.uniform(-1.4, 1.4, 100).tolist()]
+    else:
+        x = np.array([-10.0, 0.0, 0.0])
+        dirs = np.array([20.0, 0.0, 0.0]) + rng.uniform(-6.0, 6.0, (100, 3)) - x
+        shots = [spectra._shoot(scene, x, u / math.sqrt(u @ u)) for u in dirs]
+    return x, [shot for shot in shots if shot is not None]
+
+
+@pytest.mark.parametrize("scene_name", ["two_disk_scene", "ball_ellipsoid_scene"])
+def test_make_sample_keeps_numpy_bits(scene_name, request):
+    # A sample's residual is numpy's norm of the miss and its time takes
+    # numpy's dot product, bit for bit: a sum written out in Python differs
+    # from them in the last bit for about one 2-vector in twelve. Each y
+    # sits within the root tolerance of the shot's exit point.
+    scene = request.getfixturevalue(scene_name)
+    spectra = sl.spectra
+    rng = np.random.default_rng(12)
+    x, shots = _sample_shots(scene)
+    assert len(shots) > 50
+    assert any(shot[1] for shot in shots)
+    tol = spectra._root_tol(scene)
+    for u, events, fdir, exit_pt, t_exit in shots:
+        e = np.asarray(exit_pt)
+        for _ in range(3):
+            v = rng.normal(size=scene.dimension)
+            y = e + rng.uniform(0.05, 0.9) * tol * v / np.linalg.norm(v)
+            s = spectra._make_sample(scene, x, y, (u, events, fdir, exit_pt, t_exit))
+            assert s.residual == float(np.linalg.norm(e - y))
+            assert s.t == t_exit + float((y - e) @ np.asarray(fdir))
+            # At a shot time of 0 the dot product's last bit shows in t.
+            s0 = spectra._make_sample(scene, x, y, (u, events, fdir, exit_pt, 0.0))
+            assert s0.t == float((y - e) @ np.asarray(fdir))
+            assert (s.x, s.y, s.dir_in, s.dir_out) == tuple(
+                tuple(np.asarray(p).tolist()) for p in (x, y, u, fdir))
+            assert all(type(c) is float for p in (s.x, s.y, s.dir_in, s.dir_out) for c in p)
+            assert type(s.t) is float and type(s.residual) is float
 
 
 def _fake_miss(monkeypatch, miss):
@@ -621,17 +684,18 @@ def test_dropped_brackets_by_reason(empty_scene):
 
 def test_refine_shot_budget(two_disk_scene, monkeypatch):
     # Counted work: refine_shots counts every shot after the sweep (bracket
-    # solves, exact hits, mirror polishes). Bisecting each bracket fired
-    # 2,691 shots here; the regula falsi fires 609.
+    # solves, exact hits, mirror polishes), each one d = 2 refinement shot
+    # (_delta_at). Bisecting each bracket fired 2,691 shots here; the regula
+    # falsi fires 610.
     spectra = sl.spectra
-    shoot = spectra._shoot
+    shoot = spectra._delta_at
     shots = []
 
     def counting_shoot(*args):
         shots.append(1)
         return shoot(*args)
 
-    monkeypatch.setattr(spectra, "_shoot", counting_shoot)
+    monkeypatch.setattr(spectra, "_delta_at", counting_shoot)
     table = sl.travelling_time_spectrum(two_disk_scene, n_points=4, phase=0.3)
     assert table.samples
     assert table.diagnostics_dict()["refine_shots"] == len(shots) <= 900
@@ -640,9 +704,10 @@ def test_refine_shot_budget(two_disk_scene, monkeypatch):
 def test_sweep_lockstep_budget(two_disk_scene, monkeypatch):
     # Counted work: the sweeps of all source points take one batched trace
     # for the seeds and one per split depth; only root refinement shoots
-    # single rays. Tracing every sweep shot alone fires 6,761 shots here.
+    # single rays (_delta_at). Tracing every sweep shot alone fires 6,761
+    # shots here.
     spectra = sl.spectra
-    shoot, many = spectra._shoot, spectra._trace_many
+    shoot, many = spectra._delta_at, spectra._trace_many
     shots = []
     rows = []
 
@@ -654,12 +719,12 @@ def test_sweep_lockstep_budget(two_disk_scene, monkeypatch):
         rows.append(len(O))
         return many(scene, O, U)
 
-    monkeypatch.setattr(spectra, "_shoot", counting_shoot)
+    monkeypatch.setattr(spectra, "_delta_at", counting_shoot)
     monkeypatch.setattr(spectra, "_trace_many", counting_many)
     table = sl.travelling_time_spectrum(two_disk_scene, n_points=4, phase=0.3)
     assert table.samples
     assert len(rows) <= 1 + spectra._BOUNDARY_SPLIT_DEPTH
-    assert len(shots) <= 3000
+    assert 0 < len(shots) <= 3000
     assert table.diagnostics_dict()["sweep_rays"] == sum(rows)
 
 
