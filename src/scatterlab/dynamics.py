@@ -8,6 +8,11 @@ through the tangency; the event is still recorded and flagged.
 The trapped set is not decidable numerically. Tracing classifies a
 trajectory as ``cutoff`` once it exceeds the reflection or path-length
 limits, and every consumer treats cutoff as trapped-for-this-experiment.
+
+Every trace runs on the batched kernel (_trace_many) but root refinement's
+shots, one ray each on floats: _trace_2d over a body scene's planar kernel
+entries, _trace_nd over its bodies in any d. Each is bitwise its batch row
+under the default limits, and in the plane the two are bitwise each other.
 """
 
 from __future__ import annotations
@@ -117,27 +122,13 @@ def reflect(v, n) -> np.ndarray:
     return out / float(np.linalg.norm(out))
 
 
-def _trace_raw(scene: Scene, point, direction):
-    """The refinement kernel: one trace of a body scene under the default
-    limits, by _first_hit_2d or _first_hit_nd on floats, bitwise its
-    _trace_many row. Events are tuples (obstacle, point, normal, grazing,
-    direction_after). Raises ValueError on a scene with curves. Only d = 3
-    shots use it; the d = 2 branch is the batched kernel's test reference.
-
-    Returns (escaped, events, leg_origin, direction, leg_length), ending at
-    the last free leg: its origin (the last event point, or the start point
-    when there was no event), the path length up to it, and the direction
-    along it. An escaped trace runs to infinity along that leg; a cutoff
-    trace stops at its origin.
-    """
-    if scene.curves:
-        raise ValueError("the refinement kernels trace scenes without curves only")
-    a = scene.ball_radius
-    scales = (SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a, DEFAULT_LENGTH_FACTOR * a)
-    if scene.dimension == 2:
-        return _trace_2d(scene._k[0], point, direction, *scales)
-    return _trace_nd(scene, point, direction, *scales)
-
+# The refinement traces take the limits' scales off, skip and lmax. Events
+# are tuples (obstacle, point, normal, grazing, direction_after). Both return
+# (escaped, events, leg_origin, direction, leg_length), ending at the last
+# free leg: its origin (the last event point, or the start point when there
+# was no event), the path length up to it, and the direction along it. An
+# escaped trace runs to infinity along that leg; a cutoff trace stops at its
+# origin.
 
 def _trace_2d(entries, point, direction, off: float, skip: float, lmax: float):
     ox, oy = float(point[0]), float(point[1])
@@ -174,14 +165,14 @@ def _trace_2d(entries, point, direction, off: float, skip: float, lmax: float):
             return False, events, (px, py), (ux, uy), total
 
 
-def _trace_nd(scene: Scene, point, direction, off: float, skip: float, lmax: float):
+def _trace_nd(bodies, point, direction, off: float, skip: float, lmax: float):
     o = prev = _as_tuple(point)
     u = _as_tuple(direction)
     total = 0.0
     nrefl = 0
     events = []
     while True:
-        hit = _first_hit_nd(scene, o, u)
+        hit = _first_hit_nd(bodies, o, u)
         if hit is None:
             return True, events, prev, u, total
         oid, _, p, n, _, grazing = hit
@@ -227,8 +218,8 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     held, compacted, as (d, n) coordinate arrays, filtered once per step by
     the rays that hit; a ray that escapes or is cut off is written into the
     outputs when it stops. On a body scene under the default limits each
-    row is bitwise its _trace_raw: reflections and path lengths take the
-    coordinate-order sums of _trace_2d and _trace_nd.
+    row is bitwise its _trace_2d and _trace_nd traces: reflections and path
+    lengths take their coordinate-order sums.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -308,17 +299,16 @@ def _itineraries(log: _EventLog, n: int) -> list:
     return [tuple(ids[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
 
-def _escape_distance(scene: Scene, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Distance along each free leg from the rows of origins along the rows
-    of dirs to where it last crosses the sphere of radius 2a about the ball
-    center; never negative, and the distance of closest approach for a leg
-    that misses that sphere."""
-    w = origins - np.asarray(scene.ball_center)
+def _sphere_exit(scene: Scene, legs: np.ndarray, dirs: np.ndarray, r: float):
+    """(s, disc) for the free legs from the rows of legs along the rows of
+    dirs and the sphere of radius r about the ball center: s is the distance
+    to the leg's last crossing of it, and disc is negative where the leg
+    misses it, where s is the distance of closest approach instead. Sums go
+    in coordinate order, so a row is bitwise a refinement shot's crossing."""
+    w = legs - np.asarray(scene.ball_center)
     b = _coldot(w, dirs)
-    r = 2.0 * scene.ball_radius
     disc = b * b - (_coldot(w, w) - r * r)
-    s = np.where(disc >= 0.0, -b + np.sqrt(np.maximum(disc, 0.0)), -b)
-    return np.maximum(s, 0.0)
+    return -b + np.sqrt(np.maximum(disc, 0.0)), disc
 
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,7 +336,7 @@ def trace(scene: Scene, state: PhaseState, limits: Optional[TraceLimits] = None)
                                                     np.array([state.direction]), limits)
     fpt, fdir, total = legs[0].tolist(), dirs[0].tolist(), float(lengths[0])
     if escaped[0]:
-        s = float(_escape_distance(scene, legs[0], dirs[0]))
+        s = max(float(_sphere_exit(scene, legs[0], dirs[0], 2.0 * scene.ball_radius)[0]), 0.0)
         fpt = [p + s * u for p, u in zip(fpt, fdir)]
         total += s
     # The log's fields after the row are the Event's, in its order.

@@ -13,9 +13,10 @@ seen from far away, so |phi| at a reported hit stays below ROOT_TOL, or
 below the rounding floor of the hit point where that is larger; a hit off
 its body beyond that raises RayIntersectError. One batched kernel answers
 every scene query, testing each kind of obstacle against all rays in one
-pass. Only root refinement and ray_intersect take hits on floats, through
-scalar kernels that see bodies alone and reproduce the batched numbers bit
-for bit: both write one elementwise arithmetic, summed in coordinate order.
+pass. Only root refinement and ray_intersect take hits on floats, by two
+scalar rules that see bodies alone and match the batched kernel bit for bit
+(one elementwise arithmetic, summed in coordinate order): _first_hit_2d for
+the planar shot, _first_hit_nd for the d = 3 shot and ray_intersect.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -130,10 +131,6 @@ class ConvexBody:
     def dimension(self) -> int:
         return len(self.center)
 
-    @property
-    def is_ball(self) -> bool:
-        return self.kind == "ball"
-
 
 def ball(center, radius: float) -> ConvexBody:
     center = np.asarray(center, dtype=float)
@@ -164,19 +161,20 @@ def evaluate_body(body: ConvexBody, x) -> tuple[float, np.ndarray]:
 
 def boundary_samples(body: ConvexBody, n: int) -> np.ndarray:
     """Deterministic sample of n points on the body boundary."""
-    u = _unit_directions(body.dimension, n)
+    u = sphere_lattice(body.dimension, n)
     return body._c + (u * np.asarray(body.semiaxes)) @ np.asarray(body.rotation).T
 
 
-def _unit_directions(d: int, n: int) -> np.ndarray:
-    """Deterministic n unit vectors in R^d: an angle lattice in the plane, a
-    Fibonacci lattice on the 2-sphere, seeded normal draws above."""
-    if d == 2:
-        ang = 2.0 * math.pi * np.arange(n) / n
+def sphere_lattice(dimension: int, n: int, phase: float = 0.0) -> np.ndarray:
+    """Deterministic n unit vectors in R^d: an angle lattice turned by phase
+    in the plane, a Fibonacci lattice on the 2-sphere and seeded normal draws
+    above, where phase is not used."""
+    if dimension == 2:
+        ang = phase + 2.0 * math.pi * np.arange(n) / n
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    if d == 3:
+    if dimension == 3:
         return fibonacci_sphere(n)
-    u = np.random.default_rng(1234).normal(size=(n, d))
+    u = np.random.default_rng(1234).normal(size=(n, dimension))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
@@ -224,11 +222,8 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
     """
     o, v = _as_tuple(origin), _as_tuple(direction)
     _check_ray(body.dimension, o, v)
-    root = _body_root(body, o, v, t_min)
-    if root is None:
-        return None
-    t, band = root
-    return Hit(t, *_surface_at(body, o, v, t, band), None)
+    hit = _first_hit_nd((body,), o, v, t_min)
+    return None if hit is None else Hit(*hit[1:])
 
 
 def _check_unit(v) -> None:
@@ -306,46 +301,37 @@ def _guard(f, nn, o, u, t) -> None:
         raise RayIntersectError(_OFF_BODY, o, u)
 
 
-def _body_root(body: ConvexBody, o, v, t_min: float):
-    """The single-ray root rule: (t, band) for the first boundary crossing
-    after t_min, where band marks the double-root snap band, whose one root
-    is the vertex t0; or None. The roots are t0 -+ sqrt(-al g0) / al."""
-    al, t0, g0 = _quadratic(body._tag, body.center, body._par, o, v)
-    if g0 > DISCRIMINANT_EPS:
-        return None
-    if g0 >= -DISCRIMINANT_EPS:
-        return (t0, True) if t0 > t_min else None
-    h = math.sqrt(-al * g0) / al
-    for t in (t0 - h, t0 + h):
-        if t > t_min:
-            return t, False
-    return None
-
-
-def _surface_at(body: ConvexBody, o, v, t: float, band: bool):
-    """At ray parameter t: the boundary point, its outward unit normal, the
-    incidence cosine and the grazing flag; _guard checks the point."""
-    p = tuple([x + t * y for x, y in zip(o, v)])
-    f, g = _phi(body._tag, body.center, body._par, p)
-    nn = math.sqrt(_dot(g, g))
-    _guard(f, nn, o, v, t)
-    n = tuple([x / nn for x in g])
-    cosi = _dot(v, n)
-    return p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
-
-
-def _first_hit_nd(scene: Scene, o: tuple, v: tuple):
-    """Nearest body hit of one ray in d >= 3 as (id, t, point, normal,
-    cos_incidence, grazing), or None, by _first_hit_2d's rules on floats;
-    ties go to the lowest id. The direction must be a unit vector."""
+def _first_hit_nd(bodies, o: tuple, v: tuple, t_min: float = 0.0):
+    """Nearest hit after t_min of one ray on the bodies, in any d, as (id, t,
+    point, normal, cos_incidence, grazing), or None; ties go to the lowest
+    id. Each body offers its first root of al (t - t0)^2 + g0 after t_min,
+    t0 -+ sqrt(-al g0) / al, or in the double-root snap band its vertex t0;
+    the hit passes _guard. The direction must be a unit vector."""
     best_t, best, band = math.inf, None, False
-    for i, body in enumerate(scene.bodies):
-        root = _body_root(body, o, v, 0.0)
-        if root is not None and root[0] < best_t:
-            (best_t, band), best = root, i
+    for i, body in enumerate(bodies):
+        al, t0, g0 = _quadratic(body._tag, body.center, body._par, o, v)
+        if g0 > DISCRIMINANT_EPS:
+            continue
+        if g0 >= -DISCRIMINANT_EPS:
+            if t_min < t0 < best_t:
+                best_t, best, band = t0, i, True
+            continue
+        h = math.sqrt(-al * g0) / al
+        t = t0 - h
+        if not t > t_min:
+            t = t0 + h
+        if t_min < t < best_t:
+            best_t, best, band = t, i, False
     if best is None:
         return None
-    return (best, best_t, *_surface_at(scene.bodies[best], o, v, best_t, band))
+    body = bodies[best]
+    p = tuple([x + best_t * y for x, y in zip(o, v)])
+    f, g = _phi(body._tag, body.center, body._par, p)
+    nn = math.sqrt(_dot(g, g))
+    _guard(f, nn, o, v, best_t)
+    n = tuple([x / nn for x in g])
+    cosi = _dot(v, n)
+    return best, best_t, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +349,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _roots_beyond_zero(al, t0, g0):
-    """_body_root's rule on arrays of quadratics al (t - t0)^2 + g0 and
+    """_first_hit_nd's root rule on arrays of quadratics al (t - t0)^2 + g0 and
     t_min = 0: (t, band), t the first root beyond 0 (inf where none) and
     band the double-root snap band, whose one root is t0."""
     band = np.abs(g0) <= DISCRIMINANT_EPS
@@ -728,7 +714,7 @@ def _first_hit_2d(entries, ox: float, oy: float, ux: float, uy: float):
     """Closest body hit for a planar ray over the kernel entries of a body
     scene (its _k[0]) as (obstacle_id, t, px, py, nx, ny, cos_incidence,
     grazing), or None; ties go to the lowest id. The refinement kernel of
-    d = 2: each body offers its first root beyond 0 by _body_root's rule,
+    d = 2: each body offers its first root beyond 0 by _first_hit_nd's rule,
     written out on floats, and its hit passes _guard.
     """
     eps, sqrt = DISCRIMINANT_EPS, math.sqrt
@@ -886,7 +872,7 @@ def _support_separation(a: ConvexBody, b: ConvexBody):
         return dc / span, g, math.hypot(*w)
     la, lb, dc = la / scale, lb / scale, dc / scale
     d = dc.size
-    starts = _unit_directions(d, _PAIR_SAMPLES)
+    starts = sphere_lattice(d, _PAIR_SAMPLES)
     gs = (starts @ dc - np.linalg.norm(starts @ la.T, axis=1)
           - np.linalg.norm(starts @ lb.T, axis=1))
     n = starts[int(np.argmax(gs))]

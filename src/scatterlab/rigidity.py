@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PhaseState, _escape_distance, _trace_many
+from .dynamics import PhaseState, _sphere_exit, _trace_many
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
                        _rowdot, boundary_samples)
 from .spectra import (_BLOCK_ENTRIES, ContractError, SpectrumTable,
@@ -553,8 +553,8 @@ def livshits_demo(params: Optional[LivshitsParams] = None) -> LivshitsReport:
         px, py = legs[up].T
         dx, dy = dirs[up].T
         max_exit = max([max_exit] + np.abs(px + (-py / dy) * dx).tolist())
-        cells = [(t,) if ok else () for t, ok in
-                 zip((lengths + _escape_distance(scene, legs, dirs)).tolist(), escaped.tolist())]
+        s = np.maximum(_sphere_exit(scene, legs, dirs, 2.0 * scene.ball_radius)[0], 0.0)
+        cells = [(t,) if ok else () for t, ok in zip((lengths + s).tolist(), escaped.tolist())]
         grid = _grid_tuple({
             "kind": "livshits-family",
             "n_offsets": params.n_offsets,

@@ -22,11 +22,12 @@ sweeps of all its source points, in lockstep batches through one batched ray
 kernel: in d = 3 every seed in one batch, in d = 2 every seed in one and the
 gap midpoints of each split depth in one more. Each sweep serves every
 partner of its point. Only root refinement (regula falsi, polish, mirror
-polish) traces one ray at a time, through the scalar refinement kernels,
+polish) traces one ray at a time, through the float refinement traces,
 which see bodies alone and give bitwise the batched kernel's numbers, so a
 shot at a seed's launch direction sees the seed's exit point. A d = 2 shot
 is one planar float path, from launch angle to exit-angle miss, with no
-dimension dispatch and no numpy call; a sample keeps numpy's dot products
+dimension dispatch and no numpy call; a d = 3 shot is the n-D float trace
+and the same exit crossing on floats. A sample keeps numpy's dot products
 for its residual and time, whose last bits a Python sum would change. The
 sojourn scan traces all its launches in one batch too. The search is
 symmetrized: each root found sweeping from one endpoint is time-reversed
@@ -36,8 +37,8 @@ matching times by construction. Brackets that do not converge and polishes
 that miss y are dropped and counted in the table diagnostics, next to the
 number of refinement shots.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
-reference sphere and with fewer than one seed is refused with ContractError
-rather than answered with empty sets.
+reference sphere, with fewer than one seed and at a lattice phase off the
+plane is refused with ContractError rather than answered with empty sets.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DEFAULT_LENGTH_FACTOR, GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot,
-                       _itineraries, _trace_2d, _trace_many, _trace_raw)
-from .geometry import Scene, _as_tuple, _dot, fibonacci_sphere
+                       _itineraries, _sphere_exit, _trace_2d, _trace_many, _trace_nd)
+from .geometry import Scene, _as_tuple, _dot, fibonacci_sphere, sphere_lattice
 
 DIRECTION_MATCH_TOL = 1e-9
 
@@ -233,18 +234,6 @@ def impact_lattice(dimension: int, n: int, radius: float) -> np.ndarray:
     return np.array(pts)
 
 
-def sphere_lattice(dimension: int, n: int, phase: float = 0.0) -> np.ndarray:
-    """Deterministic lattice of unit vectors (reference-sphere directions)."""
-    if dimension == 2:
-        ang = phase + _TWO_PI * np.arange(n) / n
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if dimension == 3:
-        return fibonacci_sphere(n)
-    rng = np.random.default_rng(11)
-    u = rng.normal(size=(n, dimension))
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
 def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
@@ -319,28 +308,16 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 # Travelling times: seed sweeps
 # ---------------------------------------------------------------------------
 
-def _exit_crossings(scene: Scene, legs: np.ndarray, dirs: np.ndarray):
-    """The last reference-sphere crossing of the free legs starting at the
-    rows of legs along the rows of dirs; returns the exit points and a mask
-    of the legs that cross. Each row's exit point is bitwise a shot's."""
-    a = scene.ball_radius
-    w = legs - np.asarray(scene.ball_center)
-    b = _coldot(w, dirs)
-    g = _coldot(w, w) - a * a
-    disc = b * b - g
-    s = -b + np.sqrt(np.maximum(disc, 0.0))
-    return legs + s[:, None] * dirs, (disc >= 0.0) & (s >= 0.0)
-
-
 def _shoot(scene: Scene, x, u):
-    """The d = 3 refinement shot: trace from x along u by _trace_raw to the
+    """The d = 3 refinement shot: trace from x along u by _trace_nd to the
     last reference-sphere crossing, summing products in coordinate order as
-    _coldot does; returns (u, events, fdir, exit_pt, t_exit), with
-    _trace_raw's events, or None when the ray does not leave or cross."""
-    escaped, events, leg, fdir, length = _trace_raw(scene, x, u)
+    _sphere_exit does; returns (u, events, fdir, exit_pt, t_exit), with
+    _trace_nd's events, or None when the ray does not leave or cross."""
+    a = scene.ball_radius
+    escaped, events, leg, fdir, length = _trace_nd(
+        scene.bodies, x, u, SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a, DEFAULT_LENGTH_FACTOR * a)
     if not escaped:
         return None
-    a = scene.ball_radius
     w = [p - c for p, c in zip(leg, scene.ball_center)]
     b = _dot(w, fdir)
     disc = b * b - (_dot(w, w) - a * a)
@@ -415,11 +392,12 @@ def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
     def shots(src, cos, sin):
         u = cos[:, None] * m[src] + sin[:, None] * mp[src]
         escaped, legs, _, dirs, log = _trace_many(scene, xs[src], u)
-        pts, crosses = _exit_crossings(scene, legs, dirs)
-        ok = escaped & crosses
+        s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
+        ok = escaped & (disc >= 0.0) & (s >= 0.0)
+        pts = legs[ok] + s[ok, None] * dirs[ok] - center
         angle = np.zeros(len(u))
         # math.atan2, not np.arctan2, which can differ in the last bit.
-        angle[ok] = [math.atan2(py, px) for px, py in (pts[ok] - center).tolist()]
+        angle[ok] = [math.atan2(py, px) for px, py in pts.tolist()]
         refl = ~log.grazing
         count = np.bincount(log.rows[refl], minlength=len(u))
         return ok, angle, np.where(ok, count, 0), np.cumsum(count) - count, log.obstacle[refl]
@@ -927,9 +905,9 @@ def _sweeps_3d(scene, xs, n_seeds):
         seeds.append(hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1])
     escaped, legs, _, dirs, _ = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
                                             np.concatenate(seeds))
-    exits, crosses = _exit_crossings(scene, legs, dirs)
-    left = escaped & crosses
-    exits[~left] = np.inf
+    s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
+    left = escaped & (disc >= 0.0) & (s >= 0.0)
+    exits = np.where(left[:, None], legs + s[:, None] * dirs, np.inf)
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
     sweeps = [_Sweep3D(u, exits[k * len(hemi):(k + 1) * len(hemi)], nbrs, window)
               for k, u in enumerate(seeds)]
@@ -1068,7 +1046,11 @@ def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,
 def _pair_grid(scene: Scene, n_points: int, min_sep_deg: float, phase: float):
     """Lattice points on the reference sphere and the ordered index pairs
     (i, j) of distinct points more than min_sep_deg apart; the separation
-    test is symmetric, so (j, i) is a pair whenever (i, j) is."""
+    test is symmetric, so (j, i) is a pair whenever (i, j) is. Refuses a
+    phase in d >= 3, whose lattices do not turn."""
+    if phase != 0.0 and scene.dimension >= 3:
+        raise ContractError(f"the lattice phase turns the planar lattice only, so d = "
+                            f"{scene.dimension} takes phase 0, not {phase}")
     dirs = sphere_lattice(scene.dimension, n_points, phase)
     pts = np.asarray(scene.ball_center) + scene.ball_radius * dirs
     min_cos = math.cos(math.radians(min_sep_deg))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.dynamics import _itineraries, _trace_many, _trace_raw
+from scatterlab.dynamics import _itineraries, _trace_2d, _trace_many, _trace_nd
 from scatterlab.spectra import _hemisphere, _shoot, plane_basis, sphere_lattice
 from oracles import mirror_direction
 
@@ -172,13 +172,6 @@ def test_trace_refuses_a_start_inside_a_body(d):
     assert rec.escaped and rec.events == ()
 
 
-def test_refinement_trace_refuses_curve_scenes():
-    scene = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
-    with pytest.raises(ValueError, match="without curves"):
-        _trace_raw(scene, (0.0, -10.0), (0.0, 1.0))
-    assert sl.trace(scene, sl.PhaseState((0.0, -10.0), (0.0, 1.0))).events
-
-
 def test_reverse_self_retracing(disk_scene):
     rec = sl.trace(disk_scene, sl.PhaseState((-10.0, 0.0), (1.0, 0.0)))
     assert sl.time_reverse_deviation(disk_scene, rec) < 1e-9
@@ -261,17 +254,24 @@ def test_direction_norm_preserved_along_orbit(two_disk_scene):
         assert abs(math.hypot(*e.direction_after) - 1.0) < 1e-12
 
 
+def _default_scales(scene) -> tuple:
+    """The (off, skip, lmax) of the default trace limits."""
+    a = scene.ball_radius
+    return (sl.dynamics.SURFACE_OFFSET_FRAC * a, sl.dynamics.GRAZE_SKIP_FRAC * a,
+            sl.dynamics.DEFAULT_LENGTH_FACTOR * a)
+
+
 def _assert_trace_many_matches(scene, O, dirs) -> list:
-    """Every row of a _trace_many call on a body scene equals its refinement
-    trace bit for bit: the escape flag, the itinerary, the logged events in
-    order, the last leg's origin, the path length and the final direction.
-    Returns the itineraries."""
+    """Every row of a _trace_many call on a body scene equals its _trace_nd
+    trace bit for bit, in every dimension: the escape flag, the itinerary,
+    the logged events in order, the last leg's origin, the path length and
+    the final direction. Returns the itineraries."""
     n = len(dirs)
     escaped, legs, lengths, finals, log = _trace_many(scene, O, dirs)
     itins = _itineraries(log, n)
     assert np.all(log.arc == -1)
     for k, (x, u) in enumerate(zip(O, dirs)):
-        esc, events, leg, fdir, length = _trace_raw(scene, x, u)
+        esc, events, leg, fdir, length = _trace_nd(scene.bodies, x, u, *_default_scales(scene))
         assert escaped[k] == esc
         assert itins[k] == tuple(e[0] for e in events if not e[3])
         # The log holds the ray's events in order, each bitwise its own.
@@ -289,7 +289,7 @@ def _assert_trace_many_matches(scene, O, dirs) -> list:
 def _assert_trace_many_matches_trace(scene, O, U):
     """Every row of a _trace_many call equals the record trace gives its ray
     alone, event for event: the one-ray API on a scene with curves, which
-    the refinement kernels refuse."""
+    the refinement traces do not see."""
     escaped, legs, lengths, finals, log = _trace_many(scene, O, U)
     for k, (x, u) in enumerate(zip(O, U)):
         rec = sl.trace(scene, sl.PhaseState(x, u))
@@ -349,6 +349,42 @@ def test_planar_trace_many_matches_near_grazing_family(two_disk_scene):
     U = np.tile([1.0, 0.0], (201, 1))
     itins = _assert_trace_many_matches(two_disk_scene, O, U)
     assert all(t[:1] == (0,) for t in itins)
+
+
+def test_planar_float_traces_agree_bit_for_bit(two_disk_scene):
+    # In the plane _trace_nd is _trace_2d in every bit, which lets the
+    # agreement tests take _trace_nd as the one float reference: on disks,
+    # on rotated ellipses and on rays within 1e-3 of tangency to each body,
+    # some within 1e-7 so that they graze.
+    ellipses = sl.Scene(dimension=2,
+                        bodies=(sl.ellipsoid((-3.0, 0.5), (1.5, 0.6), sl.rotation_2d(0.7)),
+                                sl.ball((3.0, 0.0), 1.0),
+                                sl.ellipsoid((0.0, -3.5), (0.8, 1.4), sl.rotation_2d(-1.1))),
+                        ball_radius=10.0)
+    rng = np.random.default_rng(14)
+    cos_in = np.concatenate([np.linspace(-1e-3, 1e-3, 51), np.linspace(-1e-7, 1e-7, 21)])
+    grazed = reflected = 0
+    for scene in (two_disk_scene, ellipses):
+        angle = rng.uniform(0.0, 2.0 * math.pi, 1200)
+        O = [scene.ball_radius * np.column_stack([np.cos(angle), np.sin(angle)])]
+        centers = np.array([b.center for b in scene.bodies])
+        U = [centers[np.arange(1200) % len(centers)] + rng.normal(size=(1200, 2)) - O[0]]
+        U[0] /= np.linalg.norm(U[0], axis=1, keepdims=True)
+        for body in scene.bodies:
+            for p in sl.boundary_samples(body, 6):
+                n = sl.evaluate_body(body, p)[1]
+                n /= np.linalg.norm(n)
+                u = -cos_in[:, None] * n + np.sqrt(1.0 - cos_in**2)[:, None] * (-n[1], n[0])
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                O.append(p - 8.0 * u)
+                U.append(u)
+        scales = _default_scales(scene)
+        for x, u in zip(np.vstack(O), np.vstack(U)):
+            planar = _trace_2d(scene._k[0], x, u, *scales)
+            assert repr(_trace_nd(scene.bodies, x, u, *scales)) == repr(planar)
+            grazed += sum(e[3] for e in planar[1])
+            reflected += len(planar[1]) >= 2
+    assert grazed and reflected
 
 
 def test_trace_many_matches_single_traces_on_curve_obstacles():

@@ -36,7 +36,7 @@ def _refinement_hit(scene, o, v):
             return None
         oid, t, px, py, nx, ny, _, grazing = hit
         return oid, t, (px, py), (nx, ny), grazing
-    hit = _first_hit_nd(scene, o, v)
+    hit = _first_hit_nd(scene.bodies, o, v)
     return None if hit is None else (*hit[:4], hit[5])
 
 
@@ -303,7 +303,7 @@ def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch)
         raise AssertionError("the batched kernel called a refinement kernel")
 
     with monkeypatch.context() as m:
-        for name in ("_first_hit_2d", "_first_hit_nd", "_body_root", "_surface_at"):
+        for name in ("_first_hit_2d", "_first_hit_nd"):
             m.setattr(sl.geometry, name, no_single_ray)
         t, ids, _, grazing, points, normals = _batch_hits(scene, O, U)
     assert {0, 1} <= set(ids.tolist())

@@ -673,8 +673,9 @@ def test_ray_families_trace_in_lockstep(three_disk_scene, monkeypatch):
         calls.append(len(O))
         return many(scene, O, U)
 
-    monkeypatch.setattr(sl.dynamics, "_trace_raw", refuse)
-    monkeypatch.setattr(sl.spectra, "_trace_raw", refuse)
+    for module in (sl.dynamics, sl.spectra):
+        for name in ("_trace_2d", "_trace_nd"):
+            monkeypatch.setattr(module, name, refuse)
     for module in (sl.spectra, sl.rigidity):
         monkeypatch.setattr(module, "_trace_many", counting_many)
     bump = sl.build_livshits_scene(sl.LivshitsParams(), "bump")

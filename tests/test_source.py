@@ -1,0 +1,39 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "scatterlab"
+
+
+def _private_names(stmt) -> list:
+    """The private names a module-level statement defines: a function, a
+    class or a constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(stmt) -> set:
+    """The names a statement reads, bare or as attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def test_every_private_module_name_is_used():
+    # A module-level private name that no other statement of the package
+    # reads is dead code: tests alone must not keep it alive.
+    statements = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    reads = [_reads(stmt) for _, stmt in statements]
+    unused = [f"{module}: {name}" for k, (module, stmt) in enumerate(statements)
+              for name in _private_names(stmt)
+              if not any(name in r for j, r in enumerate(reads) if j != k)]
+    assert unused == []

@@ -864,6 +864,18 @@ def test_travel_refuses_d4():
         sl.travelling_time_spectrum(scene, n_points=4)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_travel_refuses_a_phase_off_the_plane(ball_ellipsoid_scene, d):
+    # Only the planar lattice turns by a phase. A d = 3 table at phase 0.3
+    # would measure the phase-0 cells under a grid that says otherwise.
+    scene = ball_ellipsoid_scene if d == 3 else sl.Scene(dimension=4, ball_radius=10.0)
+    with pytest.raises(sl.ContractError, match="phase"):
+        sl.spectra.spectrum_pairs(scene, 3, phase=0.3)
+    with pytest.raises(sl.ContractError, match="phase" if d == 3 else "d = 4"):
+        sl.travelling_time_spectrum(scene, n_points=3, phase=0.3)
+    assert len(sl.spectra.spectrum_pairs(scene, 3)) == 6
+
+
 def test_polish_3d_recovers_tilted_root():
     # The one-bounce root of the sphere-oracle scene, launched 1e-3 rad off
     # its direction, polishes back onto the same root.
