@@ -32,35 +32,69 @@ _RECONSTRUCT_CONSISTENCY = 1e-6  # largest |x-p| + |p-y| - t of a kept point
 # ---------------------------------------------------------------------------
 
 def hausdorff_1d(a: Sequence[float], b: Sequence[float]) -> float:
-    """Hausdorff distance between two finite sets of reals.
+    """Hausdorff distance between two finite sets of reals: the one-cell
+    case of the comparison rule, ``_cell_distances``.
 
     Empty versus empty is 0; empty versus nonempty is the infinity sentinel.
     Raises ContractError for a NaN or infinite element, which has no distance.
     """
-    _require_finite((a, b))
-    return _hausdorff_1d(a, b)
+    return float(_cell_distances((a,), (b,))[0])
 
 
-def _require_finite(cells: Sequence[Sequence[float]]) -> None:
-    """Raise ContractError unless every number in the cells is finite. One
-    builtin sum covers them all; only a non-finite sum, which finite numbers
-    reach just by overflow, needs a look at each."""
-    if not math.isfinite(sum(chain.from_iterable(cells))) and not all(
-            map(math.isfinite, chain.from_iterable(cells))):
+def _cell_distances(cells_a: Sequence[Sequence[float]],
+                    cells_b: Sequence[Sequence[float]]) -> np.ndarray:
+    """Per-cell Hausdorff distances of two aligned sequences of time sets,
+    each bitwise the max over both sides of min abs(x - y) in floats.
+
+    All times are sorted once by (cell, time) and cut into runs of one side
+    within one cell. Rounding is monotone, so fl(x - y) never grows as y
+    rises toward x and fl(y - x) never shrinks as y moves away above x: the
+    nearest time of the other side is the one just before x's run or the
+    one just after it, when it lies in x's cell. A difference of finite
+    times may overflow to inf, as it does in Python. Empty versus empty is
+    0; empty versus nonempty is inf.
+
+    Raises ContractError for sequences of different lengths and for a NaN
+    or infinite time, which has no distance.
+    """
+    n = len(cells_a)
+    if len(cells_b) != n:
+        raise ContractError(f"the cell sequences are not aligned: {n} cells "
+                            f"against {len(cells_b)}")
+    counts = np.fromiter(map(len, chain(cells_a, cells_b)), np.intp, 2 * n)
+    m_a = int(counts[:n].sum())
+    t = np.fromiter(chain.from_iterable(chain(cells_a, cells_b)), float,
+                    m_a + int(counts[n:].sum()))
+    if not np.isfinite(t).all():
         raise ContractError("a spectrum time is NaN or infinite")
-
-
-def _hausdorff_1d(a, b) -> float:
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return math.inf
-    d = 0.0
-    for x in a:
-        d = max(d, min(abs(x - y) for y in b))
-    for y in b:
-        d = max(d, min(abs(x - y) for x in a))
-    return d
+    m = len(t)
+    # Key each time on cell * m + its rank among all m times.
+    key = np.tile(np.arange(n) * m, 2).repeat(counts)
+    key[np.argsort(t)] += np.arange(m)
+    order = key.argsort()
+    t, side = t[order], order >= m_a
+    del key, order  # the run arrays below need the room
+    sizes = counts[:n] + counts[n:]
+    start = np.cumsum(sizes) - sizes  # each cell's first sorted time
+    new_cell = np.zeros(m + 1, dtype=bool)
+    new_cell[start] = True
+    new_cell[m] = True
+    # A run ends where the cell or the side changes. The times just outside
+    # a run are the other side's, unless the run starts or ends its cell.
+    cut = new_cell.copy()
+    cut[1:m] |= side[1:] != side[:-1]
+    edge = np.flatnonzero(cut)
+    first, stop = edge[:-1], edge[1:]
+    lo = np.where(new_cell[first], -np.inf, t[first - 1])
+    hi = np.where(new_cell[stop], np.inf, t[np.minimum(stop, m - 1)])
+    with np.errstate(over="ignore"):
+        d = t - lo.repeat(stop - first)
+        np.minimum(d, hi.repeat(stop - first) - t, out=d)
+    per = np.zeros(n)
+    live = sizes > 0
+    per[live] = np.maximum.reduceat(d, start[live])
+    # A difference of equal times may be -0.0; the distance is +0.0.
+    return np.abs(per)
 
 
 def point_set_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -85,7 +119,9 @@ def _nearest_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_ENTRIES // len(y))
     for a in range(0, len(x), step):
         xa = x[a:a + step]
-        d2 = sum((xa[:, None, c] - y[None, :, c]) ** 2 for c in range(x.shape[1]))
+        d2 = (xa[:, None, 0] - y[None, :, 0]) ** 2
+        for c in range(1, x.shape[1]):
+            d2 += (xa[:, None, c] - y[None, :, c]) ** 2
         out[a:a + step] = np.sqrt(d2.min(axis=1))
     return out
 
@@ -117,29 +153,32 @@ def compare_spectra(table_a: SpectrumTable, table_b: SpectrumTable,
 
 def compare_cells(cells_a: Sequence[Sequence[float]],
                   cells_b: Sequence[Sequence[float]], tol: float) -> DiscrepancyReport:
-    """The comparison rule on two aligned sequences of per-cell time sets.
+    """The comparison rule on two aligned sequences of per-cell time sets:
+    the per-cell Hausdorff distances of ``_cell_distances``, then the
+    fraction of cells within tol.
 
-    Raises ContractError when there are no cells: an empty comparison has no
-    matched fraction, so it supports no verdict; and for a NaN or infinite
-    time, which would otherwise pass for a match.
+    Raises ContractError when tol is NaN, negative or infinite (at inf an
+    empty-versus-nonempty cell would pass for a match); when the sequences
+    hold different numbers of cells; when there are no cells: an empty
+    comparison has no matched fraction, so it supports no verdict; and for a
+    NaN or infinite time, which would otherwise pass for a match.
     """
-    _require_finite(cells_a)
-    _require_finite(cells_b)
-    per_cell = tuple(_hausdorff_1d(ca, cb) for ca, cb in zip(cells_a, cells_b, strict=True))
-    if not per_cell:
+    if not 0.0 <= tol < math.inf:
+        raise ContractError(f"the tolerance must be finite and nonnegative, got {tol}")
+    per = _cell_distances(cells_a, cells_b)
+    n = len(per)
+    if not n:
         raise ContractError("there are no cells to compare")
-    n = len(per_cell)
-    matched = sum(1 for d in per_cell if d <= tol)
-    sentinels = sum(1 for d in per_cell if math.isinf(d))
-    finite = [d for d in per_cell if not math.isinf(d)]
+    matched = int(np.count_nonzero(per <= tol))
+    sentinel = np.isinf(per)
     mismatched_fraction = (n - matched) / n
     verdict = ("distinguishable" if mismatched_fraction >= MISMATCH_VERDICT_FRACTION
                else "indistinguishable")
     return DiscrepancyReport(
-        per_cell=per_cell,
+        per_cell=tuple(per.tolist()),
         matched_fraction=matched / n,
-        max_discrepancy=max(finite) if finite else 0.0,
-        sentinel_count=sentinels,
+        max_discrepancy=float(per[~sentinel].max(initial=0.0)),
+        sentinel_count=int(np.count_nonzero(sentinel)),
         tol=float(tol),
         verdict=verdict,
     )
@@ -210,8 +249,9 @@ def reflection_count_probe(scene_a: Scene, scene_b: Scene,
         raise ContractError(f"the scenes have dimensions {d} and {scene_b.dimension}")
     if any(len(p.point) != d for p in probes):
         raise ContractError(f"every probe must have the scenes' dimension {d}")
-    X = np.array([p.point for p in probes])
-    V = np.array([p.direction for p in probes])
+    X = np.fromiter(chain.from_iterable(p.point for p in probes), float, len(probes) * d)
+    V = np.fromiter(chain.from_iterable(p.direction for p in probes), float, len(probes) * d)
+    X, V = X.reshape(-1, d), V.reshape(-1, d)
     per_scene = []
     for scene in (scene_a, scene_b):
         log = _trace_many(scene, X, V)[4]

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's tracing path: the Fermat oracle is a
 plain vectorized minimization of leg lengths over a dense boundary sample
-with explicit visibility masking, and the segment clearance test and the
-curve-hit oracle are closed form. Each oracle is used on the opposite side of a dual check from the
-implementation it validates.
+with explicit visibility masking, the segment clearance test and the
+curve-hit oracle are closed form, and the time-set Hausdorff distance is a
+double loop over all pairs. Each oracle is used on the opposite side of a
+dual check from the implementation it validates.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ def blocked_pair(center, r, x, y) -> bool:
 def circle_pair(a, ang1, ang2):
     return (np.array([a * math.cos(ang1), a * math.sin(ang1)]),
             np.array([a * math.cos(ang2), a * math.sin(ang2)]))
+
+
+def hausdorff_1d_pairs(a, b) -> float:
+    """Hausdorff distance of two finite sets of reals by brute force: every
+    pair's abs(x - y) in Python floats, min over one side, max over both.
+    Empty versus empty is 0.0; empty versus nonempty is inf."""
+    if not a and not b:
+        return 0.0
+    if not a or not b:
+        return math.inf
+    d = 0.0
+    for xs, ys in ((a, b), (b, a)):
+        for x in xs:
+            d = max(d, min(abs(x - y) for y in ys))
+    return d
 
 
 def mirror_direction(v, n):

@@ -429,6 +429,17 @@ def test_malformed_travel_csv_exits_1(tmp_path, capsys, command, rows, expected)
     assert expected.format(path=path) in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compare_refuses_a_bad_tolerance(tmp_path, capsys, tol):
+    # These once printed a verdict and exited 0.
+    path = tmp_path / "a.csv"
+    path.write_text(f"{_TRAVEL_HEADER}\n{_CHORD_ROW}\n")
+    assert run_command(["compare", str(path), str(path), "--tol", tol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "tolerance must be finite and nonnegative" in err
+
+
 def test_reconstruct_reads_the_file(tmp_path, capsys):
     # The one-bounce samples alone determine the estimate: no scene is read.
     samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 20)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import scatterlab as sl
 from scatterlab.rigidity import _nearest_distance
+from oracles import hausdorff_1d_pairs
 
 # ---------------------------------------------------------------------------
 # Finite-set Hausdorff and spectrum comparison
@@ -73,6 +76,75 @@ def test_compare_cells_refuses_non_finite_times(bad):
         sl.rigidity.compare_cells(finite, finite[:9] + [(2.0, bad)], tol=1e-9)
     with pytest.raises(sl.ContractError, match="NaN or infinite"):
         sl.rigidity.compare_cells([(), (bad,)], [(), ()], tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -5e-324, math.inf, -math.inf])
+def test_compare_cells_refuses_a_bad_tolerance(tol):
+    # At tol = inf an empty-versus-nonempty cell once counted as matched;
+    # NaN and negative tolerances read "distinguishable" for equal tables.
+    with pytest.raises(sl.ContractError, match="tolerance"):
+        sl.rigidity.compare_cells([(1.0,), ()], [(1.0,), (2.0,)], tol=tol)
+    table = sl.samples_table(sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0),
+                                                         10.0, 4))
+    with pytest.raises(sl.ContractError, match="tolerance"):
+        sl.compare_spectra(table, table, tol=tol)
+
+
+def test_compare_cells_takes_a_zero_tolerance():
+    for tol in (0.0, -0.0, 0):
+        report = sl.rigidity.compare_cells([(1.0, 2.0), ()], [(2.0, 1.0), ()], tol=tol)
+        assert report.matched_fraction == 1.0 and report.tol == 0.0
+
+
+def test_compare_cells_refuses_misaligned_cells():
+    # zip(strict=True) once raised a bare ValueError.
+    with pytest.raises(sl.ContractError, match="3 cells against 2"):
+        sl.rigidity.compare_cells([(1.0,)] * 3, [(1.0,)] * 2, tol=1e-9)
+    with pytest.raises(sl.ContractError, match="0 cells against 1"):
+        sl.rigidity.compare_cells([], [()], tol=1e-9)
+
+
+# Times that meet the rule's edge cases: ties across the sides and duplicates
+# within one (a small pool), signed zeros, subnormals, and +-1e308, whose
+# differences overflow to inf. Cells are unsorted lists.
+_EDGE_TIME = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, 2.0, 5e-324, -5e-324,
+                              1e308, -1e308, 1.7976931348623157e308])
+_CELL = st.lists(st.one_of(_EDGE_TIME, st.floats(-3.0, 3.0),
+                           st.floats(allow_nan=False, allow_infinity=False)), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(_CELL, min_size=n, max_size=n), st.lists(_CELL, min_size=n, max_size=n))))
+@example(([[0.0]], [[-0.0]]))  # -0.0 - 0.0 is -0.0; the distance is 0.0
+@example(([[1e308, 2.0]], [[-1e308]]))  # the difference overflows to inf
+def test_compare_cells_matches_the_pairwise_oracle(cells):
+    a, b = cells
+    want = [hausdorff_1d_pairs(x, y) for x, y in zip(a, b)]
+    report = sl.rigidity.compare_cells(a, b, tol=1.0)
+    assert list(map(repr, report.per_cell)) == list(map(repr, want))
+    assert [repr(sl.hausdorff_1d(x, y)) for x, y in zip(a, b)] == list(map(repr, want))
+    assert report.sentinel_count == sum(1 for d in want if math.isinf(d))
+    assert report.matched_fraction == sum(1 for d in want if d <= 1.0) / len(want)
+    assert report.max_discrepancy == max([d for d in want if not math.isinf(d)], default=0.0)
+
+
+def test_compare_cells_matches_the_pairwise_oracle_on_a_large_table():
+    # 600 cells of up to 24 times each: some empty, some snapped to a coarse
+    # grid so that times tie across the sides and repeat within one.
+    rng = np.random.default_rng(7)
+    cells = []
+    for _ in range(2):
+        side = []
+        for k in range(600):
+            t = rng.uniform(0.0, 40.0, rng.integers(0, 25))
+            side.append(tuple((np.round(t, 1) if k % 3 == 0 else t).tolist()))
+        cells.append(side)
+    report = sl.rigidity.compare_cells(*cells, tol=0.05)
+    want = [hausdorff_1d_pairs(x, y) for x, y in zip(*cells)]
+    assert list(map(repr, report.per_cell)) == list(map(repr, want))
+    assert 0 < report.sentinel_count < 600
+    assert report.matched_fraction == sum(1 for d in want if d <= 0.05) / 600
 
 
 def test_compare_body_order_independent():
