@@ -275,7 +275,8 @@ def _cmd_travel(args) -> int:
     print(f"pairs: {len(table.cells)}  samples: {len(table.samples)}  "
           f"cutoff_seeds: {diag.get('cutoff_seeds', 0)}  "
           f"dropped: {diag.get('dropped_clusters', 0)}  "
-          f"refine_shots: {diag.get('refine_shots', 0)}")
+          f"refine_shots: {diag.get('refine_shots', 0)}  "
+          f"newton_steps: {diag.get('newton_steps', 0)}")
     return 0
 
 

@@ -9,10 +9,10 @@ The trapped set is not decidable numerically. Tracing classifies a
 trajectory as ``cutoff`` once it exceeds the reflection or path-length
 limits, and every consumer treats cutoff as trapped-for-this-experiment.
 
-Every trace runs on the batched kernel (_trace_many) but root refinement's
-shots, one ray each on floats: _trace_2d over a body scene's planar kernel
-entries, _trace_nd over its bodies in any d. Each is bitwise its batch row
-under the default limits, and in the plane the two are bitwise each other.
+Every trace runs on the batched kernel (_trace_many) but the d = 2 root
+refinement's shots, one ray each on floats by _trace_2d over a body scene's
+planar kernel entries, bitwise its batch row under the default limits. The
+d = 3 refinement traces nothing: it solves for the reflection points.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import (ROOT_TOL, Scene, _as_tuple, _check_ray, _check_unit, _dot, _first_hit_2d,
-                       _first_hit_nd, _hits, evaluate_body)
+                       _hits, evaluate_body)
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -122,8 +122,8 @@ def reflect(v, n) -> np.ndarray:
     return out / float(np.linalg.norm(out))
 
 
-# The refinement traces take the limits' scales off, skip and lmax. Events
-# are tuples (obstacle, point, normal, grazing, direction_after). Both return
+# The refinement trace takes the limits' scales off, skip and lmax. Events
+# are tuples (obstacle, point, normal, grazing, direction_after). It returns
 # (escaped, events, leg_origin, direction, leg_length), ending at the last
 # free leg: its origin (the last event point, or the start point when there
 # was no event), the path length up to it, and the direction along it. An
@@ -165,35 +165,6 @@ def _trace_2d(entries, point, direction, off: float, skip: float, lmax: float):
             return False, events, (px, py), (ux, uy), total
 
 
-def _trace_nd(bodies, point, direction, off: float, skip: float, lmax: float):
-    o = prev = _as_tuple(point)
-    u = _as_tuple(direction)
-    total = 0.0
-    nrefl = 0
-    events = []
-    while True:
-        hit = _first_hit_nd(bodies, o, u)
-        if hit is None:
-            return True, events, prev, u, total
-        oid, _, p, n, _, grazing = hit
-        step = [x - y for x, y in zip(p, prev)]
-        total += math.sqrt(_dot(step, step))
-        prev = p
-        if grazing:
-            events.append((oid, p, n, True, u))
-            o = [x + skip * y for x, y in zip(p, u)]
-        else:
-            c = 2.0 * _dot(u, n)
-            v = [x - c * y for x, y in zip(u, n)]
-            nn = math.sqrt(_dot(v, v))
-            u = tuple([x / nn for x in v])
-            events.append((oid, p, n, False, u))
-            nrefl += 1
-            o = [x + off * y for x, y in zip(p, n)]
-        if nrefl >= DEFAULT_MAX_REFLECTIONS or total >= lmax:
-            return False, events, p, u, total
-
-
 class _EventLog(NamedTuple):
     """Every event of a batch of traces, one entry per event, grouped by ray
     and in order along each ray: the ray's row, the obstacle id, the arc
@@ -218,8 +189,9 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     held, compacted, as (d, n) coordinate arrays, filtered once per step by
     the rays that hit; a ray that escapes or is cut off is written into the
     outputs when it stops. On a body scene under the default limits each
-    row is bitwise its _trace_2d and _trace_nd traces: reflections and path
-    lengths take their coordinate-order sums.
+    row is bitwise the float trace that runs _first_hit_nd step by step, and
+    in the plane its _trace_2d trace: reflections and path lengths take
+    their coordinate-order sums.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when

@@ -13,10 +13,11 @@ seen from far away, so |phi| at a reported hit stays below ROOT_TOL, or
 below the rounding floor of the hit point where that is larger; a hit off
 its body beyond that raises RayIntersectError. One batched kernel answers
 every scene query, testing each kind of obstacle against all rays in one
-pass. Only root refinement and ray_intersect take hits on floats, by two
-scalar rules that see bodies alone and match the batched kernel bit for bit
-(one elementwise arithmetic, summed in coordinate order): _first_hit_2d for
-the planar shot, _first_hit_nd for the d = 3 shot and ray_intersect.
+pass. Only the planar refinement shot, ray_intersect and the clearance test
+of d = 3 travel paths take hits on floats, by two scalar rules that see
+bodies alone and match the batched kernel bit for bit (one elementwise
+arithmetic, summed in coordinate order): _first_hit_2d for the planar shot,
+_first_hit_nd for ray_intersect and the clearance test.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -243,9 +244,9 @@ def _check_ray(d: int, o, v) -> None:
 # ---------------------------------------------------------------------------
 # One arithmetic for every kernel
 # ---------------------------------------------------------------------------
-# The expressions below run unchanged on floats (the refinement kernels) and
-# on arrays (the batched kernel, one entry per ray), so each row of a batch is
-# bitwise its refinement shot. A point or vector is a sequence of its
+# The expressions below run unchanged on floats (the scalar kernels) and on
+# arrays (the batched kernel, one entry per ray), so each row of a batch is
+# bitwise its float trace. A point or vector is a sequence of its
 # coordinates; a ball's parameters are (1 / r^2,), an ellipsoid's the rows of
 # M with its upper triangle mirrored.
 
@@ -537,7 +538,7 @@ class Scene:
 # evaluates each kind on the (K, 1) parameter columns of a _Kind stack against
 # length-N ray arrays. _first_hit_2d writes the planar body expressions out on
 # floats, and _first_hit_nd runs _quadratic and _phi on floats, so a
-# _trace_many row on a body scene is bitwise its refinement shot.
+# _trace_many row on a body scene is bitwise its float trace.
 
 _TWO_PI = 2.0 * math.pi
 
@@ -613,10 +614,7 @@ def _hits(scene, o, u):
             none = best[:0]
             return rows, none, rows, rows, rows < 0, o[:, :0], o[:, :0]
         # The nearest entry, the earliest in scene order on ties.
-        e = np.full(n_rays, len(t) - 1)
-        for k in range(len(t) - 2, -1, -1):
-            e = np.where(t[k] == best, k, e)
-        e = e[rows]
+        e = np.argmax(t == best, axis=0)[rows]
         band = band.take(e * n_rays + rows)
         ids, arcs, which, local = table.take(e, axis=1)
         t = best[rows]

@@ -8,34 +8,34 @@ event x_k, path length L between them, ball center c). The formula holds
 for any reference ball containing the obstacles, so the result does not
 depend on the ball's radius, which is one of the acceptance checks.
 
-Travelling times are found by a shooting method: seed inward directions at a
-sphere point x, trace, and locate the last crossing of the reference sphere
-on the outgoing leg. In d = 2 seeds whose exits straddle the target point y
-bracket a root, refined by Illinois regula falsi (Dowell & Jarratt, BIT 1971)
-on the exit-angle miss, a secant step kept inside the bracket; in d = 3 each
-local minimum of the seeds' exit miss is polished by Levenberg-Marquardt on
-the miss vector exit_pt - y, with the exact Jacobian carried along each shot.
-Both stop at one goal, a miss below _RESIDUAL_MARGIN times the root
-tolerance: an n = 3 ball-plus-ellipsoid table takes 3-5 shots per raw polish
-and 1 or 2 per mirror polish, 41 in all. A table first traces the seed
-sweeps of all its source points, in lockstep batches through one batched ray
-kernel: in d = 3 every seed in one batch, in d = 2 every seed in one and the
-gap midpoints of each split depth in one more. Each sweep serves every
-partner of its point. Only root refinement (regula falsi, polish, mirror
-polish) traces one ray at a time, through the float refinement traces,
-which see bodies alone and give bitwise the batched kernel's numbers, so a
-shot at a seed's launch direction sees the seed's exit point. A d = 2 shot
-is one planar float path, from launch angle to exit-angle miss, with no
-dimension dispatch and no numpy call; a d = 3 shot is the n-D float trace
-and the same exit crossing on floats. A sample keeps numpy's dot products
-for its residual and time, whose last bits a Python sum would change. The
-sojourn scan traces all its launches in one batch too. The search is
-symmetrized: each root found sweeping from one endpoint is time-reversed
-and re-polished once from the other, and the pair's cells in both orders
-are built from those two mirror lists, so swapping the endpoints returns
-matching times by construction. Brackets that do not converge and polishes
-that miss y are dropped and counted in the table diagnostics, next to the
-number of refinement shots.
+Travelling times start from seed sweeps: seed inward directions at a sphere
+point x, trace, and locate the last crossing of the reference sphere on the
+outgoing leg. In d = 2 seeds whose exits straddle the target point y bracket
+a root, refined by Illinois regula falsi (Dowell & Jarratt, BIT 1971) on the
+exit-angle miss, a secant step kept inside the bracket, until the miss is
+below _RESIDUAL_MARGIN times the root tolerance. In d = 3 each local minimum
+of the seeds' exit miss gives a word and its reflection points, and Newton's
+method on the length of that word's paths finds the path whose mirror-law
+defect, times the ball radius, is below the same goal: at most a few steps
+per word, and no ray traced. A path that enters a body or meets one before
+the end of a leg is no trajectory and is dropped. A table first traces the
+seed sweeps of all its source points, in lockstep batches through one
+batched ray kernel: in d = 3 every seed in one batch, in d = 2 every seed in
+one and the gap midpoints of each split depth in one more. Each sweep serves
+every partner of its point. Only the d = 2 root refinement (regula falsi and
+mirror re-bracketing) traces one ray at a time, each shot one planar float
+path bitwise the batched kernel's, with no dimension dispatch and no numpy
+call, so a shot at a seed's launch angle sees the seed's exit point. A d = 2
+sample keeps numpy's dot products for its residual and time, whose last bits
+a Python sum would change. The sojourn scan traces all its launches in one
+batch too. The search is symmetrized: each root found sweeping from one
+endpoint is time-reversed, and in d = 2 re-polished once from the other,
+and the pair's cells in both orders are built from those two mirror lists,
+so swapping the endpoints returns matching times by construction; a d = 3
+reversal is exact, so both orders hold the same times bit for bit. Brackets
+that do not converge, polishes that miss y and d = 3 paths that are no
+trajectory are dropped and counted by reason in the table diagnostics, next
+to the number of refinement shots and Newton steps.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere, with fewer than one seed and at a lattice phase off the
 plane is refused with ContractError rather than answered with empty sets.
@@ -52,8 +52,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DEFAULT_LENGTH_FACTOR, GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot,
-                       _itineraries, _sphere_exit, _trace_2d, _trace_many, _trace_nd)
-from .geometry import Scene, _as_tuple, _dot, fibonacci_sphere, sphere_lattice
+                       _itineraries, _sphere_exit, _trace_2d, _trace_many)
+from .geometry import (TANGENT_COS_EPS, Scene, _as_tuple, _first_hit_nd, fibonacci_sphere,
+                       sphere_lattice)
 
 DIRECTION_MATCH_TOL = 1e-9
 
@@ -65,25 +66,17 @@ REFINE_TOL_FRAC = 1e-7
 DEDUP_FRAC = 1e-5
 _ILLINOIS_CAP = 90
 
-# The d = 3 polish: initial Marquardt damping, shot cap, and stall rule
-# (give up when |miss| is above _STALL_FACTOR times its value _STALL_SHOTS
-# shots earlier). On the ball-plus-ellipsoid tables a polish that reaches a
-# root takes at most 30 shots, most take 3-6; one stuck at a minimum of the
-# miss that is not a root stops improving.
-_LM_DAMPING = 1e-3
-_POLISH_CAP = 200
-_STALL_SHOTS = 30
-_STALL_FACTOR = 0.9
-
 # The root solvers drive the miss a factor below the root tolerance so that
 # two independently converged roots of one geodesic agree in time within the
 # stated tolerance.
 _RESIDUAL_MARGIN = 0.25
 
-# Why a raw root search is dropped: the solver reached its step or shot cap,
-# a shot did not leave the sphere, or the search ended with an exit missing
-# y by its goal or more. Their sum is the table's dropped_clusters.
-_DROP_REASONS = ("dropped_cap", "dropped_lost", "dropped_residual")
+# Why a raw root search is dropped: the bracket solver reached its shot cap,
+# a shot did not leave the sphere, the search ended short of its goal, or the
+# d = 3 path found meets a body before a leg's end or enters one at a
+# reflection. Their sum is the table's dropped_clusters.
+_DROP_REASONS = ("dropped_cap", "dropped_lost", "dropped_residual", "dropped_blocked",
+                 "dropped_inward")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -300,27 +293,6 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 # Travelling times: seed sweeps
 # ---------------------------------------------------------------------------
 
-def _shoot(scene: Scene, x, u):
-    """The d = 3 refinement shot: trace from x along u by _trace_nd to the
-    last reference-sphere crossing, summing products in coordinate order as
-    _sphere_exit does; returns (u, events, fdir, exit_pt, t_exit), with
-    _trace_nd's events, or None when the ray does not leave or cross."""
-    a = scene.ball_radius
-    escaped, events, leg, fdir, length = _trace_nd(
-        scene.bodies, x, u, SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a, DEFAULT_LENGTH_FACTOR * a)
-    if not escaped:
-        return None
-    w = [p - c for p, c in zip(leg, scene.ball_center)]
-    b = _dot(w, fdir)
-    disc = b * b - (_dot(w, w) - a * a)
-    if disc < 0.0:
-        return None
-    s = -b + math.sqrt(disc)
-    if s < 0.0:
-        return None
-    return u, events, fdir, tuple(p + s * v for p, v in zip(leg, fdir)), length + s
-
-
 def _sphere_angle(scene: Scene, p) -> float:
     """Polar angle of a point around the ball center (d = 2)."""
     center = scene.ball_center
@@ -352,11 +324,6 @@ class _Sweep2D:
     psi: list  # launch angles, increasing
     escaped: np.ndarray
     angle: np.ndarray  # exit angle about the ball center, 0 where not escaped
-    # The itineraries, ragged: entry i's reflections (none where it does not
-    # escape) are the obstacle ids obstacles[first[i]:first[i] + reflections[i]].
-    reflections: np.ndarray
-    first: np.ndarray
-    obstacles: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -419,8 +386,7 @@ def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     order = np.lexsort((psi, src))
     ends = np.cumsum(np.bincount(src, minlength=len(xs)))
-    sweeps = [_Sweep2D(f, psi[rows].tolist(), escaped[rows], angle[rows], count[rows],
-                       first[rows], ids)
+    sweeps = [_Sweep2D(f, psi[rows].tolist(), escaped[rows], angle[rows])
               for f, rows in zip(frames, np.split(order, ends[:-1]))]
     return sweeps, cutoff, int(psi.size)
 
@@ -641,20 +607,23 @@ def _dir_gap(u, v) -> float:
 
 
 def _mirror_all(scene, roots, x, y):
-    """Time reversal of each (y, x) root re-polished as an (x, y) sample, None
-    where the polish fails; returns (one entry per root, in order, shots)."""
-    if scene.dimension == 2:
-        frame_x = _frame_at(scene, x)
-        got = [_mirror_refine_2d(scene, s, x, y, frame_x) for s in roots]
-    else:
-        got = [_mirror_refine_3d(scene, s, x, y) for s in roots]
+    """Time reversal of each (y, x) root as an (x, y) sample: exact in d = 3,
+    where a root is a critical point of its word's length, and re-polished
+    in d = 2, None where the polish fails; returns (one entry per root, in
+    order, shots)."""
+    if scene.dimension == 3:
+        return [TravellingTimeSample(0, s.y, s.x, s.t, s.reflections, tuple(-c for c in s.dir_out),
+                                     tuple(-c for c in s.dir_in), s.residual, s.itinerary[::-1])
+                for s in roots], 0
+    frame_x = _frame_at(scene, x)
+    got = [_mirror_refine_2d(scene, s, x, y, frame_x) for s in roots]
     return [m for m, _ in got], sum(shots for _, shots in got)
 
 
 def _merge_bidirectional(scene, own, own_mirrors, opposite_mirrors, pair):
-    """Symmetric per-pair merge: an own root is kept only when its mirror
-    re-polished from the opposite endpoint, and opposite-side roots enter as
-    their re-polished mirrors. Both orders of one point pair are built from
+    """Symmetric per-pair merge: an own root is kept only when it has a
+    mirror from the opposite endpoint, and opposite-side roots enter as
+    their mirrors. Both orders of one point pair are built from
     the same two mirror lists, so swapping x and y yields matching time sets
     by construction; one-way-only roots are near-tangent and are dropped."""
     kept = [s for s, m in zip(own, own_mirrors) if m is not None]
@@ -670,8 +639,9 @@ def find_xy_geodesics(scene: Scene, x, y,
                       n_seeds: Optional[int] = None) -> list[TravellingTimeSample]:
     """All resolved geodesics entering the reference sphere at x and leaving at y.
 
-    Sweeps run from both endpoints; a root counts only when it refines from
-    both sides, and the result is symmetric under swapping the endpoints.
+    Sweeps run from both endpoints, and the result is symmetric under
+    swapping the endpoints: in d = 2 a root counts only when it refines from
+    both sides, and in d = 3 each path is also found reversed.
     This is the travel-table search on the two points x, y, so a table cell
     equals this call on its pair. The returned list may be empty: the
     travelling-time set of a pair can be empty (deep shadow) or
@@ -718,98 +688,6 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 # Travelling times in d = 3
 # ---------------------------------------------------------------------------
-
-def _exit_jacobian(scene, x, shot, du):
-    """The derivative of a shot's exit point along each row of du, a launch
-    direction derivative, with x held fixed. A flight from p along u to a
-    surface point q with normal n takes dp, du to dq = w - u (n.w) / (u.n),
-    w = dp + |q - p| du, and a reflection turns du by the mirror law, with
-    dn = (M dq - n (n.M dq)) / |M (q - c)| (Chernov & Markarian 2006, ch. 3;
-    Petkov & Stoyanov 1992). Grazing events are skipped; the exit point moves
-    on the reference sphere. A part of du along u only slides each point
-    along its line and drops out, so du need not be normal to u."""
-    def onto(w, u, n):  # the rows of w moved along u onto the plane normal to n
-        return w - np.outer(w @ n / (u @ n), u)
-
-    u, events, _, exit_pt, _ = shot
-    p, dp = np.asarray(x, dtype=float), np.zeros_like(du)
-    for oid, q, n, grazing, after in events:
-        if not grazing:
-            q, n, body = np.asarray(q), np.asarray(n), scene.bodies[oid]
-            dq = onto(dp + ((q - p) @ u) * du, u, n)
-            g, mdq = body._M @ (q - body._c), dq @ body._M
-            dn = (mdq - np.outer(mdq @ n, n)) / math.sqrt(g @ g)
-            du = du - 2.0 * (np.outer(du @ n + dn @ u, n) + (u @ n) * dn)
-            p, u, dp = q, np.asarray(after), dq
-    e = np.asarray(exit_pt)
-    return onto(dp + ((e - p) @ u) * du, u, e - np.asarray(scene.ball_center))
-
-
-def _lm_step(jac, f, lam):
-    """The s minimising |J s + f|^2 + lam |D s|^2, D^2 = diag(J^T J), for J's
-    two columns the rows of jac (d = 3), by Cramer's rule on the normal
-    equations A s = b. Where A is singular to rounding (J of rank below 2,
-    lam below eps), the least-norm s: A b / tr(A)^2, or 0 for J = 0."""
-    (a, b), (_, c) = (jac @ jac.T).tolist()
-    g = -(jac @ f)
-    a, c = a + lam * a, c + lam * c
-    det = a * c - b * b
-    if det > np.finfo(float).eps * a * c:
-        return np.array([[c, -b], [-b, a]]) @ g / det
-    return np.array([[a, b], [b, c]]) @ g / max((a + c) * (a + c), np.finfo(float).tiny)
-
-
-def _polish_3d(scene, x, y, u0):
-    """Levenberg-Marquardt (Marquardt 1963, Moré 1978) on the miss
-    exit_pt - y over the d - 1 tangent offsets of the launch direction u0.
-    Each step shoots _lm_step's offsets for the current shot's exact
-    Jacobian (_exit_jacobian), one shot a step; lam falls tenfold when |miss|
-    falls and the step is taken, and rises tenfold otherwise. A launch that
-    does not leave misses by 10a in each coordinate.
-
-    Stops as soon as |miss| is below the d = 2 solver's goal, which may be
-    at the first shot. Gives up with reason "dropped_lost" when the first
-    shot does not leave, "dropped_residual" when |miss| has not fallen by a
-    tenth over the last _STALL_SHOTS shots (a minimum of the miss that is
-    not a root, such as a branch edge), and "dropped_cap" at _POLISH_CAP
-    shots. Returns (sample, shots, reason) as _illinois_2d does.
-    """
-    basis = plane_basis(u0)
-    lost = np.full(len(u0), 10.0 * scene.ball_radius)
-
-    def fire(ab):
-        v = u0 + ab @ basis
-        shot = _shoot(scene, x, v / math.sqrt(v @ v))
-        return shot, lost if shot is None else shot[3] - y
-
-    ab = np.zeros(len(basis))
-    shot, f = fire(ab)
-    if shot is None:
-        return None, 1, "dropped_lost"
-    goal = _RESIDUAL_MARGIN * _root_tol(scene)
-    trail = [math.sqrt(f @ f)]  # least |miss| after each shot
-    lam = _LM_DAMPING
-    jac = None  # at the current offsets; None until taken
-    while trail[-1] >= goal:
-        if len(trail) > _STALL_SHOTS and trail[-1] > _STALL_FACTOR * trail[-1 - _STALL_SHOTS]:
-            return None, len(trail), "dropped_residual"
-        if len(trail) >= _POLISH_CAP:
-            return None, len(trail), "dropped_cap"
-        if jac is None:
-            # du/dab is basis / r, r = u . (u0 + ab . basis), less a part along u.
-            jac = _exit_jacobian(scene, x, shot, basis / (shot[0] @ (u0 + ab @ basis)))
-        trial = ab + _lm_step(jac, f, lam)
-        got, g = fire(trial)
-        miss = math.sqrt(g @ g)
-        if miss < trail[-1]:
-            ab, shot, f, jac = trial, got, g, None
-            trail.append(miss)
-            lam *= 0.1
-        else:
-            trail.append(trail[-1])
-            lam *= 10.0
-    return _make_sample(scene, x, y, shot), len(trail), None
-
 
 # Half-width of the z band searched for a seed's neighbours, in sqrt(n)
 # indices: the 8th-neighbour radius of the n-point hemisphere lattice is at
@@ -882,7 +760,13 @@ class _Sweep3D:
     seeds: np.ndarray
     exits: np.ndarray  # exit point per seed, inf where the trace does not leave
     nbrs: np.ndarray  # row i: the indices of seed i's nearest seeds, i first
-    window: float  # misses above this are too far from any root to polish
+    window: float  # misses above this are too far from any root to refine
+    # The reflections, ragged: seed i's word is obstacles[first[i]:first[i] +
+    # reflections[i]] and its reflection points the same rows of points.
+    reflections: np.ndarray
+    first: np.ndarray
+    obstacles: np.ndarray
+    points: np.ndarray
 
 
 def _sweeps_3d(scene, xs, n_seeds):
@@ -895,23 +779,115 @@ def _sweeps_3d(scene, xs, n_seeds):
         m = (center - x) / float(np.linalg.norm(center - x))
         basis = plane_basis(m)
         seeds.append(hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1])
-    escaped, legs, _, dirs, _ = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
-                                            np.concatenate(seeds))
+    escaped, legs, _, dirs, log = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
+                                              np.concatenate(seeds))
     s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
     left = escaped & (disc >= 0.0) & (s >= 0.0)
     exits = np.where(left[:, None], legs + s[:, None] * dirs, np.inf)
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
-    sweeps = [_Sweep3D(u, exits[k * len(hemi):(k + 1) * len(hemi)], nbrs, window)
-              for k, u in enumerate(seeds)]
+    # Each source's seeds, and the reflections of its seeds, are consecutive.
+    refl = ~log.grazing
+    count = np.bincount(log.rows[refl], minlength=len(exits))
+    first = np.cumsum(count) - count
+    per_seed = (np.split(v, len(xs)) for v in (exits, count, first))
+    starts = first[len(hemi)::len(hemi)]
+    per_ray = (np.split(v, starts) for v in (log.obstacle[refl], log.point[refl]))
+    sweeps = [_Sweep3D(u, e, nbrs, window, n, f - f[0], ids, p)
+              for u, e, n, f, ids, p in zip(seeds, *per_seed, *per_ray)]
     return sweeps, int(np.count_nonzero(~left)), len(exits)
 
 
+# Newton steps after which a word's path search gives up.
+_NEWTON_CAP = 20
+
+
+def _solve_word(scene, x, y, word, points):
+    """Newton's method on the length L = |x - q_1| + sum |q_i - q_{i+1}| +
+    |q_k - y| of the paths from x to y off the bodies of word in turn,
+    started at the reflection points q_i = points (Petkov & Stoyanov,
+    Geometry of Reflecting Rays and Inverse Spectral Problems, 1992). Each
+    q_i = c_i + R_i D_i s_i moves with s_i on the unit sphere, stepped in an
+    orthonormal tangent basis at s_i; the Hessian is block-tridiagonal with
+    2 x 2 blocks, each diagonal one less (dL/dq_i . R_i D_i s_i) I for the
+    sphere's curvature. The search stops when a times the defect, the largest
+    part of dL/dq_i tangent to the body, is below the root solvers' goal.
+
+    The path found is a trajectory when both legs leave each q_i on the
+    body's outside at a cosine above TANGENT_COS_EPS, else "dropped_inward",
+    and no leg meets a body before its end, a grazing hit aside, else
+    "dropped_blocked". A search past _NEWTON_CAP steps or at a singular
+    Hessian ends "dropped_residual". Returns (sample, Newton steps, reason)
+    as _illinois_2d does.
+    """
+    a = scene.ball_radius
+    bodies = [scene.bodies[i] for i in word]
+    k = len(word)
+    c = np.array([b._c for b in bodies]).reshape(k, 3)
+    mat = np.array([b._M for b in bodies]).reshape(k, 3, 3)  # R D^-2 R^T
+    jac = np.array([np.multiply(b.rotation, b.semiaxes) for b in bodies]).reshape(k, 3, 3)  # R D
+    # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
+    s = np.einsum("kji,kj->ki", jac, np.einsum("kij,kj->ki", mat, points - c))
+    s /= np.linalg.norm(s, axis=1, keepdims=True)
+    goal = _RESIDUAL_MARGIN * _root_tol(scene) / a
+    steps = 0
+    while True:
+        w = np.einsum("kij,kj->ki", jac, s)  # q - c
+        legs = np.diff(np.vstack([x, c + w, y]), axis=0)
+        length = np.linalg.norm(legs, axis=1)
+        e = legs / length[:, None]
+        grad = e[:-1] - e[1:]
+        n = np.einsum("kij,kj->ki", mat, w)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        tangent = grad - np.sum(grad * n, axis=1, keepdims=True) * n
+        defect = math.sqrt(np.max(np.sum(tangent * tangent, axis=1), initial=0.0))
+        if defect < goal:
+            break
+        if steps == _NEWTON_CAP:
+            return None, steps, "dropped_residual"
+        steps += 1
+        helper = np.eye(3)[np.argmin(np.abs(s), axis=1)]
+        t1 = np.cross(s, helper)
+        t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+        basis = np.stack([t1, np.cross(s, t1)], axis=2)  # (k, 3, 2)
+        b = jac @ basis
+        proj = (np.eye(3) - e[:, :, None] * e[:, None, :]) / length[:, None, None]
+        hess = np.zeros((k, 2, k, 2))
+        at = np.arange(k)
+        hess[at, :, at, :] = (b.transpose(0, 2, 1) @ (proj[:-1] + proj[1:]) @ b
+                              - np.sum(grad * w, axis=1)[:, None, None] * np.eye(2))
+        off = -b[:-1].transpose(0, 2, 1) @ proj[1:-1] @ b[1:]
+        hess[at[:-1], :, at[1:], :] = off
+        hess[at[1:], :, at[:-1], :] = off.transpose(0, 2, 1)
+        try:
+            step = np.linalg.solve(hess.reshape(2 * k, 2 * k),
+                                   -np.einsum("kji,kj->ki", b, grad).ravel())
+        except np.linalg.LinAlgError:
+            return None, steps, "dropped_residual"
+        s = s + (basis @ step.reshape(k, 2, 1))[:, :, 0]
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+    cos_in, cos_out = -np.sum(e[:-1] * n, axis=1), np.sum(e[1:] * n, axis=1)
+    if not np.all((cos_in > TANGENT_COS_EPS) & (cos_out > TANGENT_COS_EPS)):
+        return None, steps, "dropped_inward"
+    # Each leg is searched from off past its start to off short of its end.
+    off = SURFACE_OFFSET_FRAC * a
+    for p, v, end in zip(np.vstack([x, c + w]).tolist(), e.tolist(), length.tolist()):
+        t = off
+        while (hit := _first_hit_nd(scene.bodies, p, v, t)) and hit[1] < end - off:
+            if not hit[5]:
+                return None, steps, "dropped_blocked"
+            t = hit[1]
+    # The pair index stays 0 until the merge sets it.
+    return TravellingTimeSample(
+        pair=0, x=_as_tuple(x), y=_as_tuple(y), t=sum(length.tolist()), reflections=k,
+        dir_in=tuple(e[0].tolist()), dir_out=tuple(e[-1].tolist()), residual=a * defect,
+        itinerary=tuple(word)), steps, None
+
+
 def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
-    """_polish_3d from each seed whose exit miss to y is least among its
-    lattice neighbours (the rows of sweep.nbrs) and within a few seed
-    spacings, in increasing order of miss; returns the roots and a Counter of
-    refine_shots, dropped_clusters (the failed polishes, the d = 3
-    counterpart of dropped brackets) and the drops by reason."""
+    """_solve_word from the reflections of each seed whose exit miss to y is
+    least among its lattice neighbours (the rows of sweep.nbrs) and within a
+    few seed spacings, in increasing order of miss; returns the roots and a
+    Counter of newton_steps, dropped_clusters and the drops by reason."""
     misses = np.linalg.norm(sweep.exits - y, axis=1)
     order = np.argsort(misses)
     near = order[misses[order] <= sweep.window]
@@ -919,19 +895,16 @@ def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
     found = []
     tally = Counter()
     for i in near[least].tolist():
-        sample, shots, reason = _polish_3d(scene, x, y, sweep.seeds[i])
-        tally["refine_shots"] += shots
+        rows = slice(sweep.first[i], sweep.first[i] + sweep.reflections[i])
+        sample, steps, reason = _solve_word(scene, x, y, sweep.obstacles[rows].tolist(),
+                                            sweep.points[rows])
+        tally["newton_steps"] += steps
         if sample is None:
             tally["dropped_clusters"] += 1
             tally[reason] += 1
         else:
             found.append(sample)
     return _dedup_samples(scene, found), tally
-
-
-def _mirror_refine_3d(scene, s, x, y):
-    got, shots, _ = _polish_3d(scene, x, y, -np.asarray(s.dir_out))
-    return _same_root(scene, got, s), shots
 
 
 # ---------------------------------------------------------------------------
@@ -970,26 +943,30 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
                          tuple(s for cell in merged for s in cell),
                          (("cutoff_seeds", cutoff), ("dropped_clusters", tally["dropped_clusters"]),
                           *((r, tally[r]) for r in _DROP_REASONS),
-                          ("refine_shots", tally["refine_shots"]), ("sweep_rays", rays)))
+                          ("refine_shots", tally["refine_shots"]),
+                          ("newton_steps", tally["newton_steps"]), ("sweep_rays", rays)))
 
 
 def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     """The travel search over ordered index pairs (i, j) of pts, where (j, i)
     is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
-    a Counter of refinement shots and drops, sweep rays traced).
+    a Counter of refinement shots, Newton steps and drops, sweep rays
+    traced).
 
     The inward seed sweeps of all source points are traced first, in
     lockstep batches, and each serves every partner of its point. Only the
     root refinement then runs per source point, on the pool when threads >
-    1, one ray at a time. Each raw root of (i, j) is mirror-polished once
-    from the other end, and cells (i, j) and (j, i) are merged from the same
-    two mirror lists.
+    1. Each raw root of (i, j) is time-reversed, and in d = 2 re-polished
+    once from the other end, and cells (i, j) and (j, i) are merged from the
+    same two mirror lists.
     """
     sources = sorted({i for i, _ in pairs})
     sweep_all = _sweeps_2d if scene.dimension == 2 else _sweeps_3d
     sweeps, cutoff, rays = sweep_all(scene, np.array([pts[i] for i in sources]), n_seeds)
-    args = [(scene, pts[i], sweep, [(k, pts[j]) for k, (ii, j) in enumerate(pairs) if ii == i])
-            for i, sweep in zip(sources, sweeps)]
+    partners = {i: [] for i in sources}
+    for k, (i, j) in enumerate(pairs):
+        partners[i].append((k, pts[j]))
+    args = [(scene, pts[i], sweep, partners[i]) for i, sweep in zip(sources, sweeps)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -1002,7 +979,7 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     for chunk_samples, chunk_tally in chunks:
         tally.update(chunk_tally)
         raw.update(chunk_samples)
-    # mirrors[k]: the raw roots of pair k = (i, j) re-polished as (j, i) samples.
+    # mirrors[k]: the raw roots of pair k = (i, j) reversed as (j, i) samples.
     mirrors = []
     for k, (i, j) in enumerate(pairs):
         got, shots = _mirror_all(scene, raw[k], pts[j], pts[i])
@@ -1015,8 +992,8 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
 
 def _spectrum_worker(args):
     """The raw roots from one source point to every partner, refined from its
-    traced sweep; returns ([(pair, roots)], a Counter of refinement shots and
-    drops)."""
+    traced sweep; returns ([(pair, roots)], a Counter of refinement shots,
+    Newton steps and drops)."""
     scene, x, sweep, partners = args
     refine = _refine_pair_2d if scene.dimension == 2 else _refine_pair_3d
     out = []

@@ -131,6 +131,17 @@ def test_travel_summary_counts_refine_shots(disk_file, capsys):
     assert int(out.split("refine_shots: ")[1].split()[0]) > 0
 
 
+def test_travel_summary_counts_newton_steps(ball_ellipsoid_scene, tmp_path, capsys):
+    # A d = 3 table fires no refinement shot; its counted work is the Newton
+    # steps of its path searches.
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(sl.serialize_scene(ball_ellipsoid_scene))
+    assert run_command(["travel", str(scene_file), "--points", "3", "--seeds", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "refine_shots: 0  newton_steps: " in out
+    assert int(out.split("newton_steps: ")[1].split()[0]) > 0
+
+
 def test_compare_identical_files(disk_file, tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

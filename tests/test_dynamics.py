@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.dynamics import _itineraries, _trace_2d, _trace_many, _trace_nd
-from scatterlab.spectra import _hemisphere, _shoot, plane_basis, sphere_lattice
+from scatterlab.dynamics import _itineraries, _trace_2d, _trace_many
+from scatterlab.geometry import _dot, _first_hit_nd
+from scatterlab.spectra import _hemisphere, plane_basis, sphere_lattice
 from oracles import mirror_direction
 
 
@@ -261,6 +262,39 @@ def _default_scales(scene) -> tuple:
             sl.dynamics.DEFAULT_LENGTH_FACTOR * a)
 
 
+def _trace_nd(bodies, point, direction, off: float, skip: float, lmax: float):
+    """The float reference trace in any d: _first_hit_nd step by step, with
+    the batched kernel's reflection, offsets and limits written on floats.
+    Returns (escaped, events, leg_origin, direction, leg_length) as _trace_2d
+    does, events as (obstacle, point, normal, grazing, direction_after)."""
+    o = prev = tuple(map(float, point))
+    u = tuple(map(float, direction))
+    total = 0.0
+    nrefl = 0
+    events = []
+    while True:
+        hit = _first_hit_nd(bodies, o, u)
+        if hit is None:
+            return True, events, prev, u, total
+        oid, _, p, n, _, grazing = hit
+        step = [x - y for x, y in zip(p, prev)]
+        total += math.sqrt(_dot(step, step))
+        prev = p
+        if grazing:
+            events.append((oid, p, n, True, u))
+            o = [x + skip * y for x, y in zip(p, u)]
+        else:
+            c = 2.0 * _dot(u, n)
+            v = [x - c * y for x, y in zip(u, n)]
+            nn = math.sqrt(_dot(v, v))
+            u = tuple([x / nn for x in v])
+            events.append((oid, p, n, False, u))
+            nrefl += 1
+            o = [x + off * y for x, y in zip(p, n)]
+        if nrefl >= sl.dynamics.DEFAULT_MAX_REFLECTIONS or total >= lmax:
+            return False, events, p, u, total
+
+
 def _assert_trace_many_matches(scene, O, dirs) -> list:
     """Every row of a _trace_many call on a body scene equals its _trace_nd
     trace bit for bit, in every dimension: the escape flag, the itinerary,
@@ -489,7 +523,7 @@ def test_trace_many_matches_near_grazing_family_in_3d():
 
 
 def test_nd_kernels_take_no_matrix_products(monkeypatch, ball_ellipsoid_scene):
-    # The d >= 3 batched pass and single-ray shots run the same elementwise
+    # The d >= 3 batched pass and single-ray hits run the same elementwise
     # arithmetic on arrays and floats, with no BLAS products or norms.
     scene = ball_ellipsoid_scene
     x = np.array([0.0, scene.ball_radius, 0.0])
@@ -503,5 +537,5 @@ def test_nd_kernels_take_no_matrix_products(monkeypatch, ball_ellipsoid_scene):
     monkeypatch.setattr(np.linalg, "norm", refuse)
     escaped, _, _, _, log = _trace_many(scene, np.tile(x, (2, 1)), dirs)
     assert escaped.all() and _itineraries(log, 2) == [(0,), (1,)]
-    for u in dirs:
-        assert _shoot(scene, x, u) is not None
+    for k, u in enumerate(dirs):
+        assert _first_hit_nd(scene.bodies, tuple(x), tuple(u))[0] == k

@@ -462,8 +462,9 @@ def disk_ellipse_scene():
                                         "disk_ellipse_scene"])
 def test_batched_sweep_matches_scalar_shots(scene_name, request):
     # The lockstep sweep has the entries of the one-shot-at-a-time sweep, in
-    # the same order, and each makes the escape and itinerary decisions of a
-    # single refinement shot (_delta_at) at its launch angle. Both run one
+    # the same order, so each made the split decisions (escape, itinerary,
+    # exit jump) of a single refinement shot (_delta_at) at its launch angle,
+    # and each escapes and exits as that shot does. Both run one
     # planar arithmetic, on disks and on rotated ellipses, so exit angles
     # agree bitwise at every reflection depth, and the bracket solver sees
     # exactly the misses that the sweep saw.
@@ -475,16 +476,12 @@ def test_batched_sweep_matches_scalar_shots(scene_name, request):
     ref = _scalar_sweep(scene, x, spectra.SEEDS_2D, ty)
     assert sweep.psi == [e[0] for e in ref]
     assert rays == len(ref) > spectra.SEEDS_2D
-    # The sweep keeps its itineraries ragged; decoded, each is a tuple again.
-    itineraries = [tuple(sweep.obstacles[s:s + n].tolist())
-                   for s, n in zip(sweep.first.tolist(), sweep.reflections.tolist())]
-    assert any(itineraries)
+    assert any(e[3] for e in ref)
     # The misses _refine_pair_2d takes from the sweep.
     delta = spectra._wrap(sweep.angle - ty).tolist()
-    for (_, escaped, angle, itin, miss), got_escaped, got_angle, got_itin, got_miss in zip(
-            ref, sweep.escaped, sweep.angle, itineraries, delta, strict=True):
+    for (_, escaped, angle, _, miss), got_escaped, got_angle, got_miss in zip(
+            ref, sweep.escaped, sweep.angle, delta, strict=True):
         assert got_escaped == escaped
-        assert got_itin == itin
         assert got_angle == angle
         assert miss is None if not escaped else got_miss == miss
 
@@ -540,23 +537,18 @@ def test_bracket_scan_matches_scalar_loop(two_disk_scene, monkeypatch):
 
 
 def _sample_shots(scene):
-    """A hundred refinement shots into scene from one sphere point x, some
-    of them reflecting; returns x and the shots that leave."""
+    """A hundred d = 2 refinement shots into scene from one sphere point x,
+    some of them reflecting; returns x and the shots that leave."""
     spectra = sl.spectra
     rng = np.random.default_rng(11)
-    if scene.dimension == 2:
-        x = np.array([10.0 * math.cos(2.2), 10.0 * math.sin(2.2)])
-        frame = spectra._frame_at(scene, x)
-        shots = [spectra._delta_at(scene, x, frame, psi, 0.0)[1]
-                 for psi in rng.uniform(-1.4, 1.4, 100).tolist()]
-    else:
-        x = np.array([-10.0, 0.0, 0.0])
-        dirs = np.array([20.0, 0.0, 0.0]) + rng.uniform(-6.0, 6.0, (100, 3)) - x
-        shots = [spectra._shoot(scene, x, u / math.sqrt(u @ u)) for u in dirs]
+    x = np.array([10.0 * math.cos(2.2), 10.0 * math.sin(2.2)])
+    frame = spectra._frame_at(scene, x)
+    shots = [spectra._delta_at(scene, x, frame, psi, 0.0)[1]
+             for psi in rng.uniform(-1.4, 1.4, 100).tolist()]
     return x, [shot for shot in shots if shot is not None]
 
 
-@pytest.mark.parametrize("scene_name", ["two_disk_scene", "ball_ellipsoid_scene"])
+@pytest.mark.parametrize("scene_name", ["two_disk_scene"])
 def test_make_sample_keeps_numpy_bits(scene_name, request):
     # A sample's residual is numpy's norm of the miss and its time takes
     # numpy's dot product, bit for bit: a sum written out in Python differs
@@ -662,8 +654,7 @@ def test_refine_counts_a_lost_shot_as_a_drop(empty_scene, monkeypatch):
     _fake_miss(monkeypatch, lambda psi: None)
     sweep = spectra._Sweep2D(spectra._frame_at(empty_scene, np.array([-10.0, 0.0])),
                              [0.0, 0.01], np.array([True, True]),
-                             np.array([_TY - 0.1, _TY + 0.1]), np.zeros(2, dtype=int),
-                             np.zeros(2, dtype=int), np.zeros(0, dtype=int))
+                             np.array([_TY - 0.1, _TY + 0.1]))
     found, tally = spectra._refine_pair_2d(empty_scene, (-10.0, 0.0), _Y, sweep)
     assert found == []
     assert tally == Counter(refine_shots=1, dropped_clusters=1, dropped_lost=1)
@@ -672,14 +663,16 @@ def test_refine_counts_a_lost_shot_as_a_drop(empty_scene, monkeypatch):
 def test_dropped_brackets_by_reason(empty_scene):
     moved = sl.Scene(dimension=2, bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((4.0, 0.0), 1.0)),
                      ball_radius=10.0)
-    reasons = ("dropped_cap", "dropped_lost", "dropped_residual")
+    # d = 2 runs no Newton step, and only d = 3 paths are blocked or inward.
+    reasons = sl.spectra._DROP_REASONS
     table = sl.travelling_time_spectrum(moved, n_points=4, phase=0.3)
     diag = table.diagnostics_dict()
     assert diag["dropped_clusters"] > 0
     assert sum(diag[r] for r in reasons) == diag["dropped_clusters"]
+    assert diag["dropped_blocked"] == diag["dropped_inward"] == diag["newton_steps"] == 0
     diag = sl.travelling_time_spectrum(empty_scene, n_points=4).diagnostics_dict()
     assert diag["refine_shots"] > 0
-    assert all(diag[r] == 0 for r in reasons + ("dropped_clusters",))
+    assert all(diag[r] == 0 for r in reasons + ("dropped_clusters", "newton_steps"))
 
 
 def test_refine_shot_budget(two_disk_scene, monkeypatch):
@@ -780,13 +773,14 @@ def test_travel_3d_single_bounce_matches_sphere_oracle():
 def test_travel_3d_deep_shadow_is_empty():
     # A one-bounce exit z off a centred ball of radius 5 has z.n >= 5, so
     # every exit lies at least 10 from the antipode of x: no seed's miss is
-    # within the seed window, and the search polishes nothing.
+    # within the seed window, and the search solves for no path.
     scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 5.0),),
                      ball_radius=10.0)
     assert sl.find_xy_geodesics(scene, (-10.0, 0.0, 0.0), (10.0, 0.0, 0.0)) == []
     table = sl.travelling_time_spectrum(scene, n_points=2)
     assert table.cells == ((), ())
-    assert table.diagnostics_dict()["refine_shots"] == 0
+    diag = table.diagnostics_dict()
+    assert diag["refine_shots"] == diag["newton_steps"] == diag["dropped_clusters"] == 0
 
 
 def test_scan_3d_backscatter():
@@ -809,7 +803,7 @@ def _ball_ellipsoid_3d():
 
 
 def test_spectrum_3d_matches_per_pair_search():
-    # One sweep per source point and one mirror polish per root must give
+    # One sweep per source point and one reversal per root must give
     # exactly what the stand-alone two-sweep search gives for each pair.
     scene = _ball_ellipsoid_3d()
     table = sl.travelling_time_spectrum(scene, n_points=3, n_seeds=300)
@@ -876,250 +870,200 @@ def test_travel_refuses_a_phase_off_the_plane(ball_ellipsoid_scene, d):
     assert len(sl.spectra.spectrum_pairs(scene, 3)) == 6
 
 
-def test_polish_3d_recovers_tilted_root():
-    # The one-bounce root of the sphere-oracle scene, launched 1e-3 rad off
-    # its direction, polishes back onto the same root.
+@pytest.fixture(scope="module")
+def two_close_balls():
+    """Two balls about 1 apart in d = 3, close enough for two-bounce roots."""
+    return sl.Scene(dimension=3, bodies=(sl.ball((-1.6, 0.0, 0.0), 1.0),
+                                         sl.ball((1.6, 0.3, 0.0), 1.2)), ball_radius=10.0)
+
+
+@pytest.mark.parametrize("scene_name", ["ball_ellipsoid_scene", "two_close_balls"])
+def test_spectrum_3d_samples_are_traced_paths(scene_name, request):
+    # Each sample, launched from x along dir_in by the public trace, reflects
+    # off the bodies of its itinerary, leaves the reference sphere within the
+    # root tolerance of y along dir_out, and takes t to that tolerance.
+    scene = request.getfixturevalue(scene_name)
+    table = sl.travelling_time_spectrum(scene, n_points=4)
+    tol = sl.spectra._root_tol(scene)
+    a = scene.ball_radius
+    assert {0, 1} <= {s.reflections for s in table.samples}
+    if scene_name == "two_close_balls":
+        assert 2 in {s.reflections for s in table.samples}
+    for s in table.samples:
+        rec = sl.trace(scene, sl.PhaseState(s.x, s.dir_in))
+        assert rec.escaped and sl.itinerary(rec) == s.itinerary
+        last = rec.events[-1] if rec.events else None
+        p = np.asarray(last.point if last else s.x) - np.asarray(scene.ball_center)
+        v = np.asarray(rec.final.direction)
+        out = -(p @ v) + math.sqrt((p @ v) ** 2 - (p @ p - a * a))
+        exit_pt = np.asarray(scene.ball_center) + p + out * v
+        assert np.linalg.norm(exit_pt - np.asarray(s.y)) < tol
+        assert abs((last.path_length if last else 0.0) + out - s.t) < tol
+        assert np.linalg.norm(v - np.asarray(s.dir_out)) < tol / a
+        assert 0.0 <= s.residual < tol
+
+
+def test_spectrum_3d_cells_are_exact_reversals(ball_ellipsoid_scene):
+    # A d = 3 root's mirror is its exact time reversal, so cells (i, j) and
+    # (j, i) hold the same times bit for bit, and their samples are each
+    # other's reversals: x and y swapped, the word reversed, the directions
+    # negated and swapped.
+    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4)
+    keys = [(tuple(x), tuple(y)) for x, y in sl.spectra.spectrum_pairs(ball_ellipsoid_scene, 4)]
+    assert table.diagnostics_dict()["refine_shots"] == 0
+    for k, (x, y) in enumerate(keys):
+        j = keys.index((y, x))
+        assert table.cells[k] == table.cells[j]
+        mine = [s for s in table.samples if s.pair == k]
+        theirs = [s for s in table.samples if s.pair == j]
+        assert [(s.y, s.x, s.t, tuple(-c for c in s.dir_out), tuple(-c for c in s.dir_in),
+                 s.residual, s.itinerary[::-1]) for s in mine] == [
+            (s.x, s.y, s.t, s.dir_in, s.dir_out, s.residual, s.itinerary) for s in theirs]
+
+
+def test_blocked_free_chord_is_dropped(ball_ellipsoid_scene):
+    # The chord through a centred ball is no trajectory, and the chord
+    # tangent to it grazes and is one. On the fixture table every dropped
+    # search is a blocked free chord.
+    spectra = sl.spectra
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 1.0),), ball_radius=10.0)
+    none = np.zeros((0, 3))
+    assert spectra._solve_word(scene, np.array([-10.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0]),
+                               [], none) == (None, 0, "dropped_blocked")
+    x, y = np.array([-math.sqrt(99.0), 1.0, 0.0]), np.array([math.sqrt(99.0), 1.0, 0.0])
+    sample, steps, reason = spectra._solve_word(scene, x, y, [], none)
+    assert (steps, reason) == (0, None)
+    assert sample.t == 2.0 * math.sqrt(99.0) and sample.itinerary == ()
+    diag = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4,
+                                       n_seeds=600).diagnostics_dict()
+    assert diag["dropped_clusters"] == diag["dropped_blocked"] > 0
+
+
+def test_far_side_critical_point_is_dropped_inward():
+    # The length of one-bounce paths off a ball has a second critical point
+    # on the far side, which Newton reaches from a far-side start: its legs
+    # enter the ball, so it is no trajectory.
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 1.0),), ball_radius=10.0)
+    sample, steps, reason = sl.spectra._solve_word(
+        scene, np.array([-10.0, 0.0, 0.0]), np.array([0.0, 10.0, 0.0]), [0],
+        np.array([[0.6, -0.8, 0.0]]))
+    assert (sample, reason) == (None, "dropped_inward")
+    assert 0 < steps < sl.spectra._NEWTON_CAP
+
+
+def test_travel_3d_one_bounce_matches_closed_form():
+    # Off a ball at the ball centre, x and y are equally far from the centre,
+    # so the one-bounce root reflects at q = r (x + y) / |x + y|, on their
+    # bisector: with g the angle between x and y,
+    # t = 2 sqrt(a^2 + r^2 - 2 a r cos(g / 2)).
+    a, r = 10.0, 2.0
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), r),), ball_radius=a)
+    # Near-antipodal pairs reflect near grazing, where the seeds do not
+    # resolve the root; each other cell holds it once.
+    table = sl.travelling_time_spectrum(scene, n_points=6)
+    pairs = sl.spectra.spectrum_pairs(scene, 6)
+    ones = [s for s in table.samples if s.reflections == 1]
+    assert len(ones) == len({s.pair for s in ones}) > len(pairs) / 2
+    for one in ones:
+        x, y = (np.asarray(p) for p in pairs[one.pair])
+        g = math.acos(max(-1.0, min(1.0, float(x @ y) / (a * a))))
+        t = 2.0 * math.sqrt(a * a + r * r - 2.0 * a * r * math.cos(g / 2.0))
+        assert abs(one.t - t) <= 1e-12
+        q = r * (x + y) / np.linalg.norm(x + y)
+        # The time is second order in the mirror-law defect, the direction
+        # first order.
+        assert np.linalg.norm(np.asarray(one.dir_in) - (q - x) / np.linalg.norm(q - x)) <= 1e-7
+
+
+def test_newton_3d_recovers_tilted_root():
+    # The one-bounce root of the sphere-oracle scene, its reflection point
+    # turned 1e-3 rad about the ball's centre, solves back onto the same root.
     scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 1.5), 1.0),),
                      ball_radius=10.0)
     x = np.array([-10.0, 0.0, 0.0])
     y = np.array([0.0, 10.0, 0.0])
     (root,) = [s for s in sl.find_xy_geodesics(scene, x, y) if s.reflections == 1]
-    u = np.asarray(root.dir_in)
-    tilted = math.cos(1e-3) * u + math.sin(1e-3) * sl.spectra.plane_basis(u)[0]
-    got, _, reason = sl.spectra._polish_3d(scene, x, y, tilted)
-    assert got is not None and reason is None
+    q = np.asarray(sl.ray_intersect(scene.bodies[0], x, root.dir_in).point)
+    c = np.array([0.0, 0.0, 1.5])
+    w = q - c
+    turn = sl.spectra.plane_basis(w)[0]
+    tilted = c + math.cos(1e-3) * w + math.sin(1e-3) * turn
+    got, steps, reason = sl.spectra._solve_word(scene, x, y, [0], tilted[None, :])
+    assert got is not None and reason is None and 0 < steps <= 4
     assert got.residual < sl.spectra._root_tol(scene)
     assert got.itinerary == (0,)
-    assert abs(got.t - root.t) <= 1e-9
+    assert abs(got.t - root.t) <= 1e-12
 
 
-def test_polish_3d_shot_budget(ball_ellipsoid_scene, monkeypatch):
-    # Counted work: every shot of a d = 3 table is a polish shot (the sweep
-    # is one batched trace). The polish stops at the root goal and fires 49
-    # here; with a forward-difference Jacobian it fired 111.
+def _solve_tilted(scene):
+    """_solve_word on a one-bounce word off the ball at the origin, started
+    away from its root."""
+    return sl.spectra._solve_word(scene, np.array([-10.0, 0.0, 0.0]), np.array([0.0, 10.0, 0.0]),
+                                  [0], np.array([[-0.8, 0.6, 0.0]]))
+
+
+def test_newton_3d_step_cap_is_a_residual_drop(monkeypatch):
+    # A search still short of the goal after _NEWTON_CAP steps is dropped as
+    # a residual drop, having taken exactly the cap.
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 1.0),), ball_radius=10.0)
+    got, steps, reason = _solve_tilted(scene)
+    assert reason is None and steps >= 2
+    monkeypatch.setattr(sl.spectra, "_NEWTON_CAP", 1)
+    assert _solve_tilted(scene) == (None, 1, "dropped_residual")
+
+
+def test_newton_3d_singular_hessian_is_a_residual_drop(monkeypatch):
+    # A Hessian that numpy cannot solve ends the search at that step.
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 1.0),), ball_radius=10.0)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert _solve_tilted(scene) == (None, 1, "dropped_residual")
+
+
+def test_spectrum_3d_counts_failed_searches(ball_ellipsoid_scene, monkeypatch):
+    # Every d = 3 path search is a raw one (mirrors are exact reversals), and
+    # each failed one is a dropped cluster, counted under its reason.
     spectra = sl.spectra
-    shoot = spectra._shoot
-    shots = []
-
-    def counting_shoot(*args):
-        shots.append(1)
-        return shoot(*args)
-
-    monkeypatch.setattr(spectra, "_shoot", counting_shoot)
-    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3)
-    assert table.samples
-    assert table.diagnostics_dict()["refine_shots"] == len(shots) <= 60
-
-
-def test_mirror_polish_3d_takes_at_most_one_step(ball_ellipsoid_scene, monkeypatch):
-    # The time reversal of a root polished to the goal meets the goal from
-    # the other end at its first shot, or after one step (one trial shot)
-    # where the path amplifies the raw root's miss.
-    spectra = sl.spectra
-    mirror = spectra._mirror_refine_3d
-    shots = []
-
-    def counting_mirror(*args):
-        got, used = mirror(*args)
-        assert got is not None
-        shots.append(used)
-        return got, used
-
-    monkeypatch.setattr(spectra, "_mirror_refine_3d", counting_mirror)
-    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3)
-    assert table.samples
-    assert set(shots) <= {1, 2}
-    assert shots.count(1) > len(shots) / 2
-
-
-def test_spectrum_3d_counts_failed_polishes(ball_ellipsoid_scene, monkeypatch):
-    spectra = sl.spectra
-    polish = spectra._polish_3d
-    refine = spectra._refine_pair_3d
-    in_raw = []
+    solve = spectra._solve_word
     failed = []
 
-    def counting_polish(*args):
-        got, shots, reason = polish(*args)
-        if in_raw and got is None:
-            failed.append(reason)
-        return got, shots, reason
+    def counting_solve(*args):
+        got = solve(*args)
+        if got[0] is None:
+            failed.append(got[2])
+        return got
 
-    def raw_refine(*args):
-        # Mirror polishes run outside the raw refinement and are not drops.
-        in_raw.append(True)
-        try:
-            return refine(*args)
-        finally:
-            in_raw.pop()
-
-    monkeypatch.setattr(spectra, "_polish_3d", counting_polish)
-    monkeypatch.setattr(spectra, "_refine_pair_3d", raw_refine)
-    table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4)
-    diag = table.diagnostics_dict()
+    monkeypatch.setattr(spectra, "_solve_word", counting_solve)
+    diag = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4).diagnostics_dict()
     assert len(failed) > 0
     assert diag["dropped_clusters"] == len(failed)
     assert all(diag[r] == failed.count(r) for r in spectra._DROP_REASONS)
-    assert sum(diag[r] for r in spectra._DROP_REASONS) == diag["dropped_clusters"]
 
 
-def _offset_shot(scene, x, u0, basis, ab):
-    """The polish's shot at tangent offsets ab of the launch direction u0."""
-    v = u0 + ab @ basis
-    return sl.spectra._shoot(scene, x, v / math.sqrt(v @ v))
-
-
-def _central_jacobian(scene, x, u0, ab, h=1e-6):
-    """Rows: the central-difference derivative of the exit point along each
-    tangent offset of u0 at ab, or None where the two shots' itineraries
-    differ."""
-    basis = plane_basis(u0)
-    rows = []
-    for e in np.eye(len(basis)) * h:
-        plus, minus = (_offset_shot(scene, x, u0, basis, ab + s * e) for s in (1.0, -1.0))
-        if plus is None or minus is None or ([(ev[0], ev[3]) for ev in plus[1]]
-                                             != [(ev[0], ev[3]) for ev in minus[1]]):
-            return None
-        rows.append((np.asarray(plus[3]) - np.asarray(minus[3])) / (2.0 * h))
-    return np.array(rows)
-
-
-def _carried_jacobian(scene, x, u0, ab):
-    """The polish's shot at tangent offsets ab of u0 and its _exit_jacobian."""
-    basis = plane_basis(u0)
-    v = u0 + ab @ basis
-    shot = _offset_shot(scene, x, u0, basis, ab)
-    return shot, sl.spectra._exit_jacobian(scene, x, shot, basis / math.sqrt(v @ v))
-
-
-def test_exit_jacobian_matches_central_differences(ball_ellipsoid_scene):
-    # Seeded rays from the reference sphere, aimed near either body and
-    # launched at random tangent offsets: the carried Jacobian agrees with
-    # central differences (h = 1e-6) through 0, 1 and 2 or more reflections,
-    # on the ball and the tilted ellipsoid. Rays that meet a body at an
-    # incidence cosine below 0.3 are left out: near grazing the differences'
-    # O(h^2) error grows past the tolerance. Two reflections amplify the
-    # launch offsets by up to about 10^4, and the differences' error with
-    # them, to about 1e-6 of the largest entry.
-    scene = ball_ellipsoid_scene
-    rng = np.random.default_rng(21)
-    checked = Counter()
-    bodies = set()
-    for _ in range(4000):
-        x = rng.normal(size=3)
-        x *= scene.ball_radius / np.linalg.norm(x)
-        aim = np.asarray(scene.bodies[rng.integers(2)].center) + rng.normal(scale=1.2, size=3)
-        u0 = (aim - x) / np.linalg.norm(aim - x)
-        ab = rng.normal(scale=0.05, size=2)
-        shot, jac = _carried_jacobian(scene, x, u0, ab)
-        if shot is None or any(abs(np.dot(u, ev[2])) < 0.3
-                               for u, ev in zip([shot[0]] + [ev[4] for ev in shot[1]], shot[1])):
-            continue
-        refl = min(len(shot[1]), 2)
-        if checked[refl] >= 4:
-            continue
-        central = _central_jacobian(scene, x, u0, ab)
-        if central is None:
-            continue
-        scale = max(1.0, float(np.max(np.abs(central))))
-        assert np.max(np.abs(jac - central)) <= 1e-5 * scale
-        checked[refl] += 1
-        bodies |= {ev[0] for ev in shot[1]}
-        if len(checked) == 3 and min(checked.values()) >= 4:
-            break
-    assert checked == {0: 4, 1: 4, 2: 4}
-    assert bodies == {0, 1}
-
-
-def test_exit_jacobian_skips_grazing_events(ball_ellipsoid_scene):
-    # A ray tangent to the ball grazes it, goes on straight and reflects off
-    # the ellipsoid: its Jacobian is that of the same ray with the ball
-    # removed, checked against central differences there.
-    scene = ball_ellipsoid_scene
-    x = np.array([-math.sqrt(99.0), 1.0, 0.0])
-    u0, ab = np.array([1.0, 0.0, 0.0]), np.zeros(2)
-    shot, jac = _carried_jacobian(scene, x, u0, ab)
-    assert [(ev[0], ev[3]) for ev in shot[1]] == [(0, True), (1, False)]
-    alone = sl.Scene(dimension=3, bodies=scene.bodies[1:], ball_radius=scene.ball_radius)
-    shot_alone, jac_alone = _carried_jacobian(alone, x, u0, ab)
-    assert [(ev[0], ev[3]) for ev in shot_alone[1]] == [(0, False)]
-    central = _central_jacobian(alone, x, u0, ab)
-    scale = float(np.max(np.abs(central)))
-    assert np.max(np.abs(jac - central)) <= 1e-6 * scale
-    assert np.max(np.abs(jac - jac_alone)) <= 1e-9 * scale
-
-
-@pytest.mark.parametrize("jac", [
-    pytest.param([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], id="zero"),
-    pytest.param([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]], id="zero-column"),
-    pytest.param([[1.0, -2.0, 0.5], [-3.0, 6.0, -1.5]], id="parallel-columns"),
-    pytest.param([[1.0, -2.0, 0.5], [0.3, 0.7, 2.0]], id="full-rank")])
-@pytest.mark.parametrize("lam", [0.0, 1e-30, 1e-3, 1e3])
-def test_lm_step_is_the_least_norm_damped_step(jac, lam):
-    # A Jacobian of rank below 2 still gives a finite step, without raising:
-    # the least-norm minimiser of |J s + f|^2 + lam |D s|^2, as least squares
-    # on the stacked damped system gives it.
-    jac = np.array(jac)
-    f = np.array([0.4, -1.1, 0.25])
-    step = sl.spectra._lm_step(jac, f, lam)
-    assert np.all(np.isfinite(step))
-    scale = np.sqrt(lam * np.sum(jac * jac, axis=1))
-    damped = np.vstack([jac.T, np.diag(scale)])
-    want = np.linalg.lstsq(damped, np.concatenate([-f, np.zeros(2)]), rcond=None)[0]
-    assert np.allclose(step, want, rtol=1e-9, atol=1e-12)
-
-
-def _fake_exit(monkeypatch, miss):
-    """Replace _shoot by a shot that leaves at y + (miss(k), 0, 0) on the
-    k-th call (None: it does not leave), and return the list of calls."""
+def test_newton_step_budget(ball_ellipsoid_scene, monkeypatch):
+    # Counted work: a d = 3 table fires no refinement shot, and newton_steps
+    # counts every step of every path search, at most 4 per word here.
     spectra = sl.spectra
-    calls = []
+    solve = spectra._solve_word
+    steps = []
 
-    def shoot(scene, x, u):
-        calls.append(u)
-        m = miss(len(calls))
-        if m is None:
-            return None
-        return u, (), u, _Y3 + np.array([m, 0.0, 0.0]), 20.0
+    def counting_solve(*args):
+        got = solve(*args)
+        steps.append(got[1])
+        return got
 
-    monkeypatch.setattr(spectra, "_shoot", shoot)
-    return calls
-
-
-_X3 = np.array([-10.0, 0.0, 0.0])
-_Y3 = np.array([10.0, 0.0, 0.0])
-
-
-def _polish(scene):
-    return sl.spectra._polish_3d(scene, _X3, _Y3, np.array([1.0, 0.0, 0.0]))
-
-
-def test_polish_3d_steady_miss_reaches_cap(monkeypatch):
-    # A miss that halves every ten shots never stalls and never reaches the
-    # goal: the polish gives up at the cap. A step is one trial shot, so the
-    # polish fires exactly the cap.
-    scene = sl.Scene(dimension=3, ball_radius=10.0)
-    calls = _fake_exit(monkeypatch, lambda k: 0.5 ** (k / 10))
-    got, shots, reason = _polish(scene)
-    assert (got, reason) == (None, "dropped_cap")
-    assert shots == len(calls) == sl.spectra._POLISH_CAP
-
-
-def test_polish_3d_stalled_miss_ends_early(monkeypatch):
-    # A miss stuck at a nonzero minimum ends as a residual drop long before
-    # the cap, at the first stall check, since every shot after the first is
-    # a trial; a first shot that does not leave ends at once.
-    scene = sl.Scene(dimension=3, ball_radius=10.0)
-    calls = _fake_exit(monkeypatch, lambda k: 0.3)
-    got, shots, reason = _polish(scene)
-    assert (got, reason) == (None, "dropped_residual")
-    assert shots == len(calls) == sl.spectra._STALL_SHOTS + 1
-    calls = _fake_exit(monkeypatch, lambda k: None)
-    assert _polish(scene) == (None, 1, "dropped_lost")
+    monkeypatch.setattr(spectra, "_solve_word", counting_solve)
+    diag = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4).diagnostics_dict()
+    assert diag["refine_shots"] == 0
+    assert diag["newton_steps"] == sum(steps) > 0
+    assert max(steps) <= 4
 
 
 def test_travel_3d_imports_no_scipy_optimize(ball_ellipsoid_scene):
-    # The d = 3 polish is numpy-only.
+    # The d = 3 path search is numpy-only.
     code = ("import sys, scatterlab; "
             "scene = scatterlab.parse_scene(sys.stdin.read()); "
             "table = scatterlab.travelling_time_spectrum(scene, n_points=3, n_seeds=200); "
