@@ -9,10 +9,8 @@ The trapped set is not decidable numerically. Tracing classifies a
 trajectory as ``cutoff`` once it exceeds the reflection or path-length
 limits, and every consumer treats cutoff as trapped-for-this-experiment.
 
-Every trace runs on the batched kernel (_trace_many) but the d = 2 root
-refinement's shots, one ray each on floats by _trace_2d over a body scene's
-planar kernel entries, bitwise its batch row under the default limits. The
-d = 3 refinement traces nothing: it solves for the reflection points.
+Every trace runs on the batched kernel (_trace_many). Travel root refinement
+traces nothing: it solves for the reflection points of each word.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (ROOT_TOL, Scene, _as_tuple, _check_ray, _check_unit, _dot, _first_hit_2d,
-                       _hits, evaluate_body)
+from .geometry import ROOT_TOL, Scene, _as_tuple, _check_ray, _check_unit, _dot, _hits, evaluate_body
 
 # Standard ray hygiene: push the next query origin off the surface after a
 # reflection, and slightly past the tangent point after a grazing event.
@@ -122,49 +119,6 @@ def reflect(v, n) -> np.ndarray:
     return out / float(np.linalg.norm(out))
 
 
-# The refinement trace takes the limits' scales off, skip and lmax. Events
-# are tuples (obstacle, point, normal, grazing, direction_after). It returns
-# (escaped, events, leg_origin, direction, leg_length), ending at the last
-# free leg: its origin (the last event point, or the start point when there
-# was no event), the path length up to it, and the direction along it. An
-# escaped trace runs to infinity along that leg; a cutoff trace stops at its
-# origin.
-
-def _trace_2d(entries, point, direction, off: float, skip: float, lmax: float):
-    ox, oy = float(point[0]), float(point[1])
-    ux, uy = float(direction[0]), float(direction[1])
-    px_prev, py_prev = ox, oy
-    total = 0.0
-    nrefl = 0
-    events = []
-    while True:
-        h = _first_hit_2d(entries, ox, oy, ux, uy)
-        if h is None:
-            return True, events, (px_prev, py_prev), (ux, uy), total
-        oid, t, px, py, nx, ny, cosi, grazing = h
-        dx = px - px_prev
-        dy = py - py_prev
-        total += math.sqrt(dx * dx + dy * dy)
-        px_prev, py_prev = px, py
-        if grazing:
-            events.append((oid, (px, py), (nx, ny), True, (ux, uy)))
-            ox = px + skip * ux
-            oy = py + skip * uy
-        else:
-            d = 2.0 * (ux * nx + uy * ny)
-            ux -= d * nx
-            uy -= d * ny
-            nn = math.sqrt(ux * ux + uy * uy)
-            ux /= nn
-            uy /= nn
-            events.append((oid, (px, py), (nx, ny), False, (ux, uy)))
-            nrefl += 1
-            ox = px + off * nx
-            oy = py + off * ny
-        if nrefl >= DEFAULT_MAX_REFLECTIONS or total >= lmax:
-            return False, events, (px, py), (ux, uy), total
-
-
 class _EventLog(NamedTuple):
     """Every event of a batch of traces, one entry per event, grouped by ray
     and in order along each ray: the ray's row, the obstacle id, the arc
@@ -189,9 +143,8 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     held, compacted, as (d, n) coordinate arrays, filtered once per step by
     the rays that hit; a ray that escapes or is cut off is written into the
     outputs when it stops. On a body scene under the default limits each
-    row is bitwise the float trace that runs _first_hit_nd step by step, and
-    in the plane its _trace_2d trace: reflections and path lengths take
-    their coordinate-order sums.
+    row is bitwise the float trace that runs _first_hit_nd step by step:
+    reflections and path lengths take their coordinate-order sums.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -276,7 +229,7 @@ def _sphere_exit(scene: Scene, legs: np.ndarray, dirs: np.ndarray, r: float):
     dirs and the sphere of radius r about the ball center: s is the distance
     to the leg's last crossing of it, and disc is negative where the leg
     misses it, where s is the distance of closest approach instead. Sums go
-    in coordinate order, so a row is bitwise a refinement shot's crossing."""
+    in coordinate order."""
     w = legs - np.asarray(scene.ball_center)
     b = _coldot(w, dirs)
     disc = b * b - (_coldot(w, w) - r * r)
@@ -285,7 +238,7 @@ def _sphere_exit(scene: Scene, legs: np.ndarray, dirs: np.ndarray, r: float):
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row inner products summed column by column from the first, the order
-    of the refinement kernels' sums."""
+    of the float kernels' sums."""
     return _dot(a.T, b.T)
 
 

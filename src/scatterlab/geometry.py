@@ -13,11 +13,9 @@ seen from far away, so |phi| at a reported hit stays below ROOT_TOL, or
 below the rounding floor of the hit point where that is larger; a hit off
 its body beyond that raises RayIntersectError. One batched kernel answers
 every scene query, testing each kind of obstacle against all rays in one
-pass. Only the planar refinement shot, ray_intersect and the clearance test
-of d = 3 travel paths take hits on floats, by two scalar rules that see
-bodies alone and match the batched kernel bit for bit (one elementwise
-arithmetic, summed in coordinate order): _first_hit_2d for the planar shot,
-_first_hit_nd for ray_intersect and the clearance test.
+pass. Only ray_intersect takes hits on floats, by _first_hit_nd, a scalar
+rule that sees bodies alone and matches the batched kernel bit for bit (one
+elementwise arithmetic, summed in coordinate order).
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -340,7 +338,7 @@ def _first_hit_nd(bodies, o: tuple, v: tuple, t_min: float = 0.0):
 # ---------------------------------------------------------------------------
 # Rows of O and U are ray origins and unit directions. Each kind of obstacle
 # meets all rays in one pass over an (obstacles x rays) array, bodies by the
-# expressions of the refinement kernels written on arrays: the columns of O
+# expressions of _first_hit_nd written on arrays: the columns of O
 # and U stand for the coordinates, and a kind's (K, 1) parameter columns for
 # its parameters.
 
@@ -536,9 +534,8 @@ class Scene:
 #   ("a", id, arc, cx, cy, sa, sb, lo, span)    axis-aligned elliptic arc
 # Curves exist only in the plane, and only the batched kernel sees them: it
 # evaluates each kind on the (K, 1) parameter columns of a _Kind stack against
-# length-N ray arrays. _first_hit_2d writes the planar body expressions out on
-# floats, and _first_hit_nd runs _quadratic and _phi on floats, so a
-# _trace_many row on a body scene is bitwise its float trace.
+# length-N ray arrays. _first_hit_nd runs _quadratic and _phi on floats, so
+# a _trace_many row on a body scene is bitwise its float trace.
 
 _TWO_PI = 2.0 * math.pi
 
@@ -589,7 +586,7 @@ def _compile(scene: Scene):
 def _hits(scene, o, u):
     """The batched kernel on the coordinate rows o and u, (d, N) arrays, of
     N rays: one pass per obstacle kind over all rays, bodies by the rules of
-    the refinement kernels, and arcs and segments by the only copy of
+    _first_hit_nd, and arcs and segments by the only copy of
     theirs; every body hit passes _guard, and RayIntersectError names the
     lowest offending ray.
 
@@ -706,66 +703,6 @@ def _kind_pass(kind: _Kind, o, u):
     near_ok = on_arc(near)
     t = np.where(near_ok, near, np.where(on_arc(far) & ~band, far, np.inf))
     return t, band & near_ok
-
-
-def _first_hit_2d(entries, ox: float, oy: float, ux: float, uy: float):
-    """Closest body hit for a planar ray over the kernel entries of a body
-    scene (its _k[0]) as (obstacle_id, t, px, py, nx, ny, cos_incidence,
-    grazing), or None; ties go to the lowest id. The refinement kernel of
-    d = 2: each body offers its first root beyond 0 by _first_hit_nd's rule,
-    written out on floats, and its hit passes _guard.
-    """
-    eps, sqrt = DISCRIMINANT_EPS, math.sqrt
-    best_t, best, band = math.inf, None, False
-    for e in entries:
-        if e[0] == "b":
-            _, _, _, cx, cy, al = e
-            wx = ox - cx
-            wy = oy - cy
-            t0 = -(wx * ux + wy * uy)
-            wx = wx + t0 * ux
-            wy = wy + t0 * uy
-            g0 = (wx * wx + wy * wy) * al - 1.0
-        else:
-            _, _, _, cx, cy, m00, m01, m11 = e
-            wx = ox - cx
-            wy = oy - cy
-            mvx = m00 * ux + m01 * uy
-            mvy = m01 * ux + m11 * uy
-            al = ux * mvx + uy * mvy
-            t0 = -(wx * mvx + wy * mvy) / al
-            wx = wx + t0 * ux
-            wy = wy + t0 * uy
-            g0 = wx * (m00 * wx + m01 * wy) + wy * (m01 * wx + m11 * wy) - 1.0
-        if g0 > eps:
-            continue
-        if g0 >= -eps:
-            if 0.0 < t0 < best_t:
-                best_t, best, band = t0, e, True
-            continue
-        h = sqrt(-al * g0) / al
-        t = t0 - h
-        if t <= 0.0:
-            t = t0 + h
-        if 0.0 < t < best_t:
-            best_t, best, band = t, e, False
-    if best is None:
-        return None
-    px = ox + best_t * ux
-    py = oy + best_t * uy
-    wx = px - best[3]
-    wy = py - best[4]
-    if best[0] == "b":
-        nx, ny = wx * best[5], wy * best[5]
-    else:
-        nx, ny = best[5] * wx + best[6] * wy, best[6] * wx + best[7] * wy
-    nn = sqrt(nx * nx + ny * ny)
-    if abs(f := wx * nx + wy * ny - 1.0) > ROOT_TOL:
-        _guard(f, nn, (ox, oy), (ux, uy), best_t)
-    nx = nx / nn
-    ny = ny / nn
-    cosi = ux * nx + uy * ny
-    return best[1], best_t, px, py, nx, ny, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
 def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]]:

@@ -10,32 +10,30 @@ depend on the ball's radius, which is one of the acceptance checks.
 
 Travelling times start from seed sweeps: seed inward directions at a sphere
 point x, trace, and locate the last crossing of the reference sphere on the
-outgoing leg. In d = 2 seeds whose exits straddle the target point y bracket
-a root, refined by Illinois regula falsi (Dowell & Jarratt, BIT 1971) on the
-exit-angle miss, a secant step kept inside the bracket, until the miss is
-below _RESIDUAL_MARGIN times the root tolerance. In d = 3 each local minimum
-of the seeds' exit miss gives a word and its reflection points, and Newton's
-method on the length of that word's paths finds the path whose mirror-law
-defect, times the ball radius, is below the same goal: at most a few steps
-per word, and no ray traced. A path that enters a body or meets one before
-the end of a leg is no trajectory and is dropped. A table first traces the
-seed sweeps of all its source points, in lockstep batches through one
-batched ray kernel: in d = 3 every seed in one batch, in d = 2 every seed in
-one and the gap midpoints of each split depth in one more. Each sweep serves
-every partner of its point. Only the d = 2 root refinement (regula falsi and
-mirror re-bracketing) traces one ray at a time, each shot one planar float
-path bitwise the batched kernel's, with no dimension dispatch and no numpy
-call, so a shot at a seed's launch angle sees the seed's exit point. A d = 2
-sample keeps numpy's dot products for its residual and time, whose last bits
-a Python sum would change. The sojourn scan traces all its launches in one
-batch too. The search is symmetrized: each root found sweeping from one
-endpoint is time-reversed, and in d = 2 re-polished once from the other,
-and the pair's cells in both orders are built from those two mirror lists,
-so swapping the endpoints returns matching times by construction; a d = 3
-reversal is exact, so both orders hold the same times bit for bit. Brackets
-that do not converge, polishes that miss y and d = 3 paths that are no
-trajectory are dropped and counted by reason in the table diagnostics, next
-to the number of refinement shots and Newton steps.
+outgoing leg. Every root is the length of a reflecting ray, so it is a
+critical point of the length of the paths off the bodies of one word in turn
+(Petkov & Stoyanov, 1992), and the sweeps only propose the words. In d = 2
+seeds whose exits straddle the target point y bracket a root: the word of
+the bracket's end nearer to y is a candidate, and where the two ends' words
+differ otherwise than by one reflection at the start or end of the path,
+the bracket is narrowed by batched multisection until they agree. In d = 3
+each local minimum of the seeds' exit miss gives a candidate. Each body's
+one-bounce word is a candidate for every pair. All candidates of a table, or
+of one pool worker's share of it, are solved at once by Newton's method on
+the path length, which stops when the mirror-law defect, times the ball
+radius, is below _RESIDUAL_MARGIN times the root tolerance. A path that
+enters a body or meets one before the end of a leg is no trajectory and is
+dropped. A table first traces the seed sweeps of all its source points, in
+lockstep batches through one batched ray kernel: in d = 3 every seed in one
+batch, in d = 2 every seed in one and the gap midpoints of each split depth
+in one more. Each sweep serves every partner of its point. The sojourn scan
+traces all its launches in one batch too. The search is symmetrized: each
+root found sweeping from one endpoint is entered time-reversed for the
+other, an exact reversal, so both orders of a pair hold the same times bit
+for bit. Narrowed brackets that lose their sign change or stay split, and
+paths that do not converge or are no trajectory, are dropped and counted by
+reason in the table diagnostics, next to the narrowing launches and the
+Newton steps.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere, with fewer than one seed and at a lattice phase off the
 plane is refused with ContractError rather than answered with empty sets.
@@ -47,35 +45,35 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (DEFAULT_LENGTH_FACTOR, GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot,
-                       _itineraries, _sphere_exit, _trace_2d, _trace_many)
-from .geometry import (TANGENT_COS_EPS, Scene, _as_tuple, _first_hit_nd, fibonacci_sphere,
+from .dynamics import (GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot, _itineraries, _sphere_exit,
+                       _trace_many)
+from .geometry import (TANGENT_COS_EPS, Scene, _as_tuple, _dot, _hits, fibonacci_sphere,
                        sphere_lattice)
 
 DIRECTION_MATCH_TOL = 1e-9
 
-# Shooting defaults: seed counts resolve all few-reflection branches in
+# Sweep defaults: seed counts resolve all few-reflection branches in
 # desk-scale scenes; long itineraries are resolution limited.
 SEEDS_2D = 720
 SEEDS_3D = 2000
 REFINE_TOL_FRAC = 1e-7
 DEDUP_FRAC = 1e-5
-_ILLINOIS_CAP = 90
 
-# The root solvers drive the miss a factor below the root tolerance so that
-# two independently converged roots of one geodesic agree in time within the
-# stated tolerance.
+# The root solver drives a times the mirror-law defect a factor below the
+# root tolerance, so that two independently converged roots of one geodesic
+# agree in time within the stated tolerance.
 _RESIDUAL_MARGIN = 0.25
 
-# Why a raw root search is dropped: the bracket solver reached its shot cap,
-# a shot did not leave the sphere, the search ended short of its goal, or the
-# d = 3 path found meets a body before a leg's end or enters one at a
-# reflection. Their sum is the table's dropped_clusters.
-_DROP_REASONS = ("dropped_cap", "dropped_lost", "dropped_residual", "dropped_blocked",
+# Why a raw root search is dropped: a narrowed bracket lost its sign change,
+# or its ends' words still differed after _NARROW_DEPTH rounds; Newton's
+# method ended short of its goal; or the path found meets a body before a
+# leg's end or enters one at a reflection. Their sum is the table's
+# dropped_clusters.
+_DROP_REASONS = ("dropped_lost", "dropped_split", "dropped_residual", "dropped_blocked",
                  "dropped_inward")
 
 _TWO_PI = 2.0 * math.pi
@@ -293,83 +291,121 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 # Travelling times: seed sweeps
 # ---------------------------------------------------------------------------
 
-def _sphere_angle(scene: Scene, p) -> float:
-    """Polar angle of a point around the ball center (d = 2)."""
-    center = scene.ball_center
-    return math.atan2(p[1] - center[1], p[0] - center[0])
-
-
-def _frame_at(scene: Scene, x):
-    """The inward normal m of the reference circle at x and its turn mp by a
-    right angle, as tuples (d = 2)."""
-    dx = scene.ball_center[0] - float(x[0])
-    dy = scene.ball_center[1] - float(x[1])
-    nn = math.sqrt(dx * dx + dy * dy)
-    m = (dx / nn, dy / nn)
-    return m, (-m[1], m[0])
-
-
 # Seed gaps that hide structure get subdivided before bracketing: endpoints
 # disagreeing on itinerary mark a branch edge, and a large exit-angle jump
 # between same-itinerary endpoints marks a narrow branch island in between
-# (expanding dynamics make such islands sweep a wide exit range). Roots still
-# unresolved below the split depth are legitimately dropped as near-tangent.
+# (expanding dynamics make such islands sweep a wide exit range).
 _BOUNDARY_SPLIT_DEPTH = 6
 _EXIT_JUMP_TOL = 0.08
 
 
+class _Words(NamedTuple):
+    """The reflections of traced shots, ragged: shot i's word is
+    obstacles[first[i]:first[i] + count[i]] and its reflection points are the
+    same rows of points, grazings left out."""
+
+    count: np.ndarray
+    first: np.ndarray
+    obstacles: np.ndarray
+    points: np.ndarray
+
+    def take(self, rows) -> "_Words":
+        """The words of the shots rows, packed in that order."""
+        n = self.count[rows]
+        first = np.cumsum(n) - n
+        flat = np.repeat(self.first[rows] - first, n) + np.arange(int(n.sum()))
+        return _Words(n, first, self.obstacles[flat], self.points[flat])
+
+
+def _log_words(log, n: int) -> _Words:
+    """The words of the n rays of a _trace_many log."""
+    refl = ~log.grazing
+    count = np.bincount(log.rows[refl], minlength=n)
+    return _Words(count, np.cumsum(count) - count, log.obstacle[refl], log.point[refl])
+
+
+def _join_words(parts) -> _Words:
+    """The words of several sets of shots, one set after another."""
+    offsets = np.cumsum([0] + [len(w.obstacles) for w in parts[:-1]])
+    return _Words(*(np.concatenate(f) for f in zip(
+        *((w.count, w.first + o, w.obstacles, w.points) for w, o in zip(parts, offsets)))))
+
+
+def _ragged_differ(n, fa, fb, ids):
+    """Whether ids[fa[i]:fa[i] + n[i]] and ids[fb[i]:fb[i] + n[i]] differ,
+    pair by pair."""
+    pair = np.repeat(np.arange(n.size), n)
+    k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
+    differ = np.zeros(n.size, dtype=bool)
+    differ[pair[ids[fa[pair] + k] != ids[fb[pair] + k]]] = True
+    return differ
+
+
+def _words_differ(words: _Words, a, b):
+    """Whether the words of the shots a and b differ, pair by pair."""
+    count, first, ids, _ = words
+    la, lb = count[a], count[b]
+    return (la != lb) | _ragged_differ(np.where(la == lb, la, 0), first[a], first[b], ids)
+
+
+def _end_edges(words: _Words, a, b):
+    """Whether the words of the shots a and b, pair by pair, differ by one
+    reflection added at the start or the end of one of them."""
+    count, first, ids, _ = words
+    la, lb = count[a], count[b]
+    one = np.abs(la - lb) == 1
+    n = np.where(one, np.minimum(la, lb), 0)
+    short, long = np.where(la < lb, first[a], first[b]), np.where(la < lb, first[b], first[a])
+    return one & ~(_ragged_differ(n, short, long, ids) & _ragged_differ(n, short, long + 1, ids))
+
+
 @dataclass(frozen=True)
 class _Sweep2D:
-    frame: tuple
-    psi: list  # launch angles, increasing
+    frame: np.ndarray  # rows: the inward normal at x and its turn by a right angle
+    psi: np.ndarray  # launch angles, increasing
     escaped: np.ndarray
     angle: np.ndarray  # exit angle about the ball center, 0 where not escaped
+    words: _Words  # empty where not escaped
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_fan(n_seeds: int):
-    """The launch angles of the n_seeds inward seeds of a d = 2 sweep and
-    their math.cos and math.sin, as _delta_at takes them; read-only, one
-    fan per seed count shared by every sweep."""
-    psi = [-0.5 * math.pi + math.pi * (k + 0.5) / n_seeds for k in range(n_seeds)]
-    fan = np.array([psi, [math.cos(p) for p in psi], [math.sin(p) for p in psi]])
-    fan.flags.writeable = False
-    return fan
+def _frames(scene: Scene, xs):
+    """(n, 2, 2): at each point of xs, the inward normal m of the reference
+    circle and its turn mp by a right angle (d = 2)."""
+    m = np.asarray(scene.ball_center) - xs
+    m = m / np.sqrt(_coldot(m, m))[:, None]
+    return np.stack([m, np.column_stack([-m[:, 1], m[:, 0]])], axis=1)
+
+
+def _fan_shots(scene: Scene, xs, frames, psi):
+    """Trace the d = 2 launches at the angles psi from the rows of xs in the
+    frames, all in one lockstep batch; returns (left, exit angle about the
+    ball center, 0 where a shot does not leave the sphere, _Words, empty
+    where it does not)."""
+    u = np.cos(psi)[:, None] * frames[:, 0] + np.sin(psi)[:, None] * frames[:, 1]
+    escaped, legs, _, dirs, log = _trace_many(scene, xs, u)
+    s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
+    ok = escaped & (disc >= 0.0) & (s >= 0.0)
+    pts = legs[ok] + s[ok, None] * dirs[ok] - np.asarray(scene.ball_center)
+    angle = np.zeros(len(u))
+    angle[ok] = np.arctan2(pts[:, 1], pts[:, 0])
+    words = _log_words(log, len(u))
+    return ok, angle, words._replace(count=np.where(ok, words.count, 0))
 
 
 def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
     """The inward seed sweep from every point of xs, in lockstep batches: all
     seeds in one, then the seed gaps that need a split at each depth in one
     each, every midpoint splitting its gap; a sweep is its shots sorted by
-    psi. Itineraries stay ragged arrays throughout, and only the shots that
-    leave take a Python atan2. Returns (sweeps, cutoff seeds, rays traced)."""
-    frames = [_frame_at(scene, x) for x in xs]
-    m = np.array([f[0] for f in frames])
-    mp = np.array([f[1] for f in frames])
-    center = np.asarray(scene.ball_center)
-
-    def shots(src, cos, sin):
-        u = cos[:, None] * m[src] + sin[:, None] * mp[src]
-        escaped, legs, _, dirs, log = _trace_many(scene, xs[src], u)
-        s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
-        ok = escaped & (disc >= 0.0) & (s >= 0.0)
-        pts = legs[ok] + s[ok, None] * dirs[ok] - center
-        angle = np.zeros(len(u))
-        # math.atan2, not np.arctan2, which can differ in the last bit.
-        angle[ok] = [math.atan2(py, px) for px, py in pts.tolist()]
-        refl = ~log.grazing
-        count = np.bincount(log.rows[refl], minlength=len(u))
-        return ok, angle, np.where(ok, count, 0), np.cumsum(count) - count, log.obstacle[refl]
-
-    psi0, cos0, sin0 = _seed_fan(n_seeds)
+    psi, with their words. Returns (sweeps, cutoff seeds, rays traced)."""
+    frames = _frames(scene, xs)
     src = np.repeat(np.arange(len(xs)), n_seeds)
-    psi = np.tile(psi0, len(xs))
-    escaped, angle, count, first, ids = shots(src, np.tile(cos0, len(xs)), np.tile(sin0, len(xs)))
+    psi = np.tile(-0.5 * math.pi + math.pi * (np.arange(n_seeds) + 0.5) / n_seeds, len(xs))
+    escaped, angle, words = _fan_shots(scene, xs[src], frames[src], psi)
     cutoff = int(np.count_nonzero(~escaped))
     a = np.flatnonzero((np.arange(psi.size) + 1) % n_seeds)
     b = a + 1
     for _ in range(_BOUNDARY_SPLIT_DEPTH):
-        split = ((escaped[a] != escaped[b]) | _ragged_differ(count, first, ids, a, b)
+        split = ((escaped[a] != escaped[b]) | _words_differ(words, a, b)
                  | (escaped[a] & (np.abs(_wrap(angle[a] - angle[b])) > _EXIT_JUMP_TOL)))
         a, b = a[split], b[split]
         if not a.size:
@@ -377,31 +413,15 @@ def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
         mid = np.arange(psi.size, psi.size + a.size)
         src = np.concatenate([src, src[a]])
         psi = np.concatenate([psi, 0.5 * (psi[a] + psi[b])])
-        halves = psi[mid].tolist()
-        ok, ang, cnt, fst, obs = shots(src[mid], np.array([math.cos(p) for p in halves]),
-                                       np.array([math.sin(p) for p in halves]))
+        ok, ang, new = _fan_shots(scene, xs[src[mid]], frames[src[mid]], psi[mid])
         escaped, angle = np.concatenate([escaped, ok]), np.concatenate([angle, ang])
-        count, first = np.concatenate([count, cnt]), np.concatenate([first, fst + ids.size])
-        ids = np.concatenate([ids, obs])
+        words = _join_words([words, new])
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     order = np.lexsort((psi, src))
     ends = np.cumsum(np.bincount(src, minlength=len(xs)))
-    sweeps = [_Sweep2D(f, psi[rows].tolist(), escaped[rows], angle[rows])
+    sweeps = [_Sweep2D(f, psi[rows], escaped[rows], angle[rows], words.take(rows))
               for f, rows in zip(frames, np.split(order, ends[:-1]))]
     return sweeps, cutoff, int(psi.size)
-
-
-def _ragged_differ(count, first, ids, a, b):
-    """Whether ragged rows a and b differ, pair by pair, where row i is
-    ids[first[i]:first[i] + count[i]]."""
-    differ = count[a] != count[b]
-    same = np.flatnonzero(~differ & (count[a] > 0))
-    n = count[a[same]]
-    pair = np.repeat(np.arange(same.size), n)
-    k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
-    unequal = ids[first[a[same]][pair] + k] != ids[first[b[same]][pair] + k]
-    differ[same[pair[unequal]]] = True
-    return differ
 
 
 def _wrap(angle):
@@ -409,176 +429,365 @@ def _wrap(angle):
 
 
 # ---------------------------------------------------------------------------
-# Travelling times: root refinement
+# Travelling times: candidate words
+# ---------------------------------------------------------------------------
+# A root from x to y is a critical point of the length of the paths off the
+# bodies of one word in turn. The sweeps say which words occur near a pair
+# and where their reflection points lie.
+
+# Rounds of d = 2 bracket narrowing, and launches inside a bracket per round.
+_NARROW_DEPTH = 8
+_NARROW_LAUNCHES = 7
+
+
+def _brackets(both, da, db, differ, edge):
+    """The d = 2 candidate rule on launch gaps: both ends leave where both
+    holds, the exit-angle misses to y are da and db, and the end words differ
+    where differ holds, by one reflection at the start or end of the path
+    where edge does (_end_edges). A gap holds a root when its a end exits exactly at y or
+    the misses change sign other than by a wrap across the antipode. Where
+    the words are equal, or differ at an edge, a tangency of the first or
+    last leg across which the exit angle is continuous, the root's word is
+    one of them: the word of the end that misses less is solved, and the
+    other too where they differ. Where they differ otherwise, the word of
+    the end that misses less is solved, as the root may sit beside it next
+    to a second crossing, and the gap is narrowed, as the root's word may be
+    neither. Returns masks (solve from a, solve from b, narrow)."""
+    straddle = both & (da * db < 0.0) & (np.abs(da - db) < math.pi)
+    near = np.abs(da) <= np.abs(db)
+    return ((both & (da == 0.0)) | (straddle & (near | edge)), straddle & (edge | ~near),
+            straddle & differ & ~edge)
+
+
+def _edge_words(psi, escaped, miss, words: _Words, differ):
+    """The words that may hold a root beside a branch edge of a d = 2 sweep
+    with no sign change at its gap's ends: past a tangency the exit angle
+    leaves with an infinite slope, so a word's miss can cross zero just
+    before its edge and come back before the next shot. For each row of
+    misses and each gap whose end words differ (differ, per gap): where the
+    miss of one end, carried on linearly from the shot before it on the
+    same word, changes sign inside the gap, that end's word is solved from
+    it, and so are the prefixes of the other end's word that extend it,
+    from the other end. Returns (row, _Words)."""
+    count, first, ids, points = words
+    rows, shots, others = [], [], []
+    for side in (1, -1):
+        # Shots on the near side of a gap whose words differ, with the shot
+        # before them on the same word.
+        near = np.flatnonzero(differ[:-1] & ~differ[1:]) + 1 if side < 0 else (
+            np.flatnonzero(~differ[:-1] & differ[1:]) + 1)
+        prev, far = near - side, near + side
+        near = near[escaped[near] & escaped[prev] & escaped[far]]
+        prev, far = near - side, near + side
+        step = miss[:, near] - miss[:, prev]
+        ahead = miss[:, near] + step * ((psi[far] - psi[near]) / (psi[near] - psi[prev]))
+        row, at = np.nonzero((np.abs(step) < math.pi) & (miss[:, near] * ahead < 0.0))
+        rows.append(row)
+        shots.append(near[at])
+        others.append(far[at])
+    row, shot, other = (np.concatenate(v) for v in (rows, shots, others))
+    k, kf = count[shot], count[other]
+    chain = k < kf - 1
+    extra = np.where(chain & ~_ragged_differ(np.where(chain, k, 0), first[shot], first[other], ids),
+                     kf - k - 1, 0)
+    which = np.repeat(np.arange(shot.size), extra)
+    length = k[which] + 1 + np.arange(which.size) - np.repeat(np.cumsum(extra) - extra, extra)
+    return np.concatenate([row, row[which]]), _join_words(
+        [words.take(shot), _Words(length, first[other][which], ids, points).take(
+            np.arange(which.size))])
+
+
+def _narrow(scene, brackets, tally):
+    """Narrow d = 2 brackets in lockstep: each round traces _NARROW_LAUNCHES
+    evenly spaced launches inside every open bracket in one batch, and its
+    sub-brackets are taken by _brackets. brackets holds, per bracket, its
+    pair slot, x, frame and angle of y, and the (psi, miss, words) of its
+    two ends, one after the other. Counts the launches as refine_shots, a
+    bracket that keeps no sub-bracket (a launch inside it stayed in the
+    scene, or its miss jumped across the antipode) as "dropped_lost" and one
+    still split after _NARROW_DEPTH rounds as "dropped_split". Returns
+    ([slots], [_Words]) of the shots to solve from."""
+    slot, x, frame, ty, psi, miss, words = brackets
+    escaped = np.ones(psi.size, dtype=bool)
+    lo = np.arange(0, psi.size, 2)
+    hi, at = lo + 1, np.arange(lo.size)
+    frac = np.arange(1, _NARROW_LAUNCHES + 1) / (_NARROW_LAUNCHES + 1)
+    slots, found = [], []
+    for _ in range(_NARROW_DEPTH):
+        if not lo.size:
+            break
+        inner = (psi[lo, None] + (psi[hi] - psi[lo])[:, None] * frac).ravel()
+        of = np.repeat(at, _NARROW_LAUNCHES)
+        ok, angle, new = _fan_shots(scene, x[of], frame[of], inner)
+        tally["refine_shots"] += inner.size
+        rows = psi.size + np.arange(inner.size).reshape(lo.size, _NARROW_LAUNCHES)
+        psi, miss = np.concatenate([psi, inner]), np.concatenate([miss, _wrap(angle - ty[of])])
+        escaped, words = np.concatenate([escaped, ok]), _join_words([words, new])
+        chain = np.column_stack([lo, rows, hi])
+        a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
+        owner = np.repeat(at, _NARROW_LAUNCHES + 1)
+        from_a, from_b, narrow = _brackets(escaped[a] & escaped[b], miss[a], miss[b],
+                                           _words_differ(words, a, b), _end_edges(words, a, b))
+        gap, side = np.nonzero(np.column_stack([from_a, from_b]))
+        slots.append(slot[owner[gap]])
+        found.append(words.take(np.where(side == 0, a[gap], b[gap])))
+        _drop(tally, "dropped_lost", lo.size - np.unique(owner[gap]).size)
+        lo, hi, at = a[narrow], b[narrow], owner[narrow]
+    _drop(tally, "dropped_split", lo.size)
+    return slots, found
+
+
+def _drop(tally, reason: str, n: int) -> None:
+    tally["dropped_clusters"] += n
+    tally[reason] += n
+
+
+def _body_tables(scene: Scene):
+    """Each body's centre c, R D and M = R D^-2 R^T, coordinates first."""
+    bodies, d = scene.bodies, scene.dimension
+    return (np.array([b._c for b in bodies]).reshape(-1, d).T,
+            np.array([np.multiply(b.rotation, b.semiaxes) for b in bodies]
+                     ).reshape(-1, d, d).transpose(1, 2, 0),
+            np.array([b._M for b in bodies]).reshape(-1, d, d).transpose(1, 2, 0))
+
+
+def _one_bounce_starts(scene: Scene, xs, ys):
+    """Each body's one-bounce word for every pair (xs[i], ys[i]), started at
+    the body point whose outward normal n bisects the directions from the
+    body's centre to x and y: s = (R D)^T n normalised, since the normal at
+    c + R D s is along R D^-1 s. Returns (pair, _Words); a pair whose x and
+    y are opposite about a centre gets no start there."""
+    nb = len(scene.bodies)
+    pair, body = np.repeat(np.arange(len(xs)), nb), np.tile(np.arange(nb), len(xs))
+    c, jac, _ = (t[..., body] for t in _body_tables(scene))
+    ex, ey = xs[pair].T - c, ys[pair].T - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = _mat_vec(jac.transpose(1, 0, 2), ex / np.sqrt(_dot(ex, ex)) + ey / np.sqrt(_dot(ey, ey)))
+        q = c + _mat_vec(jac, s / np.sqrt(_dot(s, s)))
+    ok = np.isfinite(q).all(axis=0)
+    n = int(np.count_nonzero(ok))
+    return pair[ok], _Words(np.ones(n, dtype=int), np.arange(n), body[ok], q.T[ok])
+
+
+# ---------------------------------------------------------------------------
+# Travelling times: Newton's method on the path length
 # ---------------------------------------------------------------------------
 
-def _delta_at(scene, x, frame, psi, target_angle):
-    """The d = 2 refinement shot from x at launch angle psi in frame, one
-    planar float path bitwise the sweep's: returns the exit-angle miss to
-    target_angle, wrapped as _wrap does, and the shot (u, events, fdir,
-    exit_pt, t_exit) with _trace_2d's events, or (None, None)."""
-    m, mp = frame
-    c, sn = math.cos(psi), math.sin(psi)
-    u = (c * m[0] + sn * mp[0], c * m[1] + sn * mp[1])
+# Newton steps after which a word's path search gives up.
+_NEWTON_CAP = 20
+
+
+def _mat_vec(m, v):
+    """m v for each column: m is (d, d, n) and v (d, n), summed in
+    coordinate order."""
+    return _dot(m.transpose(1, 0, 2), v[:, None])
+
+
+def _block_solve(a, b):
+    """a^-1 b for each column by Gaussian elimination without pivoting: a is
+    (m, m, n) and b (m, l, n). A zero pivot gives inf or nan, not an error."""
+    m = len(a)
+    a, b = a.copy(), b.copy()
+    for k in range(m):
+        for i in range(k + 1, m):
+            f = a[i, k] / a[k, k]
+            a[i, k + 1:] -= f * a[k, k + 1:]
+            b[i] -= f * b[k]
+    for k in reversed(range(m)):
+        if k + 1 < m:
+            b[k] -= _dot(a[k, k + 1:, None], b[k + 1:])
+        b[k] /= a[k, k]
+    return b
+
+
+def _layout(words: _Words, act):
+    """The reflection points of the words act, longest first, in
+    position-major order: row i, the slice rows[i], holds the i-th point of
+    each of the first words. Returns (rows, and per point: its index in
+    words, its word's place in act, whether its word goes on past it, and
+    the columns of its neighbours along the path in [points, x, y])."""
+    k = words.count[act]
+    ns = np.bincount(k)[::-1].cumsum()[::-1][1:]
+    starts = np.cumsum(ns) - ns
+    row = np.repeat(np.arange(ns.size), ns)
+    col = np.arange(row.size) - starts[row]
+    more = col < np.append(ns[1:], 0)[row]
+    return ([slice(st, st + n) for st, n in zip(starts.tolist(), ns.tolist())],
+            words.first[act][col] + row, col, more,
+            np.where(row > 0, starts[row - 1] + col, row.size + col),
+            np.where(more, np.append(starts[1:], 0)[row] + col, row.size + act.size + col))
+
+
+def _block_thomas(rows, diag, up, rhs):
+    """Solve the block-tridiagonal system of each word laid out in rows by
+    _layout, with diagonal blocks diag (m, m, points), each point's block up
+    to the next point of its word (the transpose below) and right side rhs
+    (m, points), by block elimination down each word and substitution up."""
+    m = len(rhs)
+    # Per point: its eliminated diagonal block's inverse times [up, rhs].
+    z = np.concatenate([up, rhs[:, None]], axis=1)
+    for i, row in enumerate(rows):
+        d = diag[:, :, row]
+        if i:
+            above = slice(rows[i - 1].start, rows[i - 1].start + row.stop - row.start)
+            cz = _dot(up[:, :, None, above], z[:, None, :, above])
+            d = d - cz[:, :m]
+            z[:, m, row] -= cz[:, m]
+        z[:, :, row] = _block_solve(d, z[:, :, row])
+    x = z[:, m]
+    for row, below in zip(rows[-2::-1], rows[:0:-1]):
+        top = slice(row.start, row.start + below.stop - below.start)
+        x[:, top] -= _dot(z[:, :m, top].transpose(1, 0, 2), x[:, None, below])
+    return x
+
+
+def _tangent_basis(s):
+    """An orthonormal basis, (d, d - 1, n), of the tangent space at each unit
+    column of s: the columns other than j of the Householder reflection
+    I - 2 v v^T / v.v, v = s + sign(s_j) e_j, with j the largest |s_j|."""
+    d, n = s.shape
+    j = np.argmax(np.abs(s), axis=0)
+    at = np.arange(n)
+    v = s.copy()
+    v[j, at] += np.where(s[j, at] < 0.0, -1.0, 1.0)
+    others = np.array([[i for i in range(d) if i != k] for k in range(d)], dtype=int)[j].T
+    return np.eye(d)[:, others] - (2.0 / _dot(v, v)) * v[:, None] * v[others, at]
+
+
+def _solve_words(scene: Scene, xs, ys, words: _Words):
+    """Newton's method on the length L = |x - q_1| + sum |q_i - q_{i+1}| +
+    |q_k - y| of the paths off the bodies of a word in turn, for every word
+    of words at once, from its row of xs to that of ys and started at its
+    points (Petkov & Stoyanov, Geometry of Reflecting Rays and Inverse
+    Spectral Problems, 1992). Each q_i = c_i + R_i D_i s_i moves with s_i on
+    the unit sphere, stepped in _tangent_basis(s_i); L's Hessian is block-
+    tridiagonal with (d - 1) x (d - 1) blocks, each diagonal one less
+    (dL/dq_i . R_i D_i s_i) I for the sphere's curvature, solved by
+    _block_thomas. A word stops, and is frozen, once a times its defect, the
+    largest part of a dL/dq_i tangent to its body, is below the goal. Each
+    operation acts on each word alone with sums in a fixed order, so no
+    result depends on the rest of the batch.
+
+    The path is a trajectory when both legs leave each q_i on the body's
+    outside at a cosine above TANGENT_COS_EPS, else "dropped_inward", and
+    no leg meets a body before its end, a grazing hit aside, else
+    "dropped_blocked". A search past _NEWTON_CAP steps, or with a step that
+    is not finite (a singular Hessian), ends "dropped_residual". Returns per
+    word (t, dir_in, dir_out, a times the defect, Newton steps, reason),
+    reason None for a root and the directions as (d, words) arrays.
+    """
     a = scene.ball_radius
-    escaped, events, (lx, ly), fdir, length = _trace_2d(
-        scene._k[0], x, u, SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a, DEFAULT_LENGTH_FACTOR * a)
-    if not escaped:
-        return None, None
-    cx, cy = scene.ball_center
-    f0, f1 = fdir
-    w0, w1 = lx - cx, ly - cy
-    b = w0 * f0 + w1 * f1
-    disc = b * b - ((w0 * w0 + w1 * w1) - a * a)
-    if disc < 0.0:
-        return None, None
-    s = -b + math.sqrt(disc)
-    if s < 0.0:
-        return None, None
-    ex, ey = lx + s * f0, ly + s * f1
-    miss = (math.atan2(ey - cy, ex - cx) - target_angle + math.pi) % _TWO_PI - math.pi
-    return miss, (u, events, fdir, (ex, ey), length + s)
+    goal = _RESIDUAL_MARGIN * _root_tol(scene) / a
+    xs, ys = np.asarray(xs, dtype=float).T, np.asarray(ys, dtype=float).T
+    nw = words.count.size
+    steps, defect, reason = np.zeros(nw, dtype=int), np.zeros(nw), [None] * nw
+    act = np.flatnonzero(words.count)
+    act = act[np.argsort(-words.count[act], kind="stable")]
+    rows, point, col, more, prev, nxt = _layout(words, act)
+    # Each reflection point's body's centre, R D and M, in layout order.
+    c, jac, mat = (t[..., words.obstacles[point]] for t in _body_tables(scene))
+    path = np.concatenate([np.zeros((len(xs), point.size)), xs[:, act], ys[:, act]], axis=1)
+    live, taken = np.ones(act.size, dtype=bool), np.zeros(act.size, dtype=int)
+    below, eye = np.where(more, nxt, 0), np.eye(len(xs) - 1)[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
+        s = _mat_vec(jac.transpose(1, 0, 2), _mat_vec(mat, words.points[point].T - c))
+        s = s / np.sqrt(_dot(s, s))
+        while True:
+            w = _mat_vec(jac, s)
+            path[:, :point.size] = q = c + w
+            e_in, e_out = q - path[:, prev], path[:, nxt] - q
+            l_in, l_out = np.sqrt(_dot(e_in, e_in)), np.sqrt(_dot(e_out, e_out))
+            u_in, u_out = e_in / l_in, e_out / l_out
+            g = u_in - u_out
+            n = _mat_vec(mat, w)
+            n = n / np.sqrt(_dot(n, n))
+            tangent = g - _dot(g, n) * n
+            worst = np.zeros(act.size)
+            np.maximum.at(worst, col, _dot(tangent, tangent))
+            worst = np.sqrt(worst)
+            live &= ~(worst < goal)
+            for i in act[live & (taken == _NEWTON_CAP)].tolist():
+                reason[i] = "dropped_residual"
+            live &= taken < _NEWTON_CAP
+            if not live.any():
+                break
+            taken += live
+            basis = _tangent_basis(s)
+            b = _dot(jac.transpose(1, 0, 2)[:, :, None], basis[:, None])
+            bn = b[:, :, below]
+            b_in, b_out = _dot(b, u_in[:, None]), _dot(b, u_out[:, None])
+            gram = _dot(b[:, :, None], b[:, None])
+            diag = ((gram - b_in[:, None] * b_in) / l_in + (gram - b_out[:, None] * b_out) / l_out
+                    - eye * _dot(g, w))
+            up = (b_out[:, None] * _dot(bn, u_out[:, None]) - _dot(b[:, :, None], bn[:, None])) / l_out
+            x = _block_thomas(rows, diag, up, -_dot(b, g[:, None]))
+            if not np.isfinite(x).all():
+                bad = np.zeros(act.size, dtype=bool)
+                np.logical_or.at(bad, col, ~np.isfinite(x).all(axis=0))
+                for i in act[live & bad].tolist():
+                    reason[i] = "dropped_residual"
+                live &= ~bad
+            moved = s + _dot(x, basis.transpose(1, 0, 2))
+            s = np.where(live[col], moved / np.sqrt(_dot(moved, moved)), s)
+        steps[act], defect[act] = taken, worst
+        # Each word's path, from the last pass: its length leg by leg in path
+        # order, end directions, and the legs' outward cosines.
+        t, dir_in, dir_out = np.zeros(nw), np.zeros((len(xs), nw)), np.zeros((len(xs), nw))
+        last = ~more
+        length = l_in[:act.size].copy()
+        for row in rows[1:]:
+            length[:row.stop - row.start] += l_in[row]
+        length[col[last]] += l_out[last]
+        t[act], dir_in[:, act] = length, u_in[:, :act.size]
+        dir_out[:, act[col[last]]] = u_out[:, last]
+        low = np.full(act.size, np.inf)
+        np.minimum.at(low, col, np.minimum(-_dot(u_in, n), _dot(u_out, n)))
+        chords = np.flatnonzero(words.count == 0)
+        e = ys[:, chords] - xs[:, chords]
+        t[chords] = np.sqrt(_dot(e, e))
+        dir_in[:, chords] = dir_out[:, chords] = e / t[chords]
+    for i in act[~(low > TANGENT_COS_EPS)].tolist():
+        reason[i] = reason[i] or "dropped_inward"
+    fine = np.array([r is None for r in reason], dtype=bool)
+    inner, final = fine[act][col], fine[act][col] & last
+    legs = np.concatenate([np.flatnonzero(inner), np.flatnonzero(final) + point.size])
+    ends = np.concatenate([path[:, prev], q], axis=1)[:, legs]
+    o = np.concatenate([xs[:, chords], ends], axis=1)
+    u = np.concatenate([dir_in[:, chords], u_in[:, inner], u_out[:, final]], axis=1)
+    reach = np.concatenate([t[chords], l_in[inner], l_out[final]])
+    owner = np.concatenate([chords, act[col[inner]], act[col[final]]])
+    for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
+        reason[i] = "dropped_blocked"
+    return t, dir_in, dir_out, a * defect, steps, reason
+
+
+def _blocked(scene: Scene, o, u, reach):
+    """Whether a body blocks each leg from the columns of o along those of u
+    for its reach: whether a body is met more than SURFACE_OFFSET_FRAC a past
+    the leg's start and as far short of its end, a grazing hit aside. All
+    legs are searched in one batched _hits call, and those that graze again
+    from just past the tangency."""
+    a = scene.ball_radius
+    off, skip = SURFACE_OFFSET_FRAC * a, GRAZE_SKIP_FRAC * a
+    blocked = np.zeros(len(reach), dtype=bool)
+    leg = np.arange(len(reach))
+    o, reach = o + off * u, reach - 2.0 * off
+    while leg.size:
+        rows, t, _, _, grazing, p, _ = _hits(scene, o, u)
+        short = t < reach[rows]
+        blocked[leg[rows[short & ~grazing]]] = True
+        again = short & grazing
+        rows = rows[again]
+        u = u[:, rows]
+        o, reach, leg = p[:, again] + skip * u, reach[rows] - t[again] - skip, leg[rows]
+    return blocked
 
 
 def _root_tol(scene: Scene) -> float:
-    """Largest exit miss of an accepted root, and largest time gap between
-    two polishes of one root."""
+    """Largest a times the defect of an accepted root, and largest time gap
+    between two solves of one root."""
     return REFINE_TOL_FRAC * scene.ball_radius
-
-
-def _make_sample(scene, x, y, shot) -> Optional[TravellingTimeSample]:
-    u, events, fdir, exit_pt, t_exit = shot
-    ypt = np.asarray(y, dtype=float)
-    miss = np.subtract(exit_pt, ypt)
-    # numpy's dot products, not sums written out in Python, which differ
-    # from them in the last bit: miss.dot(miss) is np.linalg.norm's square.
-    residual = math.sqrt(float(miss.dot(miss)))
-    if residual >= _root_tol(scene):
-        return None
-    itin = tuple(e[0] for e in events if not e[3])
-    # Project the endpoint onto the plane through y transverse to the exit
-    # ray: by stationarity of the reflected path length this removes the
-    # first-order time error of the residual miss, so the reported time
-    # matches the true root time to O(residual^2). y - exit_pt is -miss
-    # exactly, so this is t_exit + (y - exit_pt) . fdir bit for bit.
-    t_corr = float(t_exit) - float(miss @ fdir)
-    # The pair index stays 0 until the merge sets it.
-    return TravellingTimeSample(
-        pair=0, x=tuple(np.asarray(x, dtype=float).tolist()), y=tuple(ypt.tolist()), t=t_corr,
-        reflections=len(itin), dir_in=tuple(map(float, u)), dir_out=tuple(map(float, fdir)),
-        residual=residual, itinerary=itin)
-
-
-def _angle_goal(scene) -> float:
-    """Exit-angle miss at which the d = 2 root solver stops."""
-    return _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius
-
-
-def _illinois_2d(scene, x, y, target_angle, frame, a, b, fa, fb):
-    """Illinois regula falsi (Dowell & Jarratt, BIT 1971) on the exit-angle
-    miss over the launch-angle bracket (a, b), whose end misses fa and fb
-    have opposite signs. Each step shoots the secant root c of the bracket,
-    or its midpoint where c is not strictly inside, and c becomes the new
-    end b. The old b becomes a when the miss at c has the other sign;
-    otherwise a is kept and its miss halved, so that an end kept step after
-    step cannot stall the bracket.
-
-    Returns (sample, shots, reason): the sample is None when the bracket is
-    dropped, and reason names why (one of _DROP_REASONS), else None.
-    """
-    goal = _angle_goal(scene)
-    for step in range(1, _ILLINOIS_CAP + 1):
-        c = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
-            c = 0.5 * (a + b)
-        dc, shot = _delta_at(scene, x, frame, c, target_angle)
-        if dc is None:
-            return None, step, "dropped_lost"
-        if abs(dc) < goal or abs(b - a) < 1e-15:
-            sample = _make_sample(scene, x, y, shot)
-            return sample, step, None if sample is not None else "dropped_residual"
-        if dc * fb < 0.0:
-            a, fa = b, fb
-        else:
-            fa *= 0.5
-        b, fb = c, dc
-    return None, _ILLINOIS_CAP, "dropped_cap"
-
-
-def _refine_pair_2d(scene, x, y, sweep: _Sweep2D):
-    """The raw roots from x to y in the brackets of one sweep, and a Counter
-    of refine_shots, dropped_clusters and the drops by reason."""
-    ty = _sphere_angle(scene, y)
-    frame, psi = sweep.frame, sweep.psi
-    found = []
-    tally = Counter()
-    # Brackets may straddle a branch edge: the exit map is continuous across
-    # a first-order tangency, so only escape status matters here; genuine
-    # discontinuities fail the residual check and get dropped.
-    both = sweep.escaped[:-1] & sweep.escaped[1:]
-    delta = _wrap(sweep.angle - ty)
-    da, db = delta[:-1], delta[1:]
-    # An exact hit, or a sign change that is not a wrap across the antipode.
-    take = both & ((da == 0.0) | ((da * db < 0.0) & (np.abs(da - db) < math.pi)))
-    for i, fa, fb in zip(np.flatnonzero(take).tolist(), da[take].tolist(), db[take].tolist()):
-        if fa == 0.0:
-            tally["refine_shots"] += 1
-            _, shot = _delta_at(scene, x, frame, psi[i], ty)
-            if shot is not None:
-                sample = _make_sample(scene, x, y, shot)
-                if sample is not None:
-                    found.append(sample)
-            continue
-        sample, shots, reason = _illinois_2d(scene, x, y, ty, frame, psi[i], psi[i + 1], fa, fb)
-        tally["refine_shots"] += shots
-        if sample is None:
-            tally["dropped_clusters"] += 1
-            tally[reason] += 1
-        else:
-            found.append(sample)
-    return _dedup_samples(scene, found), tally
-
-
-def _mirror_refine_2d(scene, s: TravellingTimeSample, x, y, frame_x):
-    """Re-polish the time reversal of a (y, x) root as an (x, y) sample.
-
-    The reversed launch direction is only a first guess: expansion along the
-    path can push the plain re-shot miss above tolerance, so the root is
-    re-bracketed locally around the guess. A candidate counts only when it
-    reproduces the original travelling time, which rejects convergence onto
-    a neighboring branch root. Returns (sample or None, shots fired).
-    """
-    m, mp = frame_x
-    ux = -s.dir_out[0]
-    uy = -s.dir_out[1]
-    psi = math.atan2(ux * mp[0] + uy * mp[1], ux * m[0] + uy * m[1])
-    ty = _sphere_angle(scene, y)
-    d0, shot0 = _delta_at(scene, x, frame_x, psi, ty)
-    shots = 1
-    if d0 is None:
-        return None, shots
-    if abs(d0) < _angle_goal(scene):
-        return _same_root(scene, _make_sample(scene, x, y, shot0), s), shots
-    h = 1e-8
-    while h <= 2e-3:
-        for cand in (psi + h, psi - h):
-            d1, _ = _delta_at(scene, x, frame_x, cand, ty)
-            shots += 1
-            if d1 is not None and d0 * d1 < 0.0 and abs(d0 - d1) < math.pi:
-                got, used, _ = _illinois_2d(scene, x, y, ty, frame_x, psi, cand, d0, d1)
-                shots += used
-                got = _same_root(scene, got, s)
-                if got is not None:
-                    return got, shots
-        h *= 4.0
-    return None, shots
-
-
-def _same_root(scene, candidate: Optional[TravellingTimeSample],
-               s: TravellingTimeSample) -> Optional[TravellingTimeSample]:
-    if candidate is None or abs(candidate.t - s.t) >= _root_tol(scene):
-        return None
-    return candidate
 
 
 # Copies of one root converge to the same launch direction within ~1e-7 rad,
@@ -588,47 +797,39 @@ _DEDUP_DIR_TOL = 1e-5
 
 
 def _dedup_samples(scene, samples):
+    """The samples in order of (t, residual), less those that repeat a kept
+    sample: the same itinerary, a time within DEDUP_FRAC a and an entry
+    direction within _DEDUP_DIR_TOL."""
     gap = DEDUP_FRAC * scene.ball_radius
     out = []
     for s in sorted(samples, key=lambda s: (s.t, s.residual)):
-        dup = False
-        for kept in out:
-            if (kept.itinerary == s.itinerary and abs(kept.t - s.t) < gap
-                    and _dir_gap(kept.dir_in, s.dir_in) < _DEDUP_DIR_TOL):
-                dup = True
+        # Kept samples ascend in t, so only the last few can be near s.
+        for kept in reversed(out):
+            if kept.t <= s.t - gap:
+                out.append(s)
                 break
-        if not dup:
+            if (kept.itinerary == s.itinerary and abs(kept.t - s.t) < gap
+                    and math.dist(kept.dir_in, s.dir_in) < _DEDUP_DIR_TOL):
+                break
+        else:
             out.append(s)
     return out
 
 
-def _dir_gap(u, v) -> float:
-    return math.hypot(*(a - b for a, b in zip(u, v)))
-
-
-def _mirror_all(scene, roots, x, y):
-    """Time reversal of each (y, x) root as an (x, y) sample: exact in d = 3,
-    where a root is a critical point of its word's length, and re-polished
-    in d = 2, None where the polish fails; returns (one entry per root, in
-    order, shots)."""
-    if scene.dimension == 3:
-        return [TravellingTimeSample(0, s.y, s.x, s.t, s.reflections, tuple(-c for c in s.dir_out),
-                                     tuple(-c for c in s.dir_in), s.residual, s.itinerary[::-1])
-                for s in roots], 0
-    frame_x = _frame_at(scene, x)
-    got = [_mirror_refine_2d(scene, s, x, y, frame_x) for s in roots]
-    return [m for m, _ in got], sum(shots for _, shots in got)
-
-
-def _merge_bidirectional(scene, own, own_mirrors, opposite_mirrors, pair):
-    """Symmetric per-pair merge: an own root is kept only when it has a
-    mirror from the opposite endpoint, and opposite-side roots enter as
-    their mirrors. Both orders of one point pair are built from
-    the same two mirror lists, so swapping x and y yields matching time sets
-    by construction; one-way-only roots are near-tangent and are dropped."""
-    kept = [s for s, m in zip(own, own_mirrors) if m is not None]
-    kept += [m for m in opposite_mirrors if m is not None]
-    out = _dedup_samples(scene, kept)
+def _merge_bidirectional(scene, own, opposite, pair):
+    """Symmetric per-pair merge: the roots found from x and the exact time
+    reversals of those found from y, the list of the lesser of x and y, as
+    coordinate tuples, first, so that equal samples resolve alike. Both
+    orders of one point pair are built from the same two lists in the same
+    order, so swapping x and y gives the same samples reversed, bit for
+    bit."""
+    rev = [TravellingTimeSample(0, s.y, s.x, s.t, s.reflections, tuple(-c for c in s.dir_out),
+                                tuple(-c for c in s.dir_in), s.residual, s.itinerary[::-1])
+           for s in opposite]
+    both = own + rev
+    if both and both[0].y < both[0].x:
+        both = rev + own
+    out = _dedup_samples(scene, both)
     # Every sample enters one merge only, so its pair is set in place.
     for s in out:
         object.__setattr__(s, "pair", pair)
@@ -639,9 +840,9 @@ def find_xy_geodesics(scene: Scene, x, y,
                       n_seeds: Optional[int] = None) -> list[TravellingTimeSample]:
     """All resolved geodesics entering the reference sphere at x and leaving at y.
 
-    Sweeps run from both endpoints, and the result is symmetric under
-    swapping the endpoints: in d = 2 a root counts only when it refines from
-    both sides, and in d = 3 each path is also found reversed.
+    Sweeps run from both endpoints, and each root found from one is also
+    entered reversed for the other, so the result is symmetric under
+    swapping the endpoints.
     This is the travel-table search on the two points x, y, so a table cell
     equals this call on its pair. The returned list may be empty: the
     travelling-time set of a pair can be empty (deep shadow) or
@@ -760,13 +961,8 @@ class _Sweep3D:
     seeds: np.ndarray
     exits: np.ndarray  # exit point per seed, inf where the trace does not leave
     nbrs: np.ndarray  # row i: the indices of seed i's nearest seeds, i first
-    window: float  # misses above this are too far from any root to refine
-    # The reflections, ragged: seed i's word is obstacles[first[i]:first[i] +
-    # reflections[i]] and its reflection points the same rows of points.
-    reflections: np.ndarray
-    first: np.ndarray
-    obstacles: np.ndarray
-    points: np.ndarray
+    window: float  # misses above this are too far from any root to solve for
+    words: _Words
 
 
 def _sweeps_3d(scene, xs, n_seeds):
@@ -785,126 +981,22 @@ def _sweeps_3d(scene, xs, n_seeds):
     left = escaped & (disc >= 0.0) & (s >= 0.0)
     exits = np.where(left[:, None], legs + s[:, None] * dirs, np.inf)
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
-    # Each source's seeds, and the reflections of its seeds, are consecutive.
-    refl = ~log.grazing
-    count = np.bincount(log.rows[refl], minlength=len(exits))
-    first = np.cumsum(count) - count
-    per_seed = (np.split(v, len(xs)) for v in (exits, count, first))
-    starts = first[len(hemi)::len(hemi)]
-    per_ray = (np.split(v, starts) for v in (log.obstacle[refl], log.point[refl]))
-    sweeps = [_Sweep3D(u, e, nbrs, window, n, f - f[0], ids, p)
-              for u, e, n, f, ids, p in zip(seeds, *per_seed, *per_ray)]
+    words = _log_words(log, len(exits))
+    sweeps = [_Sweep3D(u, e, nbrs, window, words.take(rows))
+              for u, e, rows in zip(seeds, np.split(exits, len(xs)),
+                                    np.split(np.arange(len(exits)), len(xs)))]
     return sweeps, int(np.count_nonzero(~left)), len(exits)
 
 
-# Newton steps after which a word's path search gives up.
-_NEWTON_CAP = 20
-
-
-def _solve_word(scene, x, y, word, points):
-    """Newton's method on the length L = |x - q_1| + sum |q_i - q_{i+1}| +
-    |q_k - y| of the paths from x to y off the bodies of word in turn,
-    started at the reflection points q_i = points (Petkov & Stoyanov,
-    Geometry of Reflecting Rays and Inverse Spectral Problems, 1992). Each
-    q_i = c_i + R_i D_i s_i moves with s_i on the unit sphere, stepped in an
-    orthonormal tangent basis at s_i; the Hessian is block-tridiagonal with
-    2 x 2 blocks, each diagonal one less (dL/dq_i . R_i D_i s_i) I for the
-    sphere's curvature. The search stops when a times the defect, the largest
-    part of dL/dq_i tangent to the body, is below the root solvers' goal.
-
-    The path found is a trajectory when both legs leave each q_i on the
-    body's outside at a cosine above TANGENT_COS_EPS, else "dropped_inward",
-    and no leg meets a body before its end, a grazing hit aside, else
-    "dropped_blocked". A search past _NEWTON_CAP steps or at a singular
-    Hessian ends "dropped_residual". Returns (sample, Newton steps, reason)
-    as _illinois_2d does.
-    """
-    a = scene.ball_radius
-    bodies = [scene.bodies[i] for i in word]
-    k = len(word)
-    c = np.array([b._c for b in bodies]).reshape(k, 3)
-    mat = np.array([b._M for b in bodies]).reshape(k, 3, 3)  # R D^-2 R^T
-    jac = np.array([np.multiply(b.rotation, b.semiaxes) for b in bodies]).reshape(k, 3, 3)  # R D
-    # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
-    s = np.einsum("kji,kj->ki", jac, np.einsum("kij,kj->ki", mat, points - c))
-    s /= np.linalg.norm(s, axis=1, keepdims=True)
-    goal = _RESIDUAL_MARGIN * _root_tol(scene) / a
-    steps = 0
-    while True:
-        w = np.einsum("kij,kj->ki", jac, s)  # q - c
-        legs = np.diff(np.vstack([x, c + w, y]), axis=0)
-        length = np.linalg.norm(legs, axis=1)
-        e = legs / length[:, None]
-        grad = e[:-1] - e[1:]
-        n = np.einsum("kij,kj->ki", mat, w)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        tangent = grad - np.sum(grad * n, axis=1, keepdims=True) * n
-        defect = math.sqrt(np.max(np.sum(tangent * tangent, axis=1), initial=0.0))
-        if defect < goal:
-            break
-        if steps == _NEWTON_CAP:
-            return None, steps, "dropped_residual"
-        steps += 1
-        helper = np.eye(3)[np.argmin(np.abs(s), axis=1)]
-        t1 = np.cross(s, helper)
-        t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-        basis = np.stack([t1, np.cross(s, t1)], axis=2)  # (k, 3, 2)
-        b = jac @ basis
-        proj = (np.eye(3) - e[:, :, None] * e[:, None, :]) / length[:, None, None]
-        hess = np.zeros((k, 2, k, 2))
-        at = np.arange(k)
-        hess[at, :, at, :] = (b.transpose(0, 2, 1) @ (proj[:-1] + proj[1:]) @ b
-                              - np.sum(grad * w, axis=1)[:, None, None] * np.eye(2))
-        off = -b[:-1].transpose(0, 2, 1) @ proj[1:-1] @ b[1:]
-        hess[at[:-1], :, at[1:], :] = off
-        hess[at[1:], :, at[:-1], :] = off.transpose(0, 2, 1)
-        try:
-            step = np.linalg.solve(hess.reshape(2 * k, 2 * k),
-                                   -np.einsum("kji,kj->ki", b, grad).ravel())
-        except np.linalg.LinAlgError:
-            return None, steps, "dropped_residual"
-        s = s + (basis @ step.reshape(k, 2, 1))[:, :, 0]
-        s /= np.linalg.norm(s, axis=1, keepdims=True)
-    cos_in, cos_out = -np.sum(e[:-1] * n, axis=1), np.sum(e[1:] * n, axis=1)
-    if not np.all((cos_in > TANGENT_COS_EPS) & (cos_out > TANGENT_COS_EPS)):
-        return None, steps, "dropped_inward"
-    # Each leg is searched from off past its start to off short of its end.
-    off = SURFACE_OFFSET_FRAC * a
-    for p, v, end in zip(np.vstack([x, c + w]).tolist(), e.tolist(), length.tolist()):
-        t = off
-        while (hit := _first_hit_nd(scene.bodies, p, v, t)) and hit[1] < end - off:
-            if not hit[5]:
-                return None, steps, "dropped_blocked"
-            t = hit[1]
-    # The pair index stays 0 until the merge sets it.
-    return TravellingTimeSample(
-        pair=0, x=_as_tuple(x), y=_as_tuple(y), t=sum(length.tolist()), reflections=k,
-        dir_in=tuple(e[0].tolist()), dir_out=tuple(e[-1].tolist()), residual=a * defect,
-        itinerary=tuple(word)), steps, None
-
-
-def _refine_pair_3d(scene, x, y, sweep: _Sweep3D):
-    """_solve_word from the reflections of each seed whose exit miss to y is
-    least among its lattice neighbours (the rows of sweep.nbrs) and within a
-    few seed spacings, in increasing order of miss; returns the roots and a
-    Counter of newton_steps, dropped_clusters and the drops by reason."""
+def _least_misses(sweep: _Sweep3D, y):
+    """The d = 3 candidate rule: the seeds whose exit miss to y is least
+    among their lattice neighbours (the rows of sweep.nbrs) and within a few
+    seed spacings, in increasing order of miss."""
     misses = np.linalg.norm(sweep.exits - y, axis=1)
     order = np.argsort(misses)
     near = order[misses[order] <= sweep.window]
     least = (misses[sweep.nbrs[near]] >= misses[near, None]).all(axis=1)
-    found = []
-    tally = Counter()
-    for i in near[least].tolist():
-        rows = slice(sweep.first[i], sweep.first[i] + sweep.reflections[i])
-        sample, steps, reason = _solve_word(scene, x, y, sweep.obstacles[rows].tolist(),
-                                            sweep.points[rows])
-        tally["newton_steps"] += steps
-        if sample is None:
-            tally["dropped_clusters"] += 1
-            tally[reason] += 1
-        else:
-            found.append(sample)
-    return _dedup_samples(scene, found), tally
+    return near[least]
 
 
 # ---------------------------------------------------------------------------
@@ -950,15 +1042,15 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
 def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     """The travel search over ordered index pairs (i, j) of pts, where (j, i)
     is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
-    a Counter of refinement shots, Newton steps and drops, sweep rays
+    a Counter of narrowing launches, Newton steps and drops, sweep rays
     traced).
 
     The inward seed sweeps of all source points are traced first, in
-    lockstep batches, and each serves every partner of its point. Only the
-    root refinement then runs per source point, on the pool when threads >
-    1. Each raw root of (i, j) is time-reversed, and in d = 2 re-polished
-    once from the other end, and cells (i, j) and (j, i) are merged from the
-    same two mirror lists.
+    lockstep batches, and each serves every partner of its point. The
+    candidate words of every pair are then solved in one batch per share of
+    the source points: one share, or one per pool worker when threads > 1.
+    Each raw root of (i, j) is time-reversed, and cells (i, j) and (j, i) are
+    merged from the same two lists.
     """
     sources = sorted({i for i, _ in pairs})
     sweep_all = _sweeps_2d if scene.dimension == 2 else _sweeps_3d
@@ -966,43 +1058,89 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     partners = {i: [] for i in sources}
     for k, (i, j) in enumerate(pairs):
         partners[i].append((k, pts[j]))
-    args = [(scene, pts[i], sweep, partners[i]) for i, sweep in zip(sources, sweeps)]
+    share = [(pts[i], sweep, partners[i]) for i, sweep in zip(sources, sweeps)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_spectrum_worker, args))
+        parts = [share[w::threads] for w in range(min(threads, len(share)))]
+        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+            chunks = list(pool.map(_spectrum_worker, [(scene, part) for part in parts]))
     else:
-        chunks = [_spectrum_worker(arg) for arg in args]
+        chunks = [_spectrum_worker((scene, share))]
     raw = {}
     tally = Counter()
     for chunk_samples, chunk_tally in chunks:
         tally.update(chunk_tally)
         raw.update(chunk_samples)
-    # mirrors[k]: the raw roots of pair k = (i, j) reversed as (j, i) samples.
-    mirrors = []
-    for k, (i, j) in enumerate(pairs):
-        got, shots = _mirror_all(scene, raw[k], pts[j], pts[i])
-        mirrors.append(got)
-        tally["refine_shots"] += shots
     pair_index = {ij: k for k, ij in enumerate(pairs)}
-    return ([_merge_bidirectional(scene, raw[k], mirrors[k], mirrors[pair_index[(j, i)]], k)
+    return ([_merge_bidirectional(scene, raw[k], raw[pair_index[(j, i)]], k)
              for k, (i, j) in enumerate(pairs)], cutoff, tally, rays)
 
 
 def _spectrum_worker(args):
-    """The raw roots from one source point to every partner, refined from its
-    traced sweep; returns ([(pair, roots)], a Counter of refinement shots,
-    Newton steps and drops)."""
-    scene, x, sweep, partners = args
-    refine = _refine_pair_2d if scene.dimension == 2 else _refine_pair_3d
-    out = []
+    """The raw roots of every pair of a share of the source points: the
+    candidate words of all its pairs, from their sweeps, from narrowed d = 2
+    brackets and each body's one-bounce word, solved in one _solve_words
+    batch. Returns ([(pair, roots)], a Counter of narrowing launches, Newton
+    steps and drops)."""
+    scene, share = args
     tally = Counter()
-    for k, y in partners:
-        samples, pair_tally = refine(scene, x, y, sweep)
-        tally.update(pair_tally)
-        out.append((k, samples))
-    return out, tally
+    pairs, xs, ys, slots, found, narrowing = [], [], [], [], [], []
+    for x, sweep, partners in share:
+        first = len(pairs)
+        pairs += [k for k, _ in partners]
+        xs += [x] * len(partners)
+        ys += [y for _, y in partners]
+        if scene.dimension == 3:
+            for i, (_, y) in enumerate(partners):
+                rows = _least_misses(sweep, y)
+                slots.append(np.full(rows.size, first + i))
+                found.append(sweep.words.take(rows))
+            continue
+        # The candidate rule on every gap of the sweep for all partners at
+        # once, one row of exit-angle misses per partner.
+        y = np.array(ys[first:]) - np.asarray(scene.ball_center)
+        ty = np.arctan2(y[:, 1], y[:, 0])
+        miss = _wrap(sweep.angle - ty[:, None])
+        gap = np.arange(sweep.psi.size - 1)
+        differ = _words_differ(sweep.words, gap, gap + 1)
+        from_a, from_b, narrow = _brackets(sweep.escaped[:-1] & sweep.escaped[1:], miss[:, :-1],
+                                           miss[:, 1:], differ, _end_edges(sweep.words, gap, gap + 1))
+        pair, at, side = np.nonzero(np.stack([from_a, from_b], axis=-1))
+        slots.append(first + pair)
+        found.append(sweep.words.take(at + side))
+        pair, near = _edge_words(sweep.psi, sweep.escaped, miss, sweep.words, differ)
+        slots.append(first + pair)
+        found.append(near)
+        pair, at = np.nonzero(narrow)
+        ends = np.column_stack([at, at + 1]).ravel()
+        narrowing.append((first + pair, np.repeat([x], pair.size, axis=0),
+                          np.repeat([sweep.frame], pair.size, axis=0), ty[pair],
+                          sweep.psi[ends], miss[pair.repeat(2), ends],
+                          sweep.words.take(ends)))
+    xs, ys = np.array(xs), np.array(ys)
+    if narrowing:
+        *arrays, words = zip(*narrowing)
+        got_slots, got = _narrow(scene, [*map(np.concatenate, arrays), _join_words(words)], tally)
+        slots += got_slots
+        found += got
+    one_slot, one = _one_bounce_starts(scene, xs, ys)
+    slot, words = np.concatenate(slots + [one_slot]), _join_words(found + [one])
+    t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
+    tally["newton_steps"] += int(steps.sum())
+    roots = [[] for _ in pairs]
+    ends = [(_as_tuple(x), _as_tuple(y)) for x, y in zip(xs, ys)]
+    ids, first, count = words.obstacles.tolist(), words.first.tolist(), words.count.tolist()
+    for i, why, f, k, tj, din, dout, rj in zip(slot.tolist(), reason, first, count, t.tolist(),
+                                                dir_in.T.tolist(), dir_out.T.tolist(),
+                                                residual.tolist()):
+        if why is not None:
+            _drop(tally, why, 1)
+        else:
+            # The pair index stays 0 until the merge sets it.
+            roots[i].append(TravellingTimeSample(0, *ends[i], tj, k, tuple(din), tuple(dout), rj,
+                                                 tuple(ids[f:f + k])))
+    return [(k, _dedup_samples(scene, r)) for k, r in zip(pairs, roots)], tally
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,

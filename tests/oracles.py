@@ -152,3 +152,99 @@ def first_curve_hits(pieces, origin, direction, slack=1e-12):
         return []
     first = min(t for _, _, t, _ in found)
     return [hit for hit in found if hit[2] - first <= 1e-12 * first]
+
+
+def disk_itinerary_roots(centers, radii, pairs, depth, grid=24, clear=1e-6):
+    """Every reflecting path between each pair (x, y) of points outside disks
+    in the plane, with at most depth reflections, by word, found without the
+    library.
+
+    A word (j_1, ..., j_k), no disk twice in a row, has the paths x -> p_1 ->
+    ... -> p_k -> y with p_i = c_{j_i} + r_{j_i} (cos a_i, sin a_i), and its
+    reflecting paths are critical points of the length L(a) over the
+    boundary angles a. L is evaluated on a grid of grid angles per point,
+    for all pairs at once; from every grid point that is no longer than its
+    2k grid neighbours, scipy's BFGS with the analytic gradient finds a
+    minimum. A minimum is kept when it is a critical point (|grad L| < 1e-7)
+    and a trajectory with margin: both legs at each p_i leave the disk at a
+    cosine above clear, and every leg stays farther than clear from every
+    disk but the disks it ends on. The free chord is the word of length 0.
+    Returns, per pair, {word: [t, ...]} of the distinct kept times.
+    """
+    from scipy.optimize import minimize
+
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in pairs]
+    out = [{} for _ in pairs]
+    for k, (x, y) in enumerate(pairs):
+        if _legs_clear([x, y], [None, None], centers, radii, clear):
+            out[k][()] = [float(np.linalg.norm(y - x))]
+    words = [(j,) for j in range(len(radii))]
+    angles = 2.0 * np.pi * np.arange(grid) / grid
+    while words and len(words[0]) <= depth:
+        for word in words:
+            c, r = centers[list(word)], radii[list(word)]
+            mesh = np.stack(np.meshgrid(*[angles] * len(word), indexing="ij"), axis=-1)
+            p = c + r[:, None] * np.stack([np.cos(mesh), np.sin(mesh)], axis=-1)
+            inner = np.linalg.norm(np.diff(p, axis=-2), axis=-1).sum(axis=-1)
+            for k, (x, y) in enumerate(pairs):
+                grid_l = (inner + np.linalg.norm(p[..., 0, :] - x, axis=-1)
+                          + np.linalg.norm(p[..., -1, :] - y, axis=-1))
+                low = np.ones(grid_l.shape, dtype=bool)
+                for axis in range(len(word)):
+                    for step in (1, -1):
+                        low &= grid_l <= np.roll(grid_l, step, axis=axis)
+                times = out[k].setdefault(word, [])
+                for start in mesh[low]:
+                    t = _disk_word_minimum(minimize, c, r, x, y, start, centers, radii, word,
+                                           clear)
+                    if t is not None and all(abs(t - s) >= 1e-7 for s in times):
+                        times.append(t)
+                times.sort()
+                if not times:
+                    del out[k][word]
+        words = [w + (j,) for w in words for j in range(len(radii)) if w[-1] != j]
+    return out
+
+
+def _disk_word_minimum(minimize, c, r, x, y, start, centers, radii, word, clear):
+    """BFGS on the length of word's paths from x to y from the angles start;
+    the length of the minimum found when it is a trajectory with margin,
+    else None."""
+    def length(a):
+        p = np.vstack([x, c + r[:, None] * np.column_stack([np.cos(a), np.sin(a)]), y])
+        d = np.diff(p, axis=0)
+        n = np.linalg.norm(d, axis=1)
+        u = d / n[:, None]
+        tangent = r[:, None] * np.column_stack([-np.sin(a), np.cos(a)])
+        return n.sum(), np.einsum("ij,ij->i", u[:-1] - u[1:], tangent)
+
+    a = minimize(length, start, jac=True, method="BFGS",
+                 options={"gtol": 1e-12, "maxiter": 500}).x
+    t, grad = length(a)
+    if np.max(np.abs(grad)) >= 1e-7:
+        return None
+    normal = np.column_stack([np.cos(a), np.sin(a)])
+    path = np.vstack([x, c + r[:, None] * normal, y])
+    u = np.diff(path, axis=0)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    outward = ((np.einsum("ij,ij->i", -u[:-1], normal) > clear).all()
+               and (np.einsum("ij,ij->i", u[1:], normal) > clear).all())
+    if outward and _legs_clear(path, [None, *word, None], centers, radii, clear):
+        return float(t)
+    return None
+
+
+def _legs_clear(path, owners, centers, radii, clear) -> bool:
+    """Does every leg of the polyline path stay farther than clear outside
+    every disk but those owning its two end points."""
+    for (a, b), ends in zip(zip(path[:-1], path[1:]), zip(owners[:-1], owners[1:])):
+        d = b - a
+        for k, (c, r) in enumerate(zip(centers, radii)):
+            if k in ends:
+                continue
+            s = np.clip(np.dot(c - a, d) / np.dot(d, d), 0.0, 1.0)
+            if np.linalg.norm(a + s * d - c) - r < clear:
+                return False
+    return True

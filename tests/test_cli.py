@@ -125,15 +125,20 @@ def test_sls_row_budget(disk_file, tmp_path, capsys):
 
 
 def test_travel_summary_counts_refine_shots(disk_file, capsys):
+    # The summary line prints the table's counters: the dropped searches,
+    # the narrowing launches and the Newton steps of the d = 2 solve.
     assert run_command(["travel", disk_file, "--points", "4"]) == 0
     out = capsys.readouterr().out
-    assert "dropped: 0  refine_shots: " in out
-    assert int(out.split("refine_shots: ")[1].split()[0]) > 0
+    scene = sl.parse_scene(open(disk_file).read())
+    diag = sl.travelling_time_spectrum(scene, n_points=4).diagnostics_dict()
+    assert (f"dropped: {diag['dropped_clusters']}  refine_shots: {diag['refine_shots']}  "
+            f"newton_steps: {diag['newton_steps']}") in out
+    assert diag["newton_steps"] > 0
 
 
 def test_travel_summary_counts_newton_steps(ball_ellipsoid_scene, tmp_path, capsys):
-    # A d = 3 table fires no refinement shot; its counted work is the Newton
-    # steps of its path searches.
+    # A d = 3 table narrows no bracket; its counted work is the Newton steps
+    # of its path searches.
     scene_file = tmp_path / "scene.json"
     scene_file.write_text(sl.serialize_scene(ball_ellipsoid_scene))
     assert run_command(["travel", str(scene_file), "--points", "3", "--seeds", "200"]) == 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.dynamics import _itineraries, _trace_2d, _trace_many
+from scatterlab.dynamics import _itineraries, _trace_many
 from scatterlab.geometry import _dot, _first_hit_nd
 from scatterlab.spectra import _hemisphere, plane_basis, sphere_lattice
+from float_kernels import _trace_2d
 from oracles import mirror_direction
 
 
@@ -323,7 +324,7 @@ def _assert_trace_many_matches(scene, O, dirs) -> list:
 def _assert_trace_many_matches_trace(scene, O, U):
     """Every row of a _trace_many call equals the record trace gives its ray
     alone, event for event: the one-ray API on a scene with curves, which
-    the refinement traces do not see."""
+    the float traces do not see."""
     escaped, legs, lengths, finals, log = _trace_many(scene, O, U)
     for k, (x, u) in enumerate(zip(O, U)):
         rec = sl.trace(scene, sl.PhaseState(x, u))

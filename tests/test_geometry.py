@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.geometry import (ROOT_TOL, _body_reach, _first_hit_2d, _first_hit_nd, _hits,
-                                 _support_separation, body_pair_distance)
+from scatterlab.geometry import (ROOT_TOL, _body_reach, _first_hit_nd, _hits, _support_separation,
+                                 body_pair_distance)
+from float_kernels import _first_hit_2d
 from oracles import first_curve_hits
 
 
@@ -25,10 +26,10 @@ def _batch_hits(scene, O, U):
     return out
 
 
-def _refinement_hit(scene, o, v):
-    """The refinement kernel's hit of one ray on a body scene, _first_hit_2d
-    in the plane and _first_hit_nd above, as (id, t, point, normal,
-    grazing), or None."""
+def _float_hit(scene, o, v):
+    """The float kernel's hit of one ray on a body scene, _first_hit_2d in
+    the plane and _first_hit_nd above, as (id, t, point, normal, grazing),
+    or None."""
     o, v = tuple(map(float, o)), tuple(map(float, v))
     if scene.dimension == 2:
         hit = _first_hit_2d(scene._k[0], *o, *v)
@@ -261,12 +262,12 @@ def test_batched_kernel_matches_scene_first_hit(d):
     U = np.array([v for _, v in rays])
     t, ids, arcs, grazing, points, normals = _batch_hits(scene, O, U)
     assert np.all(arcs == -1)
-    # In every d the batched and refinement kernels run one elementwise
+    # In every d the batched and float kernels run one elementwise
     # arithmetic, with every sum in coordinate order, so they agree bit for
-    # bit: the bracket solver's shots see the sweep's numbers.
+    # bit.
     kinds = set()
     for k, (o, v) in enumerate(rays):
-        ref = _refinement_hit(scene, o, v)
+        ref = _float_hit(scene, o, v)
         if ref is None:
             assert ids[k] == -1 and t[k] == math.inf and not grazing[k]
             kinds.add("miss")
@@ -286,7 +287,7 @@ def test_batched_kernel_matches_scene_first_hit(d):
 def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch):
     # Seen from 2,000 away, bodies of size 0.01: the roots, taken about the
     # ray's vertex, need no repair, so the batched kernel never hands a row
-    # to a refinement kernel; the two kernels still agree bit for bit, and
+    # to a float kernel; the two kernels still agree bit for bit, and
     # every reported point is on its body to ROOT_TOL.
     scene = sl.Scene(dimension=2,
                      bodies=(sl.ball((0.0, 0.0), 1e-2),
@@ -300,15 +301,14 @@ def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
 
     def no_single_ray(*args):
-        raise AssertionError("the batched kernel called a refinement kernel")
+        raise AssertionError("the batched kernel called a float kernel")
 
     with monkeypatch.context() as m:
-        for name in ("_first_hit_2d", "_first_hit_nd"):
-            m.setattr(sl.geometry, name, no_single_ray)
+        m.setattr(sl.geometry, "_first_hit_nd", no_single_ray)
         t, ids, _, grazing, points, normals = _batch_hits(scene, O, U)
     assert {0, 1} <= set(ids.tolist())
     for k in range(200):
-        ref = _refinement_hit(scene, O[k], U[k])
+        ref = _float_hit(scene, O[k], U[k])
         if ref is None:
             assert ids[k] == -1
             continue
@@ -356,7 +356,7 @@ def test_small_far_bodies_abort_no_ray(target, d):
         batch = slice(start, start + 200)
         t, ids, _, grazing, points, normals = _batch_hits(scene, O[batch], U[batch])
         for k, (o, v) in enumerate(zip(O[batch], U[batch])):
-            ref = _refinement_hit(scene, o, v)
+            ref = _float_hit(scene, o, v)
             if ref is None:
                 assert ids[k] == -1
                 continue
@@ -387,7 +387,7 @@ def test_off_body_hits_raise(d, monkeypatch):
     monkeypatch.setattr(sl.geometry, "ROOT_TOL", 0.0)
     monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
     calls = (lambda: sl.ray_intersect(body, origin, v),
-             lambda: _refinement_hit(scene, origin, v),
+             lambda: _float_hit(scene, origin, v),
              lambda: sl.scene_first_hit(scene, origin, v),
              lambda: _batch_hits(scene, np.array([origin, origin]), np.array([miss, v])))
     for call in calls:
@@ -410,7 +410,7 @@ def test_off_body_hits_raise_for_the_lowest_row(monkeypatch):
     monkeypatch.setattr(sl.geometry, "_ROUNDING", 0.0)
     for o, v in rays:
         with pytest.raises(sl.RayIntersectError):
-            _refinement_hit(scene, o, v)
+            _float_hit(scene, o, v)
     for batch in (rays, rays[::-1]):
         O = np.array([o for o, _ in batch])
         U = np.array([v for _, v in batch])

@@ -734,10 +734,8 @@ def test_livshits_demo_matches_one_at_a_time(monkeypatch, lowered):
 
 def test_ray_families_trace_in_lockstep(three_disk_scene, monkeypatch):
     # Every family makes one batched trace per scene it traces and never
-    # falls back to tracing rays one at a time.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a ray family traced a ray alone")
-
+    # falls back to tracing rays one at a time: the library has no other
+    # tracer, and the batch sizes count every ray.
     calls = []
     many = sl.dynamics._trace_many
 
@@ -745,9 +743,7 @@ def test_ray_families_trace_in_lockstep(three_disk_scene, monkeypatch):
         calls.append(len(O))
         return many(scene, O, U)
 
-    for module in (sl.dynamics, sl.spectra):
-        monkeypatch.setattr(module, "_trace_2d", refuse)
-    for module in (sl.spectra, sl.rigidity):
+    for module in (sl.dynamics, sl.spectra, sl.rigidity):
         monkeypatch.setattr(module, "_trace_many", counting_many)
     bump = sl.build_livshits_scene(sl.LivshitsParams(), "bump")
     sl.scan_sls(three_disk_scene, (1.0, 0.0), 64)
