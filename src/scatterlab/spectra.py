@@ -19,8 +19,9 @@ differ otherwise than by one reflection at the start or end of the path,
 the bracket is narrowed by batched multisection until they agree. In d = 3
 each local minimum of the seeds' exit miss gives a candidate. Each body's
 one-bounce word is a candidate for every pair. All candidates of a table, or
-of one pool worker's share of it, are solved at once by Newton's method on
-the path length, which stops when the mirror-law defect, times the ball
+of one pool worker's share of it, are solved together by Newton's method on
+the path length, in batches of a bounded number of words from which stopped
+words are dropped; a word stops when its mirror-law defect, times the ball
 radius, is below _RESIDUAL_MARGIN times the root tolerance. A path that
 enters a body or meets one before the end of a leg is no trajectory and is
 dropped. A table first traces the seed sweeps of all its source points, in
@@ -100,7 +101,17 @@ class SLSSample:
 
 @dataclass(frozen=True)
 class TravellingTimeSample:
-    """One geodesic between two reference-sphere points."""
+    """One geodesic between two reference-sphere points.
+
+    ``t`` is the length of the path solved for ``itinerary``, and
+    ``residual`` is the ball radius times that path's mirror-law defect, the
+    largest part of the length's gradient tangent to a body at a reflection
+    point; the solver drives it below a quarter of the root tolerance. It
+    bounds the error in ``t``, not the exit miss of a ray traced from ``x``
+    along ``dir_in``: the dynamics magnify the direction error at each
+    reflection, and on criterion 8's three disks at n = 6 such rays miss
+    ``y`` by up to 4.5e-7 at depth 1 and 1.6e-3 at depth 4.
+    """
 
     pair: int
     x: tuple
@@ -575,6 +586,16 @@ def _one_bounce_starts(scene: Scene, xs, ys):
 
 # Newton steps after which a word's path search gives up.
 _NEWTON_CAP = 20
+# Words per Newton batch. Criterion 8's three-disk n = 48 table, 103,708
+# words and 321,734 reflection points, peaked at 326 MB resident solved in
+# one batch and at 154 MB in batches of 4,096 words; batches of 2,048 or
+# 16,384 words solved its words no faster.
+_BATCH_WORDS = 4096
+# Reflection points of a batch's stopped words that pay for laying out its
+# live words anew: on criterion 8's words 512 to 2,048 points solved in
+# 0.70-0.75 s, against 1.37 s with no new layout and 0.85 s at 8,192. The
+# benchmark's tables hold at most 298 points, where new layouts saved nothing.
+_COMPACT_POINTS = 1024
 
 
 def _mat_vec(m, v):
@@ -657,109 +678,138 @@ def _tangent_basis(s):
 def _solve_words(scene: Scene, xs, ys, words: _Words):
     """Newton's method on the length L = |x - q_1| + sum |q_i - q_{i+1}| +
     |q_k - y| of the paths off the bodies of a word in turn, for every word
-    of words at once, from its row of xs to that of ys and started at its
-    points (Petkov & Stoyanov, Geometry of Reflecting Rays and Inverse
-    Spectral Problems, 1992). Each q_i = c_i + R_i D_i s_i moves with s_i on
-    the unit sphere, stepped in _tangent_basis(s_i); L's Hessian is block-
-    tridiagonal with (d - 1) x (d - 1) blocks, each diagonal one less
+    of words, from its row of xs to that of ys and started at its points
+    (Petkov & Stoyanov, Geometry of Reflecting Rays and Inverse Spectral
+    Problems, 1992). Each q_i = c_i + R_i D_i s_i moves with s_i on the unit
+    sphere, stepped in _tangent_basis(s_i); L's Hessian is block-tridiagonal
+    with (d - 1) x (d - 1) blocks, each diagonal one less
     (dL/dq_i . R_i D_i s_i) I for the sphere's curvature, solved by
     _block_thomas. A word stops, and is frozen, once a times its defect, the
-    largest part of a dL/dq_i tangent to its body, is below the goal. Each
-    operation acts on each word alone with sums in a fixed order, so no
-    result depends on the rest of the batch.
+    largest part of a dL/dq_i tangent to its body, is below the goal. The
+    words are solved longest first in batches of at most _BATCH_WORDS, by
+    _newton_batch. Each operation acts on each word alone with sums in a
+    fixed order, so no result depends on the batch or on its layout.
 
     The path is a trajectory when both legs leave each q_i on the body's
     outside at a cosine above TANGENT_COS_EPS, else "dropped_inward", and
     no leg meets a body before its end, a grazing hit aside, else
-    "dropped_blocked". A search past _NEWTON_CAP steps, or with a step that
-    is not finite (a singular Hessian), ends "dropped_residual". Returns per
-    word (t, dir_in, dir_out, a times the defect, Newton steps, reason),
-    reason None for a root and the directions as (d, words) arrays.
+    "dropped_blocked"; the legs of each batch are searched in one _blocked
+    call. A search past _NEWTON_CAP steps, or with a step that is not finite
+    (a singular Hessian), ends "dropped_residual". Returns per word (t,
+    dir_in, dir_out, a times the defect, Newton steps, reason), reason None
+    for a root and the directions as (d, words) arrays.
     """
-    a = scene.ball_radius
-    goal = _RESIDUAL_MARGIN * _root_tol(scene) / a
     xs, ys = np.asarray(xs, dtype=float).T, np.asarray(ys, dtype=float).T
     nw = words.count.size
-    steps, defect, reason = np.zeros(nw, dtype=int), np.zeros(nw), [None] * nw
-    act = np.flatnonzero(words.count)
-    act = act[np.argsort(-words.count[act], kind="stable")]
-    rows, point, col, more, prev, nxt = _layout(words, act)
-    # Each reflection point's body's centre, R D and M, in layout order.
-    c, jac, mat = (t[..., words.obstacles[point]] for t in _body_tables(scene))
-    path = np.concatenate([np.zeros((len(xs), point.size)), xs[:, act], ys[:, act]], axis=1)
-    live, taken = np.ones(act.size, dtype=bool), np.zeros(act.size, dtype=int)
-    below, eye = np.where(more, nxt, 0), np.eye(len(xs) - 1)[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
-        s = _mat_vec(jac.transpose(1, 0, 2), _mat_vec(mat, words.points[point].T - c))
-        s = s / np.sqrt(_dot(s, s))
-        while True:
-            w = _mat_vec(jac, s)
-            path[:, :point.size] = q = c + w
-            e_in, e_out = q - path[:, prev], path[:, nxt] - q
-            l_in, l_out = np.sqrt(_dot(e_in, e_in)), np.sqrt(_dot(e_out, e_out))
-            u_in, u_out = e_in / l_in, e_out / l_out
-            g = u_in - u_out
-            n = _mat_vec(mat, w)
-            n = n / np.sqrt(_dot(n, n))
-            tangent = g - _dot(g, n) * n
-            worst = np.zeros(act.size)
-            np.maximum.at(worst, col, _dot(tangent, tangent))
-            worst = np.sqrt(worst)
-            live &= ~(worst < goal)
-            for i in act[live & (taken == _NEWTON_CAP)].tolist():
-                reason[i] = "dropped_residual"
-            live &= taken < _NEWTON_CAP
-            if not live.any():
-                break
-            taken += live
-            basis = _tangent_basis(s)
-            b = _dot(jac.transpose(1, 0, 2)[:, :, None], basis[:, None])
-            bn = b[:, :, below]
-            b_in, b_out = _dot(b, u_in[:, None]), _dot(b, u_out[:, None])
-            gram = _dot(b[:, :, None], b[:, None])
-            diag = ((gram - b_in[:, None] * b_in) / l_in + (gram - b_out[:, None] * b_out) / l_out
-                    - eye * _dot(g, w))
-            up = (b_out[:, None] * _dot(bn, u_out[:, None]) - _dot(b[:, :, None], bn[:, None])) / l_out
-            x = _block_thomas(rows, diag, up, -_dot(b, g[:, None]))
-            if not np.isfinite(x).all():
-                bad = np.zeros(act.size, dtype=bool)
-                np.logical_or.at(bad, col, ~np.isfinite(x).all(axis=0))
-                for i in act[live & bad].tolist():
-                    reason[i] = "dropped_residual"
-                live &= ~bad
-            moved = s + _dot(x, basis.transpose(1, 0, 2))
-            s = np.where(live[col], moved / np.sqrt(_dot(moved, moved)), s)
-        steps[act], defect[act] = taken, worst
-        # Each word's path, from the last pass: its length leg by leg in path
-        # order, end directions, and the legs' outward cosines.
-        t, dir_in, dir_out = np.zeros(nw), np.zeros((len(xs), nw)), np.zeros((len(xs), nw))
-        last = ~more
-        length = l_in[:act.size].copy()
-        for row in rows[1:]:
-            length[:row.stop - row.start] += l_in[row]
-        length[col[last]] += l_out[last]
-        t[act], dir_in[:, act] = length, u_in[:, :act.size]
-        dir_out[:, act[col[last]]] = u_out[:, last]
-        low = np.full(act.size, np.inf)
-        np.minimum.at(low, col, np.minimum(-_dot(u_in, n), _dot(u_out, n)))
-        chords = np.flatnonzero(words.count == 0)
-        e = ys[:, chords] - xs[:, chords]
+    out = (np.zeros(nw), np.zeros((len(xs), nw)), np.zeros((len(xs), nw)), np.zeros(nw),
+           np.zeros(nw, dtype=int), [None] * nw)
+    t, dir_in, dir_out, defect, steps, reason = out
+    chords = np.flatnonzero(words.count == 0)
+    e = ys[:, chords] - xs[:, chords]
+    with np.errstate(divide="ignore", invalid="ignore"):
         t[chords] = np.sqrt(_dot(e, e))
         dir_in[:, chords] = dir_out[:, chords] = e / t[chords]
-    for i in act[~(low > TANGENT_COS_EPS)].tolist():
-        reason[i] = reason[i] or "dropped_inward"
-    fine = np.array([r is None for r in reason], dtype=bool)
-    inner, final = fine[act][col], fine[act][col] & last
-    legs = np.concatenate([np.flatnonzero(inner), np.flatnonzero(final) + point.size])
-    ends = np.concatenate([path[:, prev], q], axis=1)[:, legs]
-    o = np.concatenate([xs[:, chords], ends], axis=1)
-    u = np.concatenate([dir_in[:, chords], u_in[:, inner], u_out[:, final]], axis=1)
-    reach = np.concatenate([t[chords], l_in[inner], l_out[final]])
-    owner = np.concatenate([chords, act[col[inner]], act[col[final]]])
-    for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
-        reason[i] = "dropped_blocked"
-    return t, dir_in, dir_out, a * defect, steps, reason
+    # Per leg to search: its word, start, direction and reach.
+    legs = [(chords, xs[:, chords], dir_in[:, chords], t[chords])]
+    act = np.flatnonzero(words.count)
+    act = act[np.argsort(-words.count[act], kind="stable")]
+    # One batch at least, which searches the chords' legs.
+    for start in range(0, max(act.size, 1), _BATCH_WORDS):
+        _newton_batch(scene, xs, ys, words, act[start:start + _BATCH_WORDS], out, legs)
+        owner, o, u, reach = (np.concatenate(f, axis=-1) for f in zip(*legs))
+        for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
+            reason[i] = "dropped_blocked"
+        legs = []
+    return t, dir_in, dir_out, scene.ball_radius * defect, steps, reason
+
+
+def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
+    """_solve_words' Newton passes on the words act, longest first: writes
+    each word's t, directions, defect, steps and reason into out and
+    appends the legs of each path left to check to legs. Once the stopped
+    words hold _COMPACT_POINTS reflection points, or no word is live, the
+    stopped words are finished from the pass just made, whose values their
+    frozen points would give again, and the live words are laid out anew
+    without them."""
+    t, dir_in, dir_out, defect, steps, reason = out
+    goal = _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius
+    eye = np.eye(len(xs) - 1)[:, :, None]
+    tables = _body_tables(scene)
+    taken, s = np.zeros(act.size, dtype=int), None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while act.size:
+            rows, point, col, more, prev, nxt = _layout(words, act)
+            # Each reflection point's body's centre, R D and M, in layout order.
+            c, jac, mat = (tb[..., words.obstacles[point]] for tb in tables)
+            if s is None:
+                # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
+                s = _mat_vec(jac.transpose(1, 0, 2), _mat_vec(mat, words.points[point].T - c))
+                s = s / np.sqrt(_dot(s, s))
+            path = np.concatenate([np.zeros((len(xs), point.size)), xs[:, act], ys[:, act]],
+                                  axis=1)
+            live, failed = np.ones(act.size, dtype=bool), np.zeros(act.size, dtype=bool)
+            below = np.where(more, nxt, 0)
+            while True:
+                w = _mat_vec(jac, s)
+                path[:, :point.size] = q = c + w
+                e_in, e_out = q - path[:, prev], path[:, nxt] - q
+                l_in, l_out = np.sqrt(_dot(e_in, e_in)), np.sqrt(_dot(e_out, e_out))
+                u_in, u_out = e_in / l_in, e_out / l_out
+                g = u_in - u_out
+                n = _mat_vec(mat, w)
+                n = n / np.sqrt(_dot(n, n))
+                tangent = g - _dot(g, n) * n
+                worst = np.zeros(act.size)
+                np.maximum.at(worst, col, _dot(tangent, tangent))
+                worst = np.sqrt(worst)
+                live &= ~(worst < goal)
+                failed |= live & (taken == _NEWTON_CAP)
+                live &= taken < _NEWTON_CAP
+                if live.any():
+                    taken += live
+                    basis = _tangent_basis(s)
+                    b = _dot(jac.transpose(1, 0, 2)[:, :, None], basis[:, None])
+                    bn = b[:, :, below]
+                    b_in, b_out = _dot(b, u_in[:, None]), _dot(b, u_out[:, None])
+                    gram = _dot(b[:, :, None], b[:, None])
+                    diag = ((gram - b_in[:, None] * b_in) / l_in
+                            + (gram - b_out[:, None] * b_out) / l_out - eye * _dot(g, w))
+                    up = (b_out[:, None] * _dot(bn, u_out[:, None])
+                          - _dot(b[:, :, None], bn[:, None])) / l_out
+                    x = _block_thomas(rows, diag, up, -_dot(b, g[:, None]))
+                    if not np.isfinite(x).all():
+                        bad = np.zeros(act.size, dtype=bool)
+                        np.logical_or.at(bad, col, ~np.isfinite(x).all(axis=0))
+                        failed |= live & bad
+                        live &= ~bad
+                    moved = s + _dot(x, basis.transpose(1, 0, 2))
+                    s = np.where(live[col], moved / np.sqrt(_dot(moved, moved)), s)
+                if not live.any() or np.count_nonzero(~live[col]) >= _COMPACT_POINTS:
+                    break
+            # The stopped words' paths: length leg by leg in path order, end
+            # directions, and the least outward cosine of their legs.
+            done, last = ~live, ~more
+            length = l_in[:act.size].copy()
+            for row in rows[1:]:
+                length[:row.stop - row.start] += l_in[row]
+            length[col[last]] += l_out[last]
+            low = np.full(act.size, np.inf)
+            np.minimum.at(low, col, np.minimum(-_dot(u_in, n), _dot(u_out, n)))
+            ids = act[done]
+            t[ids], dir_in[:, ids] = length[done], u_in[:, :act.size][:, done]
+            steps[ids], defect[ids] = taken[done], worst[done]
+            ends = last & done[col]
+            dir_out[:, act[col[ends]]] = u_out[:, ends]
+            inward = done & ~failed & ~(low > TANGENT_COS_EPS)
+            for i in act[done & failed].tolist():
+                reason[i] = "dropped_residual"
+            for i in act[inward].tolist():
+                reason[i] = "dropped_inward"
+            fine = (done & ~failed & ~inward)[col]
+            final = fine & last
+            legs.append((act[col[fine]], path[:, prev[fine]], u_in[:, fine], l_in[fine]))
+            legs.append((act[col[final]], q[:, final], u_out[:, final], l_out[final]))
+            act, taken, s = act[live], taken[live], s[:, live[col]]
 
 
 def _blocked(scene: Scene, o, u, reach):
@@ -959,7 +1009,7 @@ class _Sweep3D:
     table, the same for every source: a point's seeds are the lattice carried
     into its frame by an orthonormal basis, which keeps all distances."""
     seeds: np.ndarray
-    exits: np.ndarray  # exit point per seed, inf where the trace does not leave
+    exits: np.ndarray  # (3, seeds): exit point per seed, inf where the trace does not leave
     nbrs: np.ndarray  # row i: the indices of seed i's nearest seeds, i first
     window: float  # misses above this are too far from any root to solve for
     words: _Words
@@ -970,33 +1020,36 @@ def _sweeps_3d(scene, xs, n_seeds):
     lockstep batch; returns (sweeps, cutoff seeds, rays traced)."""
     center = np.asarray(scene.ball_center)
     hemi, nbrs = _hemisphere(n_seeds)
-    seeds = []
+    frames = []
     for x in xs:
         m = (center - x) / float(np.linalg.norm(center - x))
-        basis = plane_basis(m)
-        seeds.append(hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1])
+        frames.append([m, *plane_basis(m)])
+    # Every point's seeds in one broadcast, coordinate first: (3, points, seeds).
+    f = np.array(frames).T[..., None]
+    seeds = hemi[:, 2] * f[:, 0] + hemi[:, 0] * f[:, 1] + hemi[:, 1] * f[:, 2]
     escaped, legs, _, dirs, log = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
-                                              np.concatenate(seeds))
+                                              seeds.reshape(3, -1).T)
     s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
     left = escaped & (disc >= 0.0) & (s >= 0.0)
-    exits = np.where(left[:, None], legs + s[:, None] * dirs, np.inf)
+    exits = np.where(left, (legs + s[:, None] * dirs).T, np.inf)
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
-    words = _log_words(log, len(exits))
+    words = _log_words(log, left.size)
     sweeps = [_Sweep3D(u, e, nbrs, window, words.take(rows))
-              for u, e, rows in zip(seeds, np.split(exits, len(xs)),
-                                    np.split(np.arange(len(exits)), len(xs)))]
-    return sweeps, int(np.count_nonzero(~left)), len(exits)
+              for u, e, rows in zip(seeds.transpose(1, 2, 0), np.split(exits, len(xs), axis=1),
+                                    np.split(np.arange(left.size), len(xs)))]
+    return sweeps, int(np.count_nonzero(~left)), left.size
 
 
 def _least_misses(sweep: _Sweep3D, y):
     """The d = 3 candidate rule: the seeds whose exit miss to y is least
     among their lattice neighbours (the rows of sweep.nbrs) and within a few
-    seed spacings, in increasing order of miss."""
-    misses = np.linalg.norm(sweep.exits - y, axis=1)
-    order = np.argsort(misses)
-    near = order[misses[order] <= sweep.window]
-    least = (misses[sweep.nbrs[near]] >= misses[near, None]).all(axis=1)
-    return near[least]
+    seed spacings, in increasing order of miss, ties in order of seed. Only
+    those few seeds are sorted."""
+    e = sweep.exits - y[:, None]
+    misses = np.sqrt(_dot(e, e))
+    near = np.flatnonzero(misses <= sweep.window)
+    near = near[(misses[sweep.nbrs[near]] >= misses[near, None]).all(axis=1)]
+    return near[np.argsort(misses[near], kind="stable")]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,8 +1100,9 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
 
     The inward seed sweeps of all source points are traced first, in
     lockstep batches, and each serves every partner of its point. The
-    candidate words of every pair are then solved in one batch per share of
-    the source points: one share, or one per pool worker when threads > 1.
+    candidate words of every pair are then solved by one _solve_words call
+    per share of the source points: one share, or one per pool worker when
+    threads > 1.
     Each raw root of (i, j) is time-reversed, and cells (i, j) and (j, i) are
     merged from the same two lists.
     """
@@ -1081,7 +1135,7 @@ def _spectrum_worker(args):
     """The raw roots of every pair of a share of the source points: the
     candidate words of all its pairs, from their sweeps, from narrowed d = 2
     brackets and each body's one-bounce word, solved in one _solve_words
-    batch. Returns ([(pair, roots)], a Counter of narrowing launches, Newton
+    call. Returns ([(pair, roots)], a Counter of narrowing launches, Newton
     steps and drops)."""
     scene, share = args
     tally = Counter()

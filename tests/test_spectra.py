@@ -1079,6 +1079,104 @@ def test_newton_step_budget(ball_ellipsoid_scene, monkeypatch):
     assert max(steps) <= 4
 
 
+def _table_words(scene, monkeypatch, **kwargs):
+    """The arguments of a table's one _solve_words call."""
+    spectra = sl.spectra
+    calls = []
+    solve = spectra._solve_words
+
+    def recording_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_solve_words", recording_solve)
+        sl.travelling_time_spectrum(scene, **kwargs)
+    (args,) = calls
+    return args
+
+
+def _solve_counting_layouts(monkeypatch, args):
+    """_solve_words on args, and the number of words of each _layout call
+    and of each batch."""
+    spectra = sl.spectra
+    layouts, batches = [], []
+    layout, batch = spectra._layout, spectra._newton_batch
+
+    def recording_layout(words, act):
+        layouts.append(act.size)
+        return layout(words, act)
+
+    def recording_batch(*a):
+        batches.append(a[4].size)
+        return batch(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_layout", recording_layout)
+        m.setattr(spectra, "_newton_batch", recording_batch)
+        got = spectra._solve_words(*args)
+    return got, layouts, batches
+
+
+def _bits(got):
+    t, dir_in, dir_out, residual, steps, reason = got
+    return (t.tobytes(), dir_in.tobytes(), dir_out.tobytes(), residual.tobytes(),
+            steps.tolist(), reason)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("case", ["three-disk", "ball-ellipsoid"])
+def test_bounded_compacting_batches_match_one_batch(case, cap, three_disk_scene,
+                                                    ball_ellipsoid_scene, monkeypatch):
+    # Solving in batches of a few words, and laying a batch out anew every
+    # few stopped points, gives every word's results bit for bit as one
+    # unbounded batch does: each word is solved alone. A step cap of 2 makes
+    # words stop by each reason.
+    spectra = sl.spectra
+    if case == "three-disk":
+        args = _table_words(three_disk_scene, monkeypatch, n_points=6)
+    else:
+        args = _table_words(ball_ellipsoid_scene, monkeypatch, n_points=4)
+    if cap:
+        monkeypatch.setattr(spectra, "_NEWTON_CAP", cap)
+    monkeypatch.setattr(spectra, "_BATCH_WORDS", 1 << 30)
+    monkeypatch.setattr(spectra, "_COMPACT_POINTS", 1 << 30)
+    whole, layouts, _ = _solve_counting_layouts(monkeypatch, args)
+    assert layouts == [np.count_nonzero(args[3].count)]
+    monkeypatch.setattr(spectra, "_BATCH_WORDS", 5)
+    monkeypatch.setattr(spectra, "_COMPACT_POINTS", 3)
+    got, layouts, batches = _solve_counting_layouts(monkeypatch, args)
+    assert _bits(got) == _bits(whole)
+    reasons = {None, "dropped_inward", "dropped_blocked"} | ({"dropped_residual"} if cap else set())
+    assert set(whole[5]) == reasons
+    assert len(batches) > 1 and max(batches) <= 5 and max(layouts) <= 5
+    # Every layout after a batch's first one is a compaction.
+    assert len(layouts) > len(batches) or cap
+
+
+def test_benchmark_size_tables_are_laid_out_once(two_disk_scene, monkeypatch):
+    # The tables of the rigidity-2d and travel-3d benchmark jobs hold fewer
+    # reflection points than a compaction needs, so each is solved in one
+    # batch with one layout, as the unbounded solve does.
+    moved = sl.Scene(dimension=2, bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((4.0, 0.0), 1.0)),
+                     ball_radius=10.0)
+    c, s = math.cos(0.5), math.sin(0.5)
+    d, e = math.cos(0.4), math.sin(0.4)
+    tilt = (np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            @ np.array([[1.0, 0.0, 0.0], [0.0, d, -e], [0.0, e, d]]))
+    ball_ellipsoid = sl.Scene(dimension=3,
+                              bodies=(sl.ball((-3.0, 0.0, 0.0), 1.0),
+                                      sl.ellipsoid((3.0, 0.5, 0.0), (1.5, 1.0, 0.7), tilt)),
+                              ball_radius=10.0)
+    for scene, kwargs in [(two_disk_scene, dict(n_points=4, phase=0.3)),
+                          (moved, dict(n_points=4, phase=0.3)),
+                          (ball_ellipsoid, dict(n_points=3))]:
+        args = _table_words(scene, monkeypatch, **kwargs)
+        assert 0 < args[3].count.sum() < sl.spectra._COMPACT_POINTS
+        _, layouts, batches = _solve_counting_layouts(monkeypatch, args)
+        assert layouts == batches == [np.count_nonzero(args[3].count)]
+
+
 def test_travel_3d_imports_no_scipy_optimize(ball_ellipsoid_scene):
     # The d = 3 path search is numpy-only.
     code = ("import sys, scatterlab; "
@@ -1157,6 +1255,30 @@ def test_seed_neighbours_fall_back_to_a_full_scan(monkeypatch):
     assert [w for w, _ in widths] == [179, 2000]
     assert 0 < widths[1][1] < 2000
     assert [set(row) for row in nbrs.tolist()] == _brute_neighbour_sets(hemi, 8)
+
+
+def test_least_misses_match_a_full_stable_sort():
+    # The d = 3 candidate rule sorts only the seeds it keeps, yet gives the
+    # rows a stable sort of every seed's miss gives, in the same order:
+    # exact ties in order of seed, a miss exactly at the window's edge kept,
+    # and no seed whose trace did not leave.
+    spectra = sl.spectra
+    _, nbrs = spectra._hemisphere(300)
+    rng = np.random.default_rng(5)
+    y = np.array([1.0, 2.0, -3.0])
+    # Integer offsets from y give exact ties and misses of exactly sqrt(5).
+    steps = rng.integers(-3, 4, size=(300, 3)).astype(float)
+    exits = y + np.where(rng.random((300, 1)) < 0.5, steps, rng.normal(scale=3.0, size=(300, 3)))
+    exits[rng.random(300) < 0.1] = np.inf
+    window = math.sqrt(5.0)
+    sweep = spectra._Sweep3D(None, exits.T.copy(), nbrs, window, None)
+    got = spectra._least_misses(sweep, y).tolist()
+    misses = np.linalg.norm(exits - y, axis=1)
+    want = [i for i in np.argsort(misses, kind="stable").tolist()
+            if misses[i] <= window and (misses[nbrs[i]] >= misses[i]).all()]
+    assert got == want
+    assert window in misses[got] and np.isinf(misses).any()
+    assert len(set(misses[got].tolist())) < len(got)
 
 
 def test_spectrum_3d_swap_symmetry_and_residuals(ball_ellipsoid_scene):
