@@ -19,12 +19,14 @@ import numpy as np
 from .dynamics import PhaseState, _sphere_exit, _trace_many
 from .geometry import (CurveObstacle, EllipticArc, Scene, SegmentArc, _as_tuple,
                        _rowdot, boundary_samples)
-from .spectra import (_BLOCK_ENTRIES, ContractError, SpectrumTable,
-                      TravellingTimeSample, _grid_tuple)
+from .spectra import ContractError, SpectrumTable, TravellingTimeSample, _grid_tuple
 
 MISMATCH_VERDICT_FRACTION = 0.01
 _COVERAGE_SAMPLES = 2048  # boundary samples per obstacle
 _RECONSTRUCT_CONSISTENCY = 1e-6  # largest |x-p| + |p-y| - t of a kept point
+# Distance-matrix entries per block of rows, which keeps a block's arrays to
+# a few MB.
+_BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +347,18 @@ def reconstruct_boundary(table: SpectrumTable, ball_center,
     admissible root must lie in (0, t). Samples without such a root, whose
     legs miss t, or whose point lies outside the reference ball are skipped
     and counted, which flags misclassified entries. Raises ContractError for
-    a table whose kind is not "travel" or "synthetic".
+    a table whose kind is not "travel" or "synthetic", and unless the ball has
+    a finite centre of the samples' dimension and a finite radius > 0.
     """
     if table.kind not in ("travel", "synthetic"):
         raise ContractError(f"reconstruction needs travelling-time samples, not a "
                             f"{table.kind!r} table")
     center = np.asarray(ball_center, dtype=float)
     a = float(ball_radius)
+    if not (np.isfinite(center).all() and math.isfinite(a) and a > 0.0):
+        raise ContractError(f"a ball needs a finite centre and radius > 0: {center.tolist()}, {a}")
+    if table.samples and center.shape != (len(table.samples[0].x),):
+        raise ContractError(f"a {center.size}-d centre for {len(table.samples[0].x)}-d samples")
     pts = []
     prov = []
     skipped = 0

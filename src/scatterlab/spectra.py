@@ -17,9 +17,10 @@ seeds whose exits straddle the target point y bracket a root: the word of
 the bracket's end nearer to y is a candidate, and where the two ends' words
 differ otherwise than by one reflection at the start or end of the path,
 the bracket is narrowed by batched multisection until they agree. In d = 3
-each local minimum of the seeds' exit miss gives a candidate. Each body's
-one-bounce word is a candidate for every pair. All candidates of a table, or
-of one pool worker's share of it, are solved together by Newton's method on
+each word met by a seed whose exit misses y by at most a few seed spacings
+is a candidate, solved from its least-miss seed. Each body's one-bounce
+word is a candidate for every pair. All candidates of a table, or of one
+pool worker's share of it, are solved together by Newton's method on
 the path length, in batches of a bounded number of words from which stopped
 words are dropped; a word stops when its mirror-law defect, times the ball
 radius, is below _RESIDUAL_MARGIN times the root tolerance. A path that
@@ -171,6 +172,8 @@ def sojourn_time(scene: Scene, record, incoming, outgoing) -> float:
     wout = np.asarray(outgoing, dtype=float)
     din = np.asarray(record.initial.direction)
     dout = np.asarray(record.final.direction)
+    if not win.shape == wout.shape == din.shape:
+        raise ContractError(f"{win.size}-d and {wout.size}-d directions for a {din.size}-d record")
     if float(np.max(np.abs(din - win))) > DIRECTION_MATCH_TOL:
         raise ContractError("incoming direction disagrees with the record")
     if float(np.max(np.abs(dout - wout))) > DIRECTION_MATCH_TOL:
@@ -262,6 +265,8 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
         raise ContractError("a sojourn-time scan needs at least one impact point")
     win = unit_vector(incoming)
     d = scene.dimension
+    if win.shape != (d,):
+        raise ContractError(f"a {win.size}-d direction for a {d}-d scene")
     center = np.asarray(scene.ball_center)
     a = scene.ball_radius
     basis = plane_basis(win)
@@ -940,77 +945,21 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
 # Travelling times in d = 3
 # ---------------------------------------------------------------------------
 
-# Half-width of the z band searched for a seed's neighbours, in sqrt(n)
-# indices: the 8th-neighbour radius of the n-point hemisphere lattice is at
-# most 5.35 sqrt(n) / n for n from 10 to 100,000.
-_BAND_SQRT_N = 6.0
-# Distance-matrix entries per block of rows, which keeps a block's arrays to
-# a few MB.
-_BLOCK_ENTRIES = 1 << 16
-
-
 @functools.lru_cache(maxsize=8)
 def _hemisphere(n_seeds: int):
     """The n_seeds inward seeds in the frame whose z-axis points into the
-    ball, and the table of each seed's min(8, n) nearest seeds, itself first;
-    both read-only, one pair per process shared by every d = 3 sweep."""
+    ball, read-only, one array per process shared by every d = 3 sweep."""
     hemi = fibonacci_sphere(2 * n_seeds)
     hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
-    nbrs = _lattice_neighbours(hemi, min(8, len(hemi)), 1.0 / n_seeds)
     hemi.flags.writeable = False
-    nbrs.flags.writeable = False
-    return hemi, nbrs
-
-
-def _lattice_neighbours(points, k, dz):
-    """Indices of the k nearest of points to each of them, nearest first, for
-    points ordered by z with z falling by dz per index, as on a Fibonacci
-    lattice (Swinbank & Purser, QJRMS 2006).
-
-    A chord is at least the difference of its ends' z, so points more than w
-    indices apart are at least (w + 1) dz apart. Each point's neighbours are
-    therefore sought among the w indices either side, w about _BAND_SQRT_N
-    sqrt(n), and kept when the k-th is nearer than (w + 1) dz; the other rows
-    are sought among all points. Exact, without an n x n matrix.
-    """
-    n = len(points)
-    w = max(k, math.ceil(_BAND_SQRT_N * math.sqrt(n)))
-    nbrs, kth = _nearest_in_band(points, np.arange(n), k, w)
-    # The margin covers the rounding of z, far below any lattice spacing.
-    redo = np.flatnonzero(kth >= ((w + 1) * dz * (1.0 - 1e-9)) ** 2)
-    if len(redo):
-        nbrs[redo] = _nearest_in_band(points, redo, k, n)[0]
-    return nbrs
-
-
-def _nearest_in_band(points, rows, k, w):
-    """For each of the ascending indices rows, the k nearest, nearest first,
-    of candidate points that include all those at most w indices away, and
-    the squared distance of the k-th."""
-    n = len(points)
-    nbrs = np.empty((len(rows), k), dtype=np.intp)
-    kth = np.empty(len(rows))
-    step = max(1, _BLOCK_ENTRIES // min(n, 2 * w + 1))
-    for a in range(0, len(rows), step):
-        r = rows[a:a + step]
-        lo, hi = max(0, r[0] - w), min(n, r[-1] + w + 1)
-        d2 = sum((points[r, None, c] - points[None, lo:hi, c]) ** 2 for c in range(3))
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part = np.take_along_axis(part, np.take_along_axis(d2, part, axis=1).argsort(axis=1),
-                                  axis=1)
-        nbrs[a:a + step] = lo + part
-        kth[a:a + step] = d2[np.arange(len(r)), part[:, -1]]
-    return nbrs, kth
+    return hemi
 
 
 @dataclass(frozen=True)
 class _Sweep3D:
-    """One source point's traced seeds. nbrs is _hemisphere's read-only
-    table, the same for every source: a point's seeds are the lattice carried
-    into its frame by an orthonormal basis, which keeps all distances."""
-    seeds: np.ndarray
+    """One source point's traced seeds, in the order of _hemisphere's
+    lattice carried into the point's frame."""
     exits: np.ndarray  # (3, seeds): exit point per seed, inf where the trace does not leave
-    nbrs: np.ndarray  # row i: the indices of seed i's nearest seeds, i first
     window: float  # misses above this are too far from any root to solve for
     words: _Words
 
@@ -1019,7 +968,7 @@ def _sweeps_3d(scene, xs, n_seeds):
     """The inward hemisphere seeds at every point of xs, all traced in one
     lockstep batch; returns (sweeps, cutoff seeds, rays traced)."""
     center = np.asarray(scene.ball_center)
-    hemi, nbrs = _hemisphere(n_seeds)
+    hemi = _hemisphere(n_seeds)
     frames = []
     for x in xs:
         m = (center - x) / float(np.linalg.norm(center - x))
@@ -1034,22 +983,26 @@ def _sweeps_3d(scene, xs, n_seeds):
     exits = np.where(left, (legs + s[:, None] * dirs).T, np.inf)
     window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
     words = _log_words(log, left.size)
-    sweeps = [_Sweep3D(u, e, nbrs, window, words.take(rows))
-              for u, e, rows in zip(seeds.transpose(1, 2, 0), np.split(exits, len(xs), axis=1),
-                                    np.split(np.arange(left.size), len(xs)))]
+    sweeps = [_Sweep3D(e, window, words.take(rows))
+              for e, rows in zip(np.split(exits, len(xs), axis=1),
+                                 np.split(np.arange(left.size), len(xs)))]
     return sweeps, int(np.count_nonzero(~left)), left.size
 
 
 def _least_misses(sweep: _Sweep3D, y):
-    """The d = 3 candidate rule: the seeds whose exit miss to y is least
-    among their lattice neighbours (the rows of sweep.nbrs) and within a few
-    seed spacings, in increasing order of miss, ties in order of seed. Only
-    those few seeds are sorted."""
+    """The d = 3 candidate rule: of the seeds whose exit misses y by at most
+    sweep.window, the least-miss seed of each word, in increasing order of
+    miss, ties in order of seed. Only the seeds in the window are sorted."""
     e = sweep.exits - y[:, None]
     misses = np.sqrt(_dot(e, e))
     near = np.flatnonzero(misses <= sweep.window)
-    near = near[(misses[sweep.nbrs[near]] >= misses[near, None]).all(axis=1)]
-    return near[np.argsort(misses[near], kind="stable")]
+    near = near[np.argsort(misses[near], kind="stable")]
+    words = sweep.words
+    ids = words.obstacles.tolist()
+    least = {}
+    for i, f, k in zip(near.tolist(), words.first[near].tolist(), words.count[near].tolist()):
+        least.setdefault(tuple(ids[f:f + k]), i)
+    return np.fromiter(least.values(), dtype=np.intp, count=len(least))
 
 
 # ---------------------------------------------------------------------------

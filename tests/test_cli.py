@@ -124,6 +124,13 @@ def test_sls_row_budget(disk_file, tmp_path, capsys):
     assert len(lines) - 1 <= 64
 
 
+def test_sls_refuses_a_direction_of_another_dimension(disk_file, capsys):
+    assert run_command(["sls", disk_file, "--omega", "0,0,1", "--grid", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a 3-d direction for a 2-d scene\n"
+
+
 def test_travel_summary_counts_refine_shots(disk_file, capsys):
     # The summary line prints the table's counters: the dropped searches,
     # the narrowing launches and the Newton steps of the d = 2 solve.
@@ -469,3 +476,17 @@ def test_reconstruct_reads_the_file(tmp_path, capsys):
     rows = out_csv.read_text().splitlines()[1:]
     got = [tuple(map(float, row.split(",")[:2])) for row in rows]
     assert got == [tuple(p) for p in want.points]
+
+
+@pytest.mark.parametrize("ball, message", [
+    ("0,0,-1", "finite centre and radius > 0: [0.0, 0.0], -1.0"),
+    ("10", "a 0-d centre for 2-d samples"),
+    ("0,0,0,10", "a 3-d centre for 2-d samples")])
+def test_reconstruct_refuses_a_bad_ball(tmp_path, capsys, ball, message):
+    samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 20)
+    travel_csv = tmp_path / "travel.csv"
+    write_travel_csv(sl.samples_table(samples), travel_csv, 17)
+    assert run_command(["reconstruct", str(travel_csv), "--ball", ball]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

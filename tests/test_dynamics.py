@@ -499,7 +499,7 @@ def test_trace_many_matches_single_traces_on_a_seed_family():
     x = scene.ball_radius * sphere_lattice(3, 3)[0]
     m = -x / np.linalg.norm(x)
     basis = plane_basis(m)
-    hemi = _hemisphere(2000)[0]
+    hemi = _hemisphere(2000)
     dirs = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
     itins = _assert_trace_many_matches(scene, np.tile(x, (len(dirs), 1)), dirs)
     assert set(itins) == {(), (0,), (1,)}

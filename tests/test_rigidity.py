@@ -408,6 +408,21 @@ def test_reconstruct_refuses_sojourn_tables(disk_scene):
         sl.reconstruct_boundary(table, (0.0, 0.0), 10.0)
 
 
+@pytest.mark.parametrize("center, radius, message", [
+    ((0.0, math.nan), 10.0, r"radius > 0: \[0.0, nan\], 10.0"),
+    ((math.inf, 0.0), 10.0, r"radius > 0: \[inf, 0.0\], 10.0"),
+    ((0.0, 0.0), math.nan, "radius > 0: .*, nan"),
+    ((0.0, 0.0), math.inf, "radius > 0: .*, inf"),
+    ((0.0, 0.0), -1.0, "radius > 0: .*, -1.0"),
+    ((0.0, 0.0), 0.0, "radius > 0: .*, 0.0"),
+    ((), 10.0, "a 0-d centre for 2-d samples"),
+    ((0.0, 0.0, 0.0), 10.0, "a 3-d centre for 2-d samples")])
+def test_reconstruct_refuses_a_bad_ball(center, radius, message):
+    table = sl.samples_table(sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 8))
+    with pytest.raises(sl.ContractError, match=message):
+        sl.reconstruct_boundary(table, center, radius)
+
+
 def test_reconstruct_coverage_field():
     samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 500)
     table = sl.samples_table(samples)

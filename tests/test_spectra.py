@@ -59,6 +59,20 @@ def test_sojourn_direction_contract(disk_scene):
         sl.sojourn_time(disk_scene, rec, (1.0, 0.0), (1.0, 0.0))
 
 
+def test_sojourn_refuses_directions_of_another_dimension(disk_scene, ball_ellipsoid_scene):
+    flat = sl.trace(disk_scene, sl.PhaseState((-10.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(sl.ContractError, match="3-d and 2-d directions for a 2-d record"):
+        sl.sojourn_time(disk_scene, flat, (1.0, 0.0, 0.0), (-1.0, 0.0))
+    with pytest.raises(sl.ContractError, match="2-d and 1-d directions for a 2-d record"):
+        sl.sojourn_time(disk_scene, flat, (1.0, 0.0), (-1.0,))
+    solid = sl.trace(ball_ellipsoid_scene, sl.PhaseState((0.0, 0.0, -10.0), (0.0, 0.0, 1.0)))
+    assert sl.sojourn_time(ball_ellipsoid_scene, solid, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)) == 0.0
+    with pytest.raises(sl.ContractError, match="2-d and 3-d directions for a 3-d record"):
+        sl.sojourn_time(ball_ellipsoid_scene, solid, (0.0, 1.0), (0.0, 0.0, 1.0))
+    with pytest.raises(sl.ContractError, match="3-d and 4-d directions for a 3-d record"):
+        sl.sojourn_time(ball_ellipsoid_scene, solid, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0))
+
+
 def test_sojourn_requires_escape(two_disk_scene):
     rec = sl.trace(two_disk_scene, sl.PhaseState((0.0, 0.0), (1.0, 0.0)),
                    sl.TraceLimits(max_reflections=10))
@@ -376,6 +390,15 @@ def test_travel_grid_without_pairs_is_refused(disk_scene, grid):
 def test_scan_sls_rejects_non_finite_direction(disk_scene, omega):
     with pytest.raises(sl.ContractError, match="finite unit vector"):
         sl.scan_sls(disk_scene, omega, 4)
+
+
+@pytest.mark.parametrize("scene, omega, message", [
+    ("disk_scene", (0.0, 0.0, 1.0), "a 3-d direction for a 2-d scene"),
+    ("ball_ellipsoid_scene", (0.0, 1.0), "a 2-d direction for a 3-d scene"),
+    ("ball_ellipsoid_scene", (0.0, 0.0, 0.0, 1.0), "a 4-d direction for a 3-d scene")])
+def test_scan_sls_refuses_a_direction_of_another_dimension(request, scene, omega, message):
+    with pytest.raises(sl.ContractError, match=message):
+        sl.scan_sls(request.getfixturevalue(scene), omega, 4)
 
 
 @pytest.mark.parametrize("x, y", [((math.nan, 0.0), (10.0, 0.0)),
@@ -1216,69 +1239,56 @@ def test_travel_3d_imports_no_scipy(tmp_path, ball_ellipsoid_scene):
     assert (tmp_path / "travel.csv").stat().st_size > 0
 
 
-def _brute_neighbour_sets(points, k):
-    return [set(np.argsort(np.linalg.norm(points - p, axis=1), kind="stable")[:k].tolist())
-            for p in points]
-
-
-@pytest.mark.parametrize("n_seeds", [1, 7, 8, 9, 200, 2000])
-def test_seed_neighbours_match_brute_force(n_seeds):
-    hemi, nbrs = sl.spectra._hemisphere(n_seeds)
-    assert nbrs.shape == (n_seeds, min(8, n_seeds))
-    assert (nbrs[:, 0] == np.arange(n_seeds)).all()
-    assert [set(row) for row in nbrs.tolist()] == _brute_neighbour_sets(hemi, nbrs.shape[1])
-
-
-def test_seed_neighbours_hold_in_a_source_frame(ball_ellipsoid_scene):
-    # A source point's seeds are the lattice turned into its frame, so the
-    # lattice's table names their nearest neighbours too.
-    x = 10.0 * unit_vector((0.36, -0.48, 0.8))
-    (sweep,), _, _ = sl.spectra._sweeps_3d(ball_ellipsoid_scene, x[None, :], 500)
-    assert [set(row) for row in sweep.nbrs.tolist()] == _brute_neighbour_sets(sweep.seeds, 8)
-
-
-def test_seed_neighbours_fall_back_to_a_full_scan(monkeypatch):
-    # In a band of 4 sqrt(n) indices the 8th neighbour of many seeds is not
-    # certified, so those rows are searched again over all seeds.
-    spectra = sl.spectra
-    hemi, _ = spectra._hemisphere(2000)
-    search = spectra._nearest_in_band
-    widths = []
-
-    def recording_search(points, rows, k, w):
-        widths.append((w, len(rows)))
-        return search(points, rows, k, w)
-
-    monkeypatch.setattr(spectra, "_BAND_SQRT_N", 4.0)
-    monkeypatch.setattr(spectra, "_nearest_in_band", recording_search)
-    nbrs = spectra._lattice_neighbours(hemi, 8, 1.0 / 2000)
-    assert [w for w, _ in widths] == [179, 2000]
-    assert 0 < widths[1][1] < 2000
-    assert [set(row) for row in nbrs.tolist()] == _brute_neighbour_sets(hemi, 8)
-
-
 def test_least_misses_match_a_full_stable_sort():
-    # The d = 3 candidate rule sorts only the seeds it keeps, yet gives the
-    # rows a stable sort of every seed's miss gives, in the same order:
-    # exact ties in order of seed, a miss exactly at the window's edge kept,
-    # and no seed whose trace did not leave.
+    # The d = 3 candidate rule gives, of the seeds inside the window, the
+    # least-miss seed of each word, in the order of a stable sort of every
+    # seed's miss: exact ties in order of seed, a miss exactly at the
+    # window's edge kept, and no seed whose trace did not leave.
     spectra = sl.spectra
-    _, nbrs = spectra._hemisphere(300)
     rng = np.random.default_rng(5)
+    n = 300
     y = np.array([1.0, 2.0, -3.0])
     # Integer offsets from y give exact ties and misses of exactly sqrt(5).
-    steps = rng.integers(-3, 4, size=(300, 3)).astype(float)
-    exits = y + np.where(rng.random((300, 1)) < 0.5, steps, rng.normal(scale=3.0, size=(300, 3)))
-    exits[rng.random(300) < 0.1] = np.inf
+    exits = y + rng.integers(-3, 4, size=(n, 3)).astype(float)
+    exits[rng.random(n) < 0.1] = np.inf
+    # Ragged words of up to three reflections off three bodies, packed in
+    # an order other than the seeds'.
+    count = rng.integers(0, 4, size=n)
+    first = np.empty(n, dtype=np.intp)
+    order = rng.permutation(n)
+    first[order] = np.cumsum(count[order]) - count[order]
+    obstacles = rng.integers(0, 3, size=int(count.sum()))
+    words = spectra._Words(count, first, obstacles, np.zeros((obstacles.size, 3)))
     window = math.sqrt(5.0)
-    sweep = spectra._Sweep3D(None, exits.T.copy(), nbrs, window, None)
-    got = spectra._least_misses(sweep, y).tolist()
+    got = spectra._least_misses(spectra._Sweep3D(exits.T.copy(), window, words), y).tolist()
     misses = np.linalg.norm(exits - y, axis=1)
-    want = [i for i in np.argsort(misses, kind="stable").tolist()
-            if misses[i] <= window and (misses[nbrs[i]] >= misses[i]).all()]
-    assert got == want
+    word = [tuple(obstacles[f:f + k].tolist()) for f, k in zip(first, count)]
+    want = {}
+    for i in np.argsort(misses, kind="stable").tolist():
+        if misses[i] <= window:
+            want.setdefault(word[i], i)
+    assert got == list(want.values())
+    assert len({word[i] for i in got}) == len(got) < np.count_nonzero(misses <= window)
     assert window in misses[got] and np.isinf(misses).any()
     assert len(set(misses[got].tolist())) < len(got)
+
+
+def test_least_misses_give_each_word_once_per_pair(ball_ellipsoid_scene, monkeypatch):
+    spectra = sl.spectra
+    rule = spectra._least_misses
+    per_pair = []
+
+    def recording_rule(sweep, y):
+        rows = rule(sweep, y)
+        words = sweep.words.take(rows)
+        per_pair.append([tuple(words.obstacles[f:f + k].tolist())
+                         for f, k in zip(words.first, words.count)])
+        return rows
+
+    monkeypatch.setattr(spectra, "_least_misses", recording_rule)
+    sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4)
+    assert len(per_pair) == 12 and max(map(len, per_pair)) > 1
+    assert all(len(set(words)) == len(words) for words in per_pair)
 
 
 def test_spectrum_3d_swap_symmetry_and_residuals(ball_ellipsoid_scene):
