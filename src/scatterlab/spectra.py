@@ -29,13 +29,16 @@ dropped. A table first traces the seed sweeps of all its source points, in
 lockstep batches through one batched ray kernel: in d = 3 every seed in one
 batch, in d = 2 every seed in one and the gap midpoints of each split depth
 in one more. Each sweep serves every partner of its point. The sojourn scan
-traces all its launches in one batch too. The search is symmetrized: each
-root found sweeping from one endpoint is entered time-reversed for the
-other, an exact reversal, so both orders of a pair hold the same times bit
-for bit. Narrowed brackets that lose their sign change or stay split, and
-paths that do not converge or are no trajectory, are dropped and counted by
-reason in the table diagnostics, next to the narrowing launches and the
-Newton steps.
+traces all its launches in one batch too. A root is named by its pair and
+its word: the search assumes one reflecting ray per word between two
+points, so copies of a root solved from several candidates, or from both
+endpoints, are one root, and the copy with the least residual is kept. The
+search is symmetrized: each root found sweeping from one endpoint is
+entered time-reversed for the other, an exact reversal, so both orders of a
+pair hold the same samples, reversed, bit for bit. Narrowed brackets that
+lose their sign change or stay split, and paths that do not converge or are
+no trajectory, are dropped and counted by reason in the table diagnostics,
+next to the narrowing launches and the Newton steps.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere, with fewer than one seed and at a lattice phase off the
 plane is refused with ContractError rather than answered with empty sets.
@@ -63,7 +66,6 @@ DIRECTION_MATCH_TOL = 1e-9
 SEEDS_2D = 720
 SEEDS_3D = 2000
 REFINE_TOL_FRAC = 1e-7
-DEDUP_FRAC = 1e-5
 
 # The root solver drives a times the mirror-law defect a factor below the
 # root tolerance, so that two independently converged roots of one geodesic
@@ -845,50 +847,11 @@ def _root_tol(scene: Scene) -> float:
     return REFINE_TOL_FRAC * scene.ball_radius
 
 
-# Copies of one root converge to the same launch direction within ~1e-7 rad,
-# while distinct same-itinerary roots are separated by branch scale; the
-# direction check keeps near-degenerate pairs from collapsing.
-_DEDUP_DIR_TOL = 1e-5
-
-
-def _dedup_samples(scene, samples):
-    """The samples in order of (t, residual), less those that repeat a kept
-    sample: the same itinerary, a time within DEDUP_FRAC a and an entry
-    direction within _DEDUP_DIR_TOL."""
-    gap = DEDUP_FRAC * scene.ball_radius
-    out = []
-    for s in sorted(samples, key=lambda s: (s.t, s.residual)):
-        # Kept samples ascend in t, so only the last few can be near s.
-        for kept in reversed(out):
-            if kept.t <= s.t - gap:
-                out.append(s)
-                break
-            if (kept.itinerary == s.itinerary and abs(kept.t - s.t) < gap
-                    and math.dist(kept.dir_in, s.dir_in) < _DEDUP_DIR_TOL):
-                break
-        else:
-            out.append(s)
-    return out
-
-
-def _merge_bidirectional(scene, own, opposite, pair):
-    """Symmetric per-pair merge: the roots found from x and the exact time
-    reversals of those found from y, the list of the lesser of x and y, as
-    coordinate tuples, first, so that equal samples resolve alike. Both
-    orders of one point pair are built from the same two lists in the same
-    order, so swapping x and y gives the same samples reversed, bit for
-    bit."""
-    rev = [TravellingTimeSample(0, s.y, s.x, s.t, s.reflections, tuple(-c for c in s.dir_out),
+def _reversed(s: TravellingTimeSample, pair: int) -> TravellingTimeSample:
+    """The exact time reversal of s, as a sample of pair: x and y swapped,
+    the directions negated and swapped, the word reversed."""
+    return TravellingTimeSample(pair, s.y, s.x, s.t, s.reflections, tuple(-c for c in s.dir_out),
                                 tuple(-c for c in s.dir_in), s.residual, s.itinerary[::-1])
-           for s in opposite]
-    both = own + rev
-    if both and both[0].y < both[0].x:
-        both = rev + own
-    out = _dedup_samples(scene, both)
-    # Every sample enters one merge only, so its pair is set in place.
-    for s in out:
-        object.__setattr__(s, "pair", pair)
-    return out
 
 
 def find_xy_geodesics(scene: Scene, x, y,
@@ -1056,8 +1019,12 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
     candidate words of every pair are then solved by one _solve_words call
     per share of the source points: one share, or one per pool worker when
     threads > 1.
-    Each raw root of (i, j) is time-reversed, and cells (i, j) and (j, i) are
-    merged from the same two lists.
+    Each point pair is merged once, oriented from its lesser point (by
+    coordinates, then by index, so that equal endpoints merge too): the
+    roots found from that point and the exact time reversals of those found
+    from the other, one per word, the copy with the least residual, the
+    lesser point's on a tie. Its cell is sorted by (t, residual, word), and
+    the mirror cell is its exact reversal.
     """
     sources = sorted({i for i, _ in pairs})
     sweep_all = _sweeps_2d if scene.dimension == 2 else _sweeps_3d
@@ -1080,16 +1047,30 @@ def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
         tally.update(chunk_tally)
         raw.update(chunk_samples)
     pair_index = {ij: k for k, ij in enumerate(pairs)}
-    return ([_merge_bidirectional(scene, raw[k], raw[pair_index[(j, i)]], k)
-             for k, (i, j) in enumerate(pairs)], cutoff, tally, rays)
+    key = [(_as_tuple(p), i) for i, p in enumerate(pts)]
+    cells = [None] * len(pairs)
+    for k, (i, j) in enumerate(pairs):
+        if key[i] > key[j]:
+            continue
+        m = pair_index[(j, i)]
+        kept = dict(raw[k])
+        for word, s in raw[m].items():
+            word = word[::-1]
+            if word not in kept or s.residual < kept[word].residual:
+                kept[word] = _reversed(s, k)
+        cells[k] = sorted(kept.values(), key=lambda s: (s.t, s.residual, s.itinerary))
+        cells[m] = [_reversed(s, m) for s in cells[k]]
+    return cells, cutoff, tally, rays
 
 
 def _spectrum_worker(args):
     """The raw roots of every pair of a share of the source points: the
     candidate words of all its pairs, from their sweeps, from narrowed d = 2
     brackets and each body's one-bounce word, solved in one _solve_words
-    call. Returns ([(pair, roots)], a Counter of narrowing launches, Newton
-    steps and drops)."""
+    call. A root is its pair and its word, so of the converged copies of
+    one (pair, word) only the first with the least residual becomes a
+    sample. Returns ([(pair, {word: sample})], a Counter of narrowing
+    launches, Newton steps and drops)."""
     scene, share = args
     tally = Counter()
     pairs, xs, ys, slots, found, narrowing = [], [], [], [], [], []
@@ -1135,19 +1116,25 @@ def _spectrum_worker(args):
     slot, words = np.concatenate(slots + [one_slot]), _join_words(found + [one])
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
     tally["newton_steps"] += int(steps.sum())
-    roots = [[] for _ in pairs]
-    ends = [(_as_tuple(x), _as_tuple(y)) for x, y in zip(xs, ys)]
-    ids, first, count = words.obstacles.tolist(), words.first.tolist(), words.count.tolist()
-    for i, why, f, k, tj, din, dout, rj in zip(slot.tolist(), reason, first, count, t.tolist(),
-                                                dir_in.T.tolist(), dir_out.T.tolist(),
-                                                residual.tolist()):
+    best = [{} for _ in pairs]
+    ids, first, count, res = (words.obstacles.tolist(), words.first.tolist(),
+                              words.count.tolist(), residual.tolist())
+    for n, (i, why, f, k) in enumerate(zip(slot.tolist(), reason, first, count)):
         if why is not None:
             _drop(tally, why, 1)
-        else:
-            # The pair index stays 0 until the merge sets it.
-            roots[i].append(TravellingTimeSample(0, *ends[i], tj, k, tuple(din), tuple(dout), rj,
-                                                 tuple(ids[f:f + k])))
-    return [(k, _dedup_samples(scene, r)) for k, r in zip(pairs, roots)], tally
+            continue
+        word = tuple(ids[f:f + k])
+        kept = best[i].setdefault(word, n)
+        if res[n] < res[kept]:
+            best[i][word] = n
+    keep = [(i, word, n) for i, b in enumerate(best) for word, n in b.items()]
+    rows = np.array([n for _, _, n in keep], dtype=np.intp)
+    ends = [(_as_tuple(x), _as_tuple(y)) for x, y in zip(xs, ys)]
+    for (i, word, n), tj, din, dout in zip(keep, t[rows].tolist(), dir_in[:, rows].T.tolist(),
+                                           dir_out[:, rows].T.tolist()):
+        best[i][word] = TravellingTimeSample(pairs[i], *ends[i], tj, len(word), tuple(din),
+                                             tuple(dout), res[n], word)
+    return list(zip(pairs, best)), tally
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,
@@ -1161,7 +1148,10 @@ def _pair_grid(scene: Scene, n_points: int, min_sep_deg: float, phase: float):
     """Lattice points on the reference sphere and the ordered index pairs
     (i, j) of distinct points more than min_sep_deg apart; the separation
     test is symmetric, so (j, i) is a pair whenever (i, j) is. Refuses a
-    phase in d >= 3, whose lattices do not turn."""
+    phase that is not finite, and a nonzero one in d >= 3, whose lattices do
+    not turn."""
+    if not math.isfinite(phase):
+        raise ContractError(f"the lattice phase must be finite, not {phase}")
     if phase != 0.0 and scene.dimension >= 3:
         raise ContractError(f"the lattice phase turns the planar lattice only, so d = "
                             f"{scene.dimension} takes phase 0, not {phase}")

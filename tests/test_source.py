@@ -6,9 +6,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "scatterlab"
 
 
-def _private_names(stmt) -> list:
-    """The private names a module-level statement defines: a function, a
-    class or a constant."""
+def _checked_names(stmt) -> list:
+    """The names a module-level statement defines that some other statement
+    must read: a private function, class or constant, and an UPPER_CASE
+    constant."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, ast.Assign):
@@ -17,7 +18,7 @@ def _private_names(stmt) -> list:
         names = [stmt.target.id]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if (n.startswith("_") and not n.startswith("__")) or n.isupper()]
 
 
 def _reads(stmt) -> set:
@@ -28,12 +29,13 @@ def _reads(stmt) -> set:
 
 
 def test_every_private_module_name_is_used():
-    # A module-level private name that no other statement of the package
-    # reads is dead code: tests alone must not keep it alive.
+    # A module-level private name or UPPER_CASE constant that no other
+    # statement of the package reads is dead code, such as a tolerance whose
+    # rule is gone: tests alone must not keep it alive.
     statements = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
     reads = [_reads(stmt) for _, stmt in statements]
     unused = [f"{module}: {name}" for k, (module, stmt) in enumerate(statements)
-              for name in _private_names(stmt)
+              for name in _checked_names(stmt)
               if not any(name in r for j, r in enumerate(reads) if j != k)]
     assert unused == []

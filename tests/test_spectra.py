@@ -386,6 +386,14 @@ def test_travel_grid_without_pairs_is_refused(disk_scene, grid):
         sl.travelling_time_spectrum(disk_scene, **grid)
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_travel_grid_refuses_a_non_finite_phase(disk_scene, phase):
+    with pytest.raises(sl.ContractError, match="lattice phase must be finite"):
+        sl.travelling_time_spectrum(disk_scene, n_points=4, phase=phase)
+    with pytest.raises(sl.ContractError, match="lattice phase must be finite"):
+        sl.spectra.spectrum_pairs(disk_scene, 4, phase=phase)
+
+
 @pytest.mark.parametrize("omega", [(math.nan, 1.0), (math.inf, 0.0), (0.0, -math.inf)])
 def test_scan_sls_rejects_non_finite_direction(disk_scene, omega):
     with pytest.raises(sl.ContractError, match="finite unit vector"):
@@ -416,6 +424,14 @@ def test_find_xy_geodesics_rejects_endpoints_off_the_sphere(disk_scene, x):
         sl.find_xy_geodesics(disk_scene, x, (0.0, 10.0))
     with pytest.raises(sl.ContractError, match="reference sphere"):
         sl.find_xy_geodesics(disk_scene, (0.0, 10.0), x)
+
+
+def test_find_xy_geodesics_keeps_the_backscatter_root_of_equal_endpoints(two_disk_scene):
+    # x = y: the pair is merged from its first index, so the ray that leaves
+    # (10, 0), meets the disk at (4, 0) head on and comes back stays.
+    (root,) = sl.find_xy_geodesics(two_disk_scene, (10.0, 0.0), (10.0, 0.0))
+    assert root.itinerary == (1,) and abs(root.t - 12.0) < 1e-12
+    assert root.x == root.y == (10.0, 0.0) and root.pair == 0
 
 
 @pytest.mark.parametrize("n_seeds", [0, -3])
@@ -1301,3 +1317,45 @@ def test_spectrum_3d_swap_symmetry_and_residuals(ball_ellipsoid_scene):
         swapped = table.cells[keys.index((y, x))]
         assert sl.hausdorff_1d(table.cells[k], swapped) <= tol
     assert all(s.residual < tol for s in table.samples)
+
+
+# ---------------------------------------------------------------------------
+# The identity of a root
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scene_name, n_points", [("two_disk_scene", 16), ("three_disk_scene", 12),
+                                                  ("ball_ellipsoid_scene", 8)])
+def test_a_root_is_its_pair_and_its_word(scene_name, n_points, request, monkeypatch):
+    # Every converged copy of a root that the search solves, from either
+    # endpoint, is one root, named by its pair and its word: a cell holds
+    # each word once, the copies agree in time within the root tolerance,
+    # and the sample kept is the copy with the least residual.
+    scene = request.getfixturevalue(scene_name)
+    spectra = sl.spectra
+    solve = spectra._solve_words
+    copies = {}
+
+    def recording_solve(scene, xs, ys, words):
+        got = solve(scene, xs, ys, words)
+        t, _, _, residual, _, reason = got
+        for n, (x, y, f, k) in enumerate(zip(xs.tolist(), ys.tolist(), words.first.tolist(),
+                                             words.count.tolist())):
+            if reason[n] is None:
+                word = tuple(words.obstacles[f:f + k].tolist())
+                copies.setdefault((tuple(x), tuple(y), word), []).append(
+                    (float(t[n]), float(residual[n])))
+                copies.setdefault((tuple(y), tuple(x), word[::-1]), []).append(
+                    (float(t[n]), float(residual[n])))
+        return got
+
+    monkeypatch.setattr(spectra, "_solve_words", recording_solve)
+    table = sl.travelling_time_spectrum(scene, n_points=n_points)
+    tol = spectra._root_tol(scene)
+    cells = Counter((s.pair, s.itinerary) for s in table.samples)
+    assert table.samples and max(cells.values()) == 1
+    assert any(len(c) > 2 for c in copies.values())
+    for s in table.samples:
+        got = copies[(s.x, s.y, s.itinerary)]
+        times = [t for t, _ in got]
+        assert max(times) - min(times) <= tol
+        assert s.residual == min(r for _, r in got)
