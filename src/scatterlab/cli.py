@@ -17,7 +17,7 @@ file and line.
 Exit codes: 0 success, 1 contract or validation error, 2 I/O error.
 Environment: SCATTERLAB_PRECISION overrides the significant digits used for
 CSV floats (default 17, the exact round-trip width); SCATTERLAB_THREADS
-sets the worker count for the travel sweep.
+sets the worker count for the travel search.
 """
 
 from __future__ import annotations
@@ -267,15 +267,13 @@ def _cmd_travel(args) -> int:
     doc = _load(args.scene)
     table = travelling_time_spectrum(
         doc.scene, n_points=args.points, min_sep_deg=args.min_sep_deg,
-        n_seeds=args.seeds, threads=_threads())
+        depth=args.depth, threads=_threads())
     prec = _precision()
     if args.out:
         write_travel_csv(table, args.out, prec)
     diag = table.diagnostics_dict()
     print(f"pairs: {len(table.cells)}  samples: {len(table.samples)}  "
-          f"cutoff_seeds: {diag.get('cutoff_seeds', 0)}  "
           f"dropped: {diag.get('dropped_clusters', 0)}  "
-          f"refine_shots: {diag.get('refine_shots', 0)}  "
           f"newton_steps: {diag.get('newton_steps', 0)}")
     return 0
 
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--min-sep-deg", type=float, default=1.0)
-    p.add_argument("--seeds", type=int, default=None)
+    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_travel)
 

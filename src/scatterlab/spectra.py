@@ -8,45 +8,40 @@ event x_k, path length L between them, ball center c). The formula holds
 for any reference ball containing the obstacles, so the result does not
 depend on the ball's radius, which is one of the acceptance checks.
 
-Travelling times start from seed sweeps: seed inward directions at a sphere
-point x, trace, and locate the last crossing of the reference sphere on the
-outgoing leg. Every root is the length of a reflecting ray, so it is a
-critical point of the length of the paths off the bodies of one word in turn
-(Petkov & Stoyanov, 1992), and the sweeps only propose the words. In d = 2
-seeds whose exits straddle the target point y bracket a root: the word of
-the bracket's end nearer to y is a candidate, and where the two ends' words
-differ otherwise than by one reflection at the start or end of the path,
-the bracket is narrowed by batched multisection until they agree. In d = 3
-each word met by a seed whose exit misses y by at most a few seed spacings
-is a candidate, solved from its least-miss seed. Each body's one-bounce
-word is a candidate for every pair. All candidates of a table, or of one
-pool worker's share of it, are solved together by Newton's method on
-the path length, in batches of a bounded number of words from which stopped
-words are dropped; a word stops when its mirror-law defect, times the ball
-radius, is below _RESIDUAL_MARGIN times the root tolerance. A path that
-enters a body or meets one before the end of a leg is no trajectory and is
-dropped. A table first traces the seed sweeps of all its source points, in
-lockstep batches through one batched ray kernel: in d = 3 every seed in one
-batch, in d = 2 every seed in one and the gap midpoints of each split depth
-in one more. Each sweep serves every partner of its point. The sojourn scan
-traces all its launches in one batch too. A root is named by its pair and
-its word: the search assumes one reflecting ray per word between two
-points, so copies of a root solved from several candidates, or from both
-endpoints, are one root, and the copy with the least residual is kept. The
-search is symmetrized: each root found sweeping from one endpoint is
-entered time-reversed for the other, an exact reversal, so both orders of a
-pair hold the same samples, reversed, bit for bit. Narrowed brackets that
-lose their sign change or stay split, and paths that do not converge or are
-no trajectory, are dropped and counted by reason in the table diagnostics,
-next to the narrowing launches and the Newton steps.
+Travelling times are found by word enumeration. Every root is the length of
+a reflecting ray, so it is a critical point of the length of the paths off
+the bodies of one word in turn (Petkov & Stoyanov, 1992). A word is
+admissible when no body appears twice in a row, so k bodies have
+k(k-1)^(m-1) words of length m >= 1 and one, the free chord, of length 0. A
+search of depth m solves every admissible word of length 0 to m for each
+unordered point pair, once, from the pair's lesser point, by Newton's
+method on the path length: the pairs of a table, or of one pool worker's
+share, are taken in runs of a bounded number of words, which bounds a
+table's memory, and each run's words are solved in batches of a bounded
+number of words from which stopped words are dropped. A word stops when its
+mirror-law defect, times the ball radius, is below _RESIDUAL_MARGIN times
+the root tolerance. Each reflection point starts where its body's outward
+normal bisects the directions from the body's centre to its two anchors: x
+or the previous body's centre, and the next body's centre or y. Where the
+two anchors lie opposite about the centre that start is not finite, and the
+word is not solved but counted as dropped_start. A path that enters a body
+or meets one before the end of a leg is no trajectory and is dropped. A
+root is named by its pair and its word: the search takes each admissible
+word to have at most one reflecting ray between two points, as under no
+eclipse, and a table holds the roots of every admissible word through depth
+m, and none deeper. The search is symmetrized: the mirror cell of a pair
+holds the exact time reversals of its samples, so both orders of a pair
+hold the same samples, reversed, bit for bit. Paths that do not converge or
+are no trajectory are dropped and counted by reason in the table
+diagnostics, next to the Newton steps.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
-reference sphere, with fewer than one seed and at a lattice phase off the
-plane is refused with ContractError rather than answered with empty sets.
+reference sphere, to a depth that is not an integer >= 0 and at a lattice
+phase off the plane is refused with ContractError rather than answered with
+empty sets.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -54,17 +49,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot, _itineraries, _sphere_exit,
-                       _trace_many)
-from .geometry import (TANGENT_COS_EPS, Scene, _as_tuple, _dot, _hits, fibonacci_sphere,
-                       sphere_lattice)
+from .dynamics import GRAZE_SKIP_FRAC, SURFACE_OFFSET_FRAC, _coldot, _itineraries, _trace_many
+from .geometry import TANGENT_COS_EPS, Scene, _as_tuple, _dot, _hits, sphere_lattice
 
 DIRECTION_MATCH_TOL = 1e-9
 
-# Sweep defaults: seed counts resolve all few-reflection branches in
-# desk-scale scenes; long itineraries are resolution limited.
-SEEDS_2D = 720
-SEEDS_3D = 2000
+# Default word depth of a travel search: on the benchmark's tables the
+# earlier seed sweeps met no root deeper than 5, and depth 5 holds every one
+# of their roots.
+DEPTH = 5
 REFINE_TOL_FRAC = 1e-7
 
 # The root solver drives a times the mirror-law defect a factor below the
@@ -72,13 +65,10 @@ REFINE_TOL_FRAC = 1e-7
 # agree in time within the stated tolerance.
 _RESIDUAL_MARGIN = 0.25
 
-# Why a raw root search is dropped: a narrowed bracket lost its sign change,
-# or its ends' words still differed after _NARROW_DEPTH rounds; Newton's
-# method ended short of its goal; or the path found meets a body before a
-# leg's end or enters one at a reflection. Their sum is the table's
-# dropped_clusters.
-_DROP_REASONS = ("dropped_lost", "dropped_split", "dropped_residual", "dropped_blocked",
-                 "dropped_inward")
+# Why a word yields no root: its start is not finite; Newton's method ended
+# short of its goal; or the path found meets a body before a leg's end or
+# enters one at a reflection. Their sum is the table's dropped_clusters.
+_DROP_REASONS = ("dropped_start", "dropped_residual", "dropped_blocked", "dropped_inward")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -306,253 +296,20 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 
 
 # ---------------------------------------------------------------------------
-# Travelling times: seed sweeps
+# Travelling times: admissible words and their starts
 # ---------------------------------------------------------------------------
-
-# Seed gaps that hide structure get subdivided before bracketing: endpoints
-# disagreeing on itinerary mark a branch edge, and a large exit-angle jump
-# between same-itinerary endpoints marks a narrow branch island in between
-# (expanding dynamics make such islands sweep a wide exit range).
-_BOUNDARY_SPLIT_DEPTH = 6
-_EXIT_JUMP_TOL = 0.08
-
+# A root from x to y is a critical point of the length of the paths off the
+# bodies of one word in turn, so the search solves every admissible word.
 
 class _Words(NamedTuple):
-    """The reflections of traced shots, ragged: shot i's word is
-    obstacles[first[i]:first[i] + count[i]] and its reflection points are the
-    same rows of points, grazings left out."""
+    """Words with a start point per reflection, ragged: word i is
+    obstacles[first[i]:first[i] + count[i]] and its start points are the
+    same rows of points."""
 
     count: np.ndarray
     first: np.ndarray
     obstacles: np.ndarray
     points: np.ndarray
-
-    def take(self, rows) -> "_Words":
-        """The words of the shots rows, packed in that order."""
-        n = self.count[rows]
-        first = np.cumsum(n) - n
-        flat = np.repeat(self.first[rows] - first, n) + np.arange(int(n.sum()))
-        return _Words(n, first, self.obstacles[flat], self.points[flat])
-
-
-def _log_words(log, n: int) -> _Words:
-    """The words of the n rays of a _trace_many log."""
-    refl = ~log.grazing
-    count = np.bincount(log.rows[refl], minlength=n)
-    return _Words(count, np.cumsum(count) - count, log.obstacle[refl], log.point[refl])
-
-
-def _join_words(parts) -> _Words:
-    """The words of several sets of shots, one set after another."""
-    offsets = np.cumsum([0] + [len(w.obstacles) for w in parts[:-1]])
-    return _Words(*(np.concatenate(f) for f in zip(
-        *((w.count, w.first + o, w.obstacles, w.points) for w, o in zip(parts, offsets)))))
-
-
-def _ragged_differ(n, fa, fb, ids):
-    """Whether ids[fa[i]:fa[i] + n[i]] and ids[fb[i]:fb[i] + n[i]] differ,
-    pair by pair."""
-    pair = np.repeat(np.arange(n.size), n)
-    k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
-    differ = np.zeros(n.size, dtype=bool)
-    differ[pair[ids[fa[pair] + k] != ids[fb[pair] + k]]] = True
-    return differ
-
-
-def _words_differ(words: _Words, a, b):
-    """Whether the words of the shots a and b differ, pair by pair."""
-    count, first, ids, _ = words
-    la, lb = count[a], count[b]
-    return (la != lb) | _ragged_differ(np.where(la == lb, la, 0), first[a], first[b], ids)
-
-
-def _end_edges(words: _Words, a, b):
-    """Whether the words of the shots a and b, pair by pair, differ by one
-    reflection added at the start or the end of one of them."""
-    count, first, ids, _ = words
-    la, lb = count[a], count[b]
-    one = np.abs(la - lb) == 1
-    n = np.where(one, np.minimum(la, lb), 0)
-    short, long = np.where(la < lb, first[a], first[b]), np.where(la < lb, first[b], first[a])
-    return one & ~(_ragged_differ(n, short, long, ids) & _ragged_differ(n, short, long + 1, ids))
-
-
-@dataclass(frozen=True)
-class _Sweep2D:
-    frame: np.ndarray  # rows: the inward normal at x and its turn by a right angle
-    psi: np.ndarray  # launch angles, increasing
-    escaped: np.ndarray
-    angle: np.ndarray  # exit angle about the ball center, 0 where not escaped
-    words: _Words  # empty where not escaped
-
-
-def _frames(scene: Scene, xs):
-    """(n, 2, 2): at each point of xs, the inward normal m of the reference
-    circle and its turn mp by a right angle (d = 2)."""
-    m = np.asarray(scene.ball_center) - xs
-    m = m / np.sqrt(_coldot(m, m))[:, None]
-    return np.stack([m, np.column_stack([-m[:, 1], m[:, 0]])], axis=1)
-
-
-def _fan_shots(scene: Scene, xs, frames, psi):
-    """Trace the d = 2 launches at the angles psi from the rows of xs in the
-    frames, all in one lockstep batch; returns (left, exit angle about the
-    ball center, 0 where a shot does not leave the sphere, _Words, empty
-    where it does not)."""
-    u = np.cos(psi)[:, None] * frames[:, 0] + np.sin(psi)[:, None] * frames[:, 1]
-    escaped, legs, _, dirs, log = _trace_many(scene, xs, u)
-    s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
-    ok = escaped & (disc >= 0.0) & (s >= 0.0)
-    pts = legs[ok] + s[ok, None] * dirs[ok] - np.asarray(scene.ball_center)
-    angle = np.zeros(len(u))
-    angle[ok] = np.arctan2(pts[:, 1], pts[:, 0])
-    words = _log_words(log, len(u))
-    return ok, angle, words._replace(count=np.where(ok, words.count, 0))
-
-
-def _sweeps_2d(scene: Scene, xs: np.ndarray, n_seeds: int):
-    """The inward seed sweep from every point of xs, in lockstep batches: all
-    seeds in one, then the seed gaps that need a split at each depth in one
-    each, every midpoint splitting its gap; a sweep is its shots sorted by
-    psi, with their words. Returns (sweeps, cutoff seeds, rays traced)."""
-    frames = _frames(scene, xs)
-    src = np.repeat(np.arange(len(xs)), n_seeds)
-    psi = np.tile(-0.5 * math.pi + math.pi * (np.arange(n_seeds) + 0.5) / n_seeds, len(xs))
-    escaped, angle, words = _fan_shots(scene, xs[src], frames[src], psi)
-    cutoff = int(np.count_nonzero(~escaped))
-    a = np.flatnonzero((np.arange(psi.size) + 1) % n_seeds)
-    b = a + 1
-    for _ in range(_BOUNDARY_SPLIT_DEPTH):
-        split = ((escaped[a] != escaped[b]) | _words_differ(words, a, b)
-                 | (escaped[a] & (np.abs(_wrap(angle[a] - angle[b])) > _EXIT_JUMP_TOL)))
-        a, b = a[split], b[split]
-        if not a.size:
-            break
-        mid = np.arange(psi.size, psi.size + a.size)
-        src = np.concatenate([src, src[a]])
-        psi = np.concatenate([psi, 0.5 * (psi[a] + psi[b])])
-        ok, ang, new = _fan_shots(scene, xs[src[mid]], frames[src[mid]], psi[mid])
-        escaped, angle = np.concatenate([escaped, ok]), np.concatenate([angle, ang])
-        words = _join_words([words, new])
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    order = np.lexsort((psi, src))
-    ends = np.cumsum(np.bincount(src, minlength=len(xs)))
-    sweeps = [_Sweep2D(f, psi[rows], escaped[rows], angle[rows], words.take(rows))
-              for f, rows in zip(frames, np.split(order, ends[:-1]))]
-    return sweeps, cutoff, int(psi.size)
-
-
-def _wrap(angle):
-    return (angle + math.pi) % _TWO_PI - math.pi
-
-
-# ---------------------------------------------------------------------------
-# Travelling times: candidate words
-# ---------------------------------------------------------------------------
-# A root from x to y is a critical point of the length of the paths off the
-# bodies of one word in turn. The sweeps say which words occur near a pair
-# and where their reflection points lie.
-
-# Rounds of d = 2 bracket narrowing, and launches inside a bracket per round.
-_NARROW_DEPTH = 8
-_NARROW_LAUNCHES = 7
-
-
-def _brackets(both, da, db, differ, edge):
-    """The d = 2 candidate rule on launch gaps: both ends leave where both
-    holds, the exit-angle misses to y are da and db, and the end words differ
-    where differ holds, by one reflection at the start or end of the path
-    where edge does (_end_edges). A gap holds a root when its a end exits exactly at y or
-    the misses change sign other than by a wrap across the antipode. Where
-    the words are equal, or differ at an edge, a tangency of the first or
-    last leg across which the exit angle is continuous, the root's word is
-    one of them: the word of the end that misses less is solved, and the
-    other too where they differ. Where they differ otherwise, the word of
-    the end that misses less is solved, as the root may sit beside it next
-    to a second crossing, and the gap is narrowed, as the root's word may be
-    neither. Returns masks (solve from a, solve from b, narrow)."""
-    straddle = both & (da * db < 0.0) & (np.abs(da - db) < math.pi)
-    near = np.abs(da) <= np.abs(db)
-    return ((both & (da == 0.0)) | (straddle & (near | edge)), straddle & (edge | ~near),
-            straddle & differ & ~edge)
-
-
-def _edge_words(psi, escaped, miss, words: _Words, differ):
-    """The words that may hold a root beside a branch edge of a d = 2 sweep
-    with no sign change at its gap's ends: past a tangency the exit angle
-    leaves with an infinite slope, so a word's miss can cross zero just
-    before its edge and come back before the next shot. For each row of
-    misses and each gap whose end words differ (differ, per gap): where the
-    miss of one end, carried on linearly from the shot before it on the
-    same word, changes sign inside the gap, that end's word is solved from
-    it, and so are the prefixes of the other end's word that extend it,
-    from the other end. Returns (row, _Words)."""
-    count, first, ids, points = words
-    rows, shots, others = [], [], []
-    for side in (1, -1):
-        # Shots on the near side of a gap whose words differ, with the shot
-        # before them on the same word.
-        near = np.flatnonzero(differ[:-1] & ~differ[1:]) + 1 if side < 0 else (
-            np.flatnonzero(~differ[:-1] & differ[1:]) + 1)
-        prev, far = near - side, near + side
-        near = near[escaped[near] & escaped[prev] & escaped[far]]
-        prev, far = near - side, near + side
-        step = miss[:, near] - miss[:, prev]
-        ahead = miss[:, near] + step * ((psi[far] - psi[near]) / (psi[near] - psi[prev]))
-        row, at = np.nonzero((np.abs(step) < math.pi) & (miss[:, near] * ahead < 0.0))
-        rows.append(row)
-        shots.append(near[at])
-        others.append(far[at])
-    row, shot, other = (np.concatenate(v) for v in (rows, shots, others))
-    k, kf = count[shot], count[other]
-    chain = k < kf - 1
-    extra = np.where(chain & ~_ragged_differ(np.where(chain, k, 0), first[shot], first[other], ids),
-                     kf - k - 1, 0)
-    which = np.repeat(np.arange(shot.size), extra)
-    length = k[which] + 1 + np.arange(which.size) - np.repeat(np.cumsum(extra) - extra, extra)
-    return np.concatenate([row, row[which]]), _join_words(
-        [words.take(shot), _Words(length, first[other][which], ids, points).take(
-            np.arange(which.size))])
-
-
-def _narrow(scene, brackets, tally):
-    """Narrow d = 2 brackets in lockstep: each round traces _NARROW_LAUNCHES
-    evenly spaced launches inside every open bracket in one batch, and its
-    sub-brackets are taken by _brackets. brackets holds, per bracket, its
-    pair slot, x, frame and angle of y, and the (psi, miss, words) of its
-    two ends, one after the other. Counts the launches as refine_shots, a
-    bracket that keeps no sub-bracket (a launch inside it stayed in the
-    scene, or its miss jumped across the antipode) as "dropped_lost" and one
-    still split after _NARROW_DEPTH rounds as "dropped_split". Returns
-    ([slots], [_Words]) of the shots to solve from."""
-    slot, x, frame, ty, psi, miss, words = brackets
-    escaped = np.ones(psi.size, dtype=bool)
-    lo = np.arange(0, psi.size, 2)
-    hi, at = lo + 1, np.arange(lo.size)
-    frac = np.arange(1, _NARROW_LAUNCHES + 1) / (_NARROW_LAUNCHES + 1)
-    slots, found = [], []
-    for _ in range(_NARROW_DEPTH):
-        if not lo.size:
-            break
-        inner = (psi[lo, None] + (psi[hi] - psi[lo])[:, None] * frac).ravel()
-        of = np.repeat(at, _NARROW_LAUNCHES)
-        ok, angle, new = _fan_shots(scene, x[of], frame[of], inner)
-        tally["refine_shots"] += inner.size
-        rows = psi.size + np.arange(inner.size).reshape(lo.size, _NARROW_LAUNCHES)
-        psi, miss = np.concatenate([psi, inner]), np.concatenate([miss, _wrap(angle - ty[of])])
-        escaped, words = np.concatenate([escaped, ok]), _join_words([words, new])
-        chain = np.column_stack([lo, rows, hi])
-        a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
-        owner = np.repeat(at, _NARROW_LAUNCHES + 1)
-        from_a, from_b, narrow = _brackets(escaped[a] & escaped[b], miss[a], miss[b],
-                                           _words_differ(words, a, b), _end_edges(words, a, b))
-        gap, side = np.nonzero(np.column_stack([from_a, from_b]))
-        slots.append(slot[owner[gap]])
-        found.append(words.take(np.where(side == 0, a[gap], b[gap])))
-        _drop(tally, "dropped_lost", lo.size - np.unique(owner[gap]).size)
-        lo, hi, at = a[narrow], b[narrow], owner[narrow]
-    _drop(tally, "dropped_split", lo.size)
-    return slots, found
 
 
 def _drop(tally, reason: str, n: int) -> None:
@@ -569,22 +326,54 @@ def _body_tables(scene: Scene):
             np.array([b._M for b in bodies]).reshape(-1, d, d).transpose(1, 2, 0))
 
 
-def _one_bounce_starts(scene: Scene, xs, ys):
-    """Each body's one-bounce word for every pair (xs[i], ys[i]), started at
-    the body point whose outward normal n bisects the directions from the
-    body's centre to x and y: s = (R D)^T n normalised, since the normal at
-    c + R D s is along R D^-1 s. Returns (pair, _Words); a pair whose x and
-    y are opposite about a centre gets no start there."""
-    nb = len(scene.bodies)
-    pair, body = np.repeat(np.arange(len(xs)), nb), np.tile(np.arange(nb), len(xs))
-    c, jac, _ = (t[..., body] for t in _body_tables(scene))
-    ex, ey = xs[pair].T - c, ys[pair].T - c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = _mat_vec(jac.transpose(1, 0, 2), ex / np.sqrt(_dot(ex, ex)) + ey / np.sqrt(_dot(ey, ey)))
-        q = c + _mat_vec(jac, s / np.sqrt(_dot(s, s)))
-    ok = np.isfinite(q).all(axis=0)
-    n = int(np.count_nonzero(ok))
-    return pair[ok], _Words(np.ones(n, dtype=int), np.arange(n), body[ok], q.T[ok])
+def _admissible_words(k: int, m: int) -> np.ndarray:
+    """The k (k - 1)^(m - 1) words of length m >= 1 over k bodies with no
+    body twice in a row, as rows in lexicographic order."""
+    words = np.arange(k)[:, None]
+    others = np.arange(max(k - 1, 0))
+    for _ in range(m - 1):
+        after = others + (others >= words[:, -1:])
+        words = np.column_stack([np.repeat(words, others.size, axis=0), after.ravel()])
+    return words
+
+
+def _word_starts(scene: Scene, xs, ys, depth: int):
+    """Every admissible word of length 0 to depth for each pair (xs[i],
+    ys[i]), with its start points, built in one array pass per length. Point
+    i of a word, on a body with centre c, starts where the body's outward
+    normal n bisects the directions from c to its anchors, x or the previous
+    body's centre and the next body's centre or y: s = (R D)^T n normalised,
+    since the normal at c + R D s is along R D^-1 s. Anchors opposite about
+    c give no finite start, nor do equal endpoints to the free chord.
+    Returns (pair per word, _Words, the number of words without a finite
+    start)."""
+    c, jac, _ = _body_tables(scene)
+    n, d = xs.shape
+    chord = np.flatnonzero((xs != ys).any(axis=1))
+    slots, counts = [chord], [np.zeros(chord.size, dtype=int)]
+    ids, points = [np.zeros(0, dtype=int)], [np.zeros((0, d))]
+    unstarted = n - chord.size
+    for m in range(1, depth + 1):
+        words = _admissible_words(len(scene.bodies), m)
+        pair, body = np.repeat(np.arange(n), len(words)), np.tile(words, (n, 1))
+        centre = c[:, body]
+        before, after = c[:, np.roll(body, 1, axis=1)], c[:, np.roll(body, -1, axis=1)]
+        before[:, :, 0], after[:, :, -1] = xs[pair].T, ys[pair].T
+        e_in, e_out = (before - centre).reshape(d, -1), (after - centre).reshape(d, -1)
+        rd = jac[..., body.ravel()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = _mat_vec(rd.transpose(1, 0, 2), e_in / np.sqrt(_dot(e_in, e_in))
+                         + e_out / np.sqrt(_dot(e_out, e_out)))
+            q = centre.reshape(d, -1) + _mat_vec(rd, s / np.sqrt(_dot(s, s)))
+        ok = np.isfinite(q).all(axis=0).reshape(-1, m).all(axis=1)
+        unstarted += ok.size - int(np.count_nonzero(ok))
+        slots.append(pair[ok])
+        counts.append(np.full(slots[-1].size, m))
+        ids.append(body[ok].ravel())
+        points.append(q.T.reshape(-1, m, d)[ok].reshape(-1, d))
+    count = np.concatenate(counts)
+    return (np.concatenate(slots), _Words(count, np.cumsum(count) - count, np.concatenate(ids),
+                                          np.concatenate(points)), unstarted)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +382,12 @@ def _one_bounce_starts(scene: Scene, xs, ys):
 
 # Newton steps after which a word's path search gives up.
 _NEWTON_CAP = 20
-# Words per Newton batch. Criterion 8's three-disk n = 48 table, 103,708
-# words and 321,734 reflection points, peaked at 326 MB resident solved in
-# one batch and at 154 MB in batches of 4,096 words; batches of 2,048 or
-# 16,384 words solved its words no faster.
+# Words per Newton batch, and per run of pairs a table solves at once.
+# Criterion 8's three-disk n = 48 table, 103,708 words and 321,734
+# reflection points, peaked at 326 MB resident solved in one batch and at
+# 154 MB in batches of 4,096 words; batches of 2,048 or 16,384 words solved
+# its words no faster. Its 106,032 words to depth 5 peak at 144 MB solved
+# in one run and at 109 MB in runs of 4,096 words.
 _BATCH_WORDS = 4096
 # Reflection points of a batch's stopped words that pay for laying out its
 # live words anew: on criterion 8's words 512 to 2,048 points solved in
@@ -847,29 +638,21 @@ def _root_tol(scene: Scene) -> float:
     return REFINE_TOL_FRAC * scene.ball_radius
 
 
-def _reversed(s: TravellingTimeSample, pair: int) -> TravellingTimeSample:
-    """The exact time reversal of s, as a sample of pair: x and y swapped,
-    the directions negated and swapped, the word reversed."""
-    return TravellingTimeSample(pair, s.y, s.x, s.t, s.reflections, tuple(-c for c in s.dir_out),
-                                tuple(-c for c in s.dir_in), s.residual, s.itinerary[::-1])
-
-
 def find_xy_geodesics(scene: Scene, x, y,
-                      n_seeds: Optional[int] = None) -> list[TravellingTimeSample]:
-    """All resolved geodesics entering the reference sphere at x and leaving at y.
+                      depth: Optional[int] = None) -> list[TravellingTimeSample]:
+    """All geodesics of depth at most ``depth`` entering the reference
+    sphere at x and leaving at y.
 
-    Sweeps run from both endpoints, and each root found from one is also
-    entered reversed for the other, so the result is symmetric under
-    swapping the endpoints.
-    This is the travel-table search on the two points x, y, so a table cell
+    This is the travel-table search on the two points x, y: the pair is
+    solved from its lesser point and the other order is its exact reversal,
+    so the result is symmetric under swapping the endpoints and a table cell
     equals this call on its pair. The returned list may be empty: the
-    travelling-time set of a pair can be empty (deep shadow) or
-    under-resolved at the configured seed count. Raises ContractError for
-    non-finite endpoints, endpoints off the reference sphere, fewer than
-    one seed, scenes with curve obstacles, and d >= 4, where no search is
-    implemented.
+    travelling-time set of a pair can be empty (deep shadow). Raises
+    ContractError for non-finite endpoints, endpoints off the reference
+    sphere, a depth that is not an integer >= 0, scenes with curve
+    obstacles, and d >= 4, where no search is implemented.
     """
-    n_seeds = _seed_count(scene, n_seeds)
+    depth = _search_depth(scene, depth)
     pts = [np.asarray(x, dtype=float), np.asarray(y, dtype=float)]
     if not all(np.isfinite(p).all() for p in pts):
         raise ContractError("travel endpoints must be finite")
@@ -878,17 +661,16 @@ def find_xy_geodesics(scene: Scene, x, y,
         if (p.shape != center.shape or abs(float(np.linalg.norm(p - center)) - scene.ball_radius)
                 > _ON_SPHERE_FACTOR * _root_tol(scene)):
             raise ContractError(f"travel endpoint {_as_tuple(p)} is not on the reference sphere")
-    cells = _travel(scene, pts, [(0, 1), (1, 0)], n_seeds)[0]
-    return cells[0]
+    return _travel(scene, pts, [(0, 1), (1, 0)], depth)[0][0]
 
 
 # An endpoint may sit this many root tolerances off the reference sphere.
 _ON_SPHERE_FACTOR = 10.0
 
 
-def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
-    """The seed count of a travel search, with the default filled in where
-    None; refuses fewer than one seed, scenes with curve obstacles, which are
+def _search_depth(scene: Scene, depth: Optional[int]) -> int:
+    """The word depth of a travel search, DEPTH where None; refuses a depth
+    that is not an integer >= 0, scenes with curve obstacles, which are
     demonstrations outside the travel search's bodies-only design, and
     d >= 4, where no search is implemented."""
     if scene.curves:
@@ -897,75 +679,11 @@ def _seed_count(scene: Scene, n_seeds: Optional[int]) -> int:
     if scene.dimension >= 4:
         raise ContractError("travelling times are implemented for d = 2 and d = 3 "
                             f"only, not d = {scene.dimension}")
-    if n_seeds is None:
-        n_seeds = SEEDS_2D if scene.dimension == 2 else SEEDS_3D
-    if n_seeds < 1:
-        raise ContractError(f"a travel search needs at least one seed, got {n_seeds}")
-    return n_seeds
-
-
-# ---------------------------------------------------------------------------
-# Travelling times in d = 3
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=8)
-def _hemisphere(n_seeds: int):
-    """The n_seeds inward seeds in the frame whose z-axis points into the
-    ball, read-only, one array per process shared by every d = 3 sweep."""
-    hemi = fibonacci_sphere(2 * n_seeds)
-    hemi = hemi[hemi[:, 2] > 1e-6][:n_seeds]
-    hemi.flags.writeable = False
-    return hemi
-
-
-@dataclass(frozen=True)
-class _Sweep3D:
-    """One source point's traced seeds, in the order of _hemisphere's
-    lattice carried into the point's frame."""
-    exits: np.ndarray  # (3, seeds): exit point per seed, inf where the trace does not leave
-    window: float  # misses above this are too far from any root to solve for
-    words: _Words
-
-
-def _sweeps_3d(scene, xs, n_seeds):
-    """The inward hemisphere seeds at every point of xs, all traced in one
-    lockstep batch; returns (sweeps, cutoff seeds, rays traced)."""
-    center = np.asarray(scene.ball_center)
-    hemi = _hemisphere(n_seeds)
-    frames = []
-    for x in xs:
-        m = (center - x) / float(np.linalg.norm(center - x))
-        frames.append([m, *plane_basis(m)])
-    # Every point's seeds in one broadcast, coordinate first: (3, points, seeds).
-    f = np.array(frames).T[..., None]
-    seeds = hemi[:, 2] * f[:, 0] + hemi[:, 0] * f[:, 1] + hemi[:, 1] * f[:, 2]
-    escaped, legs, _, dirs, log = _trace_many(scene, np.repeat(xs, len(hemi), axis=0),
-                                              seeds.reshape(3, -1).T)
-    s, disc = _sphere_exit(scene, legs, dirs, scene.ball_radius)
-    left = escaped & (disc >= 0.0) & (s >= 0.0)
-    exits = np.where(left, (legs + s[:, None] * dirs).T, np.inf)
-    window = 4.0 * scene.ball_radius * math.sqrt(4.0 * math.pi / n_seeds)
-    words = _log_words(log, left.size)
-    sweeps = [_Sweep3D(e, window, words.take(rows))
-              for e, rows in zip(np.split(exits, len(xs), axis=1),
-                                 np.split(np.arange(left.size), len(xs)))]
-    return sweeps, int(np.count_nonzero(~left)), left.size
-
-
-def _least_misses(sweep: _Sweep3D, y):
-    """The d = 3 candidate rule: of the seeds whose exit misses y by at most
-    sweep.window, the least-miss seed of each word, in increasing order of
-    miss, ties in order of seed. Only the seeds in the window are sorted."""
-    e = sweep.exits - y[:, None]
-    misses = np.sqrt(_dot(e, e))
-    near = np.flatnonzero(misses <= sweep.window)
-    near = near[np.argsort(misses[near], kind="stable")]
-    words = sweep.words
-    ids = words.obstacles.tolist()
-    least = {}
-    for i, f, k in zip(near.tolist(), words.first[near].tolist(), words.count[near].tolist()):
-        least.setdefault(tuple(ids[f:f + k]), i)
-    return np.fromiter(least.values(), dtype=np.intp, count=len(least))
+    if depth is None:
+        return DEPTH
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise ContractError(f"a travel search depth must be an integer >= 0, not {depth!r}")
+    return int(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -974,16 +692,17 @@ def _least_misses(sweep: _Sweep3D, y):
 
 def travelling_time_spectrum(scene: Scene, n_points: int = 64,
                              min_sep_deg: float = 1.0, phase: float = 0.0,
-                             n_seeds: Optional[int] = None,
+                             depth: Optional[int] = None,
                              threads: int = 1) -> SpectrumTable:
-    """Travelling-time table over all ordered lattice-point pairs.
+    """Travelling-time table over all ordered lattice-point pairs: the roots
+    of every admissible word of length 0 to ``depth`` (DEPTH by default).
 
     Each cell equals ``find_xy_geodesics`` on its pair; both run the same
     search. Deterministic for fixed arguments, and identical for any
-    ``threads``. Raises ContractError for fewer than one seed, for scenes
-    with curve obstacles and for d >= 4.
+    ``threads``. Raises ContractError for a depth that is not an integer
+    >= 0, for scenes with curve obstacles and for d >= 4.
     """
-    n_seeds = _seed_count(scene, n_seeds)
+    depth = _search_depth(scene, depth)
     pts, pairs = _pair_grid(scene, n_points, min_sep_deg, phase)
     if not pairs:
         raise ContractError(f"the travel grid (n_points={n_points}, min_sep_deg="
@@ -993,148 +712,101 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         "n_points": int(n_points),
         "min_sep_deg": float(min_sep_deg),
         "phase": float(phase),
-        "n_seeds": int(n_seeds),
+        "depth": depth,
         "tol": float(_root_tol(scene)),
         "ball_center": _as_tuple(scene.ball_center),
         "ball_radius": float(scene.ball_radius),
     })
-    merged, cutoff, tally, rays = _travel(scene, pts, pairs, n_seeds, threads)
+    cells, tally = _travel(scene, pts, pairs, depth, threads)
+    # cutoff_seeds is always 0: no search traces a ray. It stays because the
+    # benchmark's per-layer report reads it from every table.
     return SpectrumTable("travel", scene.digest, grid,
-                         tuple(tuple(sorted(s.t for s in cell)) for cell in merged),
-                         tuple(s for cell in merged for s in cell),
-                         (("cutoff_seeds", cutoff), ("dropped_clusters", tally["dropped_clusters"]),
+                         tuple(tuple(sorted(s.t for s in cell)) for cell in cells),
+                         tuple(s for cell in cells for s in cell),
+                         (("cutoff_seeds", 0), ("dropped_clusters", tally["dropped_clusters"]),
                           *((r, tally[r]) for r in _DROP_REASONS),
-                          ("refine_shots", tally["refine_shots"]),
-                          ("newton_steps", tally["newton_steps"]), ("sweep_rays", rays)))
+                          ("newton_steps", tally["newton_steps"])))
 
 
-def _travel(scene: Scene, pts, pairs, n_seeds: int, threads: int = 1):
+def _travel(scene: Scene, pts, pairs, depth: int, threads: int = 1):
     """The travel search over ordered index pairs (i, j) of pts, where (j, i)
-    is a pair whenever (i, j) is; returns (samples per pair, cutoff seeds,
-    a Counter of narrowing launches, Newton steps and drops, sweep rays
-    traced).
+    is a pair whenever (i, j) is; returns (samples per pair, a Counter of
+    Newton steps and drops).
 
-    The inward seed sweeps of all source points are traced first, in
-    lockstep batches, and each serves every partner of its point. The
-    candidate words of every pair are then solved by one _solve_words call
-    per share of the source points: one share, or one per pool worker when
+    Each point pair is solved once, from its lesser point (by coordinates,
+    then by index, so that equal endpoints work too), by one _spectrum_worker
+    call on all pairs, or one per pool worker on its share of them when
     threads > 1.
-    Each point pair is merged once, oriented from its lesser point (by
-    coordinates, then by index, so that equal endpoints merge too): the
-    roots found from that point and the exact time reversals of those found
-    from the other, one per word, the copy with the least residual, the
-    lesser point's on a tie. Its cell is sorted by (t, residual, word), and
-    the mirror cell is its exact reversal.
     """
-    sources = sorted({i for i, _ in pairs})
-    sweep_all = _sweeps_2d if scene.dimension == 2 else _sweeps_3d
-    sweeps, cutoff, rays = sweep_all(scene, np.array([pts[i] for i in sources]), n_seeds)
-    partners = {i: [] for i in sources}
-    for k, (i, j) in enumerate(pairs):
-        partners[i].append((k, pts[j]))
-    share = [(pts[i], sweep, partners[i]) for i, sweep in zip(sources, sweeps)]
+    key = [(_as_tuple(p), i) for i, p in enumerate(pts)]
+    pair_index = {ij: k for k, ij in enumerate(pairs)}
+    own = [(k, pair_index[(j, i)]) for k, (i, j) in enumerate(pairs) if key[i] < key[j]]
+    xs = np.array([pts[pairs[k][0]] for k, _ in own])
+    ys = np.array([pts[pairs[k][1]] for k, _ in own])
+    shares = [np.arange(w, len(own), threads) for w in range(min(threads, len(own)))]
+    jobs = [(scene, [own[r] for r in rows.tolist()], xs[rows], ys[rows], depth) for rows in shares]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        parts = [share[w::threads] for w in range(min(threads, len(share)))]
-        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-            chunks = list(pool.map(_spectrum_worker, [(scene, part) for part in parts]))
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            chunks = list(pool.map(_spectrum_worker, jobs))
     else:
-        chunks = [_spectrum_worker((scene, share))]
-    raw = {}
-    tally = Counter()
-    for chunk_samples, chunk_tally in chunks:
-        tally.update(chunk_tally)
-        raw.update(chunk_samples)
-    pair_index = {ij: k for k, ij in enumerate(pairs)}
-    key = [(_as_tuple(p), i) for i, p in enumerate(pts)]
+        chunks = [_spectrum_worker(job) for job in jobs]
     cells = [None] * len(pairs)
-    for k, (i, j) in enumerate(pairs):
-        if key[i] > key[j]:
-            continue
-        m = pair_index[(j, i)]
-        kept = dict(raw[k])
-        for word, s in raw[m].items():
-            word = word[::-1]
-            if word not in kept or s.residual < kept[word].residual:
-                kept[word] = _reversed(s, k)
-        cells[k] = sorted(kept.values(), key=lambda s: (s.t, s.residual, s.itinerary))
-        cells[m] = [_reversed(s, m) for s in cells[k]]
-    return cells, cutoff, tally, rays
+    tally = Counter()
+    for (_, share, *_), (share_cells, share_tally) in zip(jobs, chunks):
+        tally.update(share_tally)
+        for (k, m), (cell, mirror) in zip(share, share_cells):
+            cells[k], cells[m] = cell, mirror
+    return cells, tally
 
 
 def _spectrum_worker(args):
-    """The raw roots of every pair of a share of the source points: the
-    candidate words of all its pairs, from their sweeps, from narrowed d = 2
-    brackets and each body's one-bounce word, solved in one _solve_words
-    call. A root is its pair and its word, so of the converged copies of
-    one (pair, word) only the first with the least residual becomes a
-    sample. Returns ([(pair, {word: sample})], a Counter of narrowing
-    launches, Newton steps and drops)."""
-    scene, share = args
+    """The roots of a share of the point pairs (k, m), each solved from its
+    first point: every admissible word of length 0 to depth of every pair,
+    one _solve_words call per run of pairs with at most _BATCH_WORDS words
+    in all, or per pair where one pair has more. Pair k's cell is sorted by
+    time, residual and word, and pair m's holds their exact time reversals
+    in the same order: x and y swapped, the directions negated and swapped,
+    the word reversed. Returns ([(cell k, cell m)], a Counter of Newton
+    steps and drops)."""
+    scene, pairs, xs, ys, depth = args
+    k = len(scene.bodies)
+    step = max(1, _BATCH_WORDS // (1 + sum(k * (k - 1) ** (m - 1) for m in range(1, depth + 1))))
     tally = Counter()
-    pairs, xs, ys, slots, found, narrowing = [], [], [], [], [], []
-    for x, sweep, partners in share:
-        first = len(pairs)
-        pairs += [k for k, _ in partners]
-        xs += [x] * len(partners)
-        ys += [y for _, y in partners]
-        if scene.dimension == 3:
-            for i, (_, y) in enumerate(partners):
-                rows = _least_misses(sweep, y)
-                slots.append(np.full(rows.size, first + i))
-                found.append(sweep.words.take(rows))
-            continue
-        # The candidate rule on every gap of the sweep for all partners at
-        # once, one row of exit-angle misses per partner.
-        y = np.array(ys[first:]) - np.asarray(scene.ball_center)
-        ty = np.arctan2(y[:, 1], y[:, 0])
-        miss = _wrap(sweep.angle - ty[:, None])
-        gap = np.arange(sweep.psi.size - 1)
-        differ = _words_differ(sweep.words, gap, gap + 1)
-        from_a, from_b, narrow = _brackets(sweep.escaped[:-1] & sweep.escaped[1:], miss[:, :-1],
-                                           miss[:, 1:], differ, _end_edges(sweep.words, gap, gap + 1))
-        pair, at, side = np.nonzero(np.stack([from_a, from_b], axis=-1))
-        slots.append(first + pair)
-        found.append(sweep.words.take(at + side))
-        pair, near = _edge_words(sweep.psi, sweep.escaped, miss, sweep.words, differ)
-        slots.append(first + pair)
-        found.append(near)
-        pair, at = np.nonzero(narrow)
-        ends = np.column_stack([at, at + 1]).ravel()
-        narrowing.append((first + pair, np.repeat([x], pair.size, axis=0),
-                          np.repeat([sweep.frame], pair.size, axis=0), ty[pair],
-                          sweep.psi[ends], miss[pair.repeat(2), ends],
-                          sweep.words.take(ends)))
-    xs, ys = np.array(xs), np.array(ys)
-    if narrowing:
-        *arrays, words = zip(*narrowing)
-        got_slots, got = _narrow(scene, [*map(np.concatenate, arrays), _join_words(words)], tally)
-        slots += got_slots
-        found += got
-    one_slot, one = _one_bounce_starts(scene, xs, ys)
-    slot, words = np.concatenate(slots + [one_slot]), _join_words(found + [one])
+    cells = []
+    for lo in range(0, len(pairs), step):
+        cells += _solve_pairs(scene, pairs[lo:lo + step], xs[lo:lo + step], ys[lo:lo + step],
+                              depth, tally)
+    return cells, tally
+
+
+def _solve_pairs(scene: Scene, pairs, xs, ys, depth: int, tally):
+    """_spectrum_worker on one run of its pairs, counting into tally."""
+    slot, words, unstarted = _word_starts(scene, xs, ys, depth)
+    _drop(tally, "dropped_start", unstarted)
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
     tally["newton_steps"] += int(steps.sum())
-    best = [{} for _ in pairs]
-    ids, first, count, res = (words.obstacles.tolist(), words.first.tolist(),
-                              words.count.tolist(), residual.tolist())
-    for n, (i, why, f, k) in enumerate(zip(slot.tolist(), reason, first, count)):
+    for why, n in Counter(reason).items():
         if why is not None:
-            _drop(tally, why, 1)
-            continue
-        word = tuple(ids[f:f + k])
-        kept = best[i].setdefault(word, n)
-        if res[n] < res[kept]:
-            best[i][word] = n
-    keep = [(i, word, n) for i, b in enumerate(best) for word, n in b.items()]
-    rows = np.array([n for _, _, n in keep], dtype=np.intp)
+            _drop(tally, why, n)
+    rows = np.array([n for n, why in enumerate(reason) if why is None], dtype=np.intp)
+    ids = words.obstacles.tolist()
+    roots = sorted(zip(slot[rows].tolist(), t[rows].tolist(), residual[rows].tolist(),
+                       [tuple(ids[f:f + n]) for f, n in zip(words.first[rows].tolist(),
+                                                             words.count[rows].tolist())],
+                       rows.tolist()))
+    at = [n for *_, n in roots]
+    din, dout = dir_in[:, at], dir_out[:, at]
     ends = [(_as_tuple(x), _as_tuple(y)) for x, y in zip(xs, ys)]
-    for (i, word, n), tj, din, dout in zip(keep, t[rows].tolist(), dir_in[:, rows].T.tolist(),
-                                           dir_out[:, rows].T.tolist()):
-        best[i][word] = TravellingTimeSample(pairs[i], *ends[i], tj, len(word), tuple(din),
-                                             tuple(dout), res[n], word)
-    return list(zip(pairs, best)), tally
+    cells = [([], []) for _ in pairs]
+    for (i, tj, res, word, _), a, b, back_in, back_out in zip(
+            roots, din.T.tolist(), dout.T.tolist(), (-dout).T.tolist(), (-din).T.tolist()):
+        (k, m), (x, y), (cell, mirror) = pairs[i], ends[i], cells[i]
+        cell.append(TravellingTimeSample(k, x, y, tj, len(word), tuple(a), tuple(b), res, word))
+        mirror.append(TravellingTimeSample(m, y, x, tj, len(word), tuple(back_in), tuple(back_out),
+                                           res, word[::-1]))
+    return cells
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,

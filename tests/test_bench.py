@@ -12,3 +12,12 @@ def test_bench_tiny_runs_clean():
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--tiny"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_bench_traced_run_reads_every_table():
+    # A traced run reports per-layer numbers read off every table's
+    # diagnostics, cutoff_seeds and dropped_clusters among them.
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+                           "travel-3d", "--trace", "1", "--seconds", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -131,26 +131,26 @@ def test_sls_refuses_a_direction_of_another_dimension(disk_file, capsys):
     assert captured.err == "error: a 3-d direction for a 2-d scene\n"
 
 
-def test_travel_summary_counts_refine_shots(disk_file, capsys):
-    # The summary line prints the table's counters: the dropped searches,
-    # the narrowing launches and the Newton steps of the d = 2 solve.
-    assert run_command(["travel", disk_file, "--points", "4"]) == 0
+def test_travel_summary_counts_dropped_words(disk_file, capsys):
+    # The summary line prints the table's counters: the words that gave no
+    # root and the Newton steps of the d = 2 solve.
+    assert run_command(["travel", disk_file, "--points", "4", "--depth", "3"]) == 0
     out = capsys.readouterr().out
     scene = sl.parse_scene(open(disk_file).read())
-    diag = sl.travelling_time_spectrum(scene, n_points=4).diagnostics_dict()
-    assert (f"dropped: {diag['dropped_clusters']}  refine_shots: {diag['refine_shots']}  "
-            f"newton_steps: {diag['newton_steps']}") in out
-    assert diag["newton_steps"] > 0
+    diag = sl.travelling_time_spectrum(scene, n_points=4, depth=3).diagnostics_dict()
+    assert out.endswith(f"dropped: {diag['dropped_clusters']}  "
+                        f"newton_steps: {diag['newton_steps']}\n")
+    assert diag["dropped_clusters"] > 0
 
 
 def test_travel_summary_counts_newton_steps(ball_ellipsoid_scene, tmp_path, capsys):
-    # A d = 3 table narrows no bracket; its counted work is the Newton steps
-    # of its path searches.
+    # A d = 3 table traces no ray; its counted work is the Newton steps of
+    # its path searches.
     scene_file = tmp_path / "scene.json"
     scene_file.write_text(sl.serialize_scene(ball_ellipsoid_scene))
-    assert run_command(["travel", str(scene_file), "--points", "3", "--seeds", "200"]) == 0
+    assert run_command(["travel", str(scene_file), "--points", "3", "--depth", "3"]) == 0
     out = capsys.readouterr().out
-    assert "refine_shots: 0  newton_steps: " in out
+    assert "cutoff_seeds" not in out and "refine_shots" not in out
     assert int(out.split("newton_steps: ")[1].split()[0]) > 0
 
 
@@ -330,12 +330,12 @@ def test_travel_refuses_curve_scenes(tmp_path, capsys):
     assert err.startswith("error: ") and "curve obstacles" in err
 
 
-def test_travel_refuses_zero_seeds(tmp_path, capsys, disk_scene):
+def test_travel_refuses_a_negative_depth(tmp_path, capsys, disk_scene):
     path = tmp_path / "disk.toy"
     path.write_text(serialize_scene(disk_scene))
-    assert run_command(["travel", str(path), "--points", "4", "--seeds", "0"]) == 1
+    assert run_command(["travel", str(path), "--points", "4", "--depth", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "at least one seed" in err
+    assert err.startswith("error: ") and "depth must be an integer >= 0" in err
     assert "Traceback" not in err
 
 
@@ -345,8 +345,7 @@ def test_travel_csv_reads_back_as_samples(tmp_path, two_disk_scene,
     if dimension == 2:
         table = sl.travelling_time_spectrum(two_disk_scene, n_points=6)
     else:
-        table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3,
-                                            n_seeds=200)
+        table = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=3, depth=3)
     path = tmp_path / "travel.csv"
     write_travel_csv(table, path, 17)
     back = read_travel_csv(path)
@@ -365,7 +364,7 @@ def test_cli_compare_agrees_with_library(tmp_path, capsys, two_disk_scene,
         kwargs = {"n_points": 6, "phase": 0.3}
     else:
         scene = ball_ellipsoid_scene
-        kwargs = {"n_points": 3, "n_seeds": 200}
+        kwargs = {"n_points": 3, "depth": 3}
     body = scene.bodies[1]
     shifted = dataclasses.replace(body, center=(body.center[0] + 0.5, *body.center[1:]))
     moved = dataclasses.replace(scene, bodies=(scene.bodies[0], shifted))

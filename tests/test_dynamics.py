@@ -6,7 +6,7 @@ import pytest
 import scatterlab as sl
 from scatterlab.dynamics import _itineraries, _trace_many
 from scatterlab.geometry import _dot, _first_hit_nd
-from scatterlab.spectra import _hemisphere, plane_basis, sphere_lattice
+from scatterlab.spectra import plane_basis, sphere_lattice
 from float_kernels import _trace_2d
 from oracles import mirror_direction
 
@@ -493,13 +493,14 @@ def _travel_3d_scene() -> sl.Scene:
 
 
 def test_trace_many_matches_single_traces_on_a_seed_family():
-    # The d = 3 twin of the planar test, on the inward seeds of one sphere
-    # point as a travel sweep launches them.
+    # The d = 3 twin of the planar test, on 2,000 inward directions of one
+    # sphere point, a Fibonacci lattice on the inner hemisphere.
     scene = _travel_3d_scene()
     x = scene.ball_radius * sphere_lattice(3, 3)[0]
     m = -x / np.linalg.norm(x)
     basis = plane_basis(m)
-    hemi = _hemisphere(2000)
+    hemi = sl.geometry.fibonacci_sphere(4000)
+    hemi = hemi[hemi[:, 2] > 1e-6][:2000]
     dirs = hemi[:, 2:3] * m + hemi[:, 0:1] * basis[0] + hemi[:, 1:2] * basis[1]
     itins = _assert_trace_many_matches(scene, np.tile(x, (len(dirs), 1)), dirs)
     assert set(itins) == {(), (0,), (1,)}
