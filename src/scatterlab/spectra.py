@@ -15,25 +15,28 @@ admissible when no body appears twice in a row, so k bodies have
 k(k-1)^(m-1) words of length m >= 1 and one, the free chord, of length 0. A
 search of depth m solves every admissible word of length 0 to m for each
 unordered point pair, once, from the pair's lesser point, by Newton's
-method on the path length: the pairs of a table, or of one pool worker's
-share, are taken in runs of a bounded number of words, which bounds a
-table's memory, and each run's words are solved in batches of a bounded
-number of words from which stopped words are dropped. A word stops when its
-mirror-law defect, times the ball radius, is below _RESIDUAL_MARGIN times
-the root tolerance. Each reflection point starts where its body's outward
-normal bisects the directions from the body's centre to its two anchors: x
-or the previous body's centre, and the next body's centre or y. Where the
-two anchors lie opposite about the centre that start is not finite, and the
-word is not solved but counted as dropped_start. A path that enters a body
-or meets one before the end of a leg is no trajectory and is dropped. A
-root is named by its pair and its word: the search takes each admissible
-word to have at most one reflecting ray between two points, as under no
-eclipse, and a table holds the roots of every admissible word through depth
-m, and none deeper. The search is symmetrized: the mirror cell of a pair
-holds the exact time reversals of its samples, so both orders of a pair
-hold the same samples, reversed, bit for bit. Paths that do not converge or
-are no trajectory are dropped and counted by reason in the table
-diagnostics, next to the Newton steps.
+method on the path length: the words of a table, or of one pool worker's
+share of its pairs, are taken pair by pair in runs of at most _BATCH_WORDS
+words, each built and solved at once, which bounds the search's working
+memory whatever the number of words per pair. Stopped words are dropped
+from a run as it goes. A word stops when its mirror-law defect, times the
+ball radius, is below _RESIDUAL_MARGIN times the root tolerance. Each
+reflection point starts where its body's outward normal bisects the
+directions from the body's centre to its two anchors: x or the previous
+body's centre, and the next body's centre or y. Where the two anchors lie
+opposite about the centre, the previous or else the next point's start
+stands in for one of them; a word with a point still not started, or a
+one-bounce word whose centre lies on the segment from x to y, is not solved
+but counted as dropped_start. A path that enters a body or meets one before
+the end of a leg is no trajectory and is dropped. A root is named by its
+pair and its word: the search takes each admissible word to have at most
+one reflecting ray between two points, as under no eclipse, and a table
+holds the roots of every admissible word through depth m, and none deeper.
+The search is symmetrized: the mirror cell of a pair holds the exact time
+reversals of its samples, so both orders of a pair hold the same samples,
+reversed, bit for bit. Paths that do not converge or are no trajectory are
+dropped and counted by reason in the table diagnostics, next to the Newton
+steps.
 Travel in d >= 4, on scenes with curve obstacles, between endpoints off the
 reference sphere, to a depth that is not an integer >= 0 and at a lattice
 phase off the plane is refused with ContractError rather than answered with
@@ -62,8 +65,14 @@ REFINE_TOL_FRAC = 1e-7
 
 # The root solver drives a times the mirror-law defect a factor below the
 # root tolerance, so that two independently converged roots of one geodesic
-# agree in time within the stated tolerance.
-_RESIDUAL_MARGIN = 0.25
+# agree in time within the stated tolerance, and so that a root's ray traced
+# from x leaves the sphere within that tolerance of y on the d = 3 test
+# tables through depth 5 (tolerance 1e-6 at a = 10). At a factor 0.25 such
+# rays missed y by up to 5.1e-6 at depth 2; at 1e-4 by up to 8.7e-7, at
+# depth 5, where the dynamics' magnification of rounding, not the defect,
+# sets the miss. 1e-4 takes 10-14% more Newton steps than 0.25 on the tables
+# of criteria 7 and 8.
+_RESIDUAL_MARGIN = 1e-4
 
 # Why a word yields no root: its start is not finite; Newton's method ended
 # short of its goal; or the path found meets a body before a leg's end or
@@ -99,11 +108,12 @@ class TravellingTimeSample:
     ``t`` is the length of the path solved for ``itinerary``, and
     ``residual`` is the ball radius times that path's mirror-law defect, the
     largest part of the length's gradient tangent to a body at a reflection
-    point; the solver drives it below a quarter of the root tolerance. It
+    point; the solver drives it below 1e-4 times the root tolerance. It
     bounds the error in ``t``, not the exit miss of a ray traced from ``x``
     along ``dir_in``: the dynamics magnify the direction error at each
     reflection, and on criterion 8's three disks at n = 6 such rays miss
-    ``y`` by up to 4.5e-7 at depth 1 and 1.6e-3 at depth 4.
+    ``y`` by up to 3.0e-11 at depth 1, 1.5e-6 at depth 4 and 6.7e-6 at
+    depth 5.
     """
 
     pair: int
@@ -326,51 +336,84 @@ def _body_tables(scene: Scene):
             np.array([b._M for b in bodies]).reshape(-1, d, d).transpose(1, 2, 0))
 
 
-def _admissible_words(k: int, m: int) -> np.ndarray:
-    """The k (k - 1)^(m - 1) words of length m >= 1 over k bodies with no
-    body twice in a row, as rows in lexicographic order."""
-    words = np.arange(k)[:, None]
-    others = np.arange(max(k - 1, 0))
-    for _ in range(m - 1):
-        after = others + (others >= words[:, -1:])
-        words = np.column_stack([np.repeat(words, others.size, axis=0), after.ravel()])
+def _word_counts(k: int, depth: int) -> list:
+    """The number of admissible words of each length 0 to depth over k
+    bodies: the free chord, then k (k - 1)^(m - 1) words of length m."""
+    return [1] + [k * (k - 1) ** (m - 1) for m in range(1, depth + 1)]
+
+
+def _admissible_words(k: int, m: int, index) -> np.ndarray:
+    """The words of length m >= 1 over k bodies with no body twice in a row
+    at the places index of their lexicographic order, as rows: word i
+    begins with body i // (k - 1)^(m - 1), and the base-(k - 1) digits of
+    the remainder count, at each later place, among the bodies other than
+    the one before it."""
+    words = np.empty((index.size, m), dtype=int)
+    rest = (k - 1) ** (m - 1)
+    words[:, 0], digits = np.divmod(index, rest)
+    for p in range(1, m):
+        rest //= k - 1
+        digit, digits = np.divmod(digits, rest)
+        words[:, p] = digit + (digit >= words[:, p - 1])
     return words
 
 
-def _word_starts(scene: Scene, xs, ys, depth: int):
-    """Every admissible word of length 0 to depth for each pair (xs[i],
-    ys[i]), with its start points, built in one array pass per length. Point
-    i of a word, on a body with centre c, starts where the body's outward
-    normal n bisects the directions from c to its anchors, x or the previous
-    body's centre and the next body's centre or y: s = (R D)^T n normalised,
-    since the normal at c + R D s is along R D^-1 s. Anchors opposite about
-    c give no finite start, nor do equal endpoints to the free chord.
-    Returns (pair per word, _Words, the number of words without a finite
-    start)."""
+def _bisector_starts(centre, rd, before, after):
+    """For each column, the point c + R D s on a body with centre c and R D
+    rd where the outward normal n bisects the directions from c to the
+    anchors before and after: s = (R D)^T n normalised, since the normal at
+    c + R D s is along R D^-1 s. Not finite where the anchors lie opposite
+    about c."""
+    e_in, e_out = before - centre, after - centre
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = _mat_vec(rd.transpose(1, 0, 2), e_in / np.sqrt(_dot(e_in, e_in))
+                     + e_out / np.sqrt(_dot(e_out, e_out)))
+        return centre + _mat_vec(rd, s / np.sqrt(_dot(s, s)))
+
+
+def _word_starts(scene: Scene, xs, ys, depth: int, lo: int, hi: int):
+    """Words lo to hi - 1 of the admissible words of length 0 to depth of
+    the pairs (xs[i], ys[i]), taken pair by pair, by length and in
+    lexicographic order, with their start points, built in one array pass
+    per length. Point i of a word starts where its body's outward normal
+    bisects the directions from its centre to its anchors, x or the
+    previous body's centre and the next body's centre or y. A point whose
+    anchors lie opposite takes the previous point's start as its first
+    anchor instead, and failing that the next point's start as its second.
+    A word with a point still unstarted has no finite start, nor has the
+    free chord of equal endpoints. Returns (pair per word, _Words, the number of
+    words without a finite start)."""
     c, jac, _ = _body_tables(scene)
-    n, d = xs.shape
-    chord = np.flatnonzero((xs != ys).any(axis=1))
+    d = xs.shape[1]
+    sizes = np.array(_word_counts(len(scene.bodies), depth))
+    offset = np.cumsum(sizes) - sizes
+    pair, place = np.divmod(np.arange(lo, hi), sizes.sum())
+    length = np.searchsorted(offset, place, side="right") - 1
+    chord = pair[(length == 0) & (xs[pair] != ys[pair]).any(axis=1)]
     slots, counts = [chord], [np.zeros(chord.size, dtype=int)]
     ids, points = [np.zeros(0, dtype=int)], [np.zeros((0, d))]
-    unstarted = n - chord.size
-    for m in range(1, depth + 1):
-        words = _admissible_words(len(scene.bodies), m)
-        pair, body = np.repeat(np.arange(n), len(words)), np.tile(words, (n, 1))
-        centre = c[:, body]
+    unstarted = int(np.count_nonzero(length == 0)) - chord.size
+    for m in np.unique(length[length > 0]).tolist():
+        at = pair[length == m]
+        body = _admissible_words(len(scene.bodies), m, place[length == m] - offset[m])
+        centre, rd = c[:, body], jac[..., body]
         before, after = c[:, np.roll(body, 1, axis=1)], c[:, np.roll(body, -1, axis=1)]
-        before[:, :, 0], after[:, :, -1] = xs[pair].T, ys[pair].T
-        e_in, e_out = (before - centre).reshape(d, -1), (after - centre).reshape(d, -1)
-        rd = jac[..., body.ravel()]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = _mat_vec(rd.transpose(1, 0, 2), e_in / np.sqrt(_dot(e_in, e_in))
-                         + e_out / np.sqrt(_dot(e_out, e_out)))
-            q = centre.reshape(d, -1) + _mat_vec(rd, s / np.sqrt(_dot(s, s)))
-        ok = np.isfinite(q).all(axis=0).reshape(-1, m).all(axis=1)
+        before[:, :, 0], after[:, :, -1] = xs[at].T, ys[at].T
+        q = _bisector_starts(centre.reshape(d, -1), rd.reshape(d, d, -1),
+                             before.reshape(d, -1), after.reshape(d, -1)).reshape(centre.shape)
+        for i, j in [*zip(range(1, m), range(m - 1)),
+                     *zip(range(m - 2, -1, -1), range(m - 1, 0, -1))]:
+            bad = ~np.isfinite(q[:, :, i]).all(axis=0)
+            if bad.any():
+                anchors = [before[:, bad, i], after[:, bad, i]]
+                anchors[j > i] = q[:, bad, j]
+                q[:, bad, i] = _bisector_starts(centre[:, bad, i], rd[:, :, bad, i], *anchors)
+        ok = np.isfinite(q).all(axis=(0, 2))
         unstarted += ok.size - int(np.count_nonzero(ok))
-        slots.append(pair[ok])
+        slots.append(at[ok])
         counts.append(np.full(slots[-1].size, m))
         ids.append(body[ok].ravel())
-        points.append(q.T.reshape(-1, m, d)[ok].reshape(-1, d))
+        points.append(q[:, ok].transpose(1, 2, 0).reshape(-1, d))
     count = np.concatenate(counts)
     return (np.concatenate(slots), _Words(count, np.cumsum(count) - count, np.concatenate(ids),
                                           np.concatenate(points)), unstarted)
@@ -382,12 +425,15 @@ def _word_starts(scene: Scene, xs, ys, depth: int):
 
 # Newton steps after which a word's path search gives up.
 _NEWTON_CAP = 20
-# Words per Newton batch, and per run of pairs a table solves at once.
+# Words a table solves at once, in one _solve_words run.
 # Criterion 8's three-disk n = 48 table, 103,708 words and 321,734
 # reflection points, peaked at 326 MB resident solved in one batch and at
 # 154 MB in batches of 4,096 words; batches of 2,048 or 16,384 words solved
 # its words no faster. Its 106,032 words to depth 5 peak at 144 MB solved
-# in one run and at 109 MB in runs of 4,096 words.
+# in one run and at 114 MB in runs of 4,096 words. A pair's words are cut
+# across runs as they come, so no run holds more whatever the number of
+# bodies: one pair on twelve disks, 193,261 words to depth 5, peaks at
+# 121 MB, against 225 MB when a run held all of a pair's words.
 _BATCH_WORDS = 4096
 # Reflection points of a batch's stopped words that pay for laying out its
 # live words anew: on criterion 8's words 512 to 2,048 points solved in
@@ -484,14 +530,14 @@ def _solve_words(scene: Scene, xs, ys, words: _Words):
     (dL/dq_i . R_i D_i s_i) I for the sphere's curvature, solved by
     _block_thomas. A word stops, and is frozen, once a times its defect, the
     largest part of a dL/dq_i tangent to its body, is below the goal. The
-    words are solved longest first in batches of at most _BATCH_WORDS, by
-    _newton_batch. Each operation acts on each word alone with sums in a
-    fixed order, so no result depends on the batch or on its layout.
+    words are solved longest first, by _newton_batch. Each operation acts on
+    each word alone with sums in a fixed order, so no result depends on the
+    words solved with it or on their layout.
 
     The path is a trajectory when both legs leave each q_i on the body's
     outside at a cosine above TANGENT_COS_EPS, else "dropped_inward", and
     no leg meets a body before its end, a grazing hit aside, else
-    "dropped_blocked"; the legs of each batch are searched in one _blocked
+    "dropped_blocked"; the legs of all words are searched in one _blocked
     call. A search past _NEWTON_CAP steps, or with a step that is not finite
     (a singular Hessian), ends "dropped_residual". Returns per word (t,
     dir_in, dir_out, a times the defect, Newton steps, reason), reason None
@@ -510,14 +556,11 @@ def _solve_words(scene: Scene, xs, ys, words: _Words):
     # Per leg to search: its word, start, direction and reach.
     legs = [(chords, xs[:, chords], dir_in[:, chords], t[chords])]
     act = np.flatnonzero(words.count)
-    act = act[np.argsort(-words.count[act], kind="stable")]
-    # One batch at least, which searches the chords' legs.
-    for start in range(0, max(act.size, 1), _BATCH_WORDS):
-        _newton_batch(scene, xs, ys, words, act[start:start + _BATCH_WORDS], out, legs)
-        owner, o, u, reach = (np.concatenate(f, axis=-1) for f in zip(*legs))
-        for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
-            reason[i] = "dropped_blocked"
-        legs = []
+    _newton_batch(scene, xs, ys, words, act[np.argsort(-words.count[act], kind="stable")], out,
+                  legs)
+    owner, o, u, reach = (np.concatenate(f, axis=-1) for f in zip(*legs))
+    for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
+        reason[i] = "dropped_blocked"
     return t, dir_in, dir_out, scene.ball_radius * defect, steps, reason
 
 
@@ -764,26 +807,30 @@ def _travel(scene: Scene, pts, pairs, depth: int, threads: int = 1):
 def _spectrum_worker(args):
     """The roots of a share of the point pairs (k, m), each solved from its
     first point: every admissible word of length 0 to depth of every pair,
-    one _solve_words call per run of pairs with at most _BATCH_WORDS words
-    in all, or per pair where one pair has more. Pair k's cell is sorted by
-    time, residual and word, and pair m's holds their exact time reversals
-    in the same order: x and y swapped, the directions negated and swapped,
-    the word reversed. Returns ([(cell k, cell m)], a Counter of Newton
-    steps and drops)."""
+    taken pair by pair in runs of at most _BATCH_WORDS words, one
+    _solve_words call per run. Pair k's cell is sorted by time, residual and
+    word, and pair m's holds their exact time reversals in the same order:
+    x and y swapped, the directions negated and swapped, the word reversed.
+    Returns ([(cell k, cell m)], a Counter of Newton steps and drops)."""
     scene, pairs, xs, ys, depth = args
-    k = len(scene.bodies)
-    step = max(1, _BATCH_WORDS // (1 + sum(k * (k - 1) ** (m - 1) for m in range(1, depth + 1))))
+    owners = [(pair, (_as_tuple(x), _as_tuple(y))) for pair, x, y in zip(pairs, xs, ys)]
+    total = len(pairs) * sum(_word_counts(len(scene.bodies), depth))
     tally = Counter()
-    cells = []
-    for lo in range(0, len(pairs), step):
-        cells += _solve_pairs(scene, pairs[lo:lo + step], xs[lo:lo + step], ys[lo:lo + step],
-                              depth, tally)
+    roots = []
+    for lo in range(0, total, _BATCH_WORDS):
+        roots += _solve_run(scene, owners, xs, ys, depth, lo, min(lo + _BATCH_WORDS, total), tally)
+    cells = [([], []) for _ in pairs]
+    for i, *_, sample, mirror in sorted(roots, key=lambda root: root[:4]):
+        cells[i][0].append(sample)
+        cells[i][1].append(mirror)
     return cells, tally
 
 
-def _solve_pairs(scene: Scene, pairs, xs, ys, depth: int, tally):
-    """_spectrum_worker on one run of its pairs, counting into tally."""
-    slot, words, unstarted = _word_starts(scene, xs, ys, depth)
+def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, tally):
+    """_spectrum_worker on its words lo to hi - 1, counting into tally:
+    (pair's place, t, residual, word, sample, mirror) per root, with each
+    pair's ((k, m), (x, y)) taken from owners."""
+    slot, words, unstarted = _word_starts(scene, xs, ys, depth, lo, hi)
     _drop(tally, "dropped_start", unstarted)
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
     tally["newton_steps"] += int(steps.sum())
@@ -792,21 +839,18 @@ def _solve_pairs(scene: Scene, pairs, xs, ys, depth: int, tally):
             _drop(tally, why, n)
     rows = np.array([n for n, why in enumerate(reason) if why is None], dtype=np.intp)
     ids = words.obstacles.tolist()
-    roots = sorted(zip(slot[rows].tolist(), t[rows].tolist(), residual[rows].tolist(),
-                       [tuple(ids[f:f + n]) for f, n in zip(words.first[rows].tolist(),
-                                                             words.count[rows].tolist())],
-                       rows.tolist()))
-    at = [n for *_, n in roots]
-    din, dout = dir_in[:, at], dir_out[:, at]
-    ends = [(_as_tuple(x), _as_tuple(y)) for x, y in zip(xs, ys)]
-    cells = [([], []) for _ in pairs]
-    for (i, tj, res, word, _), a, b, back_in, back_out in zip(
-            roots, din.T.tolist(), dout.T.tolist(), (-dout).T.tolist(), (-din).T.tolist()):
-        (k, m), (x, y), (cell, mirror) = pairs[i], ends[i], cells[i]
-        cell.append(TravellingTimeSample(k, x, y, tj, len(word), tuple(a), tuple(b), res, word))
-        mirror.append(TravellingTimeSample(m, y, x, tj, len(word), tuple(back_in), tuple(back_out),
-                                           res, word[::-1]))
-    return cells
+    din, dout = dir_in[:, rows], dir_out[:, rows]
+    roots = []
+    for i, tj, res, f, n, a, b, back_in, back_out in zip(
+            slot[rows].tolist(), t[rows].tolist(), residual[rows].tolist(),
+            words.first[rows].tolist(), words.count[rows].tolist(), din.T.tolist(),
+            dout.T.tolist(), (-dout).T.tolist(), (-din).T.tolist()):
+        ((k, m), (x, y)), word = owners[i], tuple(ids[f:f + n])
+        roots.append((i, tj, res, word,
+                      TravellingTimeSample(k, x, y, tj, n, tuple(a), tuple(b), res, word),
+                      TravellingTimeSample(m, y, x, tj, n, tuple(back_in), tuple(back_out), res,
+                                           word[::-1])))
+    return roots
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,
