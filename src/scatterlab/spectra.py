@@ -433,7 +433,7 @@ _NEWTON_CAP = 20
 # in one run and at 114 MB in runs of 4,096 words. A pair's words are cut
 # across runs as they come, so no run holds more whatever the number of
 # bodies: one pair on twelve disks, 193,261 words to depth 5, peaks at
-# 121 MB, against 225 MB when a run held all of a pair's words.
+# 121 MB.
 _BATCH_WORDS = 4096
 # Reflection points of a batch's stopped words that pay for laying out its
 # live words anew: on criterion 8's words 512 to 2,048 points solved in
@@ -816,20 +816,20 @@ def _spectrum_worker(args):
     owners = [(pair, (_as_tuple(x), _as_tuple(y))) for pair, x, y in zip(pairs, xs, ys)]
     total = len(pairs) * sum(_word_counts(len(scene.bodies), depth))
     tally = Counter()
-    roots = []
-    for lo in range(0, total, _BATCH_WORDS):
-        roots += _solve_run(scene, owners, xs, ys, depth, lo, min(lo + _BATCH_WORDS, total), tally)
     cells = [([], []) for _ in pairs]
-    for i, *_, sample, mirror in sorted(roots, key=lambda root: root[:4]):
-        cells[i][0].append(sample)
-        cells[i][1].append(mirror)
+    for lo in range(0, total, _BATCH_WORDS):
+        _solve_run(scene, owners, xs, ys, depth, lo, min(lo + _BATCH_WORDS, total), cells, tally)
+    for n, (cell, mirror) in enumerate(cells):
+        order = sorted(range(len(cell)), key=lambda r: (cell[r].t, cell[r].residual,
+                                                        cell[r].itinerary))
+        cells[n] = ([cell[r] for r in order], [mirror[r] for r in order])
     return cells, tally
 
 
-def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, tally):
-    """_spectrum_worker on its words lo to hi - 1, counting into tally:
-    (pair's place, t, residual, word, sample, mirror) per root, with each
-    pair's ((k, m), (x, y)) taken from owners."""
+def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, cells, tally):
+    """_spectrum_worker on its words lo to hi - 1: appends each root's
+    sample and mirror to its pair's cells, with each pair's ((k, m), (x, y))
+    taken from owners, and counts into tally."""
     slot, words, unstarted = _word_starts(scene, xs, ys, depth, lo, hi)
     _drop(tally, "dropped_start", unstarted)
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
@@ -840,17 +840,14 @@ def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, tally
     rows = np.array([n for n, why in enumerate(reason) if why is None], dtype=np.intp)
     ids = words.obstacles.tolist()
     din, dout = dir_in[:, rows], dir_out[:, rows]
-    roots = []
     for i, tj, res, f, n, a, b, back_in, back_out in zip(
             slot[rows].tolist(), t[rows].tolist(), residual[rows].tolist(),
             words.first[rows].tolist(), words.count[rows].tolist(), din.T.tolist(),
             dout.T.tolist(), (-dout).T.tolist(), (-din).T.tolist()):
-        ((k, m), (x, y)), word = owners[i], tuple(ids[f:f + n])
-        roots.append((i, tj, res, word,
-                      TravellingTimeSample(k, x, y, tj, n, tuple(a), tuple(b), res, word),
-                      TravellingTimeSample(m, y, x, tj, n, tuple(back_in), tuple(back_out), res,
-                                           word[::-1])))
-    return roots
+        ((k, m), (x, y)), word, (cell, mirror) = owners[i], tuple(ids[f:f + n]), cells[i]
+        cell.append(TravellingTimeSample(k, x, y, tj, n, tuple(a), tuple(b), res, word))
+        mirror.append(TravellingTimeSample(m, y, x, tj, n, tuple(back_in), tuple(back_out), res,
+                                           word[::-1]))
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,
