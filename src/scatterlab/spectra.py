@@ -430,10 +430,10 @@ _NEWTON_CAP = 20
 # reflection points, peaked at 326 MB resident solved in one batch and at
 # 154 MB in batches of 4,096 words; batches of 2,048 or 16,384 words solved
 # its words no faster. Its 106,032 words to depth 5 peak at 144 MB solved
-# in one run and at 114 MB in runs of 4,096 words. A pair's words are cut
+# in one run and at 109 MB in runs of 4,096 words. A pair's words are cut
 # across runs as they come, so no run holds more whatever the number of
 # bodies: one pair on twelve disks, 193,261 words to depth 5, peaks at
-# 121 MB.
+# 116 MB.
 _BATCH_WORDS = 4096
 # Reflection points of a batch's stopped words that pay for laying out its
 # live words anew: on criterion 8's words 512 to 2,048 points solved in
