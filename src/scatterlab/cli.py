@@ -75,10 +75,6 @@ def _threads() -> int:
     return _env_int("SCATTERLAB_THREADS", 1, 1)
 
 
-def _fmt(x: float, prec: int) -> str:
-    return f"{x:.{prec}g}"
-
-
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scene_document(fh.read())
@@ -104,15 +100,10 @@ def write_sls_csv(table, path, prec: int):
               + [f"impact_{i+1}" for i in range(d - 1)]
               + [f"theta_{i+1}" for i in range(d)]
               + ["T", "reflections", "grazing", "itinerary"])
-    lines = [",".join(header)]
-    for s in table.samples:
-        row = ([_fmt(v, prec) for v in s.omega]
-               + [_fmt(v, prec) for v in s.impact]
-               + [_fmt(v, prec) for v in s.theta]
-               + [_fmt(s.sojourn, prec), str(s.reflections),
-                  "1" if s.grazing else "0", _itinerary_str(s.itinerary)])
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    row = ",".join([f"%.{prec}g"] * (3 * d) + ["%d", "%d", "%s"])
+    _write_lines(path, [",".join(header)] + [
+        row % (*s.omega, *s.impact, *s.theta, s.sojourn, s.reflections, s.grazing,
+               _itinerary_str(s.itinerary)) for s in table.samples])
 
 
 def _travel_header(d: int) -> list:
@@ -123,14 +114,11 @@ def _travel_header(d: int) -> list:
 
 def write_travel_csv(table, path, prec: int):
     d = len(table.samples[0].x) if table.samples else 2
-    lines = [",".join(_travel_header(d))]
-    for s in table.samples:
-        row = ([_fmt(v, prec) for v in s.x] + [_fmt(v, prec) for v in s.y]
-               + [_fmt(s.t, prec), str(s.reflections), _fmt(s.residual, prec),
-                  _itinerary_str(s.itinerary)]
-               + [_fmt(v, prec) for v in s.dir_in] + [_fmt(v, prec) for v in s.dir_out])
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    g = f"%.{prec}g"
+    row = ",".join([g] * (2 * d + 1) + ["%d", g, "%s"] + [g] * (2 * d))
+    _write_lines(path, [",".join(_travel_header(d))] + [
+        row % (*s.x, *s.y, s.t, s.reflections, s.residual, _itinerary_str(s.itinerary),
+               *s.dir_in, *s.dir_out) for s in table.samples])
 
 
 def write_reconstruct_csv(estimate, path, prec: int):
@@ -138,12 +126,10 @@ def write_reconstruct_csv(estimate, path, prec: int):
     header = ([f"p_{i+1}" for i in range(d)]
               + [f"source_x_{i+1}" for i in range(d)]
               + [f"source_y_{i+1}" for i in range(d)] + ["t"])
-    lines = [",".join(header)]
-    for p, (x, y, t, _) in zip(estimate.points, estimate.provenance):
-        row = ([_fmt(v, prec) for v in p] + [_fmt(v, prec) for v in x]
-               + [_fmt(v, prec) for v in y] + [_fmt(t, prec)])
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    row = ",".join([f"%.{prec}g"] * (3 * d + 1))
+    _write_lines(path, [",".join(header)] + [
+        row % (*p, *x, *y, t) for p, (x, y, t, _) in zip(estimate.points.tolist(),
+                                                           estimate.provenance)])
 
 
 def _read_csv(path):
@@ -224,24 +210,20 @@ def _cmd_trace(args) -> int:
                        _unit(_vector(args.direction, "--direction")))
     limits = TraceLimits(max_reflections=args.max_reflections)
     record = trace(doc.scene, state, limits)
-    prec = _precision()
+    g, d = f"%.{_precision()}g", len(state.point)
+    point = ",".join([g] * d)
     print(f"classification: {record.classification}")
     print(f"events: {len(record.events)}  reflections: {record.reflections}")
-    print(f"total_length: {_fmt(record.total_length, prec)}")
+    print(f"total_length: {g % record.total_length}")
     for e in record.events:
         kind = "graze" if e.grazing else "bounce"
-        pt = ",".join(_fmt(v, prec) for v in e.point)
-        print(f"  {kind} obstacle={e.obstacle} arc={e.arc} point=({pt})")
+        print(f"  {kind} obstacle={e.obstacle} arc={e.arc} point=({point % e.point})")
     if args.out:
-        d = len(state.point)
         header = ["obstacle", "arc", "grazing"] + [f"p_{i+1}" for i in range(d)] + ["cum_length"]
-        lines = [",".join(header)]
-        for e in record.events:
-            lines.append(",".join([str(e.obstacle), "" if e.arc is None else str(e.arc),
-                                   "1" if e.grazing else "0"]
-                                  + [_fmt(v, prec) for v in e.point]
-                                  + [_fmt(e.path_length, prec)]))
-        _write_lines(args.out, lines)
+        row = f"%d,%s,%d,{point},{g}"
+        _write_lines(args.out, [",".join(header)] + [
+            row % (e.obstacle, "" if e.arc is None else e.arc, e.grazing, *e.point, e.path_length)
+            for e in record.events])
     return 0
 
 
@@ -321,12 +303,10 @@ def _cmd_coverage(args) -> int:
         print(f"curve {oid} arc {ai}: coverage {cov:.6f}{tag}")
     print(f"escaped: {report.n_escaped}  cutoff: {report.n_cutoff}")
     if args.out:
-        prec = _precision()
-        lines = ["obstacle,p_1,p_2"]
-        for oid, pts in report.unreached:
-            for p in pts:
-                lines.append(",".join([str(oid)] + [_fmt(v, prec) for v in p]))
-        _write_lines(args.out, lines)
+        d = doc.scene.dimension
+        row = ",".join(["%d"] + [f"%.{_precision()}g"] * d)
+        _write_lines(args.out, [",".join(["obstacle"] + [f"p_{i+1}" for i in range(d)])] + [
+            row % (oid, *p) for oid, pts in report.unreached for p in pts.tolist()])
     return 0
 
 
@@ -357,10 +337,9 @@ def _cmd_demo_livshits(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for label, table in zip(("bump", "flat"), report.tables):
-            lines = ["ray,length"]
-            for i, cell in enumerate(table.cells):
-                for t in cell:
-                    lines.append(f"{i},{_fmt(t, prec)}")
+            row = f"%d,%.{prec}g"
+            lines = ["ray,length"] + [row % (i, t) for i, cell in enumerate(table.cells)
+                                      for t in cell]
             _write_lines(os.path.join(args.out_dir, f"livshits_{label}.csv"), lines)
     ok = (report.hidden_hits == (0, 0) and report.plate_underside_hits == (0, 0)
           and report.exits_between_foci

@@ -141,10 +141,11 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     directions), under limits or else the default ones. The rays advance in
     lockstep, one _hits call per step. Only the rays still in flight are
     held, compacted, as (d, n) coordinate arrays, filtered once per step by
-    the rays that hit; a ray that escapes or is cut off is written into the
-    outputs when it stops. On a body scene under the default limits each
-    row is bitwise the float trace that runs _first_hit_nd step by step:
-    reflections and path lengths take their coordinate-order sums.
+    the rays that hit; a ray that escapes or is cut off leaves the flight,
+    and its last leg is read at the end from its last event in the log. On
+    a body scene under the default limits each row is bitwise the float
+    trace that runs _first_hit_nd step by step: reflections and path
+    lengths take their coordinate-order sums.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -156,11 +157,8 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     off = SURFACE_OFFSET_FRAC * a
     skip = GRAZE_SKIP_FRAC * a
     O = np.asarray(O, dtype=float)
-    n_rays, d = O.shape
+    n_rays = len(O)
     escaped = np.zeros(n_rays, dtype=bool)
-    legs = np.empty((n_rays, d))
-    lengths = np.empty(n_rays)
-    dirs = np.empty((n_rays, d))
     # In flight: each ray's row, query origin, direction, leg start, path
     # length and reflection count.
     ray = np.arange(n_rays)
@@ -172,19 +170,10 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     # An empty first step fixes the log's dtypes and shapes, also for no rays.
     none = ray[:0]
     steps = [(none, none, none, o[:, :0], o[:, :0], none < 0, length[:0], o[:, :0])]
-
-    def stop(i):
-        """Write the last legs of the in-flight rays at positions i."""
-        r = ray[i]
-        legs[r], lengths[r], dirs[r] = leg.take(i, axis=1).T, length[i], u.take(i, axis=1).T
-        return r
-
     while ray.size:
         rows, _, ids, arcs, grazing, p, n = _hits(scene, o, u)
         if rows.size < ray.size:
-            miss = np.ones(ray.size, dtype=bool)
-            miss[rows] = False
-            escaped[stop(np.flatnonzero(miss))] = True
+            escaped[np.delete(ray, rows)] = True
         ray, length, nrefl = ray[rows], length[rows], nrefl[rows]
         v, leg = u.take(rows, axis=1), leg.take(rows, axis=1)
         step = p - leg
@@ -201,7 +190,6 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
         steps.append((ray, ids, arcs, p, n, grazing, length, u))
         keep = (nrefl < nmax) & (length < lmax)
         if not keep.all():
-            stop(np.flatnonzero(~keep))
             i = np.flatnonzero(keep)
             ray, length, nrefl = ray[i], length[i], nrefl[i]
             o, u, leg = o.take(i, axis=1), u.take(i, axis=1), leg.take(i, axis=1)
@@ -212,6 +200,11 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     order = np.argsort(rows, kind="stable")
     log = _EventLog(rows[order], ids[order], arcs[order], points.T[order], normals.T[order],
                     grazing[order], length[order], after.T[order])
+    # Each ray's last event, where it has one, ends the ray.
+    last = np.flatnonzero(np.diff(log.rows, append=-1))
+    legs, lengths, dirs = O.copy(), np.zeros(n_rays), np.array(U, dtype=float)
+    r = log.rows[last]
+    legs[r], lengths[r], dirs[r] = log.point[last], log.length[last], log.direction[last]
     return escaped, legs, lengths, dirs, log
 
 

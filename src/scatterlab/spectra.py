@@ -48,6 +48,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -86,9 +88,8 @@ class ContractError(ValueError):
     """A caller violated an interface contract."""
 
 
-@dataclass(frozen=True)
-class SLSSample:
-    """One measured point of the sojourn-time scan."""
+class SLSSample(NamedTuple):
+    """One measured point of the sojourn-time scan, a tuple in field order."""
 
     index: int
     omega: tuple
@@ -101,9 +102,9 @@ class SLSSample:
     itinerary: tuple
 
 
-@dataclass(frozen=True)
-class TravellingTimeSample:
-    """One geodesic between two reference-sphere points.
+class TravellingTimeSample(NamedTuple):
+    """One geodesic between two reference-sphere points, a tuple in field
+    order.
 
     ``t`` is the length of the path solved for ``itinerary``, and
     ``residual`` is the ball radius times that path's mirror-law defect, the
@@ -281,19 +282,13 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
     # A ray without events keeps its launch point, length 0 and direction win,
     # so its two inner products cancel exactly and T = 0.0.
     times = _sojourns(scene, launches, win, legs, lengths, dirs)
-    omega = _as_tuple(win)
-    samples = []
-    cells = []
-    for i, (ok, launch, impact, theta, t_soj, graze) in enumerate(zip(
-            escaped.tolist(), launches.tolist(), offsets.tolist(), dirs.tolist(),
-            times.tolist(), grazed.tolist())):
-        if not ok:
-            cells.append(())
-            continue
-        # Positional: in field order, keywords cost a third more per sample.
-        samples.append(SLSSample(i, omega, tuple(impact), tuple(launch), tuple(theta),
-                                 t_soj, len(itins[i]), graze, itins[i]))
-        cells.append((t_soj,))
+    ok = np.flatnonzero(escaped)
+    found = [itins[i] for i in ok.tolist()]
+    samples = list(map(SLSSample._make, zip(
+        ok.tolist(), repeat(_as_tuple(win)), map(tuple, offsets[ok].tolist()),
+        map(tuple, launches[ok].tolist()), map(tuple, dirs[ok].tolist()), times[ok].tolist(),
+        map(len, found), grazed[ok].tolist(), found)))
+    cells = [(t,) if e else () for e, t in zip(escaped.tolist(), times.tolist())]
     grid = _grid_tuple({
         "kind": "sls",
         "omega": _as_tuple(win),
@@ -397,18 +392,21 @@ def _word_starts(scene: Scene, xs, ys, depth: int, lo: int, hi: int):
         at = pair[length == m]
         body = _admissible_words(len(scene.bodies), m, place[length == m] - offset[m])
         centre, rd = c[:, body], jac[..., body]
-        before, after = c[:, np.roll(body, 1, axis=1)], c[:, np.roll(body, -1, axis=1)]
-        before[:, :, 0], after[:, :, -1] = xs[at].T, ys[at].T
+        before = np.concatenate([xs[at].T[:, :, None], centre[:, :, :-1]], axis=2)
+        after = np.concatenate([centre[:, :, 1:], ys[at].T[:, :, None]], axis=2)
         q = _bisector_starts(centre.reshape(d, -1), rd.reshape(d, d, -1),
                              before.reshape(d, -1), after.reshape(d, -1)).reshape(centre.shape)
-        for i, j in [*zip(range(1, m), range(m - 1)),
-                     *zip(range(m - 2, -1, -1), range(m - 1, 0, -1))]:
-            bad = ~np.isfinite(q[:, :, i]).all(axis=0)
-            if bad.any():
-                anchors = [before[:, bad, i], after[:, bad, i]]
-                anchors[j > i] = q[:, bad, j]
-                q[:, bad, i] = _bisector_starts(centre[:, bad, i], rd[:, :, bad, i], *anchors)
-        ok = np.isfinite(q).all(axis=(0, 2))
+        finite = np.isfinite(q)
+        if not finite.all():
+            for i, j in [*zip(range(1, m), range(m - 1)),
+                         *zip(range(m - 2, -1, -1), range(m - 1, 0, -1))]:
+                bad = ~np.isfinite(q[:, :, i]).all(axis=0)
+                if bad.any():
+                    anchors = [before[:, bad, i], after[:, bad, i]]
+                    anchors[j > i] = q[:, bad, j]
+                    q[:, bad, i] = _bisector_starts(centre[:, bad, i], rd[:, :, bad, i], *anchors)
+            finite = np.isfinite(q)
+        ok = finite.all(axis=(0, 2))
         unstarted += ok.size - int(np.count_nonzero(ok))
         slots.append(at[ok])
         counts.append(np.full(slots[-1].size, m))
@@ -506,6 +504,12 @@ def _block_thomas(rows, diag, up, rhs):
     return x
 
 
+# Per travel dimension d: row j lists the indices other than j, and the
+# columns of I_d at those rows, (d, d - 1, d).
+_OTHERS = {d: np.array([[i for i in range(d) if i != j] for j in range(d)]) for d in (2, 3)}
+_OTHER_UNITS = {d: np.eye(d)[:, others.T] for d, others in _OTHERS.items()}
+
+
 def _tangent_basis(s):
     """An orthonormal basis, (d, d - 1, n), of the tangent space at each unit
     column of s: the columns other than j of the Householder reflection
@@ -515,8 +519,7 @@ def _tangent_basis(s):
     at = np.arange(n)
     v = s.copy()
     v[j, at] += np.where(s[j, at] < 0.0, -1.0, 1.0)
-    others = np.array([[i for i in range(d) if i != k] for k in range(d)], dtype=int)[j].T
-    return np.eye(d)[:, others] - (2.0 / _dot(v, v)) * v[:, None] * v[others, at]
+    return _OTHER_UNITS[d][:, :, j] - (2.0 / _dot(v, v)) * v[:, None] * v[_OTHERS[d][j].T, at]
 
 
 def _solve_words(scene: Scene, xs, ys, words: _Words):
@@ -761,10 +764,11 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
         "ball_radius": float(scene.ball_radius),
     })
     cells, tally = _travel(scene, pts, pairs, depth, threads)
-    # cutoff_seeds is always 0: no search traces a ray. It stays because the
-    # benchmark's per-layer report reads it from every table.
+    # Cells come sorted by time. cutoff_seeds is always 0: no search traces a
+    # ray. It stays because the benchmark's per-layer report reads it from
+    # every table.
     return SpectrumTable("travel", scene.digest, grid,
-                         tuple(tuple(sorted(s.t for s in cell)) for cell in cells),
+                         tuple(tuple(s.t for s in cell) for cell in cells),
                          tuple(s for cell in cells for s in cell),
                          (("cutoff_seeds", 0), ("dropped_clusters", tally["dropped_clusters"]),
                           *((r, tally[r]) for r in _DROP_REASONS),
@@ -813,23 +817,23 @@ def _spectrum_worker(args):
     x and y swapped, the directions negated and swapped, the word reversed.
     Returns ([(cell k, cell m)], a Counter of Newton steps and drops)."""
     scene, pairs, xs, ys, depth = args
-    owners = [(pair, (_as_tuple(x), _as_tuple(y))) for pair, x, y in zip(pairs, xs, ys)]
+    owners = (*zip(*pairs), [_as_tuple(x) for x in xs], [_as_tuple(y) for y in ys])
     total = len(pairs) * sum(_word_counts(len(scene.bodies), depth))
     tally = Counter()
     cells = [([], []) for _ in pairs]
     for lo in range(0, total, _BATCH_WORDS):
         _solve_run(scene, owners, xs, ys, depth, lo, min(lo + _BATCH_WORDS, total), cells, tally)
+    key = attrgetter("t", "residual", "itinerary")
     for n, (cell, mirror) in enumerate(cells):
-        order = sorted(range(len(cell)), key=lambda r: (cell[r].t, cell[r].residual,
-                                                        cell[r].itinerary))
+        order = sorted(range(len(cell)), key=list(map(key, cell)).__getitem__)
         cells[n] = ([cell[r] for r in order], [mirror[r] for r in order])
     return cells, tally
 
 
 def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, cells, tally):
     """_spectrum_worker on its words lo to hi - 1: appends each root's
-    sample and mirror to its pair's cells, with each pair's ((k, m), (x, y))
-    taken from owners, and counts into tally."""
+    sample and mirror to its pair's cells, with each pair's k, m, x and y
+    taken from the four lists owners, and counts into tally."""
     slot, words, unstarted = _word_starts(scene, xs, ys, depth, lo, hi)
     _drop(tally, "dropped_start", unstarted)
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
@@ -838,16 +842,18 @@ def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, cells
         if why is not None:
             _drop(tally, why, n)
     rows = np.array([n for n, why in enumerate(reason) if why is None], dtype=np.intp)
-    ids = words.obstacles.tolist()
-    din, dout = dir_in[:, rows], dir_out[:, rows]
-    for i, tj, res, f, n, a, b, back_in, back_out in zip(
-            slot[rows].tolist(), t[rows].tolist(), residual[rows].tolist(),
-            words.first[rows].tolist(), words.count[rows].tolist(), din.T.tolist(),
-            dout.T.tolist(), (-dout).T.tolist(), (-din).T.tolist()):
-        ((k, m), (x, y)), word, (cell, mirror) = owners[i], tuple(ids[f:f + n]), cells[i]
-        cell.append(TravellingTimeSample(k, x, y, tj, n, tuple(a), tuple(b), res, word))
-        mirror.append(TravellingTimeSample(m, y, x, tj, n, tuple(back_in), tuple(back_out), res,
-                                           word[::-1]))
+    at, ids, n = slot[rows].tolist(), words.obstacles.tolist(), words.count[rows].tolist()
+    k, m, x, y = ([col[i] for i in at] for col in owners)
+    t, res = t[rows].tolist(), residual[rows].tolist()
+    word = [tuple(ids[f:f + c]) for f, c in zip(words.first[rows].tolist(), n)]
+    din, dout = dir_in[:, rows].T, dir_out[:, rows].T
+    samples = zip(k, x, y, t, n, map(tuple, din.tolist()), map(tuple, dout.tolist()), res, word)
+    mirrors = zip(m, y, x, t, n, map(tuple, (-dout).tolist()), map(tuple, (-din).tolist()), res,
+                  [w[::-1] for w in word])
+    for i, sample, mirror in zip(at, map(TravellingTimeSample._make, samples),
+                                 map(TravellingTimeSample._make, mirrors)):
+        cells[i][0].append(sample)
+        cells[i][1].append(mirror)
 
 
 def spectrum_pairs(scene: Scene, n_points: int, min_sep_deg: float = 1.0,

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.cli import build_parser, read_travel_csv, run_command, write_travel_csv
+from scatterlab.cli import (build_parser, read_travel_csv, run_command, write_reconstruct_csv,
+                            write_sls_csv, write_travel_csv)
 from scatterlab.scenefile import serialize_scene
 
 
@@ -214,6 +216,16 @@ def test_coverage_command(disk_file, capsys):
     assert "body 0" in out
 
 
+def test_coverage_atlas_has_a_column_per_coordinate(tmp_path, ball_ellipsoid_scene):
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(serialize_scene(ball_ellipsoid_scene, seed=5))
+    atlas = tmp_path / "atlas.csv"
+    assert run_command(["coverage", str(scene_file), "--rays", "300", "--out", str(atlas)]) == 0
+    header, *rows = atlas.read_text().splitlines()
+    assert header == "obstacle,p_1,p_2,p_3"
+    assert rows and all(len(row.split(",")) == 4 for row in rows)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["coverage", "{disk}", "--rays", "300", "--eps", "nan"], "finite and positive"),
     (["coverage", "{disk}", "--rays", "300", "--eps", "0"], "finite and positive"),
@@ -352,7 +364,50 @@ def test_travel_csv_reads_back_as_samples(tmp_path, two_disk_scene,
     assert len(back) == len(table.samples) > 0
     # Every field but the pair index is stored and must round-trip exactly.
     for got, want in zip(back, table.samples):
-        assert dataclasses.replace(got, pair=want.pair) == want
+        assert got._replace(pair=want.pair) == want
+
+
+# Negative zero, the least subnormal, a float near overflow and two values
+# that need all 17 digits to round-trip.
+_AWKWARD = (-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0 / 3.0)
+
+
+def _g(values, prec):
+    return [f"{v:.{prec}g}" for v in values]
+
+
+def _data_lines(write, obj, path, prec):
+    write(obj, path, prec)
+    return path.read_bytes().decode().split("\n")[1:]
+
+
+@pytest.mark.parametrize("prec", range(1, 18))
+def test_csv_writers_match_per_field_formatting(tmp_path, prec):
+    # Each writer formats a row with one format string; the reference
+    # formats every field on its own, as the writers once did.
+    a, b, c, d, e = _AWKWARD
+    travel = [sl.TravellingTimeSample(0, (a, b), (c, d), e, 2, (d, a), (b, e), c, (0, 1)),
+              sl.TravellingTimeSample(1, (e, c), (b, a), d, 0, (c, e), (a, d), b, ())]
+    want = [",".join(_g(s.x + s.y + (s.t,), prec) + [str(s.reflections)] + _g([s.residual], prec)
+                     + ["|".join(map(str, s.itinerary))] + _g(s.dir_in + s.dir_out, prec))
+            for s in travel]
+    table = sl.SpectrumTable("travel", "", (), ((e,), (d,)), tuple(travel), ())
+    assert _data_lines(write_travel_csv, table, tmp_path / "t.csv", prec) == want + [""]
+
+    sls = [sl.SLSSample(3, (a, c), (b,), (d, e), (e, a), c, 1, True, (2,)),
+           sl.SLSSample(4, (b, d), (e,), (a, c), (c, b), a, 0, False, ())]
+    want = [",".join(_g(s.omega + s.impact + s.theta + (s.sojourn,), prec)
+                     + [str(s.reflections), "1" if s.grazing else "0",
+                        "|".join(map(str, s.itinerary))]) for s in sls]
+    table = sl.SpectrumTable("sls", "", (), ((c,), (a,)), tuple(sls), ())
+    assert _data_lines(write_sls_csv, table, tmp_path / "s.csv", prec) == want + [""]
+
+    prov = (((e, a), (b, c), d, (a, a)), ((d, e), (a, b), c, (e, e)))
+    points = np.array([[a, b], [c, d]])
+    want = [",".join(_g(list(p) + list(x) + list(y) + [t], prec))
+            for p, (x, y, t, _) in zip(points, prov)]
+    estimate = sl.BoundaryEstimate(points, prov, 0)
+    assert _data_lines(write_reconstruct_csv, estimate, tmp_path / "r.csv", prec) == want + [""]
 
 
 @pytest.mark.parametrize("dimension, tolerances", [(2, ("1e-6", "3.0")),

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
+from scatterlab.cli import write_sls_csv, write_travel_csv
 from scatterlab.geometry import _as_tuple
 from scatterlab.spectra import impact_lattice, plane_basis, unit_vector
 from oracles import blocked_pair, circle_pair, disk_itinerary_roots, fermat_circle_times
@@ -366,6 +368,45 @@ def test_table_metadata(disk_scene):
     assert all(0 <= s.pair < len(travel.cells) for s in travel.samples)
 
 
+_FIELDS = {
+    "sls": ("index", "omega", "impact", "impact_point", "theta", "sojourn", "reflections",
+            "grazing", "itinerary"),
+    "travel": ("pair", "x", "y", "t", "reflections", "dir_in", "dir_out", "residual",
+               "itinerary"),
+}
+# The field behind each column group of a CSV: the sls columns follow the
+# field order, and the travel columns keep the residual and the word ahead of
+# the directions.
+_CSV_FIELDS = {
+    "sls": ["omega", "impact", "theta", "sojourn", "reflections", "grazing", "itinerary"],
+    "travel": ["x", "y", "t", "reflections", "residual", "itinerary", "dir_in", "dir_out"],
+}
+
+
+@pytest.mark.parametrize("kind", ["sls", "travel"])
+def test_samples_are_immutable_records(disk_scene, tmp_path, kind):
+    if kind == "sls":
+        table, write = sl.scan_sls(disk_scene, (1.0, 0.0), 16), write_sls_csv
+    else:
+        table, write = sl.travelling_time_spectrum(disk_scene, n_points=6), write_travel_csv
+    fields = _FIELDS[kind]
+    sample = max(table.samples, key=lambda s: s.reflections)
+    assert type(sample)._fields == fields
+    assert len(sample) == 9 and sample == tuple(getattr(sample, f) for f in fields)
+    back = pickle.loads(pickle.dumps(sample))
+    assert back == sample and type(back) is type(sample)
+    changed = sample._replace(reflections=7)
+    assert type(changed) is type(sample)
+    assert changed == tuple(7 if f == "reflections" else getattr(sample, f) for f in fields)
+    with pytest.raises(AttributeError):
+        sample.reflections = 7
+    write(table, tmp_path / "t.csv", 17)
+    header = (tmp_path / "t.csv").read_text().split("\n")[0].split(",")
+    stems = dict.fromkeys(h.rsplit("_", 1)[0] if h[-1].isdigit() else h for h in header)
+    assert [{"T": "sojourn"}.get(h, h) for h in stems] == _CSV_FIELDS[kind]
+    assert set(_CSV_FIELDS[kind]) < set(fields)
+
+
 def test_grid_mismatch_raises(empty_scene):
     t1 = sl.travelling_time_spectrum(empty_scene, n_points=8)
     t2 = sl.travelling_time_spectrum(empty_scene, n_points=10)
@@ -453,7 +494,7 @@ def test_spectrum_2d_matches_per_pair_search(two_disk_scene):
         alone = sl.find_xy_geodesics(two_disk_scene, x, y, depth=4)
         assert table.cells[k] == tuple(sorted(s.t for s in alone))
         assert [s for s in table.samples if s.pair == k] == [
-            dataclasses.replace(s, pair=k) for s in alone]
+            s._replace(pair=k) for s in alone]
 
 
 def test_dropped_words_by_reason(three_disk_scene, two_disk_scene, empty_scene):
@@ -710,7 +751,7 @@ def test_spectrum_3d_matches_per_pair_search():
         alone = sl.find_xy_geodesics(scene, x, y, depth=4)
         assert table.cells[k] == tuple(sorted(s.t for s in alone))
         assert [s for s in table.samples if s.pair == k] == [
-            dataclasses.replace(s, pair=k) for s in alone]
+            s._replace(pair=k) for s in alone]
 
 
 def test_spectrum_3d_threaded_matches_serial():
