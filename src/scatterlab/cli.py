@@ -86,8 +86,7 @@ def _vector(text: str, where: str) -> tuple:
 
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join([*lines, ""]))
 
 
 def _itinerary_str(itin) -> str:

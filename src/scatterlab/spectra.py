@@ -22,12 +22,11 @@ memory whatever the number of words per pair. Stopped words are dropped
 from a run as it goes. A word stops when its mirror-law defect, times the
 ball radius, is below _RESIDUAL_MARGIN times the root tolerance. Each
 reflection point starts where its body's outward normal bisects the
-directions from the body's centre to its two anchors: x or the previous
-body's centre, and the next body's centre or y. Where the two anchors lie
-opposite about the centre, the previous or else the next point's start
-stands in for one of them; a word with a point still not started, or a
-one-bounce word whose centre lies on the segment from x to y, is not solved
-but counted as dropped_start. A path that enters a body or meets one before
+directions from the body's centre to its two anchors, x or the previous
+body's centre and the next body's centre or y, with a neighbour's start for
+an anchor opposite the other; a word still without a start is counted as
+dropped_start. Each start is then re-aimed once, at x or the previous start
+and the next start or y. A path that enters a body or meets one before
 the end of a leg is no trajectory and is dropped. A root is named by its
 pair and its word: the search takes each admissible word to have at most
 one reflecting ray between two points, as under no eclipse, and a table
@@ -317,11 +316,6 @@ class _Words(NamedTuple):
     points: np.ndarray
 
 
-def _drop(tally, reason: str, n: int) -> None:
-    tally["dropped_clusters"] += n
-    tally[reason] += n
-
-
 def _body_tables(scene: Scene):
     """Each body's centre c, R D and M = R D^-2 R^T, coordinates first."""
     bodies, d = scene.bodies, scene.dimension
@@ -366,55 +360,64 @@ def _bisector_starts(centre, rd, before, after):
         return centre + _mat_vec(rd, s / np.sqrt(_dot(s, s)))
 
 
+def _reaimed(centre, rd, path, prev, nxt):
+    """_bisector_starts with the anchors prev and nxt of path = [starts, x,
+    y], x or the previous start and the next start or y; a point whose
+    re-aimed start is not finite keeps its start."""
+    aimed = _bisector_starts(centre, rd, np.take(path, prev, axis=1), np.take(path, nxt, axis=1))
+    return np.where(np.isfinite(aimed).all(axis=0), aimed, path[:, :prev.size])
+
+
 def _word_starts(scene: Scene, xs, ys, depth: int, lo: int, hi: int):
     """Words lo to hi - 1 of the admissible words of length 0 to depth of
     the pairs (xs[i], ys[i]), taken pair by pair, by length and in
-    lexicographic order, with their start points, built in one array pass
-    per length. Point i of a word starts where its body's outward normal
-    bisects the directions from its centre to its anchors, x or the
-    previous body's centre and the next body's centre or y. A point whose
-    anchors lie opposite takes the previous point's start as its first
-    anchor instead, and failing that the next point's start as its second.
-    A word with a point still unstarted has no finite start, nor has the
-    free chord of equal endpoints. Returns (pair per word, _Words, the number of
-    words without a finite start)."""
+    lexicographic order, with their start points, built in one pass over
+    all lengths in the layout _newton_batch first gives them. Point i of a
+    word starts where its body's outward normal bisects the directions from
+    its centre to its anchors, x or the previous body's centre and the next
+    body's centre or y. A point whose anchors lie opposite takes the
+    previous point's start as its first anchor instead, and failing that the
+    next point's start as its second. A word with a point still unstarted
+    has no finite start, nor has the free chord of equal endpoints. Then
+    each start is _reaimed once. Returns (pair per word, _Words, the number
+    of words without a finite start)."""
     c, jac, _ = _body_tables(scene)
-    d = xs.shape[1]
     sizes = np.array(_word_counts(len(scene.bodies), depth))
     offset = np.cumsum(sizes) - sizes
     pair, place = np.divmod(np.arange(lo, hi), sizes.sum())
     length = np.searchsorted(offset, place, side="right") - 1
-    chord = pair[(length == 0) & (xs[pair] != ys[pair]).any(axis=1)]
-    slots, counts = [chord], [np.zeros(chord.size, dtype=int)]
-    ids, points = [np.zeros(0, dtype=int)], [np.zeros((0, d))]
-    unstarted = int(np.count_nonzero(length == 0)) - chord.size
-    for m in np.unique(length[length > 0]).tolist():
-        at = pair[length == m]
-        body = _admissible_words(len(scene.bodies), m, place[length == m] - offset[m])
-        centre, rd = c[:, body], jac[..., body]
-        before = np.concatenate([xs[at].T[:, :, None], centre[:, :, :-1]], axis=2)
-        after = np.concatenate([centre[:, :, 1:], ys[at].T[:, :, None]], axis=2)
-        q = _bisector_starts(centre.reshape(d, -1), rd.reshape(d, d, -1),
-                             before.reshape(d, -1), after.reshape(d, -1)).reshape(centre.shape)
-        finite = np.isfinite(q)
-        if not finite.all():
-            for i, j in [*zip(range(1, m), range(m - 1)),
-                         *zip(range(m - 2, -1, -1), range(m - 1, 0, -1))]:
-                bad = ~np.isfinite(q[:, :, i]).all(axis=0)
-                if bad.any():
-                    anchors = [before[:, bad, i], after[:, bad, i]]
-                    anchors[j > i] = q[:, bad, j]
-                    q[:, bad, i] = _bisector_starts(centre[:, bad, i], rd[:, :, bad, i], *anchors)
-            finite = np.isfinite(q)
-        ok = finite.all(axis=(0, 2))
-        unstarted += ok.size - int(np.count_nonzero(ok))
-        slots.append(at[ok])
-        counts.append(np.full(slots[-1].size, m))
-        ids.append(body[ok].ravel())
-        points.append(q[:, ok].transpose(1, 2, 0).reshape(-1, d))
-    count = np.concatenate(counts)
-    return (np.concatenate(slots), _Words(count, np.cumsum(count) - count, np.concatenate(ids),
-                                          np.concatenate(points)), unstarted)
+    order = np.argsort(length, kind="stable")
+    pair, place, length = pair[order], place[order], length[order]
+    ids = np.concatenate([np.zeros(0, dtype=int)] + [
+        _admissible_words(len(scene.bodies), m, place[length == m] - offset[m]).ravel()
+        for m in np.unique(length[length > 0]).tolist()])
+    act = np.argsort(-length, kind="stable")[:np.count_nonzero(length)]
+    rows, point, col, _, prev, nxt = _layout(_Words(length, np.cumsum(length) - length, ids, None),
+                                             act)
+    # np.take gathers along an axis several times faster than an index array.
+    centre, rd = np.take(c, ids[point], axis=1), np.take(jac, ids[point], axis=2)
+    path = np.concatenate([centre, np.take(xs, pair[act], axis=0).T,
+                           np.take(ys, pair[act], axis=0).T], axis=1)
+    before, after = np.take(path, prev, axis=1), np.take(path, nxt, axis=1)
+    q = _bisector_starts(centre, rd, before, after)
+    if not np.isfinite(q).all():
+        for side, link, later in ((0, prev, rows[1:]), (1, nxt, rows[-2::-1])):
+            for row in later:
+                p = row.start + np.flatnonzero(~np.isfinite(q[:, row]).all(axis=0))
+                p = p[link[p] < point.size]
+                anchors = [before[:, p], after[:, p]]
+                anchors[side] = q[:, link[p]]
+                q[:, p] = _bisector_starts(centre[:, p], rd[..., p], *anchors)
+    path[:, :point.size] = q
+    ok = (xs[pair] != ys[pair]).any(axis=1)
+    ok[act] = np.bincount(col, ~np.isfinite(q).all(axis=0), act.size) == 0
+    # Each point's place in the layout, in word order, for the kept words.
+    at = np.empty(point.size, dtype=np.intp)
+    at[point] = np.arange(point.size)
+    keep, count = np.repeat(ok, length), length[ok]
+    return (pair[ok], _Words(count, np.cumsum(count) - count, np.compress(keep, ids),
+                             np.take(_reaimed(centre, rd, path, prev, nxt), at[keep], axis=1).T),
+            ok.size - int(np.count_nonzero(ok)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +528,10 @@ def _tangent_basis(s):
 def _solve_words(scene: Scene, xs, ys, words: _Words):
     """Newton's method on the length L = |x - q_1| + sum |q_i - q_{i+1}| +
     |q_k - y| of the paths off the bodies of a word in turn, for every word
-    of words, from its row of xs to that of ys and started at its points
-    (Petkov & Stoyanov, Geometry of Reflecting Rays and Inverse Spectral
-    Problems, 1992). Each q_i = c_i + R_i D_i s_i moves with s_i on the unit
+    of words, from its row of xs to that of ys and started at its points as
+    given, a table's at the re-aimed starts of _word_starts (Petkov &
+    Stoyanov, Geometry of Reflecting Rays and Inverse Spectral Problems,
+    1992). Each q_i = c_i + R_i D_i s_i moves with s_i on the unit
     sphere, stepped in _tangent_basis(s_i); L's Hessian is block-tridiagonal
     with (d - 1) x (d - 1) blocks, each diagonal one less
     (dL/dq_i . R_i D_i s_i) I for the sphere's curvature, solved by
@@ -558,9 +562,8 @@ def _solve_words(scene: Scene, xs, ys, words: _Words):
         dir_in[:, chords] = dir_out[:, chords] = e / t[chords]
     # Per leg to search: its word, start, direction and reach.
     legs = [(chords, xs[:, chords], dir_in[:, chords], t[chords])]
-    act = np.flatnonzero(words.count)
-    _newton_batch(scene, xs, ys, words, act[np.argsort(-words.count[act], kind="stable")], out,
-                  legs)
+    _newton_batch(scene, xs, ys, words,
+                  np.argsort(-words.count, kind="stable")[:np.count_nonzero(words.count)], out, legs)
     owner, o, u, reach = (np.concatenate(f, axis=-1) for f in zip(*legs))
     for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
         reason[i] = "dropped_blocked"
@@ -584,10 +587,11 @@ def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
         while act.size:
             rows, point, col, more, prev, nxt = _layout(words, act)
             # Each reflection point's body's centre, R D and M, in layout order.
-            c, jac, mat = (tb[..., words.obstacles[point]] for tb in tables)
+            c, jac, mat = (np.take(tb, words.obstacles[point], axis=-1) for tb in tables)
             if s is None:
                 # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
-                s = _mat_vec(jac.transpose(1, 0, 2), _mat_vec(mat, words.points[point].T - c))
+                q = np.take(words.points.T, point, axis=1)
+                s = _mat_vec(jac.transpose(1, 0, 2), _mat_vec(mat, q - c))
                 s = s / np.sqrt(_dot(s, s))
             path = np.concatenate([np.zeros((len(xs), point.size)), xs[:, act], ys[:, act]],
                                   axis=1)
@@ -596,7 +600,7 @@ def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
             while True:
                 w = _mat_vec(jac, s)
                 path[:, :point.size] = q = c + w
-                e_in, e_out = q - path[:, prev], path[:, nxt] - q
+                e_in, e_out = q - np.take(path, prev, axis=1), np.take(path, nxt, axis=1) - q
                 l_in, l_out = np.sqrt(_dot(e_in, e_in)), np.sqrt(_dot(e_out, e_out))
                 u_in, u_out = e_in / l_in, e_out / l_out
                 g = u_in - u_out
@@ -613,7 +617,7 @@ def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
                     taken += live
                     basis = _tangent_basis(s)
                     b = _dot(jac.transpose(1, 0, 2)[:, :, None], basis[:, None])
-                    bn = b[:, :, below]
+                    bn = np.take(b, below, axis=2)
                     b_in, b_out = _dot(b, u_in[:, None]), _dot(b, u_out[:, None])
                     gram = _dot(b[:, :, None], b[:, None])
                     diag = ((gram - b_in[:, None] * b_in) / l_in
@@ -770,7 +774,8 @@ def travelling_time_spectrum(scene: Scene, n_points: int = 64,
     return SpectrumTable("travel", scene.digest, grid,
                          tuple(tuple(s.t for s in cell) for cell in cells),
                          tuple(s for cell in cells for s in cell),
-                         (("cutoff_seeds", 0), ("dropped_clusters", tally["dropped_clusters"]),
+                         (("cutoff_seeds", 0),
+                          ("dropped_clusters", sum(tally[r] for r in _DROP_REASONS)),
                           *((r, tally[r]) for r in _DROP_REASONS),
                           ("newton_steps", tally["newton_steps"])))
 
@@ -835,12 +840,8 @@ def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, cells
     sample and mirror to its pair's cells, with each pair's k, m, x and y
     taken from the four lists owners, and counts into tally."""
     slot, words, unstarted = _word_starts(scene, xs, ys, depth, lo, hi)
-    _drop(tally, "dropped_start", unstarted)
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
-    tally["newton_steps"] += int(steps.sum())
-    for why, n in Counter(reason).items():
-        if why is not None:
-            _drop(tally, why, n)
+    tally.update(filter(None, reason), dropped_start=unstarted, newton_steps=int(steps.sum()))
     rows = np.array([n for n, why in enumerate(reason) if why is None], dtype=np.intp)
     at, ids, n = slot[rows].tolist(), words.obstacles.tolist(), words.count[rows].tolist()
     k, m, x, y = ([col[i] for i in at] for col in owners)

@@ -539,11 +539,18 @@ def test_a_table_solves_every_admissible_word_once(scene_name, depth, request, m
     assert sum(solved.values()) + diag["dropped_start"] == pairs * len(admissible)
 
 
-def test_one_bounce_words_start_on_the_bisector(three_disk_scene):
+def _unaimed(centre, rd, path, prev, nxt):
+    """_reaimed that leaves every start where it is."""
+    return path[:, :prev.size]
+
+
+def test_one_bounce_words_start_on_the_bisector(three_disk_scene, monkeypatch):
     # A one-bounce word starts where the body's outward normal bisects the
     # directions from its centre to x and y; a middle point of a longer word
-    # takes the neighbouring bodies' centres as its anchors.
+    # takes the neighbouring bodies' centres as its anchors, before the
+    # starts are re-aimed.
     x, y = np.array([[10.0, 0.0]]), np.array([[0.0, 10.0]])
+    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
     slot, words, unstarted = sl.spectra._word_starts(three_disk_scene, x, y, 3, 0, 22)
     assert unstarted == 0 and slot.tolist() == [0] * words.count.size == [0] * 22
     ids, pts = words.obstacles.tolist(), words.points
@@ -557,15 +564,22 @@ def test_one_bounce_words_start_on_the_bisector(three_disk_scene):
             assert np.allclose(pts[f + i], c + n / np.linalg.norm(n), rtol=0.0, atol=1e-14)
 
 
-def test_a_point_between_opposite_anchors_starts_from_its_neighbours():
+def _collinear_disks():
+    """Disks of radius 1, 0.5 and 1 centred at (-4, 0), (0, 0) and (4, 0)."""
+    return sl.Scene(dimension=2, bodies=(sl.ball((-4.0, 0.0), 1.0), sl.ball((0.0, 0.0), 0.5),
+                                         sl.ball((4.0, 0.0), 1.0)), ball_radius=10.0)
+
+
+def test_a_point_between_opposite_anchors_starts_from_its_neighbours(monkeypatch):
     # On three disks in a row, the middle point of (0, 1, 2) has the outer
     # centres as anchors, opposite about its centre, so it takes the first
     # point's start as its first anchor instead. With x and y on the line of
     # centres every point of (0, 1, 2) has its anchors opposite, and so does
-    # the one point of (1,): neither word has a start.
-    scene = sl.Scene(dimension=2, bodies=(sl.ball((-4.0, 0.0), 1.0), sl.ball((0.0, 0.0), 0.5),
-                                          sl.ball((4.0, 0.0), 1.0)), ball_radius=10.0)
+    # the one point of (1,): neither word has a start. The starts are read
+    # before they are re-aimed.
+    scene = _collinear_disks()
     xs, ys = np.array([[-6.0, 8.0], [-10.0, 0.0]]), np.array([[6.0, 8.0], [10.0, 0.0]])
+    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
     slot, words, unstarted = sl.spectra._word_starts(scene, xs, ys, 3, 0, 44)
     ids = words.obstacles.tolist()
     starts = {(p, tuple(ids[f:f + k])): words.points[f:f + k]
@@ -576,6 +590,69 @@ def test_a_point_between_opposite_anchors_starts_from_its_neighbours():
     assert q1[1] > 0.0
     assert (1, (0, 1, 2)) not in starts and (1, (1,)) not in starts
     assert (0, (1,)) in starts and unstarted + len(starts) == 44
+
+
+def _starts_by_word(scene, xs, ys, depth, hi):
+    """_word_starts' starts of the first hi words of the pairs (xs, ys), by
+    (pair, word)."""
+    slot, words, unstarted = sl.spectra._word_starts(scene, xs, ys, depth, 0, hi)
+    ids = words.obstacles.tolist()
+    return {(p, tuple(ids[f:f + k])): words.points[f:f + k]
+            for p, f, k in zip(slot.tolist(), words.first.tolist(), words.count.tolist())}
+
+
+def _bisector_point(body, before, after):
+    """The point of a disk where its outward normal bisects the directions
+    from its centre to before and to after."""
+    c = np.asarray(body.center)
+    u, v = before - c, after - c
+    n = u / np.linalg.norm(u) + v / np.linalg.norm(v)
+    return c + body.semiaxes[0] * n / np.linalg.norm(n)
+
+
+def test_starts_are_reaimed_at_their_neighbours(three_disk_scene, monkeypatch):
+    # After the bisector rule, each start is re-aimed once: the rule again,
+    # with x or the previous point's start and the next point's start or y
+    # as its anchors, all points at once from the starts before the re-aim.
+    # A one-bounce word's anchors stay x and y, so its start does not move.
+    xs, ys = np.array([[10.0, 0.0], [0.0, -10.0]]), np.array([[0.0, 10.0], [-10.0, 0.0]])
+    aimed = _starts_by_word(three_disk_scene, xs, ys, 3, 44)
+    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
+    unaimed = _starts_by_word(three_disk_scene, xs, ys, 3, 44)
+    assert len(aimed) == 44 and aimed.keys() == unaimed.keys()
+    moved = 0
+    for (p, word), points in aimed.items():
+        if not word:
+            continue
+        anchors = [xs[p], *unaimed[(p, word)], ys[p]]
+        for i, b in enumerate(word):
+            want = _bisector_point(three_disk_scene.bodies[b], anchors[i], anchors[i + 2])
+            assert np.allclose(points[i], want, rtol=0.0, atol=1e-14)
+        if len(word) == 1:
+            assert np.array_equal(points, unaimed[(p, word)])
+        moved += np.abs(points - unaimed[(p, word)]).max() > 1e-3
+    assert moved > 10
+
+
+def test_a_point_whose_reaimed_start_is_not_finite_keeps_its_start(monkeypatch):
+    # From x = (-6, 8) to y = (6, -8), symmetric about the middle disk's
+    # centre, the first and last starts of (0, 1, 2) lie opposite about that
+    # centre, so re-aiming the middle point gives no finite start: it keeps
+    # the one it had, taken from the first point's start as its first anchor.
+    # The first and last points are re-aimed.
+    scene = _collinear_disks()
+    xs, ys = np.array([[-6.0, 8.0]]), np.array([[6.0, -8.0]])
+    q0, q1, q2 = _starts_by_word(scene, xs, ys, 3, 22)[(0, (0, 1, 2))]
+    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
+    p0, p1, p2 = _starts_by_word(scene, xs, ys, 3, 22)[(0, (0, 1, 2))]
+    assert np.array_equal(p2, -p0)
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(_bisector_point(scene.bodies[1], p0, p2)).any()
+    assert np.array_equal(q1, p1) and np.isfinite(q1).all()
+    assert np.array_equal(q1, _bisector_point(scene.bodies[1], p0, np.array([4.0, 0.0])))
+    assert np.allclose(q0, _bisector_point(scene.bodies[0], xs[0], p1), rtol=0.0, atol=1e-14)
+    assert np.allclose(q2, _bisector_point(scene.bodies[2], p1, ys[0]), rtol=0.0, atol=1e-14)
+    assert np.abs(q0 - p0).max() > 1e-3
 
 
 def _solve(scene, x, y, word, points):
@@ -624,24 +701,28 @@ def test_spectrum_2d_cells_are_exact_reversals(three_disk_scene):
             (s.x, s.y, s.t, s.dir_in, s.dir_out, s.residual, s.itinerary) for s in theirs)
 
 
-@pytest.mark.parametrize("centers, radii, n_points", [
-    ([(-3.0, 0.0), (3.0, 0.0)], [1.0, 1.0], 16),
-    ([(3.2, 0.0), (-1.6, 2.8), (-1.6, -2.8)], [1.0, 1.0, 1.0], 12),
-    ([(-4.0, 0.0), (0.0, 0.0), (4.0, 0.0)], [1.0, 0.5, 1.0], 8)],
-    ids=["two-disk", "three-disk", "collinear"])
-def test_tables_match_the_itinerary_oracle(centers, radii, n_points):
+@pytest.mark.parametrize("centers, radii, n_points, depth, grid", [
+    ([(-3.0, 0.0), (3.0, 0.0)], [1.0, 1.0], 16, 3, 24),
+    ([(-3.0, 0.0), (3.0, 0.0)], [1.0, 1.0], 8, 4, 28),
+    ([(3.2, 0.0), (-1.6, 2.8), (-1.6, -2.8)], [1.0, 1.0, 1.0], 12, 3, 24),
+    ([(-4.0, 0.0), (0.0, 0.0), (4.0, 0.0)], [1.0, 0.5, 1.0], 8, 3, 24)],
+    ids=["two-disk", "two-disk-depth-4", "three-disk", "collinear"])
+def test_tables_match_the_itinerary_oracle(centers, radii, n_points, depth, grid):
     # The default-depth tables against tests/oracles.disk_itinerary_roots,
     # which minimises each word's length over boundary angles with scipy and
-    # checks trajectories its own way: every root of depth 1 to 3 is a
+    # checks trajectories its own way: every root of depth 1 to depth is a
     # critical point of its word to 1e-9, and the tables are complete
-    # through depth 3. On three disks in a row the middle point of (0, 1, 2)
-    # has its anchors, the outer centres, opposite about its centre, and the
-    # roots over the small middle disk are found all the same.
+    # through that depth. On three disks in a row the middle point of
+    # (0, 1, 2) has its anchors, the outer centres, opposite about its
+    # centre, and the roots over the small middle disk are found all the
+    # same. At depth 4 a grid of 24 angles per point holds no grid minimum
+    # for the root of (0, 1, 0, 1) between lattice points 2 and 7, which the
+    # oracle keeps when started near it; 26 angles and more find it.
     scene = sl.Scene(dimension=2, bodies=tuple(sl.ball(c, r) for c, r in zip(centers, radii)),
                      ball_radius=10.0)
     table = sl.travelling_time_spectrum(scene, n_points=n_points)
     pairs = sl.spectra.spectrum_pairs(scene, n_points)
-    oracle = disk_itinerary_roots(centers, radii, pairs, 3)
+    oracle = disk_itinerary_roots(centers, radii, pairs, depth, grid=grid)
     checked = Counter()
     for k, roots in enumerate(oracle):
         cell = [s for s in table.samples if s.pair == k]
@@ -650,9 +731,9 @@ def test_tables_match_the_itinerary_oracle(centers, radii, n_points):
                 assert any(s.itinerary == word and abs(s.t - t) < 1e-9 for s in cell), (k, word)
                 checked[len(word)] += 1
         for s in cell:
-            if 1 <= s.reflections <= 3:
+            if 1 <= s.reflections <= depth:
                 assert any(abs(s.t - t) < 1e-9 for t in roots.get(s.itinerary, ())), (k, s)
-    assert all(checked[depth] > 0 for depth in range(4))
+    assert all(checked[m] > 0 for m in range(depth + 1))
     if centers[1] == (0.0, 0.0):
         assert all(any(word in roots for roots in oracle) for word in [(0, 1, 2), (2, 1, 0)])
 
@@ -970,7 +1051,7 @@ def test_spectrum_3d_counts_failed_searches(ball_ellipsoid_scene, monkeypatch):
 
 def test_newton_step_budget(ball_ellipsoid_scene, monkeypatch):
     # Counted work: newton_steps counts every step of every path search, at
-    # most 4 per word here.
+    # most 3 per word here.
     spectra = sl.spectra
     solve = spectra._solve_words
     steps = []
@@ -983,24 +1064,46 @@ def test_newton_step_budget(ball_ellipsoid_scene, monkeypatch):
     monkeypatch.setattr(spectra, "_solve_words", counting_solve)
     diag = sl.travelling_time_spectrum(ball_ellipsoid_scene, n_points=4).diagnostics_dict()
     assert diag["newton_steps"] == sum(steps) > 0
-    assert max(steps) <= 4
+    assert max(steps) <= 3
 
 
-def _table_words(scene, monkeypatch, **kwargs):
-    """The arguments of a table's one _solve_words call."""
+def _most_steps(scene, monkeypatch, **kwargs):
+    """The most Newton steps any word of a table takes."""
+    steps = _table_words_and_solves(scene, monkeypatch, **kwargs)[1][4]
+    return int(steps.max())
+
+
+def test_benchmark_tables_take_few_newton_steps(two_disk_scene, monkeypatch):
+    # Counted work: a run's words are solved in lockstep, so a table makes
+    # one Newton pass for each step of its slowest word. From re-aimed
+    # starts that is 4 on the rigidity-2d job's two-disk table at both of its
+    # lattice phases, where two near-grazing words took 7 from the starts
+    # before the re-aim, and 3 on the travel-3d job's table, where it was 4.
+    for phase in (0.3, 2.0 * math.pi / 4 - 0.3):
+        assert _most_steps(two_disk_scene, monkeypatch, n_points=4, phase=phase) == 4
+    assert _most_steps(_benchmark_ball_ellipsoid(), monkeypatch, n_points=3) == 3
+
+
+def _table_words_and_solves(scene, monkeypatch, **kwargs):
+    """The arguments and the result of a table's one _solve_words call."""
     spectra = sl.spectra
     calls = []
     solve = spectra._solve_words
 
     def recording_solve(*args):
-        calls.append(args)
-        return solve(*args)
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
 
     with monkeypatch.context() as m:
         m.setattr(spectra, "_solve_words", recording_solve)
         sl.travelling_time_spectrum(scene, **kwargs)
-    (args,) = calls
-    return args
+    (call,) = calls
+    return call
+
+
+def _table_words(scene, monkeypatch, **kwargs):
+    """The arguments of a table's one _solve_words call."""
+    return _table_words_and_solves(scene, monkeypatch, **kwargs)[0]
 
 
 def _solve_counting_layouts(monkeypatch, args):
@@ -1047,7 +1150,8 @@ def test_bounded_compacting_batches_match_one_batch(case, cap, three_disk_scene,
     # Solving a table's words in runs of a few words, and laying a run out
     # anew every few stopped points, gives every word's results bit for bit
     # as one unbounded batch does: each word is solved alone. A step cap of
-    # 3 makes words stop by each reason.
+    # 3 makes three-disk words stop by each reason, and a cap of 2 ball +
+    # ellipsoid words, which all stop within 3 steps.
     spectra = sl.spectra
     if case == "three-disk":
         args = _table_words(three_disk_scene, monkeypatch, n_points=6)
@@ -1070,10 +1174,14 @@ def test_bounded_compacting_batches_match_one_batch(case, cap, three_disk_scene,
            [why for part in parts for why in part[5]])
     assert _bits(got) == _bits(whole)
     reasons = {None, "dropped_inward", "dropped_blocked"} | ({"dropped_residual"} if cap else set())
-    if cap == 2:
+    if case == "three-disk" and cap == 2:
         # Within two steps no three-disk word reaches the stopping goal
         # inward; within three, words stop by every reason.
         assert reasons - {"dropped_inward"} <= set(whole[5]) <= reasons
+    elif case == "ball-ellipsoid" and cap == 3:
+        # From re-aimed starts every ball + ellipsoid word stops within three
+        # steps, so none hits the cap.
+        assert set(whole[5]) == reasons - {"dropped_residual"}
     else:
         assert set(whole[5]) == reasons
     assert len(batches) > 1 and max(batches) <= 5 and max(layouts) <= 5
@@ -1238,12 +1346,15 @@ def test_ring_table_is_bounded_and_traced():
     # Seven bodies through depth 3 are 1 + 7 + 42 + 252 words per pair, and
     # the table's memory stays bounded where a seed sweep's narrowing once
     # grew past gigabytes. Every root's trace reflects off its word in order
-    # and leaves the sphere within the root tolerance of y.
+    # and leaves the sphere within the root tolerance of y. The peak is the
+    # child's VmHWM: its ru_maxrss would also count the test process's own
+    # peak, which the kernel carries into a child across exec.
     scene = _ring_scene()
-    code = ("import resource, sys, scatterlab; "
+    code = ("import sys, scatterlab; "
             "scene = scatterlab.parse_scene(sys.stdin.read()); "
             "table = scatterlab.travelling_time_spectrum(scene, n_points=4, depth=3); "
-            "print(len(table.samples), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            "peak = [f.split()[1] for f in open('/proc/self/status') if f.startswith('VmHWM')]; "
+            "print(len(table.samples), *peak)")
     src = str(Path(sl.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", code], input=sl.serialize_scene(scene),
                           capture_output=True, text=True, timeout=120, check=True,
