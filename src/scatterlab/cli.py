@@ -94,7 +94,7 @@ def _itinerary_str(itin) -> str:
 
 
 def write_sls_csv(table, path, prec: int):
-    d = len(table.samples[0].omega) if table.samples else 2
+    d = len(dict(table.grid)["ball_center"])
     header = ([f"omega_{i+1}" for i in range(d)]
               + [f"impact_{i+1}" for i in range(d - 1)]
               + [f"theta_{i+1}" for i in range(d)]
@@ -112,7 +112,7 @@ def _travel_header(d: int) -> list:
 
 
 def write_travel_csv(table, path, prec: int):
-    d = len(table.samples[0].x) if table.samples else 2
+    d = len(dict(table.grid)["ball_center"])
     g = f"%.{prec}g"
     row = ",".join([g] * (2 * d + 1) + ["%d", g, "%s"] + [g] * (2 * d))
     _write_lines(path, [",".join(_travel_header(d))] + [

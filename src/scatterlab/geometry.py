@@ -39,7 +39,7 @@ import numpy as np
 TANGENT_COS_EPS = 1e-8
 DISCRIMINANT_EPS = 1e-14
 ROOT_TOL = 1e-9
-# Rounding error per coordinate of a hit point o + t u over |o|_max + |t|.
+# Rounding error per coordinate of a hit point o + t u over max_i |o_i| + |t|.
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 # How far a direction's norm may be from 1 at every single-ray entry point:
@@ -293,7 +293,7 @@ def _guard(f, nn, o, u, t) -> None:
     """Raise RayIntersectError unless the implicit value f at the hit o + t u,
     where |M w| = nn, is within ROOT_TOL or the rounding floor of the point,
     whichever is larger. Each coordinate of the point is off by about
-    eps (|o|_max + |t|), which moves phi by |grad phi| = 2 nn times as much:
+    eps (max_i |o_i| + |t|), which moves phi by |grad phi| = 2 nn times as much:
     about 2 eps D / r on a body of size r seen from a distance D."""
     if abs(f) > ROOT_TOL and abs(f) > (_ROUNDING * math.sqrt(len(o))
                                       * (max(map(abs, o)) + abs(t)) * nn):

@@ -20,11 +20,12 @@ share of its pairs, are taken pair by pair in runs of at most _BATCH_WORDS
 words, each built and solved at once, which bounds the search's working
 memory whatever the number of words per pair. Stopped words are dropped
 from a run as it goes. A word stops when its mirror-law defect, times the
-ball radius, is below _RESIDUAL_MARGIN times the root tolerance. Each
-reflection point starts where its body's outward normal bisects the
+ball radius, is below _RESIDUAL_MARGIN times the root tolerance. The
+starts are built inside the solver, in its first layout of a run's words.
+Each reflection point starts where its body's outward normal bisects the
 directions from the body's centre to its two anchors, x or the previous
 body's centre and the next body's centre or y, with a neighbour's start for
-an anchor opposite the other; a word still without a start is counted as
+an anchor opposite the other; a word still without a start ends there as
 dropped_start. Each start is then re-aimed once, at x or the previous start
 and the next start or y. A path that enters a body or meets one before
 the end of a leg is no trajectory and is dropped. A root is named by its
@@ -306,14 +307,11 @@ def scan_sls(scene: Scene, incoming, n_impacts: int) -> SpectrumTable:
 # bodies of one word in turn, so the search solves every admissible word.
 
 class _Words(NamedTuple):
-    """Words with a start point per reflection, ragged: word i is
-    obstacles[first[i]:first[i] + count[i]] and its start points are the
-    same rows of points."""
+    """Words, ragged: word i is the count[i] obstacles from the sum of the
+    counts before it."""
 
     count: np.ndarray
-    first: np.ndarray
     obstacles: np.ndarray
-    points: np.ndarray
 
 
 def _body_tables(scene: Scene):
@@ -347,41 +345,10 @@ def _admissible_words(k: int, m: int, index) -> np.ndarray:
     return words
 
 
-def _bisector_starts(centre, rd, before, after):
-    """For each column, the point c + R D s on a body with centre c and R D
-    rd where the outward normal n bisects the directions from c to the
-    anchors before and after: s = (R D)^T n normalised, since the normal at
-    c + R D s is along R D^-1 s. Not finite where the anchors lie opposite
-    about c."""
-    e_in, e_out = before - centre, after - centre
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = _mat_vec(rd.transpose(1, 0, 2), e_in / np.sqrt(_dot(e_in, e_in))
-                     + e_out / np.sqrt(_dot(e_out, e_out)))
-        return centre + _mat_vec(rd, s / np.sqrt(_dot(s, s)))
-
-
-def _reaimed(centre, rd, path, prev, nxt):
-    """_bisector_starts with the anchors prev and nxt of path = [starts, x,
-    y], x or the previous start and the next start or y; a point whose
-    re-aimed start is not finite keeps its start."""
-    aimed = _bisector_starts(centre, rd, np.take(path, prev, axis=1), np.take(path, nxt, axis=1))
-    return np.where(np.isfinite(aimed).all(axis=0), aimed, path[:, :prev.size])
-
-
-def _word_starts(scene: Scene, xs, ys, depth: int, lo: int, hi: int):
-    """Words lo to hi - 1 of the admissible words of length 0 to depth of
-    the pairs (xs[i], ys[i]), taken pair by pair, by length and in
-    lexicographic order, with their start points, built in one pass over
-    all lengths in the layout _newton_batch first gives them. Point i of a
-    word starts where its body's outward normal bisects the directions from
-    its centre to its anchors, x or the previous body's centre and the next
-    body's centre or y. A point whose anchors lie opposite takes the
-    previous point's start as its first anchor instead, and failing that the
-    next point's start as its second. A word with a point still unstarted
-    has no finite start, nor has the free chord of equal endpoints. Then
-    each start is _reaimed once. Returns (pair per word, _Words, the number
-    of words without a finite start)."""
-    c, jac, _ = _body_tables(scene)
+def _run_words(scene: Scene, depth: int, lo: int, hi: int):
+    """Words lo to hi - 1 of the admissible words of length 0 to depth of a
+    run of point pairs, taken pair by pair, by length and in lexicographic
+    order, then sorted by length. Returns (pair per word, _Words)."""
     sizes = np.array(_word_counts(len(scene.bodies), depth))
     offset = np.cumsum(sizes) - sizes
     pair, place = np.divmod(np.arange(lo, hi), sizes.sum())
@@ -391,33 +358,49 @@ def _word_starts(scene: Scene, xs, ys, depth: int, lo: int, hi: int):
     ids = np.concatenate([np.zeros(0, dtype=int)] + [
         _admissible_words(len(scene.bodies), m, place[length == m] - offset[m]).ravel()
         for m in np.unique(length[length > 0]).tolist()])
-    act = np.argsort(-length, kind="stable")[:np.count_nonzero(length)]
-    rows, point, col, _, prev, nxt = _layout(_Words(length, np.cumsum(length) - length, ids, None),
-                                             act)
-    # np.take gathers along an axis several times faster than an index array.
-    centre, rd = np.take(c, ids[point], axis=1), np.take(jac, ids[point], axis=2)
-    path = np.concatenate([centre, np.take(xs, pair[act], axis=0).T,
-                           np.take(ys, pair[act], axis=0).T], axis=1)
+    return pair, _Words(length, ids)
+
+
+def _bisector(centre, rd, before, after):
+    """For each column, the unit s of the point c + R D s on a body with
+    centre c and R D rd where the outward normal n bisects the directions
+    from c to the anchors before and after: s = (R D)^T n normalised, since
+    the normal at c + R D s is along R D^-1 s. Not finite where the anchors
+    lie opposite about c."""
+    e_in, e_out = before - centre, after - centre
+    s = _mat_vec(rd.transpose(1, 0, 2), e_in / np.sqrt(_dot(e_in, e_in))
+                 + e_out / np.sqrt(_dot(e_out, e_out)))
+    return s / np.sqrt(_dot(s, s))
+
+
+def _starts(centre, rd, path, rows, prev, nxt):
+    """The unit s of each reflection point's start, for the words laid out in
+    rows by _layout, with each point's body's centre and R D, path =
+    [centres, x, y] and the columns prev and nxt of each point's neighbours
+    along it. A point starts where its body's outward normal bisects the
+    directions from its centre to its anchors, x or the previous body's
+    centre and the next body's centre or y. A point whose anchors lie
+    opposite takes the previous point's start as its first anchor instead,
+    and failing that the next point's start as its second; a point still
+    without a start is not finite. The points of these starts overwrite the
+    centres in path. Then each start is re-aimed once, at x or the previous
+    start and the next start or y, and keeps its start where the re-aimed
+    one is not finite."""
+    n = prev.size
     before, after = np.take(path, prev, axis=1), np.take(path, nxt, axis=1)
-    q = _bisector_starts(centre, rd, before, after)
-    if not np.isfinite(q).all():
+    s = _bisector(centre, rd, before, after)
+    path[:, :n] = centre + _mat_vec(rd, s)
+    if not np.isfinite(s).all():
         for side, link, later in ((0, prev, rows[1:]), (1, nxt, rows[-2::-1])):
             for row in later:
-                p = row.start + np.flatnonzero(~np.isfinite(q[:, row]).all(axis=0))
-                p = p[link[p] < point.size]
+                p = row.start + np.flatnonzero(~np.isfinite(s[:, row]).all(axis=0))
+                p = p[link[p] < n]
                 anchors = [before[:, p], after[:, p]]
-                anchors[side] = q[:, link[p]]
-                q[:, p] = _bisector_starts(centre[:, p], rd[..., p], *anchors)
-    path[:, :point.size] = q
-    ok = (xs[pair] != ys[pair]).any(axis=1)
-    ok[act] = np.bincount(col, ~np.isfinite(q).all(axis=0), act.size) == 0
-    # Each point's place in the layout, in word order, for the kept words.
-    at = np.empty(point.size, dtype=np.intp)
-    at[point] = np.arange(point.size)
-    keep, count = np.repeat(ok, length), length[ok]
-    return (pair[ok], _Words(count, np.cumsum(count) - count, np.compress(keep, ids),
-                             np.take(_reaimed(centre, rd, path, prev, nxt), at[keep], axis=1).T),
-            ok.size - int(np.count_nonzero(ok)))
+                anchors[side] = path[:, link[p]]
+                s[:, p] = _bisector(centre[:, p], rd[..., p], *anchors)
+                path[:, p] = centre[:, p] + _mat_vec(rd[..., p], s[:, p])
+    aimed = _bisector(centre, rd, np.take(path, prev, axis=1), np.take(path, nxt, axis=1))
+    return np.where(np.isfinite(aimed).all(axis=0), aimed, s)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +462,7 @@ def _layout(words: _Words, act):
     col = np.arange(row.size) - starts[row]
     more = col < np.append(ns[1:], 0)[row]
     return ([slice(st, st + n) for st, n in zip(starts.tolist(), ns.tolist())],
-            words.first[act][col] + row, col, more,
+            (np.cumsum(words.count) - words.count)[act][col] + row, col, more,
             np.where(row > 0, starts[row - 1] + col, row.size + col),
             np.where(more, np.append(starts[1:], 0)[row] + col, row.size + act.size + col))
 
@@ -528,74 +511,66 @@ def _tangent_basis(s):
 def _solve_words(scene: Scene, xs, ys, words: _Words):
     """Newton's method on the length L = |x - q_1| + sum |q_i - q_{i+1}| +
     |q_k - y| of the paths off the bodies of a word in turn, for every word
-    of words, from its row of xs to that of ys and started at its points as
-    given, a table's at the re-aimed starts of _word_starts (Petkov &
-    Stoyanov, Geometry of Reflecting Rays and Inverse Spectral Problems,
-    1992). Each q_i = c_i + R_i D_i s_i moves with s_i on the unit
-    sphere, stepped in _tangent_basis(s_i); L's Hessian is block-tridiagonal
-    with (d - 1) x (d - 1) blocks, each diagonal one less
-    (dL/dq_i . R_i D_i s_i) I for the sphere's curvature, solved by
-    _block_thomas. A word stops, and is frozen, once a times its defect, the
-    largest part of a dL/dq_i tangent to its body, is below the goal. The
-    words are solved longest first, by _newton_batch. Each operation acts on
-    each word alone with sums in a fixed order, so no result depends on the
-    words solved with it or on their layout.
+    of words, from its row of xs to that of ys (Petkov & Stoyanov, Geometry
+    of Reflecting Rays and Inverse Spectral Problems, 1992). Each q_i = c_i
+    + R_i D_i s_i moves with s_i on the unit sphere, from the start _starts
+    gives it in the words' first layout, stepped in _tangent_basis(s_i); L's
+    Hessian is block-tridiagonal with (d - 1) x (d - 1) blocks, each
+    diagonal one less (dL/dq_i . R_i D_i s_i) I for the sphere's curvature,
+    solved by _block_thomas. A word stops, and is frozen, once a times its
+    defect, the largest part of a dL/dq_i tangent to its body, is below the
+    goal. The words are solved longest first, laid out by _layout; once the
+    stopped words hold _COMPACT_POINTS reflection points, or no word is
+    live, the stopped words are finished from the pass just made, whose
+    values their frozen points would give again, and the live words are
+    laid out anew without them. Each operation acts on each word alone with
+    sums in a fixed order, so no result depends on the words solved with it
+    or on their layout.
 
-    The path is a trajectory when both legs leave each q_i on the body's
-    outside at a cosine above TANGENT_COS_EPS, else "dropped_inward", and
-    no leg meets a body before its end, a grazing hit aside, else
-    "dropped_blocked"; the legs of all words are searched in one _blocked
-    call. A search past _NEWTON_CAP steps, or with a step that is not finite
-    (a singular Hessian), ends "dropped_residual". Returns per word (t,
-    dir_in, dir_out, a times the defect, Newton steps, reason), reason None
-    for a root and the directions as (d, words) arrays.
+    A word with a point without a finite start, or a free chord between
+    equal endpoints, ends "dropped_start". The path is a trajectory when
+    both legs leave each q_i on the body's outside at a cosine above
+    TANGENT_COS_EPS, else "dropped_inward", and no leg meets a body before
+    its end, a grazing hit aside, else "dropped_blocked"; the legs of all
+    words are searched in one _blocked call. A search past _NEWTON_CAP
+    steps, or with a step that is not finite (a singular Hessian), ends
+    "dropped_residual". Returns per word (t, dir_in, dir_out, a times the
+    defect, Newton steps, reason), reason None for a root and the
+    directions as (d, words) arrays.
     """
     xs, ys = np.asarray(xs, dtype=float).T, np.asarray(ys, dtype=float).T
     nw = words.count.size
-    out = (np.zeros(nw), np.zeros((len(xs), nw)), np.zeros((len(xs), nw)), np.zeros(nw),
-           np.zeros(nw, dtype=int), [None] * nw)
-    t, dir_in, dir_out, defect, steps, reason = out
+    t, defect, steps, reason = np.zeros(nw), np.zeros(nw), np.zeros(nw, dtype=int), [None] * nw
+    dir_in, dir_out = np.zeros((len(xs), nw)), np.zeros((len(xs), nw))
     chords = np.flatnonzero(words.count == 0)
     e = ys[:, chords] - xs[:, chords]
     with np.errstate(divide="ignore", invalid="ignore"):
         t[chords] = np.sqrt(_dot(e, e))
         dir_in[:, chords] = dir_out[:, chords] = e / t[chords]
+    same = (e == 0.0).all(axis=0)
+    for i in chords[same].tolist():
+        reason[i] = "dropped_start"
+    chords = chords[~same]
     # Per leg to search: its word, start, direction and reach.
     legs = [(chords, xs[:, chords], dir_in[:, chords], t[chords])]
-    _newton_batch(scene, xs, ys, words,
-                  np.argsort(-words.count, kind="stable")[:np.count_nonzero(words.count)], out, legs)
-    owner, o, u, reach = (np.concatenate(f, axis=-1) for f in zip(*legs))
-    for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
-        reason[i] = "dropped_blocked"
-    return t, dir_in, dir_out, scene.ball_radius * defect, steps, reason
-
-
-def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
-    """_solve_words' Newton passes on the words act, longest first: writes
-    each word's t, directions, defect, steps and reason into out and
-    appends the legs of each path left to check to legs. Once the stopped
-    words hold _COMPACT_POINTS reflection points, or no word is live, the
-    stopped words are finished from the pass just made, whose values their
-    frozen points would give again, and the live words are laid out anew
-    without them."""
-    t, dir_in, dir_out, defect, steps, reason = out
     goal = _RESIDUAL_MARGIN * _root_tol(scene) / scene.ball_radius
     eye = np.eye(len(xs) - 1)[:, :, None]
     tables = _body_tables(scene)
+    act = np.argsort(-words.count, kind="stable")[:np.count_nonzero(words.count)]
     taken, s = np.zeros(act.size, dtype=int), None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while act.size:
             rows, point, col, more, prev, nxt = _layout(words, act)
             # Each reflection point's body's centre, R D and M, in layout order.
             c, jac, mat = (np.take(tb, words.obstacles[point], axis=-1) for tb in tables)
+            path = np.concatenate([c, xs[:, act], ys[:, act]], axis=1)
+            failed = np.zeros(act.size, dtype=bool)
             if s is None:
-                # s = (R D)^-1 (q - c) = (R D)^T M (q - c).
-                q = np.take(words.points.T, point, axis=1)
-                s = _mat_vec(jac.transpose(1, 0, 2), _mat_vec(mat, q - c))
-                s = s / np.sqrt(_dot(s, s))
-            path = np.concatenate([np.zeros((len(xs), point.size)), xs[:, act], ys[:, act]],
-                                  axis=1)
-            live, failed = np.ones(act.size, dtype=bool), np.zeros(act.size, dtype=bool)
+                s = _starts(c, jac, path, rows, prev, nxt)
+                failed = np.bincount(col, ~np.isfinite(s).all(axis=0), act.size) > 0
+                for i in act[failed].tolist():
+                    reason[i] = "dropped_start"
+            live = ~failed
             below = np.where(more, nxt, 0)
             while True:
                 w = _mat_vec(jac, s)
@@ -649,8 +624,9 @@ def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
             ends = last & done[col]
             dir_out[:, act[col[ends]]] = u_out[:, ends]
             inward = done & ~failed & ~(low > TANGENT_COS_EPS)
+            # A word failed without a start keeps that reason.
             for i in act[done & failed].tolist():
-                reason[i] = "dropped_residual"
+                reason[i] = reason[i] or "dropped_residual"
             for i in act[inward].tolist():
                 reason[i] = "dropped_inward"
             fine = (done & ~failed & ~inward)[col]
@@ -658,6 +634,10 @@ def _newton_batch(scene: Scene, xs, ys, words: _Words, act, out, legs):
             legs.append((act[col[fine]], path[:, prev[fine]], u_in[:, fine], l_in[fine]))
             legs.append((act[col[final]], q[:, final], u_out[:, final], l_out[final]))
             act, taken, s = act[live], taken[live], s[:, live[col]]
+    owner, o, u, reach = (np.concatenate(f, axis=-1) for f in zip(*legs))
+    for i in np.unique(owner[_blocked(scene, o, u, reach)]).tolist():
+        reason[i] = "dropped_blocked"
+    return t, dir_in, dir_out, scene.ball_radius * defect, steps, reason
 
 
 def _blocked(scene: Scene, o, u, reach):
@@ -839,14 +819,14 @@ def _solve_run(scene: Scene, owners, xs, ys, depth: int, lo: int, hi: int, cells
     """_spectrum_worker on its words lo to hi - 1: appends each root's
     sample and mirror to its pair's cells, with each pair's k, m, x and y
     taken from the four lists owners, and counts into tally."""
-    slot, words, unstarted = _word_starts(scene, xs, ys, depth, lo, hi)
+    slot, words = _run_words(scene, depth, lo, hi)
     t, dir_in, dir_out, residual, steps, reason = _solve_words(scene, xs[slot], ys[slot], words)
-    tally.update(filter(None, reason), dropped_start=unstarted, newton_steps=int(steps.sum()))
+    tally.update(filter(None, reason), newton_steps=int(steps.sum()))
     rows = np.array([n for n, why in enumerate(reason) if why is None], dtype=np.intp)
     at, ids, n = slot[rows].tolist(), words.obstacles.tolist(), words.count[rows].tolist()
     k, m, x, y = ([col[i] for i in at] for col in owners)
     t, res = t[rows].tolist(), residual[rows].tolist()
-    word = [tuple(ids[f:f + c]) for f, c in zip(words.first[rows].tolist(), n)]
+    word = [tuple(ids[e - c:e]) for e, c in zip(np.cumsum(words.count)[rows].tolist(), n)]
     din, dout = dir_in[:, rows].T, dir_out[:, rows].T
     samples = zip(k, x, y, t, n, map(tuple, din.tolist()), map(tuple, dout.tolist()), res, word)
     mirrors = zip(m, y, x, t, n, map(tuple, (-dout).tolist()), map(tuple, (-din).tolist()), res,

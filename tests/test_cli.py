@@ -376,6 +376,11 @@ def _g(values, prec):
     return [f"{v:.{prec}g}" for v in values]
 
 
+# The grid of a hand-built d = 2 table: the CSV writers read the dimension
+# from its ball centre.
+_PLANE = (("ball_center", (0.0, 0.0)),)
+
+
 def _data_lines(write, obj, path, prec):
     write(obj, path, prec)
     return path.read_bytes().decode().split("\n")[1:]
@@ -391,7 +396,7 @@ def test_csv_writers_match_per_field_formatting(tmp_path, prec):
     want = [",".join(_g(s.x + s.y + (s.t,), prec) + [str(s.reflections)] + _g([s.residual], prec)
                      + ["|".join(map(str, s.itinerary))] + _g(s.dir_in + s.dir_out, prec))
             for s in travel]
-    table = sl.SpectrumTable("travel", "", (), ((e,), (d,)), tuple(travel), ())
+    table = sl.SpectrumTable("travel", "", _PLANE, ((e,), (d,)), tuple(travel), ())
     assert _data_lines(write_travel_csv, table, tmp_path / "t.csv", prec) == want + [""]
 
     sls = [sl.SLSSample(3, (a, c), (b,), (d, e), (e, a), c, 1, True, (2,)),
@@ -399,7 +404,7 @@ def test_csv_writers_match_per_field_formatting(tmp_path, prec):
     want = [",".join(_g(s.omega + s.impact + s.theta + (s.sojourn,), prec)
                      + [str(s.reflections), "1" if s.grazing else "0",
                         "|".join(map(str, s.itinerary))]) for s in sls]
-    table = sl.SpectrumTable("sls", "", (), ((c,), (a,)), tuple(sls), ())
+    table = sl.SpectrumTable("sls", "", _PLANE, ((c,), (a,)), tuple(sls), ())
     assert _data_lines(write_sls_csv, table, tmp_path / "s.csv", prec) == want + [""]
 
     prov = (((e, a), (b, c), d, (a, a)), ((d, e), (a, b), c, (e, e)))
@@ -408,6 +413,24 @@ def test_csv_writers_match_per_field_formatting(tmp_path, prec):
             for p, (x, y, t, _) in zip(points, prov)]
     estimate = sl.BoundaryEstimate(points, prov, 0)
     assert _data_lines(write_reconstruct_csv, estimate, tmp_path / "r.csv", prec) == want + [""]
+
+
+def test_csv_headers_of_tables_without_samples_keep_their_dimension(tmp_path):
+    # The writers read the dimension from the table's grid, not from its
+    # samples: a d = 3 table whose one chord passes through a ball of radius
+    # 9 at the centre has no sample, and its header is still that of d = 3.
+    scene = sl.Scene(dimension=3, bodies=(sl.ball((0.0, 0.0, 0.0), 9.0),), ball_radius=10.0)
+    travel = sl.travelling_time_spectrum(scene, n_points=2, depth=0)
+    assert travel.samples == ()
+    write_travel_csv(travel, tmp_path / "t.csv", 17)
+    assert (tmp_path / "t.csv").read_text() == (
+        "x_1,x_2,x_3,y_1,y_2,y_3,t,reflections,residual,itinerary,"
+        "dir_in_1,dir_in_2,dir_in_3,dir_out_1,dir_out_2,dir_out_3\n")
+    sls = dataclasses.replace(sl.scan_sls(scene, (1.0, 0.0, 0.0), 4), samples=())
+    write_sls_csv(sls, tmp_path / "s.csv", 17)
+    assert (tmp_path / "s.csv").read_text() == (
+        "omega_1,omega_2,omega_3,impact_1,impact_2,theta_1,theta_2,theta_3,"
+        "T,reflections,grazing,itinerary\n")
 
 
 @pytest.mark.parametrize("dimension, tolerances", [(2, ("1e-6", "3.0")),
@@ -517,11 +540,16 @@ def test_compare_refuses_a_bad_tolerance(tmp_path, capsys, tol):
     assert "tolerance must be finite and nonnegative" in err
 
 
+def _write_samples_csv(samples, path):
+    """Write loose d = 2 travel samples as a travel CSV."""
+    write_travel_csv(dataclasses.replace(sl.samples_table(samples), grid=_PLANE), path, 17)
+
+
 def test_reconstruct_reads_the_file(tmp_path, capsys):
     # The one-bounce samples alone determine the estimate: no scene is read.
     samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 20)
     travel_csv = tmp_path / "travel.csv"
-    write_travel_csv(sl.samples_table(samples), travel_csv, 17)
+    _write_samples_csv(samples, travel_csv)
     out_csv = tmp_path / "points.csv"
     assert run_command(["reconstruct", str(travel_csv), "--ball", "0,0,10",
                         "--out", str(out_csv)]) == 0
@@ -539,7 +567,7 @@ def test_reconstruct_reads_the_file(tmp_path, capsys):
 def test_reconstruct_refuses_a_bad_ball(tmp_path, capsys, ball, message):
     samples = sl.ideal_one_bounce_samples((0.0, 0.0), 1.0, (0.0, 0.0), 10.0, 20)
     travel_csv = tmp_path / "travel.csv"
-    write_travel_csv(sl.samples_table(samples), travel_csv, 17)
+    _write_samples_csv(samples, travel_csv)
     assert run_command(["reconstruct", str(travel_csv), "--ball", ball]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scatterlab"
@@ -39,3 +42,42 @@ def test_every_private_module_name_is_used():
               for name in _checked_names(stmt)
               if not any(name in r for j, r in enumerate(reads) if j != k)]
     assert unused == []
+
+
+def _prose(source: str) -> list:
+    """The comments and docstrings of a module's source."""
+    texts = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            texts.append(ast.get_docstring(node) or "")
+    return texts
+
+
+def _defined(tree) -> set:
+    """The names a module binds anywhere: functions, classes, arguments,
+    variables, fields and attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_name_in_prose_is_defined():
+    # A _private name that a comment or docstring cites must exist in the
+    # package, so that prose naming a function that was renamed or removed
+    # fails here rather than misleading its reader.
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    defined = set().union(*(_defined(ast.parse(text)) for text in sources.values()))
+    cited = re.compile(r"(?<![\w.])_[A-Za-z]\w*")
+    stale = sorted({f"{module}: {name}" for module, text in sources.items()
+                    for prose in _prose(text) for name in cited.findall(prose)
+                    if name not in defined})
+    assert stale == []

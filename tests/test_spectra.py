@@ -521,13 +521,13 @@ def test_dropped_words_by_reason(three_disk_scene, two_disk_scene, empty_scene):
 def test_a_table_solves_every_admissible_word_once(scene_name, depth, request, monkeypatch):
     # Each unordered pair is solved once, from its lesser point, on every
     # word of length 0 to depth with no body twice in a row: k (k - 1)^(m - 1)
-    # words of length m for k bodies. A word without a finite start is not
-    # solved but counted as dropped_start.
+    # words of length m for k bodies. A word without a finite start ends
+    # there, counted as dropped_start.
     scene = request.getfixturevalue(scene_name)
-    words = _table_words(scene, monkeypatch, n_points=6, depth=depth)[3]
+    args, got = _table_words_and_solves(scene, monkeypatch, n_points=6, depth=depth)
+    words = args[3]
     ids = words.obstacles.tolist()
-    solved = Counter(tuple(ids[f:f + k]) for f, k in zip(words.first.tolist(),
-                                                          words.count.tolist()))
+    solved = Counter(tuple(ids[f:f + k]) for f, k in zip(_firsts(words), words.count.tolist()))
     diag = sl.travelling_time_spectrum(scene, n_points=6, depth=depth).diagnostics_dict()
     k = len(scene.bodies)
     pairs = len(sl.spectra.spectrum_pairs(scene, 6)) // 2
@@ -535,13 +535,47 @@ def test_a_table_solves_every_admissible_word_once(scene_name, depth, request, m
                   if all(a != b for a, b in zip(w, w[1:]))]
     assert len(admissible) == 1 + sum(k * (k - 1) ** (m - 1) for m in range(1, depth + 1))
     assert set(solved) == set(admissible)
-    assert all(n <= pairs for n in solved.values())
-    assert sum(solved.values()) + diag["dropped_start"] == pairs * len(admissible)
+    assert all(n == pairs for n in solved.values())
+    assert got[5].count("dropped_start") == diag["dropped_start"]
 
 
-def _unaimed(centre, rd, path, prev, nxt):
-    """_reaimed that leaves every start where it is."""
-    return path[:, :prev.size]
+def _firsts(words):
+    """The place in words.obstacles of each word's first body."""
+    return (np.cumsum(words.count) - words.count).tolist()
+
+
+def _starts_by_word(scene, xs, ys, depth, hi, monkeypatch):
+    """The starts of the first hi words of the pairs (xs, ys) as points, by
+    (pair, word), for the words with a finite start: re-aimed, as _starts
+    returns them, and before the re-aim, as _starts writes them into path;
+    and the number of words without a finite start."""
+    spectra = sl.spectra
+    pair, words = spectra._run_words(scene, depth, 0, hi)
+    layout, starts = spectra._layout, spectra._starts
+    layouts, points = [], []
+
+    def recording_layout(*args):
+        layouts.append(layout(*args))
+        return layouts[-1]
+
+    def recording_starts(centre, rd, path, *args):
+        s = starts(centre, rd, path, *args)
+        points.append((centre + spectra._mat_vec(rd, s), path[:, :centre.shape[1]].copy()))
+        return s
+
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_layout", recording_layout)
+        m.setattr(spectra, "_starts", recording_starts)
+        reason = spectra._solve_words(scene, xs[pair], ys[pair], words)[5]
+    point = layouts[0][1]
+    ids, found = words.obstacles.tolist(), []
+    for q in points[0]:
+        by_point = np.empty((len(ids), scene.dimension))
+        by_point[point] = q.T
+        found.append({(p, tuple(ids[f:f + k])): by_point[f:f + k]
+                      for p, f, k in zip(pair.tolist(), _firsts(words), words.count.tolist())
+                      if np.isfinite(by_point[f:f + k]).all()})
+    return (*found, reason.count("dropped_start"))
 
 
 def test_one_bounce_words_start_on_the_bisector(three_disk_scene, monkeypatch):
@@ -550,18 +584,13 @@ def test_one_bounce_words_start_on_the_bisector(three_disk_scene, monkeypatch):
     # takes the neighbouring bodies' centres as its anchors, before the
     # starts are re-aimed.
     x, y = np.array([[10.0, 0.0]]), np.array([[0.0, 10.0]])
-    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
-    slot, words, unstarted = sl.spectra._word_starts(three_disk_scene, x, y, 3, 0, 22)
-    assert unstarted == 0 and slot.tolist() == [0] * words.count.size == [0] * 22
-    ids, pts = words.obstacles.tolist(), words.points
-    for f, k in zip(words.first.tolist(), words.count.tolist()):
-        word = ids[f:f + k]
+    _, starts, unstarted = _starts_by_word(three_disk_scene, x, y, 3, 22, monkeypatch)
+    assert unstarted == 0 and len(starts) == 22 and {p for p, _ in starts} == {0}
+    for (_, word), points in starts.items():
         anchors = [x[0]] + [np.asarray(three_disk_scene.bodies[b].center) for b in word] + [y[0]]
         for i, b in enumerate(word):
-            c = anchors[i + 1]
-            u, v = anchors[i] - c, anchors[i + 2] - c
-            n = u / np.linalg.norm(u) + v / np.linalg.norm(v)
-            assert np.allclose(pts[f + i], c + n / np.linalg.norm(n), rtol=0.0, atol=1e-14)
+            want = _bisector_point(three_disk_scene.bodies[b], anchors[i], anchors[i + 2])
+            assert np.allclose(points[i], want, rtol=0.0, atol=1e-14)
 
 
 def _collinear_disks():
@@ -579,26 +608,13 @@ def test_a_point_between_opposite_anchors_starts_from_its_neighbours(monkeypatch
     # before they are re-aimed.
     scene = _collinear_disks()
     xs, ys = np.array([[-6.0, 8.0], [-10.0, 0.0]]), np.array([[6.0, 8.0], [10.0, 0.0]])
-    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
-    slot, words, unstarted = sl.spectra._word_starts(scene, xs, ys, 3, 0, 44)
-    ids = words.obstacles.tolist()
-    starts = {(p, tuple(ids[f:f + k])): words.points[f:f + k]
-              for p, f, k in zip(slot.tolist(), words.first.tolist(), words.count.tolist())}
+    _, starts, unstarted = _starts_by_word(scene, xs, ys, 3, 44, monkeypatch)
     q0, q1, _ = starts[(0, (0, 1, 2))]
     u = (q0 - (0.0, 0.0)) / np.linalg.norm(q0) + np.array([1.0, 0.0])
     assert np.allclose(q1, 0.5 * u / np.linalg.norm(u), rtol=0.0, atol=1e-15)
     assert q1[1] > 0.0
     assert (1, (0, 1, 2)) not in starts and (1, (1,)) not in starts
     assert (0, (1,)) in starts and unstarted + len(starts) == 44
-
-
-def _starts_by_word(scene, xs, ys, depth, hi):
-    """_word_starts' starts of the first hi words of the pairs (xs, ys), by
-    (pair, word)."""
-    slot, words, unstarted = sl.spectra._word_starts(scene, xs, ys, depth, 0, hi)
-    ids = words.obstacles.tolist()
-    return {(p, tuple(ids[f:f + k])): words.points[f:f + k]
-            for p, f, k in zip(slot.tolist(), words.first.tolist(), words.count.tolist())}
 
 
 def _bisector_point(body, before, after):
@@ -616,9 +632,7 @@ def test_starts_are_reaimed_at_their_neighbours(three_disk_scene, monkeypatch):
     # as its anchors, all points at once from the starts before the re-aim.
     # A one-bounce word's anchors stay x and y, so its start does not move.
     xs, ys = np.array([[10.0, 0.0], [0.0, -10.0]]), np.array([[0.0, 10.0], [-10.0, 0.0]])
-    aimed = _starts_by_word(three_disk_scene, xs, ys, 3, 44)
-    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
-    unaimed = _starts_by_word(three_disk_scene, xs, ys, 3, 44)
+    aimed, unaimed, _ = _starts_by_word(three_disk_scene, xs, ys, 3, 44, monkeypatch)
     assert len(aimed) == 44 and aimed.keys() == unaimed.keys()
     moved = 0
     for (p, word), points in aimed.items():
@@ -642,9 +656,9 @@ def test_a_point_whose_reaimed_start_is_not_finite_keeps_its_start(monkeypatch):
     # The first and last points are re-aimed.
     scene = _collinear_disks()
     xs, ys = np.array([[-6.0, 8.0]]), np.array([[6.0, -8.0]])
-    q0, q1, q2 = _starts_by_word(scene, xs, ys, 3, 22)[(0, (0, 1, 2))]
-    monkeypatch.setattr(sl.spectra, "_reaimed", _unaimed)
-    p0, p1, p2 = _starts_by_word(scene, xs, ys, 3, 22)[(0, (0, 1, 2))]
+    aimed, unaimed, _ = _starts_by_word(scene, xs, ys, 3, 22, monkeypatch)
+    q0, q1, q2 = aimed[(0, (0, 1, 2))]
+    p0, p1, p2 = unaimed[(0, (0, 1, 2))]
     assert np.array_equal(p2, -p0)
     with np.errstate(invalid="ignore"):
         assert not np.isfinite(_bisector_point(scene.bodies[1], p0, p2)).any()
@@ -656,12 +670,17 @@ def test_a_point_whose_reaimed_start_is_not_finite_keeps_its_start(monkeypatch):
 
 
 def _solve(scene, x, y, word, points):
-    """_solve_words on one word from x to y started at points: (sample
-    fields (t, dir_in, dir_out, residual) or None, Newton steps, reason)."""
-    words = sl.spectra._Words(np.array([len(word)]), np.array([0]), np.array(word, dtype=int),
-                              np.asarray(points, dtype=float).reshape(len(word), scene.dimension))
-    t, din, dout, res, steps, reason = sl.spectra._solve_words(
-        scene, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None], words)
+    """_solve_words on one word off balls from x to y, started at points by
+    a substituted _starts: (sample fields (t, dir_in, dir_out, residual) or
+    None, Newton steps, reason)."""
+    bodies = [scene.bodies[b] for b in word]
+    s = np.array([(p - np.asarray(b.center)) / b.semiaxes[0] for b, p in
+                  zip(bodies, np.asarray(points, dtype=float))]).reshape(len(word), scene.dimension).T
+    words = sl.spectra._Words(np.array([len(word)]), np.array(word, dtype=int))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sl.spectra, "_starts", lambda *args: s / np.linalg.norm(s, axis=0))
+        t, din, dout, res, steps, reason = sl.spectra._solve_words(
+            scene, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None], words)
     got = None if reason[0] else (float(t[0]), tuple(din[:, 0]), tuple(dout[:, 0]), float(res[0]))
     return got, int(steps[0]), reason[0]
 
@@ -1107,34 +1126,27 @@ def _table_words(scene, monkeypatch, **kwargs):
 
 
 def _solve_counting_layouts(monkeypatch, args):
-    """_solve_words on args, and the number of words of each _layout call
-    and of each batch."""
+    """_solve_words on args, and the number of words of each _layout call."""
     spectra = sl.spectra
-    layouts, batches = [], []
-    layout, batch = spectra._layout, spectra._newton_batch
+    layouts = []
+    layout = spectra._layout
 
     def recording_layout(words, act):
         layouts.append(act.size)
         return layout(words, act)
 
-    def recording_batch(*a):
-        batches.append(a[4].size)
-        return batch(*a)
-
     with monkeypatch.context() as m:
         m.setattr(spectra, "_layout", recording_layout)
-        m.setattr(spectra, "_newton_batch", recording_batch)
         got = spectra._solve_words(*args)
-    return got, layouts, batches
+    return got, layouts
 
 
 def _run(args, lo, hi):
     """The _solve_words arguments args cut to their words lo to hi - 1."""
     scene, xs, ys, words = args
-    first, last = words.first[lo], words.first[lo] + words.count[lo:hi].sum()
-    return scene, xs[lo:hi], ys[lo:hi], sl.spectra._Words(
-        words.count[lo:hi], words.first[lo:hi] - first, words.obstacles[first:last],
-        words.points[first:last])
+    first, last = words.count[:lo].sum(), words.count[:hi].sum()
+    return scene, xs[lo:hi], ys[lo:hi], sl.spectra._Words(words.count[lo:hi],
+                                                          words.obstacles[first:last])
 
 
 def _bits(got):
@@ -1160,16 +1172,16 @@ def test_bounded_compacting_batches_match_one_batch(case, cap, three_disk_scene,
     if cap:
         monkeypatch.setattr(spectra, "_NEWTON_CAP", cap)
     monkeypatch.setattr(spectra, "_COMPACT_POINTS", 1 << 30)
-    whole, layouts, _ = _solve_counting_layouts(monkeypatch, args)
+    whole, layouts = _solve_counting_layouts(monkeypatch, args)
     assert layouts == [np.count_nonzero(args[3].count)]
     monkeypatch.setattr(spectra, "_COMPACT_POINTS", 3)
     layouts, batches, parts = [], [], []
     for lo in range(0, args[3].count.size, 5):
-        part, run_layouts, run_batches = _solve_counting_layouts(monkeypatch,
-                                                                 _run(args, lo, lo + 5))
+        part, run_layouts = _solve_counting_layouts(monkeypatch, _run(args, lo, lo + 5))
         parts.append(part)
         layouts += run_layouts
-        batches += run_batches
+        # A batch is a run's first layout.
+        batches += run_layouts[:1]
     got = (*(np.concatenate(f, axis=-1) for f in list(zip(*parts))[:5]),
            [why for part in parts for why in part[5]])
     assert _bits(got) == _bits(whole)
@@ -1192,16 +1204,25 @@ def test_bounded_compacting_batches_match_one_batch(case, cap, three_disk_scene,
 def test_benchmark_size_tables_are_laid_out_once(two_disk_scene, monkeypatch):
     # The tables of the rigidity-2d and travel-3d benchmark jobs hold fewer
     # reflection points than a compaction needs, so each is solved in one
-    # batch with one layout, as the unbounded solve does.
+    # batch with one layout, in which its words' starts are built too.
+    spectra = sl.spectra
+    layout = spectra._layout
+    layouts = []
+
+    def recording_layout(words, act):
+        layouts.append(act.size)
+        return layout(words, act)
+
+    monkeypatch.setattr(spectra, "_layout", recording_layout)
     moved = sl.Scene(dimension=2, bodies=(sl.ball((-3.0, 0.0), 1.0), sl.ball((4.0, 0.0), 1.0)),
                      ball_radius=10.0)
     for scene, kwargs in [(two_disk_scene, dict(n_points=4, phase=0.3)),
                           (moved, dict(n_points=4, phase=0.3)),
                           (_benchmark_ball_ellipsoid(), dict(n_points=3))]:
+        layouts.clear()
         args = _table_words(scene, monkeypatch, **kwargs)
-        assert 0 < args[3].count.sum() < sl.spectra._COMPACT_POINTS
-        _, layouts, batches = _solve_counting_layouts(monkeypatch, args)
-        assert layouts == batches == [np.count_nonzero(args[3].count)]
+        assert 0 < args[3].count.sum() < spectra._COMPACT_POINTS
+        assert layouts == [np.count_nonzero(args[3].count)]
 
 
 def test_travel_3d_imports_no_scipy_optimize(ball_ellipsoid_scene):
@@ -1273,7 +1294,7 @@ def test_a_root_is_its_pair_and_its_word(scene_name, n_points, request, monkeypa
     def recording_solve(scene, xs, ys, words):
         got = solve(scene, xs, ys, words)
         t, _, _, residual, _, reason = got
-        for n, (x, y, f, k) in enumerate(zip(xs.tolist(), ys.tolist(), words.first.tolist(),
+        for n, (x, y, f, k) in enumerate(zip(xs.tolist(), ys.tolist(), _firsts(words),
                                              words.count.tolist())):
             if reason[n] is None:
                 word = tuple(words.obstacles[f:f + k].tolist())
