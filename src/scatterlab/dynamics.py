@@ -143,9 +143,9 @@ def _trace_many(scene: Scene, O: np.ndarray, U: np.ndarray, limits: Optional[Tra
     held, compacted, as (d, n) coordinate arrays, filtered once per step by
     the rays that hit; a ray that escapes or is cut off leaves the flight,
     and its last leg is read at the end from its last event in the log. On
-    a body scene under the default limits each row is bitwise the float
-    trace that runs _first_hit_nd step by step: reflections and path
-    lengths take their coordinate-order sums.
+    a body scene under the default limits each row is bitwise a float
+    trace that takes the same hit rule one ray at a time: reflections and
+    path lengths take their coordinate-order sums.
 
     Returns per ray (escaped, leg_origin, leg_length, direction): the start
     of the last free leg (the last event point, or the start point when
@@ -231,7 +231,7 @@ def _sphere_exit(scene: Scene, legs: np.ndarray, dirs: np.ndarray, r: float):
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row inner products summed column by column from the first, the order
-    of the float kernels' sums."""
+    of _dot's sums."""
     return _dot(a.T, b.T)
 
 

@@ -12,10 +12,8 @@ Taken there, the discriminant -al g0 does not cancel when a small body is
 seen from far away, so |phi| at a reported hit stays below ROOT_TOL, or
 below the rounding floor of the hit point where that is larger; a hit off
 its body beyond that raises RayIntersectError. One batched kernel answers
-every scene query, testing each kind of obstacle against all rays in one
-pass. Only ray_intersect takes hits on floats, by _first_hit_nd, a scalar
-rule that sees bodies alone and matches the batched kernel bit for bit (one
-elementwise arithmetic, summed in coordinate order).
+every query, testing each kind of obstacle against all rays in one pass;
+ray_intersect and scene_first_hit run it on one ray.
 
 Curve obstacles (chains of elliptic arcs and segments) exist only in the
 plane and only for demonstration scenes; they are flagged non-convex and all
@@ -43,8 +41,8 @@ ROOT_TOL = 1e-9
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 # How far a direction's norm may be from 1 at every single-ray entry point:
-# the planar kernels take the direction as given, so a looser bound would let
-# reported points leave the boundary.
+# the kernel takes the direction as given (a ball's leading coefficient is
+# 1 / r^2), so a looser bound would let reported points leave the boundary.
 UNIT_TOL = 1e-12
 
 _OFF_BODY = "ray-body hit lies off the body beyond its root tolerance"
@@ -97,6 +95,8 @@ class ConvexBody:
         d = c.size
         if self.kind not in ("ball", "ellipsoid"):
             raise ValueError(f"unknown body kind {self.kind!r}")
+        if d < 2:
+            raise ValueError("a body's centre needs at least 2 coordinates")
         if s.size != d:
             raise ValueError("semiaxes length must equal the ambient dimension")
         if not np.all(s > 0.0):
@@ -120,11 +120,6 @@ class ConvexBody:
         m = rot @ np.diag(inv2) @ rot.T
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_M", m)
-        # Kernel parameters: (1 / r^2,), or M's rows with the upper triangle mirrored.
-        r = float(s[0])
-        object.__setattr__(self, "_tag", self.kind[0])
-        object.__setattr__(self, "_par", (1.0 / (r * r),) if self.kind == "ball"
-                           else _sym(m[np.triu_indices(d)].tolist(), d))
 
     @property
     def dimension(self) -> int:
@@ -213,16 +208,18 @@ def ray_intersect(body: ConvexBody, origin, direction, t_min: float = 0.0) -> Op
 
     Convexity gives at most two roots; a ray in the snap band is treated as
     a double root at its vertex and flagged grazing, as is any simple root
-    whose incidence cosine is below the tangency threshold. On a one-body
-    scene it is bitwise scene_first_hit. Raises ValueError unless the
-    origin and direction have the body's dimension and the direction is a
-    unit vector (to UNIT_TOL = 1e-12), and RayIntersectError for a hit off
-    the body beyond ROOT_TOL and the rounding floor.
+    whose incidence cosine is below the tangency threshold. It is the
+    batched kernel on one ray of the body's one-body scene, so it is bitwise
+    scene_first_hit there. Raises ValueError unless the origin is finite,
+    the origin and direction have the body's dimension, the direction is a
+    unit vector (to UNIT_TOL = 1e-12) and t_min is finite, and
+    RayIntersectError for a hit off the body beyond ROOT_TOL and the
+    rounding floor.
     """
-    o, v = _as_tuple(origin), _as_tuple(direction)
-    _check_ray(body.dimension, o, v)
-    hit = _first_hit_nd((body,), o, v, t_min)
-    return None if hit is None else Hit(*hit[1:])
+    if not math.isfinite(t_min):
+        raise ValueError("t_min must be finite")
+    hit = _one_ray(Scene(body.dimension, (body,)), origin, direction, t_min)
+    return None if hit is None else hit[1]
 
 
 def _check_unit(v) -> None:
@@ -232,19 +229,21 @@ def _check_unit(v) -> None:
 
 
 def _check_ray(d: int, o, v) -> None:
-    """Refuse a ray unless its origin and direction lie in R^d and the
-    direction is a unit vector."""
+    """Refuse a ray unless its origin and direction lie in R^d, the origin
+    is finite and the direction is a unit vector."""
     if len(o) != d or len(v) != d:
         raise ValueError(f"the ray's origin and direction must be {d}-dimensional")
+    if not all(map(math.isfinite, o)):
+        raise ValueError("the ray's origin must be finite")
     _check_unit(v)
 
 
 # ---------------------------------------------------------------------------
 # One arithmetic for every kernel
 # ---------------------------------------------------------------------------
-# The expressions below run unchanged on floats (the scalar kernels) and on
-# arrays (the batched kernel, one entry per ray), so each row of a batch is
-# bitwise its float trace. A point or vector is a sequence of its
+# The expressions below run unchanged on arrays (the batched kernel, one
+# entry per ray) and on floats (a one-ray reference), so each row of a batch
+# is bitwise its float trace. A point or vector is a sequence of its
 # coordinates; a ball's parameters are (1 / r^2,), an ellipsoid's the rows of
 # M with its upper triangle mirrored.
 
@@ -300,63 +299,29 @@ def _guard(f, nn, o, u, t) -> None:
         raise RayIntersectError(_OFF_BODY, o, u)
 
 
-def _first_hit_nd(bodies, o: tuple, v: tuple, t_min: float = 0.0):
-    """Nearest hit after t_min of one ray on the bodies, in any d, as (id, t,
-    point, normal, cos_incidence, grazing), or None; ties go to the lowest
-    id. Each body offers its first root of al (t - t0)^2 + g0 after t_min,
-    t0 -+ sqrt(-al g0) / al, or in the double-root snap band its vertex t0;
-    the hit passes _guard. The direction must be a unit vector."""
-    best_t, best, band = math.inf, None, False
-    for i, body in enumerate(bodies):
-        al, t0, g0 = _quadratic(body._tag, body.center, body._par, o, v)
-        if g0 > DISCRIMINANT_EPS:
-            continue
-        if g0 >= -DISCRIMINANT_EPS:
-            if t_min < t0 < best_t:
-                best_t, best, band = t0, i, True
-            continue
-        h = math.sqrt(-al * g0) / al
-        t = t0 - h
-        if not t > t_min:
-            t = t0 + h
-        if t_min < t < best_t:
-            best_t, best, band = t, i, False
-    if best is None:
-        return None
-    body = bodies[best]
-    p = tuple([x + best_t * y for x, y in zip(o, v)])
-    f, g = _phi(body._tag, body.center, body._par, p)
-    nn = math.sqrt(_dot(g, g))
-    _guard(f, nn, o, v, best_t)
-    n = tuple([x / nn for x in g])
-    cosi = _dot(v, n)
-    return best, best_t, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
-
-
 # ---------------------------------------------------------------------------
 # Batched kernel
 # ---------------------------------------------------------------------------
 # Rows of O and U are ray origins and unit directions. Each kind of obstacle
-# meets all rays in one pass over an (obstacles x rays) array, bodies by the
-# expressions of _first_hit_nd written on arrays: the columns of O
-# and U stand for the coordinates, and a kind's (K, 1) parameter columns for
-# its parameters.
+# meets all rays in one pass over an (obstacles x rays) array, bodies by
+# _quadratic and _phi on arrays: the columns of O and U stand for the
+# coordinates, and a kind's (K, 1) parameter columns for its parameters.
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product of each row of a with the same row of b (rows broadcast)."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _roots_beyond_zero(al, t0, g0):
-    """_first_hit_nd's root rule on arrays of quadratics al (t - t0)^2 + g0 and
-    t_min = 0: (t, band), t the first root beyond 0 (inf where none) and
-    band the double-root snap band, whose one root is t0."""
+def _roots_beyond(al, t0, g0, t_min):
+    """The body root rule on arrays of quadratics al (t - t0)^2 + g0:
+    (t, band), t the first root t0 -+ sqrt(-al g0) / al beyond t_min (inf
+    where none) and band the double-root snap band, whose one root is t0."""
     band = np.abs(g0) <= DISCRIMINANT_EPS
     # NaN where the ray misses (g0 > 0), which every comparison rejects.
     h = np.sqrt(-al * g0) / al
     lo = t0 - h
-    t = np.where(band, t0, np.where(lo > 0.0, lo, t0 + h))
-    return np.where((g0 <= DISCRIMINANT_EPS) & (t > 0.0), t, np.inf), band
+    t = np.where(band, t0, np.where(lo > t_min, lo, t0 + h))
+    return np.where((g0 <= DISCRIMINANT_EPS) & (t > t_min), t, np.inf), band
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +497,8 @@ class Scene:
 #   ("e", id, -1, *c, *upper triangle of M)     ellipsoid, M = R D^-2 R^T
 #   ("s", id, arc, x1, y1, ex, ey, ln)          segment, unit (ex, ey)
 #   ("a", id, arc, cx, cy, sa, sb, lo, span)    axis-aligned elliptic arc
-# Curves exist only in the plane, and only the batched kernel sees them: it
-# evaluates each kind on the (K, 1) parameter columns of a _Kind stack against
-# length-N ray arrays. _first_hit_nd runs _quadratic and _phi on floats, so
-# a _trace_many row on a body scene is bitwise its float trace.
+# Curves exist only in the plane. The batched kernel evaluates each kind on
+# the (K, 1) parameter columns of a _Kind stack against length-N ray arrays.
 
 _TWO_PI = 2.0 * math.pi
 
@@ -554,8 +517,9 @@ def _compile(scene: Scene):
     d = scene.dimension
     entries = []
     for i, b in enumerate(scene.bodies):
-        par = b._par if b._tag == "b" else [b._par[j][k] for j in range(d) for k in range(j, d)]
-        entries.append((b._tag, i, -1, *b.center, *par))
+        r = b.semiaxes[0]
+        par = (1.0 / (r * r),) if b.kind == "ball" else b._M[np.triu_indices(d)].tolist()
+        entries.append((b.kind[0], i, -1, *b.center, *par))
     nb = len(scene.bodies)
     for ci, curve in enumerate(scene.curves):
         for ai, arc in enumerate(curve.arcs):
@@ -583,12 +547,11 @@ def _compile(scene: Scene):
     return tuple(entries), tuple(kinds), table
 
 
-def _hits(scene, o, u):
+def _hits(scene, o, u, t_min=0.0):
     """The batched kernel on the coordinate rows o and u, (d, N) arrays, of
-    N rays: one pass per obstacle kind over all rays, bodies by the rules of
-    _first_hit_nd, and arcs and segments by the only copy of
-    theirs; every body hit passes _guard, and RayIntersectError names the
-    lowest offending ray.
+    N rays, taking each ray's first hit beyond t_min: one pass per obstacle
+    kind over all rays, each kind by the only copy of its rule; every body
+    hit passes _guard, and RayIntersectError names the lowest offending ray.
 
     Returns, for the rays that hit only, (rows, t, ids, arcs, grazing,
     points, normals): the rays' ascending positions in the batch, and points
@@ -598,13 +561,13 @@ def _hits(scene, o, u):
     d, n_rays = o.shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if len(kinds) == 1:
-            t, band = _kind_pass(kinds[0], o, u)
+            t, band = _kind_pass(kinds[0], o, u, t_min)
         else:
             # Rows in scene order; with no obstacle, one row of misses.
             t = np.full((max(len(entries), 1), n_rays), np.inf)
             band = np.zeros(t.shape, dtype=bool)
             for kind in kinds:
-                t[kind.key], band[kind.key] = _kind_pass(kind, o, u)
+                t[kind.key], band[kind.key] = _kind_pass(kind, o, u, t_min)
         best = t.min(0)
         rows = np.flatnonzero(best < np.inf)
         if not rows.size:
@@ -654,13 +617,13 @@ def _body_par(tag: str, m, d: int):
     return m if tag == "b" else _sym(m, d)
 
 
-def _kind_pass(kind: _Kind, o, u):
-    """The first crossing after 0 of every ray with every entry of a kind:
-    (t, band), each (K, N), t = inf where there is none."""
+def _kind_pass(kind: _Kind, o, u, t_min):
+    """The first crossing after t_min of every ray with every entry of a
+    kind: (t, band), each (K, N), t = inf where there is none."""
     if kind.tag in "be":
         d = len(o)
         c, m = kind.cols[:d], kind.cols[d:]
-        return _roots_beyond_zero(*_quadratic(kind.tag, c, _body_par(kind.tag, m, d), o, u))
+        return _roots_beyond(*_quadratic(kind.tag, c, _body_par(kind.tag, m, d), o, u), t_min)
     (ox, oy), (ux, uy) = o, u
     if kind.tag == "s":
         x1, y1, ex, ey, ln = kind.cols
@@ -669,7 +632,7 @@ def _kind_pass(kind: _Kind, o, u):
         ry = y1 - oy
         t = (rx * ey - ry * ex) / det
         along = (rx * uy - ry * ux) / det
-        ok = ((np.abs(det) >= 1e-15) & (t > 0.0)
+        ok = ((np.abs(det) >= 1e-15) & (t > t_min)
               & (-1e-12 * ln <= along) & (along <= ln * (1.0 + 1e-12)))
         return np.where(ok, t, np.inf), np.zeros(t.shape, dtype=bool)
     cx, cy, sa, sb, lo, span = kind.cols
@@ -686,10 +649,10 @@ def _kind_pass(kind: _Kind, o, u):
     far = (-b + s) / al
 
     def on_arc(t):
-        # Only roots beyond 0 take the angle test, whether the ellipse angle
-        # lies on [lo, lo + span] to 1e-12; most lanes hold none (a NaN root
-        # where the ray misses the ellipse).
-        ok = t > 0.0
+        # Only roots beyond t_min take the angle test, whether the ellipse
+        # angle lies on [lo, lo + span] to 1e-12; most lanes hold none (a NaN
+        # root where the ray misses the ellipse).
+        ok = t > t_min
         i = np.flatnonzero(ok)
         k, n = np.divmod(i, t.shape[1])
         tk = t.take(i)
@@ -710,14 +673,21 @@ def scene_first_hit(scene: Scene, origin, direction) -> Optional[tuple[int, Hit]
     (obstacle_id, Hit), or None: the batched kernel on one ray.
 
     Ties between obstacles are broken toward the lowest obstacle id. Curve
-    normals face against the ray. Raises ValueError unless the origin and
-    direction have the scene's dimension and the direction is a unit vector
-    (to UNIT_TOL = 1e-12), and RayIntersectError for a body hit off its body
-    beyond ROOT_TOL and the rounding floor.
+    normals face against the ray. Raises ValueError unless the origin is
+    finite, the origin and direction have the scene's dimension and the
+    direction is a unit vector (to UNIT_TOL = 1e-12), and RayIntersectError
+    for a body hit off its body beyond ROOT_TOL and the rounding floor.
     """
+    return _one_ray(scene, origin, direction)
+
+
+def _one_ray(scene: Scene, origin, direction, t_min: float = 0.0) -> Optional[tuple[int, Hit]]:
+    """The batched kernel on one checked ray: its first hit beyond t_min as
+    (obstacle_id, Hit), or None."""
     o, v = _as_tuple(origin), _as_tuple(direction)
     _check_ray(scene.dimension, o, v)
-    rows, t, ids, arcs, grazing, p, n = _hits(scene, np.array(o)[:, None], np.array(v)[:, None])
+    ray = np.array(o)[:, None], np.array(v)[:, None]
+    rows, t, ids, arcs, grazing, p, n = _hits(scene, *ray, t_min)
     if not rows.size:
         return None
     n, arc = tuple(n[:, 0].tolist()), int(arcs[0])

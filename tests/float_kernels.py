@@ -1,9 +1,11 @@
-"""Planar float kernels kept as bitwise references for the batched ones.
+"""Float kernels kept as bitwise references for the batched ones.
 
-_first_hit_2d and _trace_2d write the d = 2 body hit and trace out on Python
-floats, one ray at a time, in the batched kernel's operation order: a row of
-_trace_many on a body scene under the default limits equals _trace_2d, and
-_hits equals _first_hit_2d, bit for bit.
+_first_hit_nd takes the body hit of one ray in any d on Python floats, by
+the batched kernel's own _quadratic and _phi; _first_hit_2d and _trace_2d
+write the d = 2 body hit and trace out by hand, in the batched kernel's
+operation order. On a body scene _hits equals _first_hit_nd and, in the
+plane, _first_hit_2d, and a row of _trace_many under the default limits
+equals _trace_2d, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,44 @@ import math
 
 from scatterlab.dynamics import DEFAULT_MAX_REFLECTIONS
 from scatterlab import geometry
-from scatterlab.geometry import DISCRIMINANT_EPS, TANGENT_COS_EPS, _guard
+from scatterlab.geometry import (DISCRIMINANT_EPS, TANGENT_COS_EPS, _body_par, _dot, _guard,
+                                 _phi, _quadratic)
+
+
+def _first_hit_nd(entries, o: tuple, v: tuple, t_min: float = 0.0):
+    """Nearest hit after t_min of one ray over the kernel entries of a body
+    scene (its _k[0]), in any d, as (obstacle_id, t, point, normal,
+    cos_incidence, grazing), or None; ties go to the lowest id. Each body
+    offers its first root of al (t - t0)^2 + g0 after t_min,
+    t0 -+ sqrt(-al g0) / al, or in the double-root snap band its vertex t0;
+    the hit passes _guard. The direction must be a unit vector."""
+    d = len(o)
+    best_t, best, band = math.inf, None, False
+    for e in entries:
+        tag, c, par = e[0], e[3:3 + d], _body_par(e[0], e[3 + d:], d)
+        al, t0, g0 = _quadratic(tag, c, par, o, v)
+        if g0 > DISCRIMINANT_EPS:
+            continue
+        if g0 >= -DISCRIMINANT_EPS:
+            if t_min < t0 < best_t:
+                best_t, best, band = t0, (e[1], tag, c, par), True
+            continue
+        h = math.sqrt(-al * g0) / al
+        t = t0 - h
+        if not t > t_min:
+            t = t0 + h
+        if t_min < t < best_t:
+            best_t, best, band = t, (e[1], tag, c, par), False
+    if best is None:
+        return None
+    oid, tag, c, par = best
+    p = tuple([x + best_t * y for x, y in zip(o, v)])
+    f, g = _phi(tag, c, par, p)
+    nn = math.sqrt(_dot(g, g))
+    _guard(f, nn, o, v, best_t)
+    n = tuple([x / nn for x in g])
+    cosi = _dot(v, n)
+    return oid, best_t, p, n, cosi, band or abs(cosi) < TANGENT_COS_EPS
 
 
 def _first_hit_2d(entries, ox: float, oy: float, ux: float, uy: float):

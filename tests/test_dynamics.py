@@ -5,9 +5,9 @@ import pytest
 
 import scatterlab as sl
 from scatterlab.dynamics import _itineraries, _trace_many
-from scatterlab.geometry import _dot, _first_hit_nd
+from scatterlab.geometry import _dot
 from scatterlab.spectra import plane_basis, sphere_lattice
-from float_kernels import _trace_2d
+from float_kernels import _first_hit_nd, _trace_2d
 from oracles import mirror_direction
 
 
@@ -263,9 +263,10 @@ def _default_scales(scene) -> tuple:
             sl.dynamics.DEFAULT_LENGTH_FACTOR * a)
 
 
-def _trace_nd(bodies, point, direction, off: float, skip: float, lmax: float):
-    """The float reference trace in any d: _first_hit_nd step by step, with
-    the batched kernel's reflection, offsets and limits written on floats.
+def _trace_nd(entries, point, direction, off: float, skip: float, lmax: float):
+    """The float reference trace in any d over a body scene's kernel entries
+    (its _k[0]): _first_hit_nd step by step, with the batched kernel's
+    reflection, offsets and limits written on floats.
     Returns (escaped, events, leg_origin, direction, leg_length) as _trace_2d
     does, events as (obstacle, point, normal, grazing, direction_after)."""
     o = prev = tuple(map(float, point))
@@ -274,7 +275,7 @@ def _trace_nd(bodies, point, direction, off: float, skip: float, lmax: float):
     nrefl = 0
     events = []
     while True:
-        hit = _first_hit_nd(bodies, o, u)
+        hit = _first_hit_nd(entries, o, u)
         if hit is None:
             return True, events, prev, u, total
         oid, _, p, n, _, grazing = hit
@@ -306,7 +307,7 @@ def _assert_trace_many_matches(scene, O, dirs) -> list:
     itins = _itineraries(log, n)
     assert np.all(log.arc == -1)
     for k, (x, u) in enumerate(zip(O, dirs)):
-        esc, events, leg, fdir, length = _trace_nd(scene.bodies, x, u, *_default_scales(scene))
+        esc, events, leg, fdir, length = _trace_nd(scene._k[0], x, u, *_default_scales(scene))
         assert escaped[k] == esc
         assert itins[k] == tuple(e[0] for e in events if not e[3])
         # The log holds the ray's events in order, each bitwise its own.
@@ -416,7 +417,7 @@ def test_planar_float_traces_agree_bit_for_bit(two_disk_scene):
         scales = _default_scales(scene)
         for x, u in zip(np.vstack(O), np.vstack(U)):
             planar = _trace_2d(scene._k[0], x, u, *scales)
-            assert repr(_trace_nd(scene.bodies, x, u, *scales)) == repr(planar)
+            assert repr(_trace_nd(scene._k[0], x, u, *scales)) == repr(planar)
             grazed += sum(e[3] for e in planar[1])
             reflected += len(planar[1]) >= 2
     assert grazed and reflected
@@ -525,8 +526,9 @@ def test_trace_many_matches_near_grazing_family_in_3d():
 
 
 def test_nd_kernels_take_no_matrix_products(monkeypatch, ball_ellipsoid_scene):
-    # The d >= 3 batched pass and single-ray hits run the same elementwise
-    # arithmetic on arrays and floats, with no BLAS products or norms.
+    # The d >= 3 batched pass, ray_intersect and the float reference run the
+    # same elementwise arithmetic on arrays and floats, with no BLAS products
+    # or norms.
     scene = ball_ellipsoid_scene
     x = np.array([0.0, scene.ball_radius, 0.0])
     dirs = np.array([b.center for b in scene.bodies]) - x
@@ -540,4 +542,5 @@ def test_nd_kernels_take_no_matrix_products(monkeypatch, ball_ellipsoid_scene):
     escaped, _, _, _, log = _trace_many(scene, np.tile(x, (2, 1)), dirs)
     assert escaped.all() and _itineraries(log, 2) == [(0,), (1,)]
     for k, u in enumerate(dirs):
-        assert _first_hit_nd(scene.bodies, tuple(x), tuple(u))[0] == k
+        assert _first_hit_nd(scene._k[0], tuple(x), tuple(u))[0] == k
+        assert sl.ray_intersect(scene.bodies[k], x, u) is not None

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.geometry import (ROOT_TOL, _body_reach, _first_hit_nd, _hits, _support_separation,
-                                 body_pair_distance)
-from float_kernels import _first_hit_2d
+from scatterlab.geometry import ROOT_TOL, _body_reach, _hits, _support_separation, body_pair_distance
+from float_kernels import _first_hit_2d, _first_hit_nd
 from oracles import first_curve_hits
 
 
@@ -37,7 +36,7 @@ def _float_hit(scene, o, v):
             return None
         oid, t, px, py, nx, ny, _, grazing = hit
         return oid, t, (px, py), (nx, ny), grazing
-    hit = _first_hit_nd(scene.bodies, o, v)
+    hit = _first_hit_nd(scene._k[0], o, v)
     return None if hit is None else (*hit[:4], hit[5])
 
 
@@ -75,6 +74,11 @@ def test_invalid_bodies_rejected():
         sl.ellipsoid((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         sl.ellipsoid((0.0, 0.0), (1.0, 1.0), [[1.0, 0.1], [0.0, 1.0]])
+    # Obstacles live in d >= 2.
+    with pytest.raises(ValueError, match="at least 2 coordinates"):
+        sl.ball((0.0,), 1.0)
+    with pytest.raises(ValueError, match="at least 2 coordinates"):
+        sl.ellipsoid((0.0,), (1.0,))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -284,11 +288,11 @@ def test_batched_kernel_matches_scene_first_hit(d):
     assert kinds == {"miss", ("hit", 0), ("hit", 1), ("graze", 0), ("graze", 1)}
 
 
-def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch):
+def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies():
     # Seen from 2,000 away, bodies of size 0.01: the roots, taken about the
-    # ray's vertex, need no repair, so the batched kernel never hands a row
-    # to a float kernel; the two kernels still agree bit for bit, and
-    # every reported point is on its body to ROOT_TOL.
+    # ray's vertex, need no repair; the batched kernel and the float
+    # reference agree bit for bit, and every reported point is on its body
+    # to ROOT_TOL.
     scene = sl.Scene(dimension=2,
                      bodies=(sl.ball((0.0, 0.0), 1e-2),
                              sl.ellipsoid((0.0, 3.0), (2e-2, 1e-2), sl.rotation_2d(0.7))),
@@ -299,13 +303,7 @@ def test_batched_kernel_matches_scene_first_hit_on_far_small_bodies(monkeypatch)
     aim = np.array([b.center for b in scene.bodies])[np.arange(200) % 2]
     U = aim + rng.normal(scale=1e-2, size=(200, 2)) - O
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-
-    def no_single_ray(*args):
-        raise AssertionError("the batched kernel called a float kernel")
-
-    with monkeypatch.context() as m:
-        m.setattr(sl.geometry, "_first_hit_nd", no_single_ray)
-        t, ids, _, grazing, points, normals = _batch_hits(scene, O, U)
+    t, ids, _, grazing, points, normals = _batch_hits(scene, O, U)
     assert {0, 1} <= set(ids.tolist())
     for k in range(200):
         ref = _float_hit(scene, O[k], U[k])
@@ -436,20 +434,27 @@ def _one_body_rays(body, rng, n):
     return rays + _tangent_rays(body, rng, 40)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_ray_intersect_matches_scene_first_hit(d):
-    # On a one-body scene the body-level query runs the scene kernel's
-    # arithmetic: every field of every hit is equal, grazes included, and a
-    # second query past the first hit honours t_min.
+    # On a one-body scene the body-level query is the scene kernel on one
+    # ray: every field of every hit equals scene_first_hit's and the float
+    # reference's, grazes included, and a second query past the first hit
+    # honours t_min, bit for bit with the reference there too.
     rot, _ = np.linalg.qr(np.random.default_rng(70 + d).normal(size=(d, d)))
     bodies = (sl.ball((0.5,) * d, 1.2),
-              sl.ellipsoid((0.5,) * d, (1.6, 0.7, 1.1)[:d], rot))
+              sl.ellipsoid((0.5,) * d, (1.6, 0.7, 1.1, 0.9)[:d], rot))
     rng = np.random.default_rng(80 + d)
     kinds = set()
     for body in bodies:
         scene = sl.Scene(dimension=d, bodies=(body,), ball_radius=20.0)
+
+        def float_hit(origin, v, t_min=0.0):
+            ref = _first_hit_nd(scene._k[0], tuple(origin.tolist()), tuple(v.tolist()), t_min)
+            return None if ref is None else sl.Hit(*ref[1:])
+
         for origin, v in _one_body_rays(body, rng, 400):
             hit = sl.ray_intersect(body, origin, v)
+            assert hit == float_hit(origin, v)
             ref = sl.scene_first_hit(scene, origin, v)
             if ref is None:
                 assert hit is None
@@ -457,9 +462,10 @@ def test_ray_intersect_matches_scene_first_hit(d):
                 continue
             assert ref[1] == hit
             kinds.add("graze" if hit.grazing else "hit")
+            later = sl.ray_intersect(body, origin, v, t_min=hit.t + 1e-9)
+            assert later == float_hit(origin, v, hit.t + 1e-9)
             if hit.grazing:
                 continue
-            later = sl.ray_intersect(body, origin, v, t_min=hit.t + 1e-9)
             assert later is not None and later.t > hit.t + 1e-9
             assert sl.ray_intersect(body, origin, v, t_min=later.t + 1e-9) is None
     assert kinds == {"miss", "hit", "graze"}
@@ -983,6 +989,21 @@ def test_single_ray_queries_refuse_non_unit_directions(d, bad):
 
 def _unit_ball_scene(d):
     return sl.Scene(dimension=d, bodies=(sl.ball((0.0,) * d, 1.0),), ball_radius=10.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: sl.ray_intersect(b, (math.nan, 0.0), (1.0, 0.0)),
+    lambda b: sl.ray_intersect(b, (-math.inf, 0.0), (1.0, 0.0)),
+    lambda b: sl.scene_first_hit(sl.Scene(dimension=2, bodies=(b,)), (math.nan, 0.0), (1.0, 0.0)),
+    lambda b: sl.ray_intersect(b, (-5.0, 0.0), (1.0, 0.0), t_min=math.nan),
+    lambda b: sl.ray_intersect(b, (-5.0, 0.0), (1.0, 0.0), t_min=-math.inf),
+], ids=["intersect-nan-origin", "intersect-inf-origin", "first-hit-nan-origin",
+        "intersect-nan-t-min", "intersect-inf-t-min"])
+def test_single_ray_queries_refuse_non_finite_origins_and_t_min(call):
+    # A ray from a non-finite origin, or a query past a non-finite t_min, is
+    # refused rather than answered as a miss.
+    with pytest.raises(ValueError, match="finite"):
+        call(sl.ball((0.0, 0.0), 1.0))
 
 
 @pytest.mark.parametrize("call", [

@@ -81,3 +81,17 @@ def test_every_private_name_in_prose_is_defined():
                     for prose in _prose(text) for name in cited.findall(prose)
                     if name not in defined})
     assert stale == []
+
+
+def test_only_the_batched_kernel_takes_body_roots():
+    # One hit kernel: inside the package only _kind_pass and _hits call the
+    # body rules _quadratic and _phi, so no second, scalar hit rule can grow
+    # back beside the batched one.
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            name = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            callers |= {f"{path.name}: {name}" for node in ast.walk(stmt)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("_quadratic", "_phi")}
+    assert callers == {"geometry.py: _hits", "geometry.py: _kind_pass"}
